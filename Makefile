@@ -21,11 +21,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages that spawn goroutines: the worker
-# pool, the cooperative scheduler, the parallel session runner, and the
-# parallel experiment grids.
+# Race-detector pass over the packages that spawn goroutines (ci.sh runs
+# this target), plus the one sctbench test that fans a surwsync-bound
+# target over parallel workers and requires the 1-worker result.
 race:
-	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/campaign ./internal/remote
+	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync
+	$(GO) test -race -short -run '^TestWorkerPool' ./internal/sctbench
 
 # Benchmarks. The throughput-critical pair (pooled scheduling and parallel
 # sessions) is additionally parsed into BENCH_obs.json so regressions can be
@@ -34,7 +35,7 @@ race:
 # (BENCH_obs.json stays the latest snapshot). `surwobs -bench-compare
 # old.json new.json` gates schedules/s between any two snapshots.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . | tee BENCH_obs.txt
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sched ./surwsync | tee BENCH_obs.txt
 	$(GO) run ./cmd/surwobs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
 		-bench-history BENCH_history.jsonl \
 		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=11'

@@ -18,7 +18,7 @@ type BenchResult struct {
 	// Name is the benchmark name with the trailing -GOMAXPROCS suffix
 	// stripped (e.g. "BenchmarkPooledSchedule/pooled").
 	Name string `json:"name"`
-	// Procs is the stripped GOMAXPROCS suffix (0 if the line had none).
+	// Procs is the stripped GOMAXPROCS suffix (0 if none was stripped).
 	Procs int `json:"procs,omitempty"`
 	// Iterations is the b.N the line reports.
 	Iterations int64 `json:"iterations"`
@@ -29,6 +29,11 @@ type BenchResult struct {
 
 // ParseBench extracts benchmark result lines from `go test -bench` output,
 // tolerating the interleaved goos/goarch/pkg/PASS chatter.
+//
+// go test appends -GOMAXPROCS to every name of a run (and nothing at
+// GOMAXPROCS 1), so a trailing -N is that suffix only when every line
+// carries the same one; otherwise it belongs to the names ("scale-1",
+// "scale-2", "scale-4" at GOMAXPROCS 1) and stays.
 func ParseBench(r io.Reader) ([]BenchResult, error) {
 	var out []BenchResult
 	sc := bufio.NewScanner(r)
@@ -48,13 +53,6 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 			continue
 		}
 		br := BenchResult{Name: fields[0], Iterations: iters, Metrics: make(map[string]float64)}
-		// Strip the -GOMAXPROCS suffix go test appends to every name.
-		if i := strings.LastIndexByte(br.Name, '-'); i > 0 {
-			if p, err := strconv.Atoi(br.Name[i+1:]); err == nil {
-				br.Name = br.Name[:i]
-				br.Procs = p
-			}
-		}
 		ok := true
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -70,6 +68,18 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: scan bench output: %w", err)
+	}
+	procs := 0
+	for i, br := range out {
+		p, _ := strconv.Atoi(br.Name[strings.LastIndexByte(br.Name, '-')+1:])
+		if p <= 0 || i > 0 && p != procs {
+			return out, nil // no suffix shared by every line: names stay whole
+		}
+		procs = p
+	}
+	for i := range out {
+		out[i].Name = out[i].Name[:strings.LastIndexByte(out[i].Name, '-')]
+		out[i].Procs = procs
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -196,7 +197,7 @@ goarch: amd64
 pkg: surw
 cpu: Intel(R) Xeon(R)
 BenchmarkPooledSchedule/fresh-8         	    2000	     49908 ns/op	   14520 B/op	      43 allocs/op
-BenchmarkPooledSchedule/pooled          	    2000	     48699 ns/op	     327 B/op	      11 allocs/op
+BenchmarkPooledSchedule/pooled-8        	    2000	     48699 ns/op	     327 B/op	      11 allocs/op
 BenchmarkParallelSessions/workers_4-8   	       5	 210000000 ns/op	        3800 schedules/s	        19.5 allocs/schedule
 PASS
 ok  	surw	0.2s
@@ -211,8 +212,8 @@ ok  	surw	0.2s
 	if rs[0].Name != "BenchmarkPooledSchedule/fresh" || rs[0].Procs != 8 {
 		t.Fatalf("suffix not stripped: %+v", rs[0])
 	}
-	if rs[1].Name != "BenchmarkPooledSchedule/pooled" || rs[1].Procs != 0 {
-		t.Fatalf("suffix-free name mangled: %+v", rs[1])
+	if rs[1].Name != "BenchmarkPooledSchedule/pooled" || rs[1].Procs != 8 {
+		t.Fatalf("suffix not stripped: %+v", rs[1])
 	}
 	if rs[1].Metrics["allocs/op"] != 11 {
 		t.Fatalf("allocs/op %v", rs[1].Metrics["allocs/op"])
@@ -222,6 +223,45 @@ ok  	surw	0.2s
 	}
 	if rs[2].Metrics["schedules/s"] != 3800 {
 		t.Fatalf("custom metric lost: %+v", rs[2].Metrics)
+	}
+}
+
+// A trailing -N is the GOMAXPROCS suffix only when every line of the run
+// carries the same one; otherwise it is part of the benchmark's own name.
+func TestParseBenchProcsSuffix(t *testing.T) {
+	arms := []string{"BenchmarkAblationCountNoise/scale-1", "BenchmarkAblationCountNoise/scale-2", "BenchmarkAblationCountNoise/scale-4"}
+	for _, tc := range []struct {
+		name      string
+		suffix    string   // what go test appended to every name
+		extra     []string // further lines, verbatim names
+		wantProcs int
+		wantExtra []string
+	}{
+		{name: "GOMAXPROCS 1", suffix: ""},
+		{name: "GOMAXPROCS 2", suffix: "-2", wantProcs: 2},
+		{name: "GOMAXPROCS 2 beside a dash-free name", suffix: "-2", extra: []string{"BenchmarkOther-2"}, wantProcs: 2, wantExtra: []string{"BenchmarkOther"}},
+		{name: "-cpu 1,2 mixes suffixed and bare lines", suffix: "", extra: []string{"BenchmarkOther-2"}, wantExtra: []string{"BenchmarkOther-2"}},
+	} {
+		var in strings.Builder
+		for _, n := range arms {
+			fmt.Fprintf(&in, "%s%s \t 100 \t 5 ns/op\n", n, tc.suffix)
+		}
+		for _, n := range tc.extra {
+			fmt.Fprintf(&in, "%s \t 100 \t 5 ns/op\n", n)
+		}
+		rs, err := ParseBench(strings.NewReader(in.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]string{}, arms...), tc.wantExtra...)
+		if len(rs) != len(want) {
+			t.Fatalf("%s: parsed %d results, want %d", tc.name, len(rs), len(want))
+		}
+		for i, r := range rs {
+			if r.Name != want[i] || r.Procs != tc.wantProcs {
+				t.Errorf("%s: result %d = %q procs %d, want %q procs %d", tc.name, i, r.Name, r.Procs, want[i], tc.wantProcs)
+			}
+		}
 	}
 }
 

@@ -5,10 +5,12 @@ package sched
 // code is running on" without plumbing a *Thread through every call.
 //
 // Every virtual thread's body runs on a dedicated coroutine goroutine (see
-// Thread.workerSeq), so the goroutine ID is a faithful key for the duration
-// of one schedule's body. The shim binds at body start and unbinds at body
-// end (both inside the body wrapper, so kills and pool closure — which
-// unwind the body via panic — still run the deferred unbind).
+// Thread.workerSeq), so the goroutine's key (gkey: its g pointer, O(1) and
+// allocation-free) is a faithful name for the duration of one schedule's
+// body. The shim binds at body start and unbinds at body end (both inside
+// the body wrapper, so kills and pool closure — which unwind the body via
+// panic — still run the deferred unbind); the runtime only recycles a g
+// after its goroutine exits, so a key never outlives its binding.
 //
 // Cost discipline: nothing in the scheduling engine touches the registry.
 // Binding is opt-in per thread (only shimmed programs call BindGoroutine),
@@ -16,7 +18,7 @@ package sched
 // production fallback of a shimmed package — is a single atomic load.
 
 import (
-	"runtime"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -27,62 +29,55 @@ const bindShards = 64
 
 type bindShard struct {
 	mu sync.Mutex
-	m  map[int64]*Thread
+	m  map[uintptr]*Thread
 }
 
 var bindReg struct {
 	// active counts live bindings; zero lets CurrentThread skip the
-	// goroutine-ID parse entirely.
+	// lookup entirely.
 	active atomic.Int64
 	shards [bindShards]bindShard
 }
 
-// goid returns the current goroutine's ID, parsed from the runtime.Stack
-// header ("goroutine N [running]: ..."). This is the only portable way to
-// name a goroutine; it works inside iter.Pull coroutine goroutines, which
-// are real goroutines with ordinary IDs. Cost is one shallow stack header
-// dump (~hundreds of ns) — paid only on binding-layer paths, never by the
-// scheduling engine.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine " (10 bytes) and read digits.
-	var id int64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
+// shardOf picks k's shard by Fibonacci hashing: g pointers are size-class
+// aligned (low bits all zero), so the index is the top log2(bindShards)
+// bits of the product, which every bit of k reaches.
+func shardOf(k uintptr) *bindShard {
+	return &bindReg.shards[uint64(k)*0x9E3779B97F4A7C15>>58]
 }
 
 // BindGoroutine registers t as the virtual thread of the calling goroutine.
 // It must be called on the goroutine that runs t's body (the frontend calls
 // it first thing in the body wrapper) and paired with UnbindGoroutine when
-// the body returns or unwinds.
+// the body returns or unwinds. Re-binding to the same thread is a no-op;
+// finding the goroutine bound to a different thread panics: a leaked entry
+// is the one way a recycled key could answer for a stranger.
 func BindGoroutine(t *Thread) {
-	id := goid()
-	sh := &bindReg.shards[id&(bindShards-1)]
+	k := gkey()
+	sh := shardOf(k)
 	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[int64]*Thread, 4)
-	}
-	if _, dup := sh.m[id]; !dup {
+	old := sh.m[k]
+	if old == nil {
+		if sh.m == nil {
+			sh.m = make(map[uintptr]*Thread, 4)
+		}
+		sh.m[k] = t
 		bindReg.active.Add(1)
 	}
-	sh.m[id] = t
 	sh.mu.Unlock()
+	if old != nil && old != t {
+		panic(fmt.Sprintf("sched: BindGoroutine(T%d): goroutine is still bound to T%d", t.id, old.id))
+	}
 }
 
 // UnbindGoroutine removes the calling goroutine's binding. Unbinding a
 // goroutine that was never bound is a no-op.
 func UnbindGoroutine() {
-	id := goid()
-	sh := &bindReg.shards[id&(bindShards-1)]
+	k := gkey()
+	sh := shardOf(k)
 	sh.mu.Lock()
-	if _, ok := sh.m[id]; ok {
-		delete(sh.m, id)
+	if _, ok := sh.m[k]; ok {
+		delete(sh.m, k)
 		bindReg.active.Add(-1)
 	}
 	sh.mu.Unlock()
@@ -97,10 +92,10 @@ func CurrentThread() (*Thread, bool) {
 	if bindReg.active.Load() == 0 {
 		return nil, false
 	}
-	id := goid()
-	sh := &bindReg.shards[id&(bindShards-1)]
+	k := gkey()
+	sh := shardOf(k)
 	sh.mu.Lock()
-	t := sh.m[id]
+	t := sh.m[k]
 	sh.mu.Unlock()
 	return t, t != nil
 }
@@ -116,42 +111,68 @@ func Bindings() int { return int(bindReg.active.Load()) }
 // schedule hit the cache; the next schedule (the Execution's reset bumps
 // its generation) misses and rebuilds.
 //
-// The map is keyed by *Execution, not by (execution, generation): each
+// Slots are keyed by *Execution, not by (execution, generation): each
 // execution has exactly one live generation at a time, so a stale entry is
-// overwritten in place and the cache never grows beyond the number of
-// executions that ever touched the primitive (bounded by the worker count
-// of a parallel runner). Entries are only read through the owning
-// execution's current thread, whose goroutine never runs concurrently with
-// that execution's reset — the generation read is race-free. The cache's
-// own mutex only arbitrates between threads of *different* executions
-// (parallel sessions sharing a package-level primitive).
+// overwritten in place. A primitive is touched by one execution unless it
+// is package-level and sessions run in parallel, so the first execution's
+// slot lives inline — no allocation per primitive — and later ones spill
+// to a slice scanned linearly, one slot per execution that ever touched
+// the primitive (bounded by the worker count of a parallel runner). A slot
+// is only used through its execution's current thread, whose goroutine
+// never runs concurrently with that execution's reset — the generation
+// read is race-free. The cache's own mutex only arbitrates between
+// threads of *different* executions.
 //
 // The zero ShimCache is ready to use.
 type ShimCache struct {
-	mu sync.Mutex
-	m  map[*Execution]shimEntry
+	mu    sync.Mutex
+	first shimEntry
+	more  []shimEntry
 }
 
 type shimEntry struct {
-	gen uint64
+	ex  *Execution
+	gen uint64 // 0 until first built: a running execution's gen is ≥ 1
 	obj any
+}
+
+// slot returns ex's entry, claiming a free one on first touch. c.mu held;
+// the pointer is valid until it is released.
+func (c *ShimCache) slot(ex *Execution) *shimEntry {
+	if c.first.ex == nil {
+		c.first.ex = ex
+	}
+	if c.first.ex == ex {
+		return &c.first
+	}
+	for i := range c.more {
+		if c.more[i].ex == ex {
+			return &c.more[i]
+		}
+	}
+	c.more = append(c.more, shimEntry{ex: ex})
+	return &c.more[len(c.more)-1]
 }
 
 // Resolve returns the object cached for t's current schedule, calling
 // build to create it on the first operation of the schedule. build must
 // not block or emit events (object creation is not an event, so the
-// standard constructors qualify); it runs under the cache's mutex.
+// standard constructors qualify). It runs outside the cache's mutex — a
+// panicking build cannot wedge the cache, and nothing else fills the slot
+// meanwhile because only ex's current thread uses it.
 func (c *ShimCache) Resolve(t *Thread, build func(*Thread) any) any {
-	ex, gen := t.ex, t.ex.gen
+	ex := t.ex
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[ex]; ok && e.gen == gen {
-		return e.obj
+	e := c.slot(ex)
+	gen, obj := e.gen, e.obj
+	c.mu.Unlock()
+	if gen == ex.gen {
+		return obj
 	}
-	if c.m == nil {
-		c.m = make(map[*Execution]shimEntry, 1)
-	}
-	obj := build(t)
-	c.m[ex] = shimEntry{gen: gen, obj: obj}
+	obj = build(t)
+	c.mu.Lock()
+	e = c.slot(ex)
+	e.gen, e.obj = ex.gen, obj
+	c.mu.Unlock()
 	return obj
 }

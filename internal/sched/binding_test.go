@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -59,20 +62,178 @@ func TestBindingRegistry(t *testing.T) {
 	}
 }
 
-// goid must agree with itself on one goroutine and differ across
-// goroutines — the two properties the shard map relies on.
-func TestGoidStableAndDistinct(t *testing.T) {
-	a, b := goid(), goid()
-	if a != b || a <= 0 {
-		t.Fatalf("goid unstable on one goroutine: %d vs %d", a, b)
+// gkey must agree with itself on one goroutine and differ across live
+// goroutines — the two properties the registry relies on, whichever body
+// (g pointer or runtime.Stack parse) this GOARCH builds.
+func TestGkeyStableAndDistinct(t *testing.T) {
+	a, b := gkey(), gkey()
+	if a != b || a == 0 {
+		t.Fatalf("gkey unstable on one goroutine: %#x vs %#x", a, b)
 	}
-	var other int64
+	var other uintptr
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); other = goid() }()
+	go func() { defer wg.Done(); other = gkey() }()
 	wg.Wait()
-	if other == a || other <= 0 {
-		t.Fatalf("distinct goroutines share goid %d", a)
+	if other == a || other == 0 {
+		t.Fatalf("distinct live goroutines share gkey %#x", a)
+	}
+}
+
+// g pointers are size-class aligned: indexing shards by their low bits
+// would put every goroutine in shard 0. The mixed index must still shard.
+func TestBindShardsSpread(t *testing.T) {
+	const n = 1000
+	keys := make([]uintptr, n)
+	var ready, done sync.WaitGroup
+	ready.Add(n)
+	done.Add(1)
+	for i := range keys {
+		go func() {
+			keys[i] = gkey()
+			ready.Done()
+			done.Wait() // stay alive: only live goroutines have distinct keys
+		}()
+	}
+	ready.Wait()
+	used := map[*bindShard]bool{}
+	for _, k := range keys {
+		used[shardOf(k)] = true
+	}
+	done.Done()
+	if len(used) < 48 {
+		t.Fatalf("%d live goroutines hit only %d of %d shards", n, len(used), bindShards)
+	}
+}
+
+// Re-binding a goroutine to the thread it is already bound to is counted
+// once; binding it to a different thread while the first binding is live
+// is a leaked entry and panics naming both threads.
+func TestBindGoroutineRebind(t *testing.T) {
+	a, b := &Thread{id: 3}, &Thread{id: 7}
+	BindGoroutine(a)
+	defer UnbindGoroutine()
+	BindGoroutine(a)
+	if Bindings() != 1 {
+		t.Fatalf("Bindings() = %d after re-binding the same thread, want 1", Bindings())
+	}
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "T7") || !strings.Contains(msg, "T3") {
+				t.Errorf("bind over a different thread: panic %q, want both thread ids", msg)
+			}
+		}()
+		BindGoroutine(b)
+	}()
+	if got, ok := CurrentThread(); !ok || got != a || Bindings() != 1 {
+		t.Fatalf("refused bind disturbed the registry: %v %v, %d bindings", got, ok, Bindings())
+	}
+}
+
+// bound wraps a body the way the surwsync frontend does.
+func bound(body func(*Thread)) func(*Thread) {
+	return func(t *Thread) {
+		BindGoroutine(t)
+		defer UnbindGoroutine()
+		body(t)
+	}
+}
+
+// panicAfter is pickLeft until its n-th decision, which panics — an engine
+// failure that aborts Pool.Run with threads still parked mid-schedule.
+type panicAfter struct {
+	pickLeft
+	n int
+}
+
+func (p *panicAfter) Next(st *State) ThreadID {
+	if p.n--; p.n < 0 {
+		panic("algorithm bug")
+	}
+	return p.pickLeft.Next(st)
+}
+
+// The runtime recycles g structs, so a key can name a new goroutine once
+// its first owner exits. Every way a bound body can end — return, kill
+// while parked, pool closed mid-schedule — must have removed its entry by
+// then, or a stranger would resolve a dead schedule's thread.
+func TestRecycledGoroutinesSeeNoBinding(t *testing.T) {
+	parker := bound(func(rt *Thread) {
+		ch := NewChan[int](rt, "ch", 0)
+		rt.Go(bound(func(w *Thread) { ch.Recv(w) })) // parks forever
+	})
+	if res := Run(parker, nil, Options{}); res.Failure == nil || res.Failure.Kind != FailDeadlock {
+		t.Fatalf("expected deadlock, got %+v", res.Failure)
+	}
+
+	p := NewPool()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("algorithm panic did not abort the pooled run")
+			}
+		}()
+		p.Run(bound(func(rt *Thread) {
+			v := rt.NewVar("v", 0)
+			for i := 0; i < 2; i++ {
+				rt.Go(bound(func(w *Thread) { v.Add(w, 1); v.Add(w, 1) }))
+			}
+			v.Add(rt, 1)
+		}), &panicAfter{n: 2}, Options{})
+	}()
+	if Bindings() == 0 {
+		t.Fatal("aborted schedule left no parked bound thread: the test no longer closes a pool mid-schedule")
+	}
+	p.Close()
+	if n := Bindings(); n != 0 {
+		t.Fatalf("%d bindings survived kill-unwind and Pool.Close", n)
+	}
+
+	// Hold one binding so CurrentThread really looks strangers up instead
+	// of taking the zero-bindings early return.
+	BindGoroutine(&Thread{})
+	defer UnbindGoroutine()
+	var saw atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 10000; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok := CurrentThread(); ok {
+				saw.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if saw.Load() != 0 || Bindings() != 1 {
+		t.Fatalf("%d recycled goroutines resolved a stale binding (%d bindings)", saw.Load(), Bindings())
+	}
+}
+
+// The per-operation shim path — resolve the bound thread, hit the warm
+// cache — must not allocate beyond what naming the goroutine costs: nothing
+// where gkey is the assembly stub (ci.sh gates that 0 on the native build),
+// runtime.Stack's buffer on the fallback.
+func TestBoundLookupsDoNotAllocate(t *testing.T) {
+	var cache ShimCache
+	var lookup, resolve float64
+	naming := testing.AllocsPerRun(100, func() { gkey() })
+	res := Run(bound(func(rt *Thread) {
+		mk := func(w *Thread) any { return w.NewMutex("shim.mu") }
+		cache.Resolve(rt, mk)
+		lookup = testing.AllocsPerRun(100, func() {
+			if got, ok := CurrentThread(); !ok || got != rt {
+				panic("bound lookup missed")
+			}
+		})
+		resolve = testing.AllocsPerRun(100, func() { cache.Resolve(rt, mk) })
+	}), nil, Options{})
+	if res.Failure != nil {
+		t.Fatalf("unexpected failure: %+v", res.Failure)
+	}
+	if lookup != naming || resolve != 0 {
+		t.Fatalf("allocs per op: CurrentThread %v, warm ShimCache.Resolve %v, want %v and 0", lookup, resolve, naming)
 	}
 }
 
@@ -108,6 +269,43 @@ func TestShimCacheGenerationScoped(t *testing.T) {
 	}
 	if perSchedule[0] == perSchedule[1] || perSchedule[1] == perSchedule[2] {
 		t.Fatal("ShimCache reused an object across schedules")
+	}
+}
+
+// A package-level primitive shared by parallel sessions is touched by
+// several executions: the first owns the inline slot, the rest spill, and
+// each keeps its own per-schedule object.
+func TestShimCacheSlotPerExecution(t *testing.T) {
+	var cache ShimCache
+	mk := func(w *Thread) any { return w.NewMutex("shim.mu") }
+	pools := [3]*Pool{NewPool(), NewPool(), NewPool()}
+	var objs [3][2]*Mutex // [execution][schedule]
+	for s := 0; s < 2; s++ {
+		for i, p := range pools {
+			r := p.Run(func(rt *Thread) {
+				m := cache.Resolve(rt, mk).(*Mutex)
+				if cache.Resolve(rt, mk).(*Mutex) != m {
+					rt.Fail("cache missed within a schedule")
+				}
+				m.Lock(rt) // left locked: must not leak into any other slot
+				objs[i][s] = m
+			}, nil, Options{})
+			if r.Failure != nil {
+				t.Fatalf("execution %d schedule %d: %+v", i, s, r.Failure)
+			}
+		}
+	}
+	seen := map[*Mutex]bool{}
+	for _, per := range objs {
+		for _, m := range per {
+			seen[m] = true
+		}
+	}
+	if len(seen) != 6 || len(cache.more) != 2 {
+		t.Fatalf("%d distinct objects over 3 executions x 2 schedules (want 6), %d spilled slots (want 2)", len(seen), len(cache.more))
+	}
+	for _, p := range pools {
+		p.Close()
 	}
 }
 
@@ -171,4 +369,28 @@ func TestNonBlockingShimOps(t *testing.T) {
 	if res.Failure != nil {
 		t.Fatalf("unexpected failure: %+v", res.Failure)
 	}
+}
+
+// BenchmarkCurrentThread prices the lookup every shim operation starts
+// with: unbound is the production fallback (no binding anywhere, one
+// atomic load), bound is a registry hit.
+func BenchmarkCurrentThread(b *testing.B) {
+	b.Run("unbound", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := CurrentThread(); ok {
+				b.Fatal("unbound goroutine resolved a thread")
+			}
+		}
+	})
+	b.Run("bound", func(b *testing.B) {
+		b.ReportAllocs()
+		th := &Thread{}
+		BindGoroutine(th)
+		defer UnbindGoroutine()
+		for i := 0; i < b.N; i++ {
+			if got, ok := CurrentThread(); !ok || got != th {
+				b.Fatal("bound lookup missed")
+			}
+		}
+	})
 }

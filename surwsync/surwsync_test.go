@@ -256,3 +256,55 @@ func TestGoFallback(t *testing.T) {
 	}
 	surwsync.Gosched() // no session: must be a no-op, not a panic
 }
+
+// A raw `go` goroutine started while a session is active has no binding:
+// it must resolve no thread — not the session's, whatever goroutine key it
+// was handed — and its primitives must act on the real sync types.
+func TestForeignGoroutineFallsBack(t *testing.T) {
+	var mu surwsync.Mutex // touched only by the foreign goroutine
+	prog := surwsync.Program(func() {
+		resolved := make(chan bool)
+		go func() {
+			_, ok := sched.CurrentThread()
+			mu.Lock() // real sync.Mutex: never unlocked, checked below
+			resolved <- ok
+		}()
+		if <-resolved {
+			panic("foreign goroutine resolved a virtual thread")
+		}
+	})
+	res := surw.Run(prog, surw.NewRandomWalk(), surw.RunOptions{Base: surw.Base{Seed: 1}, RecordTrace: true})
+	if res.Buggy() {
+		t.Fatalf("unexpected failure: %v", res.Failure)
+	}
+	if len(res.Trace) != 0 {
+		t.Fatalf("foreign goroutine's Lock became %d scheduled event(s)", len(res.Trace))
+	}
+	if mu.TryLock() {
+		t.Fatal("foreign goroutine's Lock did not reach the real mutex")
+	}
+}
+
+// Steady-state shim operations allocate nothing beyond their goroutine
+// lookup (itself free wherever gkey is the assembly stub): the warm cache
+// hit and the build closures (Chan's captures its receiver) stay off the
+// heap.
+func TestShimOpsDoNotAllocate(t *testing.T) {
+	var lookup, allocs float64
+	prog := surwsync.Program(func() {
+		var mu surwsync.Mutex
+		ch := surwsync.NewChan[int](1)
+		lookup = testing.AllocsPerRun(100, func() { sched.CurrentThread() })
+		allocs = testing.AllocsPerRun(100, func() {
+			mu.Lock()
+			mu.Unlock()
+			ch.Len()
+		})
+	})
+	if res := surw.Run(prog, surw.NewRandomWalk(), surw.RunOptions{Base: surw.Base{Seed: 1}}); res.Buggy() {
+		t.Fatalf("unexpected failure: %v", res.Failure)
+	}
+	if allocs != 3*lookup {
+		t.Fatalf("%v allocs per lock/unlock/len under a session, want %v (three lookups)", allocs, 3*lookup)
+	}
+}
