@@ -14,10 +14,13 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
+	"surw/internal/atlas"
 	"surw/internal/core"
 	"surw/internal/experiments"
 	"surw/internal/ftp"
+	"surw/internal/obs"
 	"surw/internal/profile"
 	"surw/internal/race"
 	"surw/internal/racebench"
@@ -328,9 +331,13 @@ func BenchmarkPrefixFork(b *testing.B) {
 
 // BenchmarkBatchedReplay is the A/B for the batched run-to-next-decision
 // engine on the parallel benchmark's workload: the same pooled schedules
-// with the fast engine ("batched") and with Options.DisableBatching
-// forcing the verbatim slow loop ("slow"). The two produce bit-identical
-// Results (see internal/crosscheck); the ratio is the engine's speedup.
+// with the fast engine ("batched"), with Options.DisableBatching forcing
+// the verbatim slow loop ("slow"), and on the fast engine with an
+// obs.MetricsTracer watching every decision ("traced"). All three produce
+// bit-identical Results (see internal/crosscheck). The traced arm also
+// reports x_batched, its cost as a multiple of the unobserved engine's
+// measured in the same process in alternating chunks — the ratio ci.sh
+// gates, since it survives a slow or noisy machine.
 func BenchmarkBatchedReplay(b *testing.B) {
 	tgt, ok := sctbench.ByName("CS/twostage_20")
 	if !ok {
@@ -350,6 +357,67 @@ func BenchmarkBatchedReplay(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e9, "ns/schedule")
 		})
 	}
+	b.Run("traced", func(b *testing.B) {
+		b.ReportAllocs()
+		pool, refPool := sched.NewPool(), sched.NewPool()
+		tracer := obs.NewMetrics().Tracer()
+		const chunk = 256
+		var ref time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i += chunk {
+			end := min(i+chunk, b.N)
+			for j := i; j < end; j++ {
+				pool.Run(tgt.Prog, alg, sched.Options{Base: sched.Base{Seed: int64(j) + 1}, Tracer: tracer})
+			}
+			b.StopTimer()
+			t0 := time.Now()
+			for j := i; j < end; j++ {
+				refPool.Run(tgt.Prog, alg, sched.Options{Base: sched.Base{Seed: int64(j) + 1}})
+			}
+			ref += time.Since(t0)
+			b.StartTimer()
+		}
+		b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e9, "ns/schedule")
+		b.ReportMetric(float64(b.Elapsed())/float64(ref), "x_batched")
+	})
+}
+
+// BenchmarkObservedSessions prices watching a parallel batch: the
+// BenchmarkParallelSessions cell at two workers with obs.Metrics and an
+// atlas attached, against the same cell with neither, alternated in one
+// process. x_unobserved is the ratio ci.sh gates: observers that write
+// cache lines the two workers share per decision push it to about 3 (the
+// parallel speed-up is gone and more); publishing per schedule keeps it
+// near 1.3.
+func BenchmarkObservedSessions(b *testing.B) {
+	tgt, ok := sctbench.ByName("CS/twostage_20")
+	if !ok {
+		b.Fatal("missing target")
+	}
+	b.Run("workers_2", func(b *testing.B) {
+		cfg := runner.Config{Sessions: 8, Limit: 100, Seed: 42, Workers: 2}
+		observed := cfg
+		observed.Metrics, observed.Atlas = obs.NewMetrics(), atlas.New()
+		var ref time.Duration
+		schedules := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := runner.RunTarget(tgt, "RW", observed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			schedules += res.TotalSchedules()
+			b.StopTimer()
+			t0 := time.Now()
+			if _, err := runner.RunTarget(tgt, "RW", cfg); err != nil {
+				b.Fatal(err)
+			}
+			ref += time.Since(t0)
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(schedules)/b.Elapsed().Seconds(), "schedules/s")
+		b.ReportMetric(float64(b.Elapsed())/float64(ref), "x_unobserved")
+	})
 }
 
 // BenchmarkProfileCollect measures the profiling phase on a mid-size

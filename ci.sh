@@ -7,6 +7,7 @@
 set -eux
 
 go vet ./...
+test -z "$(gofmt -l .)" || { echo "FAIL: gofmt -l lists:"; gofmt -l .; exit 1; }
 # sched.gkey's other two build variants: the arm64 stub against its
 # declaration, and the runtime.Stack fallback on a GOARCH with no stub.
 GOARCH=arm64 go vet ./internal/sched ./surwsync
@@ -15,6 +16,9 @@ go build ./...
 # (no pipe: a pipeline would mask go test's exit status under plain sh)
 go test -cover ./... > /tmp/surw-cover.txt 2>&1 || { cat /tmp/surw-cover.txt; exit 1; }
 cat /tmp/surw-cover.txt
+# The repository benchmark is a module of its own (BENCHMARK.json runs it
+# with go run -C benchmark), so ./... above does not reach its harness tests.
+(cd benchmark && go vet ./... && go test ./...)
 
 # Coverage floors: current-minus-1% for the scheduler substrate and the
 # algorithm implementations. A drop below the floor means tests were lost
@@ -43,6 +47,24 @@ go run ./cmd/surwobs -in /tmp/surw-bench.txt -gate 'BenchmarkPooledSchedule/pool
 # machine-independent), and naming the current goroutine never allocates.
 go test -bench='^(BenchmarkCurrentThread|BenchmarkShimMutex)$' -benchmem -run='^$' ./internal/sched ./surwsync > /tmp/surw-bench-shim.txt 2>&1 || { cat /tmp/surw-bench-shim.txt; exit 1; }
 go run ./cmd/surwobs -in /tmp/surw-bench-shim.txt -gate 'BenchmarkShimMutex/shim.x_thread_api<=5' -gate 'BenchmarkCurrentThread/bound.allocs/op<=0'
+
+# Observer cost gates: watching the engine must not mean running a slower
+# one. x_batched is a pooled schedule with an obs.MetricsTracer over the
+# same schedule without (measured 1.13; 1.91 when a tracer selected the
+# slow loop), x_unobserved a two-worker batch with Metrics and an atlas
+# over the same batch without (measured 1.3; 2.7-3.1 when every decision
+# wrote the cache lines both workers share). Both are same-process ratios
+# measured in alternation, so they survive a slow machine; a noisy
+# neighbour can still skew one sample, hence the best of three.
+obs_gate_ok=0
+for attempt in 1 2 3; do
+    go test -bench='^(BenchmarkBatchedReplay|BenchmarkObservedSessions)$' -benchmem -run='^$' . > /tmp/surw-bench-obs.txt 2>&1 || { cat /tmp/surw-bench-obs.txt; exit 1; }
+    if go run ./cmd/surwobs -in /tmp/surw-bench-obs.txt -gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' -gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.6'; then
+        obs_gate_ok=1
+        break
+    fi
+done
+test "$obs_gate_ok" -eq 1
 
 # Allocation and throughput gates for the parallel session engine. The
 # allocs/schedule floor is deterministic (~9.5 after prefix checkpointing
@@ -89,6 +111,14 @@ rm -rf /tmp/surw-obs-smoke
 mkdir -p /tmp/surw-obs-smoke
 go run ./cmd/surwrun -target bitshift_5 -alg URW -limit 50 -trace /tmp/surw-obs-smoke/trace.json
 go run ./cmd/surwobs -check-trace /tmp/surw-obs-smoke/trace.json
+# surwfuzz -metrics files each schedule's decisions once, under the
+# algorithm's own name: no record(...) or replay series.
+go run ./cmd/surwfuzz -programs 3 -schedules 4 -metrics /tmp/surw-obs-smoke/fuzz.prom > /dev/null
+grep -q '^surw_decisions_total{alg="SURW"}' /tmp/surw-obs-smoke/fuzz.prom
+if grep -q 'alg="re' /tmp/surw-obs-smoke/fuzz.prom; then
+    echo "FAIL: surwfuzz -metrics traced the Recorder or the replay leg"
+    exit 1
+fi
 go run ./cmd/surwrun -target CS/reorder_4 -alg SURW -sessions 1 -limit 2000 -flight-dir /tmp/surw-obs-smoke
 FLIGHT=$(ls /tmp/surw-obs-smoke/flight_*.json)
 go run ./cmd/surwobs -check-flight "$FLIGHT"

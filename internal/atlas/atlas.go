@@ -52,9 +52,12 @@ const (
 // grid's depth simply never lands in it.
 var GridDepths = [NumGrids]int{4, 8, 16}
 
-// Accum is the per-cell cartography accumulator the engine writes into.
-// All fields are atomics: many pools append concurrently, and the engine
-// side must stay lock-free and allocation-free.
+// Accum is the cartography accumulator the engine writes into. All fields
+// are atomics, so any number of writers is safe and the engine side stays
+// lock-free and allocation-free — but a per-decision add on a line several
+// workers share costs each of them the line, so the runner hands every
+// worker an Accum of its own and moves the counts into the cell's with
+// DrainInto between schedules.
 type Accum struct {
 	schedules atomic.Uint64
 	decisions atomic.Uint64
@@ -103,6 +106,43 @@ func (a *Accum) Decision(depth, n int, prefix uint64) {
 	for gi := 0; gi < NumGrids; gi++ {
 		if depth == GridDepths[gi] {
 			a.grid[gi][prefix&(GridSize-1)].Add(1)
+		}
+	}
+}
+
+// DrainInto adds every count a holds to dst and zeroes a, visiting only
+// the depths and buckets a recorded something in. The caller must be a's
+// only writer for the duration (the runner drains between schedules); dst
+// may be written concurrently. Draining a nil or empty a is a no-op.
+func (a *Accum) DrainInto(dst *Accum) {
+	if a == nil {
+		return
+	}
+	move := func(from, to *atomic.Uint64) {
+		if v := from.Load(); v != 0 {
+			from.Store(0)
+			to.Add(v)
+		}
+	}
+	move(&a.schedules, &dst.schedules)
+	if a.decisions.Load() == 0 {
+		return
+	}
+	move(&a.decisions, &dst.decisions)
+	for d := range a.depth {
+		da, dd := &a.depth[d], &dst.depth[d]
+		if da.count.Load() == 0 {
+			continue
+		}
+		move(&da.count, &dd.count)
+		move(&da.enabledSum, &dd.enabledSum)
+		for b := range da.branch {
+			move(&da.branch[b], &dd.branch[b])
+		}
+	}
+	for gi := range a.grid {
+		for i := range a.grid[gi] {
+			move(&a.grid[gi][i], &dst.grid[gi][i])
 		}
 	}
 }

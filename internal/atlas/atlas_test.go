@@ -46,6 +46,46 @@ func TestAccumFoldsOverflow(t *testing.T) {
 	}
 }
 
+// TestAccumDrainInto: recording through a private accumulator and draining
+// it is indistinguishable from recording into the destination directly,
+// leaves the private one empty, and drains of nothing add nothing — the
+// property the runner's per-worker staging rests on.
+func TestAccumDrainInto(t *testing.T) {
+	record := func(a *Accum, salt uint64) {
+		a.BeginSchedule()
+		for depth := 1; depth <= 20; depth++ {
+			a.Decision(depth, 2+depth%5, salt*uint64(depth)*0x9E3779B97F4A7C15)
+		}
+		a.Decision(MaxDepth+3, MaxBranch+2, salt)
+	}
+	var direct, dst, stageA, stageB Accum
+	for i := uint64(1); i <= 6; i++ {
+		record(&direct, i)
+		stage := &stageA
+		if i%2 == 0 {
+			stage = &stageB
+		}
+		record(stage, i)
+		if i%3 == 0 {
+			stageA.DrainInto(&dst)
+		}
+	}
+	stageA.DrainInto(&dst)
+	stageB.DrainInto(&dst)
+	stageB.DrainInto(&dst) // already empty
+	(*Accum)(nil).DrainInto(&dst)
+	want, _ := json.Marshal(direct.Snapshot())
+	got, _ := json.Marshal(dst.Snapshot())
+	if string(got) != string(want) {
+		t.Fatalf("drained accumulator differs from direct recording:\n got %s\nwant %s", got, want)
+	}
+	for _, stage := range []*Accum{&stageA, &stageB} {
+		if cs := stage.Snapshot(); cs.Schedules != 0 || cs.Decisions != 0 || len(cs.Depths) != 0 || len(cs.Grids) != 0 {
+			t.Fatalf("staging accumulator not empty after drain: %+v", cs)
+		}
+	}
+}
+
 func TestAccumZeroAlloc(t *testing.T) {
 	var a Accum
 	if n := testing.AllocsPerRun(100, func() {

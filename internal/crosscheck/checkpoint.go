@@ -6,10 +6,14 @@ package crosscheck
 // must be indistinguishable — traces, fingerprints, bug IDs, aggregates —
 // from the verbatim slow scheduling loop. This file earns that claim per
 // generated program: every CheckProgram run re-executes a session of
-// schedules through both paths and diffs the results byte for byte.
+// schedules through both paths and diffs the results byte for byte — and
+// then does it again with a tracer on both sides, because the batched
+// engine is also the one production watches: everything a sched.Tracer can
+// see of a schedule must be what the slow loop would have shown it.
 
 import (
 	"fmt"
+	"slices"
 
 	"surw/internal/core"
 	"surw/internal/sched"
@@ -68,6 +72,89 @@ func checkpointIdentity(name string, prog func(*sched.Thread), info *sched.Progr
 		for h, n := range fastIlv {
 			if slowIlv[h] != n {
 				return fmt.Errorf("crosscheck: %s: %s: aggregate count for fingerprint %#x diverged: %d vs %d", name, algName, h, n, slowIlv[h])
+			}
+		}
+	}
+	return nil
+}
+
+// decisionRec is one Tracer.Decide call with everything the call could
+// observe: the Decision itself, the enabled set st exposed, and the
+// algorithm's annotation.
+type decisionRec struct {
+	d       sched.Decision
+	enabled []sched.ThreadID
+	annot   string
+}
+
+// decisionLog is a sched.Tracer keeping the current schedule's calls.
+type decisionLog struct {
+	recs []decisionRec
+	buf  []byte
+}
+
+func (l *decisionLog) BeginSchedule(string) { l.recs = l.recs[:0] }
+
+func (l *decisionLog) Decide(d sched.Decision, st *sched.State) {
+	l.buf = st.AppendAlgAnnotation(l.buf[:0])
+	l.recs = append(l.recs, decisionRec{d, slices.Clone(st.Enabled()), string(l.buf)})
+}
+
+func (l *decisionLog) EndSchedule(*sched.Result) {}
+
+// diffDecisions names the first mismatch between two decision streams.
+func diffDecisions(a, b []decisionRec) string {
+	for i := range min(len(a), len(b)) {
+		switch {
+		case a[i].d != b[i].d:
+			return fmt.Sprintf("decision %d: %+v vs %+v", i, a[i].d, b[i].d)
+		case !slices.Equal(a[i].enabled, b[i].enabled):
+			return fmt.Sprintf("decision %d: enabled set %v vs %v", i, a[i].enabled, b[i].enabled)
+		case a[i].annot != b[i].annot:
+			return fmt.Sprintf("decision %d: annotation %q vs %q", i, a[i].annot, b[i].annot)
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d decisions vs %d", len(a), len(b))
+	}
+	return ""
+}
+
+// decisionIdentity is checkpointIdentity's twin for what a tracer sees:
+// the same two arms — checkpointed and batched against DisableBatching —
+// each with a decisionLog attached, must show it the identical Decide
+// sequence (forced steps replayed from the checkpoint included) and return
+// equal Results.
+func decisionIdentity(name string, prog func(*sched.Thread), info *sched.ProgramInfo, opts Options) error {
+	for _, algName := range checkpointAlgs {
+		fastAlg, err := core.New(algName)
+		if err != nil {
+			return fmt.Errorf("crosscheck: %s: %w", name, err)
+		}
+		slowAlg, err := core.New(algName)
+		if err != nil {
+			return fmt.Errorf("crosscheck: %s: %w", name, err)
+		}
+		fastPool, slowPool := sched.NewPool(), sched.NewPool()
+		defer fastPool.Close()
+		defer slowPool.Close()
+		fastLog, slowLog := &decisionLog{}, &decisionLog{}
+		var cp *sched.Checkpoint
+		for i := 0; i < opts.Schedules; i++ {
+			so := sched.Options{Base: sched.Base{Seed: opts.Seed + int64(i)*104729 + 5}, Info: info, Tracer: fastLog}
+			var fast *sched.Result
+			if i == 0 {
+				fast, cp = fastPool.RunPrefix(prog, fastAlg, so)
+			} else {
+				fast = fastPool.RunFrom(cp, prog, fastAlg, so)
+			}
+			so.Tracer, so.DisableBatching = slowLog, true
+			slow := slowPool.Run(prog, slowAlg, so)
+			if d := diffResults(fast, slow); d != "" {
+				return fmt.Errorf("crosscheck: %s: %s seed %d: traced checkpointed run diverged from traced slow loop: %s", name, algName, so.Seed, d)
+			}
+			if d := diffDecisions(fastLog.recs, slowLog.recs); d != "" {
+				return fmt.Errorf("crosscheck: %s: %s seed %d: batched engine showed its tracer a different schedule than the slow loop: %s", name, algName, so.Seed, d)
 			}
 		}
 	}

@@ -24,7 +24,8 @@
 //     (runner.Config.Workers) are checked to be byte-identical to the
 //     sequential loop, and a checkpointed, batched session (Pool.RunPrefix
 //     / Pool.RunFrom on the fast engine) is checked byte-identical —
-//     traces included — to the verbatim slow scheduling loop
+//     traces included — to the verbatim slow scheduling loop, as is the
+//     Decision stream each of the two shows an attached sched.Tracer
 //     (checkpoint.go in this package).
 //
 //   - Distribution (statistical): URW's sampled interleaving distribution
@@ -170,6 +171,9 @@ func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, op
 	}
 
 	if err := checkpointIdentity(name, prog, info, opts); err != nil {
+		return nil, err
+	}
+	if err := decisionIdentity(name, prog, info, opts); err != nil {
 		return nil, err
 	}
 

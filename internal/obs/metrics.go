@@ -104,35 +104,66 @@ func (m *Metrics) algStats(alg string) *AlgStats {
 func (m *Metrics) Tracer() *MetricsTracer { return &MetricsTracer{m: m} }
 
 // MetricsTracer is the per-session decision observer handed out by
-// Metrics.Tracer.
+// Metrics.Tracer. Decide counts into the tracer's own plain fields — a
+// tracer serves one Execution at a time — and EndSchedule publishes the
+// schedule's counts into the shared AlgStats, so the cache lines every
+// worker of a cell shares are written a few times per schedule, not three
+// times per decision.
 type MetricsTracer struct {
 	m     *Metrics
-	stats *AlgStats
+	alg   string    // name stats was resolved for
+	stats *AlgStats // resolved once per algorithm name, not per schedule
+
+	decisions int64
+	branch    [histBuckets]int64
+	pick      [histBuckets]int64
 }
 
-// BeginSchedule implements sched.Tracer.
-func (t *MetricsTracer) BeginSchedule(alg string) { t.stats = t.m.algStats(alg) }
+// BeginSchedule implements sched.Tracer. A session runs one algorithm, so
+// after the first schedule this is a string compare: no lock, no map.
+func (t *MetricsTracer) BeginSchedule(alg string) {
+	if t.stats == nil || alg != t.alg {
+		t.alg, t.stats = alg, t.m.algStats(alg)
+	}
+}
 
 // Decide implements sched.Tracer: consulted decisions feed the branching
 // histogram (how many threads were enabled) and the pick histogram (the
 // position of the chosen thread within the sorted enabled set — under an
 // unbiased policy on a symmetric workload, positions are hit uniformly).
 func (t *MetricsTracer) Decide(d sched.Decision, st *sched.State) {
-	if !d.Consulted || t.stats == nil {
+	if !d.Consulted {
 		return
 	}
-	t.stats.decisions.Add(1)
-	t.stats.branch[bucket(d.Enabled)].Add(1)
+	t.decisions++
+	t.branch[bucket(d.Enabled)]++
 	for pos, tid := range st.Enabled() {
 		if tid == d.Chosen {
-			t.stats.pick[bucket(pos)].Add(1)
+			t.pick[bucket(pos)]++
 			break
 		}
 	}
 }
 
-// EndSchedule implements sched.Tracer.
-func (t *MetricsTracer) EndSchedule(*sched.Result) {}
+// EndSchedule implements sched.Tracer: it moves the schedule's counts into
+// the shared histograms, touching only the buckets the schedule hit.
+func (t *MetricsTracer) EndSchedule(*sched.Result) {
+	if t.decisions == 0 {
+		return
+	}
+	t.stats.decisions.Add(t.decisions)
+	t.decisions = 0
+	for i := range t.branch {
+		if n := t.branch[i]; n != 0 {
+			t.stats.branch[i].Add(n)
+			t.branch[i] = 0
+		}
+		if n := t.pick[i]; n != 0 {
+			t.stats.pick[i].Add(n)
+			t.pick[i] = 0
+		}
+	}
+}
 
 // Latency returns the named latency histogram (creating it if needed).
 // Callers on repeated paths grab the *Histogram once and hold it.

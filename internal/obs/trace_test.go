@@ -28,7 +28,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"",
 		"garbage",
 		"00-short-span-01",
-		"00-" + strings.Repeat("0", 32) + "-1122334455667788-01", // zero trace id
+		"00-" + strings.Repeat("0", 32) + "-1122334455667788-01",                 // zero trace id
 		"00-0af7651916cd43dd8448eb211c80319c-" + strings.Repeat("0", 16) + "-01", // zero span id
 		"00-0af7651916cd43dd8448eb211c80319X-1122334455667788-01",                // non-hex
 	}

@@ -223,7 +223,23 @@ func TestYieldLeasesCampaignWithFleetAtlas(t *testing.T) {
 	if len(snap.Cells) != 6 {
 		t.Fatalf("fleet atlas has %d cells, want 6", len(snap.Cells))
 	}
+	// A worker's atlas rides with each result it submits, and must by then
+	// contain the sessions in that result: the runner publishes a session's
+	// staged counts before RunSession returns. These sessions (Limit 200)
+	// are shorter than the runner's publish interval, so a count that
+	// trailed its session would be missing here.
+	ran := make(map[[2]string]uint64)
+	for _, k := range experiments.SCTPlan(sc) {
+		sess, ok := distStore.Lookup(k)
+		if !ok {
+			t.Fatalf("session %+v not in the store", k)
+		}
+		ran[[2]string{k.Target, k.Algorithm}] += uint64(sess.Schedules)
+	}
 	for _, cell := range snap.Cells {
+		if want := ran[[2]string{cell.Target, cell.Algorithm}]; cell.Schedules != want {
+			t.Fatalf("%s/%s: fleet atlas holds %d schedules, the cell's stored sessions ran %d", cell.Target, cell.Algorithm, cell.Schedules, want)
+		}
 		if cell.Schedules == 0 || cell.Decisions == 0 {
 			t.Fatalf("%s/%s: empty merged cartography: %+v", cell.Target, cell.Algorithm, cell)
 		}

@@ -52,7 +52,13 @@ func usesDelta(alg string) bool {
 	return a == "SURW" || a == "N-U"
 }
 
-func runSession(ctx context.Context, tgt Target, algName string, cfg Config, session int, pool *sched.Pool) (*Session, error) {
+// atlasPublishEvery is how many schedules a session runs between drains of
+// its worker's atlas staging accumulator into the cell's: often enough that
+// a live atlas view trails a long session by a fraction of a second, rarely
+// enough that scanning the staging block is noise beside the schedules.
+const atlasPublishEvery = 256
+
+func runSession(ctx context.Context, tgt Target, algName string, cfg Config, session int, w *worker) (*Session, error) {
 	// The store is consulted strictly between sessions — a hit skips the
 	// session wholesale, a miss runs it untouched — so attaching one can
 	// never perturb a schedule (campaign_test.go holds the invariant).
@@ -99,32 +105,35 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	every := effectiveEvery(cfg)
 
 	// Observability hooks are strictly per-session: a shared aggregator
-	// hands each session its own tracer (the scheduler contract), and the
-	// tracer feeds the shared atomic counters.
+	// hands each session its own tracer (the scheduler contract), which
+	// counts privately and publishes into the shared counters once per
+	// schedule.
 	var tracer sched.Tracer
 	if cfg.Metrics != nil {
 		tracer = cfg.Metrics.Tracer()
 	}
 	// The atlas cell is shared by all sessions of this (target, algorithm)
-	// pair; the engine writes lock-free atomic counters into its Accum and
-	// the per-schedule class fingerprint feeds its uniformity tracker
+	// pair, so the engine writes into the worker's private staging
+	// accumulator instead and the session drains that into the cell: every
+	// atlasPublishEvery schedules, and — deferred, so a cancelled or failed
+	// session publishes the schedules it did run — on the way out. The
+	// per-schedule class fingerprint feeds the cell's uniformity tracker
 	// below, strictly after each schedule completes.
 	atlasCell := cfg.Atlas.Cell(tgt.Name, algName)
+	defer w.stage.DrainInto(atlasCell.Accum())
 
-	// All schedules of the session share (and recycle) one pool of
-	// execution buffers and parked worker goroutines. RunTarget hands in a
-	// pool recycled across the sessions a worker runs; direct callers get
-	// a private one.
-	if pool == nil {
-		pool = sched.NewPool()
-		defer pool.Close()
-	}
-	// The session's first schedule additionally captures the program's
-	// forced decision prefix; every later schedule replays it through the
-	// batched run-to-next-decision path instead of re-deciding it. A
-	// tracer (or DisableCheckpoint) yields a nil checkpoint and full runs.
+	// All schedules of the session share (and recycle) the worker's pool of
+	// execution buffers and parked worker goroutines. The session's first
+	// schedule additionally captures the program's forced decision prefix;
+	// every later schedule replays it through the batched
+	// run-to-next-decision path instead of re-deciding it, observers
+	// attached or not. DisableCheckpoint leaves cp nil and every run full.
+	pool := w.pool
 	var cp *sched.Checkpoint
 	for i := 0; i < cfg.Limit; i++ {
+		if i > 0 && i%atlasPublishEvery == 0 {
+			w.stage.DrainInto(atlasCell.Accum())
+		}
 		// Cancellation lands strictly between schedules: a schedule that
 		// started always finishes (schedules are short), so the scheduler
 		// itself never observes the context. The partial session is
@@ -145,7 +154,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 				info = prof.Instantiate(prof.SelectAll())
 			}
 		}
-		opts := sched.Options{Base: sched.Base{Seed: base + int64(i)*2_000_033 + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, TraceFilter: tgt.TraceFilter, Tracer: tracer, Atlas: atlasCell.Accum()}
+		opts := sched.Options{Base: sched.Base{Seed: base + int64(i)*2_000_033 + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, TraceFilter: tgt.TraceFilter, Tracer: tracer, Atlas: w.stage}
 		var r *sched.Result
 		abandon := false
 		if i == 0 && !cfg.DisableCheckpoint {

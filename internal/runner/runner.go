@@ -301,37 +301,73 @@ func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 	return RunTargetContext(context.Background(), tgt, algName, cfg)
 }
 
-// poolCache recycles sched.Pools across the sessions of one batch. get
-// and put bracket a session; closeAll releases every pool's parked
-// worker goroutines when the batch is done.
-type poolCache struct {
-	mu   sync.Mutex
-	free []*sched.Pool
-	all  []*sched.Pool
+// worker is what one session borrows for its duration and a batch recycles
+// across the sessions a worker runs: the sched.Pool, and — only when an
+// atlas is attached — the atlas accumulator the engine writes into. The
+// accumulator is private to the worker so its per-decision adds stay off
+// the cache lines the cell's accumulator shares between workers; runSession
+// drains it into the cell (see atlasPublishEvery) and always leaves it
+// empty.
+type worker struct {
+	pool  *sched.Pool
+	stage *atlas.Accum
 }
 
-func (pc *poolCache) get() *sched.Pool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if n := len(pc.free); n > 0 {
-		p := pc.free[n-1]
-		pc.free = pc.free[:n-1]
-		return p
+// stagePool recycles the staging accumulators (13 KB of counters each)
+// across batches and RunSession calls, so a campaign of many small cells,
+// or a fleet worker running one session per call, does not allocate one
+// per cell or session. Everything in it is empty.
+var stagePool = sync.Pool{New: func() any { return new(atlas.Accum) }}
+
+func newWorker(staged bool) *worker {
+	w := &worker{pool: sched.NewPool()}
+	if staged {
+		w.stage = stagePool.Get().(*atlas.Accum)
 	}
-	p := sched.NewPool()
-	pc.all = append(pc.all, p)
-	return p
+	return w
 }
 
-func (pc *poolCache) put(p *sched.Pool) {
-	pc.mu.Lock()
-	pc.free = append(pc.free, p)
-	pc.mu.Unlock()
+// release closes the pool's parked goroutines and hands the (drained)
+// staging accumulator back.
+func (w *worker) release() {
+	w.pool.Close()
+	if w.stage != nil {
+		stagePool.Put(w.stage)
+	}
 }
 
-func (pc *poolCache) closeAll() {
-	for _, p := range pc.all {
-		p.Close()
+// workerCache recycles workers across the sessions of one batch. get and
+// put bracket a session; closeAll releases every worker when the batch is
+// done.
+type workerCache struct {
+	staged bool // workers carry an atlas staging accumulator
+	mu     sync.Mutex
+	free   []*worker
+	all    []*worker
+}
+
+func (wc *workerCache) get() *worker {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if n := len(wc.free); n > 0 {
+		w := wc.free[n-1]
+		wc.free = wc.free[:n-1]
+		return w
+	}
+	w := newWorker(wc.staged)
+	wc.all = append(wc.all, w)
+	return w
+}
+
+func (wc *workerCache) put(w *worker) {
+	wc.mu.Lock()
+	wc.free = append(wc.free, w)
+	wc.mu.Unlock()
+}
+
+func (wc *workerCache) closeAll() {
+	for _, w := range wc.all {
+		w.release()
 	}
 }
 
@@ -352,17 +388,17 @@ func RunTargetContext(ctx context.Context, tgt Target, algName string, cfg Confi
 	// sessions execute the same program, so one pool's interned names,
 	// buffers and parked worker goroutines serve every session it is
 	// handed (results are pool-independent; see sched.Pool).
-	pc := &poolCache{}
-	defer pc.closeAll()
+	wc := &workerCache{staged: cfg.Atlas != nil}
+	defer wc.closeAll()
 	start := time.Now()
 	sessions, err := workpool.MapMetered(cfg.Workers, cfg.Sessions, meter, func(s int) (Session, error) {
-		pool := pc.get()
+		w := wc.get()
 		var t0 time.Time
 		if cfg.Metrics != nil {
 			t0 = time.Now()
 		}
-		sess, err := runSession(ctx, tgt, algName, cfg, s, pool)
-		pc.put(pool)
+		sess, err := runSession(ctx, tgt, algName, cfg, s, w)
+		wc.put(w)
 		if err != nil {
 			return Session{}, fmt.Errorf("runner: %s/%s session %d: %w", tgt.Name, algName, s, err)
 		}
@@ -388,9 +424,13 @@ func RunTargetContext(ctx context.Context, tgt Target, algName string, cfg Confi
 // index), a session run remotely is bit-identical to the same session run
 // in a local batch. ctx cancels between schedules; a cancelled session
 // returns the context's error and no Session (the coordinator's lease
-// expiry re-queues the work).
+// expiry re-queues the work). Either way, every schedule the session ran is
+// in cfg.Metrics and cfg.Atlas by the time RunSession returns.
 func RunSession(ctx context.Context, tgt Target, algName string, cfg Config, session int) (*Session, error) {
-	return runSession(ctx, tgt, algName, cfg.normalized(), session, nil)
+	cfg = cfg.normalized()
+	w := newWorker(cfg.Atlas != nil)
+	defer w.release()
+	return runSession(ctx, tgt, algName, cfg, session, w)
 }
 
 // Equal reports whether two results are observably identical: same target,

@@ -8,18 +8,19 @@ package sched
 // captures that prefix from one run — the forced decision sequence plus
 // the accumulated interleaving hash and trace — and RunFrom replays it
 // without consulting the algorithm, without re-hashing and without
-// re-tracing. Combined with the fast engine's inline continuation (a
-// forced choice of the running thread parks nobody), a checkpointed
-// prefix executes as a tight single-goroutine loop: the batched
-// run-to-next-decision path.
+// re-recording the trace. Combined with the fast engine's inline
+// continuation (a forced choice of the running thread parks nobody), a
+// checkpointed prefix executes as a tight single-goroutine loop: the
+// batched run-to-next-decision path.
 //
 // Replay still *executes* the prefix — program effects, spawn
-// notifications, algorithm Observe calls and the Δ hash all happen
-// normally, so any Algorithm (including profile-driven ones) sees exactly
-// the event stream of a full run — but the scheduler-side cost per forced
-// step drops to a bounds check and a bitmask compare. Divergence (the
-// enabled set not matching the capture run's singleton) is a caller bug
-// — a different program or incompatible options — and panics.
+// notifications, algorithm Observe calls, Tracer.Decide calls and the Δ
+// hash all happen normally, so any Algorithm (including profile-driven
+// ones) and any Tracer sees exactly the event stream of a full run — but
+// the scheduler-side cost per forced step drops to a bounds check and a
+// bitmask compare. Divergence (the enabled set not matching the capture
+// run's singleton) is a caller bug — a different program or incompatible
+// options — and panics.
 
 // Checkpoint is the reusable forced prefix of a schedule. It is immutable
 // once returned by RunPrefix and safe to share across RunFrom calls of
@@ -40,7 +41,7 @@ type Checkpoint struct {
 	objClass []objClass
 
 	open    bool // still capturing (run not yet past its first free choice)
-	invalid bool // capture aborted (slow path or fast-engine bail)
+	invalid bool // capture aborted (DisableBatching or fast-engine bail)
 
 	// Compatibility stamp: RunFrom refuses options that would make the
 	// prefix diverge. TraceFilter cannot be compared (functions); callers
@@ -102,9 +103,9 @@ func (ex *Execution) closeCapture() {
 
 // RunPrefix executes one schedule like Run and additionally captures its
 // forced prefix. The returned Checkpoint is nil when no prefix could be
-// captured — a tracer or DisableBatching forced the slow path, or the
-// program outgrew the fast engine — in which case RunFrom(nil, ...) is
-// still correct and simply runs in full.
+// captured — DisableBatching forced the slow loop, or the program outgrew
+// the fast engine — in which case RunFrom(nil, ...) is still correct and
+// simply runs in full. A Tracer or an Atlas changes nothing here.
 func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Result, *Checkpoint) {
 	p.ex.persistent = true
 	cp := &Checkpoint{
@@ -122,12 +123,12 @@ func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Resu
 }
 
 // RunFrom executes one schedule like Run, replaying cp's forced prefix
-// through the batched path. A nil cp runs in full; so do options that
-// force the slow engine (a tracer sees every event of a real run). The
-// Result is bit-identical to Run with the same arguments.
+// through the batched path. A nil cp runs in full; so does
+// DisableBatching. The Result is bit-identical to Run with the same
+// arguments, and so is what opts.Tracer is shown.
 func (p *Pool) RunFrom(cp *Checkpoint, prog func(*Thread), alg Algorithm, opts Options) *Result {
 	p.ex.persistent = true
-	if cp == nil || opts.Tracer != nil || opts.DisableBatching {
+	if cp == nil || opts.DisableBatching {
 		return p.ex.run(prog, alg, opts)
 	}
 	if cp.open || cp.invalid {

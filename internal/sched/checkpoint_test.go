@@ -253,7 +253,7 @@ func TestCheckpointInvalidUses(t *testing.T) {
 
 // TestCheckpointSlowPathDegrades holds the documented degradations: a
 // capture under DisableBatching yields no checkpoint, and RunFrom with a
-// nil checkpoint or a tracer still runs correctly in full.
+// nil checkpoint still runs correctly in full.
 func TestCheckpointSlowPathDegrades(t *testing.T) {
 	pool := NewPool()
 	defer pool.Close()

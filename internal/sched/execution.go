@@ -266,9 +266,7 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 		ex.state.enabled = ex.state.enabled[:0]
 	}
 
-	// Hooks observe true per-event scheduling, so any tracer forces the
-	// verbatim slow loop; DisableBatching does the same for A/B tests.
-	ex.fast = opts.Tracer == nil && !opts.DisableBatching
+	ex.fast = !opts.DisableBatching
 	ex.inEngine = false
 	ex.enabledBits = 0
 	ex.enabledStale = true
@@ -378,6 +376,12 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 	return res
 }
 
+// loop is the slow scheduling loop: this goroutine decides every step and
+// hands the baton out and back, two switches per event. Production enters
+// it only when a schedule outgrows the batched engine's thread mask
+// (bailOut, mid-schedule); under Options.DisableBatching it runs whole
+// schedules as the reference the crosscheck oracles compare fast.go
+// against.
 func (ex *Execution) loop() {
 	enabled := ex.enabledTIDs()
 	for {

@@ -17,12 +17,13 @@ package sched
 // publishes an event, and applyEffect() re-derives the bits of threads
 // gated on an object when an event could have changed that object
 // (tracked per object in objState.waitMask). Programs with ≥64 threads
-// bail out to the verbatim slow loop mid-schedule (see bailOut); tracers
-// force the slow path wholesale, so every hook observes true per-event
-// scheduling.
+// bail out to the verbatim slow loop mid-schedule (see bailOut). Nothing
+// else selects the slow loop but Options.DisableBatching: a Tracer is
+// called from here (execute, replayStep), an Atlas likewise (decide).
 //
 // Both engines must be bit-identical: same decisions consume the same
-// random draws, hashes mix the same values, failures carry the same steps.
+// random draws, hashes mix the same values, failures carry the same steps,
+// a tracer is shown the same Decision with the same State behind it.
 // The decision procedure below mirrors the slow loop's order exactly —
 // failure, deadlock, truncation, then choose — and algorithm callbacks see
 // the same State contents at the same times (State.Enabled materializes
@@ -364,12 +365,13 @@ func (ex *Execution) decide(t *Thread) bool {
 		ex.atlas.Decision(ex.atlasDepth, n, ex.atlasHash)
 	}
 	ex.decisionBits = ex.enabledBits
-	return ex.execute(t, tid)
+	return ex.execute(t, tid, n)
 }
 
-// execute records the chosen thread's event and passes (or keeps) the
-// baton. Returns true when t chose itself.
-func (ex *Execution) execute(t *Thread, tid ThreadID) bool {
+// execute records the event of the thread chosen out of n enabled ones,
+// shows the decision to the tracer, and passes (or keeps) the baton.
+// Returns true when t chose itself.
+func (ex *Execution) execute(t *Thread, tid ThreadID, n int) bool {
 	chosen := ex.threads[tid]
 	if chosen.gated != 0 {
 		ex.objs[chosen.gated-1].waitMask &^= tbit(tid)
@@ -379,6 +381,16 @@ func (ex *Execution) execute(t *Thread, tid ThreadID) bool {
 	ex.steps++
 	ex.recordEvent(ev)
 	ex.curEv = ev
+	if ex.tracer != nil {
+		// Before the event executes and with enabledBits still the mask the
+		// choice was drawn from, so st.Enabled() materializes exactly that
+		// set; still inEngine, so a panicking tracer surfaces as an engine
+		// panic rather than a program failure. An IndexChooser pick counts
+		// as consulted, as the slow loop's Next does.
+		ex.tracer.Decide(Decision{
+			Step: ex.steps - 1, Chosen: tid, Enabled: n, Consulted: n > 1 && ex.alg != nil, Event: ev,
+		}, ex.state)
+	}
 	ex.inEngine = false
 	if chosen == t {
 		return true
@@ -389,9 +401,10 @@ func (ex *Execution) execute(t *Thread, tid ThreadID) bool {
 }
 
 // replayStep forces the next checkpointed decision. The enabled set must
-// be the singleton the capture run saw; hashing and tracing are skipped
-// (the checkpoint replaces them wholesale when the prefix ends) except
-// the Δ hash, which algorithm Info predicates may consume per event.
+// be the singleton the capture run saw; hashing and trace recording are
+// skipped (the checkpoint replaces them wholesale when the prefix ends)
+// except the Δ hash, which algorithm Info predicates may consume per
+// event. A tracer is shown every forced step, as in a full run.
 func (ex *Execution) replayStep(t *Thread) bool {
 	cp := ex.replayCp
 	tid := cp.forced[ex.replayPos]
@@ -431,6 +444,9 @@ func (ex *Execution) replayStep(t *Thread) bool {
 	}
 	ex.curEv = ev
 	ex.decisionBits = ex.enabledBits
+	if ex.tracer != nil {
+		ex.tracer.Decide(Decision{Step: ex.steps - 1, Chosen: tid, Enabled: 1, Event: ev}, ex.state)
+	}
 	ex.inEngine = false
 	if chosen == t {
 		return true

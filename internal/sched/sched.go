@@ -286,22 +286,24 @@ type Options struct {
 	// Tracer, when non-nil, observes every scheduling decision (see the
 	// Decision type and internal/obs for ready-made collectors). A nil
 	// Tracer costs one predictable branch per event and nothing else, and
-	// an installed Tracer never changes which threads are scheduled.
-	// Installing a Tracer forces the verbatim slow scheduling loop, so
-	// hooks see true per-event scheduling (results stay bit-identical).
+	// an installed Tracer never changes which threads are scheduled — nor
+	// which engine schedules them: the batched engine (fast.go) calls it
+	// at every step, checkpointed prefixes included.
 	Tracer Tracer
-	// DisableBatching forces the slow scheduling loop even without a
-	// Tracer. Results are bit-identical either way; this exists for A/B
-	// verification and benchmarking of the fast engine (fast.go).
+	// DisableBatching forces the slow scheduling loop. Results — and what
+	// a Tracer is shown — are bit-identical either way; this exists for
+	// A/B verification and benchmarking of the fast engine (fast.go).
 	DisableBatching bool
 	// Atlas, when non-nil, accumulates schedule-space cartography (see
 	// internal/atlas): at every true decision point (≥2 enabled threads)
 	// the engine folds the depth, the enabled-set size and a running
-	// choice-prefix hash into its fixed atomic counters. Unlike Tracer it
-	// does NOT force the slow loop — the fast engine records the same
-	// decisions batched. A nil Atlas costs one predictable branch per
-	// decision and zero allocations; an attached one never changes which
-	// thread is scheduled or any result hash.
+	// choice-prefix hash into its fixed atomic counters. A nil Atlas costs
+	// one predictable branch per decision and zero allocations; an
+	// attached one never changes which thread is scheduled or any result
+	// hash. The counters are atomics, so sharing one Accum between
+	// concurrent schedules is safe but slow (every add contends for the
+	// same lines); the runner gives each worker its own and drains it into
+	// the shared one between schedules.
 	Atlas *atlas.Accum
 }
 

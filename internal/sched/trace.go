@@ -9,6 +9,15 @@ package sched
 // tracer state is touched unless a tracer is installed. The regression gate
 // in ci.sh holds the disabled path to the same allocs/schedule as a build
 // without the hook.
+//
+// The enabled path is the production path: the batched engine fires Decide
+// from execute and replayStep (fast.go), on the deciding goroutine, so a
+// traced session keeps inline continuation, deferred priming and its
+// prefix checkpoint. The slow loop fires the same calls with the same
+// arguments — crosscheck's decision-stream oracle holds the two equal —
+// and takes over mid-stream when a schedule outgrows the 64-thread mask.
+// What a tracer costs is then what its Decide does; ci.sh gates
+// obs.MetricsTracer at 1.3x an unobserved schedule.
 
 // Decision describes one scheduling decision: at step Step, thread Chosen
 // (out of Enabled candidates) executed Event. Consulted reports whether the
@@ -26,7 +35,9 @@ type Decision struct {
 // Tracer observes every scheduling decision of a schedule. Implementations
 // must not retain the *State (it is owned by the scheduler and mutates);
 // read what you need during the call. A Tracer is used by one Execution at
-// a time and needs no internal locking.
+// a time and needs no internal locking. Its methods run inside the engine
+// (Decide usually on a program goroutine): a panic in one is an engine
+// panic and reaches the caller of Run, never the schedule's Failure.
 //
 // Decide fires after the decision is made and the event recorded, but
 // before the event executes, so st still reflects the pre-event state: the

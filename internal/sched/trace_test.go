@@ -1,9 +1,11 @@
 package sched_test
 
 import (
+	"slices"
 	"testing"
 
 	"surw/internal/core"
+	"surw/internal/obs"
 	"surw/internal/sched"
 )
 
@@ -172,5 +174,180 @@ func TestTracerAcrossPooledRuns(t *testing.T) {
 	pool.Run(twoThreads, alg, sched.Options{Base: sched.Base{Seed: 99}})
 	if tr.begins != 3 {
 		t.Fatalf("tracer fired on a run without Options.Tracer")
+	}
+}
+
+// decisionRec is one Decide call as a recordingTracer saw it: the Decision
+// plus a copy of the enabled set st exposed during the call.
+type decisionRec struct {
+	d       sched.Decision
+	enabled []sched.ThreadID
+}
+
+type recordingTracer struct{ recs []decisionRec }
+
+func (r *recordingTracer) BeginSchedule(string) { r.recs = r.recs[:0] }
+func (r *recordingTracer) Decide(d sched.Decision, st *sched.State) {
+	r.recs = append(r.recs, decisionRec{d, append([]sched.ThreadID(nil), st.Enabled()...)})
+}
+func (r *recordingTracer) EndSchedule(*sched.Result) {}
+
+// sameStream fails the test unless the two tracers saw the same Decide
+// calls in the same order.
+func sameStream(t *testing.T, label string, got, want *recordingTracer) {
+	t.Helper()
+	if len(got.recs) != len(want.recs) {
+		t.Fatalf("%s: %d decisions, want %d", label, len(got.recs), len(want.recs))
+	}
+	for i := range got.recs {
+		g, w := got.recs[i], want.recs[i]
+		if g.d != w.d || !slices.Equal(g.enabled, w.enabled) {
+			t.Fatalf("%s: decision %d: got %+v enabled %v, want %+v enabled %v", label, i, g.d, g.enabled, w.d, w.enabled)
+		}
+	}
+}
+
+// prefixThenRace runs alone for six events — a forced prefix — before two
+// children introduce free choices.
+func prefixThenRace(t *sched.Thread) {
+	x := t.NewVar("x", 0)
+	for i := 0; i < 6; i++ {
+		x.Add(t, 1)
+	}
+	twoThreads(t)
+}
+
+// TestTracedCheckpoint holds that a tracer no longer costs a session its
+// checkpoint: RunPrefix under a tracer seals one, and RunFrom with it shows
+// the tracer every forced step exactly once — the whole stream equal to a
+// full run on the slow loop.
+func TestTracedCheckpoint(t *testing.T) {
+	pool := sched.NewPool()
+	defer pool.Close()
+	alg := core.NewRandomWalk()
+	tr := &recordingTracer{}
+	_, cp := pool.RunPrefix(prefixThenRace, alg, sched.Options{Base: sched.Base{Seed: 1}, Tracer: tr})
+	if cp.Decisions() < 6 {
+		t.Fatalf("traced RunPrefix sealed %d forced decisions, want at least 6", cp.Decisions())
+	}
+	for seed := int64(2); seed < 12; seed++ {
+		res := pool.RunFrom(cp, prefixThenRace, alg, sched.Options{Base: sched.Base{Seed: seed}, Tracer: tr})
+		if len(tr.recs) != res.Steps {
+			t.Fatalf("seed %d: %d decisions for %d steps", seed, len(tr.recs), res.Steps)
+		}
+		for i, r := range tr.recs[:cp.Decisions()] {
+			if r.d.Step != i || r.d.Enabled != 1 || r.d.Consulted || len(r.enabled) != 1 || r.enabled[0] != r.d.Chosen {
+				t.Fatalf("seed %d: forced step %d traced as %+v enabled %v", seed, i, r.d, r.enabled)
+			}
+		}
+		slow := &recordingTracer{}
+		ref := sched.Run(prefixThenRace, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: seed}, Tracer: slow, DisableBatching: true})
+		if ref.InterleavingHash != res.InterleavingHash {
+			t.Fatalf("seed %d: traced replay changed the interleaving", seed)
+		}
+		sameStream(t, "replayed vs slow loop", tr, slow)
+	}
+}
+
+// TestTracerStreamAcrossBailOut: a program that outgrows the batched
+// engine's 64-thread mask mid-schedule hands the rest of the schedule to
+// the slow loop; the tracer must see one stream — every step once, in
+// order — across the hand-over.
+func TestTracerStreamAcrossBailOut(t *testing.T) {
+	prog := func(th *sched.Thread) {
+		c := th.NewVar("c", 0)
+		early := th.Go(func(w *sched.Thread) {
+			for i := 0; i < 4; i++ {
+				c.Add(w, 1)
+			}
+		})
+		for i := 0; i < 4; i++ {
+			c.Add(th, 1) // free choices, decided on the batched engine
+		}
+		hs := make([]*sched.Handle, 70)
+		for i := range hs {
+			hs[i] = th.Go(func(w *sched.Thread) { c.Add(w, 1) })
+		}
+		th.Join(early)
+		th.JoinAll(hs...)
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		tr, slow := &recordingTracer{}, &recordingTracer{}
+		res := sched.Run(prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: seed}, Tracer: tr})
+		if res.Buggy() || res.Threads != 72 {
+			t.Fatalf("seed %d: %+v", seed, res)
+		}
+		for i, r := range tr.recs {
+			if r.d.Step != i {
+				t.Fatalf("seed %d: decision %d carries step %d", seed, i, r.d.Step)
+			}
+		}
+		if len(tr.recs) != res.Steps {
+			t.Fatalf("seed %d: %d decisions for %d steps", seed, len(tr.recs), res.Steps)
+		}
+		sched.Run(prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: seed}, Tracer: slow, DisableBatching: true})
+		sameStream(t, "bailed vs slow loop", tr, slow)
+	}
+}
+
+// panicAt panics on its n-th Decide call.
+type panicAt struct{ n, seen int }
+
+func (p *panicAt) BeginSchedule(string) { p.seen = 0 }
+func (p *panicAt) Decide(sched.Decision, *sched.State) {
+	if p.seen++; p.seen == p.n {
+		panic("tracer bug")
+	}
+}
+func (p *panicAt) EndSchedule(*sched.Result) {}
+
+// TestPanickingTracerIsEnginePanic: Decide runs on a program goroutine, but
+// a tracer that panics is a bug in the tooling, not in the program under
+// test — it must reach the caller of Run as a panic, never be filed as the
+// schedule's FailPanic. Call 3 is a forced step (replayed from the
+// checkpoint in the RunFrom arm), call 9 a free choice.
+func TestPanickingTracerIsEnginePanic(t *testing.T) {
+	alg := core.NewRandomWalk()
+	for _, n := range []int{3, 9} {
+		for _, arm := range []struct {
+			name string
+			run  func(sched.Options) *sched.Result
+		}{
+			{"Run", func(o sched.Options) *sched.Result { return sched.Run(prefixThenRace, alg, o) }},
+			{"RunFrom", func(o sched.Options) *sched.Result {
+				p := sched.NewPool()
+				defer p.Close()
+				_, cp := p.RunPrefix(prefixThenRace, alg, sched.Options{Base: sched.Base{Seed: 1}})
+				return p.RunFrom(cp, prefixThenRace, alg, o)
+			}},
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != "tracer bug" {
+						t.Fatalf("%s, Decide call %d: recovered %v, want the tracer's panic", arm.name, n, r)
+					}
+				}()
+				res := arm.run(sched.Options{Base: sched.Base{Seed: 2}, Tracer: &panicAt{n: n}})
+				t.Fatalf("%s, Decide call %d: schedule returned %+v", arm.name, n, res.Failure)
+			}()
+		}
+	}
+}
+
+// TestMetricsTracerAllocatesNothing: watching a warm pooled schedule with
+// the production tracer costs no allocation the unwatched schedule does not
+// make.
+func TestMetricsTracerAllocatesNothing(t *testing.T) {
+	alg := core.NewRandomWalk()
+	tracer := obs.NewMetrics().Tracer()
+	allocs := func(tr sched.Tracer) float64 {
+		pool := sched.NewPool()
+		defer pool.Close()
+		opts := sched.Options{Base: sched.Base{Seed: 1}, Tracer: tr}
+		pool.Run(twoThreads, alg, opts) // warm-up
+		return testing.AllocsPerRun(100, func() { pool.Run(twoThreads, alg, opts) })
+	}
+	if plain, traced := allocs(nil), allocs(tracer); traced != plain {
+		t.Fatalf("traced schedule allocates %.0f objects, untraced %.0f", traced, plain)
 	}
 }
