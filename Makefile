@@ -1,10 +1,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-# Version stamp: release binaries report `git describe` through
-# surw/internal/buildinfo (every command's -version flag and the
-# dashboard's /buildinfo endpoint); builds outside a git checkout fall back
-# to "dev".
+# Version stamp: the release binary reports `git describe` through
+# surw/internal/buildinfo (`surw version`, every subcommand's -version flag
+# and the dashboard's /buildinfo endpoint); builds outside a git checkout
+# fall back to "dev".
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X surw/internal/buildinfo.Version=$(VERSION)"
 
@@ -12,8 +12,10 @@ LDFLAGS = -ldflags "-X surw/internal/buildinfo.Version=$(VERSION)"
 
 all: ci
 
+# Everything compiles; the one stamped binary lands in ./bin/surw.
 build:
-	$(GO) build $(LDFLAGS) ./...
+	$(GO) build ./...
+	$(GO) build $(LDFLAGS) -o bin/surw ./cmd/surw
 
 vet:
 	$(GO) vet ./...
@@ -22,21 +24,23 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages that spawn goroutines (ci.sh runs
-# this target), plus the one sctbench test that fans a surwsync-bound
+# this target) — cmd/surw among them: its tests run whole subcommands,
+# listeners included, on goroutines of the test process (-short skips its
+# fleet tests) — plus the one sctbench test that fans a surwsync-bound
 # target over parallel workers and requires the 1-worker result.
 race:
-	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync
+	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync ./cmd/surw
 	$(GO) test -race -short -run '^TestWorkerPool' ./internal/sctbench
 
 # Benchmarks. The throughput-critical pair (pooled scheduling and parallel
 # sessions) is additionally parsed into BENCH_obs.json so regressions can be
 # gated on and reports can embed machine-readable numbers; every run also
 # appends a timestamped record to the BENCH_history.jsonl trajectory
-# (BENCH_obs.json stays the latest snapshot). `surwobs -bench-compare
+# (BENCH_obs.json stays the latest snapshot). `surw obs -bench-compare
 # old.json new.json` gates schedules/s between any two snapshots.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sched ./surwsync | tee BENCH_obs.txt
-	$(GO) run ./cmd/surwobs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
+	$(GO) run ./cmd/surw obs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
 		-bench-history BENCH_history.jsonl \
 		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=11' \
 		-gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' \
@@ -51,8 +55,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzClassFingerprint -fuzztime=$(FUZZTIME) ./internal/crosscheck
 	$(GO) test -run='^$$' -fuzz=FuzzChannelOps -fuzztime=$(FUZZTIME) ./internal/sched
 
-# Framework self-verification soak (surwrun -crosscheck).
+# Framework self-verification soak (surw run -crosscheck).
 crosscheck:
-	$(GO) run ./cmd/surwrun -crosscheck
+	$(GO) run ./cmd/surw run -crosscheck
 
 ci: vet build test race

@@ -5,7 +5,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// doubles as a miniature reproduction run. cmd/surwbench produces the full
+// doubles as a miniature reproduction run. `surw bench` produces the full
 // tables; see EXPERIMENTS.md for paper-vs-measured.
 package surw
 

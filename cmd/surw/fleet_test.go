@@ -1,0 +1,172 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"testing"
+	"time"
+
+	"surw/internal/remote"
+)
+
+// fleet is a `surw bench -coordinate` campaign on a loopback port with its
+// workers, all in-process.
+type fleet struct {
+	dir   string
+	coord *proc
+	url   string // the coordinator's base URL
+}
+
+// startFleet launches the coordinator over a fresh store and waits for its
+// listener; args are the campaign's cells and coordinator flags.
+func startFleet(t *testing.T, args ...string) *fleet {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("fleet test: skipped under -short")
+	}
+	f := &fleet{dir: filepath.Join(t.TempDir(), "dist")}
+	args = append([]string{"bench", "-coordinate", "127.0.0.1:0", "-campaign", f.dir}, args...)
+	f.coord = start(t, append(args, "sct")...)
+	f.url = f.coord.url(t, "coordinator")
+	return f
+}
+
+// worker starts one in-process `surw worker` against the coordinator.
+func (f *fleet) worker(t *testing.T, name string, args ...string) *proc {
+	return start(t, append([]string{"worker", "-coordinator", f.url, "-name", name, "-workers", "2", "-q"}, args...)...)
+}
+
+// finish waits for the workers and the coordinator and returns the
+// campaign's aggregates.json.
+func (f *fleet) finish(t *testing.T, workers ...*proc) []byte {
+	t.Helper()
+	for _, w := range workers {
+		w.wait(t)
+	}
+	f.coord.wait(t)
+	return readFile(t, filepath.Join(f.dir, "aggregates.json"))
+}
+
+// TestFleetKilledWorker: a 200-session campaign sharded over a coordinator
+// and two workers, one of them a real process killed -9 while it holds a
+// lease (which then expires and requeues on the survivor). Distribution,
+// like crash/resume, must be an execution-order change only: aggregates
+// byte-identical to a single-process run's.
+func TestFleetKilledWorker(t *testing.T) {
+	cells := []string{"-sct-targets", "CS/reorder_4", "-sct-algs", "SURW,RW", "-sessions", "100", "-limit", "300"}
+	// Fifty sessions a lease: long enough to hold that the kill lands inside.
+	f := startFleet(t, append([]string{"-lease-ttl", "2s", "-lease-batch", "50", "-q"}, cells...)...)
+	wantMatch(t, "coordinator /metrics", metricsPage(t, f.url), `(?m)^surw_remote_sessions_planned 200$`)
+
+	doomed := exec.Command(surwBin, "worker", "-coordinator", f.url, "-name", "doomed", "-workers", "1", "-q")
+	if err := doomed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	leased := regexp.MustCompile(`"in_flight_leases": [1-9]`)
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		if _, status := get(t, f.url+remote.PathStatus); leased.MatchString(status) {
+			break
+		}
+		if time.Now().After(deadline) {
+			doomed.Process.Kill()
+			t.Fatal("the doomed worker never took a lease")
+		}
+	}
+	if err := doomed.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	doomed.Wait() // reaps it; "signal: killed" is the point
+	// Nobody is left to submit that lease: it can only expire.
+	if _, status := get(t, f.url+remote.PathStatus); !leased.MatchString(status) {
+		t.Fatalf("the kill landed between leases, so it tested nothing:\n%s", status)
+	}
+
+	got := f.finish(t, f.worker(t, "survivor"))
+	want := bench(t, t.TempDir(), append([]string{"-workers", "4"}, cells...)...)
+	if !bytes.Equal(got, want) {
+		t.Errorf("distributed aggregates differ from the local run's")
+	}
+}
+
+// TestFleetDedup: the Figure 1 bitshift coverage probe sharded over two
+// workers. Class fingerprints ride the session records, so the dedup block
+// (distinct classes, duplicate rate, Good-Turing/Chao1) must equal a local
+// run's, and with 3x200 schedules over C(8,4)=70 classes the duplicate
+// rate is genuinely nonzero — which the dashboard over the distributed
+// store must report.
+func TestFleetDedup(t *testing.T) {
+	_, want := reference(t, bitshiftCells)
+	f := startFleet(t, append([]string{"-lease-batch", "2", "-q"}, bitshiftCells...)...)
+	got := f.finish(t, f.worker(t, "k1"), f.worker(t, "k2"))
+	if !bytes.Equal(got, want) {
+		t.Errorf("distributed aggregates differ from the local run's")
+	}
+	wantMatch(t, "aggregates.json", string(got), `"dedup"`)
+	wantMatch(t, "bench stderr", f.coord.stderr.String(), `(?m)^dedup Fig1/bitshift_4/URW: .* duplicate rate$`)
+
+	dash := start(t, "dash", "-store", f.dir, "-addr", "127.0.0.1:0")
+	page := metricsPage(t, dash.url(t, "dashboard"))
+	wantMatch(t, "/metrics", page, `surw_campaign_cell_duplicate_rate\{target="Fig1/bitshift_4"`)
+	if regexp.MustCompile(`(?m)^surw_campaign_duplicate_rate 0*[.]?0*$`).MatchString(page) {
+		t.Errorf("campaign-wide duplicate rate is zero:\n%s", page)
+	}
+	wantMatch(t, "/metrics", page, `(?m)^surw_campaign_duplicate_rate [0-9.e-]+$`)
+}
+
+// TestFleetTracing: the same campaign with distributed tracing on and the
+// full worker observability surface exercised. Both sides of the DESIGN
+// §12 covenant: tracing perturbs nothing (aggregates equal the untraced
+// local run's) and observed everything (at least one complete lease→submit
+// trace assembles from the coordinator's span log, and renders as valid
+// Chrome trace_event JSON).
+func TestFleetTracing(t *testing.T) {
+	_, want := reference(t, bitshiftCells)
+	tmp := t.TempDir()
+	spans, local := filepath.Join(tmp, "fleet.spans.jsonl"), filepath.Join(tmp, "t1.spans.jsonl")
+	f := startFleet(t, append([]string{"-lease-batch", "2", "-fleet-trace", spans, "-q"}, bitshiftCells...)...)
+	t1 := f.worker(t, "t1", "-metrics-addr", "127.0.0.1:0", "-trace", local, "-watchdog", "60s")
+	metricsPage(t, t1.url(t, "metrics"))
+	got := f.finish(t, t1, f.worker(t, "t2"))
+	if !bytes.Equal(got, want) {
+		t.Errorf("traced aggregates differ from the untraced local run's")
+	}
+	if fi, err := os.Stat(local); err != nil || fi.Size() == 0 {
+		t.Errorf("the traced worker's local span view %s: %v", local, err)
+	}
+	chrome := filepath.Join(tmp, "fleet.json")
+	out := mustRun(t, "obs", "-assemble-trace", spans, "-out", chrome)
+	wantMatch(t, "obs -assemble-trace", out.stdout, `[1-9]\d* complete`)
+	mustRun(t, "obs", "-check-trace", chrome)
+}
+
+// TestFleetYieldLeases: the same grid with -yield-leases and two
+// atlas-carrying workers. The weighted draw reorders grants (a nonzero
+// yield-weighted count) but sessions are deterministic, so aggregates stay
+// equal to the local run's; the coordinator merges the workers' atlases
+// into DIR/atlas.json, and the dashboard over the finished store renders
+// the heatmap, depth profile, uniformity gauges and yield panel from it.
+func TestFleetYieldLeases(t *testing.T) {
+	_, want := reference(t, bitshiftCells)
+	f := startFleet(t, append([]string{"-lease-batch", "2", "-yield-leases", "-q"}, bitshiftCells...)...)
+	got := f.finish(t, f.worker(t, "y1", "-atlas"), f.worker(t, "y2", "-atlas"))
+	if !bytes.Equal(got, want) {
+		t.Errorf("yield-leased aggregates differ from the local run's")
+	}
+	wantMatch(t, "bench stderr", f.coord.stderr.String(), `coordinator: [1-9][0-9]* yield-weighted grants`)
+	out := mustRun(t, "obs", "-atlas", filepath.Join(f.dir, "atlas.json"))
+	wantMatch(t, "obs -atlas", out.stdout, `(?m)atlas cell Fig1/bitshift_4/RW: .* DRIFT$`)
+
+	dash := start(t, "dash", "-store", f.dir, "-addr", "127.0.0.1:0")
+	base := dash.url(t, "dashboard")
+	_, html := get(t, base+"/")
+	wantMatch(t, "dashboard", html, `exploration atlas`, `atlas-heatmap`, `atlas-depth`, `discovery yield`, `uniformity p`)
+	_, yield := get(t, base+"/api/yield")
+	wantMatch(t, "/api/yield", yield, `"cells"`)
+	wantMatch(t, "/metrics", metricsPage(t, base),
+		`surw_yield_score\{target="Fig1/bitshift_4"`,
+		`surw_atlas_uniformity_p\{target="Fig1/bitshift_4"`,
+		`surw_atlas_drift_alarm\{target="Fig1/bitshift_4",algorithm="RW"\} 1`)
+}

@@ -1,9 +1,9 @@
 // Workerpool runs REAL Go code — a worker pool written against the
 // standard library — under the controlled scheduler. The stdlib package
 // lives in ./pool; ./ported is the same package mechanically rewritten
-// onto surw/surwsync by cmd/surwport:
+// onto surw/surwsync by `surw port`:
 //
-//	go run ./cmd/surwport -src examples/workerpool/pool -dst examples/workerpool/ported
+//	go run ./cmd/surw port -src examples/workerpool/pool -dst examples/workerpool/ported
 //
 // The pool seeds a classic lost wakeup: Close wakes parked workers with a
 // single token instead of a broadcast, so when two workers are parked at

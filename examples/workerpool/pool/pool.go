@@ -1,7 +1,7 @@
 // Package pool is a realistic fixed-size worker pool written against the
 // standard library — sync.Mutex, sync.WaitGroup, go statements, and a
 // channel used as a wakeup token. It is the "real Go code" half of the
-// surwport demonstration: cmd/surwport rewrites it mechanically onto
+// `surw port` demonstration: the tool rewrites it mechanically onto
 // surw/surwsync (the committed output is ../ported), after which the same
 // logic runs under the controlled scheduler.
 //

@@ -302,7 +302,7 @@ func (a *Atlas) Snapshot() *Snapshot {
 const Version = 1
 
 // Snapshot is the exported (JSON-able) form of an atlas: what
-// `surwbench -atlas` writes to atlas.json, `surwobs -atlas` validates,
+// `surw bench -atlas` writes to atlas.json, `surw obs -atlas` validates,
 // and the dashboard renders.
 type Snapshot struct {
 	Version int            `json:"version"`

@@ -1,6 +1,6 @@
 package atlas
 
-// Inline-SVG rendering for the dashboard and `surwobs -atlas -out`: a
+// Inline-SVG rendering for the dashboard and `surw obs -atlas -out`: a
 // sample-density heatmap per grid depth and a depth/branching profile.
 // Pure string building, no templates — the same renderer serves the
 // HTML dashboard (wrapped as template.HTML) and standalone .svg export.
@@ -127,7 +127,7 @@ func DepthProfileSVG(cs CellSnapshot) string {
 }
 
 // DocumentSVG wraps every cell's heatmap and depth profile into one
-// standalone SVG document, stacked vertically — the `surwobs -atlas -out`
+// standalone SVG document, stacked vertically — the `surw obs -atlas -out`
 // artifact.
 func DocumentSVG(s *Snapshot) string {
 	const rowH = heatTop + heatSide*heatCell + profH + 44

@@ -24,7 +24,7 @@ type Aggregates struct {
 	Metrics  *MetricsSnapshot `json:"metrics,omitempty"` // live only, see Serve
 	Remote   *RemoteStatus    `json:"remote,omitempty"`  // live only: distributed campaigns
 	// RemoteErr carries the error of a failed remote-status fetch (e.g.
-	// surwdash -remote pointed at a wrong or dead coordinator), so the
+	// surw dash -remote pointed at a wrong or dead coordinator), so the
 	// dashboard can say why the fleet view is missing instead of silently
 	// rendering an empty one. Live only, like Remote: WriteAggregates
 	// builds from the store alone, so it never reaches aggregates.json.

@@ -25,7 +25,7 @@
 //
 //	DIR/manifest.json    {"version":1} — wire-format guard
 //	DIR/runs.jsonl       one Record per line, append-only, fsynced
-//	DIR/aggregates.json  written by `surwbench -campaign` on completion
+//	DIR/aggregates.json  written by `surw bench -campaign` on completion
 //
 // A torn trailing line (the signature of a crash mid-append) is truncated
 // away on open; every complete line is a self-contained record.

@@ -163,7 +163,7 @@ func TestStoreAttachmentIsObservationOnly(t *testing.T) {
 }
 
 // Cell completions surface as live events, and the hook sees them
-// synchronously (surwbench -stop-after-cells builds its crash injection on
+// synchronously (surw bench -stop-after-cells builds its crash injection on
 // this).
 func TestCellEventsAndHook(t *testing.T) {
 	st, err := campaign.Open(t.TempDir())

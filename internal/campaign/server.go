@@ -1,9 +1,9 @@
 package campaign
 
 // The campaign dashboard: a stdlib-only HTTP server over a run-store.
-// Served standalone by cmd/surwdash (read-only, tailing a store some
+// Served standalone by `surw dash` (read-only, tailing a store some
 // campaign process writes) or embedded in a live campaign via
-// `surwbench -serve` / `surwrun -serve`. Endpoints:
+// `surw bench -serve` / `surw run -serve`. Endpoints:
 //
 //	/              HTML dashboard with inline-SVG survival and coverage curves
 //	/api/campaign  the Aggregates rollup as JSON
@@ -53,7 +53,7 @@ func NewServer(store *Store, metrics *obs.Metrics) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // SetRemote attaches a distributed-campaign status source (the remote
-// coordinator's Status method, or surwdash's HTTP fetch). The dashboard
+// coordinator's Status method, or surw dash's HTTP fetch). The dashboard
 // then shows the worker table and /metrics gains the surw_remote_* gauges.
 // A source that fails returns its error, which the dashboard surfaces as a
 // banner (and /api/campaign as remote_error) instead of silently showing
@@ -63,7 +63,7 @@ func (s *Server) SetRemote(status func() (*RemoteStatus, error)) { s.remote = st
 // SetAtlas attaches an exploration-atlas source (internal/atlas): the
 // live registry's Snapshot for an embedded campaign, the coordinator's
 // merged fleet view for a distributed one, or a loader over a written
-// atlas.json for surwdash. The dashboard then renders the sample-density
+// atlas.json for surw dash. The dashboard then renders the sample-density
 // heatmaps, the depth profile, and the per-cell uniformity gauges, and
 // /metrics gains the surw_atlas_* family. A failing source is treated
 // like an absent one (the panel disappears; nothing breaks). Call before
@@ -249,7 +249,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		_ = s.metrics.WritePrometheus(w)
 	}
 	if s.remote != nil {
-		// A failed fetch (surwdash -remote against a dead coordinator)
+		// A failed fetch (surw dash -remote against a dead coordinator)
 		// omits the surw_remote_* family; the dashboard page carries the
 		// error, the metrics page stays parseable.
 		if rs, err := s.remote(); err == nil && rs != nil {

@@ -101,7 +101,7 @@ func (b *Broker) Publish(ev Event) {
 // for concurrent use; parallel sessions hit it from many workers.
 type Store struct {
 	// CellHook, when non-nil, runs synchronously after each CellDone with
-	// the cell event. `surwbench -stop-after-cells` uses it to inject a
+	// the cell event. `surw bench -stop-after-cells` uses it to inject a
 	// crash for the resume smoke test.
 	CellHook func(Event)
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: Figure 2 (uniformity histograms), Tables 1 and 4 (SCTBench +
 // ConVul bug finding), Table 2 (RaceBench distinct bugs), and Table 3 with
-// Figure 5 (the LightFTP case study). cmd/surwbench drives it from the
+// Figure 5 (the LightFTP case study). `surw bench` drives it from the
 // command line and the repository's benchmarks drive it from testing.B.
 package experiments
 

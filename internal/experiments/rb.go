@@ -140,7 +140,7 @@ func (r *RBResult) Totals() map[string]int {
 
 // ThroughputFooter mirrors SCTResult.ThroughputFooter for the RaceBench
 // grid: mean schedules/s per cell for each algorithm column, plus the
-// grid-wide wall-clock rate. Wall-clock, so surwbench prints it to stderr
+// grid-wide wall-clock rate. Wall-clock, so surw bench prints it to stderr
 // beside Table 2, keeping the table bit-identical at any worker count.
 // Empty when the grid carries no timing.
 func (r *RBResult) ThroughputFooter() string {

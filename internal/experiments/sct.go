@@ -188,7 +188,7 @@ func (r *SCTResult) Table1() *report.Table {
 	return tb
 }
 
-// ThroughputFooter renders the scheduler-throughput line surwbench prints
+// ThroughputFooter renders the scheduler-throughput line surw bench prints
 // beside Tables 1 and 4: mean schedules/s per cell for each algorithm
 // column (every cell is one runner batch whose Result carries its
 // wall-clock Elapsed) and the grid-wide rate. It is wall-clock — cells

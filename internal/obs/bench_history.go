@@ -14,7 +14,7 @@ import (
 )
 
 // ReadBenchJSON loads a parsed benchmark result file as written by
-// `surwobs -bench2json` (the BENCH_obs.json shape: a JSON array of
+// `surw obs -bench2json` (the BENCH_obs.json shape: a JSON array of
 // BenchResult).
 func ReadBenchJSON(path string) ([]BenchResult, error) {
 	data, err := os.ReadFile(path)

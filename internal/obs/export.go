@@ -4,7 +4,7 @@ package obs
 // decision per line, machine-diffable) or as Chrome trace_event JSON, which
 // Perfetto and chrome://tracing open directly with one track per virtual
 // thread. The same pretty-printed JSON encoder backs the flight recorder
-// and surwprof -json.
+// and surw prof -json.
 
 import (
 	"bufio"

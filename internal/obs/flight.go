@@ -5,7 +5,7 @@ package obs
 // and a ring collector attached, and dumps everything needed to reproduce
 // the failure bit-exactly — seed, program seed, step budget, the recorded
 // choice sequence, the interleaving fingerprint, and the last N scheduling
-// decisions — as one JSON file under results/flight/. `surwrun
+// decisions — as one JSON file under results/flight/. `surw run
 // -replay-flight <file>` re-executes the dump through internal/replay and
 // verifies the same bug fires with the same fingerprint.
 

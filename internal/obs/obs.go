@@ -12,7 +12,7 @@
 //     branching-factor histograms, and worker utilization, rendered as a
 //     Prometheus-style text page (metrics.go);
 //   - FlightRecord: the first-failure flight recorder dumped by the runner
-//     and replayed bit-exactly by `surwrun -replay-flight` (flight.go);
+//     and replayed bit-exactly by `surw run -replay-flight` (flight.go);
 //
 // plus the benchmark-output parser and regression gates behind `make bench`
 // and ci.sh (bench.go).

@@ -316,7 +316,7 @@ func (o *OpenSpan) End() {
 // --- persistence -----------------------------------------------------------
 
 // WriteSpansJSONL appends spans to w, one JSON object per line — the fleet
-// span-log format surwobs assembles and checks.
+// span-log format surw obs assembles and checks.
 func WriteSpansJSONL(w io.Writer, spans []Span) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -586,7 +586,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // Spans snapshots the fleet span log (nil when tracing is off) — what
-// surwbench -fleet-trace writes to disk at campaign end.
+// surw bench -fleet-trace writes to disk at campaign end.
 func (c *Coordinator) Spans() []obs.Span { return c.spans.Snapshot() }
 
 // AtlasSnapshot assembles the fleet's exploration atlas: the latest

@@ -14,10 +14,10 @@ package remote
 //   - aging leases: a lease outstanding longer than AgingLeaseAfter
 //     (default 5x TTL) — the worker is heartbeating (else the lease would
 //     have expired) but not finishing, the classic silent-stall shape the
-//     surwworker watchdog attacks from the other side.
+//     surw worker watchdog attacks from the other side.
 //
 // Verdicts are wire-typed in internal/campaign (HealthReport) so the
-// dashboard and surwdash render them without importing this package.
+// dashboard and surw dash render them without importing this package.
 
 import (
 	"fmt"

@@ -41,7 +41,7 @@ func TestEndToEndDistributedTrace(t *testing.T) {
 	defer srv.Close()
 
 	// Two workers drain the plan concurrently, each with span retention on
-	// (as surwworker -trace would set).
+	// (as surw worker -trace would set).
 	errs := make(chan error, 2)
 	for _, name := range []string{"w1", "w2"} {
 		w := newTestWorker(name, srv.URL)

@@ -38,9 +38,9 @@ type Worker struct {
 	// Name identifies this worker in leases and dashboards.
 	Name string
 	// Resolve maps a lease's target name to the local target registry
-	// (cmd/surwworker wires sctbench.ByName). An unresolvable target is a
-	// deployment error — a version-skewed worker — and aborts the worker
-	// rather than silently stalling the campaign.
+	// (`surw worker` wires the resolver every subcommand shares). An
+	// unresolvable target is a deployment error — a version-skewed worker —
+	// and aborts the worker rather than silently stalling the campaign.
 	Resolve func(name string) (runner.Target, bool)
 	// Workers is the per-batch session parallelism (degree of the local
 	// fan-out); 0 means sequential.
@@ -62,13 +62,13 @@ type Worker struct {
 	UsePrefixFilter bool
 	// Metrics, when non-nil, is attached to every leased batch's
 	// runner.Config, aggregating schedule counters and decision histograms
-	// for the worker's own -metrics page. Results stay byte-identical, but
+	// for the worker's own /metrics page. Results stay byte-identical, but
 	// the attached tracer disables the batched/checkpoint fast path, so
-	// this is opt-in (cmd/surwworker -metrics).
+	// this is opt-in (`surw worker -metrics-addr`).
 	Metrics *obs.Metrics
 	// Atlas, when non-nil, accumulates schedule-space cartography and
 	// uniformity drift over every leased session this worker executes
-	// (cmd/surwworker -atlas). Unlike Metrics it keeps the fast path —
+	// (`surw worker -atlas`). Unlike Metrics it keeps the fast path —
 	// lock-free atomic counters off the decision hot loop — and its
 	// cumulative snapshot ships with every result submission so the
 	// coordinator can assemble the fleet atlas. Never perturbs a schedule.
@@ -80,7 +80,7 @@ type Worker struct {
 	// the outside. Off by default.
 	Watchdog time.Duration
 	// RetainSpans keeps a copy of every span the worker ships, so
-	// cmd/surwworker -trace can write them at exit. Off by default — spans
+	// `surw worker -trace` can write them at exit. Off by default — spans
 	// normally leave with their ResultRequest and are dropped.
 	RetainSpans bool
 	// Logf receives progress lines; nil discards them.

@@ -62,24 +62,3 @@ func TestPrefixFilterAbandonsSaturatedSessions(t *testing.T) {
 		}
 	}
 }
-
-// TestPrefixFilterNotConsultedWithoutCheckpoints ensures the filter is a
-// no-op when checkpointing is disabled: without RunPrefix there is no
-// prefix class to ask about, and sessions must not be abandoned on a
-// made-up fingerprint.
-func TestPrefixFilterNotConsultedWithoutCheckpoints(t *testing.T) {
-	shut := &recordingFilter{saturated: true}
-	cfg := Config{Sessions: 2, Limit: 20, Seed: 5, DisableCheckpoint: true, PrefixFilter: shut}
-	res, err := RunTarget(cleanTarget(), "SURW", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shut.queries.Load() != 0 {
-		t.Fatalf("filter queried %d times with checkpointing disabled, want 0", shut.queries.Load())
-	}
-	for i, s := range res.Sessions {
-		if s.Schedules != cfg.Limit {
-			t.Fatalf("session %d ran %d schedules, want the full limit %d", i, s.Schedules, cfg.Limit)
-		}
-	}
-}

@@ -127,7 +127,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	// schedule additionally captures the program's forced decision prefix;
 	// every later schedule replays it through the batched
 	// run-to-next-decision path instead of re-deciding it, observers
-	// attached or not. DisableCheckpoint leaves cp nil and every run full.
+	// attached or not.
 	pool := w.pool
 	var cp *sched.Checkpoint
 	for i := 0; i < cfg.Limit; i++ {
@@ -157,7 +157,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		opts := sched.Options{Base: sched.Base{Seed: base + int64(i)*2_000_033 + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, TraceFilter: tgt.TraceFilter, Tracer: tracer, Atlas: w.stage}
 		var r *sched.Result
 		abandon := false
-		if i == 0 && !cfg.DisableCheckpoint {
+		if i == 0 {
 			// Observe the prefix capture (schedule 0's RunPrefix doubles as
 			// the checkpoint fork) when anyone is watching. Once per
 			// session, between schedules — never on the schedule hot path.

@@ -80,14 +80,8 @@ type Config struct {
 	// FlightDir, when non-empty, enables the flight recorder: each session's
 	// first failing schedule is re-executed with a replay recorder attached
 	// and dumped as a JSON flight record under this directory (replayable
-	// with `surwrun -replay-flight`). See internal/obs/flight.go.
+	// with `surw run -replay-flight`). See internal/obs/flight.go.
 	FlightDir string
-	// DisableCheckpoint turns off prefix checkpointing: every schedule then
-	// runs in full instead of replaying the session's captured forced
-	// prefix through the batched path. Results are bit-identical either
-	// way (the crosscheck oracle holds this); the switch exists for A/B
-	// verification and for isolating perf regressions.
-	DisableCheckpoint bool
 	// PrefixFilter, when non-nil, enables prefix-class early abandon: after
 	// a session's first schedule captures the forced prefix (shared by all
 	// of the session's schedules), the filter is consulted with the
@@ -273,7 +267,7 @@ type Result struct {
 	Sessions  []Session
 	// Elapsed is the wall-clock duration of the whole batch. It is
 	// observational (excluded from Equal, never persisted): it backs the
-	// schedules/s throughput footers of the surwbench tables.
+	// schedules/s throughput footers of the surw bench tables.
 	Elapsed time.Duration
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // WorkerPoolTargets returns the surwsync-shim target family: real Go code
-// (the examples/workerpool package, ported onto surwsync by cmd/surwport)
+// (the examples/workerpool package, ported onto surwsync by `surw port`)
 // running as campaign targets through the goroutine-binding frontend
 // rather than the explicit *sched.Thread API. They ride beside the Table 4
 // rows in ByName/Names — and may be opted into a campaign grid with

@@ -11,7 +11,7 @@
 //
 // Existing code written against the standard library need not be rewritten
 // by hand: the surw/surwsync subpackage is a drop-in sync/channel frontend
-// (surwsync.Mutex, surwsync.Chan[T], surwsync.Go, ...) and cmd/surwport
+// (surwsync.Mutex, surwsync.Chan[T], surwsync.Go, ...) and `surw port`
 // rewrites stdlib concurrency onto it mechanically.
 //
 // The flagship algorithm is SURW (Selectively Uniform Random Walk): given a

@@ -20,7 +20,7 @@
 //     per operation when no controlled session exists anywhere in the
 //     process.
 //
-// Porting is mechanical — cmd/surwport automates it for whole packages:
+// Porting is mechanical — `surw port` automates it for whole packages:
 //
 //	sync.Mutex      -> surwsync.Mutex      (zero value ready, as stdlib)
 //	sync.RWMutex    -> surwsync.RWMutex
