@@ -194,8 +194,8 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			return usagef("-yield-leases requires -coordinate (it weights the coordinator's lease grants)")
 		}
 		// The atlas source: the fleet merge in coordinate mode (workers ship
-		// cumulative snapshots with every submission), the local accumulator
-		// otherwise.
+		// cumulative snapshots with their heartbeats and on leaving), the
+		// local accumulator otherwise.
 		atlasSnap := func() *atlas.Snapshot {
 			if coord != nil {
 				return coord.AtlasSnapshot()
@@ -334,11 +334,12 @@ func (c *command) coordinate(ctx context.Context, coord *remote.Coordinator, add
 			}
 		}
 	}
-	// Linger until every worker has heard "done" (capped, for workers
-	// that died mid-campaign): the listener closes when the command
-	// returns, and a worker still sleeping out its retry hint by then
-	// wakes to a dead socket and, unable to tell a finished campaign from
-	// a restarting coordinator, retries forever.
+	// Linger until every worker has heard "done" and taken its leave
+	// (capped, for workers that died mid-campaign): the listener closes
+	// when the command returns, and a worker still sleeping out its retry
+	// hint by then wakes to a dead socket and, unable to tell a finished
+	// campaign from a restarting coordinator, retries forever — and a
+	// worker's leave-taking carries its final latency and atlas snapshots.
 	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline) && !coord.AllWorkersNotified(); {
 		time.Sleep(50 * time.Millisecond)
 	}

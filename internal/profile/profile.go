@@ -27,7 +27,8 @@ type ObjStat struct {
 	Birth    int // creation rank (proxy for memory adjacency)
 }
 
-// Profile is the output of Collect.
+// Profile is the output of Collect. SelectSingleVar memoises on it, so a
+// profile belongs to one goroutine at a time, as a session's does.
 type Profile struct {
 	// Info carries thread paths, the spawn tree, per-thread total event
 	// counts and the total event count; Interesting is unset until a
@@ -40,6 +41,13 @@ type Profile struct {
 	// interesting counts under any Δ predicate.
 	perThread map[countKey]int
 	runs      int
+
+	// SelectSingleVar's memo: sharedVars(), the sum of their access counts,
+	// and each one's Selection, built and instantiated the first time it is
+	// drawn. singleSel is nil until the first call.
+	shared      []ObjStat
+	sharedTotal int
+	singleSel   []Selection
 }
 
 type countKey struct {
@@ -135,6 +143,13 @@ func (c *census) Observe(ev sched.Event, st *sched.State) {
 // counts (the paper's RaceBench discussion notes exactly this hazard); an
 // error is returned only if every run was truncated by the step budget.
 func Collect(prog func(*sched.Thread), opts Options) (*Profile, error) {
+	return CollectOn(nil, prog, opts)
+}
+
+// CollectOn is Collect with the census runs executed on pool — the warm
+// pool of the session about to test prog — instead of a fresh execution
+// each. Pool.Run is bit-identical to sched.Run, so the profile is the same.
+func CollectOn(pool *sched.Pool, prog func(*sched.Thread), opts Options) (*Profile, error) {
 	opts = opts.normalized()
 	runs := opts.Runs
 	p := &Profile{
@@ -148,13 +163,16 @@ func Collect(prog func(*sched.Thread), opts Options) (*Profile, error) {
 		objs:   make(map[uint64]*ObjStat),
 		perRun: make(map[countKey]int),
 	}
+	run := sched.Run
+	if pool != nil {
+		run = pool.Run
+	}
 	allTruncated := true
 	threadTouched := make(map[countKey]bool)
 	for r := 0; r < runs; r++ {
 		base := opts.Base
 		base.Seed += int64(r) * 7919
-		res := sched.Run(prog, c, sched.Options{Base: base})
-		if !res.Truncated {
+		if res := run(prog, c, sched.Options{Base: base}); !res.Truncated {
 			allTruncated = false
 		}
 	}
@@ -193,6 +211,12 @@ type Selection struct {
 	Objects []string
 	// Interesting is the Δ predicate; nil means Δ = Γ.
 	Interesting func(sched.Event) bool
+
+	// info is from's instantiation of this selection, carried by the
+	// selections SelectSingleVar hands out again and again so that
+	// Instantiate returns it instead of building another.
+	info *sched.ProgramInfo
+	from *Profile
 }
 
 // AccessTo builds a Δ predicate matching shared-memory accesses to the
@@ -234,30 +258,32 @@ func (p *Profile) sharedVars() []ObjStat {
 // SelectSingleVar implements the paper's SCTBench/ConVul instantiation:
 // Δ is every access to a single shared variable, drawn with probability
 // proportional to its total access count. Returns ok=false when the census
-// saw no shared variable.
+// saw no shared variable. It consumes exactly one rng.Intn per call, and
+// drawing a variable a second time allocates nothing.
 func (p *Profile) SelectSingleVar(rng *rand.Rand) (Selection, bool) {
-	shared := p.sharedVars()
-	if len(shared) == 0 {
+	if p.singleSel == nil {
+		p.shared = p.sharedVars()
+		p.singleSel = make([]Selection, len(p.shared))
+		for _, o := range p.shared {
+			p.sharedTotal += o.Accesses
+		}
+	}
+	if len(p.shared) == 0 {
 		return Selection{}, false
 	}
-	total := 0
-	for _, o := range shared {
-		total += o.Accesses
+	x := rng.Intn(p.sharedTotal) // total > 0: census objects have >= 1 access
+	i := 0
+	for x >= p.shared[i].Accesses {
+		x -= p.shared[i].Accesses
+		i++
 	}
-	x := rng.Intn(total) // total > 0: census objects have >= 1 access
-	var pick ObjStat
-	for _, o := range shared {
-		if x < o.Accesses {
-			pick = o
-			break
-		}
-		x -= o.Accesses
+	sel := &p.singleSel[i]
+	if sel.info == nil {
+		name := p.shared[i].Name
+		*sel = Selection{Desc: fmt.Sprintf("accesses to var %q", name), Objects: []string{name}, Interesting: AccessTo(name)}
+		sel.info, sel.from = p.Instantiate(*sel), p
 	}
-	return Selection{
-		Desc:        fmt.Sprintf("accesses to var %q", pick.Name),
-		Objects:     []string{pick.Name},
-		Interesting: AccessTo(pick.Name),
-	}, true
+	return *sel, true
 }
 
 // SelectRegion implements the RaceBench instantiation: Δ is every access to
@@ -316,17 +342,20 @@ func SelectCustom(desc string, pred func(sched.Event) bool) Selection {
 
 // Instantiate produces the ProgramInfo to hand to an algorithm: the profiled
 // counts plus the selection's Δ predicate and the per-thread Δ-counts
-// implied by the census.
+// implied by the census. The result shares the profile's paths, spawn tree
+// and total counts — nothing reads an info but to copy from it (see
+// sched.Algorithm.Begin) — and owns only its InterestingEvents.
 func (p *Profile) Instantiate(sel Selection) *sched.ProgramInfo {
-	info := p.Info.Clone()
+	if sel.info != nil && sel.from == p {
+		return sel.info
+	}
+	info := *p.Info
 	info.Interesting = sel.Interesting
 	info.DeltaDesc = sel.Desc
+	info.InterestingEvents = make([]int, len(info.Events))
 	if sel.Interesting == nil {
 		copy(info.InterestingEvents, info.Events)
-		return info
-	}
-	for i := range info.InterestingEvents {
-		info.InterestingEvents[i] = 0
+		return &info
 	}
 	for k, n := range p.perThread {
 		ev := sched.Event{Kind: k.kind, ObjHash: k.obj}
@@ -334,5 +363,5 @@ func (p *Profile) Instantiate(sel Selection) *sched.ProgramInfo {
 			info.InterestingEvents[k.lid] += n
 		}
 	}
-	return info
+	return &info
 }

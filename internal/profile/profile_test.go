@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"surw/internal/core"
@@ -145,6 +146,101 @@ func TestInstantiateAll(t *testing.T) {
 	}
 	if info.Interesting != nil {
 		t.Fatal("Δ=Γ must use a nil predicate")
+	}
+}
+
+// Every info instantiated from a profile shares the profile's spine and
+// owns only its Δ-counts, on the contract that nothing writes to an info
+// (sched.Algorithm.Begin). Enforced here: two instantiations do not share
+// their Δ-counts, and a schedule run with one — under the algorithm that
+// consumes the counts — leaves the other's and the profile's as they were.
+func TestInstantiateSharesSpineNotCounts(t *testing.T) {
+	p := collect(t)
+	hot := p.Instantiate(Selection{Desc: "hot", Interesting: AccessTo("hot")})
+	cold := p.Instantiate(Selection{Desc: "cold", Interesting: AccessTo("cold")})
+	all := p.Instantiate(p.SelectAll())
+	for _, pair := range [][2]*sched.ProgramInfo{{hot, cold}, {hot, all}, {cold, all}, {hot, p.Info}, {all, p.Info}} {
+		if &pair[0].InterestingEvents[0] == &pair[1].InterestingEvents[0] {
+			t.Fatalf("%q and %q share one InterestingEvents array", pair[0].DeltaDesc, pair[1].DeltaDesc)
+		}
+	}
+	if &hot.Events[0] != &p.Info.Events[0] || &hot.Paths[0] != &p.Info.Paths[0] {
+		t.Fatal("Instantiate copied the profile's spine")
+	}
+	snapshot := func() [4][]int {
+		return [4][]int{
+			append([]int(nil), p.Info.Events...), append([]int(nil), hot.InterestingEvents...),
+			append([]int(nil), cold.InterestingEvents...), append([]int(nil), all.InterestingEvents...),
+		}
+	}
+	before := snapshot()
+	for seed := int64(0); seed < 20; seed++ {
+		for _, alg := range []sched.Algorithm{core.NewSURW(), core.NewURW()} {
+			if res := sched.Run(prog, alg, sched.Options{Base: sched.Base{Seed: seed}, Info: hot}); res.Buggy() {
+				t.Fatalf("seed %d: %v", seed, res.Failure)
+			}
+		}
+	}
+	if after := snapshot(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("running schedules with one info wrote to shared counts:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// Steady state of the per-schedule Δ draw: once a variable has been picked,
+// picking it again and asking for its info allocates nothing; a selection
+// the profile cannot memoise (a caller's own predicate) costs the info and
+// its Δ-counts, and no copy of the spine.
+func TestSelectionAllocations(t *testing.T) {
+	p := collect(t)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ { // warm-up: every shared variable drawn at least once
+		sel, _ := p.SelectSingleVar(rng)
+		p.Instantiate(sel)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		sel, _ := p.SelectSingleVar(rng)
+		sink = p.Instantiate(sel)
+	}); n != 0 {
+		t.Errorf("SelectSingleVar + Instantiate of an already-drawn variable: %v allocs, want 0", n)
+	}
+	custom := SelectCustom("hot", AccessTo("hot"))
+	if n := testing.AllocsPerRun(500, func() { sink = p.Instantiate(custom) }); n > 2 {
+		t.Errorf("Instantiate of a custom predicate: %v allocs, want <= 2", n)
+	}
+}
+
+var sink *sched.ProgramInfo
+
+// SelectSingleVar memoises; the memo must not change what it answers: the
+// same draw, the same description, predicate and Δ-counts as building the
+// selection from scratch, on a first pick and on a repeat.
+func TestSelectSingleVarMemoIsTransparent(t *testing.T) {
+	p := collect(t)
+	for seed := int64(0); seed < 50; seed++ {
+		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		sel, ok := p.SelectSingleVar(rng)
+		if !ok {
+			t.Fatal("no shared var found")
+		}
+		// The draw is one Intn over the shared accesses (20 hot, then 2
+		// cold, in creation order) and nothing else.
+		name := "hot"
+		if ref.Intn(22) >= 20 {
+			name = "cold"
+		}
+		if sel.Objects[0] != name || rng.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: picked %v, one Intn(22) picks %s (or the stream was drawn from more than once)", seed, sel.Objects, name)
+		}
+		want := p.Instantiate(Selection{Desc: sel.Desc, Interesting: AccessTo(sel.Objects[0])})
+		got := p.Instantiate(sel)
+		if got.DeltaDesc != want.DeltaDesc || !reflect.DeepEqual(got.InterestingEvents, want.InterestingEvents) {
+			t.Fatalf("seed %d: memoised info for %v: %q %v, from scratch: %q %v", seed, sel.Objects,
+				got.DeltaDesc, got.InterestingEvents, want.DeltaDesc, want.InterestingEvents)
+		}
+		// A selection memoised on one profile is just a selection to another.
+		if other := collect(t); other.Instantiate(sel) == got {
+			t.Fatal("another profile returned this profile's memoised info")
+		}
 	}
 }
 

@@ -70,9 +70,12 @@ type CoordinatorOptions struct {
 	YieldSeed int64
 }
 
+// defaultLeaseTTL is also what a worker assumes of a lease that names none.
+const defaultLeaseTTL = 30 * time.Second
+
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 30 * time.Second
+		o.LeaseTTL = defaultLeaseTTL
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 4
@@ -127,9 +130,9 @@ type Coordinator struct {
 
 	// Observability. spans is nil unless opts.Tracing; lat holds the
 	// coordinator's own histograms (queue_wait); workerLat keeps the
-	// latest cumulative latency snapshot per worker (replaced, never
-	// merged in place, so cumulative shipping can't double-count); cells
-	// feeds the slow-cell health rule.
+	// latest cumulative latency snapshot per worker, as its heartbeats
+	// deliver it (replaced, never merged in place, so cumulative shipping
+	// can't double-count); cells feeds the slow-cell health rule.
 	spans     *obs.SpanLog
 	lat       obs.LatencySet
 	workerLat map[string]map[string]obs.HistogramWire
@@ -171,7 +174,7 @@ type workerState struct {
 	sessions  int           // accepted records
 	busy      time.Duration // worker-reported execution time
 	leases    int           // currently held
-	toldDone  bool          // answered a lease poll with Done: true
+	left      bool          // took its leave (lease-less heartbeat) since its last poll
 }
 
 // NewCoordinator builds the lease queue for a plan. Keys the store
@@ -323,6 +326,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer c.mu.Unlock()
 	now := c.now()
 	ws := c.touchLocked(req.Worker, now)
+	ws.left = false
 	c.expireStaleLocked(now)
 
 	// Pop batches until one still has unstored keys. A requeued batch may
@@ -336,7 +340,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			idx = c.pickYieldLocked()
 		}
 		b := c.pending[idx]
-		c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
+		if idx == 0 {
+			c.pending = c.pending[1:] // the FIFO pop: O(1), not a shift of the whole plan
+		} else {
+			c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
+		}
 		keys := b.keys[:0:0]
 		for _, k := range b.keys {
 			if _, ok := c.store.Lookup(k); !ok {
@@ -389,7 +397,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c.done >= c.total {
-		ws.toldDone = true
 		writeJSON(w, LeaseResponse{Done: true})
 		return
 	}
@@ -397,18 +404,19 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // AllWorkersNotified reports whether every worker that ever contacted the
-// coordinator has been answered Done on a lease poll. A completed
+// coordinator has since taken its leave: the lease-less heartbeat a worker
+// answered Done sends next, with its final snapshots. A completed
 // coordinator that tears its listener down before this point races the
-// idle pollers: a worker sleeping out its RetryMillis hint wakes to a dead
-// socket and retries forever (by design — it cannot tell a finished
-// campaign from a restarting coordinator). Callers should linger until
-// this returns true, with a short cap for workers that died and will
-// never poll again.
+// idle pollers — a worker sleeping out its RetryMillis hint wakes to a
+// dead socket and retries forever (by design: it cannot tell a finished
+// campaign from a restarting coordinator) — and loses those snapshots.
+// Callers should linger until this returns true, with a short cap for
+// workers that died and will never be heard from again.
 func (c *Coordinator) AllWorkersNotified() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, ws := range c.workers {
-		if !ws.toldDone {
+		if !ws.left {
 			return false
 		}
 	}
@@ -449,8 +457,21 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	c.touchLocked(req.Worker, now)
+	ws := c.touchLocked(req.Worker, now)
 	c.expireStaleLocked(now)
+	// Latest cumulative snapshots per worker: replace, never fold, so a
+	// growing snapshot shipped again and again can't double-count.
+	if len(req.Latencies) > 0 {
+		c.workerLat[req.Worker] = req.Latencies
+	}
+	if len(req.Atlas) > 0 {
+		c.workerAtlas[req.Worker] = req.Atlas
+	}
+	if req.LeaseID == "" {
+		ws.left = true
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
 	l, ok := c.leases[req.LeaseID]
 	if !ok || l.worker != req.Worker {
 		// Expired, completed, reassigned, or from before a coordinator
@@ -532,15 +553,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			cs.schedules += int64(d.sess.Schedules)
 		}
 		cs.busy += busy
-	}
-	// Latest cumulative latency snapshot per worker: replace, never fold,
-	// so repeated submissions of a growing snapshot can't double-count.
-	if len(req.Latencies) > 0 {
-		c.workerLat[req.Worker] = req.Latencies
-	}
-	// Same replace-never-fold rule for the worker's cumulative atlas.
-	if len(req.Atlas) > 0 {
-		c.workerAtlas[req.Worker] = req.Atlas
 	}
 	if c.spans.Enabled() {
 		for _, s := range req.Spans {

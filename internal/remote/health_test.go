@@ -4,15 +4,20 @@ package remote
 // clock, plus the /api/health endpoint and the surw_health_* gauges.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"surw/internal/campaign"
+	"surw/internal/experiments"
 	"surw/internal/obs"
+	"surw/internal/runner"
+	"surw/internal/sched"
 )
 
 func TestHealthStaleWorker(t *testing.T) {
@@ -156,8 +161,9 @@ func TestHealthEndpointAndGauges(t *testing.T) {
 }
 
 // Latency shipping: the coordinator folds its own queue-wait histogram
-// with the latest per-worker snapshots, replacing (not accumulating) a
-// worker's resubmitted cumulative set.
+// with the latest per-worker snapshots — which ride the heartbeats, not
+// the result submissions — replacing (not accumulating) a worker's
+// re-shipped cumulative set.
 func TestFleetLatencyAggregation(t *testing.T) {
 	st := newMemStore()
 	c := NewCoordinator(st, syntheticPlan(2), CoordinatorOptions{BatchSize: 1})
@@ -167,20 +173,26 @@ func TestFleetLatencyAggregation(t *testing.T) {
 	var wlat obs.LatencySet
 	wlat.Observe("session", 5*time.Millisecond)
 	la := leaseFor(t, srv.URL, "a")
-	req := ResultRequest{Worker: "a", LeaseID: la.Lease.ID,
-		Records: sessionRecordsFor(la.Lease), Latencies: wlat.Wire()}
+	hb := HeartbeatRequest{Worker: "a", LeaseID: la.Lease.ID, Latencies: wlat.Wire()}
+	if code := postJSON(t, srv.URL+PathHeartbeat, hb, nil); code != 204 {
+		t.Fatalf("heartbeat: status %d", code)
+	}
+	req := ResultRequest{Worker: "a", LeaseID: la.Lease.ID, Records: sessionRecordsFor(la.Lease)}
 	if code := postJSON(t, srv.URL+PathResult, req, nil); code != 200 {
 		t.Fatalf("submit: status %d", code)
 	}
 
-	// Second submit ships a *cumulative* snapshot (2 observations). The
-	// fleet view must show 2, not 1+2.
+	// The second snapshot is *cumulative* (2 observations) and arrives with
+	// the worker's leave-taking, lease-less. The fleet view must show 2,
+	// not 1+2.
 	wlat.Observe("session", 7*time.Millisecond)
 	lb := leaseFor(t, srv.URL, "a")
-	req = ResultRequest{Worker: "a", LeaseID: lb.Lease.ID,
-		Records: sessionRecordsFor(lb.Lease), Latencies: wlat.Wire()}
+	req = ResultRequest{Worker: "a", LeaseID: lb.Lease.ID, Records: sessionRecordsFor(lb.Lease)}
 	if code := postJSON(t, srv.URL+PathResult, req, nil); code != 200 {
 		t.Fatalf("submit 2: status %d", code)
+	}
+	if code := postJSON(t, srv.URL+PathHeartbeat, HeartbeatRequest{Worker: "a", Latencies: wlat.Wire()}, nil); code != 204 {
+		t.Fatalf("closing heartbeat: status %d", code)
 	}
 
 	rs := c.Status()
@@ -198,5 +210,91 @@ func TestFleetLatencyAggregation(t *testing.T) {
 	}
 	if queueWait == nil || queueWait.Count != 2 {
 		t.Fatalf("fleet queue_wait latency: %+v, want one observation per grant", queueWait)
+	}
+}
+
+// Snapshots ride the heartbeats, and every lease of this drain ends long
+// before its first heartbeat (a third of the 30 s default TTL) falls due:
+// what the coordinator ends up holding can only have come with each
+// worker's leave-taking as Run returned. It must be the worker's final
+// cumulative view — every session and every submit — or the fleet latency
+// page of a campaign of short hunts would be empty.
+func TestShortLeasesStillDeliverSnapshots(t *testing.T) {
+	sc := sctScale()
+	plan := experiments.SCTPlan(sc)
+	c := NewCoordinator(newMemStore(), plan, CoordinatorOptions{BatchSize: 1})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+
+	workers := []*Worker{newTestWorker("w1", srv.URL), newTestWorker("w2", srv.URL)}
+	errs := make(chan error, len(workers))
+	for _, w := range workers {
+		go func() { errs <- w.Run(context.Background()) }()
+	}
+	for range workers {
+		if err := <-errs; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	}
+	if !c.Done() || !c.AllWorkersNotified() {
+		t.Fatalf("done %v, all workers gone %v after both Runs returned", c.Done(), c.AllWorkersNotified())
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sessions := uint64(0)
+	for _, w := range workers {
+		got, want := c.workerLat[w.Name], w.Latencies()
+		for _, op := range []string{"lease_rpc", "session", "checkpoint_fork", "submit"} {
+			if got[op].Count == 0 || got[op].Count != want[op].Count {
+				t.Errorf("%s: coordinator holds %d %s observations, the worker ended with %d",
+					w.Name, got[op].Count, op, want[op].Count)
+			}
+		}
+		if got["submit"].Count != got["session"].Count {
+			t.Errorf("%s: %d submits for %d one-session leases", w.Name, got["submit"].Count, got["session"].Count)
+		}
+		sessions += got["session"].Count
+	}
+	if sessions != uint64(len(plan)) {
+		t.Errorf("the workers' shipped snapshots cover %d sessions, the plan has %d", sessions, len(plan))
+	}
+}
+
+// One heartbeat loop serves every lease of a Run. Here each of two leases
+// lasts several TTLs: only the loop's beats keep them from expiring, and
+// the beats are what carries the worker's snapshots while a lease runs —
+// the target looks into the coordinator from inside the second lease and
+// must find the first lease's session already delivered.
+func TestHeartbeatsKeepLeaseAliveAndCarrySnapshots(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	plan := syntheticPlan(2)
+	for i := range plan {
+		plan[i].Limit = 25
+	}
+	c := NewCoordinator(newMemStore(), plan, CoordinatorOptions{LeaseTTL: ttl, BatchSize: 1})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+
+	var delivered atomic.Uint64 // most session observations of w seen at the coordinator from inside a lease
+	slow := runner.Target{Name: "t/x", Prog: func(*sched.Thread) {
+		time.Sleep(ttl / 10) // x Limit 25: a lease of two and a half TTLs
+		c.mu.Lock()
+		n := c.workerLat["w"]["session"].Count
+		c.mu.Unlock()
+		if n > delivered.Load() {
+			delivered.Store(n)
+		}
+	}}
+	w := newTestWorker("w", srv.URL)
+	w.Resolve = func(string) (runner.Target, bool) { return slow, true }
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	rs := c.Status()
+	if !c.Done() || rs.LeaseExpiries != 0 || rs.DuplicateResults != 0 {
+		t.Fatalf("done %v, %d expiries, %d duplicates: a lease outlived its TTL unrenewed", c.Done(), rs.LeaseExpiries, rs.DuplicateResults)
+	}
+	if delivered.Load() != 1 {
+		t.Fatalf("inside the second lease the coordinator held %d session observations of w, want the first lease's 1", delivered.Load())
 	}
 }

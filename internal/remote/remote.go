@@ -25,7 +25,9 @@
 //	POST /v1/lease      LeaseRequest  → LeaseResponse
 //	POST /v1/heartbeat  HeartbeatRequest → 204, or 410 Gone if the lease
 //	                    is no longer held (expired, completed, or the
-//	                    coordinator restarted)
+//	                    coordinator restarted); carries the worker's
+//	                    cumulative latency and atlas snapshots, and with
+//	                    no lease_id is the worker's leave-taking
 //	POST /v1/result     ResultRequest → ResultResponse; idempotent — a
 //	                    record whose key the store already holds is
 //	                    counted and dropped, never double-stored
@@ -100,10 +102,22 @@ type Lease struct {
 	Traceparent string `json:"traceparent,omitempty"`
 }
 
-// HeartbeatRequest keeps a lease alive while its batch executes.
+// HeartbeatRequest keeps a lease alive while its batch executes, and is
+// how a worker's cumulative snapshots travel (not with every result: a
+// fleet of short leases would decode a growing histogram set per lease).
+// A worker sends one more, with no LeaseID, as Worker.Run returns: its
+// leave-taking, which delivers what the last beat did not and tells the
+// coordinator not to expect it again.
 type HeartbeatRequest struct {
 	Worker  string `json:"worker"`
-	LeaseID string `json:"lease_id"`
+	LeaseID string `json:"lease_id,omitempty"`
+	// Latencies is the worker's cumulative latency snapshot (all ops since
+	// it started). The coordinator keeps the latest per worker and merges
+	// those into the fleet view, so cumulative shipping never double-counts.
+	Latencies map[string]obs.HistogramWire `json:"latencies,omitempty"`
+	// Atlas is the worker's cumulative exploration-atlas snapshot, present
+	// only when the worker runs with an atlas attached; kept like Latencies.
+	Atlas []atlas.CellSnapshot `json:"atlas,omitempty"`
 }
 
 // ResultRequest submits a batch's session records. Records is the exact
@@ -119,17 +133,6 @@ type ResultRequest struct {
 	// sessions, prefix replays); empty unless the lease carried a
 	// traceparent.
 	Spans []obs.Span `json:"spans,omitempty"`
-	// Latencies is the worker's cumulative latency snapshot (all ops since
-	// the worker started, not just this lease). The coordinator keeps the
-	// latest snapshot per worker and merges those into the fleet view, so
-	// shipping cumulative histograms never double-counts.
-	Latencies map[string]obs.HistogramWire `json:"latencies,omitempty"`
-	// Atlas is the worker's cumulative exploration-atlas snapshot (every
-	// cell the worker has observed since it started), present only when
-	// the worker runs with an atlas attached. Cumulative-and-replaced like
-	// Latencies: the coordinator keeps the latest snapshot per worker and
-	// merges those into the fleet cartography, never folding increments.
-	Atlas []atlas.CellSnapshot `json:"atlas,omitempty"`
 }
 
 // ResultResponse reports how the submission landed.

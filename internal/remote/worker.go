@@ -2,12 +2,13 @@ package remote
 
 // The worker loop: lease, execute, submit, repeat. Workers hold no
 // campaign state at all — every batch is fully described by its lease and
-// executed through runner.RunSession, the same engine a local batch uses,
-// so a worker's records are bit-identical to the sessions a local run
-// would have produced. Network failures never corrupt anything: polling
-// and submission retry with exponential backoff and jitter (riding out
-// coordinator restarts), and an abandoned batch simply expires
-// server-side and is re-leased.
+// executed through runner's session engine, the one a local batch uses, so
+// a worker's records are bit-identical to the sessions a local run would
+// have produced. What a worker keeps from lease to lease is set-up: warm
+// session workers per target (runner.WorkerCache) and one heartbeat loop.
+// Network failures never corrupt anything: polling and submission retry
+// with exponential backoff and jitter (riding out coordinator restarts),
+// and an abandoned batch simply expires server-side and is re-leased.
 
 import (
 	"bytes"
@@ -62,16 +63,16 @@ type Worker struct {
 	UsePrefixFilter bool
 	// Metrics, when non-nil, is attached to every leased batch's
 	// runner.Config, aggregating schedule counters and decision histograms
-	// for the worker's own /metrics page. Results stay byte-identical, but
-	// the attached tracer disables the batched/checkpoint fast path, so
-	// this is opt-in (`surw worker -metrics-addr`).
+	// for the worker's own /metrics page. Results stay byte-identical and
+	// the sessions stay on the batched engine; what it costs is the tracer
+	// call per decision, so it is opt-in (`surw worker -metrics-addr`).
 	Metrics *obs.Metrics
 	// Atlas, when non-nil, accumulates schedule-space cartography and
 	// uniformity drift over every leased session this worker executes
-	// (`surw worker -atlas`). Unlike Metrics it keeps the fast path —
-	// lock-free atomic counters off the decision hot loop — and its
-	// cumulative snapshot ships with every result submission so the
-	// coordinator can assemble the fleet atlas. Never perturbs a schedule.
+	// (`surw worker -atlas`): lock-free atomic counters off the decision hot
+	// loop. Its cumulative snapshot ships with the heartbeats, and once more
+	// when Run returns, so the coordinator can assemble the fleet atlas.
+	// Never perturbs a schedule.
 	Atlas *atlas.Atlas
 	// Watchdog, when > 0, arms a per-lease self-watchdog: if no session of
 	// the lease completes for this long, the worker logs the stall and
@@ -90,8 +91,14 @@ type Worker struct {
 
 	// lat holds the worker's always-on latency histograms (lease_rpc,
 	// session, checkpoint_fork, submit); its cumulative snapshot ships with
-	// every result submission. Lock-free observes; see obs.LatencySet.
+	// the heartbeats. Lock-free observes; see obs.LatencySet.
 	lat obs.LatencySet
+	// For the length of a Run: the warm session workers, and the heartbeat
+	// loop's ticker (execute re-arms it) and the ID of the lease it keeps
+	// alive — nil between leases, or once the coordinator said it is gone.
+	cache   *runner.WorkerCache
+	hb      *time.Ticker
+	hbLease atomic.Pointer[string]
 	// spans is created lazily on the first traced lease (nil records
 	// nothing, costing untraced fleets zero allocations).
 	spans *obs.SpanLog
@@ -154,7 +161,25 @@ func (w *Worker) jittered(d time.Duration) time.Duration {
 // Run executes leases until the coordinator reports the campaign done or
 // ctx is cancelled. Transient errors (network, coordinator restarts) are
 // retried forever with backoff; a nil return means the plan is complete.
+// However it ends, Run closes with one lease-less heartbeat carrying the
+// worker's final snapshots (see HeartbeatRequest).
 func (w *Worker) Run(ctx context.Context) error {
+	w.cache = runner.NewWorkerCache()
+	defer w.cache.Close()
+	// One heartbeat loop for the whole run, not one per lease; it idles
+	// until execute hands it a lease and that lease's period.
+	w.hb = time.NewTicker(defaultLeaseTTL / 3)
+	hbCtx, stopHB := context.WithCancel(ctx)
+	hbDone := make(chan struct{})
+	go func() {
+		defer close(hbDone)
+		w.heartbeatLoop(hbCtx)
+	}()
+	defer func() {
+		stopHB()
+		<-hbDone
+	}()
+
 	lo, hi := w.backoffBounds()
 	backoff := lo
 	for {
@@ -226,10 +251,7 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 	// actually traces.
 	var exec obs.OpenSpan
 	var sessIDs []obs.SpanID
-	sessionIdx := make(map[int]int, len(l.Sessions))
-	for i, s := range l.Sessions {
-		sessionIdx[s] = i
-	}
+	var sessionIdx map[int]int
 	if l.Traceparent != "" {
 		if parent, err := obs.ParseTraceparent(l.Traceparent); err == nil {
 			if w.spans == nil {
@@ -241,8 +263,10 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 			exec.Span.Alg = l.Algorithm
 			exec.Span.N = len(l.Sessions)
 			sessIDs = make([]obs.SpanID, len(l.Sessions))
-			for i := range sessIDs {
+			sessionIdx = make(map[int]int, len(l.Sessions))
+			for i, s := range l.Sessions {
 				sessIDs[i] = w.spans.NewSpanID()
+				sessionIdx[s] = i
 			}
 		} else {
 			w.logf("lease %s: bad traceparent %q: %v", l.ID, l.Traceparent, err)
@@ -267,14 +291,18 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 		}
 	}
 
-	// Heartbeat at a third of the TTL while the batch executes. A 410
-	// means the lease is gone (expired or the coordinator restarted); we
-	// stop heartbeating but finish and submit anyway — submission is
+	// Heartbeat at a third of the TTL while the batch executes: hand the
+	// lease to the run's heartbeat loop and re-arm its ticker. A 410 means
+	// the lease is gone (expired or the coordinator restarted); the loop
+	// lets go of it but we finish and submit anyway — submission is
 	// idempotent, and with deterministic sessions finished work is never
 	// wrong, at worst redundant.
-	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
-	go w.heartbeatLoop(hbCtx, l, exec)
+	ttl := time.Duration(l.TTLMillis) * time.Millisecond
+	if ttl <= 0 {
+		ttl = defaultLeaseTTL
+	}
+	w.hbLease.Store(&l.ID)
+	w.hb.Reset(ttl / 3)
 
 	// Self-watchdog: progress is "a session of this lease completed"; a
 	// lease making none for the deadline gets its stall dumped. This is
@@ -297,12 +325,14 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 	}
 
 	start := time.Now()
-	w.logf("lease %s: %s/%s sessions %v", l.ID, l.Target, l.Algorithm, l.Sessions)
+	if w.Logf != nil { // guarded where every lease passes: boxing the arguments allocates
+		w.Logf("lease %s: %s/%s sessions %v", l.ID, l.Target, l.Algorithm, l.Sessions)
+	}
 	records := make([]campaign.Record, len(l.Sessions))
 	_, err := workpool.Map(w.Workers, len(l.Sessions), func(i int) (struct{}, error) {
 		session := l.Sessions[i]
 		t0 := time.Now()
-		sess, err := runner.RunSession(ctx, tgt, l.Algorithm, cfg, session)
+		sess, err := w.cache.RunSession(ctx, tgt, l.Algorithm, cfg, session)
 		if err != nil {
 			return struct{}{}, err
 		}
@@ -321,7 +351,7 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 		records[i] = campaign.NewRecord(runner.KeyFor(tgt, l.Algorithm, cfg, session), sess)
 		return struct{}{}, nil
 	})
-	stopHB()
+	w.hbLease.Store(nil)
 	if err != nil {
 		return err
 	}
@@ -330,10 +360,6 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 		LeaseID:    l.ID,
 		BusyMillis: time.Since(start).Milliseconds(),
 		Records:    records,
-		Latencies:  w.lat.Wire(),
-	}
-	if w.Atlas != nil {
-		req.Atlas = w.Atlas.Snapshot().Cells
 	}
 	if exec.Active() {
 		exec.End()
@@ -378,22 +404,38 @@ func watchLease(ctx context.Context, deadline time.Duration, progress *atomic.In
 	}
 }
 
-func (w *Worker) heartbeatLoop(ctx context.Context, l *Lease, exec obs.OpenSpan) {
-	ttl := time.Duration(l.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = 30 * time.Second
+// heartbeat builds a heartbeat with the worker's cumulative snapshots aboard.
+func (w *Worker) heartbeat(leaseID string) HeartbeatRequest {
+	req := HeartbeatRequest{Worker: w.Name, LeaseID: leaseID, Latencies: w.lat.Wire()}
+	if w.Atlas != nil {
+		req.Atlas = w.Atlas.Snapshot().Cells
 	}
-	t := time.NewTicker(ttl / 3)
-	defer t.Stop()
+	return req
+}
+
+// heartbeatLoop beats for whichever lease is held when the ticker fires.
+// Its last beat, when ctx ends, is the leave-taking: lease-less, carrying
+// everything since the beat before — all of it, when no lease outlived a
+// heartbeat period. Best effort and bounded; ctx being done must not stop it.
+func (w *Worker) heartbeatLoop(ctx context.Context) {
+	defer w.hb.Stop()
 	for {
 		select {
 		case <-ctx.Done():
+			bye, cancel := context.WithTimeout(context.WithoutCancel(ctx), farewellTimeout)
+			defer cancel()
+			if err := w.post(bye, PathHeartbeat, w.heartbeat(""), nil); err != nil {
+				w.logf("closing heartbeat failed: %v", err)
+			}
 			return
-		case <-t.C:
-			err := w.postTraced(ctx, PathHeartbeat, spanHeader(exec), HeartbeatRequest{Worker: w.Name, LeaseID: l.ID}, nil)
-			if err == errLeaseGone {
-				w.logf("lease %s lost; finishing batch anyway (submission is idempotent)", l.ID)
-				return
+		case <-w.hb.C:
+			id := w.hbLease.Load()
+			if id == nil {
+				continue
+			}
+			if err := w.post(ctx, PathHeartbeat, w.heartbeat(*id), nil); err == errLeaseGone {
+				w.logf("lease %s lost; finishing batch anyway (submission is idempotent)", *id)
+				w.hbLease.CompareAndSwap(id, nil) // unless execute has moved on to the next lease
 			}
 			// Other errors (coordinator briefly down) are ignored: the
 			// next tick retries, and worst case the lease expires and the
@@ -414,7 +456,9 @@ func (w *Worker) submit(ctx context.Context, req ResultRequest, exec obs.OpenSpa
 		err := w.postTraced(ctx, PathResult, spanHeader(exec), req, &resp)
 		if err == nil {
 			w.lat.Observe("submit", time.Since(t0))
-			w.logf("lease %s: %d accepted, %d duplicate", req.LeaseID, resp.Accepted, resp.Duplicates)
+			if w.Logf != nil {
+				w.Logf("lease %s: %d accepted, %d duplicate", req.LeaseID, resp.Accepted, resp.Duplicates)
+			}
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -450,6 +494,8 @@ func (p *coordPrefixFilter) SaturatedPrefix(class uint64) bool {
 	return resp.Saturated[0]
 }
 
+const farewellTimeout = 5 * time.Second // bounds the closing heartbeat
+
 // errLeaseGone distinguishes 410 (stop heartbeating, keep working) from
 // transport errors (retry).
 var errLeaseGone = fmt.Errorf("remote: lease gone")
@@ -470,8 +516,8 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 }
 
 // postTraced is post with a traceparent header, propagating the worker's
-// execute-span context on heartbeat and submit calls so the coordinator
-// can record the server-side submit leg under it.
+// execute-span context on submit calls so the coordinator can record the
+// server-side submit leg under it.
 func (w *Worker) postTraced(ctx context.Context, path, traceparent string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {

@@ -223,11 +223,12 @@ func TestYieldLeasesCampaignWithFleetAtlas(t *testing.T) {
 	if len(snap.Cells) != 6 {
 		t.Fatalf("fleet atlas has %d cells, want 6", len(snap.Cells))
 	}
-	// A worker's atlas rides with each result it submits, and must by then
-	// contain the sessions in that result: the runner publishes a session's
-	// staged counts before RunSession returns. These sessions (Limit 200)
-	// are shorter than the runner's publish interval, so a count that
-	// trailed its session would be missing here.
+	// A worker's atlas rides its heartbeats and — all of it here, no lease
+	// lasting a heartbeat period — the leave-taking Run ends with, and must
+	// by then contain every session the worker ran: the runner publishes a
+	// session's staged counts before its RunSession returns. These sessions
+	// (Limit 200) are shorter than the runner's publish interval, so a
+	// count that trailed its session would be missing here.
 	ran := make(map[[2]string]uint64)
 	for _, k := range experiments.SCTPlan(sc) {
 		sess, ok := distStore.Lookup(k)
@@ -250,10 +251,11 @@ func TestYieldLeasesCampaignWithFleetAtlas(t *testing.T) {
 }
 
 // Shutdown notification: a coordinator must be able to report when every
-// worker has been answered Done, so the serving process can linger just
+// worker has been answered Done and has taken its leave (the lease-less
+// heartbeat Worker.Run ends with), so the serving process can linger just
 // long enough that no idle poller is stranded against a torn-down
 // listener (it cannot distinguish a finished campaign from a restart, so
-// it would retry forever).
+// it would retry forever) and no worker's final snapshots are lost to it.
 func TestAllWorkersNotified(t *testing.T) {
 	st := newMemStore()
 	c := NewCoordinator(st, syntheticPlan(1), CoordinatorOptions{BatchSize: 1})
@@ -283,16 +285,33 @@ func TestAllWorkersNotified(t *testing.T) {
 	if c.AllWorkersNotified() {
 		t.Fatal("notified while b has not polled since completion")
 	}
+	leave := func(worker string) {
+		t.Helper()
+		if code := postJSON(t, srv.URL+PathHeartbeat, HeartbeatRequest{Worker: worker}, nil); code != 204 {
+			t.Fatalf("%s's closing heartbeat: status %d", worker, code)
+		}
+	}
 	if la := leaseFor(t, srv.URL, "a"); !la.Done {
 		t.Fatalf("post-completion poll for a: %+v, want done", la)
 	}
 	if c.AllWorkersNotified() {
+		t.Fatal("notified while a, told done, has yet to deliver its closing heartbeat")
+	}
+	leave("a")
+	if c.AllWorkersNotified() {
 		t.Fatal("notified while b still unaware")
 	}
+	// A worker that left and polls again (a restart under the same name) is
+	// back, and must be seen off again.
+	leave("b")
 	if lb := leaseFor(t, srv.URL, "b"); !lb.Done {
 		t.Fatalf("post-completion poll for b: %+v, want done", lb)
 	}
+	if c.AllWorkersNotified() {
+		t.Fatal("notified although b polled after its leave-taking")
+	}
+	leave("b")
 	if !c.AllWorkersNotified() {
-		t.Fatal("both workers told done, still not notified")
+		t.Fatal("both workers told done and gone, still not notified")
 	}
 }

@@ -8,6 +8,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"surw/internal/sched"
@@ -97,5 +98,40 @@ func TestKeyForMatchesEngineNormalization(t *testing.T) {
 	}
 	if k != want {
 		t.Fatalf("KeyFor = %+v, want %+v", k, want)
+	}
+}
+
+// The worker's Δ stream is one generator re-seeded per session, not one
+// allocated per session: after Seed(b) a generator that has been drawn
+// from must continue exactly as a fresh rand.New(rand.NewSource(b)) does.
+func TestDeltaStreamReseedEqualsFreshSource(t *testing.T) {
+	var w worker
+	for _, b := range []int64{0, 1, -1, 42, 23 + 5*1_000_003, 1 << 40} {
+		fresh := rand.New(rand.NewSource(b))
+		used := w.deltaStream(b) // the first call builds it, every later one re-seeds
+		for i := 0; i < 1000; i++ {
+			n := 1 + i%97
+			if got, want := used.Intn(n), fresh.Intn(n); got != want {
+				t.Fatalf("seed %d, draw %d: Intn(%d) = %d on the re-seeded stream, %d on a fresh one", b, i, n, got, want)
+			}
+		}
+	}
+}
+
+// The cache keeps its warm workers apart by target: sessions of one target
+// share a worker, a second target gets its own, so a pool's interned names
+// and spawn memo are only ever one program's.
+func TestWorkerCacheKeyedByTarget(t *testing.T) {
+	wc := NewWorkerCache()
+	defer wc.Close()
+	other := ctxTarget()
+	other.Name = "ctx/other"
+	for _, tgt := range []Target{ctxTarget(), other, ctxTarget()} {
+		if _, err := wc.RunSession(context.Background(), tgt, "RW", Config{Limit: 5, Seed: 5}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(wc.free) != 2 || len(wc.free["ctx/racy"]) != 1 || len(wc.free["ctx/other"]) != 1 {
+		t.Fatalf("three sequential sessions over two targets left %v, want one warm worker per target", wc.free)
 	}
 }

@@ -7,10 +7,11 @@
 //   - Every session is self-contained. Its seed is derived from the config
 //     seed and its own index (cfg.Seed + session*1_000_003), never from a
 //     shared stream, so no session observes another's randomness.
-//   - A session builds all of its mutable state privately: its algorithm
-//     instance (core.New per session), its rand streams, its profile, and a
-//     sched.Pool whose buffers are recycled across the session's schedules
-//     but never shared between sessions.
+//   - A session builds its mutable state privately: its algorithm instance
+//     (core.New per session) and its profile. What it borrows — a worker's
+//     sched.Pool and Δ stream (runner.go) — it has to itself while it runs
+//     and receives in a state no earlier session can be told from: Pool.Run
+//     is bit-identical to sched.Run, the stream is re-seeded before use.
 //   - Target state is created inside Prog through the sched API on every
 //     schedule, so concurrent schedules of one program never share memory;
 //     the Target struct itself is only read.
@@ -30,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"surw/internal/atlas"
 	"surw/internal/core"
 	"surw/internal/obs"
 	"surw/internal/profile"
@@ -77,22 +79,28 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		return nil, err
 	}
 	base := cfg.Seed + int64(session)*1_000_003
-	// sessRng feeds only the per-schedule Δ selection; constructing (and
-	// seeding) it lazily keeps it free for the algorithms that never draw.
-	var sessRng *rand.Rand
+	pool := w.pool
 
+	// The census is seeded from the session, so the profile is this
+	// session's alone (DESIGN §4); it runs on the worker's pool like the
+	// testing schedules that follow.
 	plusOne := 0
 	var prof *profile.Profile
 	if needsProfile(algName) {
 		plusOne = 1
-		prof, _ = profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: base + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: cfg.ProfileRuns})
+		prof, _ = profile.CollectOn(pool, tgt.Prog, profile.Options{Base: sched.Base{Seed: base + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: cfg.ProfileRuns})
 		// A crashing or truncated census still yields usable (if noisy)
 		// counts; §7 of the paper discusses exactly this degradation.
 	}
-	var fixedInfo *sched.ProgramInfo
-	if prof != nil && !usesDelta(algName) {
-		fixedInfo = prof.Instantiate(prof.SelectAll())
+	// allInfo is Δ = Γ: every schedule's info for the profiled algorithms
+	// without a Δ, the fallback for the others. sessRng feeds only the
+	// per-schedule Δ selection and is seeded on its first draw.
+	var allInfo *sched.ProgramInfo
+	if prof != nil {
+		allInfo = prof.Instantiate(prof.SelectAll())
 	}
+	delta := prof != nil && usesDelta(algName)
+	var sessRng *rand.Rand
 
 	sess := &Session{FirstBug: -1, Bugs: make(map[string]int)}
 	if cfg.Coverage {
@@ -120,7 +128,11 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	// per-schedule class fingerprint feeds the cell's uniformity tracker
 	// below, strictly after each schedule completes.
 	atlasCell := cfg.Atlas.Cell(tgt.Name, algName)
-	defer w.stage.DrainInto(atlasCell.Accum())
+	var stage *atlas.Accum
+	if cfg.Atlas != nil {
+		stage = w.staging()
+	}
+	defer stage.DrainInto(atlasCell.Accum())
 
 	// All schedules of the session share (and recycle) the worker's pool of
 	// execution buffers and parked worker goroutines. The session's first
@@ -128,11 +140,10 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	// every later schedule replays it through the batched
 	// run-to-next-decision path instead of re-deciding it, observers
 	// attached or not.
-	pool := w.pool
 	var cp *sched.Checkpoint
 	for i := 0; i < cfg.Limit; i++ {
 		if i > 0 && i%atlasPublishEvery == 0 {
-			w.stage.DrainInto(atlasCell.Accum())
+			stage.DrainInto(atlasCell.Accum())
 		}
 		// Cancellation lands strictly between schedules: a schedule that
 		// started always finishes (schedules are short), so the scheduler
@@ -142,19 +153,16 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		info := fixedInfo
-		if prof != nil && usesDelta(algName) {
+		info := allInfo
+		if delta {
 			if sessRng == nil {
-				sessRng = rand.New(rand.NewSource(base))
+				sessRng = w.deltaStream(base)
 			}
-			sel, ok := selectDelta(tgt, prof, sessRng)
-			if ok {
+			if sel, ok := selectDelta(tgt, prof, sessRng); ok {
 				info = prof.Instantiate(sel)
-			} else {
-				info = prof.Instantiate(prof.SelectAll())
 			}
 		}
-		opts := sched.Options{Base: sched.Base{Seed: base + int64(i)*2_000_033 + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, TraceFilter: tgt.TraceFilter, Tracer: tracer, Atlas: w.stage}
+		opts := sched.Options{Base: sched.Base{Seed: base + int64(i)*2_000_033 + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, TraceFilter: tgt.TraceFilter, Tracer: tracer, Atlas: stage}
 		var r *sched.Result
 		abandon := false
 		if i == 0 {

@@ -295,74 +295,88 @@ func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 	return RunTargetContext(context.Background(), tgt, algName, cfg)
 }
 
-// worker is what one session borrows for its duration and a batch recycles
-// across the sessions a worker runs: the sched.Pool, and — only when an
-// atlas is attached — the atlas accumulator the engine writes into. The
-// accumulator is private to the worker so its per-decision adds stay off
-// the cache lines the cell's accumulator shares between workers; runSession
-// drains it into the cell (see atlasPublishEvery) and always leaves it
-// empty.
+// worker is what one session borrows for its duration and a WorkerCache
+// recycles across the sessions of one target: the sched.Pool (census and
+// testing schedules alike run on it), the Δ-selection stream, and — once a
+// session with an atlas has borrowed it — the atlas accumulator the engine
+// writes into, private to the worker so its per-decision adds stay off the
+// cache lines the cell's accumulator shares between workers (runSession
+// drains it into the cell and always leaves it empty). Nothing a session
+// leaves in a worker reaches the next one's results: Pool.Run is
+// bit-identical to sched.Run whatever ran before (sched/pool_test.go), and
+// the stream is re-seeded before its first draw.
 type worker struct {
 	pool  *sched.Pool
+	delta *rand.Rand
 	stage *atlas.Accum
 }
 
 // stagePool recycles the staging accumulators (13 KB of counters each)
-// across batches and RunSession calls, so a campaign of many small cells,
-// or a fleet worker running one session per call, does not allocate one
-// per cell or session. Everything in it is empty.
+// across caches, so a campaign of many small cells does not allocate one
+// per cell. Everything in it is empty.
 var stagePool = sync.Pool{New: func() any { return new(atlas.Accum) }}
 
-func newWorker(staged bool) *worker {
-	w := &worker{pool: sched.NewPool()}
-	if staged {
+func (w *worker) staging() *atlas.Accum {
+	if w.stage == nil {
 		w.stage = stagePool.Get().(*atlas.Accum)
 	}
-	return w
+	return w.stage
 }
 
-// release closes the pool's parked goroutines and hands the (drained)
-// staging accumulator back.
-func (w *worker) release() {
-	w.pool.Close()
-	if w.stage != nil {
-		stagePool.Put(w.stage)
+// deltaStream returns the worker's Δ-selection stream seeded with seed:
+// the draws of a fresh rand.New(rand.NewSource(seed)), without allocating
+// its 4.9 KB source again.
+func (w *worker) deltaStream(seed int64) *rand.Rand {
+	if w.delta == nil {
+		w.delta = rand.New(rand.NewSource(seed))
+	} else {
+		w.delta.Seed(seed)
 	}
+	return w.delta
 }
 
-// workerCache recycles workers across the sessions of one batch. get and
-// put bracket a session; closeAll releases every worker when the batch is
-// done.
-type workerCache struct {
-	staged bool // workers carry an atlas staging accumulator
-	mu     sync.Mutex
-	free   []*worker
-	all    []*worker
+// WorkerCache owns the warm workers that sessions run on, keyed by target
+// name so that a pool's interned names, spawn memo and parked coroutines
+// stay one program's. A batch holds one for its duration, a fleet worker
+// across its leases. Safe for concurrent use; one session to a worker.
+type WorkerCache struct {
+	mu   sync.Mutex
+	free map[string][]*worker
 }
 
-func (wc *workerCache) get() *worker {
+// NewWorkerCache returns an empty cache.
+func NewWorkerCache() *WorkerCache { return &WorkerCache{free: make(map[string][]*worker)} }
+
+func (wc *WorkerCache) get(target string) *worker {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	if n := len(wc.free); n > 0 {
-		w := wc.free[n-1]
-		wc.free = wc.free[:n-1]
-		return w
+	if ws := wc.free[target]; len(ws) > 0 {
+		wc.free[target] = ws[:len(ws)-1]
+		return ws[len(ws)-1]
 	}
-	w := newWorker(wc.staged)
-	wc.all = append(wc.all, w)
-	return w
+	return &worker{pool: sched.NewPool()}
 }
 
-func (wc *workerCache) put(w *worker) {
+func (wc *WorkerCache) put(target string, w *worker) {
 	wc.mu.Lock()
-	wc.free = append(wc.free, w)
+	wc.free[target] = append(wc.free[target], w)
 	wc.mu.Unlock()
 }
 
-func (wc *workerCache) closeAll() {
-	for _, w := range wc.all {
-		w.release()
+// Close ends the pools' parked goroutines and hands the (drained) staging
+// accumulators back. Call it once the sessions on the cache have returned.
+func (wc *WorkerCache) Close() {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	for _, ws := range wc.free {
+		for _, w := range ws {
+			w.pool.Close()
+			if w.stage != nil {
+				stagePool.Put(w.stage)
+			}
+		}
 	}
+	clear(wc.free)
 }
 
 // RunTargetContext is RunTarget with cancellation: ctx is consulted between
@@ -378,21 +392,15 @@ func RunTargetContext(ctx context.Context, tgt Target, algName string, cfg Confi
 	if cfg.Metrics != nil {
 		meter = cfg.Metrics
 	}
-	// Workers recycle sched.Pools across the sessions they run: all
-	// sessions execute the same program, so one pool's interned names,
-	// buffers and parked worker goroutines serve every session it is
-	// handed (results are pool-independent; see sched.Pool).
-	wc := &workerCache{staged: cfg.Atlas != nil}
-	defer wc.closeAll()
+	wc := NewWorkerCache()
+	defer wc.Close()
 	start := time.Now()
 	sessions, err := workpool.MapMetered(cfg.Workers, cfg.Sessions, meter, func(s int) (Session, error) {
-		w := wc.get()
 		var t0 time.Time
 		if cfg.Metrics != nil {
 			t0 = time.Now()
 		}
-		sess, err := runSession(ctx, tgt, algName, cfg, s, w)
-		wc.put(w)
+		sess, err := wc.RunSession(ctx, tgt, algName, cfg, s)
 		if err != nil {
 			return Session{}, fmt.Errorf("runner: %s/%s session %d: %w", tgt.Name, algName, s, err)
 		}
@@ -419,12 +427,20 @@ func RunTargetContext(ctx context.Context, tgt Target, algName string, cfg Confi
 // in a local batch. ctx cancels between schedules; a cancelled session
 // returns the context's error and no Session (the coordinator's lease
 // expiry re-queues the work). Either way, every schedule the session ran is
-// in cfg.Metrics and cfg.Atlas by the time RunSession returns.
+// in cfg.Metrics and cfg.Atlas by the time RunSession returns. This is the
+// one-shot form: a caller with more sessions to run holds a WorkerCache.
 func RunSession(ctx context.Context, tgt Target, algName string, cfg Config, session int) (*Session, error) {
-	cfg = cfg.normalized()
-	w := newWorker(cfg.Atlas != nil)
-	defer w.release()
-	return runSession(ctx, tgt, algName, cfg, session, w)
+	wc := NewWorkerCache()
+	defer wc.Close()
+	return wc.RunSession(ctx, tgt, algName, cfg, session)
+}
+
+// RunSession is the package-level RunSession on one of the cache's warm
+// workers for tgt: the same result.
+func (wc *WorkerCache) RunSession(ctx context.Context, tgt Target, algName string, cfg Config, session int) (*Session, error) {
+	w := wc.get(tgt.Name)
+	defer wc.put(tgt.Name, w)
+	return runSession(ctx, tgt, algName, cfg.normalized(), session, w)
 }
 
 // Equal reports whether two results are observably identical: same target,

@@ -13,7 +13,9 @@ type Algorithm interface {
 	Name() string
 	// Begin resets the algorithm for a fresh schedule. info carries the
 	// profiling estimates (may be nil for algorithms that need none) and rng
-	// is the schedule's private random stream.
+	// is the schedule's private random stream. info is read-only — infos
+	// instantiated from one profile share its paths, spawn tree and total
+	// counts — so an algorithm that consumes counts copies them first.
 	Begin(info *ProgramInfo, rng *rand.Rand)
 	// Next returns the thread (from st.Enabled(), never empty) whose next
 	// event executes now.
@@ -118,32 +120,6 @@ func (pi *ProgramInfo) NumThreads() int {
 		return 0
 	}
 	return len(pi.Paths)
-}
-
-// Clone returns a deep copy sharing only the Interesting predicate, so an
-// algorithm can perturb counts without corrupting the source profile.
-func (pi *ProgramInfo) Clone() *ProgramInfo {
-	if pi == nil {
-		return nil
-	}
-	cp := &ProgramInfo{
-		Paths:             append([]string(nil), pi.Paths...),
-		Events:            append([]int(nil), pi.Events...),
-		InterestingEvents: append([]int(nil), pi.InterestingEvents...),
-		Parent:            append([]int(nil), pi.Parent...),
-		Children:          make([][]int, len(pi.Children)),
-		TotalEvents:       pi.TotalEvents,
-		Interesting:       pi.Interesting,
-		DeltaDesc:         pi.DeltaDesc,
-		index:             make(map[string]int, len(pi.Paths)),
-	}
-	for i, c := range pi.Children {
-		cp.Children[i] = append([]int(nil), c...)
-	}
-	for p, l := range pi.index {
-		cp.index[p] = l
-	}
-	return cp
 }
 
 // State is the scheduler-side view an Algorithm sees: the set of enabled

@@ -15,7 +15,8 @@ package sched
 // pool_test.go hold the two paths equal event-for-event.
 //
 // A Pool is single-goroutine: it must not be shared between concurrently
-// running sessions. The parallel runner gives each session its own Pool.
+// running sessions. The runner lends each session a Pool of its own for as
+// long as the session runs (runner.WorkerCache).
 type Pool struct {
 	ex Execution
 }

@@ -400,11 +400,6 @@ func TestProgramInfoTree(t *testing.T) {
 	if pi.LID("0.1.0") != gc || pi.LID("0.9") != -1 {
 		t.Fatal("LID lookup wrong")
 	}
-	cp := pi.Clone()
-	cp.Events[0] = 99
-	if pi.Events[0] == 99 {
-		t.Fatal("Clone shares Events")
-	}
 }
 
 func TestParentOf(t *testing.T) {

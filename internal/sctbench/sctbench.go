@@ -9,6 +9,8 @@
 package sctbench
 
 import (
+	"sync"
+
 	"surw/internal/runner"
 	"surw/internal/sched"
 )
@@ -31,52 +33,39 @@ func Targets() []runner.Target {
 	}
 }
 
+// registry is every target's name in Names order and the index ByName
+// answers from, built on first use: a fleet worker resolves a name per
+// lease, and a Target resolved twice must be the same value for a warm
+// sched.Pool to recognise its program.
+var registry = sync.OnceValues(func() ([]string, map[string]runner.Target) {
+	var names []string
+	byName := make(map[string]runner.Target)
+	for _, family := range [][]runner.Target{Targets(), TrivialTargets(), CoverageTargets(), WorkerPoolTargets()} {
+		for _, t := range family {
+			names = append(names, t.Name)
+			if _, dup := byName[t.Name]; !dup { // first match wins
+				byName[t.Name] = t
+			}
+		}
+	}
+	return names, byName
+})
+
 // ByName returns the target with the given name — from the Table 4 rows,
 // the trivial set, the coverage probes, or the surwsync worker-pool
 // family — or ok=false.
 func ByName(name string) (runner.Target, bool) {
-	for _, t := range Targets() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	for _, t := range TrivialTargets() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	for _, t := range CoverageTargets() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	for _, t := range WorkerPoolTargets() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return runner.Target{}, false
+	_, byName := registry()
+	t, ok := byName[name]
+	return t, ok
 }
 
 // Names lists all target names: the Table 4 rows in order, then the
 // trivial set, then the coverage probes, then the surwsync worker-pool
 // family.
 func Names() []string {
-	ts := Targets()
-	out := make([]string, 0, len(ts)+15)
-	for _, t := range ts {
-		out = append(out, t.Name)
-	}
-	for _, t := range TrivialTargets() {
-		out = append(out, t.Name)
-	}
-	for _, t := range CoverageTargets() {
-		out = append(out, t.Name)
-	}
-	for _, t := range WorkerPoolTargets() {
-		out = append(out, t.Name)
-	}
-	return out
+	names, _ := registry()
+	return append([]string(nil), names...)
 }
 
 // spawnN starts n copies of body and returns their handles. Each creation

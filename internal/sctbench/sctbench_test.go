@@ -1,9 +1,11 @@
 package sctbench
 
 import (
+	"reflect"
 	"testing"
 
 	"surw/internal/core"
+	"surw/internal/profile"
 	"surw/internal/runner"
 	"surw/internal/sched"
 )
@@ -255,5 +257,72 @@ func TestTrivialModelsDontPanic(t *testing.T) {
 				t.Fatalf("%s: truncated", tgt.Name)
 			}
 		}
+	}
+}
+
+// TestByNameMatchesFirstMatchScan: the index ByName answers from holds what
+// scanning the four families in order used to find — for every listed name,
+// and no name is listed twice, so "first match" never had to choose.
+func TestByNameMatchesFirstMatchScan(t *testing.T) {
+	scan := func(name string) (runner.Target, bool) {
+		for _, family := range [][]runner.Target{Targets(), TrivialTargets(), CoverageTargets(), WorkerPoolTargets()} {
+			for _, tgt := range family {
+				if tgt.Name == name {
+					return tgt, true
+				}
+			}
+		}
+		return runner.Target{}, false
+	}
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Errorf("%s is listed twice", name)
+		}
+		seen[name] = true
+		got, ok := ByName(name)
+		want, scanned := scan(name)
+		if !ok || !scanned {
+			t.Fatalf("%s: ByName found it: %v, the scan: %v", name, ok, scanned)
+		}
+		if got.Name != want.Name || got.MaxSteps != want.MaxSteps || got.ProgSeed != want.ProgSeed ||
+			(got.Select == nil) != (want.Select == nil) || (got.TraceFilter == nil) != (want.TraceFilter == nil) {
+			t.Errorf("%s: ByName returned %+v, the scan %+v", name, got, want)
+		}
+		// Two constructions of one target are different closures; what must
+		// agree is the program behind them.
+		if g, w := runSchedule(got, 1), runSchedule(want, 1); g.InterleavingHash != w.InterleavingHash || g.Steps != w.Steps {
+			t.Errorf("%s: ByName's program ran %d steps (%#x), the scan's %d (%#x)", name, g.Steps, g.InterleavingHash, w.Steps, w.InterleavingHash)
+		}
+	}
+	if _, ok := ByName("no/such_target"); ok {
+		t.Error("ByName resolved a name nobody registered")
+	}
+}
+
+// TestCensusOnWarmPoolMatchesCollect: a session takes its census on the
+// pool it is about to test on, which earlier sessions of the same program
+// have left warm. For every target and a few seeds that profile must be the
+// one profile.Collect takes on fresh executions, down to the per-thread,
+// per-object counts Δ instantiation reads.
+func TestCensusOnWarmPoolMatchesCollect(t *testing.T) {
+	for _, name := range Names() {
+		tgt, _ := ByName(name)
+		pool := sched.NewPool()
+		for seed := int64(1); seed <= 3; seed++ {
+			for i := int64(0); i < 2; i++ {
+				pool.Run(tgt.Prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: 100*seed + i, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
+			}
+			opts := profile.Options{Base: sched.Base{Seed: seed + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: int(seed)}
+			warm, warmErr := profile.CollectOn(pool, tgt.Prog, opts)
+			fresh, freshErr := profile.Collect(tgt.Prog, opts)
+			if (warmErr == nil) != (freshErr == nil) {
+				t.Fatalf("%s seed %d: census on the pool: %v, one-shot: %v", name, seed, warmErr, freshErr)
+			}
+			if !reflect.DeepEqual(warm, fresh) {
+				t.Fatalf("%s seed %d: census on a warm pool differs from profile.Collect:\nwarm  %+v\nfresh %+v", name, seed, warm, fresh)
+			}
+		}
+		pool.Close()
 	}
 }
