@@ -42,7 +42,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sched ./surwsync | tee BENCH_obs.txt
 	$(GO) run ./cmd/surw obs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
 		-bench-history BENCH_history.jsonl \
-		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=11' \
+		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25' \
 		-gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' \
 		-gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.6'
 

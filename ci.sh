@@ -40,15 +40,25 @@ make race
 
 # Observability overhead gate: with tracing disabled the pooled scheduler
 # must stay at its allocation floor — the Tracer hook is a nil-check, not a
-# cost. (No pipe, same reason as above.)
+# cost. The floor is 5 (the Result and the Figure 1 program's own four; 6
+# while every object handle was a heap object); the gate is that + 5 %.
+# (No pipe, same reason as above.)
 go test -bench='^BenchmarkPooledSchedule$' -benchmem -benchtime=2000x -run='^$' . > /tmp/surw-bench.txt 2>&1 || { cat /tmp/surw-bench.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench.txt -gate 'BenchmarkPooledSchedule/pooled.allocs/op<=11'
+go run ./cmd/surw obs -in /tmp/surw-bench.txt -gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25'
 
 # Shim cost gates: a surwsync operation stays within a small factor of the
 # Thread API call it forwards to (measured 1.8x, a same-process ratio, so
 # machine-independent), and naming the current goroutine never allocates.
 go test -bench='^(BenchmarkCurrentThread|BenchmarkShimMutex)$' -benchmem -run='^$' ./internal/sched ./surwsync > /tmp/surw-bench-shim.txt 2>&1 || { cat /tmp/surw-bench-shim.txt; exit 1; }
 go run ./cmd/surw obs -in /tmp/surw-bench-shim.txt -gate 'BenchmarkShimMutex/shim.x_thread_api<=5' -gate 'BenchmarkCurrentThread/bound.allocs/op<=0'
+# A pooled schedule of real Go code (the ported worker pool, WP/pool_2w2j)
+# allocates what the program itself does plus its Result and deadlock
+# Failure: 16.92 objects, exact at this -benchtime (66.4 while handles,
+# Ref values, composite names and deadlock reports came from the heap). The
+# gate is that + 5 %: an allocation added per object or per channel
+# operation is caught where it is added.
+go test -bench='^BenchmarkShimSchedule$' -benchtime=2000x -run='^$' ./surwsync > /tmp/surw-bench-shimsched.txt 2>&1 || { cat /tmp/surw-bench-shimsched.txt; exit 1; }
+go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSchedule.allocs/schedule<=17.77'
 
 # Observer cost gates: watching the engine must not mean running a slower
 # one. x_batched is a pooled schedule with an obs.MetricsTracer over the
@@ -69,9 +79,11 @@ done
 test "$obs_gate_ok" -eq 1
 
 # Allocation and throughput gates for the parallel session engine. The
-# allocs/schedule floor is deterministic (9.52 after prefix checkpointing
-# and batched run-to-next-decision; the gate is that + 5 %: small noise,
-# not a regression), so one sample gates it. The schedules/s gate locks in the
+# allocs/schedule floor is deterministic (5.52: the Result, the twostage
+# program's own closures and slices, and a session's set-up spread over its
+# 100 schedules; 9.52 before object handles moved into the execution's
+# arenas; the gate is that + 5 %: small noise, not a regression), so one
+# sample gates it. The schedules/s gate locks in the
 # >=5x speedup over the pre-checkpointing BENCH_obs.json baseline (5519
 # schedules/s on the reference machine -> gate at 27595). It is
 # wall-clock: the reference machine measures ~31-36k when quiet but dips
@@ -79,7 +91,7 @@ test "$obs_gate_ok" -eq 1
 # (a genuine fast-path regression lands back near the 5.5k baseline and
 # fails all three; -benchtime=20x smooths per-sample jitter).
 go test -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-par.txt 2>&1 || { cat /tmp/surw-bench-par.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.allocs/schedule<=10'
+go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.allocs/schedule<=5.8'
 sched_gate_ok=0
 for attempt in 1 2 3; do
     if go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.schedules/s>=27595'; then
@@ -90,17 +102,18 @@ for attempt in 1 2 3; do
 done
 test "$sched_gate_ok" -eq 1 || go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.schedules/s>=27595'
 
-# Fleet cost gates, both same-process ratios (internal/remote/bench_test.go).
-# x_local is a loopback drain's allocations over a local run's of the same
-# plan of short hunts (measured 1.53, repeating to three digits; 1.62 when
-# every lease built its own pool, registry and heartbeat loop and shipped
-# the worker's histograms): the gate is measured + 5 %, so an allocation
-# added per lease or per session is caught where it is added.
+# Fleet cost gates, both same-process comparisons (internal/remote/bench_test.go).
+# over_local is what a session of a loopback drain allocates beyond a local
+# run's of the same plan of short hunts (measured 266-267 objects, 579 a
+# session over 312; it was 267 as 768 over 501 too, before both arms shed
+# the same 189 handle, cell and name objects a session): a difference, not
+# a ratio, so an engine-side saving does not move the gate, and measured
+# + 5 %, so an allocation added per lease is caught where it is added.
 # x_pending_100 is the time of one FIFO lease grant with 20 000 batches
 # pending over one with 100 (measured 1.0-1.2; 10 when the pop shifted the
 # queue down under the coordinator's mutex).
 go test -bench='^BenchmarkFleetSession$' -benchtime=5x -run='^$' ./internal/remote > /tmp/surw-bench-fleet.txt 2>&1 || { cat /tmp/surw-bench-fleet.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-fleet.txt -gate 'BenchmarkFleetSession/fleet.x_local<=1.61'
+go run ./cmd/surw obs -in /tmp/surw-bench-fleet.txt -gate 'BenchmarkFleetSession/fleet.over_local<=280'
 go test -bench='^BenchmarkLeaseGrant$' -run='^$' ./internal/remote > /tmp/surw-bench-grant.txt 2>&1 || { cat /tmp/surw-bench-grant.txt; exit 1; }
 go run ./cmd/surw obs -in /tmp/surw-bench-grant.txt -gate 'BenchmarkLeaseGrant/pending_20000.x_pending_100<=2'
 

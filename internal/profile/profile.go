@@ -222,6 +222,12 @@ type Selection struct {
 // AccessTo builds a Δ predicate matching shared-memory accesses to the
 // named variables.
 func AccessTo(names ...string) func(sched.Event) bool {
+	if len(names) == 1 {
+		// SCTBench's Δ is always one variable, and the engine and SURW ask
+		// up to three times per event: compare the hash, skip the map.
+		h := sched.HashName(names[0])
+		return func(ev sched.Event) bool { return ev.ObjHash == h && ev.Kind.IsMemAccess() }
+	}
 	set := make(map[uint64]bool, len(names))
 	for _, n := range names {
 		set[sched.HashName(n)] = true

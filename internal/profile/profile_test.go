@@ -461,3 +461,31 @@ func TestThreadsCountsSameLidOnceAcrossKinds(t *testing.T) {
 	}
 	t.Fatal("var v missing from census")
 }
+
+// The one-name form of AccessTo compares a hash where the several-name form
+// looks a map up; over every event of a recorded schedule the two must
+// agree, and a name repeated makes the several-name form the same set.
+func TestSingleNameAccessToMatchesTheSet(t *testing.T) {
+	res := sched.Run(prog, core.NewRandomWalk(), sched.Options{RecordTrace: true})
+	if len(res.Trace) == 0 {
+		t.Fatal("no trace recorded")
+	}
+	for _, name := range []string{"hot", "mu"} {
+		one, set, both := AccessTo(name), AccessTo(name, name), AccessTo("hot", "mu")
+		matched := 0
+		for _, ev := range res.Trace {
+			if one(ev) != set(ev) {
+				t.Fatalf("AccessTo(%q) disagrees with its set form on %v", name, ev)
+			}
+			if one(ev) {
+				matched++
+				if !both(ev) {
+					t.Fatalf("AccessTo(hot, mu) misses %v", ev)
+				}
+			}
+		}
+		if (matched > 0) != (name == "hot") {
+			t.Fatalf("AccessTo(%q) matched %d events", name, matched)
+		}
+	}
+}

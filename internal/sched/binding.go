@@ -100,6 +100,21 @@ func CurrentThread() (*Thread, bool) {
 	return t, t != nil
 }
 
+// GoBound is t.Go for a zero-argument frontend: the child runs fn with its
+// goroutine bound to it. fn rides on the child's Thread, so a spawn needs
+// no wrapper closure.
+func GoBound(t *Thread, fn func()) *Handle {
+	h := t.Go(runBound)
+	t.ex.threads[h.tid].boundFn = fn
+	return h
+}
+
+func runBound(t *Thread) {
+	BindGoroutine(t)
+	defer UnbindGoroutine()
+	t.boundFn()
+}
+
 // Bindings returns the number of live goroutine bindings. It exists for
 // leak checks: after a session (or a closed pool) no binding may survive.
 func Bindings() int { return int(bindReg.active.Load()) }

@@ -237,23 +237,24 @@ func TestBoundLookupsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// ShimCache must hand back the same object within one schedule and a fresh
-// one each schedule — the fresh-state-per-schedule contract zero-value
-// frontend primitives depend on.
+// ShimCache must hand back the same object within one schedule and build a
+// fresh one each schedule — the fresh-state-per-schedule contract zero-value
+// frontend primitives depend on. Fresh is a statement about the object, not
+// the handle: handles are recycled (Execution.objHandles), so the same
+// pointer may name schedule k's mutex and schedule k+1's.
 func TestShimCacheGenerationScoped(t *testing.T) {
 	var cache ShimCache
-	var perSchedule []*Mutex
-	var hitsSameObject bool
+	built := 0
+	mk := func(w *Thread) any { built++; return w.NewMutex("shim.mu") }
 	prog := func(rt *Thread) {
-		mk := func(w *Thread) any { return w.NewMutex("shim.mu") }
 		m := cache.Resolve(rt, mk).(*Mutex)
-		perSchedule = append(perSchedule, m)
-		hitsSameObject = cache.Resolve(rt, mk).(*Mutex) == m
-		m.Lock(rt)
-		// Left locked on purpose: the next schedule's object must be free.
-		if !hitsSameObject {
+		if cache.Resolve(rt, mk).(*Mutex) != m {
 			rt.Fail("cache missed within a schedule")
 		}
+		if m.HeldBy() != -1 {
+			rt.Fail("the previous schedule's lock is still held")
+		}
+		m.Lock(rt) // left locked on purpose: the next schedule's object must be free
 	}
 
 	p := NewPool()
@@ -264,11 +265,8 @@ func TestShimCacheGenerationScoped(t *testing.T) {
 			t.Fatalf("schedule %d failed: %+v", s, r.Failure)
 		}
 	}
-	if len(perSchedule) != 3 {
-		t.Fatalf("ran %d schedules, want 3", len(perSchedule))
-	}
-	if perSchedule[0] == perSchedule[1] || perSchedule[1] == perSchedule[2] {
-		t.Fatal("ShimCache reused an object across schedules")
+	if built != 3 {
+		t.Fatalf("ShimCache built %d objects over 3 schedules, want one per schedule", built)
 	}
 }
 
@@ -277,32 +275,33 @@ func TestShimCacheGenerationScoped(t *testing.T) {
 // each keeps its own per-schedule object.
 func TestShimCacheSlotPerExecution(t *testing.T) {
 	var cache ShimCache
-	mk := func(w *Thread) any { return w.NewMutex("shim.mu") }
+	built := 0
+	mk := func(w *Thread) any { built++; return w.NewMutex("shim.mu") }
 	pools := [3]*Pool{NewPool(), NewPool(), NewPool()}
-	var objs [3][2]*Mutex // [execution][schedule]
 	for s := 0; s < 2; s++ {
+		var objs [3]*Mutex // per execution, this round
 		for i, p := range pools {
 			r := p.Run(func(rt *Thread) {
 				m := cache.Resolve(rt, mk).(*Mutex)
 				if cache.Resolve(rt, mk).(*Mutex) != m {
 					rt.Fail("cache missed within a schedule")
 				}
+				if m.HeldBy() != -1 {
+					rt.Fail("a lock taken in another slot or schedule is still held")
+				}
 				m.Lock(rt) // left locked: must not leak into any other slot
-				objs[i][s] = m
+				objs[i] = m
 			}, nil, Options{})
 			if r.Failure != nil {
 				t.Fatalf("execution %d schedule %d: %+v", i, s, r.Failure)
 			}
 		}
-	}
-	seen := map[*Mutex]bool{}
-	for _, per := range objs {
-		for _, m := range per {
-			seen[m] = true
+		if objs[0] == objs[1] || objs[1] == objs[2] || objs[0] == objs[2] {
+			t.Fatalf("round %d: executions share an object", s)
 		}
 	}
-	if len(seen) != 6 || len(cache.more) != 2 {
-		t.Fatalf("%d distinct objects over 3 executions x 2 schedules (want 6), %d spilled slots (want 2)", len(seen), len(cache.more))
+	if built != 6 || len(cache.more) != 2 {
+		t.Fatalf("%d objects built over 3 executions x 2 schedules (want 6), %d spilled slots (want 2)", built, len(cache.more))
 	}
 	for _, p := range pools {
 		p.Close()

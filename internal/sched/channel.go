@@ -8,14 +8,20 @@ package sched
 // send completes only after a receiver takes the value); receiving from a
 // closed drained channel yields (zero, false); sending on a closed channel
 // or closing twice is a program error that fails the schedule.
-type Chan[T any] struct {
+type Chan[T any] chanParts
+
+// chanParts is a Chan's layout, the same for every T so that all channels
+// share one arena (Execution.chans).
+type chanParts struct {
 	capacity int
 	mu       *Mutex
 	notFull  *Cond
 	notEmpty *Cond
-	taken    *Cond // unbuffered rendezvous: slot consumed
-	state    *Ref[chanState[T]]
+	taken    *Cond   // unbuffered rendezvous: slot consumed
+	state    *handle // a *Ref[chanState[T]]: see Chan.st
 }
+
+func (c *Chan[T]) st() *Ref[chanState[T]] { return (*Ref[chanState[T]])(c.state) }
 
 type chanState[T any] struct {
 	buf    []T
@@ -31,22 +37,23 @@ func NewChan[T any](t *Thread, name string, capacity int) *Chan[T] {
 	if capacity < 0 {
 		capacity = 0
 	}
-	mu := t.NewMutex(name + ".mu")
-	return &Chan[T]{
+	ex := t.ex
+	mu := t.NewMutex(ex.internJoin(name, ".mu"))
+	return (*Chan[T])(carve(&ex.chans, chanParts{
 		capacity: capacity,
 		mu:       mu,
-		notFull:  t.NewCond(name+".notFull", mu),
-		notEmpty: t.NewCond(name+".notEmpty", mu),
-		taken:    t.NewCond(name+".taken", mu),
-		state:    NewRef[chanState[T]](t, name+".state", chanState[T]{}),
-	}
+		notFull:  t.NewCond(ex.internJoin(name, ".notFull"), mu),
+		notEmpty: t.NewCond(ex.internJoin(name, ".notEmpty"), mu),
+		taken:    t.NewCond(ex.internJoin(name, ".taken"), mu),
+		state:    (*handle)(NewRef(t, ex.internJoin(name, ".state"), chanState[T]{})),
+	}))
 }
 
 // Cap returns the channel capacity.
 func (c *Chan[T]) Cap() int { return c.capacity }
 
 // Len returns the current number of buffered elements without an event.
-func (c *Chan[T]) Len() int { return len(c.state.Peek().buf) }
+func (c *Chan[T]) Len() int { return len(c.st().Peek().buf) }
 
 // Send sends v, blocking by Go's rules.
 func (c *Chan[T]) Send(t *Thread, v T) {
@@ -57,7 +64,7 @@ func (c *Chan[T]) Send(t *Thread, v T) {
 		return
 	}
 	for {
-		s := c.state.Get(t)
+		s := c.st().Get(t)
 		if s.closed {
 			panic("send on closed channel")
 		}
@@ -66,7 +73,7 @@ func (c *Chan[T]) Send(t *Thread, v T) {
 		}
 		c.notFull.Wait(t)
 	}
-	c.state.Update(t, func(s chanState[T]) chanState[T] {
+	c.st().Update(t, func(s chanState[T]) chanState[T] {
 		s.buf = append(s.buf, v)
 		return s
 	})
@@ -76,7 +83,7 @@ func (c *Chan[T]) Send(t *Thread, v T) {
 func (c *Chan[T]) sendUnbuffered(t *Thread, v T) {
 	// Wait for the handoff slot.
 	for {
-		s := c.state.Get(t)
+		s := c.st().Get(t)
 		if s.closed {
 			panic("send on closed channel")
 		}
@@ -85,7 +92,7 @@ func (c *Chan[T]) sendUnbuffered(t *Thread, v T) {
 		}
 		c.notFull.Wait(t)
 	}
-	c.state.Update(t, func(s chanState[T]) chanState[T] {
+	c.st().Update(t, func(s chanState[T]) chanState[T] {
 		s.slot = v
 		s.slotFull = true
 		s.consumed = false
@@ -94,7 +101,7 @@ func (c *Chan[T]) sendUnbuffered(t *Thread, v T) {
 	c.notEmpty.Signal(t)
 	// Rendezvous: the send completes only once a receiver consumed v.
 	for {
-		s := c.state.Get(t)
+		s := c.st().Get(t)
 		if s.consumed {
 			break
 		}
@@ -103,7 +110,7 @@ func (c *Chan[T]) sendUnbuffered(t *Thread, v T) {
 		}
 		c.taken.Wait(t)
 	}
-	c.state.Update(t, func(s chanState[T]) chanState[T] {
+	c.st().Update(t, func(s chanState[T]) chanState[T] {
 		s.slotFull = false
 		s.consumed = false
 		return s
@@ -121,14 +128,14 @@ func (c *Chan[T]) sendUnbuffered(t *Thread, v T) {
 func (c *Chan[T]) TrySend(t *Thread, v T) bool {
 	c.mu.Lock(t)
 	defer c.mu.Unlock(t)
-	s := c.state.Get(t)
+	s := c.st().Get(t)
 	if s.closed {
 		panic("send on closed channel")
 	}
 	if c.capacity == 0 || len(s.buf) >= c.capacity {
 		return false
 	}
-	c.state.Update(t, func(s chanState[T]) chanState[T] {
+	c.st().Update(t, func(s chanState[T]) chanState[T] {
 		s.buf = append(s.buf, v)
 		return s
 	})
@@ -142,9 +149,9 @@ func (c *Chan[T]) Recv(t *Thread) (v T, ok bool) {
 	c.mu.Lock(t)
 	defer c.mu.Unlock(t)
 	for {
-		s := c.state.Get(t)
+		s := c.st().Get(t)
 		if c.capacity == 0 && s.slotFull && !s.consumed {
-			c.state.Update(t, func(s chanState[T]) chanState[T] {
+			c.st().Update(t, func(s chanState[T]) chanState[T] {
 				v = s.slot
 				s.consumed = true
 				return s
@@ -153,7 +160,7 @@ func (c *Chan[T]) Recv(t *Thread) (v T, ok bool) {
 			return v, true
 		}
 		if len(s.buf) > 0 {
-			c.state.Update(t, func(s chanState[T]) chanState[T] {
+			c.st().Update(t, func(s chanState[T]) chanState[T] {
 				v = s.buf[0]
 				s.buf = s.buf[1:]
 				return s
@@ -174,9 +181,9 @@ func (c *Chan[T]) Recv(t *Thread) (v T, ok bool) {
 func (c *Chan[T]) TryRecv(t *Thread) (v T, ok bool) {
 	c.mu.Lock(t)
 	defer c.mu.Unlock(t)
-	s := c.state.Get(t)
+	s := c.st().Get(t)
 	if c.capacity == 0 && s.slotFull && !s.consumed {
-		c.state.Update(t, func(s chanState[T]) chanState[T] {
+		c.st().Update(t, func(s chanState[T]) chanState[T] {
 			v = s.slot
 			s.consumed = true
 			return s
@@ -185,7 +192,7 @@ func (c *Chan[T]) TryRecv(t *Thread) (v T, ok bool) {
 		return v, true
 	}
 	if len(s.buf) > 0 {
-		c.state.Update(t, func(s chanState[T]) chanState[T] {
+		c.st().Update(t, func(s chanState[T]) chanState[T] {
 			v = s.buf[0]
 			s.buf = s.buf[1:]
 			return s
@@ -200,11 +207,11 @@ func (c *Chan[T]) TryRecv(t *Thread) (v T, ok bool) {
 func (c *Chan[T]) Close(t *Thread) {
 	c.mu.Lock(t)
 	defer c.mu.Unlock(t)
-	s := c.state.Get(t)
+	s := c.st().Get(t)
 	if s.closed {
 		panic("close of closed channel")
 	}
-	c.state.Update(t, func(s chanState[T]) chanState[T] {
+	c.st().Update(t, func(s chanState[T]) chanState[T] {
 		s.closed = true
 		return s
 	})

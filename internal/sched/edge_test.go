@@ -244,3 +244,40 @@ func TestEventStringFormats(t *testing.T) {
 		t.Fatalf("without obj: %q", without.String())
 	}
 }
+
+// Failure.BugID and Failure.Msg are compared byte for byte by the flight
+// recorder and replay; the failure path builds them without fmt and reuses
+// what it can, so their exact text is pinned here. Run twice on one pool:
+// the second schedule takes the interned message.
+func TestFailureTextExact(t *testing.T) {
+	cases := []struct {
+		prog       func(*Thread)
+		kind       FailKind
+		bugID, msg string
+		tid        ThreadID
+	}{
+		{func(rt *Thread) { rt.Assert(false, "inv-1") }, FailAssert, "inv-1", "assertion failed: inv-1", 0},
+		{func(rt *Thread) { rt.Fail("lost") }, FailAssert, "lost", "failure: lost", 0},
+		{func(rt *Thread) { rt.Assertf(false, "fmt", "x=%d", 4) }, FailAssert, "fmt", "x=4", 0},
+		{func(rt *Thread) {
+			m := rt.NewMutex("m")
+			c := rt.NewCond("c", m)
+			s := rt.NewSemaphore("s", 0)
+			rt.Go(func(w *Thread) { m.Lock(w); c.Wait(w) })
+			rt.Go(func(w *Thread) {})
+			rt.Yield()
+			rt.Yield()
+			s.P(rt)
+		}, FailDeadlock, "deadlock", "no enabled threads; blocked: T0(semP) T1(wait)", -1},
+	}
+	p := NewPool()
+	defer p.Close()
+	for i, c := range cases {
+		for round := 0; round < 2; round++ {
+			f := p.Run(c.prog, nil, Options{}).Failure
+			if f == nil || f.Kind != c.kind || f.BugID != c.bugID || f.Msg != c.msg || f.TID != c.tid {
+				t.Fatalf("case %d round %d: got %+v, want kind %v bug %q msg %q tid %d", i, round, f, c.kind, c.bugID, c.msg, c.tid)
+			}
+		}
+	}
+}

@@ -107,8 +107,14 @@ type Execution struct {
 	names       map[string]string
 	nameBuf     []byte
 
-	// handles is the per-schedule spawn-handle arena (see Thread.Go).
-	handles []Handle
+	// Per-schedule arenas (see carve): every handle a schedule hands out —
+	// spawn handles, the {id, ex} handle behind each primitive, and the
+	// composite objects built from them — lives here, not on the heap.
+	handles    []Handle
+	objHandles []handle
+	waitGroups []WaitGroup
+	onces      []Once
+	chans      []chanParts
 
 	// spawnMemo caches child paths by (parent TID, spawn index): a pooled
 	// execution re-creates the same spawn tree every schedule, so after
@@ -169,7 +175,7 @@ type objState struct {
 	readAcc    uint64
 
 	val int64 // ObjVar
-	ref any   // ObjVar (Ref payload)
+	ref any   // ObjVar: a Ref[E]'s *E cell, kept with the slot across schedules
 
 	owner   ThreadID // ObjMutex: writer owner, -1 when free
 	readers int      // ObjMutex: active reader count (RWMutex)
@@ -231,6 +237,10 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	ex.objs = ex.objs[:0]
 	ex.pending = ex.pending[:0]
 	ex.handles = ex.handles[:0]
+	ex.objHandles = ex.objHandles[:0]
+	ex.waitGroups = ex.waitGroups[:0]
+	ex.onces = ex.onces[:0]
+	ex.chans = ex.chans[:0]
 	if ex.byPath == nil {
 		ex.byPath = make(map[string]ThreadID, 8)
 		ex.objSeen = make(map[string]int, 8)
@@ -609,16 +619,22 @@ func (ex *Execution) anyAlive() bool {
 }
 
 func (ex *Execution) reportDeadlock() {
-	msg := "no enabled threads; blocked:"
+	buf := append(ex.nameBuf[:0], "no enabled threads; blocked:"...)
 	for _, t := range ex.threads {
+		var what string
 		switch t.state {
 		case tsSleeping:
-			msg += fmt.Sprintf(" T%d(wait)", t.id)
+			what = "wait"
 		case tsReady:
-			msg += fmt.Sprintf(" T%d(%s)", t.id, t.next.Kind)
+			what = t.next.Kind.String()
+		default:
+			continue
 		}
+		buf = strconv.AppendInt(append(buf, " T"...), int64(t.id), 10)
+		buf = append(append(append(buf, '('), what...), ')')
 	}
-	ex.fail(&Failure{Kind: FailDeadlock, BugID: "deadlock", Msg: msg, TID: -1, Step: ex.steps})
+	ex.nameBuf = buf
+	ex.fail(&Failure{Kind: FailDeadlock, BugID: "deadlock", Msg: string(buf), TID: -1, Step: ex.steps})
 }
 
 func (ex *Execution) fail(f *Failure) {
@@ -642,6 +658,17 @@ func (ex *Execution) killRemaining() {
 	}
 }
 
+// carve appends v to a per-schedule arena and returns its address. The
+// arenas are truncated by reset, so a pooled session that creates the same
+// objects every schedule stops allocating for them after warm-up. What is
+// carved is immutable and only meaningful within the schedule that created
+// it; a grown arena leaves earlier pointers into the old backing array,
+// which stays intact and is simply not reused.
+func carve[T any](arena *[]T, v T) *T {
+	*arena = append(*arena, v)
+	return &(*arena)[len(*arena)-1]
+}
+
 // intern canonicalizes the scratch bytes in ex.nameBuf into a string,
 // reusing the copy a previous schedule produced. The map lookup with a
 // []byte-to-string conversion does not allocate; only the first schedule
@@ -653,6 +680,13 @@ func (ex *Execution) intern() string {
 	s := string(ex.nameBuf)
 	ex.names[s] = s
 	return s
+}
+
+// internJoin interns a+b: the name of one part of a composite object
+// (name+".mu"), or a standard failure message (prefix+bugID).
+func (ex *Execution) internJoin(a, b string) string {
+	ex.nameBuf = append(append(ex.nameBuf[:0], a...), b...)
+	return ex.intern()
 }
 
 func (ex *Execution) addThread(parent *Thread, body func(*Thread)) *Thread {
@@ -681,6 +715,7 @@ func (ex *Execution) addThread(parent *Thread, body func(*Thread)) *Thread {
 		t.deferredPrime = false
 		t.primePoison = false
 		t.killed = false
+		t.boundFn = nil
 		t.heldMutex = t.heldMutex[:0]
 	} else {
 		t = &Thread{}
@@ -765,9 +800,11 @@ func (ex *Execution) addObj(o objState, name, autoPrefix string) ObjID {
 	o.name = name
 	o.hash = fnv1a(fnvOffset, name)
 	if n := len(ex.objs); n < cap(ex.objs) {
-		// Recycle the stale element's waiter buffer (the previous schedule
-		// of a pooled Execution created the same objects in the same order).
-		o.waiters = ex.objs[: n+1 : n+1][n].waiters[:0]
+		// Recycle the stale element's waiter buffer and Ref cell (the
+		// previous schedule of a pooled Execution created the same objects
+		// in the same order; NewRef checks the cell's type before using it).
+		stale := &ex.objs[: n+1 : n+1][n]
+		o.waiters, o.ref = stale.waiters[:0], stale.ref
 	}
 	ex.objs = append(ex.objs, o)
 	return ObjID(len(ex.objs))

@@ -2,18 +2,29 @@ package sched
 
 import "fmt"
 
-// Var is a shared int64 variable. Every access is an atomic event.
-type Var struct {
+// handle is what every primitive's handle is underneath: the immutable
+// name of one object of one execution. Handles are carved from the
+// execution's arena (Execution.newHandle), so creating an object allocates
+// nothing once a pool is warm; like a spawn Handle, one is only meaningful
+// within the schedule that created it.
+type handle struct {
 	id ObjID
 	ex *Execution
 }
+
+// newHandle creates an object (see addObj) and carves its handle.
+func (ex *Execution) newHandle(o objState, name, autoPrefix string) *handle {
+	return carve(&ex.objHandles, handle{id: ex.addObj(o, name, autoPrefix), ex: ex})
+}
+
+// Var is a shared int64 variable. Every access is an atomic event.
+type Var handle
 
 // NewVar creates a shared variable. name identifies the variable across
 // schedules ("" auto-names it from creation order); init is its initial
 // value. Creating an object is not itself an event.
 func (t *Thread) NewVar(name string, init int64) *Var {
-	id := t.ex.addObj(objState{kind: ObjVar, val: init}, name, "var")
-	return &Var{id: id, ex: t.ex}
+	return (*Var)(t.ex.newHandle(objState{kind: ObjVar, val: init}, name, "var"))
 }
 
 // ID returns the variable's object ID.
@@ -80,16 +91,26 @@ func (v *Var) Peek() int64 { return v.ex.obj(v.id).val }
 // Ref is a shared variable holding an arbitrary value of type E. Accesses
 // are events exactly like Var's; mutate only through Get/Set/Update so every
 // access is scheduled.
-type Ref[E any] struct {
-	id ObjID
-	ex *Execution
+type Ref[E any] handle
+
+// NewRef creates a shared reference cell named name holding init. The value
+// lives in a *E the object slot keeps across schedules (addObj hands the
+// previous schedule's cell on), so after warm-up neither creating the cell
+// nor writing it allocates; a slot last used by a Ref of another type, or
+// by none, gets a new cell.
+func NewRef[E any](t *Thread, name string, init E) *Ref[E] {
+	h := t.ex.newHandle(objState{kind: ObjVar}, name, "ref")
+	o := t.ex.obj(h.id)
+	cell, ok := o.ref.(*E)
+	if !ok {
+		cell = new(E)
+		o.ref = cell
+	}
+	*cell = init
+	return (*Ref[E])(h)
 }
 
-// NewRef creates a shared reference cell named name holding init.
-func NewRef[E any](t *Thread, name string, init E) *Ref[E] {
-	id := t.ex.addObj(objState{kind: ObjVar, ref: init}, name, "ref")
-	return &Ref[E]{id: id, ex: t.ex}
-}
+func (r *Ref[E]) cell() *E { return r.ex.obj(r.id).ref.(*E) }
 
 // ID returns the reference's object ID.
 func (r *Ref[E]) ID() ObjID { return r.id }
@@ -100,37 +121,32 @@ func (r *Ref[E]) Name() string { return r.ex.obj(r.id).name }
 // Get reads the cell (OpRead).
 func (r *Ref[E]) Get(t *Thread) E {
 	t.sync(OpRead, r.id)
-	return r.ex.obj(r.id).ref.(E)
+	return *r.cell()
 }
 
 // Set writes the cell (OpWrite).
 func (r *Ref[E]) Set(t *Thread, x E) {
 	t.sync(OpWrite, r.id)
-	r.ex.obj(r.id).ref = x
+	*r.cell() = x
 }
 
 // Update applies f to the cell atomically (OpRMW) and returns the new value.
 func (r *Ref[E]) Update(t *Thread, f func(E) E) E {
 	t.sync(OpRMW, r.id)
-	o := r.ex.obj(r.id)
-	nv := f(o.ref.(E))
-	o.ref = nv
-	return nv
+	c := r.cell()
+	*c = f(*c)
+	return *c
 }
 
 // Peek returns the current value without an event (see Var.Peek).
-func (r *Ref[E]) Peek() E { return r.ex.obj(r.id).ref.(E) }
+func (r *Ref[E]) Peek() E { return *r.cell() }
 
 // Mutex is a non-reentrant mutual-exclusion lock.
-type Mutex struct {
-	id ObjID
-	ex *Execution
-}
+type Mutex handle
 
 // NewMutex creates a mutex.
 func (t *Thread) NewMutex(name string) *Mutex {
-	id := t.ex.addObj(objState{kind: ObjMutex, owner: -1}, name, "mutex")
-	return &Mutex{id: id, ex: t.ex}
+	return (*Mutex)(t.ex.newHandle(objState{kind: ObjMutex, owner: -1}, name, "mutex"))
 }
 
 // ID returns the mutex's object ID.
@@ -185,15 +201,11 @@ func (m *Mutex) HeldBy() ThreadID { return m.ex.obj(m.id).owner }
 
 // RWMutex is a readers-writer lock: any number of concurrent readers, or
 // one writer.
-type RWMutex struct {
-	id ObjID
-	ex *Execution
-}
+type RWMutex handle
 
 // NewRWMutex creates a readers-writer lock.
 func (t *Thread) NewRWMutex(name string) *RWMutex {
-	id := t.ex.addObj(objState{kind: ObjMutex, owner: -1}, name, "rwmutex")
-	return &RWMutex{id: id, ex: t.ex}
+	return (*RWMutex)(t.ex.newHandle(objState{kind: ObjMutex, owner: -1}, name, "rwmutex"))
 }
 
 // ID returns the lock's object ID.
@@ -271,18 +283,14 @@ func (m *RWMutex) TryRLock(t *Thread) bool {
 // Readers returns the active reader count without an event.
 func (m *RWMutex) Readers() int { return m.ex.obj(m.id).readers }
 
-// Cond is a condition variable bound to a Mutex. There are no spurious
-// wakeups: a Wait returns only after a Signal or Broadcast selected it.
-type Cond struct {
-	id ObjID
-	mu *Mutex
-	ex *Execution
-}
+// Cond is a condition variable bound to a Mutex (named by its object's
+// condMu). There are no spurious wakeups: a Wait returns only after a Signal
+// or Broadcast selected it.
+type Cond handle
 
 // NewCond creates a condition variable using mutex m.
 func (t *Thread) NewCond(name string, m *Mutex) *Cond {
-	id := t.ex.addObj(objState{kind: ObjCond, condMu: m.id, owner: -1}, name, "cond")
-	return &Cond{id: id, mu: m, ex: t.ex}
+	return (*Cond)(t.ex.newHandle(objState{kind: ObjCond, condMu: m.id, owner: -1}, name, "cond"))
 }
 
 // ID returns the condition variable's object ID.
@@ -296,18 +304,19 @@ func (c *Cond) Name() string { return c.ex.obj(c.id).name }
 // and sleep) and OpWakeLock (reacquire, enabled once the mutex is free).
 func (c *Cond) Wait(t *Thread) {
 	t.sync(OpWait, c.id)
-	mo := c.ex.obj(c.mu.id)
+	co := c.ex.obj(c.id)
+	mu := co.condMu
+	mo := c.ex.obj(mu)
 	if mo.owner != t.id {
-		panic(fmt.Sprintf("cond wait on %s without holding %s", c.Name(), c.mu.Name()))
+		panic(fmt.Sprintf("cond wait on %s without holding %s", co.name, mo.name))
 	}
 	mo.owner = -1
 	for i := len(t.heldMutex) - 1; i >= 0; i-- {
-		if t.heldMutex[i] == c.mu.id {
+		if t.heldMutex[i] == mu {
 			t.heldMutex = append(t.heldMutex[:i], t.heldMutex[i+1:]...)
 			break
 		}
 	}
-	co := c.ex.obj(c.id)
 	co.waiters = append(co.waiters, t.id)
 	t.state = tsSleeping
 	if t.ex.fast {
@@ -315,20 +324,21 @@ func (c *Cond) Wait(t *Thread) {
 	}
 	t.park() // resumed only when the OpWakeLock below is granted
 	t.state = tsRunning
-	mo = c.ex.obj(c.mu.id)
+	mo = c.ex.obj(mu)
 	if mo.owner != -1 {
-		panic(fmt.Sprintf("sched: wakelock on %s granted while held", c.mu.Name()))
+		panic(fmt.Sprintf("sched: wakelock on %s granted while held", mo.name))
 	}
 	mo.owner = t.id
-	t.heldMutex = append(t.heldMutex, c.mu.id)
+	t.heldMutex = append(t.heldMutex, mu)
 }
 
 // wake moves a sleeping waiter to the ready state with an OpWakeLock event.
 func (c *Cond) wake(tid ThreadID) {
 	w := c.ex.threads[tid]
+	mu := c.ex.obj(c.id).condMu
 	w.seq++
-	w.next = Event{TID: w.id, Seq: w.seq, Kind: OpWakeLock, Obj: c.mu.id,
-		PathHash: w.pathHash, ObjHash: c.ex.obj(c.mu.id).hash}
+	w.next = Event{TID: w.id, Seq: w.seq, Kind: OpWakeLock, Obj: mu,
+		PathHash: w.pathHash, ObjHash: c.ex.obj(mu).hash}
 	w.state = tsReady
 	if c.ex.fast {
 		c.ex.classify(w) // register the pending wakelock in the mutex's waitMask
@@ -341,7 +351,9 @@ func (c *Cond) Signal(t *Thread) {
 	co := c.ex.obj(c.id)
 	if len(co.waiters) > 0 {
 		c.wake(co.waiters[0])
-		co.waiters = co.waiters[1:]
+		// Shift down, not co.waiters[1:]: the buffer is recycled by the
+		// next schedule and must keep its capacity.
+		co.waiters = co.waiters[:copy(co.waiters, co.waiters[1:])]
 	}
 }
 
@@ -356,15 +368,11 @@ func (c *Cond) Broadcast(t *Thread) {
 }
 
 // Semaphore is a counting semaphore.
-type Semaphore struct {
-	id ObjID
-	ex *Execution
-}
+type Semaphore handle
 
 // NewSemaphore creates a semaphore with the given initial count.
 func (t *Thread) NewSemaphore(name string, init int) *Semaphore {
-	id := t.ex.addObj(objState{kind: ObjSem, sem: init, owner: -1}, name, "sem")
-	return &Semaphore{id: id, ex: t.ex}
+	return (*Semaphore)(t.ex.newHandle(objState{kind: ObjSem, sem: init, owner: -1}, name, "sem"))
 }
 
 // ID returns the semaphore's object ID.

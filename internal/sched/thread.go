@@ -28,6 +28,7 @@ type Thread struct {
 	path     string
 	pathHash uint64
 	body     func(*Thread)
+	boundFn  func() // GoBound's body (binding.go)
 
 	// The thread's goroutine is a coroutine (iter.Pull): parking and
 	// granting are direct coroutine switches, an order of magnitude
@@ -50,6 +51,7 @@ type Thread struct {
 	gated       ObjID  // object whose waitMask holds this thread's bit (fast engine)
 	joinWaiters uint64 // bits of threads blocked joining this thread (fast engine)
 	heldMutex   []ObjID
+	failed      assertFailure // what Assert/Assertf/Fail panic with a pointer to
 
 	// memoP/memoI locate this thread's spawn-memo entry (parent TID and
 	// spawn index; memoP is -1 for the root). deferredPrime marks a thread
@@ -154,7 +156,7 @@ func (t *Thread) runBody() {
 				// aborted schedule; exit quietly
 			case stopSignal:
 				panic(r) // pool closing; unwind past the defer below
-			case assertFailure:
+			case *assertFailure:
 				t.ex.fail(&Failure{Kind: FailAssert, BugID: v.bugID, Msg: v.msg, TID: t.id, Step: t.ex.steps})
 			default:
 				t.ex.fail(&Failure{Kind: FailPanic, BugID: fmt.Sprintf("panic:%v", v), Msg: fmt.Sprint(v), TID: t.id, Step: t.ex.steps})
@@ -250,15 +252,7 @@ func (t *Thread) sync(kind OpKind, obj ObjID) {
 func (t *Thread) Go(body func(*Thread)) *Handle {
 	c := t.ex.addThread(t, body)
 	t.ex.pending = append(t.ex.pending, spawnRec{parent: t.id, child: c.id})
-	// Handles live in a per-execution arena recycled between schedules:
-	// they are only meaningful within the schedule that created them, and
-	// a pooled session spawns the same threads every schedule, so after
-	// warm-up no spawn allocates. A grown arena leaves earlier handles
-	// pointing into the old backing array, which stays intact until the
-	// next reset.
-	ex := t.ex
-	ex.handles = append(ex.handles, Handle{tid: c.id, ex: ex})
-	return &ex.handles[len(ex.handles)-1]
+	return carve(&t.ex.handles, Handle{tid: c.id, ex: t.ex})
 }
 
 // Handle names a spawned thread for joining.
@@ -287,21 +281,32 @@ func (t *Thread) JoinAll(hs ...*Handle) {
 // inside spin loops so the scheduler can preempt them.
 func (t *Thread) Yield() { t.sync(OpYield, 0) }
 
-// Assert records bug bugID and aborts the schedule if cond is false.
+// Assert records bug bugID and aborts the schedule if cond is false. Like an
+// object name, bugID must come from a bounded set (a pool interns the
+// message built from it): put what varies per schedule in Assertf's message.
 func (t *Thread) Assert(cond bool, bugID string) {
 	if !cond {
-		panic(assertFailure{bugID: bugID, msg: "assertion failed: " + bugID})
+		t.fail(bugID, t.ex.internJoin("assertion failed: ", bugID))
 	}
+}
+
+// fail aborts the schedule with a program failure. The panic value points
+// into the thread and the standard messages are interned, so a failing
+// schedule allocates only the Failure it returns.
+func (t *Thread) fail(bugID, msg string) {
+	t.failed = assertFailure{bugID: bugID, msg: msg}
+	panic(&t.failed)
 }
 
 // Assertf is Assert with a formatted diagnostic message.
 func (t *Thread) Assertf(cond bool, bugID, format string, args ...any) {
 	if !cond {
-		panic(assertFailure{bugID: bugID, msg: fmt.Sprintf(format, args...)})
+		t.fail(bugID, fmt.Sprintf(format, args...))
 	}
 }
 
-// Fail unconditionally reports bug bugID and aborts the schedule.
+// Fail unconditionally reports bug bugID, from a bounded set as Assert's is,
+// and aborts the schedule.
 func (t *Thread) Fail(bugID string) {
-	panic(assertFailure{bugID: bugID, msg: "failure: " + bugID})
+	t.fail(bugID, t.ex.internJoin("failure: ", bugID))
 }

@@ -13,12 +13,13 @@ type WaitGroup struct {
 
 // NewWaitGroup creates a wait group.
 func (t *Thread) NewWaitGroup(name string) *WaitGroup {
-	mu := t.NewMutex(name + ".mu")
-	return &WaitGroup{
+	ex := t.ex
+	mu := t.NewMutex(ex.internJoin(name, ".mu"))
+	return carve(&ex.waitGroups, WaitGroup{
 		mu:    mu,
-		zero:  t.NewCond(name+".zero", mu),
-		count: t.NewVar(name+".count", 0),
-	}
+		zero:  t.NewCond(ex.internJoin(name, ".zero"), mu),
+		count: t.NewVar(ex.internJoin(name, ".count"), 0),
+	})
 }
 
 // Add adds delta to the counter. A negative counter is a program error.
@@ -59,10 +60,11 @@ type Once struct {
 
 // NewOnce creates a Once.
 func (t *Thread) NewOnce(name string) *Once {
-	return &Once{
-		mu:   t.NewMutex(name + ".mu"),
-		done: t.NewVar(name+".done", 0),
-	}
+	ex := t.ex
+	return carve(&ex.onces, Once{
+		mu:   t.NewMutex(ex.internJoin(name, ".mu")),
+		done: t.NewVar(ex.internJoin(name, ".done"), 0),
+	})
 }
 
 // Do runs f if no Do has completed before; otherwise it returns after the

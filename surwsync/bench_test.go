@@ -1,11 +1,14 @@
 package surwsync_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"surw/internal/core"
 	"surw/internal/sched"
+	"surw/internal/sctbench"
 	"surw/surwsync"
 )
 
@@ -82,4 +85,29 @@ func BenchmarkShimMutex(b *testing.B) {
 			mu.Unlock()
 		}
 	})
+}
+
+// BenchmarkShimSchedule counts what one pooled schedule of real Go code
+// allocates: the ported worker pool (WP/pool_2w2j) under a random walk,
+// seeds 0..N-1 after one warm-up schedule. What is left is the program's
+// own (its pool, channels, closures and slices), the Result, and a Failure
+// with its message when the schedule deadlocks; the engine's handles, Ref
+// cells and names come from the execution. The count is exact for a fixed
+// -benchtime=Nx, which is how ci.sh gates it.
+func BenchmarkShimSchedule(b *testing.B) {
+	prog := sctbench.WorkerPool(2, 2).Prog
+	alg := core.NewRandomWalk()
+	pool := sched.NewPool()
+	defer pool.Close()
+	pool.Run(prog, alg, sched.Options{})
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool.Run(prog, alg, sched.Options{Base: sched.Base{Seed: int64(i)}})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/schedule")
+	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(b.N), "B/schedule")
 }

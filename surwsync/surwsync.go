@@ -31,11 +31,7 @@ func Program(fn func()) func(*sched.Thread) {
 // spawn-time evaluation.
 func Go(fn func()) {
 	if t, ok := sched.CurrentThread(); ok {
-		t.Go(func(c *sched.Thread) {
-			sched.BindGoroutine(c)
-			defer sched.UnbindGoroutine()
-			fn()
-		})
+		sched.GoBound(t, fn)
 		return
 	}
 	go fn()
