@@ -43,6 +43,7 @@ bench:
 	$(GO) run ./cmd/surw obs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
 		-bench-history BENCH_history.jsonl \
 		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25' \
+		-gate 'BenchmarkPooledSchedule/pooled_into.allocs/op<=4.2' \
 		-gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' \
 		-gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.6'
 

@@ -243,7 +243,8 @@ func BenchmarkParallelSessions(b *testing.B) {
 
 // BenchmarkPooledSchedule quantifies the allocation diet directly: one
 // schedule of the Figure 1 program through a recycled sched.Pool versus a
-// fresh Execution per run.
+// fresh Execution per run, and through the pool into a Result the caller
+// keeps (what the runner does), which is the Result fewer.
 func BenchmarkPooledSchedule(b *testing.B) {
 	prog := experiments.Bitshift(16)
 	alg := core.NewRandomWalk()
@@ -258,6 +259,14 @@ func BenchmarkPooledSchedule(b *testing.B) {
 		pool := sched.NewPool()
 		for i := 0; i < b.N; i++ {
 			pool.Run(prog, alg, sched.Options{Base: sched.Base{Seed: int64(i)}})
+		}
+	})
+	b.Run("pooled_into", func(b *testing.B) {
+		b.ReportAllocs()
+		pool := sched.NewPool()
+		var res sched.Result
+		for i := 0; i < b.N; i++ {
+			pool.RunInto(&res, prog, alg, sched.Options{Base: sched.Base{Seed: int64(i)}})
 		}
 	})
 }
@@ -418,6 +427,58 @@ func BenchmarkObservedSessions(b *testing.B) {
 		b.ReportMetric(float64(schedules)/b.Elapsed().Seconds(), "schedules/s")
 		b.ReportMetric(float64(b.Elapsed())/float64(ref), "x_unobserved")
 	})
+}
+
+// BenchmarkCensus prices a session's profiling run where the paper books it
+// (§4.1: one extra schedule): a warm worker's census — a reused
+// profile.Collector on a warm pool, as runner.runSession takes it — against
+// a pooled random-walk schedule of the same program and seed, which the
+// census's own walk makes the same interleaving, alternated in one process.
+// x_schedule is the ratio ci.sh gates (4.1-4.3 while the census hid the
+// walk's IndexChooser and counted through two maps rebuilt per session);
+// allocs/census is what the census allocates, the program's own objects
+// included (82 and 110 then).
+func BenchmarkCensus(b *testing.B) {
+	for _, name := range []string{"CS/reorder_10", "CS/twostage_20"} {
+		tgt, ok := sctbench.ByName(name)
+		if !ok {
+			b.Fatal("missing target")
+		}
+		b.Run(name[3:], func(b *testing.B) {
+			pool := sched.NewPool()
+			defer pool.Close()
+			var col profile.Collector
+			rw := core.NewRandomWalk()
+			base := func(i int) sched.Base {
+				return sched.Base{Seed: int64(i) + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}
+			}
+			census := func(i int) {
+				if _, err := col.Collect(pool, tgt.Prog, profile.Options{Base: base(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() { census(i); i++ })
+			const chunk = 64
+			var ref time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i += chunk {
+				end := min(i+chunk, b.N)
+				for j := i; j < end; j++ {
+					census(j)
+				}
+				b.StopTimer()
+				t0 := time.Now()
+				for j := i; j < end; j++ {
+					pool.Run(tgt.Prog, rw, sched.Options{Base: base(j)})
+				}
+				ref += time.Since(t0)
+				b.StartTimer()
+			}
+			b.ReportMetric(allocs, "allocs/census")
+			b.ReportMetric(float64(b.Elapsed())/float64(ref), "x_schedule")
+		})
+	}
 }
 
 // BenchmarkProfileCollect measures the profiling phase on a mid-size

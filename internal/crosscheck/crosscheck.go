@@ -20,7 +20,9 @@
 //     internal/replay and strictly replayed — the replay must be bit-exact
 //     (fingerprint, Δ-fingerprint, behaviour, failure) with zero diagnosed
 //     divergence — and re-executed on a warm sched.Pool and compared
-//     field-for-field against the one-shot run. Parallel sessions
+//     field-for-field against the one-shot run, and once more into a
+//     caller-owned Result (Pool.RunInto) that earlier schedules have
+//     written, which must equal the pool's own. Parallel sessions
 //     (runner.Config.Workers) are checked to be byte-identical to the
 //     sequential loop, and a checkpointed, batched session (Pool.RunPrefix
 //     / Pool.RunFrom on the fast engine) is checked byte-identical —
@@ -40,6 +42,7 @@ package crosscheck
 
 import (
 	"fmt"
+	"reflect"
 
 	"surw/internal/core"
 	"surw/internal/profile"
@@ -136,6 +139,7 @@ func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, op
 	info := prof.Instantiate(prof.SelectAll())
 
 	pool := sched.NewPool()
+	var own sched.Result // caller-owned storage, written by every schedule below
 	for _, algName := range opts.Algorithms {
 		alg, err := core.New(algName)
 		if err != nil {
@@ -165,6 +169,17 @@ func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, op
 			pooled := pool.Run(prog, alg, so)
 			if d := diffResults(res, pooled); d != "" {
 				return nil, fmt.Errorf("crosscheck: %s: %s seed %d: pooled run diverged: %s", name, algName, so.Seed, d)
+			}
+			// The caller-owned form: into storage that still holds an
+			// earlier schedule's outcome — first this schedule traced, so a
+			// Trace, ThreadPaths and (when it fails) a Failure are there to
+			// leak — it is Run's Result field for field.
+			traced := so
+			traced.RecordTrace = true
+			pool.RunInto(&own, prog, alg, traced)
+			pool.RunInto(&own, prog, alg, so)
+			if !reflect.DeepEqual(&own, pooled) {
+				return nil, fmt.Errorf("crosscheck: %s: %s seed %d: RunInto wrote %s, Run returned %s", name, algName, so.Seed, describeResult(&own), describeResult(pooled))
 			}
 			rep.Checked++
 		}
@@ -224,6 +239,14 @@ func diffResults(a, b *sched.Result) string {
 		return fmt.Sprintf("bug %q vs %q", a.BugID(), b.BugID())
 	}
 	return ""
+}
+
+// describeResult prints every field of r, the Failure by value.
+func describeResult(r *sched.Result) string {
+	if r.Failure == nil {
+		return fmt.Sprintf("%+v", *r)
+	}
+	return fmt.Sprintf("%+v with Failure %+v", *r, *r.Failure)
 }
 
 // parallelIdentity runs the same session batch sequentially and fanned over

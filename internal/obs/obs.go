@@ -72,8 +72,6 @@ type Collector struct {
 	steps   int
 	threads int
 	paths   []string // path per TID, grown as threads appear
-	failure *sched.Failure
-	trunc   bool
 }
 
 // NewCollector returns a collector keeping the last ringCap decisions
@@ -90,8 +88,6 @@ func (c *Collector) BeginSchedule(alg string) {
 	c.steps = 0
 	c.threads = 0
 	c.paths = c.paths[:0]
-	c.failure = nil
-	c.trunc = false
 }
 
 // Decide implements sched.Tracer.
@@ -131,12 +127,11 @@ func (c *Collector) Decide(d sched.Decision, st *sched.State) {
 	}
 }
 
-// EndSchedule implements sched.Tracer.
+// EndSchedule implements sched.Tracer. It copies the two counts it reports
+// and keeps nothing of r, which is the caller's to overwrite.
 func (c *Collector) EndSchedule(r *sched.Result) {
 	c.steps = r.Steps
 	c.threads = r.Threads
-	c.failure = r.Failure
-	c.trunc = r.Truncated
 }
 
 // Len returns the number of records currently held (min(decisions seen,

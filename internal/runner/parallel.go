@@ -7,11 +7,13 @@
 //   - Every session is self-contained. Its seed is derived from the config
 //     seed and its own index (cfg.Seed + session*1_000_003), never from a
 //     shared stream, so no session observes another's randomness.
-//   - A session builds its mutable state privately: its algorithm instance
-//     (core.New per session) and its profile. What it borrows — a worker's
-//     sched.Pool and Δ stream (runner.go) — it has to itself while it runs
-//     and receives in a state no earlier session can be told from: Pool.Run
-//     is bit-identical to sched.Run, the stream is re-seeded before use.
+//   - A session builds its algorithm instance privately (core.New per
+//     session). What it borrows — a worker's sched.Pool, census collector,
+//     Result storage and Δ stream (runner.go) — it has to itself while it
+//     runs and receives in a state no earlier session can be told from:
+//     Pool.Run is bit-identical to sched.Run, a reused collector's profile
+//     equals a fresh one's, every schedule overwrites the whole Result, the
+//     stream is re-seeded before use.
 //   - Target state is created inside Prog through the sched API on every
 //     schedule, so concurrent schedules of one program never share memory;
 //     the Target struct itself is only read.
@@ -83,12 +85,12 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 
 	// The census is seeded from the session, so the profile is this
 	// session's alone (DESIGN §4); it runs on the worker's pool like the
-	// testing schedules that follow.
+	// testing schedules that follow, into the worker's collector.
 	plusOne := 0
 	var prof *profile.Profile
 	if needsProfile(algName) {
 		plusOne = 1
-		prof, _ = profile.CollectOn(pool, tgt.Prog, profile.Options{Base: sched.Base{Seed: base + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: cfg.ProfileRuns})
+		prof, _ = w.census.Collect(pool, tgt.Prog, profile.Options{Base: sched.Base{Seed: base + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: cfg.ProfileRuns})
 		// A crashing or truncated census still yields usable (if noisy)
 		// counts; §7 of the paper discusses exactly this degradation.
 	}
@@ -163,7 +165,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 			}
 		}
 		opts := sched.Options{Base: sched.Base{Seed: base + int64(i)*2_000_033 + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, TraceFilter: tgt.TraceFilter, Tracer: tracer, Atlas: stage}
-		var r *sched.Result
+		r := &w.res
 		abandon := false
 		if i == 0 {
 			// Observe the prefix capture (schedule 0's RunPrefix doubles as
@@ -173,7 +175,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 			if cfg.Metrics != nil || cfg.Phase != nil {
 				prefixStart = time.Now()
 			}
-			r, cp = pool.RunPrefix(tgt.Prog, alg, opts)
+			cp = pool.RunPrefixInto(r, tgt.Prog, alg, opts)
 			if !prefixStart.IsZero() {
 				d := time.Since(prefixStart)
 				if cfg.Metrics != nil {
@@ -193,7 +195,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 				abandon = true
 			}
 		} else {
-			r = pool.RunFrom(cp, tgt.Prog, alg, opts)
+			pool.RunFromInto(r, cp, tgt.Prog, alg, opts)
 		}
 		if cfg.Metrics != nil {
 			cfg.Metrics.ObserveResult(alg.Name(), r)

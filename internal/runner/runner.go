@@ -297,18 +297,25 @@ func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 
 // worker is what one session borrows for its duration and a WorkerCache
 // recycles across the sessions of one target: the sched.Pool (census and
-// testing schedules alike run on it), the Δ-selection stream, and — once a
-// session with an atlas has borrowed it — the atlas accumulator the engine
-// writes into, private to the worker so its per-decision adds stay off the
-// cache lines the cell's accumulator shares between workers (runSession
-// drains it into the cell and always leaves it empty). Nothing a session
-// leaves in a worker reaches the next one's results: Pool.Run is
-// bit-identical to sched.Run whatever ran before (sched/pool_test.go), and
-// the stream is re-seeded before its first draw.
+// testing schedules alike run on it), the census collector with the tables,
+// profile and infos it fills, the Result every schedule of the session is
+// written into, the Δ-selection stream, and — once a session with an atlas
+// has borrowed it — the atlas accumulator the engine writes into, private
+// to the worker so its per-decision adds stay off the cache lines the
+// cell's accumulator shares between workers (runSession drains it into the
+// cell and always leaves it empty). Nothing a session leaves in a worker
+// reaches the next one's results: Pool.Run is bit-identical to sched.Run
+// whatever ran before (sched/pool_test.go), a reused collector's profile
+// equals a fresh Collect's (profile.TestCollectorReuseMatchesCollect), a
+// schedule overwrites every field of the Result, and the stream is
+// re-seeded before its first draw. Nothing of a worker's reaches the
+// Session a caller keeps either: that is built from the Result's values.
 type worker struct {
-	pool  *sched.Pool
-	delta *rand.Rand
-	stage *atlas.Accum
+	pool   *sched.Pool
+	census profile.Collector
+	res    sched.Result
+	delta  *rand.Rand
+	stage  *atlas.Accum
 }
 
 // stagePool recycles the staging accumulators (13 KB of counters each)

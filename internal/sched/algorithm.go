@@ -68,6 +68,16 @@ func NewProgramInfo() *ProgramInfo {
 	return &ProgramInfo{index: make(map[string]int)}
 }
 
+// Reset empties the info for another profile, keeping its capacity (the
+// per-thread slices, each thread's Children, the path index).
+func (pi *ProgramInfo) Reset() {
+	clear(pi.index)
+	*pi = ProgramInfo{
+		Paths: pi.Paths[:0], Events: pi.Events[:0], InterestingEvents: pi.InterestingEvents[:0],
+		Parent: pi.Parent[:0], Children: pi.Children[:0], index: pi.index,
+	}
+}
+
 // AddThread registers a logical thread path with its parent path ("" for
 // the root) and returns its LID. Re-adding an existing path returns the
 // existing LID.
@@ -84,7 +94,13 @@ func (pi *ProgramInfo) AddThread(path, parentPath string) int {
 	pi.Events = append(pi.Events, 0)
 	pi.InterestingEvents = append(pi.InterestingEvents, 0)
 	pi.Parent = append(pi.Parent, -1)
-	pi.Children = append(pi.Children, nil)
+	if l < cap(pi.Children) {
+		// After a Reset the slot still holds an earlier thread's list.
+		pi.Children = pi.Children[:l+1]
+		pi.Children[l] = pi.Children[l][:0]
+	} else {
+		pi.Children = append(pi.Children, nil)
+	}
 	if parentPath != "" {
 		p := pi.AddThread(parentPath, parentOf(parentPath))
 		pi.Parent[l] = p

@@ -181,9 +181,10 @@ func TestPoolIdenticalAfterAbortedSchedules(t *testing.T) {
 
 // The allocation floor, pinned where it was reached: a warm pooled schedule
 // that creates and uses one of each primitive allocates its Result and
-// nothing else — plus the Failure when it fails, plus the Failure's message
-// when that is a deadlock report (an assertion's message is interned). The
-// programs keep their own hands clean: no closures built per schedule, and
+// nothing else — the Failure is part of the Result — plus the message when
+// it fails with a deadlock report (an assertion's message is interned); into
+// a Result the caller hands in (RunInto) it allocates the message and
+// nothing else. The programs keep their own hands clean: no closures built per schedule, and
 // an unbuffered channel, since a buffered one's values are appended to a
 // slice that is the program's data as far as the engine is concerned.
 func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
@@ -249,17 +250,27 @@ func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
 		fail string
 		kind FailKind
 		want float64
-	}{{"", 0, 1}, {"assert", FailAssert, 2}, {"deadlock", FailDeadlock, 3}} {
+	}{{"", 0, 1}, {"assert", FailAssert, 1}, {"deadlock", FailDeadlock, 2}} {
 		o.fail = c.fail
 		var last *Result
-		run := func() { last = p.Run(prog, alg, Options{Base: Base{Seed: 3}}) }
-		run() // warm-up: arenas, cells, names and this failure's message
-		got := testing.AllocsPerRun(100, run)
-		if (c.fail == "") != (last.Failure == nil) || (last.Failure != nil && last.Failure.Kind != c.kind) {
-			t.Fatalf("%q: unexpected outcome %+v", c.fail, last.Failure)
-		}
-		if got != c.want {
-			t.Errorf("%q: a warm pooled schedule allocates %v objects, want %v", c.fail, got, c.want)
+		var own Result
+		opts := Options{Base: Base{Seed: 3}}
+		for form, run := range map[string]func(){
+			"Run":     func() { last = p.Run(prog, alg, opts) },
+			"RunInto": func() { last = p.RunInto(&own, prog, alg, opts) },
+		} {
+			want := c.want
+			if form == "RunInto" {
+				want--
+			}
+			run() // warm-up: arenas, cells, names and this failure's message
+			got := testing.AllocsPerRun(100, run)
+			if (c.fail == "") != (last.Failure == nil) || (last.Failure != nil && last.Failure.Kind != c.kind) {
+				t.Fatalf("%q: unexpected outcome %+v", c.fail, last.Failure)
+			}
+			if got != want {
+				t.Errorf("%q: a warm pooled schedule allocates %v objects by %s, want %v", c.fail, got, form, want)
+			}
 		}
 	}
 }

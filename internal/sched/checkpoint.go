@@ -107,6 +107,13 @@ func (ex *Execution) closeCapture() {
 // the fast engine — in which case RunFrom(nil, ...) is still correct and
 // simply runs in full. A Tracer or an Atlas changes nothing here.
 func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Result, *Checkpoint) {
+	res := new(Result)
+	return res, p.RunPrefixInto(res, prog, alg, opts)
+}
+
+// RunPrefixInto is RunPrefix with the Result written over *res (see
+// Pool.RunInto).
+func (p *Pool) RunPrefixInto(res *Result, prog func(*Thread), alg Algorithm, opts Options) *Checkpoint {
 	p.ex.persistent = true
 	cp := &Checkpoint{
 		open:        true,
@@ -115,11 +122,11 @@ func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Resu
 		recordTrace: opts.RecordTrace,
 		filterNil:   opts.TraceFilter == nil,
 	}
-	res := p.ex.runWith(prog, alg, opts, cp, nil)
+	p.ex.runWith(prog, alg, opts, cp, nil, res)
 	if cp.invalid || cp.open {
-		return res, nil
+		return nil
 	}
-	return res, cp
+	return cp
 }
 
 // RunFrom executes one schedule like Run, replaying cp's forced prefix
@@ -127,10 +134,16 @@ func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Resu
 // DisableBatching. The Result is bit-identical to Run with the same
 // arguments, and so is what opts.Tracer is shown.
 func (p *Pool) RunFrom(cp *Checkpoint, prog func(*Thread), alg Algorithm, opts Options) *Result {
-	p.ex.persistent = true
+	return p.RunFromInto(new(Result), cp, prog, alg, opts)
+}
+
+// RunFromInto is RunFrom with the Result written over *res (see
+// Pool.RunInto).
+func (p *Pool) RunFromInto(res *Result, cp *Checkpoint, prog func(*Thread), alg Algorithm, opts Options) *Result {
 	if cp == nil || opts.DisableBatching {
-		return p.ex.run(prog, alg, opts)
+		return p.RunInto(res, prog, alg, opts)
 	}
+	p.ex.persistent = true
 	if cp.open || cp.invalid {
 		panic("sched: RunFrom with an unsealed checkpoint")
 	}
@@ -138,7 +151,7 @@ func (p *Pool) RunFrom(cp *Checkpoint, prog func(*Thread), alg Algorithm, opts O
 		cp.recordTrace != opts.RecordTrace || cp.filterNil != (opts.TraceFilter == nil) {
 		panic("sched: RunFrom options incompatible with the checkpoint's capture run")
 	}
-	return p.ex.runWith(prog, alg, opts, nil, cp)
+	return p.ex.runWith(prog, alg, opts, nil, cp, res)
 }
 
 func effectiveMaxSteps(opts Options) int {

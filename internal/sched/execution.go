@@ -53,7 +53,8 @@ type Execution struct {
 
 	steps     int
 	maxSteps  int
-	failure   *Failure
+	failure   Failure // the first failure; meaningful when failed
+	failed    bool
 	truncated bool
 	aborted   bool
 	behavior  string
@@ -216,7 +217,7 @@ func fnvMix(h uint64, v uint64) uint64 {
 // running many schedules of one program should prefer Pool.Run, which
 // reuses the execution buffers across schedules.
 func Run(prog func(*Thread), alg Algorithm, opts Options) *Result {
-	return new(Execution).run(prog, alg, opts)
+	return new(Execution).runWith(prog, alg, opts, nil, nil, new(Result))
 }
 
 // reset prepares the Execution for a fresh schedule, recycling every
@@ -251,7 +252,7 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	ex.byPathDirty = true
 	ex.steps = 0
 	ex.maxSteps = opts.Base.Normalized().MaxSteps
-	ex.failure = nil
+	ex.failed = false
 	ex.truncated = false
 	ex.aborted = false
 	ex.behavior = ""
@@ -301,11 +302,9 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	ex.resume = nil
 }
 
-func (ex *Execution) run(prog func(*Thread), alg Algorithm, opts Options) *Result {
-	return ex.runWith(prog, alg, opts, nil, nil)
-}
-
-func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, capture, replay *Checkpoint) *Result {
+// runWith runs one schedule and writes its outcome over *res — every field,
+// so storage a caller hands in again carries nothing over — and returns res.
+func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, capture, replay *Checkpoint, res *Result) *Result {
 	ex.reset(opts, alg)
 	ex.checkProg(prog)
 	if ex.fast {
@@ -360,8 +359,7 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 	}
 	ex.killRemaining()
 
-	res := &Result{
-		Failure:          ex.failure,
+	*res = Result{
 		Steps:            ex.steps,
 		Truncated:        ex.truncated,
 		InterleavingHash: ex.ilvHash,
@@ -369,6 +367,10 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 		DeltaHash:        ex.deltaHash,
 		Behavior:         ex.behavior,
 		Threads:          len(ex.threads),
+	}
+	if ex.failed {
+		res.failure = ex.failure
+		res.Failure = &res.failure
 	}
 	if opts.RecordTrace {
 		// Hand the trace to the caller and surrender the buffer: a pooled
@@ -395,7 +397,7 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 func (ex *Execution) loop() {
 	enabled := ex.enabledTIDs()
 	for {
-		if ex.failure != nil {
+		if ex.failed {
 			return
 		}
 		if len(enabled) == 0 {
@@ -634,12 +636,12 @@ func (ex *Execution) reportDeadlock() {
 		buf = append(append(append(buf, '('), what...), ')')
 	}
 	ex.nameBuf = buf
-	ex.fail(&Failure{Kind: FailDeadlock, BugID: "deadlock", Msg: string(buf), TID: -1, Step: ex.steps})
+	ex.fail(Failure{Kind: FailDeadlock, BugID: "deadlock", Msg: string(buf), TID: -1, Step: ex.steps})
 }
 
-func (ex *Execution) fail(f *Failure) {
-	if ex.failure == nil {
-		ex.failure = f
+func (ex *Execution) fail(f Failure) {
+	if !ex.failed {
+		ex.failure, ex.failed = f, true
 	}
 	ex.aborted = true
 }

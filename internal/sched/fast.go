@@ -316,7 +316,7 @@ func (ex *Execution) endCycle(t *Thread) bool {
 // failure, deadlock, truncation, then choose and execute. Returns true
 // when t chose itself.
 func (ex *Execution) decide(t *Thread) bool {
-	if ex.failure != nil {
+	if ex.failed {
 		return ex.finishSchedule(t)
 	}
 	n := bits.OnesCount64(ex.enabledBits)

@@ -28,8 +28,19 @@ func NewPool() *Pool { return &Pool{} }
 // buffers. The returned Result (including any recorded trace) is owned by
 // the caller and is never overwritten by later runs.
 func (p *Pool) Run(prog func(*Thread), alg Algorithm, opts Options) *Result {
+	return p.RunInto(new(Result), prog, alg, opts)
+}
+
+// RunInto is Run writing the schedule's outcome over *res, storage the
+// caller owns and may hand in again, and returning res: the same Result,
+// field for field, and nothing of what *res held before — no Failure,
+// Trace or ThreadPaths carries over. A caller that looks at one schedule's
+// result before running the next (the runner, the census) saves the one
+// object a warm schedule otherwise costs. RunPrefixInto and RunFromInto
+// are the same form of RunPrefix and RunFrom.
+func (p *Pool) RunInto(res *Result, prog func(*Thread), alg Algorithm, opts Options) *Result {
 	p.ex.persistent = true
-	return p.ex.run(prog, alg, opts)
+	return p.ex.runWith(prog, alg, opts, nil, nil, res)
 }
 
 // Reset drops the pooled schedule state while keeping allocated capacity,

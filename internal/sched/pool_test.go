@@ -207,3 +207,90 @@ func TestPoolSteadyStateAllocations(t *testing.T) {
 		t.Fatalf("pooled schedule allocates %.0f objects, fresh %.0f; want < half", pooled, fresh)
 	}
 }
+
+// keepEnd is a Tracer that keeps the Failure EndSchedule is shown the way
+// the contract asks: by value.
+type keepEnd struct{ fail Failure }
+
+func (k *keepEnd) BeginSchedule(string)    {}
+func (k *keepEnd) Decide(Decision, *State) {}
+func (k *keepEnd) EndSchedule(r *Result) {
+	k.fail = Failure{}
+	if r.Failure != nil {
+		k.fail = *r.Failure
+	}
+}
+
+// TestRunIntoCarriesNothingOver: the three Into forms write the Result the
+// plain forms return, whatever the storage held — in particular a failing
+// schedule with a trace and a tracer leaves no Failure, Trace or
+// ThreadPaths behind for the clean schedule written next, and what a Tracer
+// copied at EndSchedule still says what the schedule did after the storage
+// has moved on.
+func TestRunIntoCarriesNothingOver(t *testing.T) {
+	prog := func(t *Thread) {
+		x := t.NewVar("x", 0)
+		h := t.Go(func(w *Thread) { x.Store(w, 1) })
+		if x.Load(t) == 1 {
+			t.Fail("saw-write")
+		}
+		t.Join(h)
+	}
+	pool, ref := NewPool(), NewPool()
+	defer pool.Close()
+	defer ref.Close()
+	var own Result
+	var kept keepEnd
+	failing, clean := 0, 0
+	for seed := int64(0); seed < 60; seed++ {
+		traced := Options{Base: Base{Seed: seed}, RecordTrace: true, Tracer: &kept}
+		want := ref.Run(prog, &pickRandom{}, traced)
+		if got := pool.RunInto(&own, prog, &pickRandom{}, traced); got != &own {
+			t.Fatal("RunInto returned other storage than it was given")
+		}
+		resultsEqual(t, "RunInto traced", seed, want, &own)
+		if !want.Buggy() {
+			continue
+		}
+		failing++
+		if own.Failure != &own.failure {
+			t.Fatal("a failing schedule's Failure lives outside its Result")
+		}
+		wantFail := *want.Failure
+		// The same storage, next written by schedules that pass.
+		for next := seed + 1; next < seed+20; next++ {
+			plain := Options{Base: Base{Seed: next}}
+			want := ref.Run(prog, &pickRandom{}, plain)
+			pool.RunInto(&own, prog, &pickRandom{}, plain)
+			resultsEqual(t, "RunInto after a failure", next, want, &own)
+			if want.Buggy() {
+				continue
+			}
+			clean++
+			if own.Failure != nil || own.Trace != nil || own.ThreadPaths != nil || own.Buggy() {
+				t.Fatalf("seed %d after failing seed %d: storage kept %+v", next, seed, own)
+			}
+			if kept.fail != wantFail {
+				t.Fatalf("seed %d: the tracer's copy of the failure changed with the storage: %+v, was %+v", seed, kept.fail, wantFail)
+			}
+			break
+		}
+	}
+	if failing == 0 || clean == 0 {
+		t.Fatalf("want failing schedules followed by clean ones: %d failing, %d clean", failing, clean)
+	}
+
+	// The checkpointed forms: a session's first schedule and its later ones.
+	for seed := int64(0); seed < 20; seed++ {
+		opts := Options{Base: Base{Seed: seed}}
+		want, wantCp := ref.RunPrefix(prog, &pickRandom{}, opts)
+		cp := pool.RunPrefixInto(&own, prog, &pickRandom{}, opts)
+		resultsEqual(t, "RunPrefixInto", seed, want, &own)
+		if cp.Decisions() != wantCp.Decisions() {
+			t.Fatalf("seed %d: RunPrefixInto captured %d forced decisions, RunPrefix %d", seed, cp.Decisions(), wantCp.Decisions())
+		}
+		opts.Seed += 100
+		resultsEqual(t, "RunFromInto", seed, ref.RunFrom(wantCp, prog, &pickRandom{}, opts), pool.RunFromInto(&own, cp, prog, &pickRandom{}, opts))
+		resultsEqual(t, "RunFromInto(nil)", seed, ref.Run(prog, &pickRandom{}, opts), pool.RunFromInto(&own, nil, prog, &pickRandom{}, opts))
+	}
+}

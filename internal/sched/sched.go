@@ -233,6 +233,11 @@ type Result struct {
 	ThreadPaths []string
 	// Threads is the number of threads created.
 	Threads int
+
+	// failure is what Failure points at when the schedule failed: the
+	// report lives in the Result, so a caller that owns the Result (see
+	// Pool.RunInto) owns the whole outcome.
+	failure Failure
 }
 
 // Buggy reports whether the schedule exposed a bug.

@@ -157,9 +157,9 @@ func (t *Thread) runBody() {
 			case stopSignal:
 				panic(r) // pool closing; unwind past the defer below
 			case *assertFailure:
-				t.ex.fail(&Failure{Kind: FailAssert, BugID: v.bugID, Msg: v.msg, TID: t.id, Step: t.ex.steps})
+				t.ex.fail(Failure{Kind: FailAssert, BugID: v.bugID, Msg: v.msg, TID: t.id, Step: t.ex.steps})
 			default:
-				t.ex.fail(&Failure{Kind: FailPanic, BugID: fmt.Sprintf("panic:%v", v), Msg: fmt.Sprint(v), TID: t.id, Step: t.ex.steps})
+				t.ex.fail(Failure{Kind: FailPanic, BugID: fmt.Sprintf("panic:%v", v), Msg: fmt.Sprint(v), TID: t.id, Step: t.ex.steps})
 			}
 		}
 		t.state = tsFinished

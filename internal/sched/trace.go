@@ -50,7 +50,9 @@ type Tracer interface {
 	// Decide fires once per executed event.
 	Decide(d Decision, st *State)
 	// EndSchedule fires once per schedule with the final result (the same
-	// value the caller of Run receives).
+	// value the caller of Run receives). r, and the Failure it points at,
+	// are valid only for the call: they may be storage the caller owns and
+	// writes the next schedule over (Pool.RunInto), so copy what you keep.
 	EndSchedule(r *Result)
 }
 
