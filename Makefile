@@ -29,7 +29,7 @@ test:
 # fleet tests) — plus the one sctbench test that fans a surwsync-bound
 # target over parallel workers and requires the 1-worker result.
 race:
-	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync ./cmd/surw
+	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/atlas ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync ./cmd/surw
 	$(GO) test -race -short -run '^TestWorkerPool' ./internal/sctbench
 
 # Benchmarks. The throughput-critical pair (pooled scheduling and parallel
@@ -45,7 +45,7 @@ bench:
 		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25' \
 		-gate 'BenchmarkPooledSchedule/pooled_into.allocs/op<=4.2' \
 		-gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' \
-		-gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.6'
+		-gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.45'
 
 # Short coverage-guided fuzz runs of the native fuzz targets: the
 # end-to-end differential oracle over generated programs, the commutation

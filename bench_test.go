@@ -396,8 +396,8 @@ func BenchmarkBatchedReplay(b *testing.B) {
 // atlas attached, against the same cell with neither, alternated in one
 // process. x_unobserved is the ratio ci.sh gates: observers that write
 // cache lines the two workers share per decision push it to about 3 (the
-// parallel speed-up is gone and more); publishing per schedule keeps it
-// near 1.3.
+// parallel speed-up is gone and more); counting in the worker's own plain
+// memory and publishing between schedules keeps it near 1.2.
 func BenchmarkObservedSessions(b *testing.B) {
 	tgt, ok := sctbench.ByName("CS/twostage_20")
 	if !ok {

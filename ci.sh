@@ -65,16 +65,19 @@ go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSche
 
 # Observer cost gates: watching the engine must not mean running a slower
 # one. x_batched is a pooled schedule with an obs.MetricsTracer over the
-# same schedule without (measured 1.13; 1.91 when a tracer selected the
-# slow loop), x_unobserved a two-worker batch with Metrics and an atlas
-# over the same batch without (measured 1.3; 2.7-3.1 when every decision
+# same schedule without (measured 1.10-1.12, the pick rank read off the
+# enabled mask; 1.13 while Decide searched the slice, 1.91 when a tracer
+# selected the slow loop), x_unobserved a two-worker batch with Metrics and
+# an atlas over the same batch without (measured 1.16-1.19 with plain
+# per-worker counters and a streaming chi-square; 1.30-1.33 with atomic
+# staging and a count copy per drift test, 2.7-3.1 when every decision
 # wrote the cache lines both workers share). Both are same-process ratios
 # measured in alternation, so they survive a slow machine; a noisy
 # neighbour can still skew one sample, hence the best of three.
 obs_gate_ok=0
 for attempt in 1 2 3; do
     go test -bench='^(BenchmarkBatchedReplay|BenchmarkObservedSessions)$' -benchmem -run='^$' . > /tmp/surw-bench-obs.txt 2>&1 || { cat /tmp/surw-bench-obs.txt; exit 1; }
-    if go run ./cmd/surw obs -in /tmp/surw-bench-obs.txt -gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' -gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.6'; then
+    if go run ./cmd/surw obs -in /tmp/surw-bench-obs.txt -gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' -gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.45'; then
         obs_gate_ok=1
         break
     fi

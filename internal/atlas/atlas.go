@@ -3,7 +3,7 @@
 // data the engine already produces at every scheduling decision (the
 // enabled-set size, the chosen thread, and a running prefix hash), so
 // attaching it never changes a schedule: the engine folds three integers
-// into fixed-size atomic counters and nothing else.
+// into a fixed block of plain counters its worker owns and nothing else.
 //
 // The atlas answers three questions the aggregate tables cannot:
 //
@@ -27,11 +27,10 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Shape constants. They are fixed so the per-cell accumulator is a single
-// allocation-free block of atomic counters.
+// Shape constants. They are fixed so an accumulator is a single
+// allocation-free block of counters.
 const (
 	// MaxDepth is the number of tracked decision depths; deeper decisions
 	// fold into the last slot so the profile never loses mass.
@@ -52,23 +51,23 @@ const (
 // grid's depth simply never lands in it.
 var GridDepths = [NumGrids]int{4, 8, 16}
 
-// Accum is the cartography accumulator the engine writes into. All fields
-// are atomics, so any number of writers is safe and the engine side stays
-// lock-free and allocation-free — but a per-decision add on a line several
-// workers share costs each of them the line, so the runner hands every
-// worker an Accum of its own and moves the counts into the cell's with
-// DrainInto between schedules.
+// Accum is the cartography accumulator the engine writes into: plain
+// counters with exactly one writer. The runner hands every worker an Accum
+// of its own (sched.Options.Atlas), the engine counts into it with ordinary
+// adds — no lock, no allocation, no line another CPU holds — and the worker
+// moves the counts into the cell with DrainInto between schedules. Nothing
+// else may touch an Accum while a schedule is writing it.
 type Accum struct {
-	schedules atomic.Uint64
-	decisions atomic.Uint64
+	schedules uint64
+	decisions uint64
 	depth     [MaxDepth]depthAccum
-	grid      [NumGrids][GridSize]atomic.Uint64
+	grid      [NumGrids][GridSize]uint64
 }
 
 type depthAccum struct {
-	count      atomic.Uint64
-	enabledSum atomic.Uint64
-	branch     [MaxBranch + 1]atomic.Uint64
+	count      uint64
+	enabledSum uint64
+	branch     [MaxBranch + 1]uint64
 }
 
 // BeginSchedule counts one schedule start. Nil-safe.
@@ -76,18 +75,18 @@ func (a *Accum) BeginSchedule() {
 	if a == nil {
 		return
 	}
-	a.schedules.Add(1)
+	a.schedules++
 }
 
 // Decision records one true scheduling decision (≥2 enabled threads):
 // the depth-th decision point of the current schedule (1-based), with n
 // enabled threads and prefix the running hash of the choices made so far,
-// including this one. Nil-safe, lock-free, allocation-free.
+// including this one. Nil-safe, allocation-free.
 func (a *Accum) Decision(depth, n int, prefix uint64) {
 	if a == nil {
 		return
 	}
-	a.decisions.Add(1)
+	a.decisions++
 	d := depth - 1
 	if d < 0 {
 		d = 0
@@ -96,53 +95,55 @@ func (a *Accum) Decision(depth, n int, prefix uint64) {
 		d = MaxDepth - 1
 	}
 	da := &a.depth[d]
-	da.count.Add(1)
-	da.enabledSum.Add(uint64(n))
+	da.count++
+	da.enabledSum += uint64(n)
 	b := n
 	if b > MaxBranch {
 		b = MaxBranch
 	}
-	da.branch[b].Add(1)
+	da.branch[b]++
 	for gi := 0; gi < NumGrids; gi++ {
 		if depth == GridDepths[gi] {
-			a.grid[gi][prefix&(GridSize-1)].Add(1)
+			a.grid[gi][prefix&(GridSize-1)]++
 		}
 	}
 }
 
-// DrainInto adds every count a holds to dst and zeroes a, visiting only
-// the depths and buckets a recorded something in. The caller must be a's
-// only writer for the duration (the runner drains between schedules); dst
-// may be written concurrently. Draining a nil or empty a is a no-op.
-func (a *Accum) DrainInto(dst *Accum) {
-	if a == nil {
+// DrainInto adds every count a holds to c's accumulator, under the cell's
+// lock, and zeroes a. The caller must be a's only user for the duration
+// (the runner drains between schedules); any number of workers may drain
+// into one cell. Draining a nil or empty a is a no-op.
+func (a *Accum) DrainInto(c *Cell) {
+	if a == nil || a.schedules|a.decisions == 0 {
 		return
 	}
-	move := func(from, to *atomic.Uint64) {
-		if v := from.Load(); v != 0 {
-			from.Store(0)
-			to.Add(v)
-		}
-	}
-	move(&a.schedules, &dst.schedules)
-	if a.decisions.Load() == 0 {
+	c.mu.Lock()
+	c.acc.add(a)
+	c.mu.Unlock()
+	*a = Accum{}
+}
+
+// add sums src into a, visiting only the depths src recorded something in.
+func (a *Accum) add(src *Accum) {
+	a.schedules += src.schedules
+	if src.decisions == 0 {
 		return
 	}
-	move(&a.decisions, &dst.decisions)
-	for d := range a.depth {
-		da, dd := &a.depth[d], &dst.depth[d]
-		if da.count.Load() == 0 {
+	a.decisions += src.decisions
+	for d := range src.depth {
+		sd, ad := &src.depth[d], &a.depth[d]
+		if sd.count == 0 {
 			continue
 		}
-		move(&da.count, &dd.count)
-		move(&da.enabledSum, &dd.enabledSum)
-		for b := range da.branch {
-			move(&da.branch[b], &dd.branch[b])
+		ad.count += sd.count
+		ad.enabledSum += sd.enabledSum
+		for b, v := range sd.branch {
+			ad.branch[b] += v
 		}
 	}
-	for gi := range a.grid {
-		for i := range a.grid[gi] {
-			move(&a.grid[gi][i], &dst.grid[gi][i])
+	for gi := range src.grid {
+		for i, v := range src.grid[gi] {
+			a.grid[gi][i] += v
 		}
 	}
 }
@@ -152,70 +153,54 @@ func (a *Accum) Schedules() uint64 {
 	if a == nil {
 		return 0
 	}
-	return a.schedules.Load()
+	return a.schedules
 }
 
 // Snapshot materializes a bare accumulator (no uniformity state) into
 // its exported form — for callers that manage cells themselves.
 func (a *Accum) Snapshot() CellSnapshot {
 	var cs CellSnapshot
-	cs.Depths, cs.Grids, cs.Schedules, cs.Decisions, cs.MaxDepth = a.snapshot()
+	a.fill(&cs)
 	return cs
 }
 
-// snapshot materializes the accumulator into its exported wire form.
-func (a *Accum) snapshot() (deps []DepthProfile, grids []Grid, schedules, decisions uint64, maxDepth int) {
-	schedules = a.schedules.Load()
-	decisions = a.decisions.Load()
-	for d := 0; d < MaxDepth; d++ {
+// fill writes the accumulator's counts into cs in their exported wire form.
+func (a *Accum) fill(cs *CellSnapshot) {
+	cs.Schedules, cs.Decisions = a.schedules, a.decisions
+	for d := range a.depth {
 		da := &a.depth[d]
-		c := da.count.Load()
-		if c == 0 {
+		if da.count == 0 {
 			continue
 		}
-		maxDepth = d + 1
-		p := DepthProfile{Depth: d + 1, Decisions: c, EnabledSum: da.enabledSum.Load()}
+		cs.MaxDepth = d + 1
 		top := 0
-		for b := 0; b <= MaxBranch; b++ {
-			if da.branch[b].Load() != 0 {
+		for b, v := range da.branch {
+			if v != 0 {
 				top = b
 			}
 		}
-		p.Branch = make([]uint64, top+1)
-		for b := 0; b <= top; b++ {
-			p.Branch[b] = da.branch[b].Load()
-		}
-		deps = append(deps, p)
+		cs.Depths = append(cs.Depths, DepthProfile{
+			Depth: d + 1, Decisions: da.count, EnabledSum: da.enabledSum,
+			Branch: append([]uint64(nil), da.branch[:top+1]...),
+		})
 	}
-	for gi := 0; gi < NumGrids; gi++ {
-		g := Grid{Depth: GridDepths[gi], Buckets: make([]uint64, GridSize)}
-		for i := 0; i < GridSize; i++ {
-			g.Buckets[i] = a.grid[gi][i].Load()
-		}
+	for gi := range a.grid {
+		g := Grid{Depth: GridDepths[gi], Buckets: append([]uint64(nil), a.grid[gi][:]...)}
 		g.finalize()
 		if g.Samples > 0 {
-			grids = append(grids, g)
+			cs.Grids = append(cs.Grids, g)
 		}
 	}
-	return deps, grids, schedules, decisions, maxDepth
 }
 
-// Cell is one campaign cell's atlas state: the lock-free cartography
-// accumulator plus the (mutex-guarded, off-hot-path) uniformity tracker
-// fed once per completed schedule.
+// Cell is one campaign cell's atlas state: the cartography its workers have
+// drained so far plus the uniformity tracker fed once per completed
+// schedule. Both live under mu, which is taken per drain, per observed
+// schedule and per snapshot — never per decision.
 type Cell struct {
-	acc   Accum
 	mu    sync.Mutex
+	acc   Accum
 	drift Drift
-}
-
-// Accum returns the engine-facing accumulator. Nil-safe: a nil cell
-// yields a nil accumulator, which the engine treats as "atlas off".
-func (c *Cell) Accum() *Accum {
-	if c == nil {
-		return nil
-	}
-	return &c.acc
 }
 
 // ObserveSchedule feeds one completed schedule's class fingerprint into
@@ -286,8 +271,8 @@ func (a *Atlas) Snapshot() *Snapshot {
 	for _, id := range ids {
 		c := cells[id]
 		cs := CellSnapshot{Target: id.target, Algorithm: id.alg}
-		cs.Depths, cs.Grids, cs.Schedules, cs.Decisions, cs.MaxDepth = c.acc.snapshot()
 		c.mu.Lock()
+		c.acc.fill(&cs)
 		if c.drift.samples > 0 {
 			d := c.drift.Snapshot()
 			cs.Uniformity = &d

@@ -46,10 +46,10 @@ func TestAccumFoldsOverflow(t *testing.T) {
 	}
 }
 
-// TestAccumDrainInto: recording through a private accumulator and draining
-// it is indistinguishable from recording into the destination directly,
-// leaves the private one empty, and drains of nothing add nothing — the
-// property the runner's per-worker staging rests on.
+// TestAccumDrainInto: recording through private accumulators and draining
+// them into a cell is indistinguishable from recording everything into one
+// accumulator, leaves the private ones empty, and drains of nothing add
+// nothing — the property the runner's per-worker staging rests on.
 func TestAccumDrainInto(t *testing.T) {
 	record := func(a *Accum, salt uint64) {
 		a.BeginSchedule()
@@ -58,7 +58,8 @@ func TestAccumDrainInto(t *testing.T) {
 		}
 		a.Decision(MaxDepth+3, MaxBranch+2, salt)
 	}
-	var direct, dst, stageA, stageB Accum
+	var direct, stageA, stageB Accum
+	var dst Cell
 	for i := uint64(1); i <= 6; i++ {
 		record(&direct, i)
 		stage := &stageA
@@ -75,7 +76,7 @@ func TestAccumDrainInto(t *testing.T) {
 	stageB.DrainInto(&dst) // already empty
 	(*Accum)(nil).DrainInto(&dst)
 	want, _ := json.Marshal(direct.Snapshot())
-	got, _ := json.Marshal(dst.Snapshot())
+	got, _ := json.Marshal(dst.acc.Snapshot())
 	if string(got) != string(want) {
 		t.Fatalf("drained accumulator differs from direct recording:\n got %s\nwant %s", got, want)
 	}
@@ -281,8 +282,10 @@ func TestMergeCells(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := New()
 	c := reg.Cell("tgt", "URW")
-	c.Accum().BeginSchedule()
-	c.Accum().Decision(4, 2, 77)
+	var stage Accum
+	stage.BeginSchedule()
+	stage.Decision(4, 2, 77)
+	stage.DrainInto(c)
 	c.ObserveSchedule(1)
 	c.ObserveSchedule(2)
 	s := reg.Snapshot()
@@ -302,12 +305,14 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestSVGRenders(t *testing.T) {
 	reg := New()
 	c := reg.Cell("tgt", "URW")
+	var stage Accum
 	for i := uint64(0); i < 300; i++ {
-		c.Accum().BeginSchedule()
-		c.Accum().Decision(1, 2, Mix64(i))
-		c.Accum().Decision(4, 3, Mix64(i*7))
+		stage.BeginSchedule()
+		stage.Decision(1, 2, Mix64(i))
+		stage.Decision(4, 3, Mix64(i*7))
 		c.ObserveSchedule(i % 16)
 	}
+	stage.DrainInto(c)
 	s := reg.Snapshot()
 	cs := s.Cells[0]
 	for name, svg := range map[string]string{

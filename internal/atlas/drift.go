@@ -1,6 +1,11 @@
 package atlas
 
-import "surw/internal/stats"
+import (
+	"math"
+	"math/bits"
+
+	"surw/internal/stats"
+)
 
 // Uniformity-drift thresholds. The alarm is deliberately conservative: a
 // genuinely uniform sampler's p-value is itself uniform on (0,1), and the
@@ -23,11 +28,14 @@ const (
 // stream: the observed-support chi-square against "every seen class
 // equally likely", the distribution URW provably samples (and SURW
 // samples within a Δ) on targets whose classes biject with filtered
-// interleavings. The alarm latches: once a checkpoint rejects uniformity,
-// the cell stays flagged even if later samples wash the statistic out.
+// interleavings. Beside the per-class counts it keeps their sum of squares,
+// so a test reads three integers whatever the number of classes. The alarm
+// latches: once a checkpoint rejects uniformity, the cell stays flagged
+// even if later samples wash the statistic out.
 type Drift struct {
 	counts  map[uint64]int
 	samples int
+	sumSq   uint64 // Σ counts[c]²
 	alarmed bool
 }
 
@@ -36,12 +44,12 @@ func (d *Drift) Observe(class uint64) {
 	if d.counts == nil {
 		d.counts = make(map[uint64]int)
 	}
-	d.counts[class]++
+	c := d.counts[class]
+	d.counts[class] = c + 1
+	d.sumSq += 2*uint64(c) + 1 // (c+1)² − c²
 	d.samples++
-	if d.samples%driftCheckEvery == 0 {
-		if s := d.test(); s.Alarm {
-			d.alarmed = true
-		}
+	if d.samples%driftCheckEvery == 0 && d.test().Alarm {
+		d.alarmed = true
 	}
 }
 
@@ -53,8 +61,7 @@ func (d *Drift) Snapshot() DriftSnapshot {
 }
 
 func (d *Drift) test() DriftSnapshot {
-	s := driftTest(stats.CountsOfMap(d.counts), d.samples)
-	return s
+	return uniformityTest(d.samples, len(d.counts), d.sumSq)
 }
 
 // DriftSnapshot is the exported uniformity state of one cell.
@@ -71,21 +78,34 @@ type DriftSnapshot struct {
 // a pure function of the ingested run-store and need no latching to be
 // deterministic.
 func DriftFromCounts(counts map[uint64]int) DriftSnapshot {
-	n := 0
+	var n, k int
+	var sumSq uint64
 	for _, c := range counts {
-		n += c
+		if c > 0 {
+			n += c
+			k++
+			sumSq += uint64(c) * uint64(c)
+		}
 	}
-	return driftTest(stats.CountsOfMap(counts), n)
+	return uniformityTest(n, k, sumSq)
 }
 
-func driftTest(counts []int, samples int) DriftSnapshot {
-	s := DriftSnapshot{Samples: samples, Classes: len(counts), P: 1}
-	k := len(counts)
+// uniformityTest is the chi-square of n samples over k seen classes whose
+// counts square-sum to sumSq, against k equally likely classes:
+// Σ(c − n/k)²/(n/k) = (k·Σc² − n²)/n. The numerator is an exact integer
+// (128 bits of it, non-negative by Cauchy–Schwarz), so one multiset of
+// counts has one statistic, whatever order it was summed in.
+func uniformityTest(n, k int, sumSq uint64) DriftSnapshot {
+	s := DriftSnapshot{Samples: n, Classes: k, P: 1}
 	if k < 2 {
 		return s
 	}
-	s.ChiSquare = stats.ChiSquareUniform(counts, k)
+	hi, lo := bits.Mul64(uint64(k), sumSq)
+	nhi, nlo := bits.Mul64(uint64(n), uint64(n))
+	lo, borrow := bits.Sub64(lo, nlo, 0)
+	hi, _ = bits.Sub64(hi, nhi, borrow)
+	s.ChiSquare = (math.Ldexp(float64(hi), 64) + float64(lo)) / float64(n)
 	s.P = stats.ChiSquareSF(s.ChiSquare, k-1)
-	s.Alarm = samples >= driftMinSamples && samples >= 3*k && s.P < DriftAlarmP
+	s.Alarm = n >= driftMinSamples && n >= 3*k && s.P < DriftAlarmP
 	return s
 }

@@ -84,15 +84,16 @@ func atlasServer(t *testing.T) (*campaign.Store, *httptest.Server) {
 
 	reg := atlas.New()
 	good := reg.Cell("CS/reorder_4", "SURW")
-	acc := good.Accum()
+	var acc atlas.Accum
 	for i := 0; i < 320; i++ {
 		acc.BeginSchedule()
 		acc.Decision(1, 3, uint64(i))
 		acc.Decision(5, 2, uint64(i*7))
 		good.ObserveSchedule(uint64(i % 5)) // uniform over 5 classes
 	}
+	acc.DrainInto(good)
 	bad := reg.Cell("CS/reorder_4", "RW")
-	bacc := bad.Accum()
+	var bacc atlas.Accum
 	for i := 0; i < 384; i++ {
 		bacc.BeginSchedule()
 		bacc.Decision(1, 2, uint64(i))
@@ -102,6 +103,7 @@ func atlasServer(t *testing.T) (*campaign.Store, *httptest.Server) {
 		}
 		bad.ObserveSchedule(class)
 	}
+	bacc.DrainInto(bad)
 
 	s := campaign.NewServer(st, nil)
 	s.SetAtlas(func() (*atlas.Snapshot, error) { return reg.Snapshot(), nil })

@@ -13,6 +13,7 @@ package crosscheck
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"surw/internal/core"
@@ -87,20 +88,79 @@ type decisionRec struct {
 	annot   string
 }
 
-// decisionLog is a sched.Tracer keeping the current schedule's calls.
+// decisionLog is a sched.Tracer keeping the current schedule's calls, and
+// the first State.EnabledRank answer that was not the index Enabled() gives.
 type decisionLog struct {
-	recs []decisionRec
-	buf  []byte
+	recs    []decisionRec
+	buf     []byte
+	rankErr string
 }
 
 func (l *decisionLog) BeginSchedule(string) { l.recs = l.recs[:0] }
 
 func (l *decisionLog) Decide(d sched.Decision, st *sched.State) {
+	l.checkRanks("Decide", st, d.Chosen)
 	l.buf = st.AppendAlgAnnotation(l.buf[:0])
 	l.recs = append(l.recs, decisionRec{d, slices.Clone(st.Enabled()), string(l.buf)})
 }
 
 func (l *decisionLog) EndSchedule(*sched.Result) {}
+
+// checkRanks holds st.EnabledRank to its definition — the index of the
+// thread in st.Enabled(), -1 for a thread that is not there — for first
+// (asked before anything here has materialized the slice) and then for
+// every TID from -1 to one past the last thread.
+func (l *decisionLog) checkRanks(where string, st *sched.State, first sched.ThreadID) {
+	if l.rankErr != "" {
+		return
+	}
+	ok := func(tid sched.ThreadID) bool {
+		got := st.EnabledRank(tid)
+		if want := slices.Index(st.Enabled(), tid); got != want {
+			l.rankErr = fmt.Sprintf("%s: EnabledRank(T%d) = %d, want %d (enabled %v)", where, tid, got, want, st.Enabled())
+		}
+		return l.rankErr == ""
+	}
+	if !ok(first) {
+		return
+	}
+	for tid := sched.ThreadID(-1); int(tid) <= st.NumThreads(); tid++ {
+		if !ok(tid) {
+			return
+		}
+	}
+}
+
+// rankProbe is a random walk that runs checkRanks wherever an algorithm is
+// handed a State: Next, Observe and — where Enabled() is still the set of
+// the last decision — ObserveSpawn.
+type rankProbe struct {
+	log *decisionLog
+	rng *rand.Rand
+}
+
+func (p *rankProbe) Name() string                               { return rankProbeName }
+func (p *rankProbe) Begin(_ *sched.ProgramInfo, rng *rand.Rand) { p.rng = rng }
+func (p *rankProbe) Next(st *sched.State) sched.ThreadID {
+	e := st.Enabled()
+	tid := e[p.rng.Intn(len(e))]
+	p.log.checkRanks("Next", st, tid)
+	return tid
+}
+func (p *rankProbe) Observe(ev sched.Event, st *sched.State) { p.log.checkRanks("Observe", st, ev.TID) }
+func (p *rankProbe) ObserveSpawn(_, child sched.ThreadID, st *sched.State) {
+	p.log.checkRanks("ObserveSpawn", st, child)
+}
+
+const rankProbeName = "rank-probe"
+
+// algorithm is core.New plus the probe, which reports into l.
+func (l *decisionLog) algorithm(name string) (sched.Algorithm, error) {
+	if name == rankProbeName {
+		return &rankProbe{log: l}, nil
+	}
+	return core.New(name)
+}
 
 // diffDecisions names the first mismatch between two decision streams.
 func diffDecisions(a, b []decisionRec) string {
@@ -126,19 +186,19 @@ func diffDecisions(a, b []decisionRec) string {
 // sequence (forced steps replayed from the checkpoint included) and return
 // equal Results.
 func decisionIdentity(name string, prog func(*sched.Thread), info *sched.ProgramInfo, opts Options) error {
-	for _, algName := range checkpointAlgs {
-		fastAlg, err := core.New(algName)
+	for _, algName := range append(slices.Clone(checkpointAlgs), rankProbeName) {
+		fastLog, slowLog := &decisionLog{}, &decisionLog{}
+		fastAlg, err := fastLog.algorithm(algName)
 		if err != nil {
 			return fmt.Errorf("crosscheck: %s: %w", name, err)
 		}
-		slowAlg, err := core.New(algName)
+		slowAlg, err := slowLog.algorithm(algName)
 		if err != nil {
 			return fmt.Errorf("crosscheck: %s: %w", name, err)
 		}
 		fastPool, slowPool := sched.NewPool(), sched.NewPool()
 		defer fastPool.Close()
 		defer slowPool.Close()
-		fastLog, slowLog := &decisionLog{}, &decisionLog{}
 		var cp *sched.Checkpoint
 		for i := 0; i < opts.Schedules; i++ {
 			so := sched.Options{Base: sched.Base{Seed: opts.Seed + int64(i)*104729 + 5}, Info: info, Tracer: fastLog}
@@ -155,6 +215,9 @@ func decisionIdentity(name string, prog func(*sched.Thread), info *sched.Program
 			}
 			if d := diffDecisions(fastLog.recs, slowLog.recs); d != "" {
 				return fmt.Errorf("crosscheck: %s: %s seed %d: batched engine showed its tracer a different schedule than the slow loop: %s", name, algName, so.Seed, d)
+			}
+			if fastLog.rankErr != "" || slowLog.rankErr != "" {
+				return fmt.Errorf("crosscheck: %s: %s seed %d: batched engine: %q, slow loop: %q", name, algName, so.Seed, fastLog.rankErr, slowLog.rankErr)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"surw/internal/core"
 	"surw/internal/experiments"
+	"surw/internal/profile"
 	"surw/internal/progfuzz"
 	"surw/internal/sched"
 	"surw/internal/systematic"
@@ -155,5 +156,37 @@ func TestUniformityRejectsIllegalSample(t *testing.T) {
 	_, err := Uniformity(prog, core.NewRandomWalk(), nil, poisoned, nil, 200, 3)
 	if err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("illegal sample not reported: %v", err)
+	}
+}
+
+// TestDecisionIdentityAcrossBailOut: the generated programs stay far below
+// the batched engine's 64-thread mask, so this one outgrows it mid-schedule
+// — free choices first, on the batched engine, then 70 spawns — and the
+// decision-stream check, EnabledRank included, must hold across the
+// hand-over to the slow loop.
+func TestDecisionIdentityAcrossBailOut(t *testing.T) {
+	prog := func(th *sched.Thread) {
+		c := th.NewVar("c", 0)
+		early := th.Go(func(w *sched.Thread) {
+			for i := 0; i < 4; i++ {
+				c.Add(w, 1)
+			}
+		})
+		for i := 0; i < 4; i++ {
+			c.Add(th, 1)
+		}
+		hs := make([]*sched.Handle, 70)
+		for i := range hs {
+			hs[i] = th.Go(func(w *sched.Thread) { c.Add(w, 1) })
+		}
+		th.Join(early)
+		th.JoinAll(hs...)
+	}
+	prof, err := profile.Collect(prog, profile.Options{Base: sched.Base{Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decisionIdentity("bail-out", prog, prof.Instantiate(prof.SelectAll()), Options{Seed: 1, Schedules: 4}); err != nil {
+		t.Fatal(err)
 	}
 }

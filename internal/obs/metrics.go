@@ -137,11 +137,8 @@ func (t *MetricsTracer) Decide(d sched.Decision, st *sched.State) {
 	}
 	t.decisions++
 	t.branch[bucket(d.Enabled)]++
-	for pos, tid := range st.Enabled() {
-		if tid == d.Chosen {
-			t.pick[bucket(pos)]++
-			break
-		}
+	if pos := st.EnabledRank(d.Chosen); pos >= 0 {
+		t.pick[bucket(pos)]++
 	}
 }
 

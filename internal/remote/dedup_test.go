@@ -24,6 +24,11 @@ func TestClassFilterAddSaturate(t *testing.T) {
 	if f.Saturated(42) {
 		t.Fatal("empty filter claims saturation")
 	}
+	// Nothing added: no counters yet, and the queries answer for an empty
+	// filter without them.
+	if obs, distinct := f.Stats(); f.counters != nil || f.Count(42) != 0 || obs != 0 || distinct != 0 {
+		t.Fatalf("empty filter: counters allocated %v, Count %d, Stats (%d, %d)", f.counters != nil, f.Count(42), obs, distinct)
+	}
 	if !f.Add(42) {
 		t.Fatal("first Add not novel")
 	}

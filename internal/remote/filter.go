@@ -32,7 +32,8 @@ const DefaultClassThreshold = 8
 // class fingerprints.
 type ClassFilter struct {
 	mu        sync.RWMutex
-	counters  []uint8
+	size      int     // number of counters, a power of two
+	counters  []uint8 // allocated by the first Add: a campaign without coverage never pays for it
 	threshold uint8
 
 	observed int64 // fingerprints ingested (with multiplicity)
@@ -57,7 +58,7 @@ func NewClassFilter(size, threshold int) *ClassFilter {
 	if threshold > 255 {
 		threshold = 255
 	}
-	return &ClassFilter{counters: make([]uint8, n), threshold: uint8(threshold)}
+	return &ClassFilter{size: n, threshold: uint8(threshold)}
 }
 
 // slots derives the filter's counter indices for one fingerprint by
@@ -67,7 +68,7 @@ func NewClassFilter(size, threshold int) *ClassFilter {
 // fingerprints' probe sets independent even when the fingerprints
 // themselves are arithmetically related.
 func (f *ClassFilter) slots(class uint64, out *[filterHashes]uint64) {
-	mask := uint64(len(f.counters) - 1)
+	mask := uint64(f.size - 1)
 	h1 := splitmix64(class)
 	h2 := splitmix64(class^0x9E3779B97F4A7C15) | 1
 	for i := 0; i < filterHashes; i++ {
@@ -92,6 +93,9 @@ func (f *ClassFilter) Add(class uint64) (novel bool) {
 	f.slots(class, &s)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.counters == nil {
+		f.counters = make([]uint8, f.size)
+	}
 	min := uint8(255)
 	for _, i := range s {
 		if f.counters[i] < min {
@@ -114,25 +118,19 @@ func (f *ClassFilter) Add(class uint64) (novel bool) {
 // Saturated reports whether class's estimated count has reached the
 // filter's threshold.
 func (f *ClassFilter) Saturated(class uint64) bool {
-	var s [filterHashes]uint64
-	f.slots(class, &s)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	min := uint8(255)
-	for _, i := range s {
-		if f.counters[i] < min {
-			min = f.counters[i]
-		}
-	}
-	return min >= f.threshold
+	return f.Count(class) >= int(f.threshold)
 }
 
-// Count returns the class's estimated observation count (capped at 255).
+// Count returns the class's estimated observation count (capped at 255);
+// zero for every class of a filter nothing was added to.
 func (f *ClassFilter) Count(class uint64) int {
 	var s [filterHashes]uint64
 	f.slots(class, &s)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
+	if f.counters == nil {
+		return 0
+	}
 	min := uint8(255)
 	for _, i := range s {
 		if f.counters[i] < min {

@@ -123,18 +123,19 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		tracer = cfg.Metrics.Tracer()
 	}
 	// The atlas cell is shared by all sessions of this (target, algorithm)
-	// pair, so the engine writes into the worker's private staging
-	// accumulator instead and the session drains that into the cell: every
-	// atlasPublishEvery schedules, and — deferred, so a cancelled or failed
-	// session publishes the schedules it did run — on the way out. The
-	// per-schedule class fingerprint feeds the cell's uniformity tracker
-	// below, strictly after each schedule completes.
+	// pair, so the engine counts into the worker's own staging accumulator
+	// — plain memory nobody else touches — and the session drains that into
+	// the cell under the cell's lock: every atlasPublishEvery schedules,
+	// and — deferred, so a cancelled or failed session publishes the
+	// schedules it did run — on the way out. The per-schedule class
+	// fingerprint feeds the cell's uniformity tracker below, strictly after
+	// each schedule completes.
 	atlasCell := cfg.Atlas.Cell(tgt.Name, algName)
 	var stage *atlas.Accum
 	if cfg.Atlas != nil {
 		stage = w.staging()
 	}
-	defer stage.DrainInto(atlasCell.Accum())
+	defer stage.DrainInto(atlasCell)
 
 	// All schedules of the session share (and recycle) the worker's pool of
 	// execution buffers and parked worker goroutines. The session's first
@@ -145,7 +146,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	var cp *sched.Checkpoint
 	for i := 0; i < cfg.Limit; i++ {
 		if i > 0 && i%atlasPublishEvery == 0 {
-			stage.DrainInto(atlasCell.Accum())
+			stage.DrainInto(atlasCell)
 		}
 		// Cancellation lands strictly between schedules: a schedule that
 		// started always finishes (schedules are short), so the scheduler

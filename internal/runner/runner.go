@@ -300,10 +300,10 @@ func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 // testing schedules alike run on it), the census collector with the tables,
 // profile and infos it fills, the Result every schedule of the session is
 // written into, the Δ-selection stream, and — once a session with an atlas
-// has borrowed it — the atlas accumulator the engine writes into, private
-// to the worker so its per-decision adds stay off the cache lines the
-// cell's accumulator shares between workers (runSession drains it into the
-// cell and always leaves it empty). Nothing a session leaves in a worker
+// has borrowed it — the atlas accumulator the engine writes into: plain
+// counters only this worker's schedules touch (runSession drains it into
+// the cell under the cell's lock and always leaves it empty). Nothing a
+// session leaves in a worker
 // reaches the next one's results: Pool.Run is bit-identical to sched.Run
 // whatever ran before (sched/pool_test.go), a reused collector's profile
 // equals a fresh Collect's (profile.TestCollectorReuseMatchesCollect), a

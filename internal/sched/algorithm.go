@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -162,6 +164,25 @@ func (s *State) Enabled() []ThreadID {
 		}
 	}
 	return s.enabled
+}
+
+// EnabledRank returns the position of tid in Enabled(), or -1 when tid is
+// not enabled (or names no thread). On the batched engine it is a popcount
+// of the mask Enabled() would materialize, without materializing it.
+func (s *State) EnabledRank(tid ThreadID) int {
+	ex := s.ex
+	if !ex.fast {
+		return slices.Index(s.enabled, tid)
+	}
+	mask := ex.enabledBits
+	if ex.notifying {
+		mask = ex.decisionBits
+	}
+	b := tbit(tid)
+	if mask&b == 0 {
+		return -1
+	}
+	return bits.OnesCount64(mask & (b - 1))
 }
 
 // NextEvent returns the published next event of a live, parked thread.

@@ -82,10 +82,12 @@ func TestAtlasCountsBitshift(t *testing.T) {
 	pool := NewPool()
 	prog := poolPrograms()["vars"]
 	const n = 64
+	var stage atlas.Accum
 	for seed := int64(0); seed < n; seed++ {
-		r := pool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: seed}, Atlas: cell.Accum()})
+		r := pool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: seed}, Atlas: &stage})
 		cell.ObserveSchedule(r.ClassHash)
 	}
+	stage.DrainInto(cell)
 	snap := reg.Snapshot()
 	if len(snap.Cells) != 1 {
 		t.Fatalf("want 1 cell, got %d", len(snap.Cells))
@@ -119,7 +121,7 @@ func TestAtlasCountsBitshift(t *testing.T) {
 
 // TestAtlasAttachedNoExtraAllocs holds the attached-atlas hot path to the
 // same steady-state allocation count as the nil-atlas path: the engine
-// side of the atlas is fixed atomic counters, nothing else.
+// side of the atlas is a fixed block of counters, nothing else.
 func TestAtlasAttachedNoExtraAllocs(t *testing.T) {
 	prog := poolPrograms()["vars"]
 	acc := &atlas.Accum{}

@@ -302,13 +302,13 @@ type Options struct {
 	// Atlas, when non-nil, accumulates schedule-space cartography (see
 	// internal/atlas): at every true decision point (≥2 enabled threads)
 	// the engine folds the depth, the enabled-set size and a running
-	// choice-prefix hash into its fixed atomic counters. A nil Atlas costs
-	// one predictable branch per decision and zero allocations; an
+	// choice-prefix hash into its fixed block of counters. A nil Atlas
+	// costs one predictable branch per decision and zero allocations; an
 	// attached one never changes which thread is scheduled or any result
-	// hash. The counters are atomics, so sharing one Accum between
-	// concurrent schedules is safe but slow (every add contends for the
-	// same lines); the runner gives each worker its own and drains it into
-	// the shared one between schedules.
+	// hash. The counters are plain memory: an Accum serves one schedule at
+	// a time and nothing else may read or write it meanwhile. The runner
+	// gives each worker its own and drains it into the shared atlas.Cell
+	// between schedules.
 	Atlas *atlas.Accum
 }
 
