@@ -14,6 +14,12 @@ test -z "$(gofmt -l .)" || { echo "FAIL: gofmt -l lists:"; gofmt -l .; exit 1; }
 GOARCH=arm64 go vet ./internal/sched ./surwsync
 GOARCH=riscv64 go build ./internal/sched ./surwsync
 go build ./...
+# One renderer: the Prometheus text format is written by internal/obs/prom.go
+# and read back by internal/obs/promlint.go. A HELP or TYPE literal in any
+# other non-test file is a second, hand-formatted renderer coming back.
+if grep -rn --include='*.go' -e '# HELP' -e '# TYPE' . | grep -v -e '_test\.go:' -e '^\./internal/obs/prom\.go:' -e '^\./internal/obs/promlint\.go:'; then
+    echo "FAIL: '# HELP'/'# TYPE' outside internal/obs/prom.go and internal/obs/promlint.go"; exit 1
+fi
 # (no pipe: a pipeline would mask go test's exit status under plain sh)
 go test -cover ./... > /tmp/surw-cover.txt 2>&1 || { cat /tmp/surw-cover.txt; exit 1; }
 cat /tmp/surw-cover.txt

@@ -192,56 +192,6 @@ func TestDriftFromCountsMatchesStream(t *testing.T) {
 	}
 }
 
-func TestYieldComponents(t *testing.T) {
-	if d := LateSurvivalDrop([]int{0, 50, 100}, []float64{1, 0.9, 0.4}); d != 0.5 {
-		t.Fatalf("late drop = %v, want 0.5", d)
-	}
-	if d := LateSurvivalDrop(nil, nil); d != 0 {
-		t.Fatalf("empty curve drop = %v, want 0", d)
-	}
-	if r := RecentNewRate([]int{1, 2}, []int{10, 10}); r != 0 {
-		t.Fatalf("dried-up growth rate = %v, want 0", r)
-	}
-	if r := RecentNewRate([]int{1}, []int{10}); r != 1 {
-		t.Fatalf("single-point growth rate = %v, want 1 (no evidence)", r)
-	}
-	if r := RecentNewRate(nil, nil); r != 1 {
-		t.Fatalf("no-curve growth rate = %v, want 1", r)
-	}
-	if s := ScoreYield(2, -1, 0.5); s != wUnseen*1+wTrend*0.5 {
-		t.Fatalf("score clamping wrong: %v", s)
-	}
-	nan := 0.0
-	nan /= nan
-	if s := ScoreYield(nan, nan, nan); s != 0 {
-		t.Fatalf("NaN components must score 0, got %v", s)
-	}
-}
-
-func TestLeaseWeight(t *testing.T) {
-	if w := LeaseWeight(nil); w != 1 {
-		t.Fatalf("no-data cell weight = %v, want 1", w)
-	}
-	// All singletons: everything looks unseen.
-	if w := LeaseWeight([]int{1, 1, 1, 1}); w != 1 {
-		t.Fatalf("all-singleton weight = %v, want 1", w)
-	}
-	// Saturated cell: floor, never zero.
-	if w := LeaseWeight([]int{500, 400}); w != leaseWeightFloor {
-		t.Fatalf("saturated weight = %v, want floor %v", w, leaseWeightFloor)
-	}
-}
-
-func TestMix64Deterministic(t *testing.T) {
-	if Mix64(42) != Mix64(42) || Mix64(42) == Mix64(43) {
-		t.Fatal("Mix64 must be a deterministic injective-looking mix")
-	}
-	u := Unit(Mix64(42))
-	if u < 0 || u >= 1 {
-		t.Fatalf("Unit out of range: %v", u)
-	}
-}
-
 func TestMergeCells(t *testing.T) {
 	var a, b Accum
 	a.BeginSchedule()
@@ -308,8 +258,8 @@ func TestSVGRenders(t *testing.T) {
 	var stage Accum
 	for i := uint64(0); i < 300; i++ {
 		stage.BeginSchedule()
-		stage.Decision(1, 2, Mix64(i))
-		stage.Decision(4, 3, Mix64(i*7))
+		stage.Decision(1, 2, mix64(i))
+		stage.Decision(4, 3, mix64(i*7))
 		c.ObserveSchedule(i % 16)
 	}
 	stage.DrainInto(c)

@@ -9,6 +9,15 @@ import (
 	"surw/internal/stats"
 )
 
+// mix64 is SplitMix64's finalizer: these tests use it to spread small
+// integers into class fingerprints that look like hashes.
+func mix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
 // batchTest is the test as it was computed before Drift kept a running sum
 // of squares: the counts copied out of the map and summed term by term. It
 // is the reference the streaming form is held to.
@@ -43,10 +52,10 @@ func TestDriftStreamingMatchesBatch(t *testing.T) {
 		alarms bool
 		next   func(i int) uint64
 	}{
-		{"zipf", 20_000, true, func(int) uint64 { return Mix64(zipf.Uint64()) }},
+		{"zipf", 20_000, true, func(int) uint64 { return mix64(zipf.Uint64()) }},
 		{"uniform", 20_000, false, func(int) uint64 { return uint64(rng.Intn(97)) }},
 		{"one class", 1_000, false, func(int) uint64 { return 7 }},
-		{"all distinct", 5_000, false, func(i int) uint64 { return Mix64(uint64(i)) }},
+		{"all distinct", 5_000, false, func(i int) uint64 { return mix64(uint64(i)) }},
 		{"biased", 4_000, true, func(int) uint64 {
 			if rng.Intn(2) == 0 {
 				return 0
@@ -124,7 +133,7 @@ func TestDriftOrderIndependent(t *testing.T) {
 	for round := 0; round < 110; round++ {
 		for class, n := range counts {
 			if round < n {
-				stream = append(stream, Mix64(uint64(class)))
+				stream = append(stream, mix64(uint64(class)))
 			}
 		}
 	}

@@ -1,15 +1,13 @@
 package campaign
 
 // Fleet health: the coordinator's stall-detection verdicts in a wire form
-// the dashboard and /api/health can serve. Defined here for the same
-// layering reason as RemoteStatus — remote imports campaign, never the
-// other way — and, like RemoteStatus, health is live-only: it never
-// appears in aggregates.json.
+// the dashboard and /api/health can serve: wire types and their renderer.
+// The rules that fill them are internal/remote/health.go's, the only rule
+// set there is; the types are here for the same layering reason as
+// RemoteStatus — remote imports campaign, never the other way — and, like
+// RemoteStatus, health is live-only: it never appears in aggregates.json.
 
-import (
-	"fmt"
-	"io"
-)
+import "surw/internal/obs"
 
 // Health issue kinds.
 const (
@@ -41,16 +39,11 @@ type HealthReport struct {
 	Issues                     []HealthIssue `json:"issues,omitempty"`
 }
 
-// WritePrometheus renders the report as surw_health_* gauges.
-func (h *HealthReport) WritePrometheus(w io.Writer) error {
-	healthy := 0
-	if h.Healthy {
-		healthy = 1
-	}
-	fmt.Fprintf(w, "# HELP surw_health_ok 1 when no health rule is tripped.\n# TYPE surw_health_ok gauge\nsurw_health_ok %d\n", healthy)
-	fmt.Fprintf(w, "# HELP surw_health_stale_workers Workers with no request inside the staleness deadline.\n# TYPE surw_health_stale_workers gauge\nsurw_health_stale_workers %d\n", h.StaleWorkers)
-	fmt.Fprintf(w, "# HELP surw_health_slow_cells Cells with schedule throughput below the slow-cell fraction of the fleet median.\n# TYPE surw_health_slow_cells gauge\nsurw_health_slow_cells %d\n", h.SlowCells)
-	fmt.Fprintf(w, "# HELP surw_health_aging_leases Leases outstanding beyond the aging deadline.\n# TYPE surw_health_aging_leases gauge\nsurw_health_aging_leases %d\n", h.AgingLeases)
-	_, err := fmt.Fprintf(w, "# HELP surw_health_fleet_median_schedules_per_second Median per-cell schedule throughput across the fleet.\n# TYPE surw_health_fleet_median_schedules_per_second gauge\nsurw_health_fleet_median_schedules_per_second %g\n", h.FleetMedianSchedulesPerSec)
-	return err
+// prom renders the report as surw_health_* gauges.
+func (h *HealthReport) prom(p *obs.Prom) {
+	p.Gauge("surw_health_ok", "1 when no health rule is tripped.").Bool(h.Healthy)
+	p.Gauge("surw_health_stale_workers", "Workers with no request inside the staleness deadline.").Int(int64(h.StaleWorkers))
+	p.Gauge("surw_health_slow_cells", "Cells with schedule throughput below the slow-cell fraction of the fleet median.").Int(int64(h.SlowCells))
+	p.Gauge("surw_health_aging_leases", "Leases outstanding beyond the aging deadline.").Int(int64(h.AgingLeases))
+	p.Gauge("surw_health_fleet_median_schedules_per_second", "Median per-cell schedule throughput across the fleet.").Float(h.FleetMedianSchedulesPerSec)
 }

@@ -12,7 +12,6 @@ package campaign
 // aggregates.json — distribution must leave the aggregate bytes untouched.
 
 import (
-	"fmt"
 	"io"
 
 	"surw/internal/obs"
@@ -80,44 +79,35 @@ type RemoteWorker struct {
 // WritePrometheus renders the snapshot as Prometheus text-format gauges,
 // shared by the coordinator's own /metrics and the dashboard's.
 func (rs *RemoteStatus) WritePrometheus(w io.Writer) error {
-	fmt.Fprintf(w, "# HELP surw_remote_sessions_planned Shard units in the distributed campaign plan.\n# TYPE surw_remote_sessions_planned gauge\nsurw_remote_sessions_planned %d\n", rs.SessionsPlanned)
-	fmt.Fprintf(w, "# HELP surw_remote_sessions_done Shard units completed (stored).\n# TYPE surw_remote_sessions_done gauge\nsurw_remote_sessions_done %d\n", rs.SessionsDone)
-	fmt.Fprintf(w, "# HELP surw_remote_inflight_leases Leases currently held by workers.\n# TYPE surw_remote_inflight_leases gauge\nsurw_remote_inflight_leases %d\n", rs.InFlightLeases)
-	fmt.Fprintf(w, "# HELP surw_remote_pending_batches Batches waiting to be leased.\n# TYPE surw_remote_pending_batches gauge\nsurw_remote_pending_batches %d\n", rs.PendingBatches)
-	fmt.Fprintf(w, "# HELP surw_remote_lease_expiries_total Leases expired and requeued.\n# TYPE surw_remote_lease_expiries_total counter\nsurw_remote_lease_expiries_total %d\n", rs.LeaseExpiries)
-	fmt.Fprintf(w, "# HELP surw_remote_duplicate_results_total Submitted records dropped as duplicates.\n# TYPE surw_remote_duplicate_results_total counter\nsurw_remote_duplicate_results_total %d\n", rs.DuplicateResults)
-	fmt.Fprintf(w, "# HELP surw_remote_class_observations_total Session-class pairs ingested into the seen-class filter.\n# TYPE surw_remote_class_observations_total counter\nsurw_remote_class_observations_total %d\n", rs.ClassObservations)
-	fmt.Fprintf(w, "# HELP surw_remote_distinct_classes Estimated distinct commutation classes observed fleet-wide.\n# TYPE surw_remote_distinct_classes gauge\nsurw_remote_distinct_classes %d\n", rs.DistinctClasses)
-	fmt.Fprintf(w, "# HELP surw_remote_duplicate_rate Fraction of ingested schedules that re-sampled an already-seen class.\n# TYPE surw_remote_duplicate_rate gauge\nsurw_remote_duplicate_rate %.6f\n", rs.DuplicateRate)
-	fmt.Fprintf(w, "# HELP surw_remote_class_queries_total Class fingerprints queried over /v1/classes.\n# TYPE surw_remote_class_queries_total counter\nsurw_remote_class_queries_total %d\n", rs.ClassQueries)
-	fmt.Fprintf(w, "# HELP surw_remote_classes_saturated_total Queried fingerprints answered saturated.\n# TYPE surw_remote_classes_saturated_total counter\nsurw_remote_classes_saturated_total %d\n", rs.ClassesSaturated)
-	fmt.Fprintf(w, "# HELP surw_remote_yield_grants_total Leases granted through the yield-weighted draw.\n# TYPE surw_remote_yield_grants_total counter\nsurw_remote_yield_grants_total %d\n", rs.YieldGrants)
-	fmt.Fprintf(w, "# HELP surw_remote_workers Workers that have contacted the coordinator.\n# TYPE surw_remote_workers gauge\nsurw_remote_workers %d\n", len(rs.Workers))
-	if len(rs.Workers) > 0 {
-		fmt.Fprintf(w, "# HELP surw_remote_worker_sessions_total Accepted session records per worker.\n# TYPE surw_remote_worker_sessions_total counter\n")
-		for _, wk := range rs.Workers {
-			fmt.Fprintf(w, "surw_remote_worker_sessions_total{worker=%q} %d\n", wk.Name, wk.Sessions)
-		}
-		fmt.Fprintf(w, "# HELP surw_remote_worker_busy_seconds_total Worker-reported execution time.\n# TYPE surw_remote_worker_busy_seconds_total counter\n")
-		for _, wk := range rs.Workers {
-			fmt.Fprintf(w, "surw_remote_worker_busy_seconds_total{worker=%q} %.3f\n", wk.Name, wk.BusySeconds)
-		}
-		fmt.Fprintf(w, "# HELP surw_remote_worker_utilization Busy time over worker lifetime, 0-1.\n# TYPE surw_remote_worker_utilization gauge\n")
-		for _, wk := range rs.Workers {
-			fmt.Fprintf(w, "surw_remote_worker_utilization{worker=%q} %.4f\n", wk.Name, wk.Utilization)
-		}
-		fmt.Fprintf(w, "# HELP surw_remote_worker_inflight_leases Leases currently held per worker.\n# TYPE surw_remote_worker_inflight_leases gauge\n")
-		for _, wk := range rs.Workers {
-			fmt.Fprintf(w, "surw_remote_worker_inflight_leases{worker=%q} %d\n", wk.Name, wk.Leases)
-		}
+	var p obs.Prom
+	p.Gauge("surw_remote_sessions_planned", "Shard units in the distributed campaign plan.").Int(int64(rs.SessionsPlanned))
+	p.Gauge("surw_remote_sessions_done", "Shard units completed (stored).").Int(int64(rs.SessionsDone))
+	p.Gauge("surw_remote_inflight_leases", "Leases currently held by workers.").Int(int64(rs.InFlightLeases))
+	p.Gauge("surw_remote_pending_batches", "Batches waiting to be leased.").Int(int64(rs.PendingBatches))
+	p.Counter("surw_remote_lease_expiries_total", "Leases expired and requeued.").Int(rs.LeaseExpiries)
+	p.Counter("surw_remote_duplicate_results_total", "Submitted records dropped as duplicates.").Int(rs.DuplicateResults)
+	p.Counter("surw_remote_class_observations_total", "Session-class pairs ingested into the seen-class filter.").Int(rs.ClassObservations)
+	p.Gauge("surw_remote_distinct_classes", "Estimated distinct commutation classes observed fleet-wide.").Int(rs.DistinctClasses)
+	p.Gauge("surw_remote_duplicate_rate", "Fraction of ingested schedules that re-sampled an already-seen class.").Fixed(rs.DuplicateRate, 6)
+	p.Counter("surw_remote_class_queries_total", "Class fingerprints queried over /v1/classes.").Int(rs.ClassQueries)
+	p.Counter("surw_remote_classes_saturated_total", "Queried fingerprints answered saturated.").Int(rs.ClassesSaturated)
+	p.Counter("surw_remote_yield_grants_total", "Leases granted through the yield-weighted draw.").Int(rs.YieldGrants)
+	p.Gauge("surw_remote_workers", "Workers that have contacted the coordinator.").Int(int64(len(rs.Workers)))
+	sessions := p.Counter("surw_remote_worker_sessions_total", "Accepted session records per worker.")
+	busy := p.Counter("surw_remote_worker_busy_seconds_total", "Worker-reported execution time.")
+	utilization := p.Gauge("surw_remote_worker_utilization", "Busy time over worker lifetime, 0-1.")
+	leases := p.Gauge("surw_remote_worker_inflight_leases", "Leases currently held per worker.")
+	for _, wk := range rs.Workers {
+		sessions.Int(int64(wk.Sessions), "worker", wk.Name)
+		busy.Fixed(wk.BusySeconds, 3, "worker", wk.Name)
+		utilization.Fixed(wk.Utilization, 4, "worker", wk.Name)
+		leases.Int(int64(wk.Leases), "worker", wk.Name)
 	}
-	if err := obs.WriteLatencyPrometheus(w, "surw_fleet_latency_seconds",
+	p.Histogram("surw_fleet_latency_seconds",
 		"Fleet-wide operation latency (coordinator plus latest worker snapshots).",
-		rs.Latencies); err != nil {
-		return err
-	}
+		rs.Latencies)
 	if rs.Health != nil {
-		return rs.Health.WritePrometheus(w)
+		rs.Health.prom(&p)
 	}
-	return nil
+	return p.Flush(w)
 }

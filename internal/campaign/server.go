@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
 	"strings"
 
@@ -43,7 +44,7 @@ func NewServer(store *Store, metrics *obs.Metrics) *Server {
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/api/campaign", s.handleAPI)
 	s.mux.HandleFunc("/api/yield", s.handleYield)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.Handle("/metrics", obs.PromHandler(s.writeMetrics))
 	s.mux.HandleFunc("/events", s.handleEvents)
 	s.mux.HandleFunc("/buildinfo", s.handleBuildinfo)
 	return s
@@ -87,7 +88,7 @@ func (s *Server) atlasSnapshot() *atlas.Snapshot {
 // atlas's uniformity state joined in when an atlas is attached.
 func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, s.yieldReport())
+	_ = obs.WriteJSON(w, yieldReport(s.store.Aggregate(), s.atlasSnapshot()))
 }
 
 // YieldReport is the /api/yield payload.
@@ -102,16 +103,15 @@ type YieldCell struct {
 	Uniformity *atlas.DriftSnapshot `json:"uniformity,omitempty"`
 }
 
-func (s *Server) yieldReport() *YieldReport {
-	yields := s.store.Aggregate().Yields()
+// yieldReport scores agg's cells and joins snap's uniformity state (snap
+// may be nil): what /api/yield serves and the dashboard's yield panel shows.
+func yieldReport(agg *Aggregates, snap *atlas.Snapshot) *YieldReport {
+	yields := agg.Yields()
 	rep := &YieldReport{Cells: make([]YieldCell, 0, len(yields))}
 	drift := make(map[CellKey]*atlas.DriftSnapshot)
-	if snap := s.atlasSnapshot(); snap != nil {
+	if snap != nil {
 		for _, c := range snap.Cells {
-			if c.Uniformity != nil {
-				d := *c.Uniformity
-				drift[CellKey{Target: c.Target, Algorithm: c.Algorithm}] = &d
-			}
+			drift[CellKey{Target: c.Target, Algorithm: c.Algorithm}] = c.Uniformity
 		}
 	}
 	for _, y := range yields {
@@ -159,103 +159,80 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 	_ = obs.WriteJSON(w, buildinfo.Get())
 }
 
-// handleMetrics serves the Prometheus text page: the campaign counters
-// always, the obs.Metrics aggregate when one is attached.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	fmt.Fprintf(w, "# HELP surw_campaign_sessions_stored Session records in the run-store.\n# TYPE surw_campaign_sessions_stored gauge\nsurw_campaign_sessions_stored %d\n", s.store.Len())
-	fmt.Fprintf(w, "# HELP surw_campaign_cells_total Cells completed by this process.\n# TYPE surw_campaign_cells_total counter\nsurw_campaign_cells_total %d\n", s.store.Cells())
+// writeMetrics renders the Prometheus text page: the campaign counters
+// always, the obs.Metrics aggregate and the fleet view when attached.
+func (s *Server) writeMetrics(w io.Writer) error {
+	var p obs.Prom
+	p.Gauge("surw_campaign_sessions_stored", "Session records in the run-store.").Int(int64(s.store.Len()))
+	p.Counter("surw_campaign_cells_total", "Cells completed by this process.").Int(int64(s.store.Cells()))
 	// Dedup rollup over the stored records: per-cell distinct commutation
 	// classes and duplicate rates, plus the campaign-wide totals. Pure
 	// functions of the record set, like everything under surw_campaign_*.
+	distinct := p.Gauge("surw_campaign_distinct_classes", "Distinct commutation classes across coverage cells.")
+	duplicate := p.Gauge("surw_campaign_duplicate_rate", "Fraction of coverage-sampled schedules that re-sampled an already-seen class.")
+	cellDistinct := p.Gauge("surw_campaign_cell_distinct_classes", "Distinct commutation classes per cell.")
+	cellDuplicate := p.Gauge("surw_campaign_cell_duplicate_rate", "Duplicate rate per cell.")
 	agg := s.store.Aggregate()
-	var dedupCells []CellAggregate
 	totalClasses, totalSamples := 0, 0
 	for _, c := range agg.Cells {
 		if c.Coverage == nil || c.Coverage.Dedup == nil {
 			continue
 		}
-		dedupCells = append(dedupCells, c)
-		totalClasses += c.Coverage.Dedup.DistinctClasses
-		totalSamples += c.Coverage.Dedup.Samples
+		dd := c.Coverage.Dedup
+		totalClasses += dd.DistinctClasses
+		totalSamples += dd.Samples
+		cellDistinct.Int(int64(dd.DistinctClasses), "target", c.Target, "algorithm", c.Algorithm)
+		cellDuplicate.Fixed(dd.DuplicateRate, 6, "target", c.Target, "algorithm", c.Algorithm)
 	}
-	fmt.Fprintf(w, "# HELP surw_campaign_distinct_classes Distinct commutation classes across coverage cells.\n# TYPE surw_campaign_distinct_classes gauge\nsurw_campaign_distinct_classes %d\n", totalClasses)
+	distinct.Int(int64(totalClasses))
 	dupRate := 0.0
 	if totalSamples > 0 {
 		dupRate = float64(totalSamples-totalClasses) / float64(totalSamples)
 	}
-	fmt.Fprintf(w, "# HELP surw_campaign_duplicate_rate Fraction of coverage-sampled schedules that re-sampled an already-seen class.\n# TYPE surw_campaign_duplicate_rate gauge\nsurw_campaign_duplicate_rate %.6f\n", dupRate)
-	if len(dedupCells) > 0 {
-		fmt.Fprintf(w, "# HELP surw_campaign_cell_distinct_classes Distinct commutation classes per cell.\n# TYPE surw_campaign_cell_distinct_classes gauge\n")
-		for _, c := range dedupCells {
-			fmt.Fprintf(w, "surw_campaign_cell_distinct_classes{target=%q,algorithm=%q} %d\n", c.Target, c.Algorithm, c.Coverage.Dedup.DistinctClasses)
-		}
-		fmt.Fprintf(w, "# HELP surw_campaign_cell_duplicate_rate Duplicate rate per cell.\n# TYPE surw_campaign_cell_duplicate_rate gauge\n")
-		for _, c := range dedupCells {
-			fmt.Fprintf(w, "surw_campaign_cell_duplicate_rate{target=%q,algorithm=%q} %.6f\n", c.Target, c.Algorithm, c.Coverage.Dedup.DuplicateRate)
-		}
-	}
+	duplicate.Fixed(dupRate, 6)
 	// Discovery-yield gauges: one score per scoreable cell (cells with no
 	// class stream are simply absent, never NaN).
-	var scoreable []CellYield
+	score := p.Gauge("surw_yield_score", "Discovery-yield score per cell (0..1, higher = more left to find).")
+	unseen := p.Gauge("surw_yield_gt_unseen", "Good-Turing unseen class mass per cell.")
 	for _, y := range agg.Yields() {
 		if y.Scoreable {
-			scoreable = append(scoreable, y)
-		}
-	}
-	if len(scoreable) > 0 {
-		fmt.Fprintf(w, "# HELP surw_yield_score Discovery-yield score per cell (0..1, higher = more left to find).\n# TYPE surw_yield_score gauge\n")
-		for _, y := range scoreable {
-			fmt.Fprintf(w, "surw_yield_score{target=%q,algorithm=%q} %.6f\n", y.Target, y.Algorithm, y.Yield.Score)
-		}
-		fmt.Fprintf(w, "# HELP surw_yield_gt_unseen Good-Turing unseen class mass per cell.\n# TYPE surw_yield_gt_unseen gauge\n")
-		for _, y := range scoreable {
-			fmt.Fprintf(w, "surw_yield_gt_unseen{target=%q,algorithm=%q} %.6f\n", y.Target, y.Algorithm, y.Yield.GTUnseen)
+			score.Fixed(y.Yield.Score, 6, "target", y.Target, "algorithm", y.Algorithm)
+			unseen.Fixed(y.Yield.GTUnseen, 6, "target", y.Target, "algorithm", y.Algorithm)
 		}
 	}
 	// Atlas gauges, when an atlas source is attached: cartography volume
 	// plus the per-cell uniformity state.
 	if snap := s.atlasSnapshot(); snap != nil {
-		fmt.Fprintf(w, "# HELP surw_atlas_schedules Schedules observed by the exploration atlas per cell.\n# TYPE surw_atlas_schedules gauge\n")
+		schedules := p.Gauge("surw_atlas_schedules", "Schedules observed by the exploration atlas per cell.")
+		decisions := p.Gauge("surw_atlas_decisions", "True scheduling decisions observed per cell.")
+		uniformity := p.Gauge("surw_atlas_uniformity_p", "Streaming chi-square uniformity p-value per cell.")
+		alarm := p.Gauge("surw_atlas_drift_alarm", "1 when the cell's sampler has drifted from uniform (latched).")
 		for _, c := range snap.Cells {
-			fmt.Fprintf(w, "surw_atlas_schedules{target=%q,algorithm=%q} %d\n", c.Target, c.Algorithm, c.Schedules)
-		}
-		fmt.Fprintf(w, "# HELP surw_atlas_decisions True scheduling decisions observed per cell.\n# TYPE surw_atlas_decisions gauge\n")
-		for _, c := range snap.Cells {
-			fmt.Fprintf(w, "surw_atlas_decisions{target=%q,algorithm=%q} %d\n", c.Target, c.Algorithm, c.Decisions)
-		}
-		var withDrift []atlas.CellSnapshot
-		for _, c := range snap.Cells {
+			schedules.Int(int64(c.Schedules), "target", c.Target, "algorithm", c.Algorithm)
+			decisions.Int(int64(c.Decisions), "target", c.Target, "algorithm", c.Algorithm)
 			if c.Uniformity != nil {
-				withDrift = append(withDrift, c)
-			}
-		}
-		if len(withDrift) > 0 {
-			fmt.Fprintf(w, "# HELP surw_atlas_uniformity_p Streaming chi-square uniformity p-value per cell.\n# TYPE surw_atlas_uniformity_p gauge\n")
-			for _, c := range withDrift {
-				fmt.Fprintf(w, "surw_atlas_uniformity_p{target=%q,algorithm=%q} %.6g\n", c.Target, c.Algorithm, c.Uniformity.P)
-			}
-			fmt.Fprintf(w, "# HELP surw_atlas_drift_alarm 1 when the cell's sampler has drifted from uniform (latched).\n# TYPE surw_atlas_drift_alarm gauge\n")
-			for _, c := range withDrift {
-				alarm := 0
-				if c.Uniformity.Alarm {
-					alarm = 1
-				}
-				fmt.Fprintf(w, "surw_atlas_drift_alarm{target=%q,algorithm=%q} %d\n", c.Target, c.Algorithm, alarm)
+				uniformity.Sig(c.Uniformity.P, 6, "target", c.Target, "algorithm", c.Algorithm)
+				alarm.Bool(c.Uniformity.Alarm, "target", c.Target, "algorithm", c.Algorithm)
 			}
 		}
 	}
+	if err := p.Flush(w); err != nil {
+		return err
+	}
 	if s.metrics != nil {
-		_ = s.metrics.WritePrometheus(w)
+		if err := s.metrics.WritePrometheus(w); err != nil {
+			return err
+		}
 	}
 	if s.remote != nil {
 		// A failed fetch (surw dash -remote against a dead coordinator)
 		// omits the surw_remote_* family; the dashboard page carries the
 		// error, the metrics page stays parseable.
 		if rs, err := s.remote(); err == nil && rs != nil {
-			_ = rs.WritePrometheus(w)
+			return rs.WritePrometheus(w)
 		}
 	}
+	return nil
 }
 
 // handleEvents streams campaign events as server-sent events. The first
@@ -380,16 +357,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	data.Targets = len(targets)
 	snap := s.atlasSnapshot()
-	drift := make(map[CellKey]*atlas.DriftSnapshot)
-	if snap != nil {
-		for _, c := range snap.Cells {
-			if c.Uniformity != nil {
-				d := *c.Uniformity
-				drift[CellKey{Target: c.Target, Algorithm: c.Algorithm}] = &d
-			}
-		}
-	}
-	for _, y := range agg.Yields() {
+	for _, y := range yieldReport(agg, snap).Cells {
 		row := dashYield{
 			Target: y.Target, Algorithm: y.Algorithm,
 			Samples: "—", Score: "—", GTUnseen: "—", Slope: "—", NewRate: "—", UniformityP: "—",
@@ -401,7 +369,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			row.Slope = fmt.Sprintf("%.3f", y.Yield.SurvivalSlope)
 			row.NewRate = fmt.Sprintf("%.3f", y.Yield.NewClassRate)
 		}
-		if d := drift[CellKey{Target: y.Target, Algorithm: y.Algorithm}]; d != nil {
+		if d := y.Uniformity; d != nil {
 			row.UniformityP = fmt.Sprintf("%.3g", d.P)
 			row.Alarm = d.Alarm
 		}

@@ -1,12 +1,38 @@
 package campaign
 
-// Discovery-yield estimation: how much is left to find in each cell.
-// Served at /api/yield, exported as surw_yield_* gauges, rendered on the
-// dashboard's yield panel, and (independently recomputed from its own
-// ingested view) used by the coordinator's -yield-leases grant weighting.
-// Like every aggregate, a pure function of the record set.
+// Discovery yield: how much is left to find in each cell, and every use
+// made of it. The dashboard's score (Yields: /api/yield, the surw_yield_*
+// gauges, the yield panel) is a pure function of the record set, like
+// every aggregate. The coordinator's -yield-leases grant weight
+// (LeaseWeight) is computed from the class tallies it has ingested. They
+// are different functions on purpose — the score blends three signals to
+// rank cells for a reader, the weight is the unseen mass alone, floored so
+// the draw can never starve a cell — and they sit in one file so that a
+// reader of either knows the other exists.
 
-import "surw/internal/atlas"
+import "surw/internal/stats"
+
+// Yield is one cell's discovery-yield estimate: how much is left to find
+// there, on a [0,1] scale, decomposed into the three signals it is built
+// from. A cell fresh out of the plan scores 1 (maximum uncertainty); a
+// cell whose class stream has gone all-duplicates and whose survival
+// curve went flat early scores near 0.
+type Yield struct {
+	// Score is the combined estimate in [0,1].
+	Score float64 `json:"score"`
+	// GTUnseen is the Good-Turing unseen-class mass of the class-unique
+	// stream: the probability the next schedule lands in a class never
+	// seen before.
+	GTUnseen float64 `json:"gt_unseen"`
+	// SurvivalSlope is the late-half drop of the no-bug survival curve:
+	// S(T/2) − S(T). Cells still finding first bugs late in the budget
+	// have headroom.
+	SurvivalSlope float64 `json:"survival_slope"`
+	// NewClassRate is the marginal new-class rate over the most recent
+	// session relative to the cell's lifetime average — a trend term:
+	// near 1 means discovery has not slowed, near 0 means it has dried up.
+	NewClassRate float64 `json:"new_class_rate"`
+}
 
 // CellYield is one cell's discovery-yield estimate.
 type CellYield struct {
@@ -19,8 +45,8 @@ type CellYield struct {
 	// Scoreable reports whether the cell has enough data to score at all;
 	// unscoreable cells render as "—", never as NaN or a fake zero.
 	Scoreable bool `json:"scoreable"`
-	// Yield is the score and its components (see atlas.Yield).
-	Yield atlas.Yield `json:"yield"`
+	// Yield is the score and its components.
+	Yield Yield `json:"yield"`
 }
 
 // Yields scores every cell of the rollup.
@@ -37,25 +63,15 @@ func yieldOfCell(c CellAggregate) CellYield {
 	if c.SessionsStored == 0 {
 		return y
 	}
-	sch := make([]int, len(c.Survival))
-	surv := make([]float64, len(c.Survival))
-	for i, p := range c.Survival {
-		sch[i] = p.Schedules
-		surv[i] = p.Surviving
-	}
-	slope := atlas.LateSurvivalDrop(sch, surv)
-
 	var gt float64
-	rate := 1.0
+	var growth []AccumPoint
 	switch {
 	case c.Coverage != nil && c.Coverage.Dedup != nil && c.Coverage.Dedup.Samples > 0:
 		dd := c.Coverage.Dedup
-		gt, y.Samples = dd.GoodTuringUnseen, dd.Samples
-		rate = growthRate(dd.Growth)
+		gt, y.Samples, growth = dd.GoodTuringUnseen, dd.Samples, dd.Growth
 	case c.Coverage != nil && c.Coverage.Samples > 0:
 		cov := c.Coverage
-		gt, y.Samples = cov.GoodTuringUnseen, cov.Samples
-		rate = growthRate(cov.Growth)
+		gt, y.Samples, growth = cov.GoodTuringUnseen, cov.Samples, cov.Growth
 	default:
 		// No class stream recorded: there is nothing to estimate unseen
 		// mass from, so the cell is unscoreable (the survival component
@@ -63,21 +79,87 @@ func yieldOfCell(c CellAggregate) CellYield {
 		return y
 	}
 	y.Scoreable = true
-	y.Yield = atlas.Yield{
-		Score:         atlas.ScoreYield(gt, slope, rate),
-		GTUnseen:      gt,
-		SurvivalSlope: slope,
-		NewClassRate:  rate,
-	}
+	slope, rate := LateSurvivalDrop(c.Survival), RecentNewRate(growth)
+	y.Yield = Yield{Score: ScoreYield(gt, slope, rate), GTUnseen: gt, SurvivalSlope: slope, NewClassRate: rate}
 	return y
 }
 
-func growthRate(pts []AccumPoint) float64 {
-	sessions := make([]int, len(pts))
-	distinct := make([]int, len(pts))
-	for i, p := range pts {
-		sessions[i] = p.Session
-		distinct[i] = p.Distinct
+// yieldWeights: unseen mass is the direct estimator of the quantity we
+// care about and dominates; the survival slope and the discovery trend
+// are corrections for bug-finding and saturation dynamics.
+const (
+	wUnseen   = 0.5
+	wSurvival = 0.25
+	wTrend    = 0.25
+)
+
+// ScoreYield combines the three component signals (each clamped to
+// [0,1]) into the final score.
+func ScoreYield(gtUnseen, survivalSlope, newClassRate float64) float64 {
+	return wUnseen*clamp01(gtUnseen) + wSurvival*clamp01(survivalSlope) + wTrend*clamp01(newClassRate)
+}
+
+// LateSurvivalDrop measures S(mid) − S(end) of a no-bug survival curve:
+// the fraction of sessions whose first bug arrived in the second half of
+// the budget. Returns 0 for empty or degenerate curves.
+func LateSurvivalDrop(curve []SurvivalPoint) float64 {
+	n := len(curve)
+	if n == 0 || curve[n-1].Schedules <= 0 {
+		return 0
 	}
-	return atlas.RecentNewRate(sessions, distinct)
+	end := curve[n-1].Schedules
+	mid := curve[0].Surviving
+	for _, p := range curve {
+		if p.Schedules <= end/2 {
+			mid = p.Surviving
+		}
+	}
+	return clamp01(mid - curve[n-1].Surviving)
+}
+
+// RecentNewRate compares the marginal new-class discovery rate over the
+// most recent step of a class-growth curve to its lifetime average.
+// Returns 1 (no evidence of slowdown) when the curve has fewer than two
+// points, 0 when the last step found nothing new.
+func RecentNewRate(growth []AccumPoint) float64 {
+	n := len(growth)
+	if n < 2 {
+		return 1
+	}
+	last, prev := growth[n-1], growth[n-2]
+	if last.Session <= 0 || last.Distinct <= 0 || last.Session <= prev.Session {
+		return 1
+	}
+	recent := float64(last.Distinct-prev.Distinct) / float64(last.Session-prev.Session)
+	avg := float64(last.Distinct) / float64(last.Session)
+	return clamp01(recent / avg)
+}
+
+// leaseWeightFloor keeps every pending cell grantable: yield weighting
+// reorders exploration, it must never starve a cell outright.
+const leaseWeightFloor = 0.05
+
+// LeaseWeight maps a cell's ingested class counts to a lease-grant
+// weight: the Good-Turing unseen mass, floored. A cell with no coverage
+// data yet weighs 1 — maximum uncertainty reads as maximum yield, so
+// fresh cells are explored first rather than last.
+func LeaseWeight(classCounts []int) float64 {
+	if len(classCounts) == 0 {
+		return 1
+	}
+	w := stats.GoodTuringUnseen(classCounts)
+	if w < leaseWeightFloor {
+		return leaseWeightFloor
+	}
+	return clamp01(w)
+}
+
+func clamp01(x float64) float64 {
+	switch {
+	case x < 0 || x != x: // NaN guards to 0
+		return 0
+	case x > 1:
+		return 1
+	}
+	return x
 }

@@ -2,6 +2,7 @@ package campaign_test
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -57,9 +58,52 @@ func TestYieldsDegenerateCells(t *testing.T) {
 		if y.Scoreable {
 			t.Fatalf("%s: degenerate cell scored: %+v", y.Algorithm, y)
 		}
-		if y.Yield != (atlas.Yield{}) {
+		if y.Yield != (campaign.Yield{}) {
 			t.Fatalf("%s: unscoreable cell carries a nonzero yield: %+v", y.Algorithm, y.Yield)
 		}
+	}
+}
+
+// The three signals and their blend, over the curve types the aggregates
+// carry.
+func TestYieldComponents(t *testing.T) {
+	curve := []campaign.SurvivalPoint{{Schedules: 0, Surviving: 1}, {Schedules: 50, Surviving: 0.9}, {Schedules: 100, Surviving: 0.4}}
+	if d := campaign.LateSurvivalDrop(curve); d != 0.5 {
+		t.Fatalf("late drop = %v, want 0.5", d)
+	}
+	if d := campaign.LateSurvivalDrop(nil); d != 0 {
+		t.Fatalf("empty curve drop = %v, want 0", d)
+	}
+	if r := campaign.RecentNewRate([]campaign.AccumPoint{{Session: 1, Distinct: 10}, {Session: 2, Distinct: 10}}); r != 0 {
+		t.Fatalf("dried-up growth rate = %v, want 0", r)
+	}
+	if r := campaign.RecentNewRate([]campaign.AccumPoint{{Session: 1, Distinct: 10}}); r != 1 {
+		t.Fatalf("single-point growth rate = %v, want 1 (no evidence)", r)
+	}
+	if r := campaign.RecentNewRate(nil); r != 1 {
+		t.Fatalf("no-curve growth rate = %v, want 1", r)
+	}
+	// Unseen mass weighs 0.5, the trend 0.25; a negative slope clamps to 0.
+	if s := campaign.ScoreYield(2, -1, 0.5); s != 0.5*1+0.25*0.5 {
+		t.Fatalf("score clamping wrong: %v", s)
+	}
+	nan := math.NaN()
+	if s := campaign.ScoreYield(nan, nan, nan); s != 0 {
+		t.Fatalf("NaN components must score 0, got %v", s)
+	}
+}
+
+func TestLeaseWeight(t *testing.T) {
+	if w := campaign.LeaseWeight(nil); w != 1 {
+		t.Fatalf("no-data cell weight = %v, want 1", w)
+	}
+	// All singletons: everything looks unseen.
+	if w := campaign.LeaseWeight([]int{1, 1, 1, 1}); w != 1 {
+		t.Fatalf("all-singleton weight = %v, want 1", w)
+	}
+	// Saturated cell: the 0.05 floor, never zero.
+	if w := campaign.LeaseWeight([]int{500, 400}); w != 0.05 {
+		t.Fatalf("saturated weight = %v, want the floor 0.05", w)
 	}
 }
 

@@ -4,7 +4,8 @@ package obs
 // cheap enough to sit on RPC and session paths, mergeable across processes
 // (workers ship their buckets to the coordinator, which folds them into one
 // fleet-wide view), and renderable both as Prometheus cumulative `_bucket`
-// series and as p50/p95/p99 percentile columns on the dashboard.
+// series (Prom.Histogram) and as p50/p95/p99 percentile columns on the
+// dashboard.
 //
 // Bucketing is powers of two in nanoseconds: an observation of v ns lands
 // in bucket bits.Len64(v), whose upper bound is 2^i-1 ns. 48 buckets cover
@@ -14,8 +15,6 @@ package obs
 // array of atomics with no locking on the observe path.
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -236,34 +235,4 @@ func (s *LatencySet) Snapshots() []LatencySnap {
 		}
 	}
 	return out
-}
-
-// WriteLatencyPrometheus renders the snaps as one Prometheus histogram
-// family: cumulative `_bucket` series labelled by operation and `le`, plus
-// `_sum` and `_count`. The family name should end in `_seconds`.
-func WriteLatencyPrometheus(w io.Writer, name, help string, snaps []LatencySnap) error {
-	if len(snaps) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
-	for _, s := range snaps {
-		for _, b := range s.Buckets {
-			le := "+Inf"
-			if !math.IsInf(b.LE, 1) {
-				le = fmt.Sprintf("%g", b.LE)
-			}
-			fmt.Fprintf(w, "%s_bucket{op=%q,le=%q} %d\n", name, s.Op, le, b.CumCount)
-		}
-		// The +Inf bucket is mandatory and must equal the count.
-		if len(s.Buckets) == 0 || !math.IsInf(s.Buckets[len(s.Buckets)-1].LE, 1) {
-			fmt.Fprintf(w, "%s_bucket{op=%q,le=\"+Inf\"} %d\n", name, s.Op, s.Count)
-		}
-		fmt.Fprintf(w, "%s_sum{op=%q} %g\n", name, s.Op, s.SumSeconds)
-		if _, err := fmt.Fprintf(w, "%s_count{op=%q} %d\n", name, s.Op, s.Count); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -146,7 +146,9 @@ func TestWriteLatencyPrometheusLints(t *testing.T) {
 	s.Observe("submit", 2*time.Millisecond)
 	s.Observe("submit", 7*time.Millisecond)
 	var buf bytes.Buffer
-	if err := WriteLatencyPrometheus(&buf, "surw_latency_seconds", "Operation latency.", s.Snapshots()); err != nil {
+	var p Prom
+	p.Histogram("surw_latency_seconds", "Operation latency.", s.Snapshots())
+	if err := p.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
 	page := buf.String()

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -274,75 +275,47 @@ func (m *Metrics) Summary() string {
 	return b.String()
 }
 
-// PrometheusContentType is the content type of the Prometheus text
-// exposition format emitted by WritePrometheus; scrapers key their parser
-// on the version parameter.
-const PrometheusContentType = "text/plain; version=0.0.4"
+// Handler returns an http.Handler serving the Prometheus text page.
+func (m *Metrics) Handler() http.Handler { return PromHandler(m.WritePrometheus) }
 
-// Handler returns an http.Handler serving the Prometheus text page with the
-// exposition-format content type.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", PrometheusContentType)
-		_ = m.WritePrometheus(w)
-	})
-}
+// WritePrometheus renders the current aggregate as a Prometheus
+// text-format page.
+func (m *Metrics) WritePrometheus(w io.Writer) error { return m.Snapshot().WritePrometheus(w) }
 
-// WritePrometheus renders the aggregate as a Prometheus text-format page.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	s := m.Snapshot()
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("surw_schedules_total", "Schedules executed.", s.Schedules)
-	counter("surw_steps_total", "Scheduler events executed.", s.Steps)
-	counter("surw_truncated_total", "Schedules that hit the step budget.", s.Truncated)
-	counter("surw_buggy_total", "Schedules that exposed a bug.", s.Buggy)
-	gauge("surw_schedules_per_second", "Schedule throughput since NewMetrics.", s.SchedulesPerSec)
-	gauge("surw_steps_per_schedule", "Mean events per schedule.", s.StepsPerSched)
-	gauge("surw_allocs_per_schedule", "Process-wide heap allocations per schedule.", s.AllocsPerSched)
-	gauge("surw_truncation_rate", "Fraction of schedules truncated by the step budget.", s.TruncationRate)
-	gauge("surw_worker_busy_seconds_total", "Summed worker busy time across metered Map calls.", s.WorkerBusy.Seconds())
-	gauge("surw_worker_utilization", "Busy time over workers x wall across metered Map calls.", s.Utilization)
-	if len(s.Algorithms) > 0 {
-		fmt.Fprintf(&b, "# HELP surw_decisions_total Consulted scheduling decisions.\n# TYPE surw_decisions_total counter\n")
-		for _, a := range s.Algorithms {
-			fmt.Fprintf(&b, "surw_decisions_total{alg=%q} %d\n", a.Algorithm, a.Decisions)
-		}
-		fmt.Fprintf(&b, "# HELP surw_pick_entropy_bits Entropy of the pick-position distribution.\n# TYPE surw_pick_entropy_bits gauge\n")
-		for _, a := range s.Algorithms {
-			fmt.Fprintf(&b, "surw_pick_entropy_bits{alg=%q} %g\n", a.Algorithm, a.PickEntropy)
-		}
-		fmt.Fprintf(&b, "# HELP surw_mean_branching Mean enabled-set size at consulted decisions.\n# TYPE surw_mean_branching gauge\n")
-		for _, a := range s.Algorithms {
-			fmt.Fprintf(&b, "surw_mean_branching{alg=%q} %g\n", a.Algorithm, a.MeanBranch)
-		}
-		fmt.Fprintf(&b, "# HELP surw_branching_decisions_total Consulted decisions by enabled-set size (last bucket is %d+).\n# TYPE surw_branching_decisions_total counter\n", histBuckets-1)
-		for _, a := range s.Algorithms {
-			for i := 1; i < histBuckets; i++ {
-				if a.Branch[i] > 0 {
-					fmt.Fprintf(&b, "surw_branching_decisions_total{alg=%q,enabled=\"%d\"} %d\n", a.Algorithm, i, a.Branch[i])
-				}
+// WritePrometheus renders the snapshot as a Prometheus text-format page.
+func (s Snapshot) WritePrometheus(w io.Writer) error {
+	var p Prom
+	p.Counter("surw_schedules_total", "Schedules executed.").Int(s.Schedules)
+	p.Counter("surw_steps_total", "Scheduler events executed.").Int(s.Steps)
+	p.Counter("surw_truncated_total", "Schedules that hit the step budget.").Int(s.Truncated)
+	p.Counter("surw_buggy_total", "Schedules that exposed a bug.").Int(s.Buggy)
+	p.Gauge("surw_schedules_per_second", "Schedule throughput since NewMetrics.").Float(s.SchedulesPerSec)
+	p.Gauge("surw_steps_per_schedule", "Mean events per schedule.").Float(s.StepsPerSched)
+	p.Gauge("surw_allocs_per_schedule", "Process-wide heap allocations per schedule.").Float(s.AllocsPerSched)
+	p.Gauge("surw_truncation_rate", "Fraction of schedules truncated by the step budget.").Float(s.TruncationRate)
+	p.Counter("surw_worker_busy_seconds_total", "Summed worker busy time across metered Map calls.").Float(s.WorkerBusy.Seconds())
+	p.Gauge("surw_worker_utilization", "Busy time over workers x wall across metered Map calls.").Float(s.Utilization)
+	decisions := p.Counter("surw_decisions_total", "Consulted scheduling decisions.")
+	entropy := p.Gauge("surw_pick_entropy_bits", "Entropy of the pick-position distribution.")
+	branching := p.Gauge("surw_mean_branching", "Mean enabled-set size at consulted decisions.")
+	branch := p.Counter("surw_branching_decisions_total", fmt.Sprintf("Consulted decisions by enabled-set size (last bucket is %d+).", histBuckets-1))
+	pick := p.Counter("surw_pick_position_total", "Consulted decisions by chosen position in the enabled set.")
+	for _, a := range s.Algorithms {
+		decisions.Int(a.Decisions, "alg", a.Algorithm)
+		entropy.Float(a.PickEntropy, "alg", a.Algorithm)
+		branching.Float(a.MeanBranch, "alg", a.Algorithm)
+		for i := 0; i < histBuckets; i++ {
+			// An enabled set is never empty: branch bucket 0 is unused.
+			if i > 0 && a.Branch[i] > 0 {
+				branch.Int(a.Branch[i], "alg", a.Algorithm, "enabled", strconv.Itoa(i))
 			}
-		}
-		fmt.Fprintf(&b, "# HELP surw_pick_position_total Consulted decisions by chosen position in the enabled set.\n# TYPE surw_pick_position_total counter\n")
-		for _, a := range s.Algorithms {
-			for i := 0; i < histBuckets; i++ {
-				if a.Pick[i] > 0 {
-					fmt.Fprintf(&b, "surw_pick_position_total{alg=%q,pos=\"%d\"} %d\n", a.Algorithm, i, a.Pick[i])
-				}
+			if a.Pick[i] > 0 {
+				pick.Int(a.Pick[i], "alg", a.Algorithm, "pos", strconv.Itoa(i))
 			}
 		}
 	}
-	if err := WriteLatencyPrometheus(&b, "surw_latency_seconds",
+	p.Histogram("surw_latency_seconds",
 		"Operation latency (log2 buckets): lease_rpc, queue_wait, session, checkpoint_fork, submit.",
-		s.Latencies); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+		s.Latencies)
+	return p.Flush(w)
 }

@@ -8,7 +8,11 @@ package obs
 //   - every sample's family has a # HELP and # TYPE line before its first
 //     sample, and at most one of each;
 //   - TYPE values are legal (counter/gauge/histogram/summary/untyped);
-//   - surw_* metric names match ^surw_[a-z0-9_]+$ and counters end _total;
+//   - surw_* metric names match ^surw_[a-z0-9_]+$; counters end _total and
+//     a family that ends _total is a counter;
+//   - label values are quoted strings whose only escapes are \\, \" and \n
+//     (a value may hold a brace or a comma; %q's \t or \xff is an error),
+//     separated by exactly one comma;
 //   - histogram families carry `le` labels on _bucket samples, cumulative
 //     counts are nondecreasing per label set, the mandatory +Inf bucket is
 //     present and equals the family's _count.
@@ -123,14 +127,12 @@ func LintPrometheus(r io.Reader) error {
 			return fmt.Errorf("line %d: unparseable sample %q", lineNo, line)
 		}
 		rest := line[len(name):]
-		labels := ""
+		var labels promLabels
 		if strings.HasPrefix(rest, "{") {
-			end := strings.Index(rest, "}")
-			if end < 0 {
-				return fmt.Errorf("line %d: unterminated label set in %q", lineNo, line)
+			var err error
+			if labels, rest, err = parseLabels(rest[1:]); err != nil {
+				return fmt.Errorf("line %d: sample %s: %v", lineNo, name, err)
 			}
-			labels = rest[1:end]
-			rest = rest[end+1:]
 		}
 		valStr := strings.Fields(rest)
 		if len(valStr) == 0 {
@@ -154,28 +156,31 @@ func LintPrometheus(r io.Reader) error {
 		if f.typ == "counter" && !strings.HasSuffix(base, "_total") {
 			return fmt.Errorf("line %d: counter %s must end in _total", lineNo, base)
 		}
+		if f.typ != "counter" && strings.HasSuffix(base, "_total") {
+			return fmt.Errorf("line %d: %s ends in _total but is declared %s, not counter", lineNo, base, f.typ)
+		}
 		if val < 0 && (f.typ == "counter" || f.typ == "histogram") {
 			return fmt.Errorf("line %d: %s %s has negative value %g", lineNo, f.typ, base, val)
 		}
 
 		if f.typ == "histogram" && base != name {
-			key, le, hasLE, err := splitLELabel(labels)
-			if err != nil {
-				return fmt.Errorf("line %d: %s: %v", lineNo, name, err)
-			}
 			switch {
 			case strings.HasSuffix(name, "_bucket"):
-				if !hasLE {
+				if !labels.hasLE {
 					return fmt.Errorf("line %d: histogram bucket %s lacks an le label", lineNo, name)
 				}
-				f.buckets[key] = append(f.buckets[key], promBucket{le: le, val: val})
+				le, err := parsePromValue(labels.le)
+				if err != nil {
+					return fmt.Errorf("line %d: %s: bad le %q", lineNo, name, labels.le)
+				}
+				f.buckets[labels.key] = append(f.buckets[labels.key], promBucket{le: le, val: val})
 			case strings.HasSuffix(name, "_count"):
-				if hasLE {
+				if labels.hasLE {
 					return fmt.Errorf("line %d: %s carries an le label", lineNo, name)
 				}
-				f.counts[key] = val
+				f.counts[labels.key] = val
 			case strings.HasSuffix(name, "_sum"):
-				f.sums[key] = true
+				f.sums[labels.key] = true
 			}
 		}
 	}
@@ -243,33 +248,37 @@ func parsePromValue(s string) (float64, error) {
 	return v, nil
 }
 
-// splitLELabel canonicalizes a label string, returning it with any `le`
-// pair removed plus the parsed le bound.
-func splitLELabel(labels string) (key string, le float64, hasLE bool, err error) {
-	if labels == "" {
-		return "", 0, false, nil
-	}
+// promLabelRe is one name="value" pair and the comma after it, if any: the
+// value a quoted string whose only escapes are the three the format
+// defines, so a brace or a comma inside the quotes is data and %q's \t or
+// \xff does not match.
+var promLabelRe = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\[\\"n])*)"(,?)`)
+
+// promLabels is a sample's label set as the histogram checks need it.
+type promLabels struct {
+	key   string // the pairs other than le, sorted: the identity of a series
+	le    string // the value of the le pair
+	hasLE bool   // whether there is one: le="" is a bad bound, not a missing label
+}
+
+// parseLabels reads a label set from just after its opening brace and
+// returns it with what follows the closing brace. A pair not followed by a
+// comma must be the last; a comma may trail the last pair.
+func parseLabels(s string) (l promLabels, rest string, err error) {
 	var kept []string
-	for _, pair := range strings.Split(labels, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
+	for !strings.HasPrefix(s, "}") {
+		m := promLabelRe.FindStringSubmatch(s)
+		if m == nil || m[3] == "" && !strings.HasPrefix(s[len(m[0]):], "}") {
+			return l, "", fmt.Errorf(`bad or unterminated label set at %q (pairs are comma-separated; a value is a quoted string; its escapes are \\, \" and \n)`, s)
 		}
-		name, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return "", 0, false, fmt.Errorf("bad label pair %q", pair)
+		if m[1] == "le" {
+			l.le, l.hasLE = m[2], true
+		} else {
+			kept = append(kept, strings.TrimSuffix(m[0], ","))
 		}
-		val = strings.Trim(val, `"`)
-		if name == "le" {
-			hasLE = true
-			le, err = parsePromValue(val)
-			if err != nil {
-				return "", 0, false, fmt.Errorf("bad le %q", val)
-			}
-			continue
-		}
-		kept = append(kept, name+"="+val)
+		s = s[len(m[0]):]
 	}
 	sort.Strings(kept)
-	return strings.Join(kept, ","), le, hasLE, nil
+	l.key = strings.Join(kept, ",")
+	return l, s[1:], nil
 }

@@ -57,6 +57,35 @@ func TestLintRules(t *testing.T) {
 		{"unknown TYPE value",
 			"# HELP surw_x Gauge.\n# TYPE surw_x meter\nsurw_x 1\n",
 			"meter"},
+		{"_total family declared gauge",
+			"# HELP surw_busy_seconds_total Busy.\n# TYPE surw_busy_seconds_total gauge\nsurw_busy_seconds_total 1.5\n",
+			"not counter"},
+		{"escape the format does not define",
+			"# HELP surw_x Gauge.\n# TYPE surw_x gauge\nsurw_x{w=\"a\\tb\"} 1\n",
+			"escapes are"},
+		{"unterminated label value",
+			"# HELP surw_x Gauge.\n# TYPE surw_x gauge\nsurw_x{w=\"a} 1\n",
+			"unterminated"},
+		{"unterminated label set",
+			"# HELP surw_x Gauge.\n# TYPE surw_x gauge\nsurw_x{w=\"a\"\n",
+			"unterminated"},
+		{"doubled comma between labels",
+			"# HELP surw_x Gauge.\n# TYPE surw_x gauge\nsurw_x{w=\"a\",,v=\"b\"} 1\n",
+			"comma-separated"},
+		{"leading comma in a label set",
+			"# HELP surw_x Gauge.\n# TYPE surw_x gauge\nsurw_x{,w=\"a\"} 1\n",
+			"comma-separated"},
+		{"labels separated by a space",
+			"# HELP surw_x Gauge.\n# TYPE surw_x gauge\nsurw_x{w=\"a\" v=\"b\"} 1\n",
+			"comma-separated"},
+		{"empty le is a bad bound, not a missing label",
+			"# HELP surw_lat_seconds H.\n# TYPE surw_lat_seconds histogram\n" +
+				"surw_lat_seconds_bucket{le=\"\"} 2\nsurw_lat_seconds_sum 0.1\nsurw_lat_seconds_count 2\n",
+			"bad le"},
+		{"_count with an empty le",
+			"# HELP surw_lat_seconds H.\n# TYPE surw_lat_seconds histogram\n" +
+				"surw_lat_seconds_bucket{le=\"+Inf\"} 2\nsurw_lat_seconds_sum 0.1\nsurw_lat_seconds_count{le=\"\"} 2\n",
+			"carries an le"},
 		{"histogram missing +Inf",
 			"# HELP surw_lat_seconds H.\n# TYPE surw_lat_seconds histogram\n" +
 				"surw_lat_seconds_bucket{le=\"0.1\"} 2\nsurw_lat_seconds_sum 0.1\nsurw_lat_seconds_count 2\n",
@@ -89,6 +118,25 @@ func TestLintRules(t *testing.T) {
 	}
 }
 
+// A label value is a quoted string: a brace, a comma or an escaped quote
+// inside it is data, not the end of the label set.
+func TestLintReadsLabelValuesAsQuotedStrings(t *testing.T) {
+	page := "# HELP surw_x Gauge.\n# TYPE surw_x gauge\n" +
+		`surw_x{w="a}b,c\"d\\e\nf",v="} 2"} 1` + "\n"
+	if err := lint(t, page); err != nil {
+		t.Fatalf("valid page rejected: %v", err)
+	}
+	labels, rest, err := parseLabels(`w="a}b,c\"d\\e\nf",le="0.5",v="} 2"} 1`)
+	if want := `v="} 2",w="a}b,c\"d\\e\nf"`; err != nil || rest != " 1" || labels.le != "0.5" || labels.key != want {
+		t.Fatalf("parseLabels = %+v, rest %q, err %v; want key %s", labels, rest, err, want)
+	}
+	// The format allows an empty set and one trailing comma.
+	page = "# HELP surw_x Gauge.\n# TYPE surw_x gauge\nsurw_x{} 1\nsurw_x{w=\"a\",} 2\n"
+	if err := lint(t, page); err != nil {
+		t.Fatalf("valid page rejected: %v", err)
+	}
+}
+
 // Non-surw families (e.g. Go runtime metrics, if ever proxied) are not held
 // to the surw naming rule, only to the structural ones.
 func TestLintIgnoresForeignNames(t *testing.T) {
@@ -103,7 +151,9 @@ func TestLintIgnoresForeignNames(t *testing.T) {
 func TestLintEmptyLatencyPage(t *testing.T) {
 	var s LatencySet
 	var b strings.Builder
-	if err := WriteLatencyPrometheus(&b, "surw_latency_seconds", "Latency.", s.Snapshots()); err != nil {
+	var p Prom
+	p.Histogram("surw_latency_seconds", "Latency.", s.Snapshots())
+	if err := p.Flush(&b); err != nil {
 		t.Fatal(err)
 	}
 	if err := lint(t, b.String()); err != nil {

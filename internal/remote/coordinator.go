@@ -11,6 +11,7 @@ package remote
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -58,7 +59,7 @@ type CoordinatorOptions struct {
 	SlowCellFraction float64
 	// YieldLeases weights lease grants by per-cell discovery yield: the
 	// coordinator draws the next batch with probability proportional to
-	// atlas.LeaseWeight over the cell's ingested class tallies, so cells
+	// campaign.LeaseWeight over the cell's ingested class tallies, so cells
 	// with more unseen mass get leased first. The draw is deterministic —
 	// seeded by YieldSeed and the grant sequence, independent of wall
 	// clock — so the same store, plan, and request order grant the same
@@ -236,7 +237,7 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	c.mux.HandleFunc(PathClasses, c.handleClasses)
 	c.mux.HandleFunc(PathSpans, c.handleSpans)
 	c.mux.HandleFunc(PathHealth, c.handleHealth)
-	c.mux.HandleFunc("/metrics", c.handleMetrics)
+	c.mux.Handle("/metrics", obs.PromHandler(func(w io.Writer) error { return c.Status().WritePrometheus(w) }))
 	return c
 }
 
@@ -424,7 +425,7 @@ func (c *Coordinator) AllWorkersNotified() bool {
 }
 
 // pickYieldLocked draws a pending-batch index with probability
-// proportional to its cell's lease weight (atlas.LeaseWeight over the
+// proportional to its cell's lease weight (campaign.LeaseWeight over the
 // cell's ingested class tallies: Good-Turing unseen mass, floored so
 // saturated cells starve but never deadlock; cells with no data yet get
 // full weight). The draw consumes one position of a SplitMix64 stream
@@ -434,12 +435,13 @@ func (c *Coordinator) pickYieldLocked() int {
 	weights := make([]float64, len(c.pending))
 	total := 0.0
 	for i, b := range c.pending {
-		w := atlas.LeaseWeight(stats.CountsOfMap(c.cellClasses[CellOf(b.keys[0])]))
+		w := campaign.LeaseWeight(stats.CountsOfMap(c.cellClasses[CellOf(b.keys[0])]))
 		weights[i] = w
 		total += w
 	}
 	c.yieldDraws++
-	u := atlas.Unit(atlas.Mix64(uint64(c.opts.YieldSeed)+c.yieldDraws*0x9E3779B97F4A7C15)) * total
+	// The draw's top 53 bits as a point of [0, total).
+	u := float64(splitmix64(uint64(c.opts.YieldSeed)+c.yieldDraws*0x9E3779B97F4A7C15)>>11) / (1 << 53) * total
 	for i, w := range weights {
 		u -= w
 		if u < 0 {
@@ -683,11 +685,6 @@ func (c *Coordinator) handleClasses(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = obs.WriteJSON(w, c.Status())
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	_ = c.Status().WritePrometheus(w)
 }
 
 // Status snapshots the queue for the dashboard (campaign.Server.SetRemote)

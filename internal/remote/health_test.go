@@ -6,6 +6,7 @@ package remote
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,6 +158,46 @@ func TestHealthEndpointAndGauges(t *testing.T) {
 	}
 	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
 		t.Errorf("remote status page fails lint: %v", err)
+	}
+}
+
+// Worker names arrive unvalidated over /v1/lease and become label values.
+// A name with a quote, a brace, a tab and a backslash must leave the page
+// valid text format 0.0.4 — only \\, \" and \n are escapes there — and
+// must come back out of its label unchanged.
+func TestHostileWorkerNameOnMetricsPage(t *testing.T) {
+	const name = "w\"}\t\\"
+	c := NewCoordinator(newMemStore(), syntheticPlan(2), CoordinatorOptions{})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	leaseFor(t, srv.URL, name)
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := string(body)
+	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
+		t.Fatalf("page with a hostile worker name fails lint: %v\n%s", err, page)
+	}
+	const open, shut = "surw_remote_worker_inflight_leases{worker=\"", "\"} 1\n"
+	i := strings.Index(page, open)
+	if i < 0 {
+		t.Fatalf("no per-worker sample on the page:\n%s", page)
+	}
+	rest := page[i+len(open):]
+	j := strings.Index(rest, shut)
+	if j < 0 {
+		t.Fatalf("per-worker sample does not end in %q: %q", shut, rest)
+	}
+	got := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n").Replace(rest[:j])
+	if got != name {
+		t.Fatalf("worker label round-trips to %q, want %q", got, name)
 	}
 }
 
