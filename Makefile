@@ -23,13 +23,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages that spawn goroutines (ci.sh runs
-# this target) — cmd/surw among them: its tests run whole subcommands,
+# Race-detector pass over the packages that spawn goroutines or whose
+# tests drive ones that do (ci.sh runs this target) — cmd/surw among them: its tests run whole subcommands,
 # listeners included, on goroutines of the test process (-short skips its
 # fleet tests) — plus the one sctbench test that fans a surwsync-bound
 # target over parallel workers and requires the 1-worker result.
 race:
-	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/atlas ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync ./cmd/surw
+	$(GO) test -race -short . ./internal/workpool ./internal/sched ./internal/atlas ./internal/obs ./internal/profile ./internal/core ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync ./cmd/surw
 	$(GO) test -race -short -run '^TestWorkerPool' ./internal/sctbench
 
 # Benchmarks. The throughput-critical pair (pooled scheduling and parallel

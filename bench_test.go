@@ -163,10 +163,14 @@ func BenchmarkFig5(b *testing.B) {
 // Substrate micro-benchmarks
 // ---------------------------------------------------------------------------
 
-// BenchmarkDecision measures the per-scheduling-decision cost of each
-// stateless algorithm on the Figure 1 program (§6 compares SURW's ~20 ns
-// per decision against RFF's ~305 ns; our decisions include Go-side
-// bookkeeping but stay within the same order of magnitude).
+// BenchmarkDecision reports the wall clock of a whole unpooled sched.Run of
+// the Figure 1 program — a fresh Execution, the thread hand-offs, the
+// program's own events, the hashes — divided by its steps, per algorithm.
+// Its differences between algorithms are differences in decision cost; its
+// "ns/decision" is not the price of a decision and is not comparable to
+// §6's ~20 ns for SURW (~305 ns for RFF). The algorithm-only measurement — a
+// timing wrapper round Next/Observe with the clock's own cost subtracted —
+// is ROADMAP item 9's exit.
 func BenchmarkDecision(b *testing.B) {
 	prog := experiments.Bitshift(16)
 	info := experiments.BitshiftInfo(16)
@@ -269,6 +273,28 @@ func BenchmarkPooledSchedule(b *testing.B) {
 			pool.RunInto(&res, prog, alg, sched.Options{Base: sched.Base{Seed: int64(i)}})
 		}
 	})
+}
+
+// BenchmarkLibrarySession holds the library on the warm path: surw.Explore
+// is a face over the runner's session driver, so a schedule of the Figure 1
+// program costs it the pooled schedule's allocations, the Result the caller
+// keeps, and a session's set-up spread over its schedules (ci.sh gates
+// allocs/schedule; ~70 while session.go ran every schedule through the
+// one-shot sched.Run).
+func BenchmarkLibrarySession(b *testing.B) {
+	prog := experiments.Bitshift(16)
+	const schedules = 500
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < b.N; i++ {
+		ex, err := Explore(prog, Options{Base: Base{Seed: int64(i + 1)}, Schedules: schedules})
+		if err != nil || ex.Schedules != schedules {
+			b.Fatal(ex, err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*schedules), "allocs/schedule")
+	b.ReportMetric(float64(b.N*schedules)/b.Elapsed().Seconds(), "schedules/s")
 }
 
 // forkAfterPrefix builds a program whose first `prefix` decisions are all

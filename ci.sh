@@ -20,6 +20,18 @@ go build ./...
 if grep -rn --include='*.go' -e '# HELP' -e '# TYPE' . | grep -v -e '_test\.go:' -e '^\./internal/obs/prom\.go:' -e '^\./internal/obs/promlint\.go:'; then
     echo "FAIL: '# HELP'/'# TYPE' outside internal/obs/prom.go and internal/obs/promlint.go"; exit 1
 fi
+# One session driver: a session's seeds are derived in internal/runner's
+# driver.go and nowhere else, and the library and `surw run` get their
+# schedules from it. The seed map's two multipliers in a second non-test
+# file, or a one-shot sched.Run / profile.Collect in either face, is a second
+# session loop coming back.
+seedmaps=$(grep -rl --include='*.go' -e '2_000_033' -e '1_000_003' . | grep -v -e '_test\.go$' -e '^\./benchmark/')
+if [ "$seedmaps" != "./internal/runner/driver.go" ]; then
+    echo "FAIL: the session seed map (2_000_033 / 1_000_003) belongs to internal/runner/driver.go alone, found in:"; echo "$seedmaps"; exit 1
+fi
+if grep -n -e 'sched\.Run(' -e 'profile\.Collect(' session.go cmd/surw/run.go internal/runner/parallel.go; then
+    echo "FAIL: session.go, cmd/surw/run.go and internal/runner/parallel.go run schedules through runner.Driver only"; exit 1
+fi
 # (no pipe: a pipeline would mask go test's exit status under plain sh)
 go test -cover ./... > /tmp/surw-cover.txt 2>&1 || { cat /tmp/surw-cover.txt; exit 1; }
 cat /tmp/surw-cover.txt
@@ -52,6 +64,13 @@ make race
 # use); the gates are those + 5 %. (No pipe, same reason as above.)
 go test -bench='^BenchmarkPooledSchedule$' -benchmem -benchtime=2000x -run='^$' . > /tmp/surw-bench.txt 2>&1 || { cat /tmp/surw-bench.txt; exit 1; }
 go run ./cmd/surw obs -in /tmp/surw-bench.txt -gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25' -gate 'BenchmarkPooledSchedule/pooled_into.allocs/op<=4.2'
+# The library stays on that path: surw.Explore is a face over the runner's
+# session driver, so a schedule costs it 5.36 objects — the pooled
+# schedule's four, the Result the caller keeps, and a 500-schedule session's
+# set-up spread over it (72 while session.go ran each schedule through the
+# one-shot sched.Run).
+go test -bench='^BenchmarkLibrarySession$' -benchtime=20x -run='^$' . > /tmp/surw-bench-lib.txt 2>&1 || { cat /tmp/surw-bench-lib.txt; exit 1; }
+go run ./cmd/surw obs -in /tmp/surw-bench-lib.txt -gate 'BenchmarkLibrarySession.allocs/schedule<=10'
 
 # Shim cost gates: a surwsync operation stays within a small factor of the
 # Thread API call it forwards to (measured 1.8x, a same-process ratio, so

@@ -57,7 +57,17 @@ func fuzzCmd(_ context.Context, args []string, stdout, stderr io.Writer) int {
 				if err != nil {
 					return err
 				}
-				info := infoFor(name, prof, selRng)
+				// Δ = Γ for the algorithms that read counts, a single
+				// variable drawn per algorithm for those that take a Δ.
+				var info *sched.ProgramInfo
+				if in := core.InputsOf(alg); in.Counts {
+					info = prof.Instantiate(prof.SelectAll())
+					if in.Delta {
+						if sel, ok := prof.SelectSingleVar(selRng); ok {
+							info = prof.Instantiate(sel)
+						}
+					}
+				}
 				// Only the record leg is traced: the replay leg re-runs the same
 				// schedule, and its decisions would count twice against the one
 				// schedule ObserveResult reports.
@@ -112,16 +122,3 @@ type recordLeg struct {
 }
 
 func (t recordLeg) BeginSchedule(string) { t.MetricsTracer.BeginSchedule(t.name) }
-
-func infoFor(name string, prof *profile.Profile, rng *rand.Rand) *sched.ProgramInfo {
-	switch name {
-	case "SURW", "N-U":
-		if sel, ok := prof.SelectSingleVar(rng); ok {
-			return prof.Instantiate(sel)
-		}
-		return prof.Instantiate(prof.SelectAll())
-	case "URW", "N-S", "PCT-3", "PCT-10", "DB-3":
-		return prof.Instantiate(prof.SelectAll())
-	}
-	return nil
-}

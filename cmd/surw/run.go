@@ -8,7 +8,6 @@ import (
 	"surw/internal/core"
 	"surw/internal/crosscheck"
 	"surw/internal/obs"
-	"surw/internal/profile"
 	"surw/internal/replay"
 	"surw/internal/runner"
 	"surw/internal/sched"
@@ -30,10 +29,14 @@ import (
 //
 // -trace exports the decision trace of session 0's first failing schedule
 // (or, bug-free, its first schedule) as Chrome trace_event JSON that
-// Perfetto and chrome://tracing open directly. -flight-dir dumps a replay-
-// able flight record at each session's first failure; -replay-flight
-// re-executes such a dump through internal/replay and verifies the same bug
-// fires with the same interleaving fingerprint.
+// Perfetto and chrome://tracing open directly; -print-failing replays,
+// minimizes and prints that failing schedule. Both run the one schedule
+// again by its index (runner.Driver.Rerun): what they show is the schedule
+// the session reported, whether it just ran or came from a -campaign
+// store. -flight-dir dumps a replayable flight record at each session's
+// first failure; -replay-flight re-executes such a dump through
+// internal/replay and verifies the same bug fires with the same
+// interleaving fingerprint.
 //
 // -crosscheck soak-runs the framework's own differential and statistical
 // oracle (internal/crosscheck): the mutation-sensitivity self-test plus a
@@ -87,7 +90,7 @@ func runCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err := c.serveDashboard(); err != nil {
 			return err
 		}
-		res, err := runner.RunTargetContext(ctx, tgt, *algName, runner.Config{
+		cfg := runner.Config{
 			Sessions:       *sessions,
 			Limit:          *limit,
 			Seed:           c.seed,
@@ -96,7 +99,8 @@ func runCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Metrics:        c.metrics,
 			FlightDir:      *flightDir,
 			Store:          c.sessions,
-		})
+		}
+		res, err := runner.RunTargetContext(ctx, tgt, *algName, cfg)
 		if err != nil {
 			return err
 		}
@@ -132,50 +136,33 @@ func runCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if c.store != nil {
 			fmt.Fprintf(stdout, "campaign  %s (%d sessions stored)\n", c.store.Dir(), c.store.Len())
 		}
+		if *traceOut == "" && !*printFail {
+			return nil
+		}
+		d, err := runner.OpenDriver(tgt, *algName, cfg, 0)
+		if err != nil {
+			return err
+		}
+		defer d.Close()
+		firstBug := res.Sessions[0].FirstBug
+		schedule := max(0, firstBug-1-d.Charged())
 		if *traceOut != "" {
-			if err := exportTrace(*traceOut, tgt, *algName, c.seed, *limit); err != nil {
+			col := obs.NewCollector(0) // keep every decision
+			d.Rerun(schedule, runner.Observers{Tracer: col})
+			if err := writeFile(*traceOut, func(w io.Writer) error { return obs.WriteChromeTrace(w, col) }); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "trace     %s\n", *traceOut)
 		}
 		if *printFail {
-			printFailingTrace(stdout, tgt, *algName, c.seed, *limit)
+			if firstBug < 0 {
+				fmt.Fprintln(stdout, "\nsession 0 found no failing schedule to print")
+			} else {
+				printFailingTrace(stdout, tgt, d, schedule)
+			}
 		}
 		return nil
 	})
-}
-
-// exportTrace re-runs session 0's schedule sequence with a full-length
-// collector attached and writes the first failing schedule's decision trace
-// (bug-free: the first schedule's) as Chrome trace_event JSON. The re-run
-// uses the same Δ=Γ configuration as printFailingTrace, so it is a faithful
-// rendering of an actual schedule of the algorithm, not of the exact
-// session-0 schedules when the algorithm re-draws Δ per schedule.
-func exportTrace(path string, tgt runner.Target, algName string, seed int64, limit int) error {
-	alg, err := core.New(algName)
-	if err != nil {
-		return err
-	}
-	prof, _ := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: seed + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
-	var info *sched.ProgramInfo
-	if prof != nil {
-		info = prof.Instantiate(prof.SelectAll())
-	}
-	col := obs.NewCollector(0) // keep every decision
-	opts := sched.Options{Base: sched.Base{ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, Tracer: col, TraceFilter: tgt.TraceFilter}
-	for i := 0; i < limit; i++ {
-		opts.Seed = seed + int64(i)*2_000_033 + 1
-		if r := sched.Run(tgt.Prog, alg, opts); r.Buggy() {
-			break
-		}
-		if i == limit-1 {
-			// No failure: re-collect the first schedule so the export is
-			// deterministic rather than "whichever ran last".
-			opts.Seed = seed + 1
-			sched.Run(tgt.Prog, alg, opts)
-		}
-	}
-	return writeFile(path, func(w io.Writer) error { return obs.WriteChromeTrace(w, col) })
 }
 
 // replayFlight re-executes a flight record through internal/replay and
@@ -254,33 +241,20 @@ func runCrosscheck(w io.Writer, seeds int, seed int64) error {
 	return nil
 }
 
-// printFailingTrace re-runs session 0's schedules with recording enabled,
-// minimizes the first failing schedule's recording, and prints the
-// minimized interleaving.
-func printFailingTrace(w io.Writer, tgt runner.Target, algName string, seed int64, limit int) {
-	alg, _ := core.New(algName)
-	prof, _ := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: seed + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
-	info := prof.Instantiate(prof.SelectAll())
-	opts := sched.Options{Base: sched.Base{ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info}
-	for i := 0; i < limit; i++ {
-		opts.Seed = seed + int64(i)*2_000_033 + 1
-		r, rec := replay.Record(tgt.Prog, alg, opts)
-		if !r.Buggy() {
-			continue
-		}
-		fmt.Fprintf(w, "\nfailing schedule at seed offset %d: %v\n", i, r.Failure)
-		fmt.Fprintf(w, "recording: %s\n", rec)
-		min, attempts := replay.Minimize(tgt.Prog, rec, r.Failure.BugID, opts, 2000)
-		fmt.Fprintf(w, "minimized (after %d replays): %s\n", attempts, min)
-		opts.RecordTrace = true
-		final := replay.Replay(tgt.Prog, min, opts)
-		opts.RecordTrace = false
-		fmt.Fprintf(w, "minimized failing interleaving (%d events):\n", len(final.Trace))
-		for _, ev := range final.Trace {
-			fmt.Fprintf(w, "  %s\n", ev)
-		}
-		fmt.Fprintf(w, "failure: %v\n", final.Failure)
-		return
+// printFailingTrace runs session 0's failing schedule again with a recorder
+// attached, minimizes the recording, and prints the minimized interleaving.
+func printFailingTrace(w io.Writer, tgt runner.Target, d *runner.Driver, schedule int) {
+	r, rec := d.Record(schedule, runner.Observers{})
+	fmt.Fprintf(w, "\nfailing schedule at seed offset %d: %v\n", schedule, r.Failure)
+	fmt.Fprintf(w, "recording: %s\n", rec)
+	opts := sched.Options{Base: sched.Base{ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}}
+	min, attempts := replay.Minimize(tgt.Prog, rec, r.Failure.BugID, opts, 2000)
+	fmt.Fprintf(w, "minimized (after %d replays): %s\n", attempts, min)
+	opts.RecordTrace = true
+	final := replay.Replay(tgt.Prog, min, opts)
+	fmt.Fprintf(w, "minimized failing interleaving (%d events):\n", len(final.Trace))
+	for _, ev := range final.Trace {
+		fmt.Fprintf(w, "  %s\n", ev)
 	}
-	fmt.Fprintln(w, "\nno failing schedule under the Δ=Γ trace configuration; rerun with another -seed")
+	fmt.Fprintf(w, "failure: %v\n", final.Failure)
 }

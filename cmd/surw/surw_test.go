@@ -4,15 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"surw/internal/buildinfo"
+	"surw/internal/obs"
+	"surw/internal/replay"
+	"surw/internal/sched"
 )
 
 // TestVersionStamp: the Makefile's -ldflags stamp reaches `surw version`
@@ -67,6 +74,93 @@ func TestFlightRoundTrip(t *testing.T) {
 	mustRun(t, "obs", "-check-flight", flights[0])
 	out := mustRun(t, "run", "-replay-flight", flights[0])
 	wantMatch(t, "replay", out.stdout, `replayed  bit-exact: bug `)
+}
+
+// TestObservedScheduleIsTheReportedOne: the schedule `run -print-failing`
+// prints and the one `run -trace` exports are the schedule session 0
+// reported — the flight record the same run wrote names the same index,
+// choices, bug and interleaving — and both still are when session 0 comes
+// back from a -campaign store instead of running.
+func TestObservedScheduleIsTheReportedOne(t *testing.T) {
+	type traceFile struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			TID  int    `json:"tid"`
+			Args struct {
+				Step int `json:"step"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	for _, target := range []string{"CS/reorder_10", "CS/twostage_20"} {
+		tgt, _ := lookupTarget(target)
+		for _, seed := range []string{"1", "2", "3"} {
+			dir := t.TempDir()
+			store, trace := filepath.Join(dir, "store"), filepath.Join(dir, "trace.json")
+			args := []string{"run", "-target", target, "-alg", "SURW", "-seed", seed, "-limit", "3000", "-campaign", store, "-print-failing", "-trace", trace}
+			first := mustRun(t, append(args, "-flight-dir", dir)...)
+			flights, _ := filepath.Glob(filepath.Join(dir, "flight_*.json"))
+			if len(flights) != 1 {
+				t.Fatalf("%s seed %s: flight records %v, want one", target, seed, flights)
+			}
+			fr, err := obs.ReadFlight(flights[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			printed := regexp.MustCompile(`failing schedule at seed offset (\d+): .*\nrecording: (.*)\n`).FindStringSubmatch(first.stdout)
+			if printed == nil {
+				t.Fatalf("%s seed %s: -print-failing printed no schedule:\n%s", target, seed, first.stdout)
+			}
+			if printed[1] != strconv.Itoa(fr.Schedule) {
+				t.Errorf("%s seed %s: -print-failing shows schedule %s, the session reported schedule %d", target, seed, printed[1], fr.Schedule)
+			}
+			rec, err := replay.Parse(printed[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := replay.ReplayStrict(tgt.Prog, rec, sched.Options{Base: sched.Base{ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, TraceFilter: tgt.TraceFilter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%016x", res.InterleavingHash); res.BugID() != fr.BugID || got != fr.Fingerprint {
+				t.Errorf("%s seed %s: the printed schedule reaches bug %q with fingerprint %s, the flight record has %q, %s", target, seed, res.BugID(), got, fr.BugID, fr.Fingerprint)
+			}
+
+			var tr traceFile
+			exported := readFile(t, trace)
+			if err := json.Unmarshal(exported, &tr); err != nil {
+				t.Fatal(err)
+			}
+			decisions := tr.TraceEvents[:0]
+			for _, ev := range tr.TraceEvents {
+				if ev.Ph == "X" {
+					decisions = append(decisions, ev)
+				}
+			}
+			if len(decisions) != fr.Steps {
+				t.Errorf("%s seed %s: -trace exported %d decisions, the failing schedule has %d steps", target, seed, len(decisions), fr.Steps)
+			} else {
+				tail := decisions[len(decisions)-len(fr.LastDecisions):]
+				for i, want := range fr.LastDecisions {
+					if tail[i].TID != want.TID || tail[i].Args.Step != want.Step {
+						t.Errorf("%s seed %s: -trace runs T%d at step %d, the flight record T%d at step %d", target, seed, tail[i].TID, tail[i].Args.Step, want.TID, want.Step)
+						break
+					}
+				}
+			}
+
+			// Again over the same store: session 0 is a store hit, nothing
+			// re-hunts, and both flags show the same schedule.
+			again := mustRun(t, args...)
+			wantMatch(t, "second run", again.stdout, `1 sessions stored`)
+			if i := strings.Index(first.stdout, "\nfailing schedule"); !strings.HasSuffix(again.stdout, first.stdout[i:]) {
+				t.Errorf("%s seed %s: -print-failing over a store hit printed\n%s\nwant the first run's\n%s", target, seed, again.stdout, first.stdout[i:])
+			}
+			if !bytes.Equal(readFile(t, trace), exported) {
+				t.Errorf("%s seed %s: -trace over a store hit exported a different schedule", target, seed)
+			}
+		}
+	}
 }
 
 // TestKillResume: a two-cell campaign killed (exit 3, a real process) after

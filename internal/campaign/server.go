@@ -16,6 +16,7 @@ package campaign
 // perturb a schedule any more than attaching the store can.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"html/template"
@@ -87,8 +88,20 @@ func (s *Server) atlasSnapshot() *atlas.Snapshot {
 // handleYield serves the per-cell discovery-yield scores, with the
 // atlas's uniformity state joined in when an atlas is attached.
 func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
+	serveJSON(w, yieldReport(s.store.Aggregate(), s.atlasSnapshot()))
+}
+
+// serveJSON answers with v as JSON, or with 500 and the encoder's error: a
+// value that does not encode (encoding/json refuses an infinity) must not
+// reach the client as an empty 200.
+func serveJSON(w http.ResponseWriter, v any) {
+	var body bytes.Buffer
+	if err := obs.WriteJSON(&body, v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, yieldReport(s.store.Aggregate(), s.atlasSnapshot()))
+	_, _ = w.Write(body.Bytes()) // the client went away: nobody to tell
 }
 
 // YieldReport is the /api/yield payload.
@@ -149,14 +162,10 @@ func (s *Server) aggregates() *Aggregates {
 	return agg
 }
 
-func (s *Server) handleAPI(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, s.aggregates())
-}
+func (s *Server) handleAPI(w http.ResponseWriter, r *http.Request) { serveJSON(w, s.aggregates()) }
 
 func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, buildinfo.Get())
+	serveJSON(w, buildinfo.Get())
 }
 
 // writeMetrics renders the Prometheus text page: the campaign counters

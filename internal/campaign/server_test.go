@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -307,6 +309,52 @@ func TestServerHealthPanelAndMetricsLint(t *testing.T) {
 	rs.Health = &campaign.HealthReport{Healthy: true}
 	if html := get(t, srv2.URL+"/"); !strings.Contains(html, "fleet healthy") {
 		t.Error("healthy fleet banner missing")
+	}
+}
+
+// A latency past the histogram's last finite bucket (2^46 ns, 19.5 hours)
+// once reached /api/campaign as +Inf percentiles, which encoding/json
+// refuses, and the handler dropped the error: an empty 200. The snapshot is
+// finite now, and a value that still does not encode is a 500 that says why.
+func TestServerAPISurvivesOverflowLatency(t *testing.T) {
+	st, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	campaignCells(t, st, 1, 1)
+	var lat obs.LatencySet
+	lat.Observe("session", 1<<48)
+	rs := &campaign.RemoteStatus{Latencies: lat.Snapshots()}
+	s := campaign.NewServer(st, nil)
+	s.SetRemote(func() (*campaign.RemoteStatus, error) { return rs, nil })
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	var page struct {
+		Remote struct {
+			Latencies []obs.LatencySnap `json:"latencies"`
+		} `json:"remote"`
+	}
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/api/campaign")), &page); err != nil {
+		t.Fatalf("/api/campaign after a 2^48 ns observation: %v", err)
+	}
+	if l := page.Remote.Latencies; len(l) != 1 || l[0].Count != 1 || l[0].P99 < 70000 {
+		t.Errorf("latencies = %+v, want the one observation with the last finite bound, 70368 s, as its p99", l)
+	}
+	if err := obs.LintPrometheus(strings.NewReader(get(t, srv.URL+"/metrics"))); err != nil {
+		t.Errorf("metrics page with an overflow observation does not lint: %v", err)
+	}
+
+	rs.Latencies[0].P99 = math.Inf(1)
+	resp, err := http.Get(srv.URL + "/api/campaign")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "unsupported value") {
+		t.Errorf("an unencodable page answered %d %q, want 500 with the encoder's error", resp.StatusCode, body)
 	}
 }
 

@@ -77,6 +77,27 @@ func New(name string) (sched.Algorithm, error) {
 	return nil, fmt.Errorf("core: unknown algorithm %q", name)
 }
 
+// Inputs says what an algorithm reads of the ProgramInfo its Begin is
+// handed. Counts is the profiled event counts — an algorithm that takes
+// them is charged one schedule for the profiling run, as in the paper's
+// accounting; Delta is the interesting-event subset, which a session
+// re-draws per schedule for the algorithms that take one.
+type Inputs struct {
+	Counts, Delta bool
+}
+
+// InputsOf is the one answer to "what does this algorithm take", read off
+// the constructed algorithm so that every spelling New accepts agrees.
+func InputsOf(alg sched.Algorithm) Inputs {
+	switch alg.(type) {
+	case *SURW:
+		return Inputs{Counts: true, Delta: true}
+	case *URW, *PCT, *DB:
+		return Inputs{Counts: true}
+	}
+	return Inputs{}
+}
+
 // AllNames lists the algorithm names used across the paper's evaluation, in
 // the column order of Table 4.
 func AllNames() []string {

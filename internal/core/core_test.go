@@ -564,3 +564,27 @@ func TestSURWWithWrongCountsStillCompletes(t *testing.T) {
 		}
 	}
 }
+
+// InputsOf is read off the constructed algorithm, so every spelling New
+// accepts gets its canonical name's answer (the runner once matched the
+// typed string, and "NS"/"NU" silently ran without their profile).
+func TestInputsOfEverySpelling(t *testing.T) {
+	for _, tc := range []struct {
+		want  Inputs
+		names []string
+	}{
+		{Inputs{Counts: true, Delta: true}, []string{"SURW", "surw", " SURW ", "N-U", "NU", "n-u", "nu"}},
+		{Inputs{Counts: true}, []string{"URW", "urw", "N-S", "NS", "n-s", "ns", "PCT", "pct", "PCT-3", "pct-10", "DB-0", "db-3"}},
+		{Inputs{}, []string{"RW", "rw", "RANDOMWALK", "random", "POS", "pos", "RAPOS", "rapos"}},
+	} {
+		for _, name := range tc.names {
+			alg, err := New(name)
+			if err != nil {
+				t.Fatalf("New(%q): %v", name, err)
+			}
+			if got := InputsOf(alg); got != tc.want {
+				t.Errorf("InputsOf(New(%q)) = %+v, want %+v", name, got, tc.want)
+			}
+		}
+	}
+}

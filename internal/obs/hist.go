@@ -116,11 +116,18 @@ type HistogramWire struct {
 func (h *Histogram) Snapshot(op string) LatencySnap { return h.Wire().Snapshot(op) }
 
 // Snapshot derives percentiles and cumulative buckets from a wire
-// histogram.
+// histogram. Every number in it is finite, so that it encodes as JSON: the
+// overflow bucket (whose bound is +Inf) is left to Count, which is what the
+// Prometheus page's mandatory +Inf bucket reads, and a percentile that
+// falls in it reports the last finite bound: "at least 2^46 ns", 19.5 hours.
 func (w HistogramWire) Snapshot(op string) LatencySnap {
+	const overflow = HistogramBuckets - 1
 	s := LatencySnap{Op: op, Count: w.Count, SumSeconds: float64(w.SumNanos) / 1e9}
 	var cum uint64
 	for i, n := range w.Buckets {
+		if i >= overflow {
+			break
+		}
 		cum += n
 		if n > 0 || i == len(w.Buckets)-1 {
 			s.Buckets = append(s.Buckets, LatencyBucket{LE: HistBucketBound(i), CumCount: cum})
@@ -136,11 +143,11 @@ func (w HistogramWire) Snapshot(op string) LatencySnap {
 		}
 		var c uint64
 		for i, n := range w.Buckets {
-			if c += n; c >= want {
+			if c += n; c >= want && i < overflow {
 				return HistBucketBound(i)
 			}
 		}
-		return HistBucketBound(HistogramBuckets - 1)
+		return HistBucketBound(overflow - 1)
 	}
 	s.P50, s.P95, s.P99 = q(0.50), q(0.95), q(0.99)
 	return s

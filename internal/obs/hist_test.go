@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -172,5 +173,33 @@ func TestMetricsLatencyInPrometheusPage(t *testing.T) {
 	}
 	if err := LintPrometheus(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Errorf("metrics page fails lint: %v", err)
+	}
+}
+
+// An observation in the overflow bucket leaves the snapshot finite — it has
+// to encode as JSON — while the Prometheus page keeps its +Inf bucket.
+func TestSnapshotWithOverflowObservationIsFinite(t *testing.T) {
+	var h Histogram
+	h.Observe(time.Millisecond)
+	h.Observe(1 << 48)
+	s := h.Snapshot("op")
+	last := HistBucketBound(HistogramBuckets - 2)
+	if s.P50 >= last || s.P95 != last || s.P99 != last {
+		t.Errorf("percentiles %v/%v/%v, want p50 finite and small, p95 = p99 = the last finite bound %v", s.P50, s.P95, s.P99, last)
+	}
+	if len(s.Buckets) != 1 || s.Buckets[0].CumCount != 1 || s.Count != 2 {
+		t.Errorf("buckets %+v count %d, want the one finite bucket and a count of 2", s.Buckets, s.Count)
+	}
+	if _, err := json.Marshal(s); err != nil {
+		t.Errorf("snapshot does not encode: %v", err)
+	}
+	var p Prom
+	p.Histogram("surw_test_seconds", "test", []LatencySnap{s})
+	var page strings.Builder
+	if err := p.Flush(&page); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(page.String(), `le="+Inf"} 2`) {
+		t.Errorf("page lost its +Inf bucket:\n%s", page.String())
 	}
 }

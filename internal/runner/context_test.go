@@ -101,14 +101,14 @@ func TestKeyForMatchesEngineNormalization(t *testing.T) {
 	}
 }
 
-// The worker's Δ stream is one generator re-seeded per session, not one
+// The driver's Δ stream is one generator re-seeded per session, not one
 // allocated per session: after Seed(b) a generator that has been drawn
 // from must continue exactly as a fresh rand.New(rand.NewSource(b)) does.
 func TestDeltaStreamReseedEqualsFreshSource(t *testing.T) {
-	var w worker
+	var d Driver
 	for _, b := range []int64{0, 1, -1, 42, 23 + 5*1_000_003, 1 << 40} {
 		fresh := rand.New(rand.NewSource(b))
-		used := w.deltaStream(b) // the first call builds it, every later one re-seeds
+		used := d.deltaStream(b) // the first call builds it, every later one re-seeds
 		for i := 0; i < 1000; i++ {
 			n := 1 + i%97
 			if got, want := used.Intn(n), fresh.Intn(n); got != want {

@@ -5,15 +5,16 @@
 // sequential loop:
 //
 //   - Every session is self-contained. Its seed is derived from the config
-//     seed and its own index (cfg.Seed + session*1_000_003), never from a
-//     shared stream, so no session observes another's randomness.
+//     seed and its own index (Driver.begin, driver.go), never from a shared
+//     stream, so no session observes another's randomness.
 //   - A session builds its algorithm instance privately (core.New per
-//     session). What it borrows — a worker's sched.Pool, census collector,
-//     Result storage and Δ stream (runner.go) — it has to itself while it
-//     runs and receives in a state no earlier session can be told from:
-//     Pool.Run is bit-identical to sched.Run, a reused collector's profile
-//     equals a fresh one's, every schedule overwrites the whole Result, the
-//     stream is re-seeded before use.
+//     session). What it borrows — a worker's Driver with its sched.Pool,
+//     census collector and Δ stream, and the worker's Result storage
+//     (runner.go) — it has to itself while it runs and receives in a state
+//     no earlier session can be told from: Pool.Run is bit-identical to
+//     sched.Run, a reused collector's profile equals a fresh one's, every
+//     schedule overwrites the whole Result, the stream is re-seeded before
+//     use.
 //   - Target state is created inside Prog through the sched API on every
 //     schedule, so concurrent schedules of one program never share memory;
 //     the Target struct itself is only read.
@@ -29,32 +30,12 @@ package runner
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"strings"
 	"time"
 
 	"surw/internal/atlas"
-	"surw/internal/core"
 	"surw/internal/obs"
-	"surw/internal/profile"
-	"surw/internal/replay"
 	"surw/internal/sched"
 )
-
-// needsProfile reports whether the algorithm consumes count estimates, and
-// therefore whether the paper charges it one extra schedule for the
-// profiling run.
-func needsProfile(alg string) bool {
-	a := strings.ToUpper(alg)
-	return a == "SURW" || a == "N-U" || a == "N-S" || a == "URW" ||
-		strings.HasPrefix(a, "PCT") || strings.HasPrefix(a, "DB-")
-}
-
-// usesDelta reports whether the algorithm consumes a Δ selection.
-func usesDelta(alg string) bool {
-	a := strings.ToUpper(alg)
-	return a == "SURW" || a == "N-U"
-}
 
 // atlasPublishEvery is how many schedules a session runs between drains of
 // its worker's atlas staging accumulator into the cell's: often enough that
@@ -76,33 +57,10 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	alg, err := core.New(algName)
-	if err != nil {
+	d := &w.drv
+	if err := d.begin(tgt, algName, cfg, session); err != nil {
 		return nil, err
 	}
-	base := cfg.Seed + int64(session)*1_000_003
-	pool := w.pool
-
-	// The census is seeded from the session, so the profile is this
-	// session's alone (DESIGN §4); it runs on the worker's pool like the
-	// testing schedules that follow, into the worker's collector.
-	plusOne := 0
-	var prof *profile.Profile
-	if needsProfile(algName) {
-		plusOne = 1
-		prof, _ = w.census.Collect(pool, tgt.Prog, profile.Options{Base: sched.Base{Seed: base + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: cfg.ProfileRuns})
-		// A crashing or truncated census still yields usable (if noisy)
-		// counts; §7 of the paper discusses exactly this degradation.
-	}
-	// allInfo is Δ = Γ: every schedule's info for the profiled algorithms
-	// without a Δ, the fallback for the others. sessRng feeds only the
-	// per-schedule Δ selection and is seeded on its first draw.
-	var allInfo *sched.ProgramInfo
-	if prof != nil {
-		allInfo = prof.Instantiate(prof.SelectAll())
-	}
-	delta := prof != nil && usesDelta(algName)
-	var sessRng *rand.Rand
 
 	sess := &Session{FirstBug: -1, Bugs: make(map[string]int)}
 	if cfg.Coverage {
@@ -137,13 +95,6 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	}
 	defer stage.DrainInto(atlasCell)
 
-	// All schedules of the session share (and recycle) the worker's pool of
-	// execution buffers and parked worker goroutines. The session's first
-	// schedule additionally captures the program's forced decision prefix;
-	// every later schedule replays it through the batched
-	// run-to-next-decision path instead of re-deciding it, observers
-	// attached or not.
-	var cp *sched.Checkpoint
 	for i := 0; i < cfg.Limit; i++ {
 		if i > 0 && i%atlasPublishEvery == 0 {
 			stage.DrainInto(atlasCell)
@@ -156,50 +107,33 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		info := allInfo
-		if delta {
-			if sessRng == nil {
-				sessRng = w.deltaStream(base)
-			}
-			if sel, ok := selectDelta(tgt, prof, sessRng); ok {
-				info = prof.Instantiate(sel)
-			}
-		}
-		opts := sched.Options{Base: sched.Base{Seed: base + int64(i)*2_000_033 + 1, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Info: info, TraceFilter: tgt.TraceFilter, Tracer: tracer, Atlas: stage}
 		r := &w.res
-		abandon := false
-		if i == 0 {
-			// Observe the prefix capture (schedule 0's RunPrefix doubles as
-			// the checkpoint fork) when anyone is watching. Once per
-			// session, between schedules — never on the schedule hot path.
-			var prefixStart time.Time
-			if cfg.Metrics != nil || cfg.Phase != nil {
-				prefixStart = time.Now()
-			}
-			cp = pool.RunPrefixInto(r, tgt.Prog, alg, opts)
-			if !prefixStart.IsZero() {
-				d := time.Since(prefixStart)
-				if cfg.Metrics != nil {
-					cfg.Metrics.Latency("checkpoint_fork").Observe(d)
-				}
-				if cfg.Phase != nil {
-					cfg.Phase(session, "prefix", prefixStart, d)
-				}
-			}
-			// Prefix-class early abandon (opt-in, see Config.PrefixFilter):
-			// every schedule of the session replays this forced prefix, so
-			// one saturated-class verdict retires the whole session. The
-			// first schedule still counts — it ran — so the check only
-			// short-circuits the loop after this iteration's accounting.
-			if cfg.PrefixFilter != nil && cp != nil &&
-				cfg.PrefixFilter.SaturatedPrefix(cp.ClassPrefix()) {
-				abandon = true
-			}
-		} else {
-			pool.RunFromInto(r, cp, tgt.Prog, alg, opts)
+		// Observe the prefix capture (schedule 0 doubles as the checkpoint
+		// fork) when anyone is watching. Once per session, between
+		// schedules — never on the schedule hot path.
+		var prefixStart time.Time
+		if i == 0 && (cfg.Metrics != nil || cfg.Phase != nil) {
+			prefixStart = time.Now()
 		}
+		d.Next(r, tracer, stage)
+		if !prefixStart.IsZero() {
+			took := time.Since(prefixStart)
+			if cfg.Metrics != nil {
+				cfg.Metrics.Latency("checkpoint_fork").Observe(took)
+			}
+			if cfg.Phase != nil {
+				cfg.Phase(session, "prefix", prefixStart, took)
+			}
+		}
+		// Prefix-class early abandon (opt-in, see Config.PrefixFilter):
+		// every schedule of the session replays schedule 0's forced prefix,
+		// so one saturated-class verdict retires the whole session. The
+		// first schedule still counts — it ran — so the check only
+		// short-circuits the loop after this iteration's accounting.
+		abandon := i == 0 && cfg.PrefixFilter != nil && d.cp != nil &&
+			cfg.PrefixFilter.SaturatedPrefix(d.cp.ClassPrefix())
 		if cfg.Metrics != nil {
-			cfg.Metrics.ObserveResult(alg.Name(), r)
+			cfg.Metrics.ObserveResult(d.alg.Name(), r)
 		}
 		sess.Schedules++
 		if r.Truncated {
@@ -226,9 +160,9 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		if r.Buggy() {
 			sess.Bugs[r.BugID()]++
 			if sess.FirstBug == -1 {
-				sess.FirstBug = i + 1 + plusOne
+				sess.FirstBug = i + 1 + d.Charged()
 				if cfg.FlightDir != "" {
-					path, err := dumpFlight(tgt, algName, cfg, session, i, opts, r)
+					path, err := dumpFlight(d, cfg.FlightDir, session, i, r)
 					if err != nil {
 						return nil, err
 					}
@@ -249,32 +183,24 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	return sess, nil
 }
 
-// dumpFlight re-executes the session's first failing schedule with a replay
-// recorder and a ring collector attached — schedules are deterministic
-// given (program, algorithm, Options), so the re-run witnesses the same
-// interleaving while capturing the choice sequence and the last decisions —
-// and writes the flight record under cfg.FlightDir.
-func dumpFlight(tgt Target, algName string, cfg Config, session, schedule int,
-	opts sched.Options, orig *sched.Result) (string, error) {
-	alg, err := core.New(algName)
-	if err != nil {
-		return "", err
-	}
-	rec := replay.NewRecorder(alg)
+// dumpFlight runs the session's first failing schedule again, on the
+// session's own driver, with a replay recorder and a ring collector
+// attached — capturing the choice sequence and the last decisions — and
+// writes the flight record under dir.
+func dumpFlight(d *Driver, dir string, session, schedule int, orig *sched.Result) (string, error) {
 	col := obs.NewCollector(obs.FlightRingSize)
-	opts.Tracer = col
-	res := sched.Run(tgt.Prog, rec, opts)
+	res, rec := d.Record(schedule, Observers{Tracer: col})
 
 	fr := &obs.FlightRecord{
 		Version:          obs.FlightVersion,
-		Target:           tgt.Name,
-		Algorithm:        alg.Name(),
+		Target:           d.tgt.Name,
+		Algorithm:        d.alg.Name(),
 		Session:          session,
 		Schedule:         schedule,
-		Seed:             opts.Seed,
-		ProgSeed:         opts.ProgSeed,
-		MaxSteps:         opts.MaxSteps,
-		Recording:        rec.Recording().String(),
+		Seed:             d.seed,
+		ProgSeed:         d.tgt.ProgSeed,
+		MaxSteps:         d.tgt.MaxSteps,
+		Recording:        rec.String(),
 		BugID:            orig.BugID(),
 		FailStep:         orig.Failure.Step,
 		FailKind:         orig.Failure.Kind.String(),
@@ -288,15 +214,8 @@ func dumpFlight(tgt Target, algName string, cfg Config, session, schedule int,
 			res.ClassHash == orig.ClassHash,
 		LastDecisions: obs.CollectorRecords(col),
 	}
-	if opts.Info != nil {
-		fr.Delta = opts.Info.DeltaDesc
+	if d.info != nil {
+		fr.Delta = d.info.DeltaDesc
 	}
-	return obs.WriteFlight(cfg.FlightDir, fr)
-}
-
-func selectDelta(tgt Target, prof *profile.Profile, rng *rand.Rand) (profile.Selection, bool) {
-	if tgt.Select != nil {
-		return tgt.Select(prof, rng)
-	}
-	return prof.SelectSingleVar(rng)
+	return obs.WriteFlight(dir, fr)
 }

@@ -296,26 +296,24 @@ func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 }
 
 // worker is what one session borrows for its duration and a WorkerCache
-// recycles across the sessions of one target: the sched.Pool (census and
-// testing schedules alike run on it), the census collector with the tables,
-// profile and infos it fills, the Result every schedule of the session is
-// written into, the Δ-selection stream, and — once a session with an atlas
-// has borrowed it — the atlas accumulator the engine writes into: plain
-// counters only this worker's schedules touch (runSession drains it into
-// the cell under the cell's lock and always leaves it empty). Nothing a
-// session leaves in a worker
-// reaches the next one's results: Pool.Run is bit-identical to sched.Run
-// whatever ran before (sched/pool_test.go), a reused collector's profile
-// equals a fresh Collect's (profile.TestCollectorReuseMatchesCollect), a
-// schedule overwrites every field of the Result, and the stream is
-// re-seeded before its first draw. Nothing of a worker's reaches the
-// Session a caller keeps either: that is built from the Result's values.
+// recycles across the sessions of one target: the Driver — the sched.Pool
+// (census and testing schedules alike run on it), the census collector with
+// the tables, profile and infos it fills, the Δ-selection stream — the
+// Result every schedule of the session is written into, and — once a
+// session with an atlas has borrowed it — the atlas accumulator the engine
+// writes into: plain counters only this worker's schedules touch
+// (runSession drains it into the cell under the cell's lock and always
+// leaves it empty). Nothing a session leaves in a worker reaches the next
+// one's results: Pool.Run is bit-identical to sched.Run whatever ran before
+// (sched/pool_test.go), a reused collector's profile equals a fresh
+// Collect's (profile.TestCollectorReuseMatchesCollect), a schedule
+// overwrites every field of the Result, and the stream is re-seeded before
+// its first draw. Nothing of a worker's reaches the Session a caller keeps
+// either: that is built from the Result's values.
 type worker struct {
-	pool   *sched.Pool
-	census profile.Collector
-	res    sched.Result
-	delta  *rand.Rand
-	stage  *atlas.Accum
+	drv   Driver
+	res   sched.Result
+	stage *atlas.Accum
 }
 
 // stagePool recycles the staging accumulators (13 KB of counters each)
@@ -328,18 +326,6 @@ func (w *worker) staging() *atlas.Accum {
 		w.stage = stagePool.Get().(*atlas.Accum)
 	}
 	return w.stage
-}
-
-// deltaStream returns the worker's Δ-selection stream seeded with seed:
-// the draws of a fresh rand.New(rand.NewSource(seed)), without allocating
-// its 4.9 KB source again.
-func (w *worker) deltaStream(seed int64) *rand.Rand {
-	if w.delta == nil {
-		w.delta = rand.New(rand.NewSource(seed))
-	} else {
-		w.delta.Seed(seed)
-	}
-	return w.delta
 }
 
 // WorkerCache owns the warm workers that sessions run on, keyed by target
@@ -361,7 +347,7 @@ func (wc *WorkerCache) get(target string) *worker {
 		wc.free[target] = ws[:len(ws)-1]
 		return ws[len(ws)-1]
 	}
-	return &worker{pool: sched.NewPool()}
+	return &worker{drv: Driver{pool: sched.NewPool()}}
 }
 
 func (wc *WorkerCache) put(target string, w *worker) {
@@ -377,7 +363,7 @@ func (wc *WorkerCache) Close() {
 	defer wc.mu.Unlock()
 	for _, ws := range wc.free {
 		for _, w := range ws {
-			w.pool.Close()
+			w.drv.Close()
 			if w.stage != nil {
 				stagePool.Put(w.stage)
 			}

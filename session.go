@@ -1,23 +1,18 @@
 package surw
 
-// The unified driver behind Test, Explore, and Replay. A Session owns the
-// three things those entry points used to re-implement separately:
-//
-//   - the one-time profiling run (the census every selective algorithm
-//     needs, charged once per session as in the paper's accounting),
-//   - the Δ stream (the per-schedule redraw of the interesting-event
-//     subset, advanced by a private rand stream seeded from Options.Seed so
-//     any schedule's Δ can be re-derived later by index), and
-//   - the schedule-seed derivation (seed i = Seed + i·2_000_033 + 1, the
-//     same affine map the batch runner uses, so a schedule is addressable
-//     by its index alone).
+// The library's face over the one session driver (internal/runner.Driver):
+// a Session is session 0 of a runner batch seeded with Options.Seed, so
+// Test, Explore and Replay run the schedules — census, Δ stream, seeds,
+// warm pool, prefix checkpoint — that `surw run` and every table run for
+// the same program, algorithm and seed.
 //
 // Test, Explore, and Replay are thin wrappers that keep their historical
-// signatures and outputs; new code that wants finer control — running
-// schedules one at a time, inspecting the Δ of each, cancelling mid-hunt —
-// drives a Session directly:
+// signatures; code that wants finer control — running schedules one at a
+// time, inspecting the Δ of each, cancelling mid-hunt — drives a Session
+// directly:
 //
 //	s, err := surw.NewSession(prog, surw.Options{Algorithm: "SURW"})
+//	defer s.Close()
 //	for s.Remaining() > 0 {
 //	    res, err := s.Next()
 //	    if err != nil { break } // context cancelled: partial results stand
@@ -26,29 +21,22 @@ package surw
 
 import (
 	"context"
-	"math/rand"
+	"fmt"
 
-	"surw/internal/core"
-	"surw/internal/profile"
-	"surw/internal/sched"
+	"surw/internal/runner"
 )
 
 // Session is a reusable schedule driver for one program under one
-// algorithm: it profiles once at construction, then hands out schedules
-// one at a time, re-drawing Δ per schedule for the selective algorithms.
-// A Session is not safe for concurrent use; run independent Sessions (with
-// independent seeds) to parallelize, as internal/runner does.
+// algorithm: it profiles once at construction (for the algorithms that
+// read counts), then hands out schedules one at a time, re-drawing Δ per
+// schedule for the selective algorithms. It holds a pool with parked
+// goroutines: Close it when done. A Session is not safe for concurrent use;
+// run independent Sessions (with independent seeds) to parallelize, as
+// internal/runner does.
 type Session struct {
-	prog   func(*Thread)
-	opts   Options // normalized
-	alg    Algorithm
-	prof   *Profile
-	selRng *rand.Rand
+	drv    *runner.Driver
+	budget int // Options.Schedules
 	ctx    context.Context
-
-	next     int // index of the next schedule to run
-	lastSeed int64
-	delta    string
 }
 
 // NewSession validates the options, performs the one-time profiling run,
@@ -56,87 +44,52 @@ type Session struct {
 // for configuration problems (unknown algorithm).
 func NewSession(prog func(*Thread), opts Options) (*Session, error) {
 	o := opts.normalized()
-	alg, err := core.New(o.Algorithm)
+	drv, err := runner.OpenDriver(runner.Target{
+		Prog:        prog,
+		MaxSteps:    o.MaxSteps,
+		ProgSeed:    o.ProgSeed,
+		Select:      o.Select,
+		TraceFilter: o.TraceFilter,
+	}, o.Algorithm, runner.Config{Seed: o.Seed}, 0)
 	if err != nil {
 		return nil, err
 	}
-	// The census shares the session's Base verbatim except for its own
-	// seed offset — one struct copy, not a field-by-field replumb.
-	pbase := o.Base
-	pbase.Seed += 17
-	prof, _ := profile.Collect(prog, profile.Options{Base: pbase})
 	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Session{
-		prog:   prog,
-		opts:   o,
-		alg:    alg,
-		prof:   prof,
-		selRng: rand.New(rand.NewSource(o.Seed)),
-		ctx:    ctx,
-	}, nil
+	return &Session{drv: drv, budget: o.Schedules, ctx: ctx}, nil
 }
 
-// Profile returns the census collected at construction (nil only if the
-// profiling run could not complete at all).
-func (s *Session) Profile() *Profile { return s.prof }
+// Close releases the session's pool. Test, Explore and Replay (the
+// package-level functions) close the session they open; a caller of
+// NewSession closes its own.
+func (s *Session) Close() { s.drv.Close() }
+
+// Profile returns the census collected at construction, nil for an
+// algorithm that reads no counts (RW, POS, RAPOS): none is taken, and none
+// is charged to Report.Schedule.
+func (s *Session) Profile() *Profile { return s.drv.Profile() }
 
 // Index returns the number of schedules the session has run.
-func (s *Session) Index() int { return s.next }
+func (s *Session) Index() int { return s.drv.Index() }
 
 // Remaining returns how many schedules of the Options.Schedules budget are
 // left.
-func (s *Session) Remaining() int { return s.opts.Schedules - s.next }
+func (s *Session) Remaining() int { return s.budget - s.drv.Index() }
 
 // ScheduleSeed returns the deterministic seed of schedule i — the same
 // derivation Test has always used, exposed so external drivers (replay
 // tooling, distributed workers) can address a schedule by index.
-func (s *Session) ScheduleSeed(i int) int64 {
-	return s.opts.Seed + int64(i)*2_000_033 + 1
-}
+func (s *Session) ScheduleSeed(i int) int64 { return s.drv.ScheduleSeed(i) }
 
 // LastSeed returns the seed of the most recently run schedule.
-func (s *Session) LastSeed() int64 { return s.lastSeed }
+func (s *Session) LastSeed() int64 { return s.drv.Seed() }
 
 // Delta describes the interesting-event subset active in the most recently
-// run schedule ("" before the first Next).
-func (s *Session) Delta() string { return s.delta }
-
-// drawDelta advances the Δ stream one draw and returns the instantiated
-// ProgramInfo (nil when no profile is available).
-func (s *Session) drawDelta() *ProgramInfo {
-	if s.prof == nil {
-		s.delta = ""
-		return nil
-	}
-	var sel Selection
-	ok := false
-	if s.opts.Select != nil {
-		sel, ok = s.opts.Select(s.prof, s.selRng)
-	} else {
-		sel, ok = s.prof.SelectSingleVar(s.selRng)
-	}
-	if !ok {
-		sel = s.prof.SelectAll()
-	}
-	s.delta = sel.Desc
-	return s.prof.Instantiate(sel)
-}
-
-// run executes one schedule with the given seed and Δ.
-func (s *Session) run(seed int64, info *ProgramInfo, recordTrace bool) *Result {
-	s.lastSeed = seed
-	base := s.opts.Base
-	base.Seed = seed
-	return sched.Run(s.prog, s.alg, sched.Options{
-		Base:        base,
-		Info:        info,
-		TraceFilter: s.opts.TraceFilter,
-		RecordTrace: recordTrace,
-	})
-}
+// run schedule: "" before the first Next, and for an algorithm that takes
+// no Δ.
+func (s *Session) Delta() string { return s.drv.Delta() }
 
 // Next draws the next Δ from the stream and runs the session's next
 // schedule. It returns the context's error (and no result) once the
@@ -145,10 +98,9 @@ func (s *Session) Next() (*Result, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
-	info := s.drawDelta()
-	seed := s.ScheduleSeed(s.next)
-	s.next++
-	return s.run(seed, info, false), nil
+	res := new(Result)
+	s.drv.Next(res, nil, nil)
+	return res, nil
 }
 
 // Test drains the session's remaining schedule budget hunting for a
@@ -164,9 +116,9 @@ func (s *Session) Test() (*Report, error) {
 		rep.Schedules++
 		if res.Buggy() {
 			rep.Failure = res.Failure
-			rep.Schedule = s.next + 1 // +1 profiling run, 1-based
-			rep.Seed = s.lastSeed
-			rep.Delta = s.delta
+			rep.Schedule = s.Index() + s.drv.Charged() // 1-based, after the profiling run
+			rep.Seed = s.LastSeed()
+			rep.Delta = s.Delta()
 			return rep, nil
 		}
 	}
@@ -200,19 +152,22 @@ func (s *Session) Explore() (*Exploration, error) {
 	return ex, nil
 }
 
-// Replay re-derives the Δ stream up to the 1-based report schedule index
-// (counting the profiling run, as Report.Schedule does) and re-executes
-// that schedule with the given seed and a full trace recorded. It is the
-// engine behind the package-level Replay: because the Δ stream is a pure
-// function of Options.Seed, a fresh Session re-derives exactly the subset
-// the original hunt used.
+// Replay runs again, with a full trace recorded, the schedule a Report
+// names: schedule is Report.Schedule (1-based, counting the profiling run)
+// and seed Report.Seed, which must be that schedule's. The Δ stream and the
+// seeds are pure functions of Options.Seed, so a fresh Session over the same
+// program and options re-derives exactly what the original hunt ran. It is
+// the engine behind the package-level Replay and leaves Index unmoved.
 func (s *Session) Replay(schedule int, seed int64) (*Result, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
-	var info *ProgramInfo
-	for i := 0; i < schedule-1; i++ {
-		info = s.drawDelta()
+	i := schedule - 1 - s.drv.Charged()
+	if i < 0 {
+		return nil, fmt.Errorf("surw: replay of schedule %d: the session's first is %d", schedule, 1+s.drv.Charged())
 	}
-	return s.run(seed, info, true), nil
+	if want := s.drv.ScheduleSeed(i); seed != want {
+		return nil, fmt.Errorf("surw: replay of schedule %d with seed %d: its seed under these options is %d", schedule, seed, want)
+	}
+	return s.drv.Rerun(i, runner.Observers{RecordTrace: true}), nil
 }

@@ -44,6 +44,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"surw/internal/core"
 	"surw/internal/profile"
@@ -186,13 +187,14 @@ func (o Options) normalized() Options {
 type Report struct {
 	// Failure is the first bug found, or nil.
 	Failure *Failure
-	// Schedule is the 1-based index of the failing schedule (counting the
-	// profiling run), or -1.
+	// Schedule is the 1-based index of the failing schedule, or -1. The
+	// profiling run counts as one for the algorithms that read its counts
+	// (the paper's accounting); RW, POS and RAPOS take none.
 	Schedule int
 	// Seed replays the failing schedule via Replay.
 	Seed int64
 	// Delta describes the interesting-event subset active when the bug
-	// fired.
+	// fired, "" for an algorithm that takes no Δ.
 	Delta string
 	// Schedules is the number of testing schedules executed.
 	Schedules int
@@ -201,9 +203,10 @@ type Report struct {
 // Found reports whether a bug was found.
 func (r *Report) Found() bool { return r.Failure != nil }
 
-// Test hunts for a failing schedule of prog: it profiles once, then runs up
-// to opts.Schedules schedules under the chosen algorithm, re-drawing Δ per
-// schedule for the selective algorithms. The error is non-nil only for
+// Test hunts for a failing schedule of prog: it profiles once (for an
+// algorithm that reads counts), then runs up to opts.Schedules schedules
+// under the chosen algorithm, re-drawing Δ per schedule for the selective
+// algorithms. The error is non-nil only for
 // configuration problems (unknown algorithm) or a cancelled Options.Context
 // (in which case the partial report accompanies it); "no bug found" is
 // reported via Report.Found. Test is a thin wrapper over Session.
@@ -212,6 +215,7 @@ func Test(prog func(*Thread), opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	return s.Test()
 }
 
@@ -231,6 +235,7 @@ func Replay(prog func(*Thread), rep *Report, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	return s.Replay(rep.Schedule, rep.Seed)
 }
 
@@ -249,8 +254,23 @@ func DetectRaces(res *Result) []DataRace {
 // §6 feedback loop from dynamic analysis into SURW. Plug it into
 // Options.Select to focus Test/Explore on racy state.
 func SelectRacyVars(prog func(*Thread), runs int, seed int64) func(*Profile, *rand.Rand) (Selection, bool) {
+	// Options.Select is called once per schedule and the hunt is a function
+	// of the profile alone, so it runs once per profile. The lock is for
+	// an Options value shared by Sessions on different goroutines.
+	var (
+		mu   sync.Mutex
+		from *Profile
+		sel  Selection
+		ok   bool
+	)
 	return func(p *Profile, _ *rand.Rand) (Selection, bool) {
-		return race.SelectRacy(p, prog, runs, seed, 0)
+		mu.Lock()
+		defer mu.Unlock()
+		if p != from {
+			sel, ok = race.SelectRacy(p, prog, runs, seed, 0)
+			from = p
+		}
+		return sel, ok
 	}
 }
 
@@ -311,6 +331,7 @@ func Explore(prog func(*Thread), opts Options) (*Exploration, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	return s.Explore()
 }
 
@@ -359,6 +380,9 @@ func multinomial(ks []int) float64 {
 func (r *Report) String() string {
 	if !r.Found() {
 		return fmt.Sprintf("no bug in %d schedules", r.Schedules)
+	}
+	if r.Delta == "" {
+		return fmt.Sprintf("bug %q found at schedule %d (replay seed %d)", r.Failure.BugID, r.Schedule, r.Seed)
 	}
 	return fmt.Sprintf("bug %q found at schedule %d (Δ = %s, replay seed %d)",
 		r.Failure.BugID, r.Schedule, r.Delta, r.Seed)
