@@ -49,12 +49,18 @@ bench:
 
 # Short coverage-guided fuzz runs of the native fuzz targets: the
 # end-to-end differential oracle over generated programs, the commutation
-# metamorphic property of the class fingerprint, and the channel
-# implementation under randomized scheduling. FUZZTIME=5m for a soak.
+# metamorphic property of the class fingerprint, the channel implementation
+# under randomized scheduling, and the two hand codecs (the run-store record
+# and the lease's four messages) against encoding/json — those two with a
+# short -fuzzminimizetime: their inputs are whole JSON documents, and the
+# default minute spent shrinking each new one is the run. FUZZTIME=5m for a
+# soak.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGeneratedProgram -fuzztime=$(FUZZTIME) ./internal/crosscheck
 	$(GO) test -run='^$$' -fuzz=FuzzClassFingerprint -fuzztime=$(FUZZTIME) ./internal/crosscheck
 	$(GO) test -run='^$$' -fuzz=FuzzChannelOps -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzLeaseMessages -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/remote
 
 # Framework self-verification soak (surw run -crosscheck).
 crosscheck:

@@ -162,13 +162,13 @@ func (s *Store) Aggregate() *Aggregates {
 
 // aggregateCell rolls up one cell's session records (already in session
 // order).
-func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.SessionKey]sessionWire) CellAggregate {
+func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.SessionKey]*runner.Session) CellAggregate {
 	ca := CellAggregate{CellKey: cell, SessionsStored: len(keys)}
 
 	var firstBugs []float64
 	bugSet := make(map[string]bool)
-	pooled := make(map[string]int)
-	pooledClasses := make(map[string]int)
+	pooled := make(map[uint64]int)
+	pooledClasses := make(map[uint64]int)
 	behaviors := make(map[string]bool)
 	covSamples, covSessions := 0, 0
 	classSamples, classSessions, dupSum := 0, 0, 0
@@ -269,7 +269,7 @@ func lastDistinct(pts []AccumPoint) int {
 // schedules-to-first-bug: S(0) = 1, stepping down at each distinct
 // first-bug time; sessions that never found the bug survive past the
 // limit (right-censoring, rendered as a flat tail).
-func survivalCurve(keys []runner.SessionKey, recs map[runner.SessionKey]sessionWire, limit int) []SurvivalPoint {
+func survivalCurve(keys []runner.SessionKey, recs map[runner.SessionKey]*runner.Session, limit int) []SurvivalPoint {
 	n := len(keys)
 	if n == 0 {
 		return nil

@@ -7,7 +7,10 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -107,11 +110,24 @@ type Store struct {
 
 	mu     sync.Mutex
 	dir    string
-	f      *os.File // runs.jsonl, append-only
-	offset int64    // bytes of runs.jsonl already indexed
-	recs   map[runner.SessionKey]sessionWire
-	cells  int // CellDone count this process
+	f      appendFile // runs.jsonl, append-only; nil when closed or read-only
+	offset int64      // bytes of runs.jsonl already indexed
+	// recs holds each record's canonical session (see ParseRecord). They are
+	// the store's own and never change: Lookup and Store hand out copies.
+	recs   map[runner.SessionKey]*runner.Session
+	names  map[string]string // target and algorithm names indexLines has read, to intern the next line's against
+	line   []byte            // Store's encoding buffer
+	cells  int               // CellDone count this process
 	events *Broker
+}
+
+// appendFile is what the store needs of runs.jsonl once it is open — an
+// *os.File, or a test's stand-in that fails on cue.
+type appendFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // Open opens (creating if needed) the store directory for writing,
@@ -162,7 +178,8 @@ func OpenRead(dir string) (*Store, error) {
 func load(dir string) (*Store, int64, int64, error) {
 	s := &Store{
 		dir:    dir,
-		recs:   make(map[runner.SessionKey]sessionWire),
+		recs:   make(map[runner.SessionKey]*runner.Session),
+		names:  make(map[string]string),
 		events: NewBroker(),
 	}
 	path := filepath.Join(dir, runsName)
@@ -170,12 +187,18 @@ func load(dir string) (*Store, int64, int64, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, 0, 0, fmt.Errorf("campaign: read %s: %w", path, err)
 	}
-	keep, err := s.indexLines(data, path)
+	keep, err := s.indexLines(data, nil)
 	if err != nil {
-		return nil, 0, 0, err
+		// A line that does not parse is corruption unless it is the last:
+		// that one was torn mid-write even though a stray newline made it
+		// to disk, and is dropped like a tail with no newline at all.
+		last := bytes.IndexByte(data[keep:], '\n') == len(data)-keep-1
+		if !last || errors.Is(err, errVersion) {
+			return nil, 0, 0, fmt.Errorf("campaign: corrupt record in %s at byte %d: %w", path, keep, err)
+		}
 	}
-	s.offset = keep
-	return s, keep, int64(len(data)), nil
+	s.offset = int64(keep)
+	return s, s.offset, int64(len(data)), nil
 }
 
 // checkManifest writes the manifest on first writable open and verifies
@@ -204,40 +227,35 @@ func checkManifest(dir string, create bool) error {
 	return nil
 }
 
-// indexLines folds the complete lines of data into the index and returns
-// the byte offset after the last complete line. A non-final unparsable
-// line is corruption and errors out; a torn final line is the expected
-// crash artifact and is simply not counted.
-func (s *Store) indexLines(data []byte, path string) (int64, error) {
-	offset := int64(0)
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
+// indexLines folds the complete lines of data into the index, in order —
+// blank lines skipped, a key already indexed left as it is, each new one
+// reported to added when that is not nil — and returns the offset after the
+// last line it took. It stops before data's unterminated tail (an append
+// that is still being written, or died) and before the first line that does
+// not parse, which it returns the error of. Caller holds s.mu or is still
+// constructing s.
+func (s *Store) indexLines(data []byte, added func(runner.SessionKey, *runner.Session)) (int, error) {
+	offset := 0
+	for {
+		nl := bytes.IndexByte(data[offset:], '\n')
 		if nl < 0 {
-			// Torn tail: no trailing newline means the append died mid-write.
-			break
+			return offset, nil
 		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			offset += int64(nl + 1)
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if len(data) == 0 {
-				// Final line, parse error: torn mid-write even though a stray
-				// newline made it to disk. Drop it.
-				break
+		if line := data[offset : offset+nl]; len(bytes.TrimSpace(line)) > 0 {
+			k, sess, err := ParseRecord(line, s.names)
+			if err != nil {
+				return offset, err
 			}
-			return 0, fmt.Errorf("campaign: corrupt record in %s at byte %d: %v", path, offset, err)
+			if _, dup := s.recs[k]; !dup {
+				s.names[k.Target], s.names[k.Algorithm] = k.Target, k.Algorithm
+				s.recs[k] = sess
+				if added != nil {
+					added(k, sess)
+				}
+			}
 		}
-		if rec.V != Version {
-			return 0, fmt.Errorf("campaign: record in %s has version %d, want %d", path, rec.V, Version)
-		}
-		s.recs[rec.Key.decode()] = rec.Session
-		offset += int64(nl + 1)
+		offset += nl + 1
 	}
-	return offset, nil
 }
 
 // Close syncs and closes the underlying file.
@@ -272,56 +290,77 @@ func (s *Store) Cells() int {
 	return s.cells
 }
 
-// Lookup implements runner.SessionStore: a hit returns the stored
-// session's canonical decoded form and the batch skips executing it.
+// Lookup implements runner.SessionStore: a hit returns a copy of the stored
+// session's canonical form and the batch skips executing it.
 func (s *Store) Lookup(k runner.SessionKey) (*runner.Session, bool) {
 	s.mu.Lock()
-	w, ok := s.recs[k]
+	sess, ok := s.recs[k]
 	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	sess, err := w.decode()
-	if err != nil {
-		// An undecodable indexed record means the fingerprints were edited
-		// by hand; treat it as absent and let the session re-run.
-		return nil, false
-	}
-	return sess, true
+	return cloneSession(sess), true
 }
 
 // Store implements runner.SessionStore: it appends the session as one
-// fsynced JSONL line and returns the wire round-trip, so fresh and resumed
-// batches report byte-identical sessions.
+// fsynced JSONL line and returns the session that line parses to, so fresh
+// and resumed batches report identical sessions. An append that fails
+// leaves no trace of itself in the file (see appendLocked).
 func (s *Store) Store(k runner.SessionKey, sess *runner.Session) (*runner.Session, error) {
-	w := encodeSession(sess)
-	line, err := json.Marshal(Record{V: Version, Key: encodeKey(k), Session: w})
-	if err != nil {
-		return nil, fmt.Errorf("campaign: encode session: %w", err)
-	}
-	line = append(line, '\n')
-
 	s.mu.Lock()
 	if s.f == nil {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("campaign: store %s is closed", s.dir)
 	}
-	if _, err := s.f.Write(line); err != nil {
+	s.line = append(AppendRecord(s.line[:0], k, sess), '\n')
+	if err := s.appendLocked(s.line); err != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("campaign: append: %w", err)
+		return nil, err
 	}
-	// Crash-safety: the record must be durable before the campaign moves
-	// on, or a crash could skip a session on resume that never hit disk.
-	if err := s.f.Sync(); err != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("campaign: sync: %w", err)
+	canon, ok := canonical(sess)
+	if !ok {
+		// Text the line could not spell as given (see canonical): read it back.
+		var err error
+		if _, canon, err = ParseRecord(s.line[:len(s.line)-1], nil); err != nil {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("campaign: stored a record that does not parse: %w", err)
+		}
 	}
-	s.offset += int64(len(line))
-	s.recs[k] = w
+	s.recs[k] = canon
 	stored := len(s.recs)
 	s.mu.Unlock()
 
-	s.events.Publish(Event{
+	s.events.Publish(sessionEvent(k, canon, stored))
+	return cloneSession(canon), nil
+}
+
+// appendLocked writes line to runs.jsonl and makes it durable — a crash
+// after Store returns must not skip on resume a session that never hit
+// disk. If either step fails the file is cut back to the last good record:
+// a partial line left in place would sit in the middle of the file once the
+// re-run session was appended behind it, and only a torn last line is
+// forgiven on open. If the cut fails too, the store closes, so that nothing
+// is ever appended behind the tear. Caller holds s.mu.
+func (s *Store) appendLocked(line []byte) error {
+	_, err := s.f.Write(line)
+	if err != nil {
+		err = fmt.Errorf("campaign: append: %w", err)
+	} else if err = s.f.Sync(); err != nil {
+		err = fmt.Errorf("campaign: sync: %w", err)
+	} else {
+		s.offset += int64(len(line))
+		return nil
+	}
+	if terr := s.f.Truncate(s.offset); terr != nil {
+		s.f.Close()
+		s.f = nil
+		return fmt.Errorf("%w; closing the store: cannot cut the partial line back: %v", err, terr)
+	}
+	return err
+}
+
+func sessionEvent(k runner.SessionKey, sess *runner.Session, stored int) Event {
+	return Event{
 		Type:      "session",
 		Target:    k.Target,
 		Algorithm: k.Algorithm,
@@ -330,12 +369,7 @@ func (s *Store) Store(k runner.SessionKey, sess *runner.Session) (*runner.Sessio
 		Session:   k.Session,
 		FirstBug:  sess.FirstBug,
 		Stored:    stored,
-	})
-	canon, err := w.decode()
-	if err != nil {
-		return nil, err
 	}
-	return canon, nil
 }
 
 // CellDone implements runner.BatchObserver: RunTarget reports each
@@ -373,14 +407,10 @@ func foundCount(res *runner.Result) (total, found int) {
 }
 
 // Snapshot returns a copy of the indexed records for aggregation.
-func (s *Store) snapshot() map[runner.SessionKey]sessionWire {
+func (s *Store) snapshot() map[runner.SessionKey]*runner.Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[runner.SessionKey]sessionWire, len(s.recs))
-	for k, w := range s.recs {
-		out[k] = w
-	}
-	return out
+	return maps.Clone(s.recs)
 }
 
 // Poll indexes records appended to runs.jsonl by another process since the
@@ -410,44 +440,19 @@ func (s *Store) Poll() (int, error) {
 		return 0, err
 	}
 
-	n := 0
+	// A line that does not parse yet is the writer mid-flush: the next poll
+	// starts from it again.
+	var events []Event
 	s.mu.Lock()
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // incomplete line still being written
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		consumed := int64(nl + 1)
-		var rec Record
-		if len(bytes.TrimSpace(line)) > 0 {
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break // writer mid-flush; retry next poll
-			}
-			k := rec.Key.decode()
-			if _, dup := s.recs[k]; !dup {
-				s.recs[k] = rec.Session
-				n++
-				stored := len(s.recs)
-				s.mu.Unlock()
-				s.events.Publish(Event{
-					Type:      "session",
-					Target:    k.Target,
-					Algorithm: k.Algorithm,
-					Limit:     k.Limit,
-					Seed:      k.Seed,
-					Session:   k.Session,
-					FirstBug:  rec.Session.FirstBug,
-					Stored:    stored,
-				})
-				s.mu.Lock()
-			}
-		}
-		s.offset += consumed
-	}
+	n, _ := s.indexLines(data, func(k runner.SessionKey, sess *runner.Session) {
+		events = append(events, sessionEvent(k, sess, len(s.recs)))
+	})
+	s.offset += int64(n)
 	s.mu.Unlock()
-	return n, nil
+	for _, ev := range events {
+		s.events.Publish(ev)
+	}
+	return len(events), nil
 }
 
 func readFull(f *os.File, buf []byte) (int, error) {

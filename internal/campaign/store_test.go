@@ -199,3 +199,30 @@ func TestOpenReadRequiresManifest(t *testing.T) {
 		t.Fatal("OpenRead accepted a bare directory")
 	}
 }
+
+// BenchmarkStoreAppend prices one Store.Store — the local half of what a
+// fleet session costs the coordinator — on a short hunt's record (a first
+// bug, one bug id, no coverage), into a store on tmpfs where there is one,
+// so that what is read is the append path's own work and not the disk's
+// fsync: the record encoded on the store's buffer, the index's copy of the
+// session and the caller's. ci.sh gates allocs/op and B/op.
+func BenchmarkStoreAppend(b *testing.B) {
+	dir := b.TempDir()
+	if shm, err := os.MkdirTemp("/dev/shm", "surw-store-bench"); err == nil {
+		dir = shm
+		defer os.RemoveAll(shm)
+	}
+	st, err := campaign.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	sess := session(17)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Store(key(i), sess); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

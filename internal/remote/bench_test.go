@@ -83,8 +83,14 @@ func fleetBenchScale() experiments.Scale {
 	}
 }
 
-// mallocsOf counts the heap objects run allocates, on every goroutine.
-func mallocsOf(b *testing.B, run func(store *campaign.Store)) uint64 {
+// allocated is what a run allocated on every goroutine: heap objects and
+// their bytes (runtime.MemStats' Mallocs and TotalAlloc).
+type allocated struct{ objects, bytes uint64 }
+
+func (a *allocated) add(o allocated) { a.objects += o.objects; a.bytes += o.bytes }
+
+// mallocsOf measures what run allocates.
+func mallocsOf(b *testing.B, run func(store *campaign.Store)) allocated {
 	b.Helper()
 	store, err := campaign.Open(b.TempDir())
 	if err != nil {
@@ -95,7 +101,7 @@ func mallocsOf(b *testing.B, run func(store *campaign.Store)) uint64 {
 	runtime.ReadMemStats(&m0)
 	run(store)
 	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
+	return allocated{m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc}
 }
 
 // BenchmarkFleetSession prices distribution in allocations: one plan of
@@ -103,12 +109,12 @@ func mallocsOf(b *testing.B, run func(store *campaign.Store)) uint64 {
 // "local" arm) and drained into the same kind of store by two loopback
 // workers at one session a lease (the "fleet" arm: a new coordinator,
 // server and workers per drain, as a campaign has). Each arm reports
-// allocs/session; the fleet arm also reports over_local, the objects a
-// session costs it beyond the local run's made in alternation in the same
-// process — the difference ci.sh gates, so the next allocation added per
-// lease shows where it is added and one shed by the engine, which both arms
-// shed, moves nothing. What a lease cannot shed is its two HTTP round trips
-// (≈ 200 objects); see DESIGN §9.
+// allocs/session; the fleet arm also reports over_local and over_local_B,
+// the objects and the bytes a session costs it beyond the local run's made
+// in alternation in the same process — the differences ci.sh gates, so the
+// next allocation added per lease shows where it is added and one shed by
+// the engine, which both arms shed, moves nothing. What a lease cannot shed
+// is its two HTTP round trips (≈ 165 objects, net/http's); see DESIGN §9.
 func BenchmarkFleetSession(b *testing.B) {
 	sc := fleetBenchScale()
 	plan := experiments.SCTPlan(sc)
@@ -139,21 +145,23 @@ func BenchmarkFleetSession(b *testing.B) {
 		}
 	}
 	b.Run("local", func(b *testing.B) {
-		var allocs uint64
+		var total allocated
 		for i := 0; i < b.N; i++ {
-			allocs += mallocsOf(b, local)
+			total.add(mallocsOf(b, local))
 		}
-		b.ReportMetric(float64(allocs)/float64(b.N*len(plan)), "allocs/session")
+		b.ReportMetric(float64(total.objects)/float64(b.N*len(plan)), "allocs/session")
 	})
 	b.Run("fleet", func(b *testing.B) {
-		var allocs, ref uint64
+		var total, ref allocated
 		for i := 0; i < b.N; i++ {
-			allocs += mallocsOf(b, fleet)
+			total.add(mallocsOf(b, fleet))
 			b.StopTimer()
-			ref += mallocsOf(b, local)
+			ref.add(mallocsOf(b, local))
 			b.StartTimer()
 		}
-		b.ReportMetric(float64(allocs)/float64(b.N*len(plan)), "allocs/session")
-		b.ReportMetric((float64(allocs)-float64(ref))/float64(b.N*len(plan)), "over_local")
+		sessions := float64(b.N * len(plan))
+		b.ReportMetric(float64(total.objects)/sessions, "allocs/session")
+		b.ReportMetric((float64(total.objects)-float64(ref.objects))/sessions, "over_local")
+		b.ReportMetric((float64(total.bytes)-float64(ref.bytes))/sessions, "over_local_B")
 	})
 }

@@ -10,11 +10,13 @@ package remote
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,6 +25,7 @@ import (
 	"surw/internal/obs"
 	"surw/internal/runner"
 	"surw/internal/stats"
+	"surw/internal/wire"
 )
 
 // CoordinatorOptions tunes the lease queue; zero values take defaults.
@@ -110,6 +113,12 @@ type Coordinator struct {
 	mux   *http.ServeMux
 	now   func() time.Time // injectable clock for lease-expiry tests
 
+	// names holds the plan's target and algorithm names, for a submitted
+	// record's key to be read onto (read-only once built); exchanges pools
+	// the storage one lease or result request is read and answered on.
+	names     map[string]string
+	exchanges sync.Pool
+
 	mu         sync.Mutex
 	planned    map[runner.SessionKey]bool // plan membership: rejects stray submissions
 	total      int                        // len(plan)
@@ -170,6 +179,7 @@ type lease struct {
 }
 
 type workerState struct {
+	name      string // the workers map's own copy of its key
 	firstSeen time.Time
 	lastSeen  time.Time
 	sessions  int           // accepted records
@@ -187,6 +197,7 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 		opts:    opts.withDefaults(),
 		mux:     http.NewServeMux(),
 		now:     time.Now,
+		names:   make(map[string]string),
 		planned: make(map[runner.SessionKey]bool, len(plan)),
 		total:   len(plan),
 		leases:  make(map[string]*lease),
@@ -214,6 +225,7 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	}
 	for _, k := range plan {
 		c.planned[k] = true
+		c.names[k.Target], c.names[k.Algorithm] = k.Target, k.Algorithm
 		if s, ok := store.Lookup(k); ok {
 			c.done++
 			// A restarted coordinator rebuilds the seen-class filter (and
@@ -307,26 +319,34 @@ func (c *Coordinator) expireStaleLocked(now time.Time) {
 	}
 }
 
-// touchLocked registers/refreshes a worker's liveness.
+// touchLocked registers/refreshes a worker's liveness. It keeps no
+// reference to name — a first sight copies it — so a caller may pass a
+// string(bytes) conversion of a request's storage and pay nothing for it.
 func (c *Coordinator) touchLocked(name string, now time.Time) *workerState {
 	ws := c.workers[name]
 	if ws == nil {
-		ws = &workerState{firstSeen: now}
-		c.workers[name] = ws
+		ws = &workerState{name: strings.Clone(name), firstSeen: now}
+		c.workers[ws.name] = ws
 	}
 	ws.lastSeen = now
 	return ws
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !decodeBody(w, r, &req) {
+	x := c.exchange()
+	defer c.exchanges.Put(x)
+	if !x.readBody(w, r) {
+		return
+	}
+	var err error
+	if x.worker, err = parseLeaseRequest(&x.p, x.body, x.worker[:0]); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	ws := c.touchLocked(req.Worker, now)
+	ws := c.touchLocked(string(x.worker), now)
 	ws.left = false
 	c.expireStaleLocked(now)
 
@@ -346,7 +366,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		} else {
 			c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
 		}
-		keys := b.keys[:0:0]
+		// Filtered in place: the popped batch is the array's only holder.
+		keys := b.keys[:0]
 		for _, k := range b.keys {
 			if _, ok := c.store.Lookup(k); !ok {
 				keys = append(keys, k)
@@ -360,8 +381,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		c.seq++
 		l := &lease{
-			id:      fmt.Sprintf("l%06d", c.seq),
-			worker:  req.Worker,
+			id:      leaseID(c.seq),
+			worker:  ws.name,
 			keys:    keys,
 			expires: now.Add(c.opts.LeaseTTL),
 			granted: now,
@@ -372,14 +393,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			c.yieldGrants++
 		}
 		k0 := keys[0]
-		out := &Lease{
+		x.sessions = x.sessions[:0]
+		for _, k := range keys {
+			x.sessions = append(x.sessions, k.Session)
+		}
+		out := Lease{
 			ID: l.id, Target: k0.Target, Algorithm: k0.Algorithm,
 			Limit: k0.Limit, Seed: k0.Seed, StopAtFirstBug: k0.StopAtFirstBug,
 			Coverage: k0.Coverage, CoverageEvery: k0.CoverageEvery,
-			ProfileRuns: k0.ProfileRuns, TTLMillis: c.opts.LeaseTTL.Milliseconds(),
-		}
-		for _, k := range keys {
-			out.Sessions = append(out.Sessions, k.Session)
+			ProfileRuns: k0.ProfileRuns, Sessions: x.sessions,
+			TTLMillis: c.opts.LeaseTTL.Milliseconds(),
 		}
 		if c.spans.Enabled() {
 			// Root of the end-to-end trace: one fresh TraceID per lease.
@@ -388,20 +411,32 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			root := c.spans.NewRoot()
 			l.span = c.spans.Start(obs.SpanContext{Trace: root.Trace}, "lease")
 			l.span.Span.Lease = l.id
-			l.span.Span.Worker = req.Worker
+			l.span.Span.Worker = ws.name
 			l.span.Span.Target = k0.Target
 			l.span.Span.Alg = k0.Algorithm
 			l.span.Span.N = len(keys)
 			out.Traceparent = l.span.Context().Traceparent()
 		}
-		writeJSON(w, LeaseResponse{Lease: out})
+		x.reply = appendLeaseResponse(x.reply[:0], &LeaseResponse{Lease: &out})
+		x.writeReply(w)
 		return
 	}
 	if c.done >= c.total {
-		writeJSON(w, LeaseResponse{Done: true})
-		return
+		x.reply = appendLeaseResponse(x.reply[:0], &LeaseResponse{Done: true})
+	} else {
+		x.reply = appendLeaseResponse(x.reply[:0], &LeaseResponse{RetryMillis: c.opts.RetryAfter.Milliseconds()})
 	}
-	writeJSON(w, LeaseResponse{RetryMillis: c.opts.RetryAfter.Milliseconds()})
+	x.writeReply(w)
+}
+
+// leaseID renders the seq-th lease's ID, "l%06d".
+func leaseID(seq int) string {
+	var buf [24]byte
+	id := append(buf[:0], 'l')
+	for pad := 100000; pad > seq && pad > 1; pad /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendInt(id, int64(seq), 10))
 }
 
 // AllWorkersNotified reports whether every worker that ever contacted the
@@ -490,31 +525,30 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	submitStart := time.Now()
-	var req ResultRequest
-	if !decodeBody(w, r, &req) {
+	x := c.exchange()
+	defer c.exchanges.Put(x)
+	if !x.readBody(w, r) {
 		return
 	}
-	// Decode and validate everything before taking the lock or touching
-	// the store, so a malformed submission changes nothing.
-	type decoded struct {
-		key  runner.SessionKey
-		sess *runner.Session
+	// Read and validate everything before taking the lock or touching the
+	// store, so a malformed submission changes nothing.
+	req := &x.result
+	defer clear(req.records) // the pooled array must not keep the sessions
+	if err := req.parse(&x.p, x.body, c.names); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	recs := make([]decoded, 0, len(req.Records))
-	for _, rec := range req.Records {
-		k, s, err := rec.Decode()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		recs = append(recs, decoded{k, s})
+	spans, err := decodeSpans(req.spans)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	ws := c.touchLocked(req.Worker, now)
+	ws := c.touchLocked(string(req.worker), now)
 	c.expireStaleLocked(now)
-	for _, d := range recs {
+	for _, d := range req.records {
 		if !c.planned[d.key] {
 			http.Error(w, fmt.Sprintf("remote: session %s/%s #%d is not in the campaign plan",
 				d.key.Target, d.key.Algorithm, d.key.Session), http.StatusBadRequest)
@@ -522,7 +556,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := ResultResponse{}
-	for _, d := range recs {
+	for _, d := range req.records {
 		// Idempotency: Lookup-before-Store under c.mu. Duplicates arise
 		// from lease reassignment or submission retries; sessions are
 		// deterministic, so dropping them loses nothing.
@@ -540,24 +574,24 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		ws.sessions++
 		c.ingestLocked(d.key, d.sess)
 	}
-	busy := time.Duration(req.BusyMillis) * time.Millisecond
+	busy := time.Duration(req.busyMillis) * time.Millisecond
 	ws.busy += busy
 	// Cell throughput for the slow-cell health rule. A lease never mixes
 	// cells, so the first record's cell owns the whole batch's busy time.
-	if len(recs) > 0 {
-		cell := CellOf(recs[0].key)
+	if len(req.records) > 0 {
+		cell := CellOf(req.records[0].key)
 		cs := c.cells[cell]
 		if cs == nil {
 			cs = &cellStat{}
 			c.cells[cell] = cs
 		}
-		for _, d := range recs {
+		for _, d := range req.records {
 			cs.schedules += int64(d.sess.Schedules)
 		}
 		cs.busy += busy
 	}
 	if c.spans.Enabled() {
-		for _, s := range req.Spans {
+		for _, s := range spans {
 			c.spans.Add(s)
 		}
 		// The submit leg, measured server-side under the worker's execute
@@ -567,14 +601,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			c.spans.Add(obs.Span{
 				Trace: pctx.Trace, Parent: pctx.Span, Name: "submit",
 				Start: submitStart.UnixNano(), Dur: int64(time.Since(submitStart)),
-				Worker: req.Worker, N: resp.Accepted,
+				Worker: ws.name, N: resp.Accepted,
 			})
 		}
 	}
 	// Completing the lease is best-effort: if it already expired (or the
 	// coordinator restarted), the records above were still accepted.
-	if l, ok := c.leases[req.LeaseID]; ok && l.worker == req.Worker {
-		delete(c.leases, req.LeaseID)
+	if l, ok := c.leases[string(req.leaseID)]; ok && l.worker == ws.name {
+		delete(c.leases, l.id)
 		ws.leases--
 		l.span.Span.HB = l.hb
 		if resp.Duplicates > 0 {
@@ -582,7 +616,17 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		l.span.End()
 	}
-	writeJSON(w, resp)
+	x.reply = appendResultResponse(x.reply[:0], resp)
+	x.writeReply(w)
+}
+
+// decodeSpans reads a result request's "spans" value, nil for none: only a
+// traced lease's request has one, and only then is encoding/json called.
+func decodeSpans(raw []byte) (spans []obs.Span, err error) {
+	if raw != nil {
+		err = json.Unmarshal(raw, &spans)
+	}
+	return spans, err
 }
 
 // handleSpans serves the coordinator's assembled span log as JSONL —
@@ -743,20 +787,72 @@ func (c *Coordinator) Status() *campaign.RemoteStatus {
 	return rs
 }
 
-// decodeBody decodes a JSON POST body, rejecting other methods.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// maxBody bounds a POST body, so that one bad worker cannot post the
+// coordinator out of memory. The largest body the fleet tests of cmd/surw
+// send is 15 KB; what sizes the bound is a batch of coverage sessions at the
+// paper's scale — 10⁴ schedules, every one a new interleaving and a new
+// class, is ≈ 0.5 MB a record, 2 MB at the default four a lease — times 8.
+const maxBody = 16 << 20
+
+// jsonContentType is every JSON reply's Content-Type, assigned rather than
+// set: no canonicalising, no slice per reply.
+var jsonContentType = []string{"application/json"}
+
+// exchange is the storage one lease or result request is read, parsed and
+// answered on, kept from request to request in the coordinator's pool.
+type exchange struct {
+	p        wire.Parser
+	body     []byte // the request's
+	reply    []byte
+	worker   []byte        // a lease request's
+	result   resultRequest // a result request
+	sessions []int         // a granted lease's session indices
+}
+
+func (c *Coordinator) exchange() *exchange {
+	if x, ok := c.exchanges.Get().(*exchange); ok {
+		return x
+	}
+	return new(exchange)
+}
+
+// postBody bounds a POST's body, rejecting other methods.
+func postBody(w http.ResponseWriter, r *http.Request) (io.Reader, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return nil, false
+	}
+	return http.MaxBytesReader(w, r.Body, maxBody), true
+}
+
+// bodyError answers a body that could not be read or decoded: 413 past
+// maxBody, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+}
+
+// readBody reads a POST's whole body onto x, within maxBody.
+func (x *exchange) readBody(w http.ResponseWriter, r *http.Request) bool {
+	body, ok := postBody(w, r)
+	if !ok {
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	var err error
+	if x.body, err = readInto(x.body, body); err != nil {
+		bodyError(w, err)
 		return false
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+// writeReply sends x.reply, one JSON value, as encoding/json's Encoder
+// would: a newline behind it.
+func (x *exchange) writeReply(w http.ResponseWriter) {
+	w.Header()["Content-Type"] = jsonContentType
+	x.reply = append(x.reply, '\n')
+	_, _ = w.Write(x.reply)
 }

@@ -13,7 +13,6 @@ package remote
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,9 +24,9 @@ import (
 	"time"
 
 	"surw/internal/atlas"
-	"surw/internal/campaign"
 	"surw/internal/obs"
 	"surw/internal/runner"
+	"surw/internal/wire"
 	"surw/internal/workpool"
 )
 
@@ -99,6 +98,13 @@ type Worker struct {
 	cache   *runner.WorkerCache
 	hb      *time.Ticker
 	hbLease atomic.Pointer[string]
+	// The lease loop's own, for the length of a Run (no other goroutine
+	// touches them): its line to the coordinator, the lease in hand, and
+	// that lease's keys and finished sessions in lease order.
+	line     rpc
+	lease    Lease
+	keys     []runner.SessionKey
+	sessions []*runner.Session
 	// spans is created lazily on the first traced lease (nil records
 	// nothing, costing untraced fleets zero allocations).
 	spans *obs.SpanLog
@@ -164,6 +170,10 @@ func (w *Worker) jittered(d time.Duration) time.Duration {
 // However it ends, Run closes with one lease-less heartbeat carrying the
 // worker's final snapshots (see HeartbeatRequest).
 func (w *Worker) Run(ctx context.Context) error {
+	// First, so that the HTTP client exists before anything posts.
+	if err := w.line.open(ctx, w.client(), w.Coordinator); err != nil {
+		return err
+	}
 	w.cache = runner.NewWorkerCache()
 	defer w.cache.Close()
 	// One heartbeat loop for the whole run, not one per lease; it idles
@@ -188,7 +198,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		var resp LeaseResponse
 		leaseT0 := time.Now()
-		err := w.post(ctx, PathLease, LeaseRequest{Worker: w.Name}, &resp)
+		w.line.buf = appendLeaseRequest(w.line.begin(), w.Name)
+		reply, err := w.line.post(w.line.lease, "")
+		if err == nil {
+			err = parseLeaseResponse(&w.line.p, reply, &resp, &w.lease)
+		}
 		w.lat.Observe("lease_rpc", time.Since(leaseT0))
 		if err != nil {
 			w.logf("lease poll failed (%v), backing off %v", err, backoff)
@@ -301,7 +315,11 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
-	w.hbLease.Store(&l.ID)
+	// The heartbeat loop and the watchdog read the ID on their own
+	// goroutines, past this lease's end: from a copy, not from l, which the
+	// next lease reply is parsed into.
+	leaseID := l.ID
+	w.hbLease.Store(&leaseID)
 	w.hb.Reset(ttl / 3)
 
 	// Self-watchdog: progress is "a session of this lease completed"; a
@@ -321,14 +339,19 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 				}
 			}
 		}
-		go watchLease(wdCtx, w.Watchdog, &progress, func(age time.Duration) { stalled(l.ID, age) })
+		go watchLease(wdCtx, w.Watchdog, &progress, func(age time.Duration) { stalled(leaseID, age) })
 	}
 
 	start := time.Now()
 	if w.Logf != nil { // guarded where every lease passes: boxing the arguments allocates
 		w.Logf("lease %s: %s/%s sessions %v", l.ID, l.Target, l.Algorithm, l.Sessions)
 	}
-	records := make([]campaign.Record, len(l.Sessions))
+	w.keys, w.sessions = w.keys[:0], w.sessions[:0]
+	for _, session := range l.Sessions {
+		w.keys = append(w.keys, runner.KeyFor(tgt, l.Algorithm, cfg, session))
+		w.sessions = append(w.sessions, nil)
+	}
+	defer clear(w.sessions) // the kept array must not keep the sessions
 	_, err := workpool.Map(w.Workers, len(l.Sessions), func(i int) (struct{}, error) {
 		session := l.Sessions[i]
 		t0 := time.Now()
@@ -348,29 +371,30 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 				Session: session + 1,
 			})
 		}
-		records[i] = campaign.NewRecord(runner.KeyFor(tgt, l.Algorithm, cfg, session), sess)
+		w.sessions[i] = sess
 		return struct{}{}, nil
 	})
 	w.hbLease.Store(nil)
 	if err != nil {
 		return err
 	}
-	req := ResultRequest{
-		Worker:     w.Name,
-		LeaseID:    l.ID,
-		BusyMillis: time.Since(start).Milliseconds(),
-		Records:    records,
-	}
+	busy := time.Since(start).Milliseconds()
+	var spans []obs.Span
 	if exec.Active() {
 		exec.End()
-		req.Spans = w.spans.Drain()
+		spans = w.spans.Drain()
 		if w.RetainSpans {
 			w.retainMu.Lock()
-			w.retained = append(w.retained, req.Spans...)
+			w.retained = append(w.retained, spans...)
 			w.retainMu.Unlock()
 		}
 	}
-	return w.submit(ctx, req, exec)
+	// The request is encoded once, here, on the line's buffer; the retries
+	// of submit post the same bytes.
+	if w.line.buf, err = appendResultRequest(w.line.begin(), w.Name, l.ID, busy, w.keys, w.sessions, spans); err != nil {
+		return err
+	}
+	return w.submit(ctx, l.ID, spanHeader(exec))
 }
 
 // watchLease fires stalled whenever progress makes no forward motion for a
@@ -444,27 +468,30 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// submit pushes the batch's records, retrying forever with backoff — the
-// records are the valuable half of the protocol, and the coordinator may
-// be mid-restart. Duplicate drops are success.
-func (w *Worker) submit(ctx context.Context, req ResultRequest, exec obs.OpenSpan) error {
+// submit posts the result request on the line's buffer, retrying forever
+// with backoff — the records are the valuable half of the protocol, and the
+// coordinator may be mid-restart. Duplicate drops are success.
+func (w *Worker) submit(ctx context.Context, leaseID, traceparent string) error {
 	lo, hi := w.backoffBounds()
 	backoff := lo
 	for {
-		var resp ResultResponse
 		t0 := time.Now()
-		err := w.postTraced(ctx, PathResult, spanHeader(exec), req, &resp)
+		reply, err := w.line.post(w.line.result, traceparent)
+		var resp ResultResponse
+		if err == nil {
+			resp, err = parseResultResponse(&w.line.p, reply)
+		}
 		if err == nil {
 			w.lat.Observe("submit", time.Since(t0))
 			if w.Logf != nil {
-				w.Logf("lease %s: %d accepted, %d duplicate", req.LeaseID, resp.Accepted, resp.Duplicates)
+				w.Logf("lease %s: %d accepted, %d duplicate", leaseID, resp.Accepted, resp.Duplicates)
 			}
 			return nil
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.logf("submit %s failed (%v), backing off %v", req.LeaseID, err, backoff)
+		w.logf("submit %s failed (%v), backing off %v", leaseID, err, backoff)
 		if !sleepCtx(ctx, w.jittered(backoff)) {
 			return ctx.Err()
 		}
@@ -508,34 +535,10 @@ func spanHeader(o obs.OpenSpan) string {
 	return o.Context().Traceparent()
 }
 
-// post sends one JSON request; out may be nil when only the status
-// matters. 4xx other than 410 is returned verbatim — retrying a request
-// the coordinator rejects as malformed cannot succeed.
-func (w *Worker) post(ctx context.Context, path string, in, out any) error {
-	return w.postTraced(ctx, path, "", in, out)
-}
-
-// postTraced is post with a traceparent header, propagating the worker's
-// execute-span context on submit calls so the coordinator can record the
-// server-side submit leg under it.
-func (w *Worker) postTraced(ctx context.Context, path, traceparent string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceparent != "" {
-		req.Header.Set(obs.TraceparentHeader, traceparent)
-	}
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
+// replyError turns a reply's status into the error the worker acts on. 4xx
+// other than 410 is returned verbatim — a request the coordinator rejects
+// as malformed or too large cannot succeed as it is.
+func replyError(path string, resp *http.Response) error {
 	if resp.StatusCode == http.StatusGone {
 		return errLeaseGone
 	}
@@ -543,10 +546,112 @@ func (w *Worker) postTraced(ctx context.Context, path, traceparent string, in, o
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("remote: %s: %s (%s)", path, resp.Status, bytes.TrimSpace(msg))
 	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
 	return nil
+}
+
+// rpc is the lease loop's line to the coordinator: the two requests a
+// lease costs, built and answered on storage kept from one to the next, so
+// that a request costs what net/http charges for it and no more. It belongs
+// to one goroutine.
+type rpc struct {
+	client *http.Client
+	// lease and result are the two requests as they go out every time —
+	// method, URL, context, and one header between them — copied and given
+	// a body per post. Nothing writes to that header: net/http does not
+	// modify a request's, and the posts that must add to it (see post) add
+	// to a copy.
+	lease, result *http.Request
+	getBodyFn     func() (io.ReadCloser, error) // r.getBody, bound once
+	// buf is the request body: begin hands it out empty, the caller appends
+	// the message, post sends it. body is the reader over it net/http gets;
+	// reply is the last reply's body, p the parser replies are read with.
+	buf   []byte
+	body  *rpcBody
+	reply []byte
+	p     wire.Parser
+}
+
+// rpcBody is a request body over rpc.buf that knows when net/http is done
+// with it. A transport may still be writing a request out after its reply
+// has come back, or after the attempt has failed (http.RoundTripper says as
+// much), and until it has closed the body neither the reader nor the bytes
+// under it may change.
+type rpcBody struct {
+	bytes.Reader
+	closed atomic.Bool
+}
+
+func newRPCBody() *rpcBody {
+	b := new(rpcBody)
+	b.closed.Store(true)
+	return b
+}
+
+func (b *rpcBody) Close() error {
+	b.closed.Store(true)
+	return nil
+}
+
+// open readies the line for a Run: requests under ctx to coordinator.
+func (r *rpc) open(ctx context.Context, client *http.Client, coordinator string) error {
+	*r = rpc{client: client, body: newRPCBody()}
+	r.getBodyFn = r.getBody
+	var err error
+	if r.lease, err = http.NewRequestWithContext(ctx, http.MethodPost, coordinator+PathLease, nil); err != nil {
+		return err
+	}
+	if r.result, err = http.NewRequestWithContext(ctx, http.MethodPost, coordinator+PathResult, nil); err != nil {
+		return err
+	}
+	r.lease.Header = http.Header{"Content-Type": {"application/json"}}
+	r.result.Header = r.lease.Header
+	return nil
+}
+
+// begin returns the request buffer, empty, for the next message. Should a
+// transport still hold the last request's body, the buffer is left to it
+// and a new one started.
+func (r *rpc) begin() []byte {
+	if !r.body.closed.Load() {
+		r.body, r.buf = newRPCBody(), nil
+	}
+	return r.buf[:0]
+}
+
+// getBody serves a redirect or a retry on a fresh connection, which read
+// the request again: from a reader of their own, as the first may not be
+// done with r.body.
+func (r *rpc) getBody() (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(r.buf)), nil
+}
+
+// post sends buf as the body of a copy of tmpl and returns the reply's
+// body, good until the next post. A traceparent rides as a header.
+func (r *rpc) post(tmpl *http.Request, traceparent string) ([]byte, error) {
+	if !r.body.closed.Load() { // a retry of buf while the failed attempt's transport still reads it
+		r.body = newRPCBody()
+	}
+	r.body.Reset(r.buf)
+	r.body.closed.Store(false)
+	req := new(http.Request)
+	*req = *tmpl
+	req.Body, req.ContentLength, req.GetBody = r.body, int64(len(r.buf)), r.getBodyFn
+	if traceparent != "" || r.client.Jar != nil { // a jar adds its cookies to the header it is given
+		req.Header = tmpl.Header.Clone()
+		if traceparent != "" {
+			req.Header.Set(obs.TraceparentHeader, traceparent)
+		}
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if err := replyError(tmpl.URL.Path, resp); err != nil {
+		return nil, err
+	}
+	r.reply, err = readInto(r.reply, resp.Body)
+	return r.reply, err
 }
 
 // sleepCtx sleeps d or until ctx is done; reports whether it slept fully.
