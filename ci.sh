@@ -66,6 +66,23 @@ awk '
 
 make race
 
+# best_of_three FILE EXACT NOISY go-test-args...: up to three samples of a
+# benchmark into FILE. The EXACT gates (deterministic counts; may be empty)
+# must hold on every sample taken, the NOISY ones (wall-clock, or ratios a
+# noisy neighbour can skew) on one of the three.
+best_of_three() {
+    out=$1 exact=$2 noisy=$3
+    shift 3
+    for attempt in 1 2 3; do
+        go test "$@" > "$out" 2>&1 || { cat "$out"; exit 1; }
+        test -z "$exact" || go run ./cmd/surw obs -in "$out" $exact
+        if go run ./cmd/surw obs -in "$out" $noisy; then
+            return 0
+        fi
+    done
+    return 1
+}
+
 # Observability overhead gate: with tracing disabled the pooled scheduler
 # must stay at its allocation floor — the Tracer hook is a nil-check, not a
 # cost. The floor is 5 (the Result and the Figure 1 program's own four; 6
@@ -109,15 +126,9 @@ go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSche
 # wrote the cache lines both workers share). Both are same-process ratios
 # measured in alternation, so they survive a slow machine; a noisy
 # neighbour can still skew one sample, hence the best of three.
-obs_gate_ok=0
-for attempt in 1 2 3; do
-    go test -bench='^(BenchmarkBatchedReplay|BenchmarkObservedSessions)$' -benchmem -run='^$' . > /tmp/surw-bench-obs.txt 2>&1 || { cat /tmp/surw-bench-obs.txt; exit 1; }
-    if go run ./cmd/surw obs -in /tmp/surw-bench-obs.txt -gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' -gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.45'; then
-        obs_gate_ok=1
-        break
-    fi
-done
-test "$obs_gate_ok" -eq 1
+best_of_three /tmp/surw-bench-obs.txt '' \
+    '-gate BenchmarkBatchedReplay/traced.x_batched<=1.3 -gate BenchmarkObservedSessions/workers_2.x_unobserved<=1.45' \
+    -bench='^(BenchmarkBatchedReplay|BenchmarkObservedSessions)$' -benchmem -run='^$' .
 
 # Census cost gates: the paper books a session's profiling run as one extra
 # schedule (§4.1), and on a warm worker it costs about that. x_schedule is
@@ -129,41 +140,28 @@ test "$obs_gate_ok" -eq 1
 # observer ratios above. allocs/census is what the census allocates — the
 # program's own four objects and nothing of the framework's (80 and 108
 # before) — exact, so gated at that + 5 % on each attempt.
-census_gate_ok=0
-for attempt in 1 2 3; do
-    go test -bench='^BenchmarkCensus$' -run='^$' . > /tmp/surw-bench-census.txt 2>&1 || { cat /tmp/surw-bench-census.txt; exit 1; }
-    go run ./cmd/surw obs -in /tmp/surw-bench-census.txt -gate 'BenchmarkCensus/reorder_10.allocs/census<=4.2' -gate 'BenchmarkCensus/twostage_20.allocs/census<=4.2'
-    if go run ./cmd/surw obs -in /tmp/surw-bench-census.txt -gate 'BenchmarkCensus/reorder_10.x_schedule<=2' -gate 'BenchmarkCensus/twostage_20.x_schedule<=2'; then
-        census_gate_ok=1
-        break
-    fi
-done
-test "$census_gate_ok" -eq 1
+best_of_three /tmp/surw-bench-census.txt \
+    '-gate BenchmarkCensus/reorder_10.allocs/census<=4.2 -gate BenchmarkCensus/twostage_20.allocs/census<=4.2' \
+    '-gate BenchmarkCensus/reorder_10.x_schedule<=2 -gate BenchmarkCensus/twostage_20.x_schedule<=2' \
+    -bench='^BenchmarkCensus$' -run='^$' .
 
 # Allocation and throughput gates for the parallel session engine. The
 # allocs/schedule floor is deterministic (4.52: the twostage program's own
 # closures and slices, and a session's set-up spread over its 100
 # schedules; 5.52 while every schedule returned a fresh Result, 9.52 before
 # object handles moved into the execution's arenas; the gate is that + 5 %:
-# small noise, not a regression), so one sample gates it. The schedules/s
-# gate locks in the
+# small noise, not a regression), so it is gated on every sample taken. The
+# schedules/s gate locks in the
 # >=5x speedup over the pre-checkpointing BENCH_obs.json baseline (5519
 # schedules/s on the reference machine -> gate at 27595). It is
 # wall-clock: the reference machine measures ~31-36k when quiet but dips
 # ~30% under neighbor load, so the gate takes the best of three samples
 # (a genuine fast-path regression lands back near the 5.5k baseline and
 # fails all three; -benchtime=20x smooths per-sample jitter).
-go test -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-par.txt 2>&1 || { cat /tmp/surw-bench-par.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.allocs/schedule<=4.75'
-sched_gate_ok=0
-for attempt in 1 2 3; do
-    if go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.schedules/s>=27595'; then
-        sched_gate_ok=1
-        break
-    fi
-    go test -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-par.txt 2>&1 || { cat /tmp/surw-bench-par.txt; exit 1; }
-done
-test "$sched_gate_ok" -eq 1 || go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.schedules/s>=27595'
+best_of_three /tmp/surw-bench-par.txt \
+    '-gate BenchmarkParallelSessions/workers_1.allocs/schedule<=4.75' \
+    '-gate BenchmarkParallelSessions/workers_1.schedules/s>=27595' \
+    -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' .
 
 # Fleet cost gates, all same-process comparisons (internal/remote/bench_test.go).
 # over_local and over_local_B are what a session of a loopback drain

@@ -56,8 +56,11 @@ import (
 // waits for `surw worker` fleets to execute them. When the plan is complete
 // the normal sct path renders the tables from the store, so a distributed
 // run's tables and aggregates.json are byte-identical to a local run's.
-// -lease-ttl and -lease-batch tune the queue; with -serve, the dashboard
-// additionally shows the worker fleet and /metrics gains surw_remote_*.
+// -lease-ttl and -lease-batch tune the queue and -fleet-trace records it
+// (all three are usage errors without -coordinate); with -serve, the
+// dashboard additionally shows the worker fleet and /metrics gains
+// surw_remote_*. Leases are granted in plan order, and a leased session
+// runs as a local one does: the fleet has no knob that changes a record.
 //
 // -atlas attaches the exploration atlas (internal/atlas) to the sct
 // experiment: schedule-space cartography (per-depth branching, prefix
@@ -66,10 +69,6 @@ import (
 // dashboard. Observation only — it never changes a schedule, a table, or
 // an aggregate byte. In coordinate mode the written atlas is the fleet
 // merge of every worker's (workers opt in with `surw worker -atlas`).
-// -yield-leases makes the coordinator weight lease grants by per-cell
-// discovery yield (deterministically, seeded from the campaign seed);
-// like the prefix filter it reorders execution, so it is opt-in and
-// excluded from the byte-identity tests.
 func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	c := newCommand("bench", stdout, stderr)
 	c.shared("seed", "workers", "q", "metrics", "pprof", "campaign", "serve", "atlas", "version")
@@ -90,9 +89,7 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		coordAddr  = c.fs.String("coordinate", "", "serve the distributed-campaign coordinator on this address and wait for `surw worker` fleets (requires -campaign; sct only)")
 		leaseTTL   = c.fs.Duration("lease-ttl", 30*time.Second, "coordinator: lease time-to-live between worker heartbeats")
 		leaseBatch = c.fs.Int("lease-batch", 4, "coordinator: sessions per lease")
-		dedupThr   = c.fs.Int("dedup-threshold", 0, "coordinator: seen-class filter saturation threshold (0 = default)")
 		fleetTrace = c.fs.String("fleet-trace", "", "coordinator: enable distributed tracing and write the assembled span log (JSONL) to this file")
-		yieldLease = c.fs.Bool("yield-leases", false, "coordinator: weight lease grants by per-cell discovery yield (deterministic, seeded from the campaign seed)")
 	)
 	return c.run(args, func() error {
 		sc := experiments.DefaultScale()
@@ -114,11 +111,18 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		override(&sc.RaceBenchLimit, *rbLimit)
 		override(&sc.FTPTrials, *ftpTrials)
 		override(&sc.FTPLimit, *ftpLimit)
+		var coordOnly string // a coordinator flag given without -coordinate
 		c.fs.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" { // given, whatever its value: 0 is a seed too
+			switch f.Name {
+			case "seed": // given, whatever its value: 0 is a seed too
 				sc.Seed = c.seed
+			case "lease-ttl", "lease-batch", "fleet-trace":
+				coordOnly = f.Name
 			}
 		})
+		if coordOnly != "" && *coordAddr == "" {
+			return usagef("-%s requires -coordinate (it configures the coordinator)", coordOnly)
+		}
 		sc.Workers = c.workers
 		sc.Metrics = c.metrics
 		sc.SCTTargets = splitList(*sctTargets)
@@ -183,15 +187,10 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 				return usagef("-coordinate shards the sct experiment only; invoke as `surw bench -coordinate ADDR -campaign DIR ... sct`")
 			}
 			coord = remote.NewCoordinator(c.store, experiments.SCTPlan(sc), remote.CoordinatorOptions{
-				LeaseTTL:       *leaseTTL,
-				BatchSize:      *leaseBatch,
-				ClassThreshold: *dedupThr,
-				Tracing:        *fleetTrace != "",
-				YieldLeases:    *yieldLease,
-				YieldSeed:      sc.Seed,
+				LeaseTTL:  *leaseTTL,
+				BatchSize: *leaseBatch,
+				Tracing:   *fleetTrace != "",
 			})
-		} else if *yieldLease {
-			return usagef("-yield-leases requires -coordinate (it weights the coordinator's lease grants)")
 		}
 		// The atlas source: the fleet merge in coordinate mode (workers ship
 		// cumulative snapshots with their heartbeats and on leaving), the
@@ -219,9 +218,6 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		if coord != nil {
 			if err := c.coordinate(ctx, coord, *coordAddr, progress); err != nil {
 				return err
-			}
-			if *yieldLease {
-				fmt.Fprintf(stderr, "coordinator: %d yield-weighted grants\n", coord.Status().YieldGrants)
 			}
 			if *fleetTrace != "" {
 				spans := coord.Spans()

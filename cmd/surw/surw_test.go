@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,6 +32,40 @@ func TestVersionStamp(t *testing.T) {
 		if code != 0 || !strings.HasPrefix(stdout, "surw test (") {
 			t.Errorf("surw %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden from the flags the subcommands declare now")
+
+// TestFlagSurface: every flag of every subcommand, as its -h lists them, is
+// a line of testdata/flags.golden, so that a knob added — or one coming
+// back — is a diff someone has to approve.
+func TestFlagSurface(t *testing.T) {
+	listed := regexp.MustCompile(`(?m)^  -(\S+)`)
+	var lines []string
+	for sub := range subcommands {
+		out := run(sub, "-h")
+		if out.code != 0 {
+			t.Fatalf("surw %s -h: exit %d\n%s", sub, out.code, out.stderr)
+		}
+		for _, m := range listed.FindAllStringSubmatch(out.stderr, -1) {
+			lines = append(lines, sub+" -"+m[1])
+		}
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	golden := filepath.Join("testdata", "flags.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := string(readFile(t, golden)); got != want {
+		t.Errorf("the flag surface changed (%d flags, the golden file holds %d); if that is intended, go test ./cmd/surw -run TestFlagSurface -update and commit the diff:\n%s",
+			len(lines), strings.Count(want, "\n"), got)
 	}
 }
 

@@ -55,7 +55,6 @@ func workerCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	var (
 		coordinator = c.fs.String("coordinator", "", "coordinator base URL, e.g. http://10.0.0.1:7071 (required)")
 		name        = c.fs.String("name", "", "worker name shown on the dashboard (default host:pid)")
-		dedup       = c.fs.Bool("dedup-abandon", false, "early-abandon sessions whose forced prefix lands in a fleet-saturated commutation class (trades byte-identity for throughput)")
 		metricsAddr = c.fs.String("metrics-addr", "", "serve this worker's Prometheus /metrics page on this address (attaches the scheduler collector; results stay byte-identical)")
 		traceOut    = c.fs.String("trace", "", "write this worker's retained spans as JSONL to this file on exit")
 		watchdog    = c.fs.Duration("watchdog", 0, "dump goroutine stacks to stderr when a lease makes no progress for this long (0 = off)")
@@ -73,13 +72,12 @@ func workerCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		defer stop()
 
 		w := &remote.Worker{
-			Coordinator:     *coordinator,
-			Name:            *name,
-			Resolve:         lookupTarget,
-			Workers:         c.workers,
-			UsePrefixFilter: *dedup,
-			Watchdog:        *watchdog,
-			RetainSpans:     *traceOut != "",
+			Coordinator: *coordinator,
+			Name:        *name,
+			Resolve:     lookupTarget,
+			Workers:     c.workers,
+			Watchdog:    *watchdog,
+			RetainSpans: *traceOut != "",
 		}
 		if c.atlas {
 			w.Atlas = atlas.New()

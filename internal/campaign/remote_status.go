@@ -36,17 +36,10 @@ type RemoteStatus struct {
 	// counting Bloom filter, DistinctClasses the estimated distinct
 	// commutation classes among them, and DuplicateRate the fraction of
 	// ingested schedules that re-sampled an already-seen class (within a
-	// session or fleet-wide). ClassQueries / ClassesSaturated count the
-	// /v1/classes traffic and how often it answered "saturated" — i.e. how
-	// many prefix-class early abandons the filter authorized.
+	// session or fleet-wide).
 	ClassObservations int64   `json:"class_observations,omitempty"`
 	DistinctClasses   int64   `json:"distinct_classes,omitempty"`
 	DuplicateRate     float64 `json:"duplicate_rate,omitempty"`
-	ClassQueries      int64   `json:"class_queries,omitempty"`
-	ClassesSaturated  int64   `json:"classes_saturated,omitempty"`
-	// YieldGrants counts leases granted through the coordinator's
-	// yield-weighted draw; zero when -yield-leases is off.
-	YieldGrants int64 `json:"yield_grants,omitempty"`
 	// Workers lists every worker that ever contacted the coordinator,
 	// sorted by name.
 	Workers []RemoteWorker `json:"workers,omitempty"`
@@ -89,9 +82,6 @@ func (rs *RemoteStatus) WritePrometheus(w io.Writer) error {
 	p.Counter("surw_remote_class_observations_total", "Session-class pairs ingested into the seen-class filter.").Int(rs.ClassObservations)
 	p.Gauge("surw_remote_distinct_classes", "Estimated distinct commutation classes observed fleet-wide.").Int(rs.DistinctClasses)
 	p.Gauge("surw_remote_duplicate_rate", "Fraction of ingested schedules that re-sampled an already-seen class.").Fixed(rs.DuplicateRate, 6)
-	p.Counter("surw_remote_class_queries_total", "Class fingerprints queried over /v1/classes.").Int(rs.ClassQueries)
-	p.Counter("surw_remote_classes_saturated_total", "Queried fingerprints answered saturated.").Int(rs.ClassesSaturated)
-	p.Counter("surw_remote_yield_grants_total", "Leases granted through the yield-weighted draw.").Int(rs.YieldGrants)
 	p.Gauge("surw_remote_workers", "Workers that have contacted the coordinator.").Int(int64(len(rs.Workers)))
 	sessions := p.Counter("surw_remote_worker_sessions_total", "Accepted session records per worker.")
 	busy := p.Counter("surw_remote_worker_busy_seconds_total", "Worker-reported execution time.")

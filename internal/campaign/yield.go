@@ -1,16 +1,9 @@
 package campaign
 
-// Discovery yield: how much is left to find in each cell, and every use
-// made of it. The dashboard's score (Yields: /api/yield, the surw_yield_*
-// gauges, the yield panel) is a pure function of the record set, like
-// every aggregate. The coordinator's -yield-leases grant weight
-// (LeaseWeight) is computed from the class tallies it has ingested. They
-// are different functions on purpose — the score blends three signals to
-// rank cells for a reader, the weight is the unseen mass alone, floored so
-// the draw can never starve a cell — and they sit in one file so that a
-// reader of either knows the other exists.
-
-import "surw/internal/stats"
+// Discovery yield: how much is left to find in each cell. The score
+// (Yields: /api/yield, the surw_yield_* gauges, the dashboard's yield
+// panel) is a pure function of the record set, like every aggregate, and
+// it is for a reader: it ranks cells, it steers nothing.
 
 // Yield is one cell's discovery-yield estimate: how much is left to find
 // there, on a [0,1] scale, decomposed into the three signals it is built
@@ -133,25 +126,6 @@ func RecentNewRate(growth []AccumPoint) float64 {
 	recent := float64(last.Distinct-prev.Distinct) / float64(last.Session-prev.Session)
 	avg := float64(last.Distinct) / float64(last.Session)
 	return clamp01(recent / avg)
-}
-
-// leaseWeightFloor keeps every pending cell grantable: yield weighting
-// reorders exploration, it must never starve a cell outright.
-const leaseWeightFloor = 0.05
-
-// LeaseWeight maps a cell's ingested class counts to a lease-grant
-// weight: the Good-Turing unseen mass, floored. A cell with no coverage
-// data yet weighs 1 — maximum uncertainty reads as maximum yield, so
-// fresh cells are explored first rather than last.
-func LeaseWeight(classCounts []int) float64 {
-	if len(classCounts) == 0 {
-		return 1
-	}
-	w := stats.GoodTuringUnseen(classCounts)
-	if w < leaseWeightFloor {
-		return leaseWeightFloor
-	}
-	return clamp01(w)
 }
 
 func clamp01(x float64) float64 {

@@ -93,20 +93,6 @@ func TestYieldComponents(t *testing.T) {
 	}
 }
 
-func TestLeaseWeight(t *testing.T) {
-	if w := campaign.LeaseWeight(nil); w != 1 {
-		t.Fatalf("no-data cell weight = %v, want 1", w)
-	}
-	// All singletons: everything looks unseen.
-	if w := campaign.LeaseWeight([]int{1, 1, 1, 1}); w != 1 {
-		t.Fatalf("all-singleton weight = %v, want 1", w)
-	}
-	// Saturated cell: the 0.05 floor, never zero.
-	if w := campaign.LeaseWeight([]int{500, 400}); w != 0.05 {
-		t.Fatalf("saturated weight = %v, want the floor 0.05", w)
-	}
-}
-
 // atlasServer builds a server over a real campaign with a synthetic-but-
 // live atlas registry attached: one uniform cell and one heavily biased
 // cell whose drift alarm has tripped.

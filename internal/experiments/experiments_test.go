@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"surw/internal/campaign"
 )
 
 // tinyScale keeps the experiment tests fast; shape assertions that need
@@ -149,5 +151,32 @@ func TestFormatBits(t *testing.T) {
 	// 0b1_0101 with k=2 strips to "0101".
 	if got := formatBits(0b10101, 2); got != "0101" {
 		t.Fatalf("formatBits = %q", got)
+	}
+}
+
+// TestThroughputFooterRatesWhatRan: the schedules/s footer is about the
+// schedules this run executed. A column whose cells all came from the
+// campaign store is left out of it, and a grid that ran nothing — a resumed
+// or fleet-drained campaign rendering its tables — has no footer at all,
+// where it used to divide the stored schedules by the lookups' wall clock.
+func TestThroughputFooterRatesWhatRan(t *testing.T) {
+	sc := tinyScale()
+	sc.SCTTargets = []string{"CS/reorder_4", "CS/twostage_20"}
+	sc.SCTAlgs = []string{"SURW"}
+	store, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sc.Store = store
+	if footer := SCTBench(sc, nil).ThroughputFooter(); !strings.Contains(footer, "SURW ") {
+		t.Fatalf("a fresh grid's footer: %q", footer)
+	}
+	if footer := SCTBench(sc, nil).ThroughputFooter(); footer != "" {
+		t.Fatalf("a grid served from the store rated itself: %q", footer)
+	}
+	sc.SCTAlgs = []string{"SURW", "RW"}
+	if footer := SCTBench(sc, nil).ThroughputFooter(); !strings.Contains(footer, "per cell: RW ") {
+		t.Fatalf("the footer of a grid whose SURW column was stored and whose RW column was not: %q", footer)
 	}
 }

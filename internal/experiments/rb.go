@@ -71,7 +71,11 @@ func RaceBench(sc Scale, progress Progress) *RBResult {
 		}
 		n := len(res.DistinctBugs())
 		progress("[%2d/%d] %-16s %-6s %d distinct", cells[i].bi+1, len(suite), base.Name, alg, n)
-		return cellOut{distinct: n, sched: res.TotalSchedules(), secs: res.Elapsed.Seconds()}, nil
+		co := cellOut{distinct: n}
+		if res.Executed > 0 { // a cell served from the store has no rate
+			co.sched, co.secs = res.Executed, res.Elapsed.Seconds()
+		}
+		return co, nil
 	})
 	if err != nil {
 		panic(err)
@@ -142,7 +146,7 @@ func (r *RBResult) Totals() map[string]int {
 // grid: mean schedules/s per cell for each algorithm column, plus the
 // grid-wide wall-clock rate. Wall-clock, so surw bench prints it to stderr
 // beside Table 2, keeping the table bit-identical at any worker count.
-// Empty when the grid carries no timing.
+// Empty when the grid executed nothing.
 func (r *RBResult) ThroughputFooter() string {
 	parts := make([]string, 0, len(RBAlgorithms))
 	totalSched, totalSec := 0, 0.0

@@ -194,8 +194,10 @@ func (r *SCTResult) Table1() *report.Table {
 // wall-clock Elapsed) and the grid-wide rate. It is wall-clock — cells
 // fanned over a shared worker pool time-slice the CPUs — so it goes to
 // stderr with the other timing output, never into the tables themselves,
-// which stay bit-identical at any worker count. Empty when no cell
-// carries timing (e.g. a grid reassembled from a campaign store).
+// which stay bit-identical at any worker count. It rates the schedules a
+// cell executed: a cell served from the campaign store ran nothing and is
+// left out, and a grid of such cells (a resumed or fleet-drained campaign)
+// has no footer.
 func (r *SCTResult) ThroughputFooter() string {
 	parts := make([]string, 0, len(r.Algs))
 	totalSched, totalSec := 0, 0.0
@@ -203,10 +205,10 @@ func (r *SCTResult) ThroughputFooter() string {
 		sched, sec := 0, 0.0
 		for _, tname := range r.Targets {
 			res := r.Results[tname][alg]
-			if res == nil || res.Elapsed <= 0 {
+			if res == nil || res.Elapsed <= 0 || res.Executed == 0 {
 				continue
 			}
-			sched += res.TotalSchedules()
+			sched += res.Executed
 			sec += res.Elapsed.Seconds()
 		}
 		totalSched += sched

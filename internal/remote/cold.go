@@ -1,9 +1,9 @@
 package remote
 
-// The requests off the per-session path — heartbeats, class queries — go
-// through encoding/json, each on storage of its own: they are rare, their
-// bodies (histograms, atlas cells) have no fixed shape worth a hand codec,
-// and they run on goroutines that must not share the lease loop's buffers.
+// The request off the per-session path — the heartbeat — goes through
+// encoding/json, on storage of its own: it is rare, its body (histograms,
+// atlas cells) has no fixed shape worth a hand codec, and it runs on a
+// goroutine that must not share the lease loop's buffers.
 // ci.sh keeps json.Marshal, json.NewDecoder and json.NewEncoder out of
 // worker.go and coordinator.go, so what is here stays here.
 
@@ -14,9 +14,9 @@ import (
 	"net/http"
 )
 
-// post sends one JSON request: the heartbeat loop's and the prefix filter's
-// way to the coordinator. out may be nil when only the status matters.
-func (w *Worker) post(ctx context.Context, path string, in, out any) error {
+// post sends one JSON request, the heartbeat loop's way to the coordinator,
+// and reads the reply's status.
+func (w *Worker) post(ctx context.Context, path string, in any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -31,18 +31,11 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if err := replyError(path, resp); err != nil {
-		return err
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
+	return replyError(path, resp)
 }
 
 // decodeBody decodes a JSON POST body through encoding/json, rejecting
-// other methods: the way in for the requests off the per-session path
-// (heartbeats, class queries).
+// other methods: the heartbeat's way in.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, ok := postBody(w, r)
 	if !ok {
@@ -53,10 +46,4 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// writeJSON is decodeBody's way out.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }

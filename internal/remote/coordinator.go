@@ -24,7 +24,6 @@ import (
 	"surw/internal/campaign"
 	"surw/internal/obs"
 	"surw/internal/runner"
-	"surw/internal/stats"
 	"surw/internal/wire"
 )
 
@@ -38,40 +37,11 @@ type CoordinatorOptions struct {
 	// RetryAfter is the poll hint handed to workers when every batch is
 	// leased out. Default 500ms.
 	RetryAfter time.Duration
-	// ClassThreshold is the seen-class filter's saturation threshold: a
-	// commutation class observed by at least this many session records
-	// answers true on /v1/classes. Default DefaultClassThreshold.
-	ClassThreshold int
-	// ClassFilterSize is the number of 8-bit counters backing the filter.
-	// Default DefaultFilterSize.
-	ClassFilterSize int
 	// Tracing enables fleet tracing: every lease gets a root span whose
 	// context travels to the worker, worker spans are ingested from result
 	// submissions, and the assembled log is served on /v1/spans. Off by
 	// default — untraced fleets record nothing and allocate nothing.
 	Tracing bool
-	// Track names the coordinator's span track. Default "coordinator".
-	Track string
-	// StaleWorkerAfter flags workers silent for this long (default 3x
-	// LeaseTTL); AgingLeaseAfter flags leases outstanding this long
-	// (default 5x LeaseTTL); SlowCellFraction flags cells below this
-	// fraction of the fleet-median schedules/s (default
-	// DefaultSlowCellFraction).
-	StaleWorkerAfter time.Duration
-	AgingLeaseAfter  time.Duration
-	SlowCellFraction float64
-	// YieldLeases weights lease grants by per-cell discovery yield: the
-	// coordinator draws the next batch with probability proportional to
-	// campaign.LeaseWeight over the cell's ingested class tallies, so cells
-	// with more unseen mass get leased first. The draw is deterministic —
-	// seeded by YieldSeed and the grant sequence, independent of wall
-	// clock — so the same store, plan, and request order grant the same
-	// leases. Like the prefix filter this reorders (and with StopAtFirstBug
-	// can reshape) execution, so it is opt-in and never enabled by the
-	// byte-identity smokes; with the flag off the FIFO order is untouched.
-	YieldLeases bool
-	// YieldSeed seeds the yield-weighted draw. Default 1.
-	YieldSeed int64
 }
 
 // defaultLeaseTTL is also what a worker assumes of a lease that names none.
@@ -86,21 +56,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = 500 * time.Millisecond
-	}
-	if o.Track == "" {
-		o.Track = "coordinator"
-	}
-	if o.StaleWorkerAfter <= 0 {
-		o.StaleWorkerAfter = defaultStaleWorkerTTLs * o.LeaseTTL
-	}
-	if o.AgingLeaseAfter <= 0 {
-		o.AgingLeaseAfter = defaultAgingLeaseTTLs * o.LeaseTTL
-	}
-	if o.SlowCellFraction <= 0 {
-		o.SlowCellFraction = DefaultSlowCellFraction
-	}
-	if o.YieldSeed == 0 {
-		o.YieldSeed = 1
 	}
 	return o
 }
@@ -130,13 +85,11 @@ type Coordinator struct {
 	expiries   int64 // leases timed out and requeued
 	duplicates int64 // records dropped because the store already held them
 
-	// Seen-class state: filter is its own lock domain (never touched under
-	// c.mu hot paths beyond ingest), the tallies ride under c.mu.
-	filter         *ClassFilter
-	schedules      int64 // schedules covered by ingested session records
-	dupSchedules   int64 // of those, schedules in an already-seen class
-	classQueries   int64 // fingerprints queried over /v1/classes
-	classSaturated int64 // of those, answered saturated
+	// Seen-class gauges: filter counts the distinct classes ingested (its
+	// own lock domain), the tallies ride under c.mu.
+	filter       *ClassFilter
+	schedules    int64 // schedules covered by ingested session records
+	dupSchedules int64 // of those, schedules in an already-seen class
 
 	// Observability. spans is nil unless opts.Tracing; lat holds the
 	// coordinator's own histograms (queue_wait); workerLat keeps the
@@ -148,16 +101,12 @@ type Coordinator struct {
 	workerLat map[string]map[string]obs.HistogramWire
 	cells     map[campaign.CellKey]*cellStat
 
-	// Yield-guided leasing state. cellClasses tallies ingested class
-	// fingerprints per cell (a pure function of the store, so it survives
-	// coordinator restarts); workerAtlas keeps the latest cumulative atlas
-	// snapshot per worker (replaced like workerLat); yieldGrants counts
-	// leases granted through the weighted draw, yieldDraws the draws made
-	// (the deterministic stream position).
+	// The fleet atlas. cellClasses tallies ingested class fingerprints per
+	// cell (a pure function of the store, so it survives coordinator
+	// restarts); workerAtlas keeps the latest cumulative atlas snapshot per
+	// worker (replaced like workerLat).
 	cellClasses map[campaign.CellKey]map[uint64]int
 	workerAtlas map[string][]atlas.CellSnapshot
-	yieldGrants int64
-	yieldDraws  uint64
 }
 
 // batch is a run of same-cell session keys, in session order.
@@ -210,9 +159,9 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 		workerAtlas: make(map[string][]atlas.CellSnapshot),
 	}
 	if c.opts.Tracing {
-		c.spans = obs.NewSpanLog(c.opts.Track)
+		c.spans = obs.NewSpanLog("coordinator")
 	}
-	c.filter = NewClassFilter(c.opts.ClassFilterSize, c.opts.ClassThreshold)
+	c.filter = NewClassFilter(0, 0)
 	t0 := c.now()
 	var cur batch
 	var curCell campaign.CellKey
@@ -228,10 +177,8 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 		c.names[k.Target], c.names[k.Algorithm] = k.Target, k.Algorithm
 		if s, ok := store.Lookup(k); ok {
 			c.done++
-			// A restarted coordinator rebuilds the seen-class filter (and
-			// the per-cell yield tallies) from the records it resumes over,
-			// so saturation verdicts and grant weights survive restarts
-			// with the store.
+			// A restarted coordinator rebuilds the duplicate gauges and the
+			// per-cell class tallies from the records it resumes over.
 			c.ingestLocked(k, s)
 			continue
 		}
@@ -246,7 +193,6 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	c.mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	c.mux.HandleFunc(PathResult, c.handleResult)
 	c.mux.HandleFunc(PathStatus, c.handleStatus)
-	c.mux.HandleFunc(PathClasses, c.handleClasses)
 	c.mux.HandleFunc(PathSpans, c.handleSpans)
 	c.mux.HandleFunc(PathHealth, c.handleHealth)
 	c.mux.Handle("/metrics", obs.PromHandler(func(w io.Writer) error { return c.Status().WritePrometheus(w) }))
@@ -255,9 +201,9 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 
 // ingestLocked folds one session record's class tallies into the
 // seen-class filter, the fleet duplicate-rate tallies, and the per-cell
-// class tallies behind yield-guided leasing: each class adds one filter
-// observation, and every schedule beyond the first of an already-seen
-// class counts as a duplicate. Sessions without coverage contribute
+// class tallies the fleet atlas' drift is read from: each class adds one
+// filter observation, and every schedule beyond the first of an
+// already-seen class counts as a duplicate. Sessions without coverage contribute
 // nothing. Caller holds c.mu (or is still constructing c).
 func (c *Coordinator) ingestLocked(k runner.SessionKey, s *runner.Session) {
 	if s.Cov == nil {
@@ -353,19 +299,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	// Pop batches until one still has unstored keys. A requeued batch may
 	// have been completed by another worker's idempotent submission in the
 	// meantime; filtering at grant time (not requeue time) keeps every
-	// handler O(batch). With YieldLeases on, the pop is a deterministic
-	// weighted draw over the queue instead of FIFO.
+	// handler O(batch). Grants leave in queue order: plan order, with
+	// requeued batches behind.
 	for len(c.pending) > 0 {
-		idx := 0
-		if c.opts.YieldLeases {
-			idx = c.pickYieldLocked()
-		}
-		b := c.pending[idx]
-		if idx == 0 {
-			c.pending = c.pending[1:] // the FIFO pop: O(1), not a shift of the whole plan
-		} else {
-			c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
-		}
+		b := c.pending[0]
+		c.pending = c.pending[1:] // O(1), not a shift of the whole plan
 		// Filtered in place: the popped batch is the array's only holder.
 		keys := b.keys[:0]
 		for _, k := range b.keys {
@@ -389,9 +327,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		c.leases[l.id] = l
 		ws.leases++
-		if c.opts.YieldLeases {
-			c.yieldGrants++
-		}
 		k0 := keys[0]
 		x.sessions = x.sessions[:0]
 		for _, k := range keys {
@@ -457,33 +392,6 @@ func (c *Coordinator) AllWorkersNotified() bool {
 		}
 	}
 	return true
-}
-
-// pickYieldLocked draws a pending-batch index with probability
-// proportional to its cell's lease weight (campaign.LeaseWeight over the
-// cell's ingested class tallies: Good-Turing unseen mass, floored so
-// saturated cells starve but never deadlock; cells with no data yet get
-// full weight). The draw consumes one position of a SplitMix64 stream
-// seeded by YieldSeed, so the grant sequence is a pure function of the
-// plan, the store, and the request order — never of the wall clock.
-func (c *Coordinator) pickYieldLocked() int {
-	weights := make([]float64, len(c.pending))
-	total := 0.0
-	for i, b := range c.pending {
-		w := campaign.LeaseWeight(stats.CountsOfMap(c.cellClasses[CellOf(b.keys[0])]))
-		weights[i] = w
-		total += w
-	}
-	c.yieldDraws++
-	// The draw's top 53 bits as a point of [0, total).
-	u := float64(splitmix64(uint64(c.opts.YieldSeed)+c.yieldDraws*0x9E3779B97F4A7C15)>>11) / (1 << 53) * total
-	for i, w := range weights {
-		u -= w
-		if u < 0 {
-			return i
-		}
-	}
-	return len(c.pending) - 1
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -692,40 +600,6 @@ func (c *Coordinator) AtlasSnapshot() *atlas.Snapshot {
 	return &atlas.Snapshot{Version: atlas.Version, Cells: merged}
 }
 
-// handleClasses answers saturation queries against the seen-class filter.
-// Fingerprints are hex (the campaign wire spelling); a malformed one is a
-// 400, not a silent miss, so worker bugs surface instead of failing open
-// server-side.
-func (c *Coordinator) handleClasses(w http.ResponseWriter, r *http.Request) {
-	var req ClassQueryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	classes := make([]uint64, len(req.Classes))
-	for i, s := range req.Classes {
-		h, err := strconv.ParseUint(s, 16, 64)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("remote: bad class fingerprint %q", s), http.StatusBadRequest)
-			return
-		}
-		classes[i] = h
-	}
-	resp := ClassQueryResponse{Saturated: make([]bool, len(classes))}
-	sat := int64(0)
-	for i, h := range classes {
-		resp.Saturated[i] = c.filter.Saturated(h)
-		if resp.Saturated[i] {
-			sat++
-		}
-	}
-	c.mu.Lock()
-	c.touchLocked(req.Worker, c.now())
-	c.classQueries += int64(len(classes))
-	c.classSaturated += sat
-	c.mu.Unlock()
-	writeJSON(w, resp)
-}
-
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = obs.WriteJSON(w, c.Status())
@@ -748,9 +622,6 @@ func (c *Coordinator) Status() *campaign.RemoteStatus {
 		DuplicateResults:  c.duplicates,
 		ClassObservations: observed,
 		DistinctClasses:   distinct,
-		ClassQueries:      c.classQueries,
-		ClassesSaturated:  c.classSaturated,
-		YieldGrants:       c.yieldGrants,
 	}
 	if c.schedules > 0 {
 		rs.DuplicateRate = float64(c.dupSchedules) / float64(c.schedules)

@@ -1,15 +1,17 @@
 package remote
 
 // Tests for the schedule-equivalence dedup layer: the counting-bloom
-// seen-class filter, the /v1/classes query endpoint, the coordinator's
-// fleet-wide duplicate gauges (including their rebuild from a resumed
-// store), and the capstone — dedup-aware aggregates of a distributed
-// coverage campaign staying byte-identical to a local run's.
+// seen-class filter, the coordinator's fleet-wide duplicate gauges
+// (including their rebuild from a resumed store), and the capstone —
+// dedup-aware aggregates of a distributed coverage campaign staying
+// byte-identical to a local run's. The gauges are all of it: nothing asks
+// the coordinator about a class, and /v1/classes is no endpoint.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -90,44 +92,23 @@ func covRecordsFor(l *Lease) []campaign.Record {
 	return recs
 }
 
-func TestClassQueryEndpointAndGauges(t *testing.T) {
+func TestDuplicateGauges(t *testing.T) {
 	st := newMemStore()
-	c := NewCoordinator(st, syntheticPlan(3), CoordinatorOptions{BatchSize: 8, ClassThreshold: 2})
+	c := NewCoordinator(st, syntheticPlan(3), CoordinatorOptions{BatchSize: 8})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 
-	// Malformed fingerprints are a client bug, not a cache miss.
-	var q ClassQueryResponse
-	if code := postJSON(t, srv.URL+PathClasses, ClassQueryRequest{Worker: "a", Classes: []string{"xyz"}}, nil); code != 400 {
-		t.Fatalf("malformed fingerprint: status %d, want 400", code)
+	// Before any results the gauges are empty.
+	if rs := c.Status(); rs.ClassObservations != 0 || rs.DistinctClasses != 0 || rs.DuplicateRate != 0 {
+		t.Fatalf("gauges of a coordinator that ingested nothing: %+v", rs)
 	}
-
-	// Before any results: nothing is saturated.
-	req := ClassQueryRequest{Worker: "a", Classes: []string{fmt.Sprintf("%016x", uint64(0xabc))}}
-	if code := postJSON(t, srv.URL+PathClasses, req, &q); code != 200 {
-		t.Fatalf("query: status %d", code)
-	}
-	if len(q.Saturated) != 1 || q.Saturated[0] {
-		t.Fatalf("empty-filter query = %+v, want [false]", q)
-	}
-
-	// Submit three sessions; class 0xabc is observed once per session
-	// (fleet-wide occurrences, not schedule counts), crossing threshold 2.
 	la := leaseFor(t, srv.URL, "a")
 	if code := postJSON(t, srv.URL+PathResult,
 		ResultRequest{Worker: "a", LeaseID: la.Lease.ID, Records: covRecordsFor(la.Lease)}, nil); code != 200 {
 		t.Fatalf("submit: status %d", code)
 	}
-	if code := postJSON(t, srv.URL+PathClasses, req, &q); code != 200 {
-		t.Fatalf("query: status %d", code)
-	}
-	if len(q.Saturated) != 1 || !q.Saturated[0] {
-		t.Fatalf("post-submit query = %+v, want [true]", q)
-	}
-
-	// Gauges: 9 schedules total, 4 distinct classes (0xabc, 1, 2, 3) →
-	// duplicate rate 5/9; two well-formed fingerprints queried so far
-	// (the malformed request never reached the counter).
+	// Three sessions: 9 schedules total, 4 distinct classes (0xabc, 1, 2,
+	// 3) → duplicate rate 5/9.
 	rs := c.Status()
 	if rs.ClassObservations != 6 || rs.DistinctClasses != 4 {
 		t.Fatalf("filter gauges: %+v, want 6 observations over 4 classes", rs)
@@ -135,15 +116,18 @@ func TestClassQueryEndpointAndGauges(t *testing.T) {
 	if want := 5.0 / 9.0; rs.DuplicateRate != want {
 		t.Fatalf("DuplicateRate = %v, want %v", rs.DuplicateRate, want)
 	}
-	if rs.ClassQueries != 2 || rs.ClassesSaturated != 1 {
-		t.Fatalf("query gauges: %+v, want 2 queries, 1 saturated", rs)
+
+	// The gauges are read, never asked: the class-query endpoint is gone.
+	q := map[string]any{"worker": "a", "classes": []string{"0000000000000abc"}}
+	if code := postJSON(t, srv.URL+"/v1/classes", q, nil); code != http.StatusNotFound {
+		t.Fatalf("POST /v1/classes: status %d, want 404", code)
 	}
 }
 
 func TestCoordinatorRebuildsFilterFromStore(t *testing.T) {
 	st := newMemStore()
 	plan := syntheticPlan(3)
-	c1 := NewCoordinator(st, plan, CoordinatorOptions{BatchSize: 8, ClassThreshold: 2})
+	c1 := NewCoordinator(st, plan, CoordinatorOptions{BatchSize: 8})
 	srv1 := httptest.NewServer(c1)
 	la := leaseFor(t, srv1.URL, "a")
 	if code := postJSON(t, srv1.URL+PathResult,
@@ -154,30 +138,11 @@ func TestCoordinatorRebuildsFilterFromStore(t *testing.T) {
 
 	// A restarted coordinator over the same store rebuilds the seen-class
 	// filter and duplicate tallies from the stored records.
-	c2 := NewCoordinator(st, plan, CoordinatorOptions{BatchSize: 8, ClassThreshold: 2})
+	c2 := NewCoordinator(st, plan, CoordinatorOptions{BatchSize: 8})
 	r1, r2 := c1.Status(), c2.Status()
-	if r2.ClassObservations != r1.ClassObservations || r2.DistinctClasses != r1.DistinctClasses ||
-		r2.DuplicateRate != r1.DuplicateRate {
+	if r1.DistinctClasses != 4 || r2.ClassObservations != r1.ClassObservations ||
+		r2.DistinctClasses != r1.DistinctClasses || r2.DuplicateRate != r1.DuplicateRate {
 		t.Fatalf("restart lost dedup state: before %+v, after %+v", r1, r2)
-	}
-	srv2 := httptest.NewServer(c2)
-	defer srv2.Close()
-	var q ClassQueryResponse
-	req := ClassQueryRequest{Worker: "a", Classes: []string{fmt.Sprintf("%016x", uint64(0xabc))}}
-	if code := postJSON(t, srv2.URL+PathClasses, req, &q); code != 200 {
-		t.Fatalf("query: status %d", code)
-	}
-	if len(q.Saturated) != 1 || !q.Saturated[0] {
-		t.Fatalf("restarted coordinator forgot saturation: %+v", q)
-	}
-}
-
-func TestCoordPrefixFilterFailsOpen(t *testing.T) {
-	// No server behind the URL: the filter must answer "keep going".
-	w := &Worker{Coordinator: "http://127.0.0.1:1", Name: "w"}
-	p := &coordPrefixFilter{w: w, ctx: context.Background()}
-	if p.SaturatedPrefix(0xabc) {
-		t.Fatal("unreachable coordinator reported saturation")
 	}
 }
 

@@ -3,18 +3,19 @@ package remote
 // The fleet-wide seen-class filter: a fixed-size counting Bloom filter
 // over commutation-class fingerprints (sched.Result.ClassHash). The
 // coordinator ingests the class tallies of every accepted session record
-// and exposes saturation queries over /v1/classes; workers consult it to
-// early-abandon sessions whose forced prefix lands in a class the fleet
-// has already sampled to saturation (runner.Config.PrefixFilter).
+// into it and reads two gauges back (Stats): observations and distinct
+// classes. Nothing acts on a verdict of it — no session is cut short on
+// its word — so it is gauge-only, and the benchmark's filter_add_ns rung
+// is its other caller.
 //
-// The structure is deliberately approximate in one safe direction only:
+// The structure is deliberately approximate in one direction only:
 // counters are shared (hash collisions can over-count a class) and
-// saturate at 255, so the filter may claim saturation for a class that is
-// merely co-located with hot ones. That costs coverage of the abandoned
-// session's budget, never correctness — dedup-verified aggregates are
-// computed from stored records, not from the filter — and the false-
-// positive rate is kept small by sizing (default 1 MiB of counters for k=4
-// hashes). The filter never under-counts, so "not saturated" is reliable.
+// saturate at 255, so the filter may take a new class for a seen one that
+// is merely co-located with hot ones. That skews a live gauge, never a
+// result — dedup-verified aggregates are computed from stored records,
+// not from the filter — and the false-positive rate is kept small by
+// sizing (default 1 MiB of counters for k=4 hashes). The filter never
+// under-counts, so "not saturated" is reliable.
 
 import "sync"
 

@@ -4,17 +4,17 @@ package remote
 // the coordinator already tracks. Three rules, each cheap enough to
 // evaluate on every /api/health request under the handler mutex:
 //
-//   - stale workers: a worker whose last request is older than
-//     StaleWorkerAfter (default 3x the lease TTL — heartbeats arrive at
-//     TTL/3, so this means ~9 missed heartbeats);
+//   - stale workers: a worker whose last request is older than 3x the
+//     lease TTL (heartbeats arrive at TTL/3, so this means ~9 missed
+//     heartbeats);
 //   - slow cells: a (target, algorithm) cell whose observed schedules/s
-//     falls below SlowCellFraction of the fleet median — the signal that a
+//     falls below slowCellFraction of the fleet median — the signal that a
 //     target hangs or a worker class is degraded, invisible to liveness
 //     checks because heartbeats still flow;
-//   - aging leases: a lease outstanding longer than AgingLeaseAfter
-//     (default 5x TTL) — the worker is heartbeating (else the lease would
-//     have expired) but not finishing, the classic silent-stall shape the
-//     surw worker watchdog attacks from the other side.
+//   - aging leases: a lease outstanding longer than 5x the TTL — the
+//     worker is heartbeating (else the lease would have expired) but not
+//     finishing, the classic silent-stall shape the surw worker watchdog
+//     attacks from the other side.
 //
 // Verdicts are wire-typed in internal/campaign (HealthReport) so the
 // dashboard and surw dash render them without importing this package.
@@ -27,13 +27,13 @@ import (
 	"surw/internal/campaign"
 )
 
-// Health-rule defaults, as multiples of the lease TTL.
+// The health rules' thresholds, the first two as multiples of the lease TTL.
 const (
-	defaultStaleWorkerTTLs = 3
-	defaultAgingLeaseTTLs  = 5
-	// DefaultSlowCellFraction flags cells below this fraction of the fleet
-	// median schedules/s.
-	DefaultSlowCellFraction = 0.25
+	staleWorkerTTLs = 3
+	agingLeaseTTLs  = 5
+	// slowCellFraction flags cells below this fraction of the fleet median
+	// schedules/s.
+	slowCellFraction = 0.25
 	// minCellBusy is the least observed execution time before a cell's
 	// throughput participates in the slow-cell rule; below it the rate
 	// estimate is noise.
@@ -54,7 +54,7 @@ type cellStat struct {
 func (c *Coordinator) healthLocked(now time.Time) *campaign.HealthReport {
 	h := &campaign.HealthReport{}
 
-	staleAfter := c.opts.StaleWorkerAfter
+	staleAfter := staleWorkerTTLs * c.opts.LeaseTTL
 	names := make([]string, 0, len(c.workers))
 	for name := range c.workers {
 		names = append(names, name)
@@ -96,7 +96,7 @@ func (c *Coordinator) healthLocked(now time.Time) *campaign.HealthReport {
 			median = (rates[n/2-1].rate + rates[n/2].rate) / 2
 		}
 		h.FleetMedianSchedulesPerSec = median
-		floor := c.opts.SlowCellFraction * median
+		floor := slowCellFraction * median
 		for _, cr := range rates {
 			if cr.rate < floor {
 				h.SlowCells++
@@ -109,7 +109,7 @@ func (c *Coordinator) healthLocked(now time.Time) *campaign.HealthReport {
 		}
 	}
 
-	agingAfter := c.opts.AgingLeaseAfter
+	agingAfter := agingLeaseTTLs * c.opts.LeaseTTL
 	ids := make([]string, 0, len(c.leases))
 	for id := range c.leases {
 		ids = append(ids, id)

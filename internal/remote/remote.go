@@ -35,7 +35,10 @@
 //	GET  /metrics       Prometheus text page (surw_remote_* gauges)
 //
 // Lease lifecycle: a batch of same-cell session indices is pending →
-// leased (worker, TTL clock) → done. Heartbeats extend the TTL; a lease
+// leased (worker, TTL clock) → done. Batches are granted in plan order,
+// requeued ones behind, and a leased session runs exactly as a local one
+// does: there is no other grant order and no other way to run a session.
+// Heartbeats extend the TTL; a lease
 // whose TTL lapses is requeued and its worker's later submissions are
 // deduplicated by the store. Workers poll with exponential backoff and
 // jitter, so a restarting coordinator sees its fleet drift back in
@@ -54,7 +57,6 @@ const (
 	PathHeartbeat = "/v1/heartbeat"
 	PathResult    = "/v1/result"
 	PathStatus    = "/v1/status"
-	PathClasses   = "/v1/classes"
 	PathSpans     = "/v1/spans"
 	PathHealth    = "/api/health"
 )
@@ -139,21 +141,4 @@ type ResultRequest struct {
 type ResultResponse struct {
 	Accepted   int `json:"accepted"`
 	Duplicates int `json:"duplicates"`
-}
-
-// ClassQueryRequest asks the coordinator's seen-class filter whether the
-// given class fingerprints (hex, as in the campaign wire format) are
-// saturated fleet-wide. Workers batch their open sessions' prefix classes
-// into one query.
-type ClassQueryRequest struct {
-	Worker  string   `json:"worker"`
-	Classes []string `json:"classes"`
-}
-
-// ClassQueryResponse carries one verdict per queried fingerprint, in
-// order. Saturated[i] is true when Classes[i] has been observed by at
-// least the coordinator's threshold of session records (approximately —
-// the filter is a counting Bloom filter, see ClassFilter).
-type ClassQueryResponse struct {
-	Saturated []bool `json:"saturated"`
 }

@@ -498,7 +498,7 @@ func TestOversizeBodyIsRefused(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for _, path := range []string{PathResult, PathLease, PathHeartbeat, PathClasses} {
+	for _, path := range []string{PathResult, PathLease, PathHeartbeat} {
 		if code := post(path, maxBody); code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status %d for a body over the limit, want 413", path, code)
 		}

@@ -50,16 +50,6 @@ type Worker struct {
 	// BackoffMin/BackoffMax bound the exponential retry backoff.
 	// Defaults 100ms / 5s.
 	BackoffMin, BackoffMax time.Duration
-	// UsePrefixFilter opts leased sessions into prefix-class early abandon:
-	// after a session captures its forced prefix, the worker asks the
-	// coordinator's seen-class filter (/v1/classes) whether the prefix's
-	// commutation class is saturated fleet-wide and, if so, stops the
-	// session without spending the rest of its schedule budget. This trades
-	// the byte-identity guarantee for throughput (abandoned sessions record
-	// fewer schedules), so it is off by default and never enabled by the
-	// byte-identity smokes. Queries fail open: any transport error means
-	// "not saturated".
-	UsePrefixFilter bool
 	// Metrics, when non-nil, is attached to every leased batch's
 	// runner.Config, aggregating schedule counters and decision histograms
 	// for the worker's own /metrics page. Results stay byte-identical and
@@ -253,9 +243,6 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 		Metrics:        w.Metrics,
 		Atlas:          w.Atlas,
 	}
-	if w.UsePrefixFilter {
-		cfg.PrefixFilter = &coordPrefixFilter{w: w, ctx: ctx}
-	}
 
 	// Tracing: a lease carrying a traceparent gets an "execute" span on
 	// this worker's track, with one pre-minted span ID per session so the
@@ -448,7 +435,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		case <-ctx.Done():
 			bye, cancel := context.WithTimeout(context.WithoutCancel(ctx), farewellTimeout)
 			defer cancel()
-			if err := w.post(bye, PathHeartbeat, w.heartbeat(""), nil); err != nil {
+			if err := w.post(bye, PathHeartbeat, w.heartbeat("")); err != nil {
 				w.logf("closing heartbeat failed: %v", err)
 			}
 			return
@@ -457,7 +444,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			if id == nil {
 				continue
 			}
-			if err := w.post(ctx, PathHeartbeat, w.heartbeat(*id), nil); err == errLeaseGone {
+			if err := w.post(ctx, PathHeartbeat, w.heartbeat(*id)); err == errLeaseGone {
 				w.logf("lease %s lost; finishing batch anyway (submission is idempotent)", *id)
 				w.hbLease.CompareAndSwap(id, nil) // unless execute has moved on to the next lease
 			}
@@ -497,28 +484,6 @@ func (w *Worker) submit(ctx context.Context, leaseID, traceparent string) error 
 		}
 		backoff = minDur(backoff*2, hi)
 	}
-}
-
-// coordPrefixFilter adapts the coordinator's /v1/classes endpoint to
-// runner.PrefixClassFilter. Safe for concurrent use (post is stateless
-// once the worker's HTTP client exists, and a worker always leases before
-// it executes); fails open on every error so a flaky coordinator can slow
-// dedup down but never stall or starve a session.
-type coordPrefixFilter struct {
-	w   *Worker
-	ctx context.Context
-}
-
-func (p *coordPrefixFilter) SaturatedPrefix(class uint64) bool {
-	req := ClassQueryRequest{
-		Worker:  p.w.Name,
-		Classes: []string{fmt.Sprintf("%016x", class)},
-	}
-	var resp ClassQueryResponse
-	if err := p.w.post(p.ctx, PathClasses, req, &resp); err != nil || len(resp.Saturated) != 1 {
-		return false
-	}
-	return resp.Saturated[0]
 }
 
 const farewellTimeout = 5 * time.Second // bounds the closing heartbeat

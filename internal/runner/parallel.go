@@ -43,7 +43,9 @@ import (
 // enough that scanning the staging block is noise beside the schedules.
 const atlasPublishEvery = 256
 
-func runSession(ctx context.Context, tgt Target, algName string, cfg Config, session int, w *worker) (*Session, error) {
+// runSession returns the session and whether it was executed here: false
+// for one the store already held.
+func runSession(ctx context.Context, tgt Target, algName string, cfg Config, session int, w *worker) (_ *Session, ran bool, _ error) {
 	// The store is consulted strictly between sessions — a hit skips the
 	// session wholesale, a miss runs it untouched — so attaching one can
 	// never perturb a schedule (campaign_test.go holds the invariant).
@@ -51,15 +53,15 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	if cfg.Store != nil {
 		key = sessionKey(tgt, algName, cfg, session)
 		if s, ok := cfg.Store.Lookup(key); ok {
-			return s, nil
+			return s, false, nil
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	d := &w.drv
 	if err := d.begin(tgt, algName, cfg, session); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	sess := &Session{FirstBug: -1, Bugs: make(map[string]int)}
@@ -105,7 +107,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		// discarded, not stored — resumable partial state is the store's
 		// job, and its unit is the whole session.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		r := &w.res
 		// Observe the prefix capture (schedule 0 doubles as the checkpoint
@@ -125,13 +127,6 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 				cfg.Phase(session, "prefix", prefixStart, took)
 			}
 		}
-		// Prefix-class early abandon (opt-in, see Config.PrefixFilter):
-		// every schedule of the session replays schedule 0's forced prefix,
-		// so one saturated-class verdict retires the whole session. The
-		// first schedule still counts — it ran — so the check only
-		// short-circuits the loop after this iteration's accounting.
-		abandon := i == 0 && cfg.PrefixFilter != nil && d.cp != nil &&
-			cfg.PrefixFilter.SaturatedPrefix(d.cp.ClassPrefix())
 		if cfg.Metrics != nil {
 			cfg.Metrics.ObserveResult(d.alg.Name(), r)
 		}
@@ -164,7 +159,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 				if cfg.FlightDir != "" {
 					path, err := dumpFlight(d, cfg.FlightDir, session, i, r)
 					if err != nil {
-						return nil, err
+						return nil, false, err
 					}
 					sess.Flight = path
 				}
@@ -173,14 +168,12 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 				}
 			}
 		}
-		if abandon {
-			break
-		}
 	}
 	if cfg.Store != nil {
-		return cfg.Store.Store(key, sess)
+		stored, err := cfg.Store.Store(key, sess)
+		return stored, true, err
 	}
-	return sess, nil
+	return sess, true, nil
 }
 
 // dumpFlight runs the session's first failing schedule again, on the

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"surw/internal/atlas"
@@ -82,17 +83,6 @@ type Config struct {
 	// and dumped as a JSON flight record under this directory (replayable
 	// with `surw run -replay-flight`). See internal/obs/flight.go.
 	FlightDir string
-	// PrefixFilter, when non-nil, enables prefix-class early abandon: after
-	// a session's first schedule captures the forced prefix (shared by all
-	// of the session's schedules), the filter is consulted with the
-	// prefix's class fingerprint, and a session whose prefix lands in a
-	// saturated commutation class stops without spending the rest of its
-	// schedule budget. This deliberately trades the bit-identity guarantee
-	// for throughput — a fleet-wide approximation, never enabled by the
-	// byte-identity smokes — so it is opt-in and off everywhere by default.
-	// internal/remote's worker backs it with the coordinator's shared
-	// seen-class filter.
-	PrefixFilter PrefixClassFilter
 	// Store, when non-nil, makes the batch resumable: each session's key is
 	// looked up before it runs (a hit is returned without executing a single
 	// schedule) and every freshly executed session is persisted on
@@ -110,17 +100,6 @@ type Config struct {
 	// and Store — it never changes a schedule, a result, or a session
 	// key, and resumed (store-hit) sessions feed it nothing.
 	Atlas *atlas.Atlas
-}
-
-// PrefixClassFilter decides prefix-class early abandon (see
-// Config.PrefixFilter). SaturatedPrefix receives the class fingerprint of
-// a session's forced decision prefix and returns true when that class is
-// already saturated fleet-wide, in which case the session stops early.
-// Implementations must be safe for concurrent use (parallel sessions
-// consult the filter concurrently) and should fail open: return false on
-// any doubt or transport error.
-type PrefixClassFilter interface {
-	SaturatedPrefix(classPrefix uint64) bool
 }
 
 // SessionKey identifies one session's work deterministically: everything
@@ -269,6 +248,10 @@ type Result struct {
 	// observational (excluded from Equal, never persisted): it backs the
 	// schedules/s throughput footers of the surw bench tables.
 	Elapsed time.Duration
+	// Executed is how many of TotalSchedules the batch ran itself: those of
+	// the sessions Config.Store did not already hold. Observational like
+	// Elapsed, and what Elapsed was spent on.
+	Executed int
 }
 
 // TotalSchedules sums the testing schedules of every session.
@@ -280,13 +263,14 @@ func (r *Result) TotalSchedules() int {
 	return n
 }
 
-// SchedulesPerSecond returns the batch's throughput (0 when no time was
-// observed, e.g. on a Result assembled from a store).
+// SchedulesPerSecond returns the batch's throughput over the schedules it
+// executed (0 when no time was observed or nothing ran, e.g. on a Result
+// assembled from a store).
 func (r *Result) SchedulesPerSecond() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.TotalSchedules()) / r.Elapsed.Seconds()
+	return float64(r.Executed) / r.Elapsed.Seconds()
 }
 
 // RunTarget runs cfg.Sessions sessions of algName on the target, fanned
@@ -388,14 +372,18 @@ func RunTargetContext(ctx context.Context, tgt Target, algName string, cfg Confi
 	wc := NewWorkerCache()
 	defer wc.Close()
 	start := time.Now()
+	var executed atomic.Int64
 	sessions, err := workpool.MapMetered(cfg.Workers, cfg.Sessions, meter, func(s int) (Session, error) {
 		var t0 time.Time
 		if cfg.Metrics != nil {
 			t0 = time.Now()
 		}
-		sess, err := wc.RunSession(ctx, tgt, algName, cfg, s)
+		sess, ran, err := wc.run(ctx, tgt, algName, cfg, s)
 		if err != nil {
 			return Session{}, fmt.Errorf("runner: %s/%s session %d: %w", tgt.Name, algName, s, err)
+		}
+		if ran {
+			executed.Add(int64(sess.Schedules))
 		}
 		if cfg.Metrics != nil {
 			cfg.Metrics.Latency("session").Observe(time.Since(t0))
@@ -405,7 +393,8 @@ func RunTargetContext(ctx context.Context, tgt Target, algName string, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Target: tgt.Name, Algorithm: algName, Limit: cfg.Limit, Sessions: sessions, Elapsed: time.Since(start)}
+	res := &Result{Target: tgt.Name, Algorithm: algName, Limit: cfg.Limit, Sessions: sessions,
+		Elapsed: time.Since(start), Executed: int(executed.Load())}
 	if bo, ok := cfg.Store.(BatchObserver); ok {
 		bo.CellDone(tgt.Name, algName, cfg.Limit, cfg.Seed, res)
 	}
@@ -431,6 +420,11 @@ func RunSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 // RunSession is the package-level RunSession on one of the cache's warm
 // workers for tgt: the same result.
 func (wc *WorkerCache) RunSession(ctx context.Context, tgt Target, algName string, cfg Config, session int) (*Session, error) {
+	sess, _, err := wc.run(ctx, tgt, algName, cfg, session)
+	return sess, err
+}
+
+func (wc *WorkerCache) run(ctx context.Context, tgt Target, algName string, cfg Config, session int) (*Session, bool, error) {
 	w := wc.get(tgt.Name)
 	defer wc.put(tgt.Name, w)
 	return runSession(ctx, tgt, algName, cfg.normalized(), session, w)

@@ -60,17 +60,6 @@ func (cp *Checkpoint) Decisions() int {
 	return cp.steps
 }
 
-// ClassPrefix returns the class fingerprint of the forced prefix: the
-// classAcc accumulator after the prefix's events. Every schedule of a
-// session shares the prefix, so this is the session-level key the runner's
-// prefix-class early abandon (Config.PrefixFilter) consults. Nil-safe.
-func (cp *Checkpoint) ClassPrefix() uint64 {
-	if cp == nil {
-		return 0
-	}
-	return cp.classAcc
-}
-
 // objClass is an object's class-fingerprint state as snapshotted into a
 // Checkpoint (see objState.lastWriteH/readAcc).
 type objClass struct {
