@@ -51,11 +51,16 @@ import (
 // cells, simulating a crash for the resume test. Attaching the store
 // or dashboard never changes any table, figure, or schedule.
 //
+// -workers N is how many sessions are in flight at once: an experiment is
+// its session plan — every (cell, session) of its grid, in table order —
+// drained by N workers on one cache of warm per-target state.
+//
 // Distributed campaigns: -coordinate ADDR serves the internal/remote lease
-// queue for the sct experiment's (target, algorithm, session) cells and
-// waits for `surw worker` fleets to execute them. When the plan is complete
-// the normal sct path renders the tables from the store, so a distributed
-// run's tables and aggregates.json are byte-identical to a local run's.
+// queue for the same plan — the sessions of whichever of sct, rb and ftp
+// were asked for — and waits for `surw worker` fleets to execute them. When
+// the plan is complete the normal path renders the tables from the store,
+// so a distributed run's tables and aggregates.json are byte-identical to
+// a local run's.
 // -lease-ttl and -lease-batch tune the queue and -fleet-trace records it
 // (all three are usage errors without -coordinate); with -serve, the
 // dashboard additionally shows the worker fleet and /metrics gains
@@ -86,7 +91,7 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		sctTargets = c.fs.String("sct-targets", "", "comma-separated target names to restrict the sct experiment to")
 		sctAlgs    = c.fs.String("sct-algs", "", "comma-separated algorithms to restrict the sct experiment to")
 		sctCov     = c.fs.Bool("sct-coverage", false, "record per-session coverage (interleaving + commutation-class tallies) for sct cells; enables dedup-aware aggregates")
-		coordAddr  = c.fs.String("coordinate", "", "serve the distributed-campaign coordinator on this address and wait for `surw worker` fleets (requires -campaign; sct only)")
+		coordAddr  = c.fs.String("coordinate", "", "serve the distributed-campaign coordinator on this address and wait for `surw worker` fleets (requires -campaign)")
 		leaseTTL   = c.fs.Duration("lease-ttl", 30*time.Second, "coordinator: lease time-to-live between worker heartbeats")
 		leaseBatch = c.fs.Int("lease-batch", 4, "coordinator: sessions per lease")
 		fleetTrace = c.fs.String("fleet-trace", "", "coordinator: enable distributed tracing and write the assembled span log (JSONL) to this file")
@@ -175,18 +180,21 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 
 		// Distributed mode: serve the lease queue, let `surw worker` fleets
 		// chew through the plan, then fall through to the normal experiment
-		// path — every RunTarget session hits the store, so the same code
-		// renders the tables and writes aggregates.json, byte-identical to a
-		// local run.
+		// path — every session of every grid hits the store, so the same
+		// code renders the tables and writes aggregates.json, byte-identical
+		// to a local run.
 		var coord *remote.Coordinator
 		if *coordAddr != "" {
 			if c.store == nil {
 				return usagef("-coordinate requires -campaign DIR")
 			}
-			if !want["sct"] || len(want) > 1 {
-				return usagef("-coordinate shards the sct experiment only; invoke as `surw bench -coordinate ADDR -campaign DIR ... sct`")
+			var planned []string // in the order the experiments run below
+			for _, name := range []string{"sct", "rb", "ftp"} {
+				if want[name] {
+					planned = append(planned, name)
+				}
 			}
-			coord = remote.NewCoordinator(c.store, experiments.SCTPlan(sc), remote.CoordinatorOptions{
+			coord = remote.NewCoordinator(c.store, experiments.Plan(sc, planned...), remote.CoordinatorOptions{
 				LeaseTTL:  *leaseTTL,
 				BatchSize: *leaseBatch,
 				Tracing:   *fleetTrace != "",
@@ -243,10 +251,9 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 				emitErr = os.WriteFile(filepath.Join(*outDir, name+".csv"), []byte(csv), 0o644)
 			}
 		}
-		// timed runs one experiment, then reports its schedules/s-per-cell
-		// footer and its wall clock. Both are wall-clock, so they go to
-		// stderr: stdout (the tables) stays byte-identical across -workers
-		// values and runs.
+		// timed runs one experiment, then reports its throughput footer and
+		// its wall clock. Both are timings, so they go to stderr: stdout (the
+		// tables) stays byte-identical across -workers values and runs.
 		timed := func(name string, f func() (footer string)) {
 			if !want[name] || emitErr != nil {
 				return

@@ -257,27 +257,28 @@ func readAtlas(path string) (*atlas.Snapshot, error) {
 func allTargetNames() []string {
 	names := sctbench.Names()
 	for _, b := range racebench.Suite() {
-		names = append(names, "RaceBench/"+b.Name)
+		names = append(names, b.Target().Name)
 	}
-	return append(names, "LightFTP", "bitshift_<k>")
+	return append(names, "LightFTP", "LightFTP@<progseed>", "bitshift_<k>")
 }
 
-// lookupTarget resolves a target from any suite, plus the synthetic
-// "bitshift_<k>" family (the paper's Figure 1 program: C(2k,k) equally
-// interesting interleavings, ideal for eyeballing exported traces). It is
-// the one resolver: whatever `surw run -list` prints, every subcommand
-// that takes a target name accepts.
+// lookupTarget resolves a target from any suite, plus two families: the
+// LightFTP case study under a trial's client scripts ("LightFTP@<progseed>",
+// what the ftp experiment's cells are named; the bare name is trial seed 1)
+// and the synthetic "bitshift_<k>" (the paper's Figure 1 program: C(2k,k)
+// equally interesting interleavings, ideal for eyeballing exported
+// traces). It is the one resolver: whatever `surw run -list` prints, every
+// subcommand that takes a target name — and a fleet worker handed one in a
+// lease — accepts.
 func lookupTarget(name string) (runner.Target, bool) {
 	if tgt, ok := sctbench.ByName(name); ok {
 		return tgt, true
 	}
-	for _, b := range racebench.Suite() {
-		if "RaceBench/"+b.Name == name {
-			return b.Target(), true
-		}
+	if tgt, ok := racebench.ByName(name); ok {
+		return tgt, true
 	}
-	if name == "LightFTP" {
-		return ftp.DefaultConfig().Target(1), true
+	if tgt, ok := ftp.ByName(name); ok {
+		return tgt, true
 	}
 	if rest, ok := strings.CutPrefix(name, "bitshift_"); ok {
 		if k, err := strconv.Atoi(rest); err == nil && k > 0 && k <= 31 {

@@ -21,16 +21,23 @@ type fleet struct {
 	url   string // the coordinator's base URL
 }
 
-// startFleet launches the coordinator over a fresh store and waits for its
-// listener; args are the campaign's cells and coordinator flags.
+// startFleet launches the coordinator of an sct campaign over a fresh store
+// and waits for its listener; args are the campaign's cells and coordinator
+// flags.
 func startFleet(t *testing.T, args ...string) *fleet {
+	t.Helper()
+	return startFleetOf(t, []string{"sct"}, args...)
+}
+
+// startFleetOf is startFleet for a campaign of the named experiments.
+func startFleetOf(t *testing.T, experiments []string, args ...string) *fleet {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("fleet test: skipped under -short")
 	}
 	f := &fleet{dir: filepath.Join(t.TempDir(), "dist")}
 	args = append([]string{"bench", "-coordinate", "127.0.0.1:0", "-campaign", f.dir}, args...)
-	f.coord = start(t, append(args, "sct")...)
+	f.coord = start(t, append(args, experiments...)...)
 	f.url = f.coord.url(t, "coordinator")
 	return f
 }
@@ -149,7 +156,7 @@ func TestFleetTracing(t *testing.T) {
 // into DIR/atlas.json, and the dashboard over the finished store renders
 // the heatmap, depth profile, uniformity gauges and yield panel from it.
 // Every session came from the store when the tables were rendered, so the
-// run ran nothing to put a schedules/s footer on.
+// run ran nothing to put a throughput footer on.
 func TestFleetAtlas(t *testing.T) {
 	_, want := reference(t, bitshiftCells)
 	f := startFleet(t, append([]string{"-lease-batch", "2", "-q"}, bitshiftCells...)...)
@@ -157,7 +164,7 @@ func TestFleetAtlas(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("the atlas-carrying fleet's aggregates differ from the local run's")
 	}
-	if stderr := f.coord.stderr.String(); strings.Contains(stderr, "schedules/s") {
+	if stderr := f.coord.stderr.String(); strings.Contains(stderr, "schedules per worker-second") {
 		t.Errorf("a coordinator that executed no schedule rated some:\n%s", stderr)
 	}
 	out := mustRun(t, "obs", "-atlas", filepath.Join(f.dir, "atlas.json"))
@@ -173,6 +180,32 @@ func TestFleetAtlas(t *testing.T) {
 		`surw_yield_score\{target="Fig1/bitshift_4"`,
 		`surw_atlas_uniformity_p\{target="Fig1/bitshift_4"`,
 		`surw_atlas_drift_alarm\{target="Fig1/bitshift_4",algorithm="RW"\} 1`)
+}
+
+// TestFleetAllGrids: every session-backed experiment is a plan a fleet can
+// drain, not Tables 1/4 alone. One campaign of sct, rb and ftp cells —
+// RaceBench targets, and LightFTP trials beyond the first, which a worker
+// resolves from the program seed in the cell's name — sharded over two
+// workers leaves the tables on stdout and aggregates.json byte-identical to
+// the local run's.
+func TestFleetAllGrids(t *testing.T) {
+	cells := []string{"-sct-targets", "CS/reorder_4,CS/twostage_20", "-sct-algs", "SURW,RW", "-sessions", "2", "-limit", "100",
+		"-rb-limit", "30", "-ftp-trials", "2", "-ftp-limit", "40", "-q"}
+	experiments := []string{"sct", "rb", "ftp"}
+	localDir := filepath.Join(t.TempDir(), "local")
+	local := mustRun(t, append(append([]string{"bench", "-campaign", localDir, "-workers", "2"}, cells...), experiments...)...)
+
+	f := startFleetOf(t, experiments, append([]string{"-lease-batch", "2"}, cells...)...)
+	// 2 targets x 2 algorithms x 2 sessions, 15 bases x 5, 2 trials x 4.
+	wantMatch(t, "coordinator /metrics", metricsPage(t, f.url), `(?m)^surw_remote_sessions_planned 91$`)
+	got := f.finish(t, f.worker(t, "g1"), f.worker(t, "g2"))
+	if want := readFile(t, filepath.Join(localDir, "aggregates.json")); !bytes.Equal(got, want) {
+		t.Errorf("distributed aggregates differ from the local run's")
+	}
+	if tables := f.coord.stdout.String(); tables != local.stdout {
+		t.Errorf("the fleet-drained campaign's tables differ from the local run's:\n%s\nwant:\n%s", tables, local.stdout)
+	}
+	wantMatch(t, "tables", local.stdout, `Table 1`, `Table 2`, `Table 3`, `Figure 5a`)
 }
 
 // TestFleetFlagsNeedACoordinator: the flags that configure the coordinator

@@ -365,6 +365,11 @@ func TestListedTargetsResolve(t *testing.T) {
 		}
 	}
 	mustRun(t, "prof", "-target", "bitshift_3")
+	// A LightFTP trial beyond the first, as the ftp experiment names it.
+	mustRun(t, "prof", "-target", "LightFTP@98")
+	if out := run("prof", "-target", "LightFTP@x"); out.code != 2 {
+		t.Errorf("prof -target LightFTP@x: exit %d, want 2", out.code)
+	}
 }
 
 // TestObsBenchTools: the benchmark toolbelt ci.sh and `make bench` lean on —

@@ -26,8 +26,8 @@ const (
 // Event is one live campaign notification, streamed to dashboard
 // subscribers over SSE.
 type Event struct {
-	// Type is "session" (one session record landed), "cell" (a RunTarget
-	// batch finished), or "snapshot" (sent once per SSE subscription with
+	// Type is "session" (one session record landed), "cell" (a cell's
+	// last session landed), or "snapshot" (sent once per SSE subscription with
 	// the store's current totals).
 	Type      string `json:"type"`
 	Target    string `json:"target,omitempty"`
@@ -372,7 +372,7 @@ func sessionEvent(k runner.SessionKey, sess *runner.Session, stored int) Event {
 	}
 }
 
-// CellDone implements runner.BatchObserver: RunTarget reports each
+// CellDone implements runner.BatchObserver: runner.RunCells reports each
 // completed (target, algorithm) cell, which becomes a live dashboard event
 // and feeds the optional CellHook.
 func (s *Store) CellDone(target, alg string, limit int, seed int64, res *runner.Result) {

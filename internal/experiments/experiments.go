@@ -6,8 +6,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"surw/internal/atlas"
 	"surw/internal/obs"
 	"surw/internal/runner"
@@ -38,17 +36,19 @@ type Scale struct {
 	// Fig2Trials is the number of schedules per algorithm for Figure 2.
 	Fig2Trials int
 
-	// Workers bounds experiment parallelism: the (target × algorithm) grid
-	// of every driver and the sessions inside each RunTarget fan over this
-	// many workers. 1 reproduces the legacy sequential loops; <= 0 means
-	// one worker per CPU (runtime.GOMAXPROCS(0)). Every table and figure
-	// is bit-identical under any setting — cells and sessions derive their
-	// seeds from their own indices and results are collected by index.
+	// Workers is how many sessions are in flight at once: an experiment is
+	// its session plan — every (cell, session) of its grid in table order —
+	// drained by this many workers on one cache of warm per-target state
+	// (Figure 2 fans its three algorithms over them instead). 1 runs the
+	// plan one session after another; <= 0 means one worker per CPU
+	// (runtime.GOMAXPROCS(0)). Every table and figure is bit-identical
+	// under any setting — cells and sessions derive their seeds from their
+	// own indices and results are collected by index.
 	Workers int
 
 	// Metrics, when non-nil, aggregates observability counters (schedule
 	// throughput, per-algorithm decision histograms, worker utilization)
-	// across every RunTarget the drivers issue. Purely observational:
+	// across every session the grids run. Purely observational:
 	// attaching it never changes any table or figure. See internal/obs.
 	Metrics *obs.Metrics
 
@@ -59,12 +59,12 @@ type Scale struct {
 	// batched fast path.
 	Atlas *atlas.Atlas
 
-	// Store, when non-nil, makes every RunTarget-backed driver (sct, rb,
+	// Store, when non-nil, makes every session-backed experiment (sct, rb,
 	// ftp) crash-safe and resumable: completed sessions are persisted as
 	// they finish and skipped on restart, and the tables a resumed run
 	// renders are byte-identical to an uninterrupted run's at any Workers
 	// setting. internal/campaign provides the JSONL-backed implementation.
-	// Figure 2 samples schedules directly (no RunTarget), so it is rerun
+	// Figure 2 samples schedules directly (no sessions), so it is rerun
 	// from scratch on resume.
 	Store runner.SessionStore
 
@@ -78,8 +78,8 @@ type Scale struct {
 	// SCTCoverage turns on per-session coverage tallies (interleaving and
 	// commutation-class fingerprints, runner.Config.Coverage) for every
 	// SCTBench grid cell. The class fingerprints feed the dedup-aware
-	// aggregates (internal/campaign) and the coordinator's seen-class
-	// filter (internal/remote). It changes session keys — a coverage
+	// aggregates (internal/campaign) and a coordinator's duplicate-rate
+	// gauges. It changes session keys — a coverage
 	// campaign is a different campaign — so flipping it never collides
 	// with records from a plain run sharing the store.
 	SCTCoverage bool
@@ -110,20 +110,6 @@ func PaperScale() Scale {
 		FTPTrials:      20,
 		FTPLimit:       10_000,
 		Fig2Trials:     25_200,
-	}
-}
-
-// syncProgress serializes a Progress callback so concurrent grid cells can
-// report without interleaving lines; nil stays a no-op.
-func syncProgress(p Progress) Progress {
-	if p == nil {
-		return func(string, ...any) {}
-	}
-	var mu sync.Mutex
-	return func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		p(format, args...)
 	}
 }
 

@@ -154,7 +154,7 @@ func TestFormatBits(t *testing.T) {
 	}
 }
 
-// TestThroughputFooterRatesWhatRan: the schedules/s footer is about the
+// TestThroughputFooterRatesWhatRan: the throughput footer is about the
 // schedules this run executed. A column whose cells all came from the
 // campaign store is left out of it, and a grid that ran nothing — a resumed
 // or fleet-drained campaign rendering its tables — has no footer at all,
@@ -178,5 +178,13 @@ func TestThroughputFooterRatesWhatRan(t *testing.T) {
 	sc.SCTAlgs = []string{"SURW", "RW"}
 	if footer := SCTBench(sc, nil).ThroughputFooter(); !strings.Contains(footer, "per cell: RW ") {
 		t.Fatalf("the footer of a grid whose SURW column was stored and whose RW column was not: %q", footer)
+	}
+	// Table 2's grid has the same footer, not one like it.
+	sc.RaceBenchLimit = 20
+	if footer := RaceBench(sc, nil).ThroughputFooter(); !strings.Contains(footer, "per cell: SURW ") || !strings.Contains(footer, ", RW ") {
+		t.Fatalf("a fresh RaceBench grid's footer: %q", footer)
+	}
+	if footer := RaceBench(sc, nil).ThroughputFooter(); footer != "" {
+		t.Fatalf("a RaceBench grid served from the store rated itself: %q", footer)
 	}
 }

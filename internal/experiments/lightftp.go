@@ -8,7 +8,6 @@ import (
 	"surw/internal/report"
 	"surw/internal/runner"
 	"surw/internal/stats"
-	"surw/internal/workpool"
 )
 
 // FTPAlgorithms is the case study's algorithm set (POS is excluded, as in
@@ -23,62 +22,41 @@ type FTPResult struct {
 	Trials map[string][]*runner.Result
 }
 
-// LightFTP runs the case study: per trial a fresh shuffled client script
-// set, 10^4 schedules in the paper; interleaving and behaviour coverage and
-// their Shannon entropies are recorded per trial.
-// The (trial × algorithm) grid fans over sc.Workers workers. Each cell
-// rebuilds its trial's target from the same derived seed (cfg.Target is a
-// deterministic function of its seed), so no two cells share mutable state
-// and the trial-ordered collection is identical at any worker count.
-func LightFTP(sc Scale, progress Progress) *FTPResult {
-	progress = syncProgress(progress)
-	out := &FTPResult{Scale: sc, Trials: make(map[string][]*runner.Result)}
-	cfg := ftp.DefaultConfig()
-	type cell struct {
-		trial, ai int
-	}
-	cells := make([]cell, 0, sc.FTPTrials*len(FTPAlgorithms))
-	for trial := 0; trial < sc.FTPTrials; trial++ {
-		for ai := range FTPAlgorithms {
-			cells = append(cells, cell{trial, ai})
-		}
-	}
-	results, err := workpool.Map(sc.Workers, len(cells), func(i int) (*runner.Result, error) {
-		trial, alg := cells[i].trial, FTPAlgorithms[cells[i].ai]
-		tgt := cfg.Target(sc.Seed + int64(trial)*97)
-		res, err := runner.RunTarget(tgt, alg, runner.Config{
-			Sessions:      1,
-			Limit:         sc.FTPLimit,
-			Seed:          sc.Seed + int64(trial)*13_001,
-			Coverage:      true,
-			CoverageEvery: maxInt(sc.FTPLimit/25, 1),
-			Workers:       sc.Workers,
-			Metrics:       sc.Metrics,
-			Store:         sc.Store,
-		})
-		if err != nil {
-			return nil, err
-		}
+// ftpGrid is the (trial × algorithm) grid of the case study: per trial a
+// fresh shuffled client script set — the trial's target, a deterministic
+// function of its program seed, which its name carries (ftp.TrialTarget) —
+// and one coverage-recording session per algorithm on a seed of the trial's.
+func ftpGrid(sc Scale) grid {
+	g := grid{algs: FTPAlgorithms, line: func(i int, res *runner.Result) string {
 		cov := res.Sessions[0].Cov
-		progress("trial %d %-6s distinct ilv=%d beh=%d", trial, alg,
+		return fmt.Sprintf("trial %d %-6s distinct ilv=%d beh=%d", i/len(FTPAlgorithms), res.Algorithm,
 			len(cov.Interleavings), len(cov.Behaviors))
-		return res, nil
-	})
-	if err != nil {
-		panic(err)
+	}}
+	for trial := 0; trial < sc.FTPTrials; trial++ {
+		tgt := ftp.TrialTarget(sc.Seed + int64(trial)*97)
+		for _, alg := range FTPAlgorithms {
+			g.cells = append(g.cells, runner.Cell{Target: tgt, Alg: alg, Config: runner.Config{
+				Sessions:      1,
+				Limit:         sc.FTPLimit,
+				Seed:          sc.Seed + int64(trial)*13_001,
+				Coverage:      true,
+				CoverageEvery: max(sc.FTPLimit/25, 1),
+			}})
+		}
 	}
-	for i, c := range cells {
-		// cells are trial-major, so appends land in trial order per alg.
-		out.Trials[FTPAlgorithms[c.ai]] = append(out.Trials[FTPAlgorithms[c.ai]], results[i])
-	}
-	return out
+	return g
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// LightFTP runs the case study: 10^4 schedules per trial in the paper;
+// interleaving and behaviour coverage and their Shannon entropies are
+// recorded per trial.
+func LightFTP(sc Scale, progress Progress) *FTPResult {
+	out := &FTPResult{Scale: sc, Trials: make(map[string][]*runner.Result)}
+	for _, res := range run(sc, ftpGrid(sc), progress).results {
+		// cells are trial-major, so appends land in trial order per alg.
+		out.Trials[res.Algorithm] = append(out.Trials[res.Algorithm], res)
 	}
-	return b
+	return out
 }
 
 // entropies returns the per-trial interleaving and behaviour entropies.

@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"surw/internal/report"
 	"surw/internal/runner"
 	"surw/internal/sctbench"
 	"surw/internal/stats"
-	"surw/internal/workpool"
 )
 
 // SCTAlgorithms is Table 4's column order.
@@ -24,122 +23,70 @@ type SCTResult struct {
 	Algs []string
 	// Results[target][alg]
 	Results map[string]map[string]*runner.Result
+	gridRun
 }
 
-// Progress receives experiment progress lines; nil discards them.
-type Progress func(format string, args ...any)
-
-// sctGrid returns the (targets × algorithms) grid of the SCTBench
-// experiment after Scale's narrowing flags, in the canonical run order.
-// SCTBench, the distributed-campaign plan (SCTPlan), and the workers all
-// enumerate cells through it, so one definition decides what a campaign
-// contains.
-func sctGrid(sc Scale) (targets []runner.Target, algs []string) {
-	algs = SCTAlgorithms
+// sctGrid is the (targets × algorithms) grid of the SCTBench experiment
+// after Scale's narrowing flags, with the schedules-to-first-bug methodology
+// (SafeStack gets its own larger budget, as in the paper). SCTBench, the
+// distributed-campaign plan and the workers all enumerate cells through it,
+// so one definition decides what a campaign contains.
+func sctGrid(sc Scale) grid {
+	targets, algs := sctbench.Targets(), SCTAlgorithms
 	if len(sc.SCTAlgs) > 0 {
 		algs = sc.SCTAlgs
 	}
-	targets = sctbench.Targets()
 	if len(sc.SCTTargets) > 0 {
 		// Coverage probes (Fig1/bitshift_k) and the surwsync worker-pool
 		// family never appear in the default grid, but an explicit
 		// SCTTargets list may opt into them.
-		candidates := append(append([]runner.Target(nil), targets...),
-			sctbench.CoverageTargets()...)
-		candidates = append(candidates, sctbench.WorkerPoolTargets()...)
-		keep := make(map[string]bool, len(sc.SCTTargets))
-		for _, name := range sc.SCTTargets {
-			keep[name] = true
-		}
-		filtered := candidates[:0:0]
+		candidates := append(append(targets, sctbench.CoverageTargets()...), sctbench.WorkerPoolTargets()...)
+		targets = nil
 		for _, tgt := range candidates {
-			if keep[tgt.Name] {
-				filtered = append(filtered, tgt)
+			if slices.Contains(sc.SCTTargets, tgt.Name) {
+				targets = append(targets, tgt)
 			}
 		}
-		targets = filtered
 	}
-	return targets, algs
-}
-
-// sctConfig is the runner configuration of one grid cell (SafeStack gets
-// its own larger budget, as in the paper). Everything that feeds the
-// session key lives here; Workers/Metrics/Store are execution plumbing
-// and do not affect keys.
-func sctConfig(sc Scale, tgt runner.Target) runner.Config {
-	limit := sc.Limit
-	if tgt.Name == "SafeStack" {
-		limit = sc.SafeStackLimit
+	g := grid{algs: algs, line: func(i int, res *runner.Result) string {
+		sum, found := res.FirstBugSummary()
+		return fmt.Sprintf("[%2d/%d] %-24s %-6s found %d/%d mean %.0f",
+			i/len(algs)+1, len(targets), res.Target, res.Algorithm, found, sc.Sessions, sum.Mean)
+	}}
+	for _, tgt := range targets {
+		limit := sc.Limit
+		if tgt.Name == "SafeStack" {
+			limit = sc.SafeStackLimit
+		}
+		for _, alg := range algs {
+			g.cells = append(g.cells, runner.Cell{Target: tgt, Alg: alg, Config: runner.Config{
+				Sessions:       sc.Sessions,
+				Limit:          limit,
+				Seed:           sc.Seed,
+				StopAtFirstBug: true,
+				Coverage:       sc.SCTCoverage,
+				Atlas:          sc.Atlas,
+			}})
+		}
 	}
-	return runner.Config{
-		Sessions:       sc.Sessions,
-		Limit:          limit,
-		Seed:           sc.Seed,
-		StopAtFirstBug: true,
-		Coverage:       sc.SCTCoverage,
-		Workers:        sc.Workers,
-		Metrics:        sc.Metrics,
-		Store:          sc.Store,
-		Atlas:          sc.Atlas,
-	}
+	return g
 }
 
 // SCTPlan enumerates the session keys of every (target, algorithm,
-// session) in the SCTBench grid — the shard units of a distributed
-// campaign. Keys are built with runner.KeyFor, so they match the records a
-// local SCTBench run writes to the store exactly, and a distributed run
-// resumed over the same store skips whatever is already done.
-func SCTPlan(sc Scale) []runner.SessionKey {
-	targets, algs := sctGrid(sc)
-	sessions := sc.Sessions
-	if sessions <= 0 {
-		sessions = 1
-	}
-	plan := make([]runner.SessionKey, 0, len(targets)*len(algs)*sessions)
-	for _, tgt := range targets {
-		cfg := sctConfig(sc, tgt)
-		for _, alg := range algs {
-			for s := 0; s < sessions; s++ {
-				plan = append(plan, runner.KeyFor(tgt, alg, cfg, s))
-			}
-		}
-	}
-	return plan
-}
+// session) in the SCTBench grid: Plan(sc, "sct").
+func SCTPlan(sc Scale) []runner.SessionKey { return Plan(sc, "sct") }
 
-// SCTBench runs every suite target under every Table 4 algorithm with the
-// schedules-to-first-bug methodology. The (target × algorithm) grid fans
-// over sc.Workers workers; every cell is seeded independently and
-// collected by index, so the tables are bit-identical at any worker count.
+// SCTBench runs every suite target under every Table 4 algorithm.
 func SCTBench(sc Scale, progress Progress) *SCTResult {
-	progress = syncProgress(progress)
-	targets, algs := sctGrid(sc)
-	out := &SCTResult{Scale: sc, Algs: algs, Results: make(map[string]map[string]*runner.Result)}
-	type cell struct{ ti, ai int }
-	cells := make([]cell, 0, len(targets)*len(algs))
-	for ti, tgt := range targets {
-		out.Targets = append(out.Targets, tgt.Name)
-		out.Results[tgt.Name] = make(map[string]*runner.Result, len(algs))
-		for ai := range algs {
-			cells = append(cells, cell{ti, ai})
+	g := sctGrid(sc)
+	out := &SCTResult{Scale: sc, Algs: g.algs, gridRun: run(sc, g, progress),
+		Results: make(map[string]map[string]*runner.Result)}
+	for _, res := range out.results {
+		if out.Results[res.Target] == nil {
+			out.Targets = append(out.Targets, res.Target)
+			out.Results[res.Target] = make(map[string]*runner.Result, len(out.Algs))
 		}
-	}
-	results, err := workpool.Map(sc.Workers, len(cells), func(i int) (*runner.Result, error) {
-		tgt, alg := targets[cells[i].ti], algs[cells[i].ai]
-		res, err := runner.RunTarget(tgt, alg, sctConfig(sc, tgt))
-		if err != nil {
-			return nil, err
-		}
-		sum, found := res.FirstBugSummary()
-		progress("[%2d/%d] %-24s %-6s found %d/%d mean %.0f",
-			cells[i].ti+1, len(targets), tgt.Name, alg, found, sc.Sessions, sum.Mean)
-		return res, nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i, c := range cells {
-		out.Results[targets[c.ti].Name][algs[c.ai]] = results[i]
+		out.Results[res.Target][res.Algorithm] = res
 	}
 	return out
 }
@@ -186,42 +133,6 @@ func (r *SCTResult) Table1() *report.Table {
 		tb.AddFooter(r.Scale.Metrics.Summary())
 	}
 	return tb
-}
-
-// ThroughputFooter renders the scheduler-throughput line surw bench prints
-// beside Tables 1 and 4: mean schedules/s per cell for each algorithm
-// column (every cell is one runner batch whose Result carries its
-// wall-clock Elapsed) and the grid-wide rate. It is wall-clock — cells
-// fanned over a shared worker pool time-slice the CPUs — so it goes to
-// stderr with the other timing output, never into the tables themselves,
-// which stay bit-identical at any worker count. It rates the schedules a
-// cell executed: a cell served from the campaign store ran nothing and is
-// left out, and a grid of such cells (a resumed or fleet-drained campaign)
-// has no footer.
-func (r *SCTResult) ThroughputFooter() string {
-	parts := make([]string, 0, len(r.Algs))
-	totalSched, totalSec := 0, 0.0
-	for _, alg := range r.Algs {
-		sched, sec := 0, 0.0
-		for _, tname := range r.Targets {
-			res := r.Results[tname][alg]
-			if res == nil || res.Elapsed <= 0 || res.Executed == 0 {
-				continue
-			}
-			sched += res.Executed
-			sec += res.Elapsed.Seconds()
-		}
-		totalSched += sched
-		totalSec += sec
-		if sec > 0 {
-			parts = append(parts, fmt.Sprintf("%s %.0f", alg, float64(sched)/sec))
-		}
-	}
-	if totalSec == 0 {
-		return ""
-	}
-	return fmt.Sprintf("schedules/s per cell: %s; overall %.0f",
-		strings.Join(parts, ", "), float64(totalSched)/totalSec)
 }
 
 // perSessionCounts returns, per algorithm, the number of targets whose bug

@@ -15,6 +15,7 @@ package ftp
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"surw/internal/memfs"
@@ -233,6 +234,31 @@ func (c Config) Target(progSeed int64) runner.Target {
 			return FSSelection(), true
 		},
 	}
+}
+
+// TrialTarget is the case study's target for one trial: DefaultConfig's
+// server under the client scripts progSeed fixes, named "LightFTP@<progSeed>".
+// ProgSeed is no part of a runner.SessionKey, so the name carries it: two
+// trials are two programs, and a key — a store record, a fleet lease — has
+// to say which.
+func TrialTarget(progSeed int64) runner.Target {
+	tgt := DefaultConfig().Target(progSeed)
+	tgt.Name += "@" + strconv.FormatInt(progSeed, 10)
+	return tgt
+}
+
+// ByName resolves "LightFTP@<progSeed>" to that trial's target, and the
+// bare "LightFTP" to DefaultConfig().Target(1) under that name.
+func ByName(name string) (runner.Target, bool) {
+	if name == "LightFTP" {
+		return DefaultConfig().Target(1), true
+	}
+	if rest, ok := strings.CutPrefix(name, "LightFTP@"); ok {
+		if seed, err := strconv.ParseInt(rest, 10, 64); err == nil {
+			return TrialTarget(seed), true
+		}
+	}
+	return runner.Target{}, false
 }
 
 // FSSelection is the expert Δ of §3.6: the filesystem accesses that modify

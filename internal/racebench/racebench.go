@@ -17,6 +17,8 @@ package racebench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"surw/internal/profile"
 	"surw/internal/runner"
@@ -86,6 +88,7 @@ type Base struct {
 
 	bugs    []bug
 	actions map[[2]int][]step // (thread, item) -> bug steps, ordered by role
+	target  runner.Target     // what Target returns: one value per Base
 }
 
 // NumBugs is the number of bugs injected per base program.
@@ -116,6 +119,14 @@ func Generate(name string, threads, items, locals, shared int, pattern string, p
 		}
 		b.placeSites(rng, &bg, j)
 		b.bugs = append(b.bugs, bg)
+	}
+	b.target = runner.Target{
+		Name:     "RaceBench/" + b.Name,
+		Prog:     b.Prog(),
+		MaxSteps: 500_000,
+		Select: func(p *profile.Profile, rng *rand.Rand) (profile.Selection, bool) {
+			return p.SelectRegion(rng, RegionThreshold)
+		},
 	}
 	return b
 }
@@ -303,19 +314,10 @@ func (b *Base) runStep(w *sched.Thread, bugIdx, role int, local *sched.Var,
 	}
 }
 
-// Target wraps the base as a runner target with the paper's RaceBench
-// instantiation of Δ: a random memory region with combined access counts
-// above a threshold.
-func (b *Base) Target() runner.Target {
-	return runner.Target{
-		Name:     "RaceBench/" + b.Name,
-		Prog:     b.Prog(),
-		MaxSteps: 500_000,
-		Select: func(p *profile.Profile, rng *rand.Rand) (profile.Selection, bool) {
-			return p.SelectRegion(rng, RegionThreshold)
-		},
-	}
-}
+// Target wraps the base as a runner target ("RaceBench/<name>") with the
+// paper's RaceBench instantiation of Δ: a random memory region with
+// combined access counts above a threshold. The same value on every call.
+func (b *Base) Target() runner.Target { return b.target }
 
 // RegionThreshold is the combined-access-count threshold for Δ regions.
 const RegionThreshold = 48
@@ -323,8 +325,24 @@ const RegionThreshold = 48
 // Suite returns the fifteen Table 2 base programs. Thread counts, trace
 // lengths and instrumentation leanness loosely follow the originals'
 // relative scale; a * in the paper (partial instrumentation) maps to
-// Partial here.
-func Suite() []*Base {
+// Partial here. The suite is generated once: a Base is read-only after
+// Generate, and — sctbench's registry has the same reason — a target
+// resolved twice must be the same value for a warm sched.Pool to recognise
+// its program.
+func Suite() []*Base { return slices.Clone(suite()) }
+
+// ByName returns the suite target with the given name ("RaceBench/<base>"),
+// or ok=false.
+func ByName(name string) (runner.Target, bool) {
+	for _, b := range suite() {
+		if b.target.Name == name {
+			return b.target, true
+		}
+	}
+	return runner.Target{}, false
+}
+
+var suite = sync.OnceValue(func() []*Base {
 	return []*Base{
 		Generate("blackscholes", 4, 16, 6, 8, "data", false, 101),
 		Generate("bodytrack", 6, 14, 5, 10, "pipe", false, 102),
@@ -342,4 +360,4 @@ func Suite() []*Base {
 		Generate("water_spatial", 4, 16, 5, 8, "data", false, 114),
 		Generate("x264", 8, 14, 6, 10, "pipe", false, 115),
 	}
-}
+})

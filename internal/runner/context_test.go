@@ -134,4 +134,9 @@ func TestWorkerCacheKeyedByTarget(t *testing.T) {
 	if len(wc.free) != 2 || len(wc.free["ctx/racy"]) != 1 || len(wc.free["ctx/other"]) != 1 {
 		t.Fatalf("three sequential sessions over two targets left %v, want one warm worker per target", wc.free)
 	}
+	// What RunCells does once a target's last session has landed.
+	wc.drop("ctx/racy")
+	if _, kept := wc.free["ctx/racy"]; kept || len(wc.free["ctx/other"]) != 1 {
+		t.Fatalf("dropping one target left %v, want the other target's worker alone", wc.free)
+	}
 }

@@ -1,5 +1,6 @@
-// Session execution. Sessions are the unit of parallelism: RunTarget fans
-// them over a workpool, and this file is the engine each worker runs.
+// Session execution. The session is the one unit of parallelism: RunCells
+// drains a run's sessions — every cell's, in plan order — with one
+// workpool, and this file is the engine each of its workers runs.
 //
 // The confinement model that keeps parallel output bit-identical to the
 // sequential loop:
@@ -18,8 +19,8 @@
 //   - Target state is created inside Prog through the sched API on every
 //     schedule, so concurrent schedules of one program never share memory;
 //     the Target struct itself is only read.
-//   - Results are collected by session index (workpool.Map), never by
-//     completion order.
+//   - Results are collected by (cell, session) index, never by completion
+//     order.
 //
 // Under these rules the session loop commutes with itself, so Workers: N
 // is an execution-order change only. The regression tests in

@@ -9,9 +9,10 @@ package runner
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"surw/internal/atlas"
@@ -61,10 +62,11 @@ type Config struct {
 	CoverageEvery int
 	// ProfileRuns is the number of census runs per session (default 1).
 	ProfileRuns int
-	// Workers bounds how many sessions run concurrently: 1 is the legacy
-	// sequential loop, larger values fan sessions over that many OS-backed
-	// workers, and <= 0 means one worker per CPU (runtime.GOMAXPROCS(0)).
-	// Results are bit-identical under every setting; see parallel.go.
+	// Workers is how many sessions of the run — every cell's, see RunCells
+	// — are in flight at once: 1 runs them one after another on the
+	// caller's goroutine, <= 0 means one worker per CPU
+	// (runtime.GOMAXPROCS(0)). Results are bit-identical under every
+	// setting; see parallel.go.
 	Workers int
 	// Metrics, when non-nil, aggregates observability counters (schedule
 	// throughput, decision histograms, worker utilization, phase latency
@@ -134,7 +136,7 @@ type SessionStore interface {
 }
 
 // BatchObserver is an optional extension of SessionStore: when the store
-// implements it, RunTarget reports each completed (target, algorithm) cell,
+// implements it, RunCells reports each completed (target, algorithm) cell,
 // which the campaign layer turns into live dashboard events.
 type BatchObserver interface {
 	CellDone(target, alg string, limit int, seed int64, res *Result)
@@ -244,9 +246,10 @@ type Result struct {
 	Algorithm string
 	Limit     int
 	Sessions  []Session
-	// Elapsed is the wall-clock duration of the whole batch. It is
-	// observational (excluded from Equal, never persisted): it backs the
-	// schedules/s throughput footers of the surw bench tables.
+	// Elapsed is the summed run time of the sessions the batch executed:
+	// worker-seconds, whatever Config.Workers. It is observational
+	// (excluded from Equal, never persisted): it backs the throughput
+	// footers of the surw bench tables.
 	Elapsed time.Duration
 	// Executed is how many of TotalSchedules the batch ran itself: those of
 	// the sessions Config.Store did not already hold. Observational like
@@ -263,9 +266,9 @@ func (r *Result) TotalSchedules() int {
 	return n
 }
 
-// SchedulesPerSecond returns the batch's throughput over the schedules it
-// executed (0 when no time was observed or nothing ran, e.g. on a Result
-// assembled from a store).
+// SchedulesPerSecond returns the batch's throughput per worker over the
+// schedules it executed (0 when no time was observed or nothing ran, e.g.
+// on a Result assembled from a store).
 func (r *Result) SchedulesPerSecond() float64 {
 	if r.Elapsed <= 0 {
 		return 0
@@ -273,8 +276,8 @@ func (r *Result) SchedulesPerSecond() float64 {
 	return float64(r.Executed) / r.Elapsed.Seconds()
 }
 
-// RunTarget runs cfg.Sessions sessions of algName on the target, fanned
-// over cfg.Workers workers (see parallel.go for the confinement argument).
+// RunTarget runs cfg.Sessions sessions of algName on the target: RunCells
+// on one cell.
 func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 	return RunTargetContext(context.Background(), tgt, algName, cfg)
 }
@@ -314,8 +317,8 @@ func (w *worker) staging() *atlas.Accum {
 
 // WorkerCache owns the warm workers that sessions run on, keyed by target
 // name so that a pool's interned names, spawn memo and parked coroutines
-// stay one program's. A batch holds one for its duration, a fleet worker
-// across its leases. Safe for concurrent use; one session to a worker.
+// stay one program's. A run (RunCells) holds one for its duration, a fleet
+// worker across its leases. Safe for concurrent use; one session to a worker.
 type WorkerCache struct {
 	mu   sync.Mutex
 	free map[string][]*worker
@@ -340,20 +343,31 @@ func (wc *WorkerCache) put(target string, w *worker) {
 	wc.mu.Unlock()
 }
 
-// Close ends the pools' parked goroutines and hands the (drained) staging
-// accumulators back. Call it once the sessions on the cache have returned.
-func (wc *WorkerCache) Close() {
+// drop closes the warm workers kept for target — ends their pools' parked
+// goroutines, hands the (drained) staging accumulators back — once the
+// sessions that borrowed them have returned.
+func (wc *WorkerCache) drop(target string) {
 	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	for _, ws := range wc.free {
-		for _, w := range ws {
-			w.drv.Close()
-			if w.stage != nil {
-				stagePool.Put(w.stage)
-			}
+	ws := wc.free[target]
+	delete(wc.free, target)
+	wc.mu.Unlock()
+	for _, w := range ws {
+		w.drv.Close()
+		if w.stage != nil {
+			stagePool.Put(w.stage)
 		}
 	}
-	clear(wc.free)
+}
+
+// Close closes every warm worker. Call it once the sessions on the cache
+// have returned.
+func (wc *WorkerCache) Close() {
+	wc.mu.Lock()
+	targets := slices.Collect(maps.Keys(wc.free))
+	wc.mu.Unlock()
+	for _, target := range targets {
+		wc.drop(target)
+	}
 }
 
 // RunTargetContext is RunTarget with cancellation: ctx is consulted between
@@ -363,42 +377,124 @@ func (wc *WorkerCache) Close() {
 // resumed batch skips them — so cancelling a campaign loses at most the
 // in-flight sessions, never the finished ones.
 func RunTargetContext(ctx context.Context, tgt Target, algName string, cfg Config) (*Result, error) {
-	cfg = cfg.normalized()
+	results, err := RunCells(ctx, []Cell{{Target: tgt, Alg: algName, Config: cfg}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// Cell is one (target, algorithm) batch of a run: Config.Sessions sessions,
+// each a function of its SessionKey alone.
+type Cell struct {
+	Target Target
+	Alg    string
+	Config Config
+}
+
+// Plan lists the cells' session keys — KeyFor's, so they match the records
+// a local run writes — in plan order, cell by cell and session by session:
+// the order RunCells starts them in and a fleet is granted them in.
+func Plan(cells []Cell) []SessionKey {
+	var plan []SessionKey
+	for _, c := range cells {
+		cfg := c.Config.normalized()
+		for s := 0; s < cfg.Sessions; s++ {
+			plan = append(plan, sessionKey(c.Target, c.Alg, cfg, s))
+		}
+	}
+	return plan
+}
+
+// RunCells runs every session of every cell and returns the cells' Results
+// in cell order. The session is the one unit of work: the plan is drained
+// in Plan's order by one pool of workers on one WorkerCache, each session
+// written into its cell's slot by index (parallel.go has the confinement
+// argument). The pool is the run's, not a cell's: its width and its meter
+// are the first cell's Config.Workers and Config.Metrics; every other field
+// of a Config is read per cell.
+//
+// When a cell's last session lands its Result is reported — to the cell's
+// Store if that is a BatchObserver, then to done (nil: nobody) with the
+// cell's index — from whichever worker ran it, two cells' possibly at once.
+// When a target's last session lands its warm workers are closed: a plan
+// that keeps a target's cells together holds warm workers for the targets
+// in flight, not for every target it names.
+//
+// ctx cancels between schedules. An error (the lowest-index failing
+// session's) discards the results; cells reported before it stay reported
+// and their stored sessions stand.
+func RunCells(ctx context.Context, cells []Cell, done func(i int, res *Result)) ([]*Result, error) {
+	if len(cells) == 0 {
+		return nil, nil
+	}
+	cells = slices.Clone(cells) // their Configs are normalized below
+	type item struct{ cell, session int }
+	var items []item
+	results := make([]*Result, len(cells))
+	// Sessions yet to land, by cell and by target; mu guards both and the
+	// Results' Executed and Elapsed.
+	var mu sync.Mutex
+	cellLeft, targetLeft := make([]int, len(cells)), make(map[string]int)
+	for i := range cells {
+		c := &cells[i]
+		c.Config = c.Config.normalized()
+		n := c.Config.Sessions
+		results[i] = &Result{Target: c.Target.Name, Algorithm: c.Alg, Limit: c.Config.Limit, Sessions: make([]Session, n)}
+		cellLeft[i] = n
+		targetLeft[c.Target.Name] += n
+		for s := 0; s < n; s++ {
+			items = append(items, item{i, s})
+		}
+	}
 	// A typed-nil *obs.Metrics must not become a non-nil Meter interface.
 	var meter workpool.Meter
-	if cfg.Metrics != nil {
-		meter = cfg.Metrics
+	if m := cells[0].Config.Metrics; m != nil {
+		meter = m
 	}
 	wc := NewWorkerCache()
 	defer wc.Close()
-	start := time.Now()
-	var executed atomic.Int64
-	sessions, err := workpool.MapMetered(cfg.Workers, cfg.Sessions, meter, func(s int) (Session, error) {
-		var t0 time.Time
-		if cfg.Metrics != nil {
-			t0 = time.Now()
-		}
-		sess, ran, err := wc.run(ctx, tgt, algName, cfg, s)
+	_, err := workpool.MapMetered(cells[0].Config.Workers, len(items), meter, func(i int) (struct{}, error) {
+		it := items[i]
+		c, res := &cells[it.cell], results[it.cell]
+		t0 := time.Now()
+		sess, ran, err := wc.run(ctx, c.Target, c.Alg, c.Config, it.session)
 		if err != nil {
-			return Session{}, fmt.Errorf("runner: %s/%s session %d: %w", tgt.Name, algName, s, err)
+			return struct{}{}, fmt.Errorf("runner: %s/%s session %d: %w", c.Target.Name, c.Alg, it.session, err)
 		}
+		took := time.Since(t0)
+		if c.Config.Metrics != nil {
+			c.Config.Metrics.Latency("session").Observe(took)
+		}
+		res.Sessions[it.session] = *sess
+		mu.Lock()
 		if ran {
-			executed.Add(int64(sess.Schedules))
+			res.Executed += sess.Schedules
+			res.Elapsed += took
 		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.Latency("session").Observe(time.Since(t0))
+		cellLeft[it.cell]--
+		targetLeft[c.Target.Name]--
+		cellDone, targetDone := cellLeft[it.cell] == 0, targetLeft[c.Target.Name] == 0
+		mu.Unlock()
+		if targetDone {
+			// Every session of the target has returned, so every worker it
+			// borrowed is back in the cache.
+			wc.drop(c.Target.Name)
 		}
-		return *sess, nil
+		if cellDone {
+			if bo, ok := c.Config.Store.(BatchObserver); ok {
+				bo.CellDone(c.Target.Name, c.Alg, c.Config.Limit, c.Config.Seed, res)
+			}
+			if done != nil {
+				done(it.cell, res)
+			}
+		}
+		return struct{}{}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Target: tgt.Name, Algorithm: algName, Limit: cfg.Limit, Sessions: sessions,
-		Elapsed: time.Since(start), Executed: int(executed.Load())}
-	if bo, ok := cfg.Store.(BatchObserver); ok {
-		bo.CellDone(tgt.Name, algName, cfg.Limit, cfg.Seed, res)
-	}
-	return res, nil
+	return results, nil
 }
 
 // RunSession executes exactly one session of the batch cfg describes — the
