@@ -163,31 +163,181 @@ func BenchmarkFig5(b *testing.B) {
 // Substrate micro-benchmarks
 // ---------------------------------------------------------------------------
 
-// BenchmarkDecision reports the wall clock of a whole unpooled sched.Run of
-// the Figure 1 program — a fresh Execution, the thread hand-offs, the
-// program's own events, the hashes — divided by its steps, per algorithm.
-// Its differences between algorithms are differences in decision cost; its
-// "ns/decision" is not the price of a decision and is not comparable to
-// §6's ~20 ns for SURW (~305 ns for RFF). The algorithm-only measurement — a
-// timing wrapper round Next/Observe with the clock's own cost subtracted —
-// is ROADMAP item 9's exit.
+// BenchmarkDecision prices an algorithm's decisions alone, the quantity §6
+// quotes (~20 ns for SURW, ~305 ns for RFF): a timing wrapper round its
+// per-event calls — Next, NextIndex, Observe, ObserveSpawn — with the
+// clock's own cost, measured beside every call, taken off. The schedules
+// are pooled ones of the benchmark's sample workload's six targets, each
+// readied as a runner session readies it (a census for an algorithm that
+// reads counts, one Δ drawn for SURW). ns/decision is the algorithm's time
+// over its decisions; x_RW is that over the random walk's, run in
+// alternation on the same schedule seeds. Not gated: it sizes ROADMAP item 9.
 func BenchmarkDecision(b *testing.B) {
-	prog := experiments.Bitshift(16)
-	info := experiments.BitshiftInfo(16)
+	cells := decisionCells(b)
 	for _, name := range []string{"SURW", "URW", "POS", "PCT-3", "RW"} {
-		alg, err := core.New(name)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(name, func(b *testing.B) {
-			steps := 0
-			for i := 0; i < b.N; i++ {
-				r := sched.Run(prog, alg, sched.Options{Base: sched.Base{Seed: int64(i)}, Info: info})
-				steps += r.Steps
+			inner, err := core.New(name)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/decision")
+			in := core.InputsOf(inner)
+			var at, rt decisionTimer
+			alg, ref := timedAlgorithm(b, inner, &at), timedAlgorithm(b, core.NewRandomWalk(), &rt)
+			pools := make([]*sched.Pool, len(cells))
+			for i := range pools {
+				pools[i] = sched.NewPool()
+				defer pools[i].Close()
+			}
+			for i := 0; i < b.N; i++ {
+				for j, c := range cells {
+					seed := int64(i) + 1
+					pools[j].Run(c.tgt.Prog, alg, c.options(seed, in))
+					pools[j].Run(c.tgt.Prog, ref, c.options(seed, core.Inputs{}))
+				}
+			}
+			ns := at.perDecision()
+			b.ReportMetric(ns, "ns/decision")
+			b.ReportMetric(ns/rt.perDecision(), "x_RW")
 		})
 	}
+}
+
+// decisionCell is one of the benchmark's sample targets with what a session
+// of it hands an algorithm: the census's counts and, for SURW, one Δ.
+type decisionCell struct {
+	tgt        runner.Target
+	all, delta *sched.ProgramInfo
+}
+
+func decisionCells(b *testing.B) []decisionCell {
+	var cells []decisionCell
+	for _, name := range []string{"CS/reorder_10", "CS/twostage_20", "CB/stringbuffer-jdk1.4", "Chess/WSQ", "CS/bluetooth_driver", "Inspect/qsort_mt"} {
+		tgt, ok := sctbench.ByName(name)
+		if !ok {
+			b.Fatalf("missing target %s", name)
+		}
+		// Like the runner, keep whatever counts a crashing or truncated
+		// census still yields.
+		prof, _ := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
+		c := decisionCell{tgt: tgt, all: prof.Instantiate(prof.SelectAll())}
+		c.delta = c.all
+		rng := rand.New(rand.NewSource(1))
+		sel, ok := prof.SelectSingleVar(rng)
+		if tgt.Select != nil {
+			sel, ok = tgt.Select(prof, rng)
+		}
+		if ok {
+			c.delta = prof.Instantiate(sel)
+		}
+		cells = append(cells, c)
+	}
+	return cells
+}
+
+func (c decisionCell) options(seed int64, in core.Inputs) sched.Options {
+	o := sched.Options{Base: sched.Base{Seed: seed, ProgSeed: c.tgt.ProgSeed, MaxSteps: c.tgt.MaxSteps}, TraceFilter: c.tgt.TraceFilter}
+	switch {
+	case in.Delta:
+		o.Info = c.delta
+	case in.Counts:
+		o.Info = c.all
+	}
+	return o
+}
+
+// decisionTimer accumulates the time an algorithm spends in its per-event
+// calls, the clock's own share of that time, and the calls that decided.
+type decisionTimer struct {
+	ns, clock time.Duration
+	decisions int
+}
+
+// add books the call timed from t0. Right after it, a time.Now/time.Since
+// pair that brackets nothing prices the clock where the call ran: a clock
+// read costs what the caches and the machine's neighbours allow at the
+// time (36–52 ns a pair on a 2-vCPU VM, against 12 ns for a random walk's
+// whole call), which a calibration loop run apart from the engine misses.
+func (t *decisionTimer) add(t0 time.Time, decided bool) {
+	t.ns += time.Since(t0)
+	t1 := time.Now()
+	t.clock += time.Since(t1)
+	if decided {
+		t.decisions++
+	}
+}
+
+func (t *decisionTimer) perDecision() float64 {
+	return max(float64(t.ns-t.clock), 0) / float64(max(t.decisions, 1))
+}
+
+// timed is the timing wrapper round an algorithm; Name and Begin pass
+// through untimed. The engine takes its fast paths from the optional
+// interfaces an algorithm has, so a wrapper has exactly the wrapped
+// algorithm's (timedAlgorithm picks it).
+type timed struct {
+	sched.Algorithm
+	t *decisionTimer
+}
+
+func (a *timed) Next(st *sched.State) sched.ThreadID {
+	t0 := time.Now()
+	tid := a.Algorithm.Next(st)
+	a.t.add(t0, true)
+	return tid
+}
+
+func (a *timed) Observe(ev sched.Event, st *sched.State) {
+	t0 := time.Now()
+	a.Algorithm.Observe(ev, st)
+	a.t.add(t0, false)
+}
+
+// timedIndex is timed for an algorithm that is an IndexChooser and a
+// SourceChooser (the random walk).
+type timedIndex struct {
+	timed
+	idx sched.IndexChooser
+	src sched.SourceChooser
+}
+
+func (a *timedIndex) NextIndex(n int) int {
+	t0 := time.Now()
+	i := a.idx.NextIndex(n)
+	a.t.add(t0, true)
+	return i
+}
+
+func (a *timedIndex) BeginSource(src rand.Source) { a.src.BeginSource(src) }
+
+// timedSpawn is timed for a SpawnObserver (SURW, URW).
+type timedSpawn struct {
+	timed
+	so sched.SpawnObserver
+}
+
+func (a *timedSpawn) ObserveSpawn(parent, child sched.ThreadID, st *sched.State) {
+	t0 := time.Now()
+	a.so.ObserveSpawn(parent, child, st)
+	a.t.add(t0, false)
+}
+
+// timedAlgorithm returns alg in the wrapper with exactly its optional
+// interfaces, failing b for a combination none has.
+func timedAlgorithm(b *testing.B, alg sched.Algorithm, t *decisionTimer) sched.Algorithm {
+	base := timed{alg, t}
+	idx, isIdx := alg.(sched.IndexChooser)
+	src, isSrc := alg.(sched.SourceChooser)
+	so, isSpawn := alg.(sched.SpawnObserver)
+	switch {
+	case !isIdx && !isSrc && !isSpawn:
+		return &base
+	case isIdx && isSrc && !isSpawn:
+		return &timedIndex{base, idx, src}
+	case isSpawn && !isIdx && !isSrc:
+		return &timedSpawn{base, so}
+	}
+	b.Fatalf("%s: no timing wrapper has its optional interfaces", alg.Name())
+	return nil
 }
 
 // BenchmarkSchedulerThroughput measures raw substrate speed: events per

@@ -80,7 +80,8 @@ if ! (cd benchmark && go test -count=1 -run '^TestFleetWrappersDoNotPerturb$' -v
 fi
 
 # Coverage floors: current-minus-1% for the scheduler substrate, the
-# algorithm implementations, the command line and the fleet. A drop below the floor means tests were lost
+# algorithm implementations, the command line, the fleet, the sync shim and
+# the run store. A drop below the floor means tests were lost
 # or new code landed untested; raise the floor when coverage climbs.
 awk '
   /^ok/ && /coverage:/ {
@@ -91,6 +92,8 @@ awk '
     if (pkg == "surw/internal/core"  && cov < 95.2) { printf "FAIL: %s coverage %.1f%% below floor 95.2%%\n", pkg, cov; bad = 1 }
     if (pkg == "surw/cmd/surw"       && cov < 69.7) { printf "FAIL: %s coverage %.1f%% below floor 69.7%%\n", pkg, cov; bad = 1 }
     if (pkg == "surw/internal/remote" && cov < 91.6) { printf "FAIL: %s coverage %.1f%% below floor 91.6%%\n", pkg, cov; bad = 1 }
+    if (pkg == "surw/surwsync"       && cov < 88.8) { printf "FAIL: %s coverage %.1f%% below floor 88.8%%\n", pkg, cov; bad = 1 }
+    if (pkg == "surw/internal/campaign" && cov < 92.8) { printf "FAIL: %s coverage %.1f%% below floor 92.8%%\n", pkg, cov; bad = 1 }
   }
   END { exit bad }
 ' /tmp/surw-cover.txt
@@ -130,21 +133,27 @@ go run ./cmd/surw obs -in /tmp/surw-bench.txt -gate 'BenchmarkPooledSchedule/poo
 go test -bench='^BenchmarkLibrarySession$' -benchtime=20x -run='^$' . > /tmp/surw-bench-lib.txt 2>&1 || { cat /tmp/surw-bench-lib.txt; exit 1; }
 go run ./cmd/surw obs -in /tmp/surw-bench-lib.txt -gate 'BenchmarkLibrarySession.allocs/schedule<=10'
 
-# Shim cost gates: a surwsync operation stays within a small factor of the
-# Thread API call it forwards to (measured 1.8x, a same-process ratio, so
-# machine-independent), and naming the current goroutine never allocates.
-go test -bench='^(BenchmarkCurrentThread|BenchmarkShimMutex)$' -benchmem -run='^$' ./internal/sched ./surwsync > /tmp/surw-bench-shim.txt 2>&1 || { cat /tmp/surw-bench-shim.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-shim.txt -gate 'BenchmarkShimMutex/shim.x_thread_api<=5' -gate 'BenchmarkCurrentThread/bound.allocs/op<=0'
+# Shim cost gates: a surwsync operation costs about the Thread API call it
+# forwards to (measured 0.97-1.2x, a same-process ratio, so
+# machine-independent; 1.6-1.9x while the goroutine lookup and the object
+# cache each took a mutex per operation), and naming the current goroutine
+# never allocates. The ratio's two arms run one after the other, so a noisy
+# neighbour can skew one sample: best of three.
+best_of_three /tmp/surw-bench-shim.txt \
+    '-gate BenchmarkCurrentThread/bound.allocs/op<=0' \
+    '-gate BenchmarkShimMutex/shim.x_thread_api<=1.6' \
+    -bench='^(BenchmarkCurrentThread|BenchmarkShimMutex)$' -benchmem -run='^$' ./internal/sched ./surwsync
 # A pooled schedule of real Go code (the ported worker pool, WP/pool_2w2j)
-# allocates what the program itself does plus its Result and a deadlock's
-# message: 15.96 objects, exact at this -benchtime (16.92 while the Failure
-# was an object of its own beside the Result — the benchmark calls Pool.Run,
-# so the Result itself stays; 66.4 while handles, Ref values, composite
-# names and deadlock reports came from the heap). The gate is that + 5 %:
-# an allocation added per object or per channel operation is caught where
-# it is added.
+# allocates what the program itself does plus its Result: 11.0 objects,
+# exact at this -benchtime (15.96 while NewChan made a native channel under
+# a session, the result channel's buffer grew again every schedule and a
+# deadlock's message was built fresh; 66.4 while handles, Ref values,
+# composite names and deadlock reports came from the heap — the benchmark
+# calls Pool.Run, so the Result itself stays). The gate is that + 5 %: an
+# allocation added per object or per channel operation is caught where it
+# is added.
 go test -bench='^BenchmarkShimSchedule$' -benchtime=2000x -run='^$' ./surwsync > /tmp/surw-bench-shimsched.txt 2>&1 || { cat /tmp/surw-bench-shimsched.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSchedule.allocs/schedule<=16.76'
+go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSchedule.allocs/schedule<=11.55'
 
 # Observer cost gates: watching the engine must not mean running a slower
 # one. x_batched is a pooled schedule with an obs.MetricsTracer over the

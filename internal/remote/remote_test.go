@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -427,6 +428,34 @@ func TestWorkerKilledMidBatchIsReassigned(t *testing.T) {
 		if got.FirstBug != want.FirstBug || got.Schedules != want.Schedules {
 			t.Fatalf("session %v: distributed %+v, local %+v", k, got, want)
 		}
+	}
+}
+
+// A fleet worker holds warm workers for the target of its current lease
+// only: draining sctScale's two targets, it never holds both at once, and
+// it did hold the second.
+func TestWorkerKeepsOneTargetWarm(t *testing.T) {
+	plan := experiments.SCTPlan(sctScale())
+	c := NewCoordinator(newMemStore(), plan, CoordinatorOptions{BatchSize: 2})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	w := newTestWorker("w", srv.URL)
+	held := map[string]bool{}
+	most := 0
+	w.Logf = func(format string, args ...any) {
+		if strings.HasSuffix(format, "duplicate") { // after each lease's submission, on the lease loop
+			targets := w.cache.Targets()
+			most = max(most, len(targets))
+			for _, tgt := range targets {
+				held[tgt] = true
+			}
+		}
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Done() || most != 1 || len(held) != 2 {
+		t.Fatalf("done %v; held warm workers for up to %d targets at once, %v over the drain; want 1 at a time, both targets", c.Done(), most, held)
 	}
 }
 

@@ -91,12 +91,14 @@ type Worker struct {
 	hb      *time.Ticker
 	hbLease atomic.Pointer[string]
 	// The lease loop's own, for the length of a Run (no other goroutine
-	// touches them): its line to the coordinator, the lease in hand, and
-	// that lease's keys and finished sessions in lease order.
+	// touches them): its line to the coordinator, the lease in hand, that
+	// lease's keys and finished sessions in lease order, and the target the
+	// cache keeps warm workers for.
 	line     rpc
 	lease    Lease
 	keys     []runner.SessionKey
 	sessions []*runner.Session
+	target   string
 	// spans is created lazily on the first traced lease (nil records
 	// nothing, costing untraced fleets zero allocations).
 	spans *obs.SpanLog
@@ -166,7 +168,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.line.open(ctx, w.client(), w.Coordinator); err != nil {
 		return err
 	}
-	w.cache = runner.NewWorkerCache()
+	w.cache, w.target = runner.NewWorkerCache(), ""
 	defer w.cache.Close()
 	// One heartbeat loop for the whole run, not one per lease; it idles
 	// until execute hands it a lease and that lease's period.
@@ -222,6 +224,12 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 	tgt, ok := w.Resolve(l.Target)
 	if !ok {
 		return fmt.Errorf("remote: lease %s names unknown target %q (worker/coordinator version skew?)", l.ID, l.Target)
+	}
+	if l.Target != w.target {
+		// Leases come in plan order, which keeps a target's cells together:
+		// the warm workers of the target before are not needed again soon.
+		w.cache.Keep(l.Target)
+		w.target = l.Target
 	}
 	cfg := runner.Config{
 		Limit:          l.Limit,

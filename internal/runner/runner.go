@@ -359,6 +359,26 @@ func (wc *WorkerCache) drop(target string) {
 	}
 }
 
+// Keep closes the warm workers of every target but target, as RunCells
+// does when a target's last session lands. A fleet worker calls it when a
+// lease names a new target. Call it once the sessions on the other targets
+// have returned.
+func (wc *WorkerCache) Keep(target string) {
+	for _, t := range wc.Targets() {
+		if t != target {
+			wc.drop(t)
+		}
+	}
+}
+
+// Targets returns the names of the targets the cache holds warm workers
+// for, sorted.
+func (wc *WorkerCache) Targets() []string {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	return slices.Sorted(maps.Keys(wc.free))
+}
+
 // Close closes every warm worker. Call it once the sessions on the cache
 // have returned.
 func (wc *WorkerCache) Close() {

@@ -181,12 +181,10 @@ func TestPoolIdenticalAfterAbortedSchedules(t *testing.T) {
 
 // The allocation floor, pinned where it was reached: a warm pooled schedule
 // that creates and uses one of each primitive allocates its Result and
-// nothing else — the Failure is part of the Result — plus the message when
-// it fails with a deadlock report (an assertion's message is interned); into
-// a Result the caller hands in (RunInto) it allocates the message and
-// nothing else. The programs keep their own hands clean: no closures built per schedule, and
-// an unbuffered channel, since a buffered one's values are appended to a
-// slice that is the program's data as far as the engine is concerned.
+// nothing else — the Failure is part of the Result, and an assertion's or a
+// deadlock's message is interned — and into a Result the caller hands in
+// (RunInto) nothing at all. The programs keep their own hands clean: no
+// closures built per schedule.
 func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
 	var o struct {
 		mu   *Mutex
@@ -195,6 +193,7 @@ func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
 		v    *Var
 		ref  *Ref[int]
 		ch   *Chan[int]
+		bch  *Chan[int]
 		wg   *WaitGroup
 		once *Once
 		cond *Cond
@@ -213,6 +212,8 @@ func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
 		o.cond.Signal(w)
 		o.mu.Unlock(w)
 		o.ch.Send(w, 7)
+		o.bch.Send(w, 1)
+		o.bch.TrySend(w, 2)
 		o.wg.Done(w)
 	}
 	prog := func(rt *Thread) {
@@ -222,6 +223,7 @@ func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
 		o.v = rt.NewVar("", 0)
 		o.ref = NewRef(rt, "ref", 0)
 		o.ch = NewChan[int](rt, "ch", 0)
+		o.bch = NewChan[int](rt, "bch", 2)
 		o.wg = rt.NewWaitGroup("wg")
 		o.once = rt.NewOnce("once")
 		o.cond = rt.NewCond("cond", o.mu)
@@ -233,6 +235,8 @@ func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
 		}
 		o.mu.Unlock(rt)
 		got, _ := o.ch.Recv(rt)
+		o.bch.Recv(rt)
+		o.bch.TryRecv(rt)
 		o.wg.Wait(rt)
 		rt.Join(h)
 		switch o.fail {
@@ -250,7 +254,7 @@ func TestPooledScheduleAllocatesOnlyItsResult(t *testing.T) {
 		fail string
 		kind FailKind
 		want float64
-	}{{"", 0, 1}, {"assert", FailAssert, 1}, {"deadlock", FailDeadlock, 2}} {
+	}{{"", 0, 1}, {"assert", FailAssert, 1}, {"deadlock", FailDeadlock, 1}} {
 		o.fail = c.fail
 		var last *Result
 		var own Result

@@ -15,7 +15,10 @@ package sched
 // Cost discipline: nothing in the scheduling engine touches the registry.
 // Binding is opt-in per thread (only shimmed programs call BindGoroutine),
 // and CurrentThread's fast path for a process with no bindings at all — the
-// production fallback of a shimmed package — is a single atomic load.
+// production fallback of a shimmed package — is a single atomic load. A
+// bound lookup takes no lock: it reads a direct-mapped front of the shard
+// maps (see frontOf), and only a goroutine whose front slot another binding
+// took falls through to its shard.
 
 import (
 	"fmt"
@@ -27,6 +30,11 @@ import (
 // sessions bind concurrently. 64 shards ≫ typical worker counts.
 const bindShards = 64
 
+// frontBits sizes the lock-free front: 1024 slots against the few bound
+// goroutines of the schedules in flight (a thread per running program
+// thread, a handful per worker) keeps two live bindings rarely in one slot.
+const frontBits = 10
+
 type bindShard struct {
 	mu sync.Mutex
 	m  map[uintptr]*Thread
@@ -37,14 +45,21 @@ var bindReg struct {
 	// lookup entirely.
 	active atomic.Int64
 	shards [bindShards]bindShard
+	// front caches the thread last bound in each slot. The shard maps stay
+	// the source of truth: a slot is only a hint, believed when the thread
+	// in it carries the caller's key (Thread.bindKey), which only the
+	// goroutine with that key sets or clears.
+	front [1 << frontBits]atomic.Pointer[Thread]
 }
 
-// shardOf picks k's shard by Fibonacci hashing: g pointers are size-class
-// aligned (low bits all zero), so the index is the top log2(bindShards)
-// bits of the product, which every bit of k reaches.
-func shardOf(k uintptr) *bindShard {
-	return &bindReg.shards[uint64(k)*0x9E3779B97F4A7C15>>58]
-}
+// fibHash spreads a goroutine key over 64 bits: g pointers are size-class
+// aligned (low bits all zero), so the shard and front indexes are top bits
+// of the product, which every bit of k reaches.
+func fibHash(k uintptr) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
+
+func shardOf(k uintptr) *bindShard { return &bindReg.shards[fibHash(k)>>58] }
+
+func frontOf(k uintptr) *atomic.Pointer[Thread] { return &bindReg.front[fibHash(k)>>(64-frontBits)] }
 
 // BindGoroutine registers t as the virtual thread of the calling goroutine.
 // It must be called on the goroutine that runs t's body (the frontend calls
@@ -68,6 +83,8 @@ func BindGoroutine(t *Thread) {
 	if old != nil && old != t {
 		panic(fmt.Sprintf("sched: BindGoroutine(T%d): goroutine is still bound to T%d", t.id, old.id))
 	}
+	t.bindKey.Store(k)
+	frontOf(k).Store(t)
 }
 
 // UnbindGoroutine removes the calling goroutine's binding. Unbinding a
@@ -76,11 +93,18 @@ func UnbindGoroutine() {
 	k := gkey()
 	sh := shardOf(k)
 	sh.mu.Lock()
-	if _, ok := sh.m[k]; ok {
+	t, ok := sh.m[k]
+	if ok {
 		delete(sh.m, k)
 		bindReg.active.Add(-1)
 	}
 	sh.mu.Unlock()
+	if ok {
+		// A thread bound from two goroutines keeps the later key; the
+		// earlier one's unbind leaves it alone.
+		t.bindKey.CompareAndSwap(k, 0)
+		frontOf(k).CompareAndSwap(t, nil)
+	}
 }
 
 // CurrentThread resolves the virtual thread bound to the calling goroutine.
@@ -93,6 +117,12 @@ func CurrentThread() (*Thread, bool) {
 		return nil, false
 	}
 	k := gkey()
+	// A front hit is exact: only the goroutine with key k stores k into a
+	// thread's bindKey (at its bind) and clears it (at its unbind), so a
+	// thread carrying k is bound to the caller, which is that goroutine.
+	if t := frontOf(k).Load(); t != nil && t.bindKey.Load() == k {
+		return t, true
+	}
 	sh := shardOf(k)
 	sh.mu.Lock()
 	t := sh.m[k]
@@ -132,41 +162,45 @@ func Bindings() int { return int(bindReg.active.Load()) }
 // is package-level and sessions run in parallel, so the first execution's
 // slot lives inline — no allocation per primitive — and later ones spill
 // to a slice scanned linearly, one slot per execution that ever touched
-// the primitive (bounded by the worker count of a parallel runner). A slot
-// is only used through its execution's current thread, whose goroutine
-// never runs concurrently with that execution's reset — the generation
-// read is race-free. The cache's own mutex only arbitrates between
-// threads of *different* executions.
+// the primitive (bounded by the worker count of a parallel runner).
+//
+// A slot is only used through its execution's current thread, whose
+// goroutine never runs concurrently with that execution's reset or with
+// its other threads (the coroutine handoff orders them), so a slot's
+// generation and object need no lock of their own. The first slot's owner
+// is claimed once, atomically, and its threads take no lock at all; the
+// cache's mutex only guards the spilled slots, the path of a second and
+// later execution.
 //
 // The zero ShimCache is ready to use.
 type ShimCache struct {
-	mu    sync.Mutex
-	first shimEntry
-	more  []shimEntry
+	owner atomic.Pointer[Execution] // first's execution, claimed by its first touch
+	first shimSlot
+
+	mu   sync.Mutex
+	more []shimEntry
 }
 
-type shimEntry struct {
-	ex  *Execution
+type shimSlot struct {
 	gen uint64 // 0 until first built: a running execution's gen is ≥ 1
 	obj any
 }
 
-// slot returns ex's entry, claiming a free one on first touch. c.mu held;
-// the pointer is valid until it is released.
-func (c *ShimCache) slot(ex *Execution) *shimEntry {
-	if c.first.ex == nil {
-		c.first.ex = ex
-	}
-	if c.first.ex == ex {
-		return &c.first
-	}
+type shimEntry struct {
+	ex *Execution
+	shimSlot
+}
+
+// spilled returns ex's spilled slot, claiming one on first touch. c.mu
+// held; the pointer is valid until it is released.
+func (c *ShimCache) spilled(ex *Execution) *shimSlot {
 	for i := range c.more {
 		if c.more[i].ex == ex {
-			return &c.more[i]
+			return &c.more[i].shimSlot
 		}
 	}
 	c.more = append(c.more, shimEntry{ex: ex})
-	return &c.more[len(c.more)-1]
+	return &c.more[len(c.more)-1].shimSlot
 }
 
 // Resolve returns the object cached for t's current schedule, calling
@@ -177,8 +211,14 @@ func (c *ShimCache) slot(ex *Execution) *shimEntry {
 // meanwhile because only ex's current thread uses it.
 func (c *ShimCache) Resolve(t *Thread, build func(*Thread) any) any {
 	ex := t.ex
+	if o := c.owner.Load(); o == ex || o == nil && c.owner.CompareAndSwap(nil, ex) {
+		if c.first.gen != ex.gen {
+			c.first.gen, c.first.obj = ex.gen, build(t)
+		}
+		return c.first.obj
+	}
 	c.mu.Lock()
-	e := c.slot(ex)
+	e := c.spilled(ex)
 	gen, obj := e.gen, e.obj
 	c.mu.Unlock()
 	if gen == ex.gen {
@@ -186,7 +226,7 @@ func (c *ShimCache) Resolve(t *Thread, build func(*Thread) any) any {
 	}
 	obj = build(t)
 	c.mu.Lock()
-	e = c.slot(ex)
+	e = c.spilled(ex)
 	e.gen, e.obj = ex.gen, obj
 	c.mu.Unlock()
 	return obj

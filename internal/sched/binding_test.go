@@ -131,6 +131,90 @@ func TestBindGoroutineRebind(t *testing.T) {
 	}
 }
 
+// The lock-free front is a hint over the shard maps: with more live
+// bindings than front slots, goroutines share slots, and each must still
+// resolve its own thread — by the front or through its shard — while its
+// neighbours bind and unbind around it.
+func TestBindFrontCollisions(t *testing.T) {
+	const n = 3 << frontBits
+	var bound, unbound, done sync.WaitGroup
+	bound.Add(n)
+	unbound.Add(n / 2)
+	done.Add(1)
+	var wrong atomic.Int64
+	check := func(th *Thread) {
+		if got, ok := CurrentThread(); !ok || got != th {
+			wrong.Add(1)
+		}
+	}
+	var finished sync.WaitGroup
+	finished.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer finished.Done()
+			th := &Thread{id: i}
+			BindGoroutine(th)
+			check(th)
+			bound.Done()
+			bound.Wait()
+			check(th)
+			if i%2 == 0 { // half leave, clearing only the slots they still hold
+				UnbindGoroutine()
+				if _, ok := CurrentThread(); ok {
+					wrong.Add(1)
+				}
+				unbound.Done()
+				return
+			}
+			unbound.Wait()
+			check(th)
+			done.Wait()
+			UnbindGoroutine()
+		}()
+	}
+	unbound.Wait()
+	if Bindings() != n/2 {
+		t.Errorf("Bindings() = %d with half of %d unbound", Bindings(), n)
+	}
+	done.Done()
+	finished.Wait()
+	if wrong.Load() != 0 || Bindings() != 0 {
+		t.Fatalf("%d lookups resolved the wrong thread; %d bindings left", wrong.Load(), Bindings())
+	}
+}
+
+// One thread bound from two goroutines at once (only a frontend bug does
+// that, but nothing forbids it): each resolves the thread until it unbinds,
+// whichever of them the thread's key names.
+func TestThreadBoundFromTwoGoroutines(t *testing.T) {
+	th := &Thread{id: 5}
+	BindGoroutine(th)
+	var bound, unbound, other sync.WaitGroup
+	bound.Add(1)
+	unbound.Add(1)
+	other.Add(1)
+	var otherOK [2]bool
+	go func() {
+		defer other.Done()
+		BindGoroutine(th) // the thread's key is now this goroutine's
+		bound.Done()
+		unbound.Wait()
+		got, ok := CurrentThread()
+		otherOK[0] = ok && got == th
+		UnbindGoroutine()
+		_, ok = CurrentThread()
+		otherOK[1] = !ok
+	}()
+	bound.Wait()
+	got, ok := CurrentThread()
+	UnbindGoroutine() // leaves the other goroutine's key on the thread
+	unbound.Done()
+	other.Wait()
+	if !ok || got != th || !otherOK[0] || !otherOK[1] || Bindings() != 0 {
+		t.Fatalf("first goroutine resolved %v (%v); second %v; %d bindings left", got, ok, otherOK, Bindings())
+	}
+}
+
 // bound wraps a body the way the surwsync frontend does.
 func bound(body func(*Thread)) func(*Thread) {
 	return func(t *Thread) {
@@ -305,6 +389,54 @@ func TestShimCacheSlotPerExecution(t *testing.T) {
 	}
 	for _, p := range pools {
 		p.Close()
+	}
+}
+
+// The same with the executions running at once, as parallel sessions do
+// (run under -race by ci.sh): one claims the inline slot without the
+// cache's mutex, the others race to spill, and every schedule of every
+// execution still sees its own fresh object.
+func TestShimCacheConcurrentExecutions(t *testing.T) {
+	var cache ShimCache
+	mk := func(w *Thread) any { return w.NewMutex("shim.mu") }
+	prog := func(rt *Thread) {
+		v := rt.NewVar("v", 0)
+		body := func(w *Thread) {
+			m := cache.Resolve(w, mk).(*Mutex)
+			m.Lock(w)
+			v.Add(w, 1)
+			m.Unlock(w)
+		}
+		h := rt.Go(body)
+		body(rt)
+		rt.Join(h)
+		if cache.Resolve(rt, mk).(*Mutex).HeldBy() != -1 || v.Peek() != 2 {
+			rt.Fail("shared cache mixed two executions' objects")
+		}
+		cache.Resolve(rt, mk).(*Mutex).Lock(rt) // left locked: the next schedule's must be free
+	}
+	const executions = 4
+	var wg sync.WaitGroup
+	failures := make([]*Failure, executions)
+	for i := range failures {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := NewPool()
+			defer p.Close()
+			for s := int64(0); s < 50 && failures[i] == nil; s++ {
+				failures[i] = p.Run(prog, &pickRandom{}, Options{Base: Base{Seed: s}}).Failure
+			}
+		}()
+	}
+	wg.Wait()
+	for i, f := range failures {
+		if f != nil {
+			t.Errorf("execution %d: %+v", i, f)
+		}
+	}
+	if len(cache.more) != executions-1 {
+		t.Fatalf("%d spilled slots, want %d", len(cache.more), executions-1)
 	}
 }
 

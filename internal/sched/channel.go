@@ -39,14 +39,34 @@ func NewChan[T any](t *Thread, name string, capacity int) *Chan[T] {
 	}
 	ex := t.ex
 	mu := t.NewMutex(ex.internJoin(name, ".mu"))
+	notFull := t.NewCond(ex.internJoin(name, ".notFull"), mu)
+	notEmpty := t.NewCond(ex.internJoin(name, ".notEmpty"), mu)
+	taken := t.NewCond(ex.internJoin(name, ".taken"), mu)
+	// The state starts empty in the buffer the slot's previous channel
+	// left behind, so a pooled session stops growing it after warm-up.
+	state, s := newRefCell[chanState[T]](t, ex.internJoin(name, ".state"))
+	clear(s.buf) // drop the previous schedule's values
+	*s = chanState[T]{buf: s.buf[:0]}
 	return (*Chan[T])(carve(&ex.chans, chanParts{
 		capacity: capacity,
 		mu:       mu,
-		notFull:  t.NewCond(ex.internJoin(name, ".notFull"), mu),
-		notEmpty: t.NewCond(ex.internJoin(name, ".notEmpty"), mu),
-		taken:    t.NewCond(ex.internJoin(name, ".taken"), mu),
-		state:    (*handle)(NewRef(t, ex.internJoin(name, ".state"), chanState[T]{})),
+		notFull:  notFull,
+		notEmpty: notEmpty,
+		taken:    taken,
+		state:    (*handle)(state),
 	}))
+}
+
+// shift removes the buffer's head by moving the rest down, not by
+// reslicing buf[1:]: the buffer is recycled by the next schedule and must
+// keep its capacity (as Cond.Signal's waiters do).
+func (s *chanState[T]) shift() (v T) {
+	v = s.buf[0]
+	n := copy(s.buf, s.buf[1:])
+	var zero T
+	s.buf[n] = zero
+	s.buf = s.buf[:n]
+	return v
 }
 
 // Cap returns the channel capacity.
@@ -161,8 +181,7 @@ func (c *Chan[T]) Recv(t *Thread) (v T, ok bool) {
 		}
 		if len(s.buf) > 0 {
 			c.st().Update(t, func(s chanState[T]) chanState[T] {
-				v = s.buf[0]
-				s.buf = s.buf[1:]
+				v = s.shift()
 				return s
 			})
 			c.notFull.Signal(t)
@@ -193,8 +212,7 @@ func (c *Chan[T]) TryRecv(t *Thread) (v T, ok bool) {
 	}
 	if len(s.buf) > 0 {
 		c.st().Update(t, func(s chanState[T]) chanState[T] {
-			v = s.buf[0]
-			s.buf = s.buf[1:]
+			v = s.shift()
 			return s
 		})
 		c.notFull.Signal(t)

@@ -104,9 +104,10 @@ type Execution struct {
 	// Thread structs (with their parked coroutines) from earlier schedules;
 	// names interns path and object-name strings so the spawn/create hot
 	// path stops allocating once the first schedule has seen a name.
-	freeThreads []*Thread
-	names       map[string]string
-	nameBuf     []byte
+	freeThreads  []*Thread
+	names        map[string]string
+	deadlockMsgs int // deadlock reports interned into names (reportDeadlock)
+	nameBuf      []byte
 
 	// Per-schedule arenas (see carve): every handle a schedule hands out —
 	// spawn handles, the {id, ex} handle behind each primitive, and the
@@ -246,6 +247,7 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 		ex.byPath = make(map[string]ThreadID, 8)
 		ex.objSeen = make(map[string]int, 8)
 		ex.names = make(map[string]string, 16)
+		ex.deadlockMsgs = 0
 	} else {
 		clear(ex.objSeen)
 	}
@@ -357,8 +359,10 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 		ex.primeNew()
 		ex.loop()
 	}
-	ex.killRemaining()
 
+	// The outcome is taken before the kills: deferred code a killed thread
+	// runs while it unwinds (a SetBehavior, an Assert) is not part of the
+	// schedule.
 	*res = Result{
 		Steps:            ex.steps,
 		Truncated:        ex.truncated,
@@ -382,6 +386,7 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 			res.ThreadPaths[i] = t.path
 		}
 	}
+	ex.killRemaining()
 	if ex.tracer != nil {
 		ex.tracer.EndSchedule(res)
 	}
@@ -636,8 +641,22 @@ func (ex *Execution) reportDeadlock() {
 		buf = append(append(append(buf, '('), what...), ')')
 	}
 	ex.nameBuf = buf
-	ex.fail(Failure{Kind: FailDeadlock, BugID: "deadlock", Msg: string(buf), TID: -1, Step: ex.steps})
+	// Interned like an assertion's message, but nothing bounds a program's
+	// blocked sets as Assert's contract bounds bug IDs: past
+	// maxDeadlockMsgs distinct reports a new one is built fresh.
+	msg, ok := ex.names[string(buf)]
+	if !ok {
+		msg = string(buf)
+		if ex.deadlockMsgs < maxDeadlockMsgs {
+			ex.deadlockMsgs++
+			ex.names[msg] = msg
+		}
+	}
+	ex.fail(Failure{Kind: FailDeadlock, BugID: "deadlock", Msg: msg, TID: -1, Step: ex.steps})
 }
+
+// maxDeadlockMsgs bounds the deadlock reports one pooled execution interns.
+const maxDeadlockMsgs = 256
 
 func (ex *Execution) fail(f Failure) {
 	if !ex.failed {

@@ -99,6 +99,15 @@ type Ref[E any] handle
 // nor writing it allocates; a slot last used by a Ref of another type, or
 // by none, gets a new cell.
 func NewRef[E any](t *Thread, name string, init E) *Ref[E] {
+	r, cell := newRefCell[E](t, name)
+	*cell = init
+	return r
+}
+
+// newRefCell creates a Ref and returns its cell as the slot's previous
+// Ref[E] left it (zero when new), for a caller to set the initial value
+// from: NewChan keeps the buffer's capacity across schedules that way.
+func newRefCell[E any](t *Thread, name string) (*Ref[E], *E) {
 	h := t.ex.newHandle(objState{kind: ObjVar}, name, "ref")
 	o := t.ex.obj(h.id)
 	cell, ok := o.ref.(*E)
@@ -106,8 +115,7 @@ func NewRef[E any](t *Thread, name string, init E) *Ref[E] {
 		cell = new(E)
 		o.ref = cell
 	}
-	*cell = init
-	return (*Ref[E])(h)
+	return (*Ref[E])(h), cell
 }
 
 func (r *Ref[E]) cell() *E { return r.ex.obj(r.id).ref.(*E) }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 )
 
 type killedSignal struct{}
@@ -28,7 +29,8 @@ type Thread struct {
 	path     string
 	pathHash uint64
 	body     func(*Thread)
-	boundFn  func() // GoBound's body (binding.go)
+	boundFn  func()         // GoBound's body (binding.go)
+	bindKey  atomic.Uintptr // gkey of the goroutine bound to this thread, 0 for none (binding.go)
 
 	// The thread's goroutine is a coroutine (iter.Pull): parking and
 	// granting are direct coroutine switches, an order of magnitude
@@ -42,6 +44,17 @@ type Thread struct {
 	coYield func(struct{}) bool
 	killed  bool
 
+	// memoP/memoI locate this thread's spawn-memo entry (parent TID and
+	// spawn index; memoP is -1 for the root). deferredPrime marks a thread
+	// whose first event was published from that entry without waking the
+	// goroutine (see primeChain); primePoison marks a prologue that did
+	// something deferred priming could not reproduce (see recordPrime).
+	// They sit between killed and state so that the four small fields
+	// share one word and a Thread stays within the 256-byte size class.
+	memoP, memoI  int32
+	deferredPrime bool
+	primePoison   bool
+
 	state       threadState
 	next        Event
 	seq         int
@@ -52,15 +65,6 @@ type Thread struct {
 	joinWaiters uint64 // bits of threads blocked joining this thread (fast engine)
 	heldMutex   []ObjID
 	failed      assertFailure // what Assert/Assertf/Fail panic with a pointer to
-
-	// memoP/memoI locate this thread's spawn-memo entry (parent TID and
-	// spawn index; memoP is -1 for the root). deferredPrime marks a thread
-	// whose first event was published from that entry without waking the
-	// goroutine (see primeChain); primePoison marks a prologue that did
-	// something deferred priming could not reproduce (see recordPrime).
-	memoP, memoI  int32
-	deferredPrime bool
-	primePoison   bool
 }
 
 // ID returns this thread's runtime ID (creation order, root = 0).

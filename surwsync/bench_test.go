@@ -90,11 +90,10 @@ func BenchmarkShimMutex(b *testing.B) {
 // BenchmarkShimSchedule counts what one pooled schedule of real Go code
 // allocates: the ported worker pool (WP/pool_2w2j) under a random walk,
 // seeds 0..N-1 after one warm-up schedule. What is left is the program's
-// own (its pool, channels, closures and slices), the Result — the Failure
-// is part of it — and the message when the schedule deadlocks; the engine's
-// handles, Ref
-// cells and names come from the execution. The count is exact for a fixed
-// -benchtime=Nx, which is how ci.sh gates it.
+// own (its pool, channels, closures and slices) and the Result — the
+// Failure is part of it; the engine's handles, Ref cells, channel buffers,
+// names and deadlock reports come from the execution. The count is exact
+// for a fixed -benchtime=Nx, which is how ci.sh gates it.
 func BenchmarkShimSchedule(b *testing.B) {
 	prog := sctbench.WorkerPool(2, 2).Prog
 	alg := core.NewRandomWalk()

@@ -1,30 +1,32 @@
 package surwsync
 
-import "surw/internal/sched"
+import (
+	"sync/atomic"
+
+	"surw/internal/sched"
+)
 
 // Chan is a drop-in Go channel. Under a controlled session its operations
 // are scheduled events on a sched.Chan; outside one they act on a native
-// channel created at construction. Unlike the lock shims a Chan has a
-// constructor (mirroring make(chan T, n)), so under a session the backing
-// scheduler object is created eagerly at the NewChan call when a binding
-// is active — constructor order is program order, which keeps the
+// channel made on the first operation outside a session, so a Chan that
+// never leaves its session costs no native channel. Unlike the lock shims a
+// Chan has a constructor (mirroring make(chan T, n)), so under a session the
+// backing scheduler object is created eagerly at the NewChan call when a
+// binding is active — constructor order is program order, which keeps the
 // object's auto-assigned name stable across schedules.
 //
 // A nil *Chan panics on use (a nil native channel blocks forever); ported
 // code that parks on nil channels must be restructured.
 type Chan[T any] struct {
 	capacity int
-	real     chan T
+	real     atomic.Pointer[chan T] // the fallback's channel, once made (see native)
 	cache    sched.ShimCache
 }
 
 // NewChan mirrors make(chan T, capacity); capacity 0 is an unbuffered
 // rendezvous channel.
 func NewChan[T any](capacity int) *Chan[T] {
-	if capacity < 0 {
-		capacity = 0
-	}
-	c := &Chan[T]{capacity: capacity, real: make(chan T, capacity)}
+	c := &Chan[T]{capacity: max(capacity, 0)}
 	if t, ok := sched.CurrentThread(); ok {
 		c.sched(t) // eager: deterministic creation order (see type doc)
 	}
@@ -37,6 +39,21 @@ func (c *Chan[T]) sched(t *sched.Thread) *sched.Chan[T] {
 	}).(*sched.Chan[T])
 }
 
+// native returns the fallback's channel, making it on first use. A Chan
+// made in a session may outlive it and be used by several goroutines at
+// once, so the channel is installed by one compare-and-swap and every
+// caller uses the one that won.
+func (c *Chan[T]) native() chan T {
+	if p := c.real.Load(); p != nil {
+		return *p
+	}
+	ch := make(chan T, c.capacity)
+	if !c.real.CompareAndSwap(nil, &ch) {
+		return *c.real.Load()
+	}
+	return ch
+}
+
 // Cap mirrors cap(ch).
 func (c *Chan[T]) Cap() int { return c.capacity }
 
@@ -45,7 +62,7 @@ func (c *Chan[T]) Len() int {
 	if t, ok := sched.CurrentThread(); ok {
 		return c.sched(t).Len()
 	}
-	return len(c.real)
+	return len(c.native())
 }
 
 // Send mirrors ch <- v, blocking by Go's rules. Sending on a closed
@@ -55,7 +72,7 @@ func (c *Chan[T]) Send(v T) {
 		c.sched(t).Send(t, v)
 		return
 	}
-	c.real <- v
+	c.native() <- v
 }
 
 // TrySend mirrors a select with a send case and a default: it reports
@@ -65,7 +82,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 		return c.sched(t).TrySend(t, v)
 	}
 	select {
-	case c.real <- v:
+	case c.native() <- v:
 		return true
 	default:
 		return false
@@ -78,7 +95,7 @@ func (c *Chan[T]) Recv() (T, bool) {
 	if t, ok := sched.CurrentThread(); ok {
 		return c.sched(t).Recv(t)
 	}
-	v, ok := <-c.real
+	v, ok := <-c.native()
 	return v, ok
 }
 
@@ -97,7 +114,7 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 		return c.sched(t).TryRecv(t)
 	}
 	select {
-	case v, ok := <-c.real:
+	case v, ok := <-c.native():
 		return v, ok
 	default:
 		var zero T
@@ -111,5 +128,5 @@ func (c *Chan[T]) Close() {
 		c.sched(t).Close(t)
 		return
 	}
-	close(c.real)
+	close(c.native())
 }

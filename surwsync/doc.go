@@ -17,7 +17,8 @@
 //   - Outside a session (ordinary production or `go test` execution),
 //     every primitive transparently delegates to the real sync type or
 //     a native channel. The only cost on this path is one atomic load
-//     per operation when no controlled session exists anywhere in the
+//     per operation (two for a Chan, whose native channel is made on its
+//     first use) when no controlled session exists anywhere in the
 //     process.
 //
 // Porting is mechanical — `surw port` automates it for whole packages:

@@ -8,6 +8,7 @@ package surwsync_test
 // and binding-leak checks.
 
 import (
+	"sync"
 	"testing"
 
 	"surw"
@@ -151,6 +152,46 @@ func TestFallbackTrySendUnbuffered(t *testing.T) {
 	bch := surwsync.NewChan[int](1)
 	if !bch.TrySend(1) || bch.Len() != 1 {
 		t.Fatal("buffered TrySend failed")
+	}
+}
+
+// A Chan made inside a session has no native channel until it is first used
+// outside one; when that first use is two goroutines at once (run under
+// -race by ci.sh), both must get the one channel that was installed.
+func TestChanOutlivesSession(t *testing.T) {
+	var ch *surwsync.Chan[int]
+	prog := surwsync.Program(func() {
+		ch = surwsync.NewChan[int](1)
+		ch.Send(1)
+		ch.Recv()
+	})
+	if res := surw.Run(prog, surw.NewRandomWalk(), surw.RunOptions{Base: surw.Base{Seed: 1}}); res.Buggy() {
+		t.Fatalf("unexpected failure: %v", res.Failure)
+	}
+	const n = 100
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= n; i++ {
+			ch.Send(i)
+		}
+		ch.Close()
+	}()
+	sum := 0
+	go func() {
+		defer wg.Done()
+		for {
+			v, ok := ch.Recv()
+			if !ok {
+				return
+			}
+			sum += v
+		}
+	}()
+	wg.Wait()
+	if want := n * (n + 1) / 2; sum != want || ch.Cap() != 1 || ch.Len() != 0 {
+		t.Fatalf("outside the session: received sum %d (want %d), cap %d, len %d", sum, want, ch.Cap(), ch.Len())
 	}
 }
 
