@@ -26,26 +26,21 @@ test:
 # Race-detector pass over the packages that spawn goroutines or whose
 # tests drive ones that do (ci.sh runs this target) — cmd/surw among them: its tests run whole subcommands,
 # listeners included, on goroutines of the test process (-short skips its
-# fleet tests) — plus the one sctbench test that fans a surwsync-bound
-# target over parallel workers and requires the 1-worker result.
+# fleet tests) — and internal/sctbench, whose tests fan surwsync-bound
+# targets over parallel workers (about a minute under -race -short on a
+# 2-vCPU machine).
 race:
-	$(GO) test -race -short . ./internal/workpool ./internal/sched ./internal/atlas ./internal/obs ./internal/profile ./internal/core ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync ./cmd/surw
-	$(GO) test -race -short -run '^TestWorkerPool' ./internal/sctbench
+	$(GO) test -race -short . ./internal/workpool ./internal/sched ./internal/atlas ./internal/obs ./internal/profile ./internal/core ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./internal/sctbench ./surwsync ./cmd/surw
 
-# Benchmarks. The throughput-critical pair (pooled scheduling and parallel
-# sessions) is additionally parsed into BENCH_obs.json so regressions can be
-# gated on and reports can embed machine-readable numbers; every run also
-# appends a timestamped record to the BENCH_history.jsonl trajectory
-# (BENCH_obs.json stays the latest snapshot). `surw obs -bench-compare
-# old.json new.json` gates schedules/s between any two snapshots.
+# Benchmarks, recorded and not gated (ci.sh holds the gates). Every run
+# parses its output into BENCH_obs.json, the latest snapshot, and appends a
+# timestamped record to the BENCH_history.jsonl trajectory. `surw obs
+# -bench-compare old.json new.json` compares schedules/s between any two
+# snapshots.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sched ./surwsync | tee BENCH_obs.txt
 	$(GO) run ./cmd/surw obs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
-		-bench-history BENCH_history.jsonl \
-		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25' \
-		-gate 'BenchmarkPooledSchedule/pooled_into.allocs/op<=4.2' \
-		-gate 'BenchmarkBatchedReplay/traced.x_batched<=1.3' \
-		-gate 'BenchmarkObservedSessions/workers_2.x_unobserved<=1.45'
+		-bench-history BENCH_history.jsonl
 
 # Short coverage-guided fuzz runs of the native fuzz targets: the
 # end-to-end differential oracle over generated programs, the commutation

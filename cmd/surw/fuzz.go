@@ -14,7 +14,7 @@ import (
 	"surw/internal/sched"
 )
 
-var fuzzAlgorithms = []string{"SURW", "URW", "POS", "RAPOS", "PCT-3", "PCT-10", "DB-3", "RW", "N-U", "N-S"}
+var fuzzAlgorithms = []string{"SURW", "URW", "POS", "PCT-3", "PCT-10", "RW", "N-U", "N-S"}
 
 // fuzzCmd stress-tests the framework itself: it generates random
 // well-formed, deadlock-free, assertion-free concurrent programs and runs

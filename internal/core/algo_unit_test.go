@@ -363,152 +363,6 @@ func TestSURWHandoffTelescopes(t *testing.T) {
 	}
 }
 
-// --- RAPOS ---------------------------------------------------------------
-
-func TestRAPOSRunsCleanPrograms(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		r := sched.Run(bitshift(4), NewRAPOS(), sched.Options{Base: sched.Base{Seed: seed}})
-		if r.Buggy() || r.Truncated {
-			t.Fatalf("seed %d: %v", seed, r.Failure)
-		}
-	}
-}
-
-func TestRAPOSFindsRacingBug(t *testing.T) {
-	lostUpdate := func(th *sched.Thread) {
-		c := th.NewVar("c", 0)
-		inc := func(w *sched.Thread) { c.Store(w, c.Load(w)+1) }
-		h1, h2 := th.Go(inc), th.Go(inc)
-		th.JoinAll(h1, h2)
-		th.Assert(c.Peek() == 2, "lost-update")
-	}
-	for seed := int64(0); seed < 500; seed++ {
-		r := sched.Run(lostUpdate, NewRAPOS(), sched.Options{Base: sched.Base{Seed: seed}})
-		if r.Buggy() {
-			return
-		}
-	}
-	t.Fatal("RAPOS never found the lost update in 500 schedules")
-}
-
-// TestRAPOSRoundsLoseInterleavings documents RAPOS's known coverage gap
-// (one reason POS superseded it): once a round commits a set of pairwise
-// non-racing events, an event that becomes enabled mid-round cannot
-// interleave before them, so orderBug's buggy interleaving — which needs
-// the checker's second read squeezed before the setter's second write
-// after both were co-scheduled — is unreachable.
-func TestRAPOSRoundsLoseInterleavings(t *testing.T) {
-	for seed := int64(0); seed < 2000; seed++ {
-		if r := sched.Run(orderBug, NewRAPOS(), sched.Options{Base: sched.Base{Seed: seed}}); r.Buggy() {
-			t.Fatalf("seed %d: RAPOS reached an interleaving its rounds should exclude", seed)
-		}
-	}
-}
-
-func TestRAPOSRegistryAndName(t *testing.T) {
-	a, err := New("RAPOS")
-	if err != nil || a.Name() != "RAPOS" {
-		t.Fatalf("registry: %v %v", a, err)
-	}
-}
-
-func TestRAPOSHandlesBlocking(t *testing.T) {
-	prog := func(th *sched.Thread) {
-		m := th.NewMutex("m")
-		x := th.NewVar("x", 0)
-		body := func(w *sched.Thread) {
-			m.Lock(w)
-			x.Add(w, 1)
-			m.Unlock(w)
-		}
-		h1, h2 := th.Go(body), th.Go(body)
-		th.JoinAll(h1, h2)
-	}
-	for seed := int64(0); seed < 30; seed++ {
-		r := sched.Run(prog, NewRAPOS(), sched.Options{Base: sched.Base{Seed: seed}})
-		if r.Buggy() || r.Truncated {
-			t.Fatalf("seed %d: %v", seed, r.Failure)
-		}
-	}
-}
-
-// --- DB (delay-bounded) ----------------------------------------------------
-
-func TestDBZeroDelaysIsRoundRobin(t *testing.T) {
-	// With no delays, DB never preempts: only block-order behaviours.
-	prog := bitshift(3)
-	info := bitshiftInfo(3, nil)
-	seen := map[string]bool{}
-	for seed := int64(0); seed < 30; seed++ {
-		r := sched.Run(prog, NewDB(0), sched.Options{Base: sched.Base{Seed: seed}, Info: info})
-		if r.Buggy() {
-			t.Fatal(r.Failure)
-		}
-		seen[r.Behavior] = true
-	}
-	if len(seen) != 1 {
-		t.Fatalf("DB-0 produced %d behaviours, want 1 (deterministic round-robin)", len(seen))
-	}
-}
-
-func TestDBDelaysCauseSwitches(t *testing.T) {
-	prog := bitshift(3)
-	info := bitshiftInfo(3, nil)
-	seen := map[string]bool{}
-	for seed := int64(0); seed < 200; seed++ {
-		r := sched.Run(prog, NewDB(3), sched.Options{Base: sched.Base{Seed: seed}, Info: info})
-		seen[r.Behavior] = true
-	}
-	if len(seen) < 4 {
-		t.Fatalf("DB-3 produced only %d behaviours; delays not firing", len(seen))
-	}
-}
-
-func TestDBFindsShallowBug(t *testing.T) {
-	info := sched.NewProgramInfo()
-	info.AddThread("0", "")
-	info.TotalEvents = 10
-	for seed := int64(0); seed < 2000; seed++ {
-		if r := sched.Run(orderBug, NewDB(2), sched.Options{Base: sched.Base{Seed: seed}, Info: info}); r.Buggy() {
-			return
-		}
-	}
-	t.Fatal("DB-2 never found the depth-2 bug")
-}
-
-func TestDBRegistry(t *testing.T) {
-	a, err := New("DB-4")
-	if err != nil || a.Name() != "DB-4" {
-		t.Fatalf("registry: %v %v", a, err)
-	}
-	if _, err := New("DB-x"); err == nil {
-		t.Fatal("bad delay bound accepted")
-	}
-	if NewDB(-3).Delays != 0 {
-		t.Fatal("negative delays not clamped")
-	}
-}
-
-func TestDBHandlesBlocking(t *testing.T) {
-	prog := func(th *sched.Thread) {
-		m := th.NewMutex("m")
-		x := th.NewVar("x", 0)
-		body := func(w *sched.Thread) {
-			m.Lock(w)
-			x.Add(w, 1)
-			m.Unlock(w)
-		}
-		h1, h2 := th.Go(body), th.Go(body)
-		th.JoinAll(h1, h2)
-	}
-	for seed := int64(0); seed < 30; seed++ {
-		r := sched.Run(prog, NewDB(5), sched.Options{Base: sched.Base{Seed: seed}})
-		if r.Buggy() || r.Truncated {
-			t.Fatalf("seed %d: %v", seed, r.Failure)
-		}
-	}
-}
-
 // --- RandomWalk source fast path --------------------------------------------
 
 // TestRandomWalkSourceDrawIdentity holds the inlined NextIndex draw (via
@@ -534,6 +388,22 @@ func TestRandomWalkSourceDrawIdentity(t *testing.T) {
 			if got != want {
 				t.Fatalf("seed %d draw %d (n=%d): fast=%d slow=%d", seed, i, n, got, want)
 			}
+		}
+	}
+}
+
+// TestRandomWalkNextMatchesNextIndex holds the IndexChooser contract from
+// the engine's side: the slow loop decides through Next, the batched
+// engine through NextIndex on the raw source, and every seed walks the
+// same schedule either way.
+func TestRandomWalkNextMatchesNextIndex(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		opts := sched.Options{Base: sched.Base{Seed: seed}}
+		fast := sched.Run(bitshift(4), NewRandomWalk(), opts)
+		opts.DisableBatching = true
+		slow := sched.Run(bitshift(4), NewRandomWalk(), opts)
+		if fast.InterleavingHash != slow.InterleavingHash || fast.Behavior != slow.Behavior {
+			t.Fatalf("seed %d: NextIndex walked %q, Next %q", seed, fast.Behavior, slow.Behavior)
 		}
 	}
 }

@@ -7,10 +7,6 @@
 //     priority-based with d-1 random priority change points.
 //   - POS: Partial Order Sampling (Yuan et al.), random priorities per
 //     event with resampling of racing events.
-//   - RAPOS (Sen), POS's predecessor: rounds of pairwise non-racing
-//     event subsets executed in random order.
-//   - DB(d): randomized delay-bounded scheduling (Emmi et al.):
-//     round-robin with d random delay points.
 //   - URW (Algorithm 1): weighted random walk where each thread's weight is
 //     the estimated number of its remaining events, with the §3.5
 //     thread-creation correction (a parent carries the weight of its
@@ -57,14 +53,6 @@ func New(name string) (sched.Algorithm, error) {
 		return NewPCT(3), nil
 	case n == "POS":
 		return NewPOS(), nil
-	case n == "RAPOS":
-		return NewRAPOS(), nil
-	case strings.HasPrefix(n, "DB-"):
-		d, err := strconv.Atoi(n[len("DB-"):])
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("core: bad delay bound in %q", name)
-		}
-		return NewDB(d), nil
 	case n == "URW":
 		return NewURW(), nil
 	case n == "SURW":
@@ -92,7 +80,7 @@ func InputsOf(alg sched.Algorithm) Inputs {
 	switch alg.(type) {
 	case *SURW:
 		return Inputs{Counts: true, Delta: true}
-	case *URW, *PCT, *DB:
+	case *URW, *PCT:
 		return Inputs{Counts: true}
 	}
 	return Inputs{}

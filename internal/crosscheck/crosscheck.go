@@ -56,7 +56,7 @@ import (
 // Algorithms is the set of sampler names verified by CheckProgram, per the
 // paper's evaluation roster.
 func Algorithms() []string {
-	return []string{"SURW", "URW", "POS", "RAPOS", "PCT-3", "RW", "N-U", "N-S"}
+	return []string{"SURW", "URW", "POS", "PCT-3", "RW", "N-U", "N-S"}
 }
 
 // Options bounds one CheckProgram run.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"surw/internal/campaign"
+	"surw/internal/core"
 )
 
 // tinyScale keeps the experiment tests fast; shape assertions that need
@@ -77,7 +78,7 @@ func TestSCTBenchSmall(t *testing.T) {
 	}
 	// Unfindable targets must render as "-" everywhere.
 	for _, tname := range []string{"Inspect/bbuf", "RADBench/bug5", "ConVul/CVE-2017-15265"} {
-		for _, alg := range SCTAlgorithms {
+		for _, alg := range core.AllNames() {
 			if r.Results[tname][alg].FoundEver() {
 				t.Fatalf("%s/%s found an unfindable bug", tname, alg)
 			}

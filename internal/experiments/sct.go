@@ -5,21 +5,19 @@ import (
 	"slices"
 	"sort"
 
+	"surw/internal/core"
 	"surw/internal/report"
 	"surw/internal/runner"
 	"surw/internal/sctbench"
 	"surw/internal/stats"
 )
 
-// SCTAlgorithms is Table 4's column order.
-var SCTAlgorithms = []string{"SURW", "PCT-3", "PCT-10", "POS", "RW", "N-U", "N-S"}
-
 // SCTResult holds the raw data behind Tables 1 and 4.
 type SCTResult struct {
 	Scale   Scale
 	Targets []string
-	// Algs is the algorithm column order actually run (SCTAlgorithms
-	// unless Scale.SCTAlgs narrowed it).
+	// Algs is the algorithm column order actually run (Table 4's,
+	// core.AllNames, unless Scale.SCTAlgs narrowed it).
 	Algs []string
 	// Results[target][alg]
 	Results map[string]map[string]*runner.Result
@@ -32,7 +30,7 @@ type SCTResult struct {
 // distributed-campaign plan and the workers all enumerate cells through it,
 // so one definition decides what a campaign contains.
 func sctGrid(sc Scale) grid {
-	targets, algs := sctbench.Targets(), SCTAlgorithms
+	targets, algs := sctbench.Targets(), core.AllNames()
 	if len(sc.SCTAlgs) > 0 {
 		algs = sc.SCTAlgs
 	}

@@ -146,8 +146,6 @@ type Program struct {
 	sems    int
 	gates   int
 	useWG   bool
-
-	expectDeadlock bool
 }
 
 // Gen generates a program from a seed.
@@ -226,10 +224,6 @@ func sortInts(xs []int) {
 
 // Threads returns the number of thread plans (including the root).
 func (p *Program) Threads() int { return len(p.threads) }
-
-// ExpectDeadlock reports whether the program was generated by GenDeadlock
-// with a reachable deadlock (always false for Gen and GenSync programs).
-func (p *Program) ExpectDeadlock() bool { return p.expectDeadlock }
 
 // GenSync generates a program from the extended grammar: on top of Gen's
 // variables, ordered critical sections, and spawns, threads send on
@@ -397,7 +391,7 @@ func GenDeadlock(seed int64, cfg Config) (*Program, bool) {
 		}
 		edges[i] = [2]int{a, b}
 	}
-	p.expectDeadlock = lockOrderCycle(edges, cfg.Mutexes)
+	deadlock := lockOrderCycle(edges, cfg.Mutexes)
 
 	var root []op
 	for i := 0; i < n; i++ {
@@ -415,7 +409,7 @@ func GenDeadlock(seed int64, cfg Config) (*Program, bool) {
 	}
 	p.threads = append([][]op{root}, p.threads...)
 	p.spawns = n
-	return p, p.expectDeadlock
+	return p, deadlock
 }
 
 // lockOrderCycle reports whether the directed graph with one hold→acquire
@@ -462,7 +456,7 @@ type gate struct {
 // Prog returns the runnable program. Every spawned thread is joined, and a
 // behaviour fingerprint of the final shared state is reported. Gen and
 // GenSync programs cannot deadlock; GenDeadlock programs deadlock on some
-// schedules exactly when ExpectDeadlock reports true.
+// schedules exactly when GenDeadlock's flag reports true.
 func (p *Program) Prog() func(*sched.Thread) {
 	return func(t *sched.Thread) {
 		vars := make([]*sched.Var, p.cfg.Vars)

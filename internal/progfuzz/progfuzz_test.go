@@ -11,7 +11,7 @@ import (
 )
 
 // algorithms under robustness test.
-var algNames = []string{"SURW", "URW", "POS", "RAPOS", "PCT-3", "PCT-10", "RW", "N-U", "N-S"}
+var algNames = []string{"SURW", "URW", "POS", "PCT-3", "PCT-10", "RW", "N-U", "N-S"}
 
 func TestGeneratedProgramsAreDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -82,7 +82,7 @@ func TestSamplersWithinOracleSpace(t *testing.T) {
 			continue // too large; skip
 		}
 		checked++
-		for _, name := range []string{"RW", "POS", "RAPOS", "SURW"} {
+		for _, name := range []string{"RW", "POS", "SURW"} {
 			alg, _ := core.New(name)
 			for s := int64(0); s < 200; s++ {
 				r := sched.Run(prog, alg, sched.Options{Base: sched.Base{Seed: s}})

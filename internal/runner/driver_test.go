@@ -124,8 +124,6 @@ func TestAlgorithmSpellingsRunOneSession(t *testing.T) {
 		{"PCT-3", "PCT", "pct", "pct-3"},
 		{"PCT-10", "pct-10"},
 		{"POS", "pos"},
-		{"RAPOS", "rapos"},
-		{"DB-3", "db-3"},
 		{"URW", "urw", " URW "},
 		{"SURW", "surw"},
 		{"N-U", "NU", "n-u", "nu"},

@@ -12,9 +12,9 @@ import (
 )
 
 // regressionAlgorithms is every registered algorithm family: the seven
-// Table 4 names plus the DB and RAPOS baselines.
+// Table 4 names plus URW.
 func regressionAlgorithms() []string {
-	return append(core.AllNames(), "DB-2", "RAPOS")
+	return append(core.AllNames(), "URW")
 }
 
 // regressionTargets picks SCTBench targets with distinct synchronization

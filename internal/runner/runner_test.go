@@ -178,17 +178,3 @@ func TestLogRankOnRunnerOutput(t *testing.T) {
 		t.Fatalf("log-rank chi2=%v p=%v", chi2, p)
 	}
 }
-
-func TestDBAndRAPOSThroughRunner(t *testing.T) {
-	for _, alg := range []string{"DB-2", "RAPOS"} {
-		res, err := RunTarget(raceTarget(), alg, Config{
-			Sessions: 2, Limit: 400, Seed: 17, StopAtFirstBug: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if !res.FoundEver() {
-			t.Fatalf("%s never found the lost update", alg)
-		}
-	}
-}

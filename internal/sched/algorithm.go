@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // Algorithm is a stateless randomized scheduling policy in the sense of the
@@ -237,6 +236,3 @@ func (s *State) ObjKind(id ObjID) ObjKind {
 
 // Step returns the number of events executed so far.
 func (s *State) Step() int { return s.ex.steps }
-
-// sortTIDs keeps Enabled deterministic.
-func sortTIDs(tids []ThreadID) { sort.Ints(tids) }

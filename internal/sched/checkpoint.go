@@ -13,14 +13,19 @@ package sched
 // checkpointed prefix executes as a tight single-goroutine loop: the
 // batched run-to-next-decision path.
 //
-// Replay still *executes* the prefix — program effects, spawn
-// notifications, algorithm Observe calls, Tracer.Decide calls and the Δ
-// hash all happen normally, so any Algorithm (including profile-driven
-// ones) and any Tracer sees exactly the event stream of a full run — but
-// the scheduler-side cost per forced step drops to a bounds check and a
-// bitmask compare. Divergence (the enabled set not matching the capture
-// run's singleton) is a caller bug — a different program or incompatible
-// options — and panics.
+// Replay goes through the engine's one step function (decide, execute):
+// decide takes the forced TID from the checkpoint, and execute folds only
+// the Δ hash, which algorithm Info predicates may consume per event, until
+// the last forced step adopts the captured state. Program effects,
+// spawn notifications, algorithm Observe calls and Tracer.Decide calls all
+// happen normally, so any Algorithm (including profile-driven ones) and any
+// Tracer sees exactly the event stream of a full run. Divergence (the
+// enabled set not matching the capture run's singleton) is a caller bug —
+// a different program or incompatible options — and panics.
+//
+// A program whose first decision is free has no prefix, and gets no
+// checkpoint: the capture allocates only at its first forced decision, so
+// RunPrefix costs such a program exactly what Run does.
 
 // Checkpoint is the reusable forced prefix of a schedule. It is immutable
 // once returned by RunPrefix and safe to share across RunFrom calls of
@@ -40,16 +45,24 @@ type Checkpoint struct {
 	clocks   []uint64
 	objClass []objClass
 
-	open    bool // still capturing (run not yet past its first free choice)
-	invalid bool // capture aborted (DisableBatching or fast-engine bail)
+	open bool // still capturing (run not yet past its first free choice)
 
-	// Compatibility stamp: RunFrom refuses options that would make the
-	// prefix diverge. TraceFilter cannot be compared (functions); callers
-	// must pass the same filter they captured with — the runner does.
+	// RunFrom refuses options that would make the prefix diverge.
+	stamp captureStamp
+}
+
+// captureStamp is what of a schedule's options its forced prefix depends
+// on. TraceFilter cannot be compared (functions); callers must pass the
+// same filter they captured with — the runner does.
+type captureStamp struct {
 	progSeed    int64
 	maxSteps    int
 	recordTrace bool
 	filterNil   bool
+}
+
+func stampOf(opts Options) captureStamp {
+	return captureStamp{opts.ProgSeed, opts.Base.Normalized().MaxSteps, opts.RecordTrace, opts.TraceFilter == nil}
 }
 
 // Decisions returns the number of forced decisions the checkpoint covers.
@@ -67,11 +80,25 @@ type objClass struct {
 	readAcc    uint64
 }
 
+// captureForced appends a forced decision to the capture, which begins
+// with the first one.
+func (ex *Execution) captureForced(tid ThreadID) {
+	if ex.capture == nil {
+		ex.capture = &Checkpoint{open: true, stamp: stampOf(ex.opts)}
+	}
+	ex.capture.forced = append(ex.capture.forced, tid)
+}
+
 // closeCapture seals the capture at the current point: just before the
 // first free (multi-choice) decision, or at schedule end when every
-// decision was forced.
+// decision was forced. A capture sealed before any forced decision stays
+// nil: no prefix, no checkpoint.
 func (ex *Execution) closeCapture() {
+	ex.capturing = false
 	cp := ex.capture
+	if cp == nil {
+		return
+	}
 	cp.open = false
 	cp.steps = ex.steps
 	cp.ilvHash = ex.ilvHash
@@ -87,14 +114,38 @@ func (ex *Execution) closeCapture() {
 	if ex.opts.RecordTrace {
 		cp.trace = append([]Event(nil), ex.trace[:ex.steps]...)
 	}
-	ex.capture = nil
+}
+
+// replayed ends the last replayed forced step: the run adopts the captured
+// interleaving hash, class state and trace, and is past its prefix. The
+// clock/object snapshots were taken after the last forced
+// event's grant, so they may cover threads and objects this run has not
+// created yet (spawned during that grant); those are re-derived
+// identically by addThread/addObj as the grant replays, seeded from the
+// clocks adopted here.
+func (ex *Execution) replayed() {
+	cp := ex.replayCp
+	ex.replayCp = nil
+	ex.ilvHash = cp.ilvHash
+	ex.classAcc = cp.classAcc
+	for i := 0; i < len(cp.clocks) && i < len(ex.threads); i++ {
+		ex.threads[i].clock = cp.clocks[i]
+	}
+	for i := 0; i < len(cp.objClass) && i < len(ex.objs); i++ {
+		ex.objs[i].lastWriteH = cp.objClass[i].lastWriteH
+		ex.objs[i].readAcc = cp.objClass[i].readAcc
+	}
+	if ex.opts.RecordTrace {
+		ex.trace = append(ex.trace, cp.trace...)
+	}
 }
 
 // RunPrefix executes one schedule like Run and additionally captures its
-// forced prefix. The returned Checkpoint is nil when no prefix could be
-// captured — DisableBatching forced the slow loop, or the program outgrew
-// the fast engine — in which case RunFrom(nil, ...) is still correct and
-// simply runs in full. A Tracer or an Atlas changes nothing here.
+// forced prefix. The returned Checkpoint is nil when there is none to
+// capture — the first decision is free, DisableBatching forced the slow
+// loop, or the program outgrew the fast engine — in which case
+// RunFrom(nil, ...) is still correct and simply runs in full. A Tracer or
+// an Atlas changes nothing here.
 func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Result, *Checkpoint) {
 	res := new(Result)
 	return res, p.RunPrefixInto(res, prog, alg, opts)
@@ -104,17 +155,9 @@ func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Resu
 // Pool.RunInto).
 func (p *Pool) RunPrefixInto(res *Result, prog func(*Thread), alg Algorithm, opts Options) *Checkpoint {
 	p.ex.persistent = true
-	cp := &Checkpoint{
-		open:        true,
-		progSeed:    opts.ProgSeed,
-		maxSteps:    effectiveMaxSteps(opts),
-		recordTrace: opts.RecordTrace,
-		filterNil:   opts.TraceFilter == nil,
-	}
-	p.ex.runWith(prog, alg, opts, cp, nil, res)
-	if cp.invalid || cp.open {
-		return nil
-	}
+	p.ex.runWith(prog, alg, opts, true, nil, res)
+	cp := p.ex.capture
+	p.ex.capture = nil
 	return cp
 }
 
@@ -133,19 +176,11 @@ func (p *Pool) RunFromInto(res *Result, cp *Checkpoint, prog func(*Thread), alg 
 		return p.RunInto(res, prog, alg, opts)
 	}
 	p.ex.persistent = true
-	if cp.open || cp.invalid {
+	if cp.open {
 		panic("sched: RunFrom with an unsealed checkpoint")
 	}
-	if cp.progSeed != opts.ProgSeed || cp.maxSteps != effectiveMaxSteps(opts) ||
-		cp.recordTrace != opts.RecordTrace || cp.filterNil != (opts.TraceFilter == nil) {
+	if cp.stamp != stampOf(opts) {
 		panic("sched: RunFrom options incompatible with the checkpoint's capture run")
 	}
-	return p.ex.runWith(prog, alg, opts, nil, cp, res)
-}
-
-func effectiveMaxSteps(opts Options) int {
-	if opts.MaxSteps <= 0 {
-		return DefaultMaxSteps
-	}
-	return opts.MaxSteps
+	return p.ex.runWith(prog, alg, opts, false, cp, res)
 }

@@ -251,6 +251,59 @@ func TestCheckpointInvalidUses(t *testing.T) {
 	})
 }
 
+// wideProg seals its forced prefix at the free choice between the root and
+// its first child, and only then outgrows the fast engine's thread mask:
+// the bail to the slow loop comes after the seal, so the checkpoint stays.
+func wideProg(t *Thread) {
+	v := t.NewVar("v", 0)
+	for i := 0; i < 4; i++ {
+		v.Add(t, 1)
+	}
+	a := t.Go(func(w *Thread) { v.Add(w, 1) })
+	v.Add(t, 1)
+	t.Join(a)
+	hs := make([]*Handle, 0, maxFastThreads+6)
+	for i := 0; i < maxFastThreads+6; i++ {
+		hs = append(hs, t.Go(func(w *Thread) { v.Add(w, 1) }))
+	}
+	t.JoinAll(hs...)
+}
+
+func TestCheckpointSurvivesLaterBailOut(t *testing.T) {
+	if cp := checkpointedVsPlain(t, wideProg, 6); cp.Decisions() != 4 {
+		t.Fatalf("sealed %d forced decisions, want the 4 before the first child", cp.Decisions())
+	}
+}
+
+// freeFirstProg has no forced prefix: the root spawns both workers before
+// its first event, so its first decision is among three threads.
+func freeFirstProg(t *Thread) {
+	v := t.NewVar("v", 0)
+	a := t.Go(func(w *Thread) { v.Add(w, 1) })
+	b := t.Go(func(w *Thread) { v.Add(w, 2) })
+	v.Add(t, 4)
+	t.JoinAll(a, b)
+}
+
+// TestNoPrefixNoCheckpoint holds that a program whose first decision is
+// free gets no checkpoint, and that asking for one costs nothing RunInto
+// does not: the capture allocates only at a forced decision.
+func TestNoPrefixNoCheckpoint(t *testing.T) {
+	pool := NewPool()
+	defer pool.Close()
+	var res Result
+	opts := Options{Base: Base{Seed: 1}}
+	if cp := pool.RunPrefixInto(&res, freeFirstProg, &rrIndex{}, opts); cp != nil {
+		t.Fatalf("a program without a forced prefix captured %d forced decisions", cp.Decisions())
+	}
+	checkpointEqual(t, "capture run", &res, Run(freeFirstProg, &rrIndex{}, opts))
+	into := testing.AllocsPerRun(100, func() { pool.RunInto(&res, freeFirstProg, &rrIndex{}, opts) })
+	prefix := testing.AllocsPerRun(100, func() { pool.RunPrefixInto(&res, freeFirstProg, &rrIndex{}, opts) })
+	if prefix != into {
+		t.Fatalf("RunPrefixInto allocates %.1f objects a schedule, RunInto %.1f", prefix, into)
+	}
+}
+
 // TestCheckpointSlowPathDegrades holds the documented degradations: a
 // capture under DisableBatching yields no checkpoint, and RunFrom with a
 // nil checkpoint still runs correctly in full.

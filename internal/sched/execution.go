@@ -79,9 +79,10 @@ type Execution struct {
 	idx          IndexChooser
 
 	// Prefix checkpointing (checkpoint.go).
-	capture   *Checkpoint // capturing into (RunPrefix)
-	replayCp  *Checkpoint // replaying from (RunFrom)
+	capture   *Checkpoint // the capture (RunPrefix); nil until its first forced decision
+	replayCp  *Checkpoint // replaying from (RunFrom); nil once past the prefix
 	replayPos int
+	capturing bool // capturing the forced prefix, not yet sealed
 
 	trace       []Event
 	ilvHash     uint64
@@ -218,7 +219,7 @@ func fnvMix(h uint64, v uint64) uint64 {
 // running many schedules of one program should prefer Pool.Run, which
 // reuses the execution buffers across schedules.
 func Run(prog func(*Thread), alg Algorithm, opts Options) *Result {
-	return new(Execution).runWith(prog, alg, opts, nil, nil, new(Result))
+	return new(Execution).runWith(prog, alg, opts, false, nil, new(Result))
 }
 
 // reset prepares the Execution for a fresh schedule, recycling every
@@ -297,6 +298,7 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	if alg != nil {
 		ex.idx, _ = alg.(IndexChooser)
 	}
+	ex.capturing = false
 	ex.capture = nil
 	ex.replayCp = nil
 	ex.replayPos = 0
@@ -306,15 +308,12 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 
 // runWith runs one schedule and writes its outcome over *res — every field,
 // so storage a caller hands in again carries nothing over — and returns res.
-func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, capture, replay *Checkpoint, res *Result) *Result {
+func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, capture bool, replay *Checkpoint, res *Result) *Result {
 	ex.reset(opts, alg)
 	ex.checkProg(prog)
 	if ex.fast {
-		ex.capture = capture
+		ex.capturing = capture
 		ex.replayCp = replay
-	} else if capture != nil {
-		capture.open = false
-		capture.invalid = true
 	}
 	if alg != nil {
 		if ex.algRand == nil {

@@ -19,7 +19,7 @@ package sched
 // (tracked per object in objState.waitMask). Programs with ≥64 threads
 // bail out to the verbatim slow loop mid-schedule (see bailOut). Nothing
 // else selects the slow loop but Options.DisableBatching: a Tracer is
-// called from here (execute, replayStep), an Atlas likewise (decide).
+// called from here (execute), an Atlas likewise (decide).
 //
 // Both engines must be bit-identical: same decisions consume the same
 // random draws, hashes mix the same values, failures carry the same steps,
@@ -332,10 +332,15 @@ func (ex *Execution) decide(t *Thread) bool {
 	}
 
 	var tid ThreadID
-	if cp := ex.replayCp; cp != nil && ex.replayPos < len(cp.forced) {
-		return ex.replayStep(t)
-	}
 	switch {
+	case ex.replayCp != nil:
+		// A checkpointed forced step: the enabled set must be the
+		// singleton the capture run saw.
+		tid = ex.replayCp.forced[ex.replayPos]
+		ex.replayPos++
+		if ex.enabledBits != tbit(tid) || tbit(tid) == 0 {
+			panic("sched: checkpoint replay diverged from its capture run")
+		}
 	case n == 1:
 		tid = ThreadID(bits.TrailingZeros64(ex.enabledBits))
 	case ex.idx != nil:
@@ -352,9 +357,9 @@ func (ex *Execution) decide(t *Thread) bool {
 	default:
 		tid = ThreadID(bits.TrailingZeros64(ex.enabledBits))
 	}
-	if cp := ex.capture; cp != nil && cp.open {
+	if ex.capturing {
 		if n == 1 {
-			cp.forced = append(cp.forced, tid)
+			ex.captureForced(tid)
 		} else {
 			ex.closeCapture()
 		}
@@ -379,7 +384,21 @@ func (ex *Execution) execute(t *Thread, tid ThreadID, n int) bool {
 	}
 	ev := chosen.next
 	ex.steps++
-	ex.recordEvent(ev)
+	if cp := ex.replayCp; cp == nil {
+		ex.recordEvent(ev)
+	} else {
+		// A replayed forced step folds only the Δ hash, which algorithm Info
+		// predicates may consume per event; the last one adopts the rest
+		// from the checkpoint. Spelled out as recordEvent does: a helper
+		// taking the Event by value copies it per step, which
+		// BenchmarkPrefixFork reads as +25 % on the full path.
+		if ex.interesting != nil && ex.interesting(ev) {
+			ex.deltaHash = fnvMix(fnvMix(ex.deltaHash, ev.PathHash), uint64(ev.Kind)<<32^ev.ObjHash)
+		}
+		if ex.replayPos == len(cp.forced) {
+			ex.replayed()
+		}
+	}
 	ex.curEv = ev
 	if ex.tracer != nil {
 		// Before the event executes and with enabledBits still the mask the
@@ -400,67 +419,11 @@ func (ex *Execution) execute(t *Thread, tid ThreadID, n int) bool {
 	return false
 }
 
-// replayStep forces the next checkpointed decision. The enabled set must
-// be the singleton the capture run saw; hashing and trace recording are
-// skipped (the checkpoint replaces them wholesale when the prefix ends)
-// except the Δ hash, which algorithm Info predicates may consume per
-// event. A tracer is shown every forced step, as in a full run.
-func (ex *Execution) replayStep(t *Thread) bool {
-	cp := ex.replayCp
-	tid := cp.forced[ex.replayPos]
-	ex.replayPos++
-	if ex.enabledBits != tbit(tid) || tbit(tid) == 0 {
-		panic("sched: checkpoint replay diverged from its capture run")
-	}
-	chosen := ex.threads[tid]
-	if chosen.gated != 0 {
-		ex.objs[chosen.gated-1].waitMask &^= tbit(tid)
-		chosen.gated = 0
-	}
-	ev := chosen.next
-	ex.steps++
-	if ex.interesting != nil && ex.interesting(ev) {
-		ex.deltaHash = fnvMix(fnvMix(ex.deltaHash, ev.PathHash), uint64(ev.Kind)<<32^ev.ObjHash)
-	}
-	if ex.replayPos == len(cp.forced) {
-		// Prefix done: adopt the captured interleaving hash, class state
-		// and trace. The clock/object snapshots were taken after the last
-		// forced event's grant, so they may cover threads and objects this
-		// run has not created yet (spawned during that grant); those are
-		// re-derived identically by addThread/addObj as the grant replays,
-		// seeded from the clocks adopted here.
-		ex.ilvHash = cp.ilvHash
-		ex.classAcc = cp.classAcc
-		for i := 0; i < len(cp.clocks) && i < len(ex.threads); i++ {
-			ex.threads[i].clock = cp.clocks[i]
-		}
-		for i := 0; i < len(cp.objClass) && i < len(ex.objs); i++ {
-			ex.objs[i].lastWriteH = cp.objClass[i].lastWriteH
-			ex.objs[i].readAcc = cp.objClass[i].readAcc
-		}
-		if ex.opts.RecordTrace {
-			ex.trace = append(ex.trace, cp.trace...)
-		}
-	}
-	ex.curEv = ev
-	ex.decisionBits = ex.enabledBits
-	if ex.tracer != nil {
-		ex.tracer.Decide(Decision{Step: ex.steps - 1, Chosen: tid, Enabled: 1, Event: ev}, ex.state)
-	}
-	ex.inEngine = false
-	if chosen == t {
-		return true
-	}
-	chosen.state = tsRunning
-	ex.resume = chosen
-	return false
-}
-
 // finishSchedule ends the schedule from the program side: close any open
 // capture and park with no successor, returning the baton to the
 // orchestrator, which kills the survivors.
 func (ex *Execution) finishSchedule(t *Thread) bool {
-	if cp := ex.capture; cp != nil && cp.open {
+	if ex.capturing {
 		ex.closeCapture()
 	}
 	ex.inEngine = false
@@ -475,12 +438,11 @@ func (ex *Execution) finishSchedule(t *Thread) bool {
 func (ex *Execution) bailOut(t *Thread) bool {
 	ex.fast = false
 	ex.bailed = true
-	if ex.capture != nil {
-		ex.capture.open = false
-		ex.capture.invalid = true
+	if ex.capturing {
+		ex.capturing = false
 		ex.capture = nil
 	}
-	if cp := ex.replayCp; cp != nil && ex.replayPos < len(cp.forced) {
+	if ex.replayCp != nil {
 		// A bail after the prefix is fine — the capture run sealed before
 		// its own bail and the slow loop continues identically — but a bail
 		// inside the prefix means the capture run took the fast path through
@@ -488,7 +450,6 @@ func (ex *Execution) bailOut(t *Thread) bool {
 		// should be impossible.
 		panic("sched: checkpoint replay bailed out inside the prefix (capture ran it on the fast path)")
 	}
-	ex.replayCp = nil
 	ex.inEngine = false
 	ex.resume = nil
 	return false

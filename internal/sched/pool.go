@@ -40,7 +40,7 @@ func (p *Pool) Run(prog func(*Thread), alg Algorithm, opts Options) *Result {
 // are the same form of RunPrefix and RunFrom.
 func (p *Pool) RunInto(res *Result, prog func(*Thread), alg Algorithm, opts Options) *Result {
 	p.ex.persistent = true
-	return p.ex.runWith(prog, alg, opts, nil, nil, res)
+	return p.ex.runWith(prog, alg, opts, false, nil, res)
 }
 
 // Reset drops the pooled schedule state while keeping allocated capacity,

@@ -74,12 +74,3 @@ func (s *State) AppendAlgAnnotation(buf []byte) []byte {
 	}
 	return buf
 }
-
-// Algorithm returns the name of the algorithm driving this schedule ("" for
-// the nil left-most fallback).
-func (s *State) AlgorithmName() string {
-	if s.ex.alg == nil {
-		return ""
-	}
-	return s.ex.alg.Name()
-}

@@ -67,7 +67,7 @@ func NewSession(prog func(*Thread), opts Options) (*Session, error) {
 func (s *Session) Close() { s.drv.Close() }
 
 // Profile returns the census collected at construction, nil for an
-// algorithm that reads no counts (RW, POS, RAPOS): none is taken, and none
+// algorithm that reads no counts (RW, POS): none is taken, and none
 // is charged to Report.Schedule.
 func (s *Session) Profile() *Profile { return s.drv.Profile() }
 

@@ -189,7 +189,7 @@ type Report struct {
 	Failure *Failure
 	// Schedule is the 1-based index of the failing schedule, or -1. The
 	// profiling run counts as one for the algorithms that read its counts
-	// (the paper's accounting); RW, POS and RAPOS take none.
+	// (the paper's accounting); RW and POS take none.
 	Schedule int
 	// Seed replays the failing schedule via Replay.
 	Seed int64
