@@ -112,6 +112,38 @@ func TestFlightRoundTrip(t *testing.T) {
 	wantMatch(t, "replay", out.stdout, `replayed  bit-exact: bug `)
 }
 
+// TestFlightLinesWithCampaign: `run -flight-dir` prints a flight line for
+// every flight record it wrote, with a -campaign store attached as without
+// one — the store keeps no flight, the run reports its own — and a resumed
+// run, which wrote none, prints none.
+func TestFlightLinesWithCampaign(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"run", "-target", "CS/account", "-alg", "RW", "-sessions", "2", "-limit", "100"}
+	flightLines := func(out string) []string { return regexp.MustCompile(`(?m)^flight +(\S+)$`).FindAllString(out, -1) }
+	plain := mustRun(t, append(args, "-flight-dir", filepath.Join(dir, "fl1"))...)
+	if got := flightLines(plain.stdout); len(got) != 2 {
+		t.Fatalf("without a store: %d flight lines, want 2:\n%s", len(got), plain.stdout)
+	}
+	store := filepath.Join(dir, "st1")
+	stored := mustRun(t, append(args, "-flight-dir", filepath.Join(dir, "fl2"), "-campaign", store)...)
+	got := flightLines(stored.stdout)
+	if len(got) != 2 {
+		t.Fatalf("with -campaign: %d flight lines, want 2:\n%s", len(got), stored.stdout)
+	}
+	for _, line := range got {
+		if path := strings.Fields(line)[1]; readFile(t, path) == nil {
+			t.Errorf("%s names an empty file", line)
+		}
+	}
+	if bytes.Contains(readFile(t, filepath.Join(store, "runs.jsonl")), []byte("flight")) {
+		t.Error("runs.jsonl names a flight record")
+	}
+	resumed := mustRun(t, append(args, "-flight-dir", filepath.Join(dir, "fl3"), "-campaign", store)...)
+	if got := flightLines(resumed.stdout); len(got) != 0 {
+		t.Errorf("a resumed run printed %d flight lines, want none:\n%s", len(got), resumed.stdout)
+	}
+}
+
 // TestObservedScheduleIsTheReportedOne: the schedule `run -print-failing`
 // prints and the one `run -trace` exports are the schedule session 0
 // reported — the flight record the same run wrote names the same index,

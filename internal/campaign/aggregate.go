@@ -7,7 +7,9 @@ package campaign
 // uninterrupted or was killed and resumed, at any worker count.
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sort"
 
 	"surw/internal/obs"
@@ -143,27 +145,50 @@ type DedupAggregate struct {
 	Growth []AccumPoint `json:"growth,omitempty"`
 }
 
-// Aggregate computes the campaign rollup from the store's current index.
+// numbered is one record of a cell: its session number and its session.
+type numbered struct {
+	session int
+	sess    *runner.Session
+}
+
+// Aggregate computes the campaign rollup from the store's current index: its
+// cells in CellKey.less order, each cell's records in session order.
 func (s *Store) Aggregate() *Aggregates {
-	recs := s.snapshot()
-	agg := &Aggregates{Version: Version, Sessions: len(recs)}
-	keys := sortedKeys(recs)
-	for start := 0; start < len(keys); {
-		end := start
-		cell := cellOf(keys[start])
-		for end < len(keys) && cellOf(keys[end]) == cell {
-			end++
+	// A snapshot of pointers under the mutex: an indexed session never
+	// changes, so it is read where it lies.
+	type cellRecords struct {
+		cell CellKey
+		recs []numbered
+	}
+	s.mu.Lock()
+	cells := make([]cellRecords, 0, len(s.index))
+	all := make([]numbered, 0, s.n)
+	for cell, sessions := range s.index {
+		start := len(all)
+		for n, sess := range sessions {
+			all = append(all, numbered{n, sess})
 		}
-		agg.Cells = append(agg.Cells, aggregateCell(cell, keys[start:end], recs))
-		start = end
+		cells = append(cells, cellRecords{cell, all[start:len(all):len(all)]})
+	}
+	s.mu.Unlock()
+
+	slices.SortFunc(cells, func(a, b cellRecords) int {
+		if a.cell.less(b.cell) {
+			return -1
+		}
+		return 1 // cells are distinct
+	})
+	agg := &Aggregates{Version: Version, Sessions: len(all)}
+	for _, c := range cells {
+		slices.SortFunc(c.recs, func(a, b numbered) int { return cmp.Compare(a.session, b.session) })
+		agg.Cells = append(agg.Cells, aggregateCell(c.cell, c.recs))
 	}
 	return agg
 }
 
-// aggregateCell rolls up one cell's session records (already in session
-// order).
-func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.SessionKey]*runner.Session) CellAggregate {
-	ca := CellAggregate{CellKey: cell, SessionsStored: len(keys)}
+// aggregateCell rolls up one cell's session records, in session order.
+func aggregateCell(cell CellKey, recs []numbered) CellAggregate {
+	ca := CellAggregate{CellKey: cell, SessionsStored: len(recs)}
 
 	var firstBugs []float64
 	bugSet := make(map[string]bool)
@@ -172,8 +197,8 @@ func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.Sessi
 	behaviors := make(map[string]bool)
 	covSamples, covSessions := 0, 0
 	classSamples, classSessions, dupSum := 0, 0, 0
-	for _, k := range keys {
-		w := recs[k]
+	for _, r := range recs {
+		w := r.sess
 		if w.FirstBug >= 0 {
 			ca.Found++
 			firstBugs = append(firstBugs, float64(w.FirstBug))
@@ -182,7 +207,7 @@ func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.Sessi
 			bugSet[id] = true
 		}
 		if len(bugSet) > lastDistinct(ca.BugAccumulation) {
-			ca.BugAccumulation = append(ca.BugAccumulation, AccumPoint{Session: k.Session + 1, Distinct: len(bugSet)})
+			ca.BugAccumulation = append(ca.BugAccumulation, AccumPoint{Session: r.session + 1, Distinct: len(bugSet)})
 		}
 		if w.Cov != nil {
 			covSessions++
@@ -194,7 +219,7 @@ func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.Sessi
 				behaviors[b] = true
 			}
 			cov := ensureCoverage(&ca)
-			cov.Growth = append(cov.Growth, AccumPoint{Session: k.Session + 1, Distinct: len(pooled)})
+			cov.Growth = append(cov.Growth, AccumPoint{Session: r.session + 1, Distinct: len(pooled)})
 			if len(w.Cov.Classes) > 0 {
 				classSessions++
 				dupSum += w.Cov.DupSchedules
@@ -203,7 +228,7 @@ func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.Sessi
 					classSamples += n
 				}
 				dd := ensureDedup(cov)
-				dd.Growth = append(dd.Growth, AccumPoint{Session: k.Session + 1, Distinct: len(pooledClasses)})
+				dd.Growth = append(dd.Growth, AccumPoint{Session: r.session + 1, Distinct: len(pooledClasses)})
 			}
 		}
 	}
@@ -211,7 +236,7 @@ func aggregateCell(cell CellKey, keys []runner.SessionKey, recs map[runner.Sessi
 		sum := stats.Summarize(firstBugs)
 		ca.FirstBug = &SummaryJSON{N: sum.N, Mean: sum.Mean, Std: sum.Std, Min: sum.Min, Max: sum.Max}
 	}
-	ca.Survival = survivalCurve(keys, recs, cell.Limit)
+	ca.Survival = survivalCurve(recs, cell.Limit)
 	for id := range bugSet {
 		ca.DistinctBugs = append(ca.DistinctBugs, id)
 	}
@@ -269,14 +294,14 @@ func lastDistinct(pts []AccumPoint) int {
 // schedules-to-first-bug: S(0) = 1, stepping down at each distinct
 // first-bug time; sessions that never found the bug survive past the
 // limit (right-censoring, rendered as a flat tail).
-func survivalCurve(keys []runner.SessionKey, recs map[runner.SessionKey]*runner.Session, limit int) []SurvivalPoint {
-	n := len(keys)
+func survivalCurve(recs []numbered, limit int) []SurvivalPoint {
+	n := len(recs)
 	if n == 0 {
 		return nil
 	}
 	var times []int
-	for _, k := range keys {
-		if fb := recs[k].FirstBug; fb >= 0 {
+	for _, r := range recs {
+		if fb := r.sess.FirstBug; fb >= 0 {
 			times = append(times, fb)
 		}
 	}

@@ -31,11 +31,7 @@
 // away on open; every complete line is a self-contained record.
 package campaign
 
-import (
-	"sort"
-
-	"surw/internal/runner"
-)
+import "surw/internal/runner"
 
 // Version is the wire-format version stamped into the manifest and every
 // record line.
@@ -91,21 +87,4 @@ func (c CellKey) less(o CellKey) bool {
 		return c.CoverageEvery < o.CoverageEvery
 	}
 	return c.ProfileRuns < o.ProfileRuns
-}
-
-// sortedKeys returns the session keys of records grouped by cell and
-// ordered (cell, session) — the canonical aggregation order.
-func sortedKeys(recs map[runner.SessionKey]*runner.Session) []runner.SessionKey {
-	keys := make([]runner.SessionKey, 0, len(recs))
-	for k := range recs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ci, cj := cellOf(keys[i]), cellOf(keys[j])
-		if ci != cj {
-			return ci.less(cj)
-		}
-		return keys[i].Session < keys[j].Session
-	})
-	return keys
 }

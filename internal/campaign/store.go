@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -112,9 +111,12 @@ type Store struct {
 	dir    string
 	f      appendFile // runs.jsonl, append-only; nil when closed or read-only
 	offset int64      // bytes of runs.jsonl already indexed
-	// recs holds each record's canonical session (see ParseRecord). They are
-	// the store's own and never change: Lookup and Store hand out copies.
-	recs   map[runner.SessionKey]*runner.Session
+	// index holds each record's canonical session (see ParseRecord) by cell
+	// and, within its cell, by session number; n counts them. A session is
+	// the store's own from the moment it is indexed and never changes again:
+	// Lookup, Store and Aggregate hand out that very pointer, for reading.
+	index  map[CellKey]map[int]*runner.Session
+	n      int
 	names  map[string]string // target and algorithm names indexLines has read, to intern the next line's against
 	line   []byte            // Store's encoding buffer
 	cells  int               // CellDone count this process
@@ -178,7 +180,7 @@ func OpenRead(dir string) (*Store, error) {
 func load(dir string) (*Store, int64, int64, error) {
 	s := &Store{
 		dir:    dir,
-		recs:   make(map[runner.SessionKey]*runner.Session),
+		index:  make(map[CellKey]map[int]*runner.Session),
 		names:  make(map[string]string),
 		events: NewBroker(),
 	}
@@ -246,9 +248,9 @@ func (s *Store) indexLines(data []byte, added func(runner.SessionKey, *runner.Se
 			if err != nil {
 				return offset, err
 			}
-			if _, dup := s.recs[k]; !dup {
+			if _, dup := s.lookupLocked(k); !dup {
 				s.names[k.Target], s.names[k.Algorithm] = k.Target, k.Algorithm
-				s.recs[k] = sess
+				s.indexLocked(k, sess)
 				if added != nil {
 					added(k, sess)
 				}
@@ -277,7 +279,27 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.recs)
+	return s.n
+}
+
+// lookupLocked returns the indexed session of k. Caller holds s.mu or is
+// still constructing s.
+func (s *Store) lookupLocked(k runner.SessionKey) (*runner.Session, bool) {
+	sess, ok := s.index[cellOf(k)][k.Session]
+	return sess, ok
+}
+
+// indexLocked indexes sess under k, which it does not hold yet. Caller
+// holds s.mu or is still constructing s.
+func (s *Store) indexLocked(k runner.SessionKey, sess *runner.Session) {
+	cell := cellOf(k)
+	sessions := s.index[cell]
+	if sessions == nil {
+		sessions = make(map[int]*runner.Session)
+		s.index[cell] = sessions
+	}
+	sessions[k.Session] = sess
+	s.n++
 }
 
 // Events returns the store's event broker for SSE subscriptions.
@@ -290,48 +312,52 @@ func (s *Store) Cells() int {
 	return s.cells
 }
 
-// Lookup implements runner.SessionStore: a hit returns a copy of the stored
-// session's canonical form and the batch skips executing it.
+// Lookup implements runner.SessionStore: a hit returns the stored session —
+// the store's own, not a copy, which nobody may write — and the batch skips
+// executing it.
 func (s *Store) Lookup(k runner.SessionKey) (*runner.Session, bool) {
 	s.mu.Lock()
-	sess, ok := s.recs[k]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return cloneSession(sess), true
+	defer s.mu.Unlock()
+	return s.lookupLocked(k)
 }
 
-// Store implements runner.SessionStore: it appends the session as one
-// fsynced JSONL line and returns the session that line parses to, so fresh
-// and resumed batches report identical sessions. An append that fails
-// leaves no trace of itself in the file (see appendLocked).
+// Store implements runner.SessionStore: it takes ownership of sess, appends
+// it as one fsynced JSONL line and returns the session that line parses to,
+// so fresh and resumed batches report identical sessions. That is sess
+// itself, made canonical in place (see canonical), unless its text cannot
+// round-trip; either way the store keeps it and nobody may write it again.
+// A key the store already holds appends nothing and returns the indexed
+// session, as Open would keep it. An append that fails leaves no trace of
+// itself in the file (see appendLocked).
 func (s *Store) Store(k runner.SessionKey, sess *runner.Session) (*runner.Session, error) {
 	s.mu.Lock()
 	if s.f == nil {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("campaign: store %s is closed", s.dir)
 	}
+	if held, ok := s.lookupLocked(k); ok {
+		s.mu.Unlock()
+		return held, nil
+	}
 	s.line = append(AppendRecord(s.line[:0], k, sess), '\n')
 	if err := s.appendLocked(s.line); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	canon, ok := canonical(sess)
-	if !ok {
+	if _, ok := canonical(sess); !ok {
 		// Text the line could not spell as given (see canonical): read it back.
 		var err error
-		if _, canon, err = ParseRecord(s.line[:len(s.line)-1], nil); err != nil {
+		if _, sess, err = ParseRecord(s.line[:len(s.line)-1], nil); err != nil {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("campaign: stored a record that does not parse: %w", err)
 		}
 	}
-	s.recs[k] = canon
-	stored := len(s.recs)
+	s.indexLocked(k, sess)
+	stored := s.n
 	s.mu.Unlock()
 
-	s.events.Publish(sessionEvent(k, canon, stored))
-	return cloneSession(canon), nil
+	s.events.Publish(sessionEvent(k, sess, stored))
+	return sess, nil
 }
 
 // appendLocked writes line to runs.jsonl and makes it durable — a crash
@@ -385,7 +411,7 @@ func (s *Store) CellDone(target, alg string, limit int, seed int64, res *runner.
 		Limit:     limit,
 		Seed:      seed,
 		Sessions:  len(res.Sessions),
-		Stored:    len(s.recs),
+		Stored:    s.n,
 		Cells:     s.cells,
 	}
 	s.mu.Unlock()
@@ -404,13 +430,6 @@ func foundCount(res *runner.Result) (total, found int) {
 		}
 	}
 	return total, found
-}
-
-// Snapshot returns a copy of the indexed records for aggregation.
-func (s *Store) snapshot() map[runner.SessionKey]*runner.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return maps.Clone(s.recs)
 }
 
 // Poll indexes records appended to runs.jsonl by another process since the
@@ -445,7 +464,7 @@ func (s *Store) Poll() (int, error) {
 	var events []Event
 	s.mu.Lock()
 	n, _ := s.indexLines(data, func(k runner.SessionKey, sess *runner.Session) {
-		events = append(events, sessionEvent(k, sess, len(s.recs)))
+		events = append(events, sessionEvent(k, sess, s.n))
 	})
 	s.offset += int64(n)
 	s.mu.Unlock()

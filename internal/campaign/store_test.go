@@ -3,6 +3,8 @@ package campaign_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -200,12 +202,132 @@ func TestOpenReadRequiresManifest(t *testing.T) {
 	}
 }
 
+// Store owns what it is handed: a session whose text round-trips is
+// indexed and returned as the very pointer, made canonical in place (Flight
+// cleared, nil maps filled, an empty series nil); one whose text cannot is
+// replaced by the record its line parses to. Lookup returns what Store did.
+func TestStoreKeepsWhatItIsHanded(t *testing.T) {
+	st, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sess := &runner.Session{FirstBug: 3, Schedules: 3, Flight: "flight_x.json",
+		Cov: &runner.Coverage{Interleavings: map[uint64]int{7: 3}, Series: []runner.CovPoint{}}}
+	got, err := st.Store(key(0), sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != sess {
+		t.Fatalf("Store returned %p, not the session it was handed (%p)", got, sess)
+	}
+	if sess.Flight != "" || sess.Bugs == nil || sess.Cov.Classes == nil || sess.Cov.Behaviors == nil || sess.Cov.Series != nil {
+		t.Fatalf("the stored session is not canonical: %+v, cov %+v", sess, sess.Cov)
+	}
+	if looked, ok := st.Lookup(key(0)); !ok || looked != sess {
+		t.Fatalf("Lookup = %p, %v; want the stored %p", looked, ok, sess)
+	}
+
+	odd := &runner.Session{FirstBug: 1, Schedules: 1, Bugs: map[string]int{"bug\xff": 1}}
+	got, err = st.Store(key(1), odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == odd || got.Bugs["bug\ufffd"] != 1 || len(got.Bugs) != 1 {
+		t.Fatalf("a non-UTF-8 bug id: Store returned %p %+v, want a parsed record spelling U+FFFD", got, got)
+	}
+	if looked, _ := st.Lookup(key(1)); looked != got {
+		t.Fatalf("Lookup = %p, want the parsed record Store returned (%p)", looked, got)
+	}
+}
+
+// A second Store of a key the store holds appends nothing and returns the
+// indexed record, so the live index and a reopened one agree.
+func TestStoreIsIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := st.Store(key(0), session(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := st.Store(key(0), session(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first || st.Len() != 1 {
+		t.Fatalf("second Store returned %+v (Len %d), want the indexed %+v", again, st.Len(), first)
+	}
+	live, _ := st.Lookup(key(0))
+	st.Close()
+	if lines := strings.Count(string(readRuns(t, dir)), "\n"); lines != 1 {
+		t.Fatalf("runs.jsonl has %d lines, want 1", lines)
+	}
+	re, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if reopened, ok := re.Lookup(key(0)); !ok || !reflect.DeepEqual(reopened, live) {
+		t.Fatalf("reopened Lookup = %+v, live Lookup = %+v", reopened, live)
+	}
+}
+
+// A record's session number indexes a map, not an array: a hostile one
+// costs what any record does, on Open and in the aggregates.
+func TestStoreSparseSessionNumber(t *testing.T) {
+	dir := t.TempDir()
+	st, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := key(1 << 40)
+	if _, err := st.Store(far, session(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Store(key(0), session(5)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	re, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	agg := re.Aggregate()
+	runtime.ReadMemStats(&m1)
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("opening and aggregating two records allocated %d bytes", grew)
+	}
+	if _, ok := re.Lookup(far); !ok || agg.Sessions != 2 || agg.Cells[0].SessionsStored != 2 {
+		t.Fatalf("session 1<<40 lost: %+v", agg)
+	}
+	if acc := agg.Cells[0].BugAccumulation; len(acc) != 1 || acc[0].Session != 1 {
+		t.Fatalf("bug accumulation %+v, want one point at session 1 (session order)", acc)
+	}
+}
+
+func readRuns(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // BenchmarkStoreAppend prices one Store.Store — the local half of what a
 // fleet session costs the coordinator — on a short hunt's record (a first
 // bug, one bug id, no coverage), into a store on tmpfs where there is one,
 // so that what is read is the append path's own work and not the disk's
-// fsync: the record encoded on the store's buffer, the index's copy of the
-// session and the caller's. ci.sh gates allocs/op and B/op.
+// fsync: the record encoded on the store's buffer and indexed as it was
+// handed over, a pointer in its cell's table. ci.sh gates allocs/op and
+// B/op.
 func BenchmarkStoreAppend(b *testing.B) {
 	dir := b.TempDir()
 	if shm, err := os.MkdirTemp("/dev/shm", "surw-store-bench"); err == nil {

@@ -331,11 +331,12 @@ func parseCoverage(p *wire.Parser) *runner.Coverage {
 	return c
 }
 
-// canonical returns the session ParseRecord(AppendRecord(k, s)) returns —
-// what the store indexes and hands back, so fresh and resumed batches
-// report identical sessions — built without the round trip. It reports
-// false for the one case a copy is not that: a bug id or behaviour that is
-// not valid UTF-8, which the line spells with U+FFFD.
+// canonical makes s, in place, the session ParseRecord(AppendRecord(k, s))
+// returns — what the store indexes and hands back, so fresh and resumed
+// batches report identical sessions — and returns it: every map a session
+// has made non-nil, an empty series nil, Flight cleared. It reports false, and
+// leaves s as it was, for the one case that is not that session: a bug id or
+// behaviour that is not valid UTF-8, which the line spells with U+FFFD.
 func canonical(s *runner.Session) (*runner.Session, bool) {
 	for id := range s.Bugs {
 		if !utf8.ValidString(id) {
@@ -349,30 +350,23 @@ func canonical(s *runner.Session) (*runner.Session, bool) {
 			}
 		}
 	}
-	return cloneSession(s), true
-}
-
-// cloneSession copies a session the way a record carries it: the maps a
-// session has are never nil, an empty series is, and Flight stays behind.
-func cloneSession(s *runner.Session) *runner.Session {
-	out := &runner.Session{FirstBug: s.FirstBug, Schedules: s.Schedules, Truncated: s.Truncated, Bugs: cloneMap(s.Bugs)}
+	s.Flight = ""
+	if s.Bugs == nil {
+		s.Bugs = make(map[string]int)
+	}
 	if c := s.Cov; c != nil {
-		out.Cov = &runner.Coverage{
-			Interleavings: cloneMap(c.Interleavings),
-			Classes:       cloneMap(c.Classes),
-			Behaviors:     cloneMap(c.Behaviors),
-			DupSchedules:  c.DupSchedules,
-			Series:        append([]runner.CovPoint(nil), c.Series...),
+		if c.Interleavings == nil {
+			c.Interleavings = make(map[uint64]int)
+		}
+		if c.Classes == nil {
+			c.Classes = make(map[uint64]int)
+		}
+		if c.Behaviors == nil {
+			c.Behaviors = make(map[string]int)
+		}
+		if len(c.Series) == 0 {
+			c.Series = nil
 		}
 	}
-	return out
-}
-
-// cloneMap copies m into a map that is never nil.
-func cloneMap[K comparable](m map[K]int) map[K]int {
-	c := make(map[K]int, len(m))
-	for k, n := range m {
-		c[k] = n
-	}
-	return c
+	return s, true
 }

@@ -130,6 +130,15 @@ func (r recordOracle) decode() (runner.SessionKey, *runner.Session, bool) {
 	}, s, ok
 }
 
+// cloneMap copies m into a map that is never nil.
+func cloneMap[K comparable](m map[K]int) map[K]int {
+	c := make(map[K]int, len(m))
+	for k, n := range m {
+		c[k] = n
+	}
+	return c
+}
+
 type codecCase struct {
 	key  runner.SessionKey
 	sess *runner.Session

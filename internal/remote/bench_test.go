@@ -86,6 +86,27 @@ func fleetBenchScale() experiments.Scale {
 	}
 }
 
+// BenchmarkNewCoordinator prices the coordinator's plan tables: what
+// NewCoordinator allocates over an empty store, in bytes a planned session,
+// on the plan of the benchmark's fleet_loopback workload (eight targets,
+// five algorithms, 60 sessions a cell) at one session a lease. A coordinator
+// is built once a campaign, so this is paid once a session; ci.sh gates it.
+func BenchmarkNewCoordinator(b *testing.B) {
+	plan := experiments.SCTPlan(experiments.Scale{
+		Seed: 1, Sessions: 60, Limit: 300, SafeStackLimit: 300,
+		SCTTargets: []string{"CS/reorder_10", "CS/twostage_20", "CB/stringbuffer-jdk1.4", "Chess/WSQ", "CS/bluetooth_driver", "CS/account", "CS/lazy01", "CS/deadlock01"},
+		SCTAlgs:    []string{"SURW", "URW", "RW", "PCT-3", "POS"},
+	})
+	store := newMemStore()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < b.N; i++ {
+		NewCoordinator(store, plan, CoordinatorOptions{BatchSize: 1})
+	}
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N*len(plan)), "B/session")
+}
+
 // allocated is what a run allocated on every goroutine: heap objects and
 // their bytes (runtime.MemStats' Mallocs and TotalAlloc).
 type allocated struct{ objects, bytes uint64 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,12 +75,18 @@ type Coordinator struct {
 	names     map[string]string
 	exchanges sync.Pool
 
-	mu         sync.Mutex
-	planned    map[runner.SessionKey]bool // plan membership: rejects stray submissions
-	total      int                        // len(plan)
-	done       int                        // keys known stored
-	pending    []batch                    // FIFO of unleased batches
+	mu sync.Mutex
+	// The plan by index: its cells (planIndex finds one), and queue, the
+	// sessions the store did not hold at construction in plan order, which a
+	// batch is a range of. Both are read-only once built.
+	plan       []planCell
+	planIndex  map[campaign.CellKey]int
+	queue      []int
+	total      int     // len(plan)
+	done       int     // keys known stored
+	pending    []batch // FIFO of unleased batches
 	leases     map[string]*lease
+	free       []*lease // ended leases, for grants to reuse
 	workers    map[string]*workerState
 	seq        int   // lease-ID counter
 	expiries   int64 // leases timed out and requeued
@@ -109,18 +116,30 @@ type Coordinator struct {
 	workerAtlas map[string][]atlas.CellSnapshot
 }
 
-// batch is a run of same-cell session keys, in session order.
+// planCell is one cell of the plan: the key of its sessions, Session
+// aside, and the session numbers the plan names for it, sorted.
+type planCell struct {
+	key      runner.SessionKey
+	sessions []int
+}
+
+// batch is a run of one cell's sessions in plan order: queue[lo:hi], of
+// plan[cell].
 type batch struct {
-	keys []runner.SessionKey
+	cell, lo, hi int
 	// enqueued feeds the queue_wait histogram: batch creation or last
 	// requeue → lease grant.
 	enqueued time.Time
 }
 
+// lease is a grant of the batch's sessions the store did not hold then. It
+// is the coordinator's alone, in c.leases and its worker's ws.lease until it
+// ends, and is reused by a later grant after.
 type lease struct {
 	id      string
 	worker  string
-	keys    []runner.SessionKey
+	batch   batch
+	n       int // sessions granted
 	expires time.Time
 	granted time.Time    // feeds the aging-lease health rule
 	hb      int          // heartbeats seen
@@ -142,15 +161,16 @@ type workerState struct {
 // over a half-finished campaign resumes it.
 func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
-		store:   store,
-		opts:    opts.withDefaults(),
-		mux:     http.NewServeMux(),
-		now:     time.Now,
-		names:   make(map[string]string),
-		planned: make(map[runner.SessionKey]bool, len(plan)),
-		total:   len(plan),
-		leases:  make(map[string]*lease),
-		workers: make(map[string]*workerState),
+		store:     store,
+		opts:      opts.withDefaults(),
+		mux:       http.NewServeMux(),
+		now:       time.Now,
+		names:     make(map[string]string),
+		planIndex: make(map[campaign.CellKey]int),
+		queue:     make([]int, 0, len(plan)),
+		total:     len(plan),
+		leases:    make(map[string]*lease),
+		workers:   make(map[string]*workerState),
 
 		workerLat: make(map[string]map[string]obs.HistogramWire),
 		cells:     make(map[campaign.CellKey]*cellStat),
@@ -162,19 +182,25 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 		c.spans = obs.NewSpanLog("coordinator")
 	}
 	c.filter = NewClassFilter(0, 0)
+	// A batch is at most BatchSize sessions of one run of same-cell keys,
+	// so this many is room for them all.
+	runs := 0
+	for i, k := range plan {
+		if i == 0 || CellOf(k) != CellOf(plan[i-1]) {
+			runs++
+		}
+	}
+	c.pending = make([]batch, 0, len(plan)/c.opts.BatchSize+runs)
 	t0 := c.now()
-	var cur batch
-	var curCell campaign.CellKey
+	cur := batch{cell: -1, enqueued: t0}
 	flush := func() {
-		if len(cur.keys) > 0 {
-			cur.enqueued = t0
+		if cur.hi > cur.lo {
 			c.pending = append(c.pending, cur)
-			cur = batch{}
 		}
 	}
 	for _, k := range plan {
-		c.planned[k] = true
-		c.names[k.Target], c.names[k.Algorithm] = k.Target, k.Algorithm
+		cell := c.planCellOf(k)
+		c.plan[cell].sessions = append(c.plan[cell].sessions, k.Session)
 		if s, ok := store.Lookup(k); ok {
 			c.done++
 			// A restarted coordinator rebuilds the duplicate gauges and the
@@ -182,13 +208,17 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 			c.ingestLocked(k, s)
 			continue
 		}
-		if cell := CellOf(k); len(cur.keys) == 0 || cell != curCell || len(cur.keys) >= c.opts.BatchSize {
+		if cell != cur.cell || cur.hi-cur.lo >= c.opts.BatchSize {
 			flush()
-			curCell = cell
+			cur = batch{cell: cell, lo: len(c.queue), hi: len(c.queue), enqueued: t0}
 		}
-		cur.keys = append(cur.keys, k)
+		c.queue = append(c.queue, k.Session)
+		cur.hi++
 	}
 	flush()
+	for i := range c.plan {
+		slices.Sort(c.plan[i].sessions)
+	}
 	c.mux.HandleFunc(PathLease, func(w http.ResponseWriter, r *http.Request) { c.handle(w, r, true) })
 	c.mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	c.mux.HandleFunc(PathResult, func(w http.ResponseWriter, r *http.Request) { c.handle(w, r, false) })
@@ -197,6 +227,31 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	c.mux.HandleFunc(PathHealth, c.handleHealth)
 	c.mux.Handle("/metrics", obs.PromHandler(func(w io.Writer) error { return c.Status().WritePrometheus(w) }))
 	return c
+}
+
+// planCellOf returns the index of k's cell in c.plan, adding the cell when
+// it is new. Only NewCoordinator calls it.
+func (c *Coordinator) planCellOf(k runner.SessionKey) int {
+	cell := CellOf(k)
+	if i, ok := c.planIndex[cell]; ok {
+		return i
+	}
+	c.names[k.Target], c.names[k.Algorithm] = k.Target, k.Algorithm
+	key := k
+	key.Session = 0
+	c.plan = append(c.plan, planCell{key: key})
+	c.planIndex[cell] = len(c.plan) - 1
+	return len(c.plan) - 1
+}
+
+// plannedLocked reports whether the plan names k.
+func (c *Coordinator) plannedLocked(k runner.SessionKey) bool {
+	i, ok := c.planIndex[CellOf(k)]
+	if !ok {
+		return false
+	}
+	_, ok = slices.BinarySearch(c.plan[i].sessions, k.Session)
+	return ok
 }
 
 // ingestLocked folds one session record's class tallies into the
@@ -259,18 +314,22 @@ func (c *Coordinator) expireStaleLocked(now time.Time) {
 }
 
 // endLocked takes l from its worker, requeueing its batch when asked to,
-// and closes its root span with errText.
+// closes its root span with errText, and keeps l for a later grant: nothing
+// holds it any more.
 func (c *Coordinator) endLocked(l *lease, now time.Time, requeue bool, errText string) {
 	delete(c.leases, l.id)
 	if ws := c.workers[l.worker]; ws != nil && ws.lease == l {
 		ws.lease = nil
 	}
 	if requeue {
-		c.pending = append(c.pending, batch{keys: l.keys, enqueued: now})
+		b := l.batch
+		b.enqueued = now
+		c.pending = append(c.pending, b)
 	}
 	l.span.Span.Err = errText
 	l.span.Span.HB = l.hb
 	l.span.End()
+	c.free = append(c.free, l)
 }
 
 // touchLocked registers/refreshes a worker's liveness. It keeps no
@@ -321,7 +380,7 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 	}
 	c.expireStaleLocked(now)
 	for _, d := range req.records {
-		if !c.planned[d.key] {
+		if !c.plannedLocked(d.key) {
 			http.Error(w, fmt.Sprintf("remote: session %s/%s #%d is not in the campaign plan",
 				d.key.Target, d.key.Algorithm, d.key.Session), http.StatusBadRequest)
 			return
@@ -406,43 +465,49 @@ func (c *Coordinator) grantLocked(ws *workerState, now time.Time, x *exchange, r
 	// meantime; filtering at grant time (not requeue time) keeps every
 	// handler O(batch). Grants leave in queue order: plan order, with
 	// requeued batches behind.
+	out := &x.lease
 	for !ws.left && len(c.pending) > 0 {
 		b := c.pending[0]
 		c.pending = c.pending[1:] // O(1), not a shift of the whole plan
-		// Filtered in place: the popped batch is the array's only holder.
-		keys := b.keys[:0]
-		for _, k := range b.keys {
+		k0 := c.plan[b.cell].key
+		sessions := out.Sessions[:0]
+		for _, s := range c.queue[b.lo:b.hi] {
+			k := k0
+			k.Session = s
 			if _, ok := c.store.Lookup(k); !ok {
-				keys = append(keys, k)
+				sessions = append(sessions, s)
 			}
 		}
-		if len(keys) == 0 {
+		out.Sessions = sessions
+		if len(sessions) == 0 {
 			continue
 		}
 		if !b.enqueued.IsZero() {
 			c.lat.Observe("queue_wait", now.Sub(b.enqueued))
 		}
 		c.seq++
-		l := &lease{
+		var l *lease
+		if n := len(c.free); n > 0 {
+			l, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			l = new(lease)
+		}
+		*l = lease{
 			id:      leaseID(c.seq),
 			worker:  ws.name,
-			keys:    keys,
+			batch:   b,
+			n:       len(sessions),
 			expires: now.Add(c.opts.LeaseTTL),
 			granted: now,
 		}
 		c.leases[l.id] = l
 		ws.lease = l
-		k0 := keys[0]
-		out := &x.lease
 		*out = Lease{
 			ID: l.id, Target: k0.Target, Algorithm: k0.Algorithm,
 			Limit: k0.Limit, Seed: k0.Seed, StopAtFirstBug: k0.StopAtFirstBug,
 			Coverage: k0.Coverage, CoverageEvery: k0.CoverageEvery,
-			ProfileRuns: k0.ProfileRuns, Sessions: out.Sessions[:0],
+			ProfileRuns: k0.ProfileRuns, Sessions: sessions,
 			TTLMillis: c.opts.LeaseTTL.Milliseconds(),
-		}
-		for _, k := range keys {
-			out.Sessions = append(out.Sessions, k.Session)
 		}
 		if c.spans.Enabled() {
 			// Root of the end-to-end trace: one fresh TraceID per lease.
@@ -454,7 +519,7 @@ func (c *Coordinator) grantLocked(ws *workerState, now time.Time, x *exchange, r
 			l.span.Span.Worker = ws.name
 			l.span.Span.Target = k0.Target
 			l.span.Span.Alg = k0.Algorithm
-			l.span.Span.N = len(keys)
+			l.span.Span.N = l.n
 			out.Traceparent = l.span.Context().Traceparent()
 		}
 		resp.Lease = out

@@ -121,7 +121,7 @@ func (c *Coordinator) healthLocked(now time.Time) *campaign.HealthReport {
 			h.Issues = append(h.Issues, campaign.HealthIssue{
 				Kind: campaign.HealthAgingLease, Subject: id,
 				Detail: fmt.Sprintf("held by %s for %s (deadline %s), %d sessions, %d heartbeats",
-					l.worker, age.Round(time.Millisecond), agingAfter, len(l.keys), l.hb),
+					l.worker, age.Round(time.Millisecond), agingAfter, l.n, l.hb),
 			})
 		}
 	}

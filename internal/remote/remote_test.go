@@ -12,10 +12,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,9 +349,129 @@ func TestResultOutsidePlanRejected(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("stray submission: status %d, want 400", code)
 	}
+	// A planned cell, a session number the plan does not name.
+	k := syntheticPlan(3)[2]
+	stray = campaign.NewRecord(k, &runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}})
+	if code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []campaign.Record{stray}}, nil); code != http.StatusBadRequest {
+		t.Fatalf("stray session of a planned cell: status %d, want 400", code)
+	}
 	if st.len() != 0 {
 		t.Fatal("stray record reached the store")
 	}
+}
+
+// TestRecycledLeasesAreHeldOnce churns leases through every way one ends —
+// completed, requeued by its worker's next poll, expired past the TTL —
+// until over a thousand grants have reused an ended lease, with four
+// workers at once (run it under -race), and checks after every request
+// that no lease is held by two workers, none is both held and free, and
+// c.leases and the workers' ws.lease name the same leases. Then the plan
+// drains: every key stored once.
+func TestRecycledLeasesAreHeldOnce(t *testing.T) {
+	const keys, recycledWanted = 400, 1000
+	st := newMemStore()
+	clk := &clock{t: time.Unix(1_000_000, 0)}
+	c := NewCoordinator(st, syntheticPlan(keys), CoordinatorOptions{LeaseTTL: time.Minute, BatchSize: 1, RetryAfter: time.Millisecond})
+	c.now = clk.now
+
+	var checkMu sync.Mutex // the structs seen so far, and how many grants
+	structs := make(map[*lease]bool)
+	check := func() (recycled int, err error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		held := make(map[*lease]string)
+		for name, ws := range c.workers {
+			if ws.lease == nil {
+				continue
+			}
+			if other, dup := held[ws.lease]; dup {
+				return 0, fmt.Errorf("lease %s held by %s and %s", ws.lease.id, other, name)
+			}
+			held[ws.lease] = name
+			if c.leases[ws.lease.id] != ws.lease || ws.lease.worker != name {
+				return 0, fmt.Errorf("%s holds lease %s (worker %q) that c.leases does not", name, ws.lease.id, ws.lease.worker)
+			}
+		}
+		for id, l := range c.leases {
+			if l.id != id || held[l] != l.worker {
+				return 0, fmt.Errorf("lease %s (id %s, worker %s) is not its worker's", id, l.id, l.worker)
+			}
+		}
+		for _, l := range c.free {
+			if _, ok := held[l]; ok {
+				return 0, fmt.Errorf("lease %s is free and held by %s", l.id, held[l])
+			}
+		}
+		checkMu.Lock()
+		defer checkMu.Unlock()
+		for l := range held {
+			structs[l] = true
+		}
+		return c.seq - len(structs), nil
+	}
+	call := func(path, body string) (ResultResponse, error) {
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var resp ResultResponse
+		if rec.Code != http.StatusOK {
+			return resp, fmt.Errorf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return resp, json.Unmarshal(rec.Body.Bytes(), &resp)
+	}
+	submission := func(name string, l *Lease) string {
+		body, err := json.Marshal(ResultRequest{Worker: name, LeaseID: l.ID, BusyMillis: 1, Records: sessionRecordsFor(l)})
+		if err != nil {
+			panic(err)
+		}
+		return string(body)
+	}
+
+	var churned atomic.Bool
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := fmt.Sprintf("w%d", i)
+			rng := rand.New(rand.NewSource(int64(i)))
+			resp, err := call(PathLease, `{"worker":"`+name+`"}`)
+			for err == nil && !resp.Done {
+				var recycled int
+				if recycled, err = check(); err != nil {
+					break
+				}
+				if recycled >= recycledWanted {
+					churned.Store(true)
+				}
+				switch r := rng.Intn(20); {
+				case resp.Lease != nil && (churned.Load() || r < 2):
+					resp, err = call(PathResult, submission(name, resp.Lease)) // completed
+				case r < 3:
+					clk.advance(2 * time.Minute) // every lease expires at the next request
+					fallthrough
+				default:
+					resp, err = call(PathLease, `{"worker":"`+name+`"}`) // the lease held is requeued
+				}
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	recycled, err := check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := c.Status()
+	if !c.Done() || st.len() != keys || recycled < recycledWanted || rs.LeaseExpiries == 0 {
+		t.Fatalf("done %v, %d of %d keys stored, %d grants of a recycled lease, %d expiries", c.Done(), st.len(), keys, recycled, rs.LeaseExpiries)
+	}
+	t.Logf("%d grants, %d lease structs, %d expiries, %d duplicates", c.seq, c.seq-recycled, rs.LeaseExpiries, rs.DuplicateResults)
 }
 
 // sctScale is the small two-cell grid the execution tests distribute.

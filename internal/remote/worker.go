@@ -45,7 +45,7 @@ type Worker struct {
 	// and aborts the worker rather than silently stalling the campaign.
 	Resolve func(name string) (runner.Target, bool)
 	// Workers is the per-batch session parallelism (degree of the local
-	// fan-out); 0 means sequential.
+	// fan-out): 1 is sequential, <= 0 one per CPU (workpool.Normalize).
 	Workers int
 	// Client is the HTTP client; nil uses a 30s-timeout default.
 	Client *http.Client
@@ -99,6 +99,19 @@ type Worker struct {
 	keys     []runner.SessionKey
 	sessions []*runner.Session
 	target   string
+	// The lease in execution, as the hooks Run binds once read it — runOne,
+	// the session body the fan-out calls, and phase, its Config.Phase —
+	// written by execute before the fan-out starts: the target and config,
+	// the execute span (inert unless the lease is traced) with the span IDs
+	// minted for its sessions, and the count of sessions completed, which
+	// the watchdog watches.
+	tgt      runner.Target
+	cfg      runner.Config
+	exec     obs.OpenSpan
+	sessIDs  []obs.SpanID
+	progress atomic.Int64
+	runOne   func(i int) (struct{}, error)
+	phase    func(session int, phase string, start time.Time, d time.Duration)
 	// spans is created lazily on the first traced lease (nil records
 	// nothing, costing untraced fleets zero allocations).
 	spans *obs.SpanLog
@@ -170,6 +183,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.cache, w.target = runner.NewWorkerCache(), ""
 	defer w.cache.Close()
+	w.runOne = func(i int) (struct{}, error) { return struct{}{}, w.runSession(ctx, i) }
+	w.phase = w.observePhase
 	// One heartbeat loop for the whole run, not one per lease; it idles
 	// until execute hands it a lease and that lease's period.
 	w.hb = time.NewTicker(defaultLeaseTTL / 3)
@@ -231,7 +246,8 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 		w.cache.Keep(l.Target)
 		w.target = l.Target
 	}
-	cfg := runner.Config{
+	w.tgt = tgt
+	w.cfg = runner.Config{
 		Limit:          l.Limit,
 		Seed:           l.Seed,
 		StopAtFirstBug: l.StopAtFirstBug,
@@ -240,6 +256,7 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 		ProfileRuns:    l.ProfileRuns,
 		Metrics:        w.Metrics,
 		Atlas:          w.Atlas,
+		Phase:          w.phase,
 	}
 
 	// Tracing: a lease carrying a traceparent gets an "execute" span on
@@ -248,45 +265,23 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 	// parent under session spans recorded after the fact. An untraced
 	// lease pays one string compare — spans stays nil until the fleet
 	// actually traces.
-	var exec obs.OpenSpan
-	var sessIDs []obs.SpanID
-	var sessionIdx map[int]int
+	w.exec = obs.OpenSpan{}
 	if l.Traceparent != "" {
 		if parent, err := obs.ParseTraceparent(l.Traceparent); err == nil {
 			if w.spans == nil {
 				w.spans = obs.NewSpanLog(w.Name)
 			}
-			exec = w.spans.Start(parent, "execute")
-			exec.Span.Lease = l.ID
-			exec.Span.Target = l.Target
-			exec.Span.Alg = l.Algorithm
-			exec.Span.N = len(l.Sessions)
-			sessIDs = make([]obs.SpanID, len(l.Sessions))
-			sessionIdx = make(map[int]int, len(l.Sessions))
-			for i, s := range l.Sessions {
-				sessIDs[i] = w.spans.NewSpanID()
-				sessionIdx[s] = i
+			w.exec = w.spans.Start(parent, "execute")
+			w.exec.Span.Lease = l.ID
+			w.exec.Span.Target = l.Target
+			w.exec.Span.Alg = l.Algorithm
+			w.exec.Span.N = len(l.Sessions)
+			w.sessIDs = w.sessIDs[:0]
+			for range l.Sessions {
+				w.sessIDs = append(w.sessIDs, w.spans.NewSpanID())
 			}
 		} else {
 			w.logf("lease %s: bad traceparent %q: %v", l.ID, l.Traceparent, err)
-		}
-	}
-	// The phase hook feeds the checkpoint_fork histogram always (it is the
-	// only phase signal RunSession exposes) and, when traced, the
-	// prefix-replay spans. Consulted once per session, between schedules —
-	// it cannot perturb results.
-	cfg.Phase = func(session int, phase string, start time.Time, d time.Duration) {
-		if phase != "prefix" {
-			return
-		}
-		w.lat.Observe("checkpoint_fork", d)
-		if exec.Active() {
-			if i, ok := sessionIdx[session]; ok {
-				w.spans.Add(obs.Span{
-					Trace: exec.Span.Trace, Parent: sessIDs[i], Name: "prefix-replay",
-					Start: start.UnixNano(), Dur: int64(d), Session: session + 1,
-				})
-			}
 		}
 	}
 
@@ -311,7 +306,6 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 	// lease making none for the deadline gets its stall dumped. This is
 	// the worker-side mirror of the coordinator's aging-lease rule — the
 	// coordinator can only say "stalled", the watchdog says where.
-	var progress atomic.Int64
 	if w.Watchdog > 0 {
 		wdCtx, stopWD := context.WithCancel(ctx)
 		defer stopWD()
@@ -324,7 +318,7 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 				}
 			}
 		}
-		go watchLease(wdCtx, w.Watchdog, &progress, func(age time.Duration) { stalled(leaseID, age) })
+		go watchLease(wdCtx, w.Watchdog, &w.progress, func(age time.Duration) { stalled(leaseID, age) })
 	}
 
 	start := time.Now()
@@ -333,40 +327,20 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 	}
 	w.keys, w.sessions = w.keys[:0], w.sessions[:0]
 	for _, session := range l.Sessions {
-		w.keys = append(w.keys, runner.KeyFor(tgt, l.Algorithm, cfg, session))
+		w.keys = append(w.keys, runner.KeyFor(tgt, l.Algorithm, w.cfg, session))
 		w.sessions = append(w.sessions, nil)
 	}
 	defer clear(w.sessions) // the kept array must not keep the sessions
-	_, err := workpool.Map(w.Workers, len(l.Sessions), func(i int) (struct{}, error) {
-		session := l.Sessions[i]
-		t0 := time.Now()
-		sess, err := w.cache.RunSession(ctx, tgt, l.Algorithm, cfg, session)
-		if err != nil {
-			return struct{}{}, err
-		}
-		d := time.Since(t0)
-		w.lat.Observe("session", d)
-		progress.Add(1)
-		if exec.Active() {
-			// Recorded retroactively under the pre-minted ID so the
-			// prefix-replay span already points at it.
-			w.spans.Add(obs.Span{
-				Trace: exec.Span.Trace, Parent: exec.Span.ID, ID: sessIDs[i],
-				Name: "session", Start: t0.UnixNano(), Dur: int64(d),
-				Session: session + 1,
-			})
-		}
-		w.sessions[i] = sess
-		return struct{}{}, nil
-	})
+	// Sequential when Workers normalizes to 1: Map's own plain loop.
+	_, err := workpool.Map(w.Workers, len(l.Sessions), w.runOne)
 	w.hbLease.Store(nil)
 	if err != nil {
 		return err
 	}
 	busy := time.Since(start).Milliseconds()
 	var spans []obs.Span
-	if exec.Active() {
-		exec.End()
+	if w.exec.Active() {
+		w.exec.End()
 		spans = w.spans.Drain()
 		if w.RetainSpans {
 			w.retainMu.Lock()
@@ -379,13 +353,61 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 	if w.line.buf, err = appendResultRequest(w.line.begin(), w.Name, l.ID, busy, w.keys, w.sessions, spans); err != nil {
 		return err
 	}
-	if err := w.call(ctx, w.line.result, spanHeader(exec), "submit", resp); err != nil {
+	if err := w.call(ctx, w.line.result, spanHeader(w.exec), "submit", resp); err != nil {
 		return err
 	}
 	if w.Logf != nil {
 		w.Logf("lease %s: %d accepted, %d duplicate", leaseID, resp.Accepted, resp.Duplicates)
 	}
 	return nil
+}
+
+// runSession runs the i-th session of the lease in execution into
+// w.sessions[i].
+func (w *Worker) runSession(ctx context.Context, i int) error {
+	session := w.keys[i].Session
+	t0 := time.Now()
+	sess, err := w.cache.RunSession(ctx, w.tgt, w.keys[i].Algorithm, w.cfg, session)
+	if err != nil {
+		return err
+	}
+	d := time.Since(t0)
+	w.lat.Observe("session", d)
+	w.progress.Add(1)
+	if w.exec.Active() {
+		// Recorded retroactively under the pre-minted ID so the
+		// prefix-replay span already points at it.
+		w.spans.Add(obs.Span{
+			Trace: w.exec.Span.Trace, Parent: w.exec.Span.ID, ID: w.sessIDs[i],
+			Name: "session", Start: t0.UnixNano(), Dur: int64(d),
+			Session: session + 1,
+		})
+	}
+	w.sessions[i] = sess
+	return nil
+}
+
+// observePhase is the lease's Config.Phase: it feeds the checkpoint_fork
+// histogram always (it is the only phase signal RunSession exposes) and,
+// when traced, the prefix-replay spans. Consulted once per session, between
+// schedules — it cannot perturb results.
+func (w *Worker) observePhase(session int, phase string, start time.Time, d time.Duration) {
+	if phase != "prefix" {
+		return
+	}
+	w.lat.Observe("checkpoint_fork", d)
+	if !w.exec.Active() {
+		return
+	}
+	for i, k := range w.keys {
+		if k.Session == session {
+			w.spans.Add(obs.Span{
+				Trace: w.exec.Span.Trace, Parent: w.sessIDs[i], Name: "prefix-replay",
+				Start: start.UnixNano(), Dur: int64(d), Session: session + 1,
+			})
+			return
+		}
+	}
 }
 
 // watchLease fires stalled whenever progress makes no forward motion for a
@@ -520,10 +542,10 @@ func replyError(path string, resp *http.Response) error {
 type rpc struct {
 	client *http.Client
 	// lease and result are the two requests as they go out every time —
-	// method, URL, context, and one header between them — copied and given
-	// a body per post. Nothing writes to that header: net/http does not
-	// modify a request's, and the posts that must add to it (see post) add
-	// to a copy.
+	// method, URL, context, and one header between them — copied onto the
+	// body's request and given the body per post. Nothing writes to that
+	// header: net/http does not modify a request's, and the posts that must
+	// add to it (see post) add to a copy.
 	lease, result *http.Request
 	getBodyFn     func() (io.ReadCloser, error) // r.getBody, bound once
 	// buf is the request body: begin hands it out empty, the caller appends
@@ -536,13 +558,14 @@ type rpc struct {
 }
 
 // rpcBody is a request body over rpc.buf that knows when net/http is done
-// with it. A transport may still be writing a request out after its reply
-// has come back, or after the attempt has failed (http.RoundTripper says as
-// much), and until it has closed the body neither the reader nor the bytes
-// under it may change.
+// with it, and the request it goes out in. A transport may still be writing
+// a request out after its reply has come back, or after the attempt has
+// failed (http.RoundTripper says as much), and until it has closed the body
+// neither the request, nor the reader, nor the bytes under it may change.
 type rpcBody struct {
 	bytes.Reader
 	closed atomic.Bool
+	req    http.Request
 }
 
 func newRPCBody() *rpcBody {
@@ -597,7 +620,7 @@ func (r *rpc) post(tmpl *http.Request, traceparent string) ([]byte, error) {
 	}
 	r.body.Reset(r.buf)
 	r.body.closed.Store(false)
-	req := new(http.Request)
+	req := &r.body.req
 	*req = *tmpl
 	req.Body, req.ContentLength, req.GetBody = r.body, int64(len(r.buf)), r.getBodyFn
 	if traceparent != "" || r.client.Jar != nil { // a jar adds its cookies to the header it is given

@@ -171,8 +171,17 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		}
 	}
 	if cfg.Store != nil {
-		stored, err := cfg.Store.Store(key, sess)
-		return stored, true, err
+		flight := sess.Flight
+		stored, err := cfg.Store.Store(key, sess) // sess is the store's now
+		if err != nil || flight == "" {
+			return stored, true, err
+		}
+		// The stored record names no flight, so that a resumed session claims
+		// no artifact it did not write; this run wrote one, and reports it on
+		// a copy of its own.
+		out := *stored
+		out.Flight = flight
+		return &out, true, nil
 	}
 	return sess, true, nil
 }

@@ -87,10 +87,11 @@ type Config struct {
 	FlightDir string
 	// Store, when non-nil, makes the batch resumable: each session's key is
 	// looked up before it runs (a hit is returned without executing a single
-	// schedule) and every freshly executed session is persisted on
-	// completion. Both paths return the store's canonical (wire round-trip)
-	// form, so a resumed batch is byte-identical to an uninterrupted one at
-	// any Workers setting. Attaching a store never changes which threads are
+	// schedule) and every freshly executed session is handed to it on
+	// completion. Both paths report the store's canonical (wire round-trip)
+	// session, so a resumed batch is byte-identical to an uninterrupted one
+	// at any Workers setting; a fresh session's Flight is reported beside it,
+	// never stored. Attaching a store never changes which threads are
 	// scheduled: it is consulted strictly between sessions (see
 	// internal/campaign). Resumed sessions do not re-run, so they feed
 	// neither Metrics nor the flight recorder.
@@ -126,6 +127,11 @@ type SessionKey struct {
 // indirection keeps the runner free of storage concerns (and of an import
 // cycle). Implementations must be safe for concurrent use: parallel
 // sessions look up and store concurrently.
+//
+// A stored session is owned once and shared read-only: Store takes
+// ownership of the session it is handed — the caller writes it no more —
+// and the sessions Store and Lookup return may be the store's own records,
+// which nobody may write.
 type SessionStore interface {
 	// Lookup returns the previously stored session for the key, if any.
 	Lookup(SessionKey) (*Session, bool)
