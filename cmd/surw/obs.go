@@ -43,8 +43,8 @@ import (
 // record, growing the benchmark trajectory `make bench` maintains beside
 // the BENCH_obs.json snapshot. -bench-compare OLD NEW reads two such
 // snapshots and exits non-zero when any shared benchmark's schedules/s
-// dropped by more than -tolerance (default 10%) — the ci.sh throughput
-// gate. -atlas validates an exploration-atlas export (`surw bench -atlas`),
+// dropped by more than -tolerance (default 10%); ci.sh gates with -gate
+// alone. -atlas validates an exploration-atlas export (`surw bench -atlas`),
 // prints each cell's cartography totals and uniformity verdict (ok /
 // DRIFT / n/a), and with -out renders the full SVG atlas document.
 func obsCmd(_ context.Context, args []string, stdout, stderr io.Writer) int {

@@ -1,7 +1,8 @@
 package campaign
 
 // Fleet health: the coordinator's stall-detection verdicts in a wire form
-// the dashboard and /api/health can serve: wire types and their renderer.
+// the dashboard and /v1/status (RemoteStatus.Health) serve: wire types and
+// their renderer.
 // The rules that fill them are internal/remote/health.go's, the only rule
 // set there is; the types are here for the same layering reason as
 // RemoteStatus — remote imports campaign, never the other way — and, like

@@ -2,10 +2,10 @@ package obs
 
 // Benchmark trajectory tooling: BENCH_obs.json is the latest run's parsed
 // results, BENCH_history.jsonl is the append-only trail of every `make
-// bench` (one timestamped record per run), and CompareBench is the
-// regression gate between any two parsed result sets — ci.sh uses it to
-// fail a branch whose schedules/s dropped more than the tolerance against
-// the committed baseline.
+// bench` (one timestamped record per run), and CompareBench compares any
+// two parsed result sets, failing when a shared benchmark's schedules/s
+// dropped more than the tolerance (`surw obs -bench-compare`; ci.sh's
+// gates are `surw obs -gate` expressions, not this).
 
 import (
 	"encoding/json"

@@ -224,7 +224,6 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	c.mux.HandleFunc(PathResult, func(w http.ResponseWriter, r *http.Request) { c.handle(w, r, false) })
 	c.mux.HandleFunc(PathStatus, c.handleStatus)
 	c.mux.HandleFunc(PathSpans, c.handleSpans)
-	c.mux.HandleFunc(PathHealth, c.handleHealth)
 	c.mux.Handle("/metrics", obs.PromHandler(func(w io.Writer) error { return c.Status().WritePrometheus(w) }))
 	return c
 }
@@ -620,12 +619,6 @@ func decodeSpans(raw []byte) ([]obs.Span, error) {
 func (c *Coordinator) handleSpans(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl")
 	_ = obs.WriteSpansJSONL(w, c.Spans())
-}
-
-// handleHealth serves the stall-detection report.
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, c.Health())
 }
 
 // Spans snapshots the fleet span log (nil when tracing is off) — what

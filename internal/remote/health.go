@@ -2,7 +2,8 @@ package remote
 
 // The coordinator-side health engine: stall detection over the soft state
 // the coordinator already tracks. Three rules, each cheap enough to
-// evaluate on every /api/health request under the handler mutex:
+// evaluate on every Status call (/v1/status, /metrics, the dashboard)
+// under the handler mutex:
 //
 //   - stale workers: a worker whose last request is older than 3x the
 //     lease TTL (heartbeats arrive at TTL/3, so this means ~9 missed
@@ -128,13 +129,4 @@ func (c *Coordinator) healthLocked(now time.Time) *campaign.HealthReport {
 
 	h.Healthy = len(h.Issues) == 0
 	return h
-}
-
-// Health evaluates the stall rules against the current soft state.
-func (c *Coordinator) Health() *campaign.HealthReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	c.expireStaleLocked(now)
-	return c.healthLocked(now)
 }

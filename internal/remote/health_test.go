@@ -1,7 +1,7 @@
 package remote
 
 // Stall-detection tests: each health rule exercised over the injectable
-// clock, plus the /api/health endpoint and the surw_health_* gauges.
+// clock, plus the verdicts on /v1/status and the surw_health_* gauges.
 
 import (
 	"context"
@@ -29,14 +29,14 @@ func TestHealthStaleWorker(t *testing.T) {
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 
-	if h := c.Health(); !h.Healthy {
+	if h := c.Status().Health; !h.Healthy {
 		t.Fatalf("fresh coordinator unhealthy: %+v", h)
 	}
 	leaseFor(t, srv.URL, "a")
 	// StaleWorkerAfter defaults to 3x the TTL; 4 minutes of silence
 	// crosses it (and expires the lease, so no aging-lease issue).
 	clk.advance(4 * time.Minute)
-	h := c.Health()
+	h := c.Status().Health
 	if h.Healthy || h.StaleWorkers != 1 {
 		t.Fatalf("health after silence: %+v, want 1 stale worker", h)
 	}
@@ -67,7 +67,7 @@ func TestHealthAgingLease(t *testing.T) {
 			t.Fatalf("heartbeat %d: status %d", i, code)
 		}
 	}
-	h := c.Health()
+	h := c.Status().Health
 	if h.Healthy || h.AgingLeases != 1 || h.StaleWorkers != 0 {
 		t.Fatalf("health: %+v, want exactly 1 aging lease", h)
 	}
@@ -93,7 +93,7 @@ func TestHealthSlowCell(t *testing.T) {
 	c.cells[campaign.CellKey{Target: "t/new", Algorithm: "RW"}] = &cellStat{schedules: 1, busy: time.Millisecond}
 	c.mu.Unlock()
 
-	h := c.Health()
+	h := c.Status().Health
 	if h.Healthy || h.SlowCells != 1 {
 		t.Fatalf("health: %+v, want exactly 1 slow cell", h)
 	}
@@ -112,7 +112,7 @@ func TestHealthSlowCellNeedsTwoMeasured(t *testing.T) {
 	c.mu.Lock()
 	c.cells[campaign.CellKey{Target: "t/only", Algorithm: "RW"}] = &cellStat{schedules: 10, busy: 10 * time.Second}
 	c.mu.Unlock()
-	if h := c.Health(); !h.Healthy {
+	if h := c.Status().Health; !h.Healthy {
 		t.Fatalf("single-cell fleet flagged: %+v", h)
 	}
 }
@@ -128,17 +128,27 @@ func TestHealthEndpointAndGauges(t *testing.T) {
 	leaseFor(t, srv.URL, "a")
 	clk.advance(4 * time.Minute)
 
-	resp, err := http.Get(srv.URL + PathHealth)
+	// The verdicts are a member of the status page; there is no second
+	// health page.
+	resp, err := http.Get(srv.URL + PathStatus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h campaign.HealthReport
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	var served campaign.RemoteStatus
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
 		t.Fatal(err)
 	}
-	if h.Healthy || h.StaleWorkers != 1 {
-		t.Fatalf("/api/health: %+v", h)
+	if h := served.Health; h == nil || h.Healthy || h.StaleWorkers != 1 {
+		t.Fatalf("%s health: %+v", PathStatus, h)
+	}
+	gone, err := http.Get(srv.URL + "/api/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /api/health: status %d, want 404", gone.StatusCode)
 	}
 
 	// The same verdict rides RemoteStatus and its Prometheus page.

@@ -33,8 +33,11 @@
 //	POST /v1/result     ResultRequest → ResultResponse, idempotent (a
 //	                    record the store already holds is counted and
 //	                    dropped); the reply is the next lease reply too
-//	GET  /v1/status     campaign.RemoteStatus snapshot
-//	GET  /metrics       Prometheus text page (surw_remote_* gauges)
+//	GET  /v1/status     campaign.RemoteStatus snapshot, health verdicts
+//	                    included
+//	GET  /v1/spans      the fleet span log as JSONL
+//	GET  /metrics       Prometheus text page (surw_remote_* and
+//	                    surw_health_* gauges)
 //
 // Lease lifecycle: a batch of same-cell session indices is pending →
 // leased (worker, TTL clock) → done. Batches are granted in plan order,
@@ -66,7 +69,6 @@ const (
 	PathResult    = "/v1/result"
 	PathStatus    = "/v1/status"
 	PathSpans     = "/v1/spans"
-	PathHealth    = "/api/health"
 )
 
 // LeaseRequest asks for one batch of work.

@@ -136,7 +136,7 @@ func TestExpiredLeaseClosesSpan(t *testing.T) {
 
 	leaseFor(t, srv.URL, "dead")
 	clk.advance(2 * time.Minute)
-	c.Health() // forces expiry
+	c.Status() // forces expiry
 
 	var found bool
 	for _, s := range c.Spans() {

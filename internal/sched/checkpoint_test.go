@@ -202,7 +202,7 @@ func TestCheckpointSurvivesPoolRecycling(t *testing.T) {
 		pool.RunFrom(cp, midCSProg, &rrIndex{}, Options{Base: Base{Seed: seed}, RecordTrace: true})
 	}
 	pool.Run(parkedSenderProg, &rrIndex{}, Options{Base: Base{Seed: 3}, RecordTrace: true})
-	pool.Reset()
+	pool.Close()
 	pool.Run(parkedSenderProg, &rrIndex{}, Options{Base: Base{Seed: 4}, RecordTrace: true})
 
 	// The checkpoint must be bitwise intact...

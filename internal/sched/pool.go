@@ -43,11 +43,13 @@ func (p *Pool) RunInto(res *Result, prog func(*Thread), alg Algorithm, opts Opti
 	return p.ex.runWith(prog, alg, opts, false, nil, res)
 }
 
-// Reset drops the pooled schedule state while keeping allocated capacity,
-// leaving the pool as if freshly constructed but warm. It is not required
-// between runs — Run resets implicitly — but lets a long-lived pool be
-// repointed at a different program without carrying stale interned names.
-func (p *Pool) Reset() {
+// Close releases the pool's parked worker goroutines and drops its
+// interned names, spawn memo and object tables. A pool whose last Run has
+// returned may simply be dropped if leaking its workers until process exit
+// is acceptable; long-lived processes cycling through many pools (the
+// parallel runner) should Close each one. Run may be called again after
+// Close — fresh workers are started on demand, as on a new pool.
+func (p *Pool) Close() {
 	p.closeWorkers()
 	p.ex.names = nil
 	p.ex.byPath = nil
@@ -57,13 +59,6 @@ func (p *Pool) Reset() {
 	p.ex.trace = nil
 	p.ex.state = nil
 }
-
-// Close releases the pool's parked worker goroutines. A pool whose last
-// Run has returned may simply be dropped if leaking its workers until
-// process exit is acceptable; long-lived processes cycling through many
-// pools (the parallel runner) should Close each one. Run may be called
-// again after Close — fresh workers are started on demand.
-func (p *Pool) Close() { p.Reset() }
 
 // closeWorkers unwinds the parked worker coroutines of a persistent
 // execution (stop is a no-op on coroutines that already exited) and drops

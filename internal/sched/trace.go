@@ -11,9 +11,10 @@ package sched
 // without the hook.
 //
 // The enabled path is the production path: the batched engine fires Decide
-// from execute and replayStep (fast.go), on the deciding goroutine, so a
-// traced session keeps inline continuation, deferred priming and its
-// prefix checkpoint. The slow loop fires the same calls with the same
+// from execute (fast.go) — for every step, a replayed forced step of a
+// checkpointed prefix included — on the deciding goroutine, so a traced
+// session keeps inline continuation, deferred priming and its prefix
+// checkpoint. The slow loop fires the same calls with the same
 // arguments — crosscheck's decision-stream oracle holds the two equal —
 // and takes over mid-stream when a schedule outgrows the 64-thread mask.
 // What a tracer costs is then what its Decide does; ci.sh gates
