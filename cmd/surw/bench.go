@@ -32,8 +32,8 @@ import (
 //	ftp     Table 3 + Figure 5 - LightFTP case-study coverage and entropy
 //	all     everything above
 //
-// The default budgets reproduce the paper's result shapes in minutes;
-// -scale paper switches to the paper's full budgets (days of compute).
+// The default budgets reproduce the paper's result shapes in 35 s at two
+// workers; -scale paper restores the paper's budgets (about half an hour).
 // With -out DIR, each table is also written as .txt and .csv. -metrics FILE
 // attaches the observability aggregator (internal/obs) to every experiment
 // driver, prints its one-line summary under each table, and writes the
@@ -56,8 +56,8 @@ import (
 // drained by N workers on one cache of warm per-target state.
 //
 // Distributed campaigns: -coordinate ADDR serves the internal/remote lease
-// queue for the same plan — the sessions of whichever of sct, rb and ftp
-// were asked for — and waits for `surw worker` fleets to execute them. When
+// queue for the same plan — the sessions of whichever experiments were
+// asked for — and waits for `surw worker` fleets to execute them. When
 // the plan is complete the normal path renders the tables from the store,
 // so a distributed run's tables and aggregates.json are byte-identical to
 // a local run's.
@@ -189,7 +189,7 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 				return usagef("-coordinate requires -campaign DIR")
 			}
 			var planned []string // in the order the experiments run below
-			for _, name := range []string{"sct", "rb", "ftp"} {
+			for _, name := range alias["all"] {
 				if want[name] {
 					planned = append(planned, name)
 				}
@@ -266,9 +266,9 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 				name, time.Since(start).Round(time.Millisecond), workpool.Normalize(sc.Workers))
 		}
 		timed("fig2", func() string {
-			f := experiments.Figure2(sc.Fig2Trials, sc.Seed, sc.Workers)
+			f := experiments.Figure2(sc, progress)
 			emit("figure2", f.Render(*full), "")
-			return ""
+			return f.ThroughputFooter()
 		})
 		timed("sct", func() string {
 			r := experiments.SCTBench(sc, progress)

@@ -182,22 +182,23 @@ func TestFleetAtlas(t *testing.T) {
 		`surw_atlas_drift_alarm\{target="Fig1/bitshift_4",algorithm="RW"\} 1`)
 }
 
-// TestFleetAllGrids: every session-backed experiment is a plan a fleet can
-// drain, not Tables 1/4 alone. One campaign of sct, rb and ftp cells —
-// RaceBench targets, and LightFTP trials beyond the first, which a worker
-// resolves from the program seed in the cell's name — sharded over two
-// workers leaves the tables on stdout and aggregates.json byte-identical to
-// the local run's.
+// TestFleetAllGrids: every experiment is a plan a fleet can drain, not
+// Tables 1/4 alone. One campaign of fig2, sct, rb and ftp cells — Figure
+// 2's bitshift_5, RaceBench targets, and LightFTP trials beyond the first,
+// which a worker resolves from the program seed in the cell's name —
+// sharded over two workers leaves the tables on stdout and aggregates.json
+// byte-identical to the local run's.
 func TestFleetAllGrids(t *testing.T) {
 	cells := []string{"-sct-targets", "CS/reorder_4,CS/twostage_20", "-sct-algs", "SURW,RW", "-sessions", "2", "-limit", "100",
 		"-rb-limit", "30", "-ftp-trials", "2", "-ftp-limit", "40", "-q"}
-	experiments := []string{"sct", "rb", "ftp"}
+	experiments := []string{"fig2", "sct", "rb", "ftp"}
 	localDir := filepath.Join(t.TempDir(), "local")
 	local := mustRun(t, append(append([]string{"bench", "-campaign", localDir, "-workers", "2"}, cells...), experiments...)...)
 
 	f := startFleetOf(t, experiments, append([]string{"-lease-batch", "2"}, cells...)...)
-	// 2 targets x 2 algorithms x 2 sessions, 15 bases x 5, 2 trials x 4.
-	wantMatch(t, "coordinator /metrics", metricsPage(t, f.url), `(?m)^surw_remote_sessions_planned 91$`)
+	// 3 algorithms x 10 sessions, 2 targets x 2 algorithms x 2 sessions,
+	// 15 bases x 5, 2 trials x 4.
+	wantMatch(t, "coordinator /metrics", metricsPage(t, f.url), `(?m)^surw_remote_sessions_planned 121$`)
 	got := f.finish(t, f.worker(t, "g1"), f.worker(t, "g2"))
 	if want := readFile(t, filepath.Join(localDir, "aggregates.json")); !bytes.Equal(got, want) {
 		t.Errorf("distributed aggregates differ from the local run's")
@@ -205,7 +206,7 @@ func TestFleetAllGrids(t *testing.T) {
 	if tables := f.coord.stdout.String(); tables != local.stdout {
 		t.Errorf("the fleet-drained campaign's tables differ from the local run's:\n%s\nwant:\n%s", tables, local.stdout)
 	}
-	wantMatch(t, "tables", local.stdout, `Table 1`, `Table 2`, `Table 3`, `Figure 5a`)
+	wantMatch(t, "tables", local.stdout, `Figure 2`, `Table 1`, `Table 2`, `Table 3`, `Figure 5a`)
 }
 
 // TestFleetFlagsNeedACoordinator: the flags that configure the coordinator

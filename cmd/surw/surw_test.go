@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"surw/internal/buildinfo"
+	"surw/internal/experiments"
 	"surw/internal/obs"
 	"surw/internal/replay"
 	"surw/internal/sched"
@@ -231,28 +232,40 @@ func TestObservedScheduleIsTheReportedOne(t *testing.T) {
 	}
 }
 
-// TestKillResume: a two-cell campaign killed (exit 3, a real process) after
-// its first cell must, resumed at a different worker count, produce
-// aggregates byte-identical to an uninterrupted run's.
+// TestKillResume: a campaign killed (exit 3, a real process) after its
+// first cell must, resumed at a different worker count, produce aggregates
+// byte-identical to an uninterrupted run's: a two-cell sct campaign, and
+// Figure 2 at its default scale, a grid like the others.
 func TestKillResume(t *testing.T) {
-	_, want := reference(t, reorderCells)
-	dir := filepath.Join(t.TempDir(), "res")
-	campaign := func(extra ...string) (string, int) {
-		args := append([]string{"bench", "-campaign", dir}, append(reorderCells, extra...)...)
-		_, stderr, code := binary(append(args, "-q", "sct")...)
-		return stderr, code
-	}
-	if stderr, code := campaign("-workers", "1", "-stop-after-cells", "1"); code != 3 {
-		t.Fatalf("-stop-after-cells 1: exit %d, want 3\n%s", code, stderr)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "aggregates.json")); err == nil {
-		t.Fatal("the killed campaign wrote aggregates.json")
-	}
-	if stderr, code := campaign("-workers", "4"); code != 0 {
-		t.Fatalf("resume: exit %d\n%s", code, stderr)
-	}
-	if got := readFile(t, filepath.Join(dir, "aggregates.json")); !bytes.Equal(got, want) {
-		t.Errorf("resumed aggregates differ from the uninterrupted run's:\n%s\nwant:\n%s", got, want)
+	_, sctWant := reference(t, reorderCells)
+	fig2Ref := filepath.Join(t.TempDir(), "fig2-ref")
+	mustRun(t, "bench", "-campaign", fig2Ref, "-workers", "2", "-q", "fig2")
+	for _, c := range []struct {
+		exp   string
+		cells []string
+		want  []byte
+	}{
+		{"sct", reorderCells, sctWant},
+		{"fig2", nil, readFile(t, filepath.Join(fig2Ref, "aggregates.json"))},
+	} {
+		dir := filepath.Join(t.TempDir(), c.exp)
+		campaign := func(extra ...string) (string, int) {
+			args := append([]string{"bench", "-campaign", dir}, append(c.cells, extra...)...)
+			_, stderr, code := binary(append(args, "-q", c.exp)...)
+			return stderr, code
+		}
+		if stderr, code := campaign("-workers", "1", "-stop-after-cells", "1"); code != 3 {
+			t.Fatalf("%s -stop-after-cells 1: exit %d, want 3\n%s", c.exp, code, stderr)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "aggregates.json")); err == nil {
+			t.Fatalf("the killed %s campaign wrote aggregates.json", c.exp)
+		}
+		if stderr, code := campaign("-workers", "4"); code != 0 {
+			t.Fatalf("%s resume: exit %d\n%s", c.exp, code, stderr)
+		}
+		if got := readFile(t, filepath.Join(dir, "aggregates.json")); !bytes.Equal(got, c.want) {
+			t.Errorf("resumed %s aggregates differ from the uninterrupted run's:\n%s\nwant:\n%s", c.exp, got, c.want)
+		}
 	}
 }
 
@@ -399,6 +412,12 @@ func TestListedTargetsResolve(t *testing.T) {
 	mustRun(t, "prof", "-target", "bitshift_3")
 	// A LightFTP trial beyond the first, as the ftp experiment names it.
 	mustRun(t, "prof", "-target", "LightFTP@98")
+	// Every target a `surw bench` plan names, which a fleet worker resolves.
+	for _, k := range experiments.Plan(experiments.DefaultScale(), "fig2", "sct", "rb", "ftp") {
+		if _, ok := lookupTarget(k.Target); !ok {
+			t.Errorf("the plan's target %s does not resolve", k.Target)
+		}
+	}
 	if out := run("prof", "-target", "LightFTP@x"); out.code != 2 {
 		t.Errorf("prof -target LightFTP@x: exit %d, want 2", out.code)
 	}

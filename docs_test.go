@@ -18,6 +18,11 @@ package surw_test
 //     against the server code's string literals, and benchmark metric names
 //     (dotted or snake_case) against BENCHMARK.json.
 //
+// The numbers are checked too: every number in a "Measured" table of
+// EXPERIMENTS.md equals its cell in the results/ file named above the table
+// (TestMeasuredTablesQuoteResults), and results/ itself is what `surw bench
+// -out results all` writes (ci.sh).
+//
 // Skipped by rule: names qualified by a standard-library package,
 // artifact names (aggregates.json, DIR/…), placeholders (surwsync.X,
 // <sub>), and spans that are expressions rather than names. What is left
@@ -26,6 +31,7 @@ package surw_test
 // checked.
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -37,6 +43,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -967,4 +974,203 @@ func (tr *tree) isMetric(name string) bool {
 		}
 	}
 	return false
+}
+
+// TestMeasuredTablesQuoteResults: EXPERIMENTS.md publishes what the build
+// writes. A Measured table — one whose introducing paragraph starts with
+// "Measured" — names its results/ file in that paragraph, and each of its
+// numbers equals the one in the file's cell at the same row (found by the
+// first cell) and column (found by the header).
+func TestMeasuredTablesQuoteResults(t *testing.T) {
+	text, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, problems := checkMeasured(string(text))
+	for _, p := range problems {
+		t.Error(p)
+	}
+	// Figure 2, Tables 1-4 and Figure 5.
+	if tables < 6 {
+		t.Errorf("%d Measured tables checked, want one per published table or figure", tables)
+	}
+}
+
+// A number changed in any row of any Measured table is reported.
+func TestMeasuredCheckerCatchesPlantedNumber(t *testing.T) {
+	text, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(text), "\n")
+	planted := 0
+	for _, tb := range measuredTables(lines) {
+		for _, at := range tb.rows {
+			cells := strings.Split(lines[at], "|")
+			loc := docNumber.FindStringIndex(cells[2])
+			if loc == nil {
+				continue
+			}
+			cells[2] = cells[2][:loc[0]] + "9" + cells[2][loc[0]:]
+			mutated := slices.Clone(lines)
+			mutated[at] = strings.Join(cells, "|")
+			_, problems := checkMeasured(strings.Join(mutated, "\n"))
+			if !slices.ContainsFunc(problems, func(p string) bool { return strings.HasPrefix(p, fmt.Sprintf("EXPERIMENTS.md:%d: ", at+1)) }) {
+				t.Errorf("EXPERIMENTS.md:%d: a number planted in %q is not reported", at+1, mutated[at])
+			}
+			planted++
+		}
+	}
+	if planted < 6 {
+		t.Errorf("planted %d numbers, want one in a row of every Measured table", planted)
+	}
+}
+
+var (
+	// docNumber is a number as a table writes it: 35, 6.51, 5.5e-10.
+	docNumber = regexp.MustCompile(`\d+(?:\.\d+)?(?:e[-+]\d+)?`)
+	// resultsFile is a results/ file named in a paragraph.
+	resultsFile = regexp.MustCompile("`(results/[\\w.]+)`")
+	// columnGap separates the columns of a report.Table's text.
+	columnGap = regexp.MustCompile(`\s{2,}`)
+)
+
+// measuredTable is one Measured table: the line it starts at, the
+// results/ files its paragraph names, its header cells and the lines of its
+// body rows (0-based line indices).
+type measuredTable struct {
+	line   int
+	files  []string
+	header []string
+	rows   []int
+}
+
+// measuredTables finds the Markdown tables whose introducing paragraph (the
+// last one before the table, fenced blocks skipped) starts with "Measured".
+func measuredTables(lines []string) []measuredTable {
+	var out []measuredTable
+	var para string
+	fenced, prevBlank := false, true
+	for i := 0; i < len(lines); i++ {
+		l := lines[i]
+		switch {
+		case strings.HasPrefix(strings.TrimLeft(l, " "), "```"):
+			fenced, prevBlank = !fenced, true
+		case fenced:
+		case strings.HasPrefix(l, "|"):
+			tb := measuredTable{line: i, header: tableCells(l)}
+			for i++; i < len(lines) && strings.HasPrefix(lines[i], "|"); i++ {
+				if i > tb.line+1 {
+					tb.rows = append(tb.rows, i)
+				}
+			}
+			i--
+			if strings.HasPrefix(para, "Measured") {
+				for _, m := range resultsFile.FindAllStringSubmatch(para, -1) {
+					tb.files = append(tb.files, m[1])
+				}
+				out = append(out, tb)
+			}
+			para, prevBlank = "", true
+		case strings.TrimSpace(l) == "":
+			prevBlank = true
+		default:
+			if prevBlank {
+				para = ""
+			}
+			para, prevBlank = strings.TrimSpace(para+" "+l), false
+		}
+	}
+	return out
+}
+
+// tableCells splits a Markdown table row into its trimmed cells, bold
+// markers and code quotes removed.
+func tableCells(row string) []string {
+	cells := strings.Split(strings.Trim(strings.TrimSpace(row), "|"), "|")
+	for i, c := range cells {
+		cells[i] = strings.TrimSpace(strings.NewReplacer("**", "", "`", "").Replace(c))
+	}
+	return cells
+}
+
+// checkMeasured checks every Measured table of an EXPERIMENTS.md text
+// against the results/ files and returns how many tables it checked.
+func checkMeasured(text string) (int, []string) {
+	lines := strings.Split(text, "\n")
+	tables := measuredTables(lines)
+	var problems []string
+	for _, tb := range tables {
+		at := fmt.Sprintf("EXPERIMENTS.md:%d", tb.line+1)
+		if len(tb.files) != 1 {
+			problems = append(problems, fmt.Sprintf("%s: a Measured table names %d results/ files above it, want one", at, len(tb.files)))
+			continue
+		}
+		header, rows, err := readResultsTable(tb.files[0])
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", at, err))
+			continue
+		}
+		for _, r := range tb.rows {
+			cells := tableCells(lines[r])
+			at := fmt.Sprintf("EXPERIMENTS.md:%d", r+1)
+			got, ok := rows[cells[0]]
+			if !ok {
+				problems = append(problems, fmt.Sprintf("%s: %s has no row %q", at, tb.files[0], cells[0]))
+				continue
+			}
+			for j := 1; j < len(cells) && j < len(tb.header); j++ {
+				col := slices.Index(header, tb.header[j])
+				if col < 1 {
+					problems = append(problems, fmt.Sprintf("%s: %s has no column %q", at, tb.files[0], tb.header[j]))
+					continue
+				}
+				if want := docNumber.FindAllString(got[col], -1); !slices.Equal(docNumber.FindAllString(cells[j], -1), want) {
+					problems = append(problems, fmt.Sprintf("%s: %s/%s reads %q, %s has %q", at, cells[0], tb.header[j], cells[j], tb.files[0], got[col]))
+				}
+			}
+		}
+	}
+	return len(tables), problems
+}
+
+// readResultsTable reads the table of a results/ file: a .csv whole, a .txt
+// as report.Table renders it (the header above the line of dashes, columns
+// two or more spaces apart, rows up to the first footer). Rows are keyed by
+// their first cell.
+func readResultsTable(file string) (header []string, rows map[string][]string, err error) {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, nil, err
+	}
+	var records [][]string
+	if strings.HasSuffix(file, ".csv") {
+		if records, err = csv.NewReader(strings.NewReader(string(data))).ReadAll(); err != nil {
+			return nil, nil, fmt.Errorf("%s: %v", file, err)
+		}
+	} else {
+		lines := strings.Split(string(data), "\n")
+		for i := 1; i < len(lines); i++ {
+			if dashes := strings.Trim(lines[i], "-"); dashes != "" || len(lines[i]) < 3 {
+				continue
+			}
+			records = append(records, columnGap.Split(strings.TrimSpace(lines[i-1]), -1))
+			for _, l := range lines[i+1:] {
+				cells := columnGap.Split(strings.TrimSpace(l), -1)
+				if len(cells) != len(records[0]) {
+					break
+				}
+				records = append(records, cells)
+			}
+			break
+		}
+	}
+	if len(records) == 0 {
+		return nil, nil, fmt.Errorf("%s holds no table", file)
+	}
+	rows = map[string][]string{}
+	for _, r := range records[1:] {
+		rows[r[0]] = r
+	}
+	return records[0], rows, nil
 }

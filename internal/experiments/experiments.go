@@ -12,10 +12,10 @@ import (
 	"surw/internal/sched"
 )
 
-// Scale sets the experiment budgets. The paper's scale (20 sessions of 10^4
-// schedules, 10^6 for SafeStack, 5x10^4 RaceBench iterations, 20 FTP trials
-// of 10^4) takes days; DefaultScale reproduces the result shapes on a
-// laptop in minutes.
+// Scale sets the experiment budgets: the paper's (PaperScale: 20 sessions
+// of 10^4 schedules, 10^6 for SafeStack, 5x10^4 RaceBench iterations, 20
+// FTP trials of 10^4) or DefaultScale's, which reproduces the result
+// shapes in 35 s at two workers.
 type Scale struct {
 	// Seed derives all randomness.
 	Seed int64
@@ -33,13 +33,13 @@ type Scale struct {
 	FTPTrials int
 	FTPLimit  int
 
-	// Fig2Trials is the number of schedules per algorithm for Figure 2.
+	// Fig2Trials is Figure 2's schedules per algorithm, in Fig2Sessions sessions.
 	Fig2Trials int
 
 	// Workers is how many sessions are in flight at once: an experiment is
 	// its session plan — every (cell, session) of its grid in table order —
-	// drained by this many workers on one cache of warm per-target state
-	// (Figure 2 fans its three algorithms over them instead). 1 runs the
+	// drained by this many workers on one cache of warm per-target state.
+	// 1 runs the
 	// plan one session after another; <= 0 means one worker per CPU
 	// (runtime.GOMAXPROCS(0)). Every table and figure is bit-identical
 	// under any setting — cells and sessions derive their seeds from their
@@ -59,13 +59,11 @@ type Scale struct {
 	// batched fast path.
 	Atlas *atlas.Atlas
 
-	// Store, when non-nil, makes every session-backed experiment (sct, rb,
-	// ftp) crash-safe and resumable: completed sessions are persisted as
-	// they finish and skipped on restart, and the tables a resumed run
-	// renders are byte-identical to an uninterrupted run's at any Workers
-	// setting. internal/campaign provides the JSONL-backed implementation.
-	// Figure 2 samples schedules directly (no sessions), so it is rerun
-	// from scratch on resume.
+	// Store, when non-nil, makes every experiment crash-safe and
+	// resumable: completed sessions are persisted as they finish and
+	// skipped on restart, and the tables a resumed run renders are
+	// byte-identical to an uninterrupted run's at any Workers setting.
+	// internal/campaign provides the JSONL-backed implementation.
 	Store runner.SessionStore
 
 	// SCTTargets, when non-empty, restricts the SCTBench driver to the
@@ -99,7 +97,8 @@ func DefaultScale() Scale {
 	}
 }
 
-// PaperScale matches the paper's budgets. Expect days of compute.
+// PaperScale matches the paper's budgets: an estimated half hour at two
+// workers on a 2-vCPU box, of which Table 2 takes 5 minutes.
 func PaperScale() Scale {
 	return Scale{
 		Seed:           1,

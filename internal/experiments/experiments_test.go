@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,18 +27,24 @@ func tinyScale() Scale {
 func TestFigure2ShapesAndRender(t *testing.T) {
 	// Workers: 2 exercises the parallel grid; results are worker-count
 	// independent so the assertions below hold regardless.
-	f := Figure2(tinyScale().Fig2Trials, 1, 2)
-	if f.Classes != 252 {
-		t.Fatalf("classes = %d", f.Classes)
+	sc := tinyScale()
+	sc.Workers = 2
+	f := Figure2(sc, nil)
+	if f.Classes != 252 || f.Trials != sc.Fig2Trials || len(f.ChiSquare["URW"]) != Fig2Sessions {
+		t.Fatalf("classes = %d, trials = %d, %d URW sessions", f.Classes, f.Trials, len(f.ChiSquare["URW"]))
 	}
-	if f.ChiSquare["URW"] >= f.ChiSquare["RW"] {
-		t.Fatalf("URW chi2 %.0f should be far below RW %.0f", f.ChiSquare["URW"], f.ChiSquare["RW"])
+	// Every session of a baseline is further from uniform than every URW one.
+	urw := slices.Max(f.ChiSquare["URW"])
+	for _, alg := range []string{"RW", "PCT-10"} {
+		if base := slices.Min(f.ChiSquare[alg]); urw >= base {
+			t.Fatalf("URW chi2 up to %.0f should be far below %s's from %.0f", urw, alg, base)
+		}
+		if f.KSP[alg] > 1e-3 {
+			t.Fatalf("%s's session p-values pass for uniform: KS p = %g", alg, f.KSP[alg])
+		}
 	}
-	if f.ChiSquare["URW"] >= f.ChiSquare["PCT-10"] {
-		t.Fatalf("URW chi2 %.0f should be far below PCT-10 %.0f", f.ChiSquare["URW"], f.ChiSquare["PCT-10"])
-	}
-	if f.Distinct["URW"] < f.Distinct["PCT-10"] {
-		t.Fatalf("URW distinct %d < PCT-10 %d", f.Distinct["URW"], f.Distinct["PCT-10"])
+	if len(f.Histograms["URW"]) < len(f.Histograms["PCT-10"]) {
+		t.Fatalf("URW distinct %d < PCT-10 %d", len(f.Histograms["URW"]), len(f.Histograms["PCT-10"]))
 	}
 	out := f.Render(true)
 	for _, want := range []string{"Figure 2", "URW", "RW", "PCT-10", "#"} {

@@ -25,14 +25,14 @@ type grid struct {
 	line  func(i int, res *runner.Result) string
 }
 
-// grids are the session-backed experiments by their `surw bench` names.
-// Figure 2 samples schedules directly: it has no sessions, so no grid.
-var grids = map[string]func(Scale) grid{"sct": sctGrid, "rb": rbGrid, "ftp": ftpGrid}
+// grids are the experiments by their `surw bench` names.
+var grids = map[string]func(Scale) grid{"fig2": fig2Grid, "sct": sctGrid, "rb": rbGrid, "ftp": ftpGrid}
 
-// Plan enumerates the session keys of the named experiments ("sct", "rb",
-// "ftp"; any other name has no sessions) in run order — the shard units of
-// a distributed campaign, and the keys a local run of the same experiments
-// looks up and stores, so either finds in a store what the other put there.
+// Plan enumerates the session keys of the named experiments ("fig2",
+// "sct", "rb", "ftp"; any other name has none) in run order — the shard
+// units of a distributed campaign, and the keys a local run of the same
+// experiments looks up and stores, so either finds in a store what the
+// other put there.
 func Plan(sc Scale, names ...string) []runner.SessionKey {
 	var cells []runner.Cell
 	for _, name := range names {

@@ -8,11 +8,11 @@ import (
 	"surw/internal/runner"
 )
 
-// gridScale is tinyScale cut down to what the three grids need to have
-// several cells of several sessions each.
+// gridScale is tinyScale cut down to what the grids need to have several
+// cells of several sessions each.
 func gridScale(workers int) Scale {
 	sc := tinyScale()
-	sc.Sessions, sc.Limit, sc.RaceBenchLimit, sc.FTPLimit = 3, 60, 25, 40
+	sc.Sessions, sc.Limit, sc.RaceBenchLimit, sc.FTPLimit, sc.Fig2Trials = 3, 60, 25, 40, 300
 	sc.SCTTargets = []string{"CS/reorder_4", "CS/twostage_20", "CS/wronglock_3"}
 	sc.SCTAlgs = []string{"SURW", "PCT-3", "RW"}
 	sc.Workers = workers
@@ -73,9 +73,9 @@ func TestWorkersBoundsSessionsInFlight(t *testing.T) {
 }
 
 // TestGridCellsMatchRunTarget: a grid run is an execution-order change
-// only. Each cell of each of the three grids, run as part of its grid's
-// plan at Workers 1 and 4, equals a plain RunTarget of that cell alone, and
-// the store hears CellDone once a cell, with the Result the grid returns.
+// only. Each cell of each grid, run as part of its grid's plan at Workers 1
+// and 4, equals a plain RunTarget of that cell alone, and the store hears
+// CellDone once a cell, with the Result the grid returns.
 func TestGridCellsMatchRunTarget(t *testing.T) {
 	for name, gridOf := range grids {
 		var want []*runner.Result

@@ -137,6 +137,35 @@ func ChiSquareSF(x float64, dof int) float64 {
 	return gammaQ(float64(dof)/2, x/2)
 }
 
+// KSUniform is the one-sample Kolmogorov–Smirnov test of ps against the
+// uniform distribution on [0, 1]: d is the largest distance between the
+// sample's empirical CDF and the identity, p its asymptotic p-value with
+// Stephens' small-sample correction (Numerical Recipes probks). Figure 2
+// asks it whether a cell's per-session χ² p-values look like draws from
+// U(0,1), as they do under uniform sampling. An empty sample returns 0, 1.
+func KSUniform(ps []float64) (d, p float64) {
+	s := append([]float64(nil), ps...)
+	sort.Float64s(s)
+	n := float64(len(s))
+	for i, x := range s {
+		d = max(d, float64(i+1)/n-x, x-float64(i)/n)
+	}
+	if len(s) == 0 {
+		return 0, 1
+	}
+	lambda := (math.Sqrt(n) + 0.12 + 0.11/math.Sqrt(n)) * d
+	sign, prev := 2.0, 0.0
+	for j := 1.0; j <= 100; j++ {
+		term := sign * math.Exp(-2*j*j*lambda*lambda)
+		p += term
+		if math.Abs(term) <= 1e-3*prev || math.Abs(term) <= 1e-8*p {
+			return d, min(p, 1)
+		}
+		sign, prev = -sign, math.Abs(term)
+	}
+	return d, 1 // the series has not converged: d is too small to reject anything
+}
+
 // gammaQ computes the regularized upper incomplete gamma function Q(a, x)
 // by the standard series / continued-fraction split (Numerical Recipes
 // gammq): the series for P(a,x) converges fast for x < a+1, the Lentz

@@ -261,3 +261,28 @@ func TestChiSquareSF(t *testing.T) {
 		prev = p
 	}
 }
+
+func TestKSUniform(t *testing.T) {
+	// By hand: sorted 0.1, 0.4, 0.7 against i/3 gives D+ = 1 - 0.7 = 0.3
+	// and D- = 0.1, so d = 0.3; λ = (√3 + 0.12 + 0.11/√3)·0.3 = 0.57467 and
+	// Q(λ) = 2·Σ (-1)^(j-1) exp(-2 j² λ²) = 2·(0.51661 - 0.07122 + 0.00262
+	// - 0.00003) = 0.8959.
+	d, p := KSUniform([]float64{0.7, 0.1, 0.4})
+	approx(t, d, 0.3, 1e-12, "d")
+	approx(t, p, 0.8959447, 1e-6, "p")
+	// Ten p-values piled near zero are rejected; ten spread evenly are not.
+	var low, even []float64
+	for i := 0; i < 10; i++ {
+		low = append(low, 1e-9*float64(i+1))
+		even = append(even, (float64(i)+0.5)/10)
+	}
+	if d, p := KSUniform(low); d < 0.99 || p > 1e-3 {
+		t.Fatalf("p-values near 0: d = %v, p = %v", d, p)
+	}
+	if d, p := KSUniform(even); math.Abs(d-0.05) > 1e-12 || p != 1 {
+		t.Fatalf("evenly spread p-values: d = %v, p = %v", d, p)
+	}
+	if d, p := KSUniform(nil); d != 0 || p != 1 {
+		t.Fatalf("empty sample: d = %v, p = %v", d, p)
+	}
+}
