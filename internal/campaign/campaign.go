@@ -47,7 +47,6 @@ type CellKey struct {
 	StopAtFirstBug bool   `json:"stop_at_first_bug,omitempty"`
 	Coverage       bool   `json:"coverage,omitempty"`
 	CoverageEvery  int    `json:"coverage_every,omitempty"`
-	ProfileRuns    int    `json:"profile_runs,omitempty"`
 }
 
 func cellOf(k runner.SessionKey) CellKey {
@@ -59,7 +58,6 @@ func cellOf(k runner.SessionKey) CellKey {
 		StopAtFirstBug: k.StopAtFirstBug,
 		Coverage:       k.Coverage,
 		CoverageEvery:  k.CoverageEvery,
-		ProfileRuns:    k.ProfileRuns,
 	}
 }
 
@@ -83,8 +81,5 @@ func (c CellKey) less(o CellKey) bool {
 	if c.Coverage != o.Coverage {
 		return o.Coverage
 	}
-	if c.CoverageEvery != o.CoverageEvery {
-		return c.CoverageEvery < o.CoverageEvery
-	}
-	return c.ProfileRuns < o.ProfileRuns
+	return c.CoverageEvery < o.CoverageEvery
 }

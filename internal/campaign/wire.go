@@ -107,9 +107,6 @@ func AppendRecord(dst []byte, k runner.SessionKey, s *runner.Session) []byte {
 	if k.CoverageEvery != 0 {
 		dst = wire.AppendInt(dst, `,"coverage_every":`, int64(k.CoverageEvery))
 	}
-	if k.ProfileRuns != 0 {
-		dst = wire.AppendInt(dst, `,"profile_runs":`, int64(k.ProfileRuns))
-	}
 	dst = wire.AppendInt(dst, `},"session":{"first_bug":`, int64(s.FirstBug))
 	dst = wire.AppendInt(dst, `,"schedules":`, int64(s.Schedules))
 	if s.Truncated != 0 {
@@ -161,7 +158,7 @@ func AppendRecord(dst []byte, k runner.SessionKey, s *runner.Session) []byte {
 // The fields of the record's objects, in the order the parse switches on.
 var (
 	recordFields  = []string{"v", "key", "session"}
-	keyFields     = []string{"target", "algorithm", "limit", "seed", "session", "stop_at_first_bug", "coverage", "coverage_every", "profile_runs"}
+	keyFields     = []string{"target", "algorithm", "limit", "seed", "session", "stop_at_first_bug", "coverage", "coverage_every"}
 	sessionFields = []string{"first_bug", "schedules", "truncated", "bugs", "cov"}
 	covFields     = []string{"interleavings", "classes", "dup_schedules", "behaviors", "series"}
 	pointFields   = []string{"schedules", "interleavings", "behaviors", "classes"}
@@ -252,8 +249,6 @@ func ReadRecord(p *wire.Parser, names map[string]string) (runner.SessionKey, *ru
 					k.Coverage = p.Bool()
 				case 7:
 					k.CoverageEvery = p.IntN()
-				case 8:
-					k.ProfileRuns = p.IntN()
 				}
 			}
 		case 2:

@@ -36,7 +36,6 @@ type keyOracle struct {
 	StopAtFirstBug bool   `json:"stop_at_first_bug,omitempty"`
 	Coverage       bool   `json:"coverage,omitempty"`
 	CoverageEvery  int    `json:"coverage_every,omitempty"`
-	ProfileRuns    int    `json:"profile_runs,omitempty"`
 }
 
 type sessionOracle struct {
@@ -91,7 +90,7 @@ func oracleOf(k runner.SessionKey, s *runner.Session) recordOracle {
 		V: Version,
 		Key: keyOracle{
 			Target: k.Target, Algorithm: k.Algorithm, Limit: k.Limit, Seed: k.Seed, Session: k.Session,
-			StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage, CoverageEvery: k.CoverageEvery, ProfileRuns: k.ProfileRuns,
+			StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage, CoverageEvery: k.CoverageEvery,
 		},
 		Session: w,
 	}
@@ -126,7 +125,7 @@ func (r recordOracle) decode() (runner.SessionKey, *runner.Session, bool) {
 	k := r.Key
 	return runner.SessionKey{
 		Target: k.Target, Algorithm: k.Algorithm, Limit: k.Limit, Seed: k.Seed, Session: k.Session,
-		StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage, CoverageEvery: k.CoverageEvery, ProfileRuns: k.ProfileRuns,
+		StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage, CoverageEvery: k.CoverageEvery,
 	}, s, ok
 }
 
@@ -154,7 +153,7 @@ func codecCases() []codecCase {
 			&runner.Session{FirstBug: -1, Schedules: 100, Bugs: map[string]int{}},
 		},
 		{ // a hunt that found bugs whose ids need every escape
-			runner.SessionKey{Target: "CS/reorder_10", Algorithm: "PCT-3", Limit: 2000, Seed: 1, Session: 19, StopAtFirstBug: true, ProfileRuns: 3},
+			runner.SessionKey{Target: "CS/reorder_10", Algorithm: "PCT-3", Limit: 2000, Seed: 1, Session: 19, StopAtFirstBug: true},
 			&runner.Session{FirstBug: 17, Schedules: 17, Truncated: 2, Flight: "/tmp/not-persisted", Bugs: map[string]int{
 				"assert:reorder":           3,
 				"<&>\"\\ \u2028\u2029 é 😀": 1,
@@ -305,7 +304,7 @@ func sessionFrom(data []byte) (runner.SessionKey, *runner.Session) {
 	flags := next()
 	k := runner.SessionKey{
 		Target: text(), Algorithm: text(), Limit: num(), Seed: int64(num()), Session: num(),
-		StopAtFirstBug: flags&1 != 0, Coverage: flags&2 != 0, CoverageEvery: num(), ProfileRuns: num(),
+		StopAtFirstBug: flags&1 != 0, Coverage: flags&2 != 0, CoverageEvery: num(),
 	}
 	s := &runner.Session{FirstBug: num(), Schedules: num(), Truncated: num(), Flight: text()}
 	if flags&4 != 0 {

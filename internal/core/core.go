@@ -23,7 +23,10 @@
 //   - NonSelective (N-S ablation): URW applied to all events (Δ = Γ).
 //
 // Every algorithm is stateless across schedules: Begin re-seeds it and
-// resets all per-schedule state.
+// resets all per-schedule state, whatever program, info or seed the
+// instance ran before — only its buffers' capacity carries over. A runner
+// worker relies on it to keep one instance per algorithm name across
+// sessions (TestBeginResetsEveryPerScheduleField holds it).
 package core
 
 import (

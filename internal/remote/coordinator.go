@@ -287,7 +287,7 @@ func CellOf(k runner.SessionKey) campaign.CellKey {
 	return campaign.CellKey{
 		Target: k.Target, Algorithm: k.Algorithm, Limit: k.Limit, Seed: k.Seed,
 		StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage,
-		CoverageEvery: k.CoverageEvery, ProfileRuns: k.ProfileRuns,
+		CoverageEvery: k.CoverageEvery,
 	}
 }
 
@@ -504,8 +504,7 @@ func (c *Coordinator) grantLocked(ws *workerState, now time.Time, x *exchange, r
 		*out = Lease{
 			ID: l.id, Target: k0.Target, Algorithm: k0.Algorithm,
 			Limit: k0.Limit, Seed: k0.Seed, StopAtFirstBug: k0.StopAtFirstBug,
-			Coverage: k0.Coverage, CoverageEvery: k0.CoverageEvery,
-			ProfileRuns: k0.ProfileRuns, Sessions: sessions,
+			Coverage: k0.Coverage, CoverageEvery: k0.CoverageEvery, Sessions: sessions,
 			TTLMillis: c.opts.LeaseTTL.Milliseconds(),
 		}
 		if c.spans.Enabled() {

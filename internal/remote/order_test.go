@@ -37,7 +37,7 @@ func grantedKeys(t *testing.T, url string) []runner.SessionKey {
 			keys = append(keys, runner.SessionKey{
 				Target: l.Target, Algorithm: l.Algorithm, Limit: l.Limit, Seed: l.Seed, Session: s,
 				StopAtFirstBug: l.StopAtFirstBug, Coverage: l.Coverage,
-				CoverageEvery: l.CoverageEvery, ProfileRuns: l.ProfileRuns,
+				CoverageEvery: l.CoverageEvery,
 			})
 		}
 	}

@@ -100,7 +100,6 @@ type Lease struct {
 	StopAtFirstBug bool   `json:"stop_at_first_bug,omitempty"`
 	Coverage       bool   `json:"coverage,omitempty"`
 	CoverageEvery  int    `json:"coverage_every,omitempty"`
-	ProfileRuns    int    `json:"profile_runs,omitempty"`
 	// Sessions are the session indices to execute.
 	Sessions []int `json:"sessions"`
 	// TTLMillis is the lease's time-to-live; the worker heartbeats at a

@@ -57,9 +57,6 @@ func appendResultResponse(dst []byte, r *ResultResponse) []byte {
 		if l.CoverageEvery != 0 {
 			dst = wire.AppendInt(dst, `,"coverage_every":`, int64(l.CoverageEvery))
 		}
-		if l.ProfileRuns != 0 {
-			dst = wire.AppendInt(dst, `,"profile_runs":`, int64(l.ProfileRuns))
-		}
 		if l.Sessions == nil {
 			dst = append(dst, `,"sessions":null`...)
 		} else {
@@ -110,7 +107,7 @@ func appendResultRequest(dst []byte, worker, leaseID string, busyMillis int64, k
 }
 
 var (
-	leaseFields          = []string{"id", "target", "algorithm", "limit", "seed", "stop_at_first_bug", "coverage", "coverage_every", "profile_runs", "sessions", "ttl_ms", "traceparent"}
+	leaseFields          = []string{"id", "target", "algorithm", "limit", "seed", "stop_at_first_bug", "coverage", "coverage_every", "sessions", "ttl_ms", "traceparent"}
 	resultRequestFields  = []string{"worker", "lease_id", "busy_ms", "records", "spans"}
 	resultResponseFields = []string{"accepted", "duplicates", "done", "retry_ms", "lease"}
 )
@@ -169,15 +166,13 @@ func parseResultResponse(p *wire.Parser, body []byte, r *ResultResponse, l *Leas
 				case 7:
 					l.CoverageEvery = p.IntN()
 				case 8:
-					l.ProfileRuns = p.IntN()
-				case 9:
 					var a wire.Array
 					for p.Elem(&a) {
 						l.Sessions = append(l.Sessions, p.IntN())
 					}
-				case 10:
+				case 9:
 					l.TTLMillis = p.Int()
-				case 11:
+				case 10:
 					l.Traceparent = string(p.String())
 				}
 			}

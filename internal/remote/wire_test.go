@@ -66,7 +66,7 @@ func goldenLeaseResponses() []LeaseResponse {
 		{RetryMillis: 500},
 		{},
 		{Lease: &Lease{ID: "l000001", Target: "CS/reorder_10", Algorithm: "PCT-3", Limit: 2000, Seed: 1, Sessions: []int{0, 1, 2, 19}, TTLMillis: 30000}},
-		{Lease: &Lease{ID: "l123456", Target: "t/<x>", Algorithm: "URW", Limit: 1, Seed: -9, StopAtFirstBug: true, Coverage: true, CoverageEvery: 50, ProfileRuns: 3,
+		{Lease: &Lease{ID: "l123456", Target: "t/<x>", Algorithm: "URW", Limit: 1, Seed: -9, StopAtFirstBug: true, Coverage: true, CoverageEvery: 50,
 			Sessions: []int{7}, TTLMillis: 1, Traceparent: "00-01020300000000000000000000000000-0405000000000000-01"}},
 		{Lease: &Lease{Sessions: nil}},
 		{Lease: &Lease{Sessions: []int{}}},
@@ -259,7 +259,7 @@ func FuzzLeaseMessages(f *testing.F) {
 		}
 		flags := next()
 		lease := &Lease{ID: text(), Target: text(), Algorithm: text(), Limit: int(num()), Seed: num(), StopAtFirstBug: flags&1 != 0, Coverage: flags&2 != 0,
-			CoverageEvery: int(num()), ProfileRuns: int(num()), TTLMillis: num(), Traceparent: text()}
+			CoverageEvery: int(num()), TTLMillis: num(), Traceparent: text()}
 		if flags&4 != 0 {
 			lease.Sessions = []int{}
 			for n := next() % 4; n > 0; n-- {
@@ -451,7 +451,7 @@ func (p *poisoner) RoundTrip(req *http.Request) (*http.Response, error) {
 			sessions[i] = -7
 		}
 		*l = Lease{ID: "poison", Target: l.Target + "-poison", Algorithm: "poison", Limit: -7, Seed: -7, StopAtFirstBug: true, Coverage: true,
-			CoverageEvery: -7, ProfileRuns: -7, Sessions: l.Sessions, TTLMillis: -7, Traceparent: "poison"}
+			CoverageEvery: -7, Sessions: l.Sessions, TTLMillis: -7, Traceparent: "poison"}
 		for i := range w.keys[:cap(w.keys)] {
 			w.keys[:cap(w.keys)][i] = runner.SessionKey{Target: "poison", Session: -7}
 		}

@@ -253,7 +253,6 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 		StopAtFirstBug: l.StopAtFirstBug,
 		Coverage:       l.Coverage,
 		CoverageEvery:  l.CoverageEvery,
-		ProfileRuns:    l.ProfileRuns,
 		Metrics:        w.Metrics,
 		Atlas:          w.Atlas,
 		Phase:          w.phase,

@@ -1,9 +1,10 @@
 package runner_test
 
 // A WorkerCache hands a session a worker other sessions — of other cells,
-// other targets, finished or cancelled — have already run on. None of that
-// may reach the session's result: each must equal the same session run
-// one-shot, on a worker nobody has touched.
+// other targets, other algorithms, finished or cancelled — have already run
+// on, and the algorithm instance an earlier session of its algorithm used.
+// None of that may reach the session's result: each must equal the same
+// session run one-shot, on a worker nobody has touched.
 
 import (
 	"context"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"surw/internal/core"
 	"surw/internal/runner"
 	"surw/internal/sched"
 	"surw/internal/sctbench"
@@ -29,7 +31,11 @@ func TestWorkerCacheSessionsMatchFreshRunSession(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown SCTBench target %q", name)
 		}
-		for _, alg := range []string{"SURW", "URW", "RW"} {
+		// Every algorithm, and two of them under a second spelling (a
+		// worker keeps an instance per name), so a warm instance serves
+		// sessions of other seeds and Δs with other algorithms' sessions
+		// on its worker in between.
+		for _, alg := range append(core.AllNames(), "URW", "nu", "pct-3") {
 			for s := 0; s < 3; s++ {
 				cells = append(cells, cell{tgt, alg, s})
 			}

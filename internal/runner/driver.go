@@ -17,14 +17,17 @@ import (
 // the library's Session, `surw run -trace`/`-print-failing` and the flight
 // recorder all get a session's schedules from here.
 //
-// The pool, the collector and the stream's storage outlive a session: a
-// runner worker holds one Driver and begins session after session on it,
-// and nothing a session leaves behind reaches the next one's results
-// (worker, runner.go). One goroutine at a time.
+// The pool, the collector, the stream's storage and the algorithm
+// instances outlive a session: a runner worker holds one Driver and begins
+// session after session on it, and nothing a session leaves behind reaches
+// the next one's results (worker, runner.go). One goroutine at a time.
 type Driver struct {
 	pool   *sched.Pool
 	census profile.Collector
 	rng    *rand.Rand // the Δ stream; allocated at the first session that draws
+	// algs holds the algorithm instances by the name a session asked for,
+	// re-armed by each schedule's Begin (core's package doc).
+	algs map[string]sched.Algorithm
 
 	tgt  Target
 	alg  sched.Algorithm
@@ -56,8 +59,8 @@ type Observers struct {
 
 // OpenDriver returns a driver on a pool of its own, positioned at schedule
 // 0 of the given session of the batch cfg describes: the schedules
-// RunSession runs for that index. Only cfg.Seed and cfg.ProfileRuns are
-// read. The caller Closes it.
+// RunSession runs for that index. Only cfg.Seed is read. The caller Closes
+// it.
 func OpenDriver(tgt Target, algName string, cfg Config, session int) (*Driver, error) {
 	d := &Driver{pool: sched.NewPool()}
 	if err := d.begin(tgt, algName, cfg, session); err != nil {
@@ -76,16 +79,23 @@ func (d *Driver) Close() { d.pool.Close() }
 // census still yields usable (if noisy) counts; §7 of the paper discusses
 // exactly this degradation.
 func (d *Driver) begin(tgt Target, algName string, cfg Config, session int) error {
-	alg, err := core.New(algName)
-	if err != nil {
-		return err
+	alg := d.algs[algName]
+	if alg == nil {
+		var err error
+		if alg, err = core.New(algName); err != nil {
+			return err
+		}
+		if d.algs == nil {
+			d.algs = make(map[string]sched.Algorithm)
+		}
+		d.algs[algName] = alg
 	}
 	d.tgt, d.alg = tgt, alg
 	d.base = cfg.Seed + int64(session)*1_000_003
 	d.prof, d.allInfo, d.delta, d.drawn = nil, nil, false, -1
 	d.cp, d.next, d.seed, d.info = nil, 0, 0, nil
 	if in := core.InputsOf(alg); in.Counts {
-		d.prof, _ = d.census.Collect(d.pool, tgt.Prog, profile.Options{Base: d.schedBase(d.base + 17), Runs: cfg.ProfileRuns})
+		d.prof, _ = d.census.Collect(d.pool, tgt.Prog, profile.Options{Base: d.schedBase(d.base + 17)})
 		d.allInfo = d.prof.Instantiate(d.prof.SelectAll())
 		d.delta = in.Delta
 	}

@@ -8,14 +8,14 @@
 //   - Every session is self-contained. Its seed is derived from the config
 //     seed and its own index (Driver.begin, driver.go), never from a shared
 //     stream, so no session observes another's randomness.
-//   - A session builds its algorithm instance privately (core.New per
-//     session). What it borrows — a worker's Driver with its sched.Pool,
-//     census collector and Δ stream, and the worker's Result storage
-//     (runner.go) — it has to itself while it runs and receives in a state
-//     no earlier session can be told from: Pool.Run is bit-identical to
-//     sched.Run, a reused collector's profile equals a fresh one's, every
-//     schedule overwrites the whole Result, the stream is re-seeded before
-//     use.
+//   - What a session runs on it borrows from a worker — the Driver with
+//     its sched.Pool, census collector, Δ stream and the worker's instance
+//     of the session's algorithm, and the worker's Result storage
+//     (runner.go) — and has to itself while it runs, in a state no earlier
+//     session can be told from: Pool.Run is bit-identical to sched.Run, a
+//     reused collector's profile equals a fresh one's, an algorithm's Begin
+//     resets every per-schedule field (core's package doc), every schedule
+//     overwrites the whole Result, the stream is re-seeded before use.
 //   - Target state is created inside Prog through the sched API on every
 //     schedule, so concurrent schedules of one program never share memory;
 //     the Target struct itself is only read.

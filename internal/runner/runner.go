@@ -60,8 +60,6 @@ type Config struct {
 	// point every CoverageEvery schedules (Figure 5 / Table 3).
 	Coverage      bool
 	CoverageEvery int
-	// ProfileRuns is the number of census runs per session (default 1).
-	ProfileRuns int
 	// Workers is how many sessions of the run — every cell's, see RunCells
 	// — are in flight at once: 1 runs them one after another on the
 	// caller's goroutine, <= 0 means one worker per CPU
@@ -119,7 +117,6 @@ type SessionKey struct {
 	StopAtFirstBug bool
 	Coverage       bool
 	CoverageEvery  int
-	ProfileRuns    int
 }
 
 // SessionStore persists per-session results for crash-safe, resumable
@@ -179,7 +176,6 @@ func sessionKey(tgt Target, algName string, cfg Config, session int) SessionKey 
 		Session:        session,
 		StopAtFirstBug: cfg.StopAtFirstBug,
 		Coverage:       cfg.Coverage,
-		ProfileRuns:    cfg.ProfileRuns,
 	}
 	if cfg.Coverage {
 		k.CoverageEvery = effectiveEvery(cfg)
@@ -291,18 +287,22 @@ func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 // worker is what one session borrows for its duration and a WorkerCache
 // recycles across the sessions of one target: the Driver — the sched.Pool
 // (census and testing schedules alike run on it), the census collector with
-// the tables, profile and infos it fills, the Δ-selection stream — the
-// Result every schedule of the session is written into, and — once a
-// session with an atlas has borrowed it — the atlas accumulator the engine
-// writes into: plain counters only this worker's schedules touch
-// (runSession drains it into the cell under the cell's lock and always
-// leaves it empty). Nothing a session leaves in a worker reaches the next
-// one's results: Pool.Run is bit-identical to sched.Run whatever ran before
-// (sched/pool_test.go), a reused collector's profile equals a fresh
-// Collect's (profile.TestCollectorReuseMatchesCollect), a schedule
-// overwrites every field of the Result, and the stream is re-seeded before
-// its first draw. Nothing of a worker's reaches the Session a caller keeps
-// either: that is built from the Result's values.
+// the tables, profile and infos it fills, the Δ-selection stream, one
+// algorithm instance per name a session asked for — the Result every
+// schedule of the session is written into, and — once a session with an
+// atlas has borrowed it — the atlas accumulator the engine writes into:
+// plain counters only this worker's schedules touch (runSession drains it
+// into the cell under the cell's lock and always leaves it empty). Nothing
+// a session leaves in a worker reaches the next one's results: Pool.Run is
+// bit-identical to sched.Run whatever ran before (sched/pool_test.go), a
+// reused collector's profile equals a fresh Collect's
+// (profile.TestCollectorReuseMatchesCollect), an algorithm's Begin resets
+// every per-schedule field (core.TestBeginResetsEveryPerScheduleField), a
+// schedule overwrites every field of the Result, and the stream is
+// re-seeded before its first draw. Nothing of a worker's reaches the
+// Session a caller keeps either: that is built from the Result's values,
+// and it is all a session on a warm worker allocates
+// (TestWarmSessionAllocatesOnlyItsRecord).
 type worker struct {
 	drv   Driver
 	res   sched.Result

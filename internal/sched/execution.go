@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"iter"
 	"math/rand"
 	"strconv"
 
@@ -106,6 +105,7 @@ type Execution struct {
 	// names interns path and object-name strings so the spawn/create hot
 	// path stops allocating once the first schedule has seen a name.
 	freeThreads  []*Thread
+	goexits      int // this schedule's threads parked inside a Goexit (runBody)
 	names        map[string]string
 	deadlockMsgs int // deadlock reports interned into names (reportDeadlock)
 	nameBuf      []byte
@@ -386,10 +386,24 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 		}
 	}
 	ex.killRemaining()
+	if ex.goexits > 0 {
+		ex.retireGoexits()
+	}
 	if ex.tracer != nil {
 		ex.tracer.EndSchedule(res)
 	}
 	return res
+}
+
+// retireGoexits retires the coroutines of the schedule's threads whose
+// bodies called runtime.Goexit.
+func (ex *Execution) retireGoexits() {
+	for _, t := range ex.threads {
+		if t.goexit {
+			t.retire()
+		}
+	}
+	ex.goexits = 0
 }
 
 // loop is the slow scheduling loop: this goroutine decides every step and
@@ -737,11 +751,12 @@ func (ex *Execution) addThread(parent *Thread, body func(*Thread)) *Thread {
 		t.killed = false
 		t.boundFn = nil
 		t.heldMutex = t.heldMutex[:0]
+		if t.coNext == nil {
+			t.start() // its last body ended in runtime.Goexit (retire)
+		}
 	} else {
 		t = &Thread{}
-		t.coNext, t.coStop = iter.Pull(iter.Seq[struct{}](t.workerSeq))
-		// Run the fresh coroutine to its first park, capturing its yield.
-		t.coNext()
+		t.start()
 	}
 	t.ex = ex
 	t.id = len(ex.threads)

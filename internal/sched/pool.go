@@ -61,14 +61,20 @@ func (p *Pool) Close() {
 }
 
 // closeWorkers unwinds the parked worker coroutines of a persistent
-// execution (stop is a no-op on coroutines that already exited) and drops
-// the structs.
+// execution (stop is a no-op on coroutines that already exited; a retired
+// thread has none) and drops the structs. A coroutine still parked inside
+// a Goexit — an engine panic ended its schedule before retireGoexits — is
+// retired, not stopped: stop would pass the Goexit on to the caller.
 func (p *Pool) closeWorkers() {
-	for _, t := range p.ex.threads {
-		t.coStop()
-	}
-	for _, t := range p.ex.freeThreads {
-		t.coStop()
+	for _, ts := range [][]*Thread{p.ex.threads, p.ex.freeThreads} {
+		for _, t := range ts {
+			switch {
+			case t.goexit:
+				t.retire()
+			case t.coStop != nil:
+				t.coStop()
+			}
+		}
 	}
 	p.ex.threads = nil
 	p.ex.freeThreads = nil

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync/atomic"
 )
@@ -49,11 +50,14 @@ type Thread struct {
 	// whose first event was published from that entry without waking the
 	// goroutine (see primeChain); primePoison marks a prologue that did
 	// something deferred priming could not reproduce (see recordPrime).
-	// They sit between killed and state so that the four small fields
-	// share one word and a Thread stays within the 256-byte size class.
+	// goexit marks a thread whose body called runtime.Goexit: its
+	// coroutine is parked inside that Goexit (runBody) until retire.
+	// They sit between killed and state so that the small fields share
+	// one word and a Thread stays within the 256-byte size class.
 	memoP, memoI  int32
 	deferredPrime bool
 	primePoison   bool
+	goexit        bool
 
 	state       threadState
 	next        Event
@@ -145,10 +149,17 @@ func (t *Thread) workerSeq(yield func(struct{}) bool) {
 
 // runBody runs the thread's body for one schedule and hands the baton on
 // when it finishes, absorbing the program-level panics (kills, assertion
-// failures, program bugs) that end a body.
+// failures, program bugs) that end a body. A body that calls
+// runtime.Goexit finishes as a return would, but the Goexit cannot be
+// stopped and iter.Pull re-raises it in whichever goroutine resumes the
+// coroutine next — the scheduler's. So the coroutine parks inside the
+// Goexit, pump never resumes it again, and the schedule's end hands it to
+// retire, whose throwaway goroutine the Goexit ends instead.
 func (t *Thread) runBody() {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			if t.ex.inEngine {
 				// Not a program failure: the panic came from the decision
 				// machinery running on this goroutine. Let workerLoop
@@ -176,8 +187,36 @@ func (t *Thread) runBody() {
 		}
 		// Slow path / killing: parking at the top of workerSeq with no
 		// successor returns the baton to the scheduler loop.
+		if r == nil && !returned {
+			// runtime.Goexit: park inside it instead (see above).
+			t.goexit = true
+			ex.goexits++
+			t.coYield(struct{}{})
+		}
 	}()
 	t.body(t)
+	returned = true
+}
+
+// start gives t a fresh coroutine, run to its first park.
+func (t *Thread) start() {
+	t.coNext, t.coStop = iter.Pull(iter.Seq[struct{}](t.workerSeq))
+	t.coNext()
+}
+
+// retire completes the Goexit t's body started (runBody): a throwaway
+// goroutine resumes the coroutine parked inside it, so the Goexit that
+// iter.Pull passes on to the resumer ends that goroutine. t gets a fresh
+// coroutine when it is next reused.
+func (t *Thread) retire() {
+	next := t.coNext
+	t.coNext, t.coStop, t.coYield, t.goexit = nil, nil, nil, false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		next()
+	}()
+	<-done
 }
 
 // park yields the coroutine until the scheduler (or a successor naming

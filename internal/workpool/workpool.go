@@ -8,6 +8,8 @@
 package workpool
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,7 +36,9 @@ func Normalize(workers int) int {
 // With more workers, items are handed out in index order as workers free
 // up. All items run to completion even if one fails; the error returned is
 // the failing item with the lowest index (deterministic regardless of
-// completion order), in which case the results are discarded.
+// completion order), in which case the results are discarded. An item
+// whose fn never returned — it ended its worker through runtime.Goexit —
+// fails, and so does every item no worker was left to claim.
 func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	return MapMetered[T](workers, n, nil, fn)
 }
@@ -86,7 +90,11 @@ func MapMetered[T any](workers, n int, meter Meter, fn func(int) (T, error)) ([]
 	if workers > n {
 		workers = n
 	}
+	// Each item's error stands at errNoReturn until its fn returns.
 	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = errNoReturn
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -113,10 +121,17 @@ func MapMetered[T any](workers, n int, meter Meter, fn func(int) (T, error)) ([]
 	if meter != nil {
 		meter.BatchDone(workers, time.Since(batchStart))
 	}
-	for _, err := range errs {
+	for i, err := range errs {
+		if err == errNoReturn {
+			return nil, fmt.Errorf("workpool: item %d: %w", i, err)
+		}
 		if err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
 }
+
+// errNoReturn marks an item whose fn did not return: its worker exited
+// inside it (runtime.Goexit), or every worker did before claiming it.
+var errNoReturn = errors.New("fn did not return (its worker goroutine exited)")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,6 +93,38 @@ func TestMapEmptyAndSequentialEarlyStop(t *testing.T) {
 	})
 	if err == nil || calls != 3 {
 		t.Fatalf("sequential early stop: err=%v calls=%d", err, calls)
+	}
+}
+
+// TestMapReportsAnItemThatNeverReturned: an fn that ends its worker with
+// runtime.Goexit leaves its item without a result, and a pool whose workers
+// all exit leaves items unclaimed; each is an error, lowest index first.
+func TestMapReportsAnItemThatNeverReturned(t *testing.T) {
+	errA := errors.New("a")
+	cases := []struct {
+		name    string
+		exits   func(i int) bool
+		failAt  int // an item returning errA, -1 for none
+		wantErr error
+		wantMsg string
+	}{
+		{"one worker exits", func(i int) bool { return i == 3 }, -1, errNoReturn, "workpool: item 3: "},
+		{"a lower item's error wins", func(i int) bool { return i == 3 }, 1, errA, "a"},
+		{"every worker exits", func(int) bool { return true }, -1, errNoReturn, "workpool: item 0: "},
+	}
+	for _, c := range cases {
+		got, err := Map(2, 8, func(i int) (int, error) {
+			if c.exits(i) {
+				runtime.Goexit()
+			}
+			if i == c.failAt {
+				return 0, errA
+			}
+			return i, nil
+		})
+		if got != nil || !errors.Is(err, c.wantErr) || !strings.HasPrefix(err.Error(), c.wantMsg) {
+			t.Fatalf("%s: got %v, %v; want no results and %q…", c.name, got, err, c.wantMsg)
+		}
 	}
 }
 
