@@ -57,8 +57,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzLeaseMessages -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/remote
 
-# Framework self-verification soak (surw run -crosscheck).
+# Framework self-check: the crosscheck oracle over generated programs.
 crosscheck:
-	$(GO) run ./cmd/surw run -crosscheck
+	$(GO) run ./cmd/surw fuzz
 
 ci: vet build test race

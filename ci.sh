@@ -24,13 +24,14 @@ fi
 # driver.go and nowhere else, and the library and `surw run` get their
 # schedules from it. The seed map's two multipliers in a second non-test
 # file, or a one-shot sched.Run / profile.Collect in either face, is a second
-# session loop coming back.
+# session loop coming back; in `surw fuzz`, whose schedules are the
+# crosscheck oracle's, it is a second self-check loop coming back.
 seedmaps=$(grep -rl --include='*.go' -e '2_000_033' -e '1_000_003' . | grep -v -e '_test\.go$' -e '^\./benchmark/')
 if [ "$seedmaps" != "./internal/runner/driver.go" ]; then
     echo "FAIL: the session seed map (2_000_033 / 1_000_003) belongs to internal/runner/driver.go alone, found in:"; echo "$seedmaps"; exit 1
 fi
-if grep -n -e 'sched\.Run(' -e 'profile\.Collect(' session.go cmd/surw/run.go internal/runner/parallel.go; then
-    echo "FAIL: session.go, cmd/surw/run.go and internal/runner/parallel.go run schedules through runner.Driver only"; exit 1
+if grep -n -e 'sched\.Run(' -e 'profile\.Collect(' session.go cmd/surw/run.go cmd/surw/fuzz.go internal/runner/parallel.go; then
+    echo "FAIL: session.go, cmd/surw/run.go and internal/runner/parallel.go run schedules through runner.Driver only, cmd/surw/fuzz.go through internal/crosscheck"; exit 1
 fi
 # One record codec, one place for encoding/json in the fleet: a session
 # record is written by campaign.AppendRecord and read by campaign.ParseRecord

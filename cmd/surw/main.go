@@ -2,14 +2,15 @@
 // over one shared option set (common.go).
 //
 //	surw run     one target under one algorithm: schedules-to-first-bug,
-//	             traces, flight records, bit-exact replay, -crosscheck
+//	             traces, flight records, bit-exact replay
 //	surw bench   the paper's tables and figures; campaigns, the fleet
 //	             coordinator, the exploration atlas
 //	surw dash    the dashboard over an existing run-store, read-only
 //	surw worker  execute leases from a `surw bench -coordinate` campaign
 //	surw obs     benchmark gates and trace / flight / atlas validation
 //	surw prof    the profiling census SURW consumes
-//	surw fuzz    stress the framework with generated programs
+//	surw fuzz    the framework's self-check: the crosscheck oracle over
+//	             generated programs
 //	surw port    rewrite a stdlib-concurrency package onto surw/surwsync
 //	surw version the build version
 //

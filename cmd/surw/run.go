@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"surw/internal/core"
-	"surw/internal/crosscheck"
 	"surw/internal/obs"
 	"surw/internal/replay"
 	"surw/internal/runner"
@@ -24,7 +23,6 @@ import (
 //	         [-trace out.json] [-metrics out.prom] [-flight-dir DIR]
 //	         [-print-failing] [-pprof ADDR]
 //	surw run -replay-flight results/flight/flight_....json
-//	surw run -crosscheck [-crosscheck-seeds N] [-seed S]
 //	surw run -list
 //
 // -trace exports the decision trace of session 0's first failing schedule
@@ -37,11 +35,6 @@ import (
 // first failure; -replay-flight re-executes such a dump through
 // internal/replay and verifies the same bug fires with the same
 // interleaving fingerprint.
-//
-// -crosscheck soak-runs the framework's own differential and statistical
-// oracle (internal/crosscheck): the mutation-sensitivity self-test plus a
-// sweep of generated programs cross-checked against exhaustive
-// enumeration. It exits non-zero on the first framework bug found.
 //
 // -campaign DIR and -serve ADDR persist the sessions to a resumable
 // run-store and serve the live dashboard, as for `surw bench` (bench.go).
@@ -57,18 +50,10 @@ func runCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		flightDir = c.fs.String("flight-dir", "", "dump a replayable flight record at each session's first failing schedule under this directory")
 		flightIn  = c.fs.String("replay-flight", "", "replay a flight record bit-exactly and verify bug ID + interleaving fingerprint")
 		list      = c.fs.Bool("list", false, "list available targets")
-		ccheck    = c.fs.Bool("crosscheck", false, "soak-run the framework self-verification oracle instead of a benchmark")
-		ccSeeds   = c.fs.Int("crosscheck-seeds", 10, "generator seeds swept per grammar in -crosscheck mode")
 	)
 	return c.run(args, func() error {
 		if *flightIn != "" {
 			return replayFlight(stdout, *flightIn)
-		}
-		if *ccheck {
-			if err := runCrosscheck(stdout, *ccSeeds, c.seed); err != nil {
-				return fmt.Errorf("FRAMEWORK BUG: %w", err)
-			}
-			return nil
 		}
 		if *list {
 			for _, name := range allTargetNames() {
@@ -205,39 +190,6 @@ func replayFlight(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "replayed  bit-exact: bug %s reproduced with fingerprint %s in %d steps\n",
 		res.BugID(), got, res.Steps)
-	return nil
-}
-
-// runCrosscheck soak-runs the framework oracle: the statistical
-// mutation-sensitivity self-test once, then the differential check over
-// seeds generator seeds per grammar.
-func runCrosscheck(w io.Writer, seeds int, seed int64) error {
-	fmt.Fprintln(w, "crosscheck: mutation-sensitivity self-test (bitshift, 252 classes)")
-	rep, err := crosscheck.MutationSensitivity(0, seed, 0.005)
-	if rep != nil {
-		fmt.Fprint(w, rep)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "crosscheck: differential sweep over %d seeds x 3 grammars, algorithms %v\n",
-		seeds, crosscheck.Algorithms())
-	checked := 0
-	for s := int64(0); s < int64(seeds); s++ {
-		// AllowPartial: over arbitrary seeds the occasional program outgrows
-		// the enumeration budget; it still gets the replay and identity
-		// checks, just not set membership.
-		reps, err := crosscheck.CheckGenerated(seed+s, crosscheck.Options{Seed: seed + s, AllowPartial: true})
-		for _, r := range reps {
-			fmt.Fprintf(w, "  %-24s enumerated %6d schedules, %5d interleavings, %3d sampled schedules verified (deadlocky=%v)\n",
-				r.Program, r.Enumerated, r.Interleavings, r.Checked, r.Deadlocky)
-			checked += r.Checked
-		}
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "crosscheck: OK — %d sampled schedules legal, replayable, and pool/parallel-identical\n", checked)
 	return nil
 }
 

@@ -87,15 +87,15 @@ func TestTraceExport(t *testing.T) {
 	mustRun(t, "obs", "-check-trace", trace)
 }
 
-// TestFuzzMetrics: `fuzz -metrics` files each schedule's decisions once,
-// under the algorithm's own name: no record(...) or replay series.
-func TestFuzzMetrics(t *testing.T) {
-	prom := filepath.Join(t.TempDir(), "fuzz.prom")
-	mustRun(t, "fuzz", "-programs", "3", "-schedules", "4", "-metrics", prom)
-	page := string(readFile(t, prom))
-	wantMatch(t, prom, page, `(?m)^surw_decisions_total\{alg="SURW"\}`)
-	if strings.Contains(page, `alg="re`) {
-		t.Errorf("fuzz -metrics traced the Recorder or the replay leg:\n%s", page)
+// TestFuzzSelfCheck: `fuzz` is the one framework self-check — the
+// crosscheck oracle over every grammar — and `run` takes no -crosscheck.
+func TestFuzzSelfCheck(t *testing.T) {
+	out := mustRun(t, "fuzz", "-seeds", "1")
+	wantMatch(t, "fuzz", out.stdout,
+		`(?m)^  genwide\(seed=1\) +enumerated`,
+		`(?m)^crosscheck: OK — \d+ sampled schedules legal, replayable, and pool/parallel-identical$`)
+	if out := run("run", "-crosscheck"); out.code != 2 {
+		t.Errorf("run -crosscheck: exit %d, want 2\n%s", out.code, out.stderr)
 	}
 }
 

@@ -49,7 +49,11 @@ type CellKey struct {
 	CoverageEvery  int    `json:"coverage_every,omitempty"`
 }
 
-func cellOf(k runner.SessionKey) CellKey {
+// CellOf projects a session key onto its cell: the store's index and the
+// aggregation group it lands in, and the fleet's batching unit — one lease
+// never mixes cells, so a worker resolves one target and one algorithm per
+// batch.
+func CellOf(k runner.SessionKey) CellKey {
 	return CellKey{
 		Target:         k.Target,
 		Algorithm:      k.Algorithm,

@@ -285,14 +285,14 @@ func (s *Store) Len() int {
 // lookupLocked returns the indexed session of k. Caller holds s.mu or is
 // still constructing s.
 func (s *Store) lookupLocked(k runner.SessionKey) (*runner.Session, bool) {
-	sess, ok := s.index[cellOf(k)][k.Session]
+	sess, ok := s.index[CellOf(k)][k.Session]
 	return sess, ok
 }
 
 // indexLocked indexes sess under k, which it does not hold yet. Caller
 // holds s.mu or is still constructing s.
 func (s *Store) indexLocked(k runner.SessionKey, sess *runner.Session) {
-	cell := cellOf(k)
+	cell := CellOf(k)
 	sessions := s.index[cell]
 	if sessions == nil {
 		sessions = make(map[int]*runner.Session)

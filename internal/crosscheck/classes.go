@@ -163,16 +163,17 @@ func (c *classPartition) observe(r *sched.Result) {
 	}
 }
 
-// check reports the accumulated verdict: the bijection must hold and the
-// class counts must match.
-func (c *classPartition) check(name string) error {
+// verdict is the number of classes, or the first violation of the
+// bijection — partial enumeration or not. Without one, the two maps are
+// inverse bijections, so their sizes agree.
+func (c *classPartition) verdict(name string, exhausted bool, opts Options) (int, error) {
+	if !exhausted && !opts.AllowPartial {
+		return 0, fmt.Errorf("crosscheck: %s: class-equivalence enumeration exceeded %d schedules", name, opts.MaxSchedules)
+	}
 	if c.err != nil {
-		return fmt.Errorf("crosscheck: %s: %w", name, c.err)
+		return 0, fmt.Errorf("crosscheck: %s: %w", name, c.err)
 	}
-	if len(c.byFingerprint) != len(c.byCanonical) {
-		return fmt.Errorf("crosscheck: %s: %d fingerprint classes vs %d happens-before classes", name, len(c.byFingerprint), len(c.byCanonical))
-	}
-	return nil
+	return len(c.byFingerprint), nil
 }
 
 // scriptAlg drives the scheduler along a fixed TID sequence, one entry per
@@ -205,9 +206,9 @@ func (s *scriptAlg) Next(st *sched.State) sched.ThreadID {
 
 // classEquivalence is the tentpole oracle: exhaustively enumerate prog,
 // and require the engine's ClassHash partition of the schedule space to
-// coincide with the brute-force happens-before partition. Skipped (nil)
-// when the enumeration budget runs out and AllowPartial is set, exactly
-// like the legality check.
+// coincide with the brute-force happens-before partition. Past the
+// enumeration budget with AllowPartial set, the schedules enumerated so
+// far must still partition alike.
 func classEquivalence(name string, prog func(*sched.Thread), opts Options) (classes int, err error) {
 	part := newClassPartition()
 	oracle := systematic.Explore(prog, systematic.Options{
@@ -215,14 +216,5 @@ func classEquivalence(name string, prog func(*sched.Thread), opts Options) (clas
 		RecordTrace:  true,
 		Observe:      part.observe,
 	})
-	if !oracle.Exhausted {
-		if opts.AllowPartial {
-			return len(part.byFingerprint), nil
-		}
-		return 0, fmt.Errorf("crosscheck: %s: class-equivalence enumeration exceeded %d schedules", name, opts.MaxSchedules)
-	}
-	if err := part.check(name); err != nil {
-		return 0, err
-	}
-	return len(part.byFingerprint), nil
+	return part.verdict(name, oracle.Exhausted, opts)
 }

@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"strings"
 	"testing"
 
 	"surw/internal/core"
@@ -145,5 +146,30 @@ func TestCanonicalClassKeyJoinEdge(t *testing.T) {
 	}
 	if !dependent(join, last) || !dependent(last, join) {
 		t.Fatal("join edge missing from the dependence relation")
+	}
+}
+
+// TestClassPartitionPartialVerdict: a violation of the bijection seen
+// between two enumerated schedules is the verdict whether or not the
+// enumeration ran to the end.
+func TestClassPartitionPartialVerdict(t *testing.T) {
+	write := func(path uint64) sched.Event {
+		return sched.Event{PathHash: path, Kind: sched.OpWrite, Obj: 1, ObjHash: 7}
+	}
+	part := newClassPartition()
+	// One class fingerprint over two traces that are not happens-before
+	// equivalent: a false dedup.
+	part.observe(&sched.Result{ClassHash: 1, Trace: []sched.Event{write(1), write(2)}})
+	part.observe(&sched.Result{ClassHash: 1, Trace: []sched.Event{write(2), write(1)}})
+	for _, exhausted := range []bool{true, false} {
+		if _, err := part.verdict("merged", exhausted, Options{AllowPartial: true}); err == nil || !strings.Contains(err.Error(), "false dedup") {
+			t.Errorf("exhausted=%v: verdict %v, want the false dedup", exhausted, err)
+		}
+	}
+	if n, err := newClassPartition().verdict("empty", false, Options{AllowPartial: true}); err != nil || n != 0 {
+		t.Errorf("a partial partition with no violation: %d classes, %v", n, err)
+	}
+	if _, err := newClassPartition().verdict("cut", false, Options{}); err == nil {
+		t.Error("an unfinished enumeration without AllowPartial passed")
 	}
 }

@@ -10,8 +10,8 @@
 //     enumerates the exact set of feasible interleaving fingerprints and
 //     the exact set of reachable failures. Every randomized algorithm is
 //     then run for many seeds, and every fingerprint it produces must be a
-//     member of the enumerated set, and every failure it reports must be a
-//     failure enumeration also reached. A sampler that invents an
+//     member of the enumerated set, and every failure it reports must be
+//     one the generator promises. A sampler that invents an
 //     interleaving (scheduler bug), misses a synchronization edge
 //     (substrate bug), or reports a phantom deadlock (blocking-detection
 //     bug) fails here.
@@ -53,12 +53,6 @@ import (
 	"surw/internal/systematic"
 )
 
-// Algorithms is the set of sampler names verified by CheckProgram, per the
-// paper's evaluation roster.
-func Algorithms() []string {
-	return []string{"SURW", "URW", "POS", "PCT-3", "RW", "N-U", "N-S"}
-}
-
 // Options bounds one CheckProgram run.
 type Options struct {
 	// Schedules is the number of randomized schedules checked per
@@ -68,11 +62,12 @@ type Options struct {
 	MaxSchedules int
 	// Seed derives every per-schedule seed.
 	Seed int64
-	// Algorithms overrides the checked sampler set (default Algorithms()).
+	// Algorithms overrides the checked sampler set (default every
+	// algorithm of the paper's tables, core.AllNames, and URW).
 	Algorithms []string
-	// AllowPartial skips the set-membership check (not the replay and
-	// identity checks) when the enumeration budget runs out instead of
-	// failing. Used by the fuzz target, where a mutated seed can produce a
+	// AllowPartial skips the set-membership checks (not the failure,
+	// replay and identity checks) when the enumeration budget runs out
+	// instead of failing. Used by the sweeps, where a seed can produce a
 	// program too large to enumerate.
 	AllowPartial bool
 	// SkipParallel skips the runner worker-identity check (it spawns
@@ -88,7 +83,7 @@ func (o Options) normalized() Options {
 		o.MaxSchedules = 300_000
 	}
 	if len(o.Algorithms) == 0 {
-		o.Algorithms = Algorithms()
+		o.Algorithms = append(core.AllNames(), "URW")
 	}
 	return o
 }
@@ -106,7 +101,8 @@ type Report struct {
 // CheckProgram cross-checks every algorithm against the exhaustively
 // enumerated schedule space of prog. expectDeadlock is the generator's
 // computed oracle: the enumeration must reach a deadlock iff it is set,
-// and must reach no other failure kind either way.
+// and neither it nor any sampled schedule may reach another failure kind
+// either way — partial enumeration or not.
 func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, opts Options) (*Report, error) {
 	opts = opts.normalized()
 	oracle := systematic.Explore(prog, systematic.Options{MaxSchedules: opts.MaxSchedules})
@@ -119,15 +115,14 @@ func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, op
 		Interleavings: len(oracle.Interleavings),
 		Deadlocky:     oracle.Bugs["deadlock"] > 0,
 	}
-	if oracle.Exhausted {
-		if expectDeadlock && oracle.Bugs["deadlock"] == 0 {
-			return nil, fmt.Errorf("crosscheck: %s: generator oracle expects a deadlock but enumeration of %d schedules found none", name, oracle.Schedules)
+	promised := func(bugID string) bool { return expectDeadlock && bugID == "deadlock" }
+	for id := range oracle.Bugs {
+		if !promised(id) {
+			return nil, fmt.Errorf("crosscheck: %s: enumeration reached unexpected failure %q (generator oracle promises %s)", name, id, describeExpectation(expectDeadlock))
 		}
-		for id := range oracle.Bugs {
-			if !expectDeadlock || id != "deadlock" {
-				return nil, fmt.Errorf("crosscheck: %s: enumeration reached unexpected failure %q (generator oracle promises %s)", name, id, describeExpectation(expectDeadlock))
-			}
-		}
+	}
+	if oracle.Exhausted && expectDeadlock && oracle.Bugs["deadlock"] == 0 {
+		return nil, fmt.Errorf("crosscheck: %s: generator oracle expects a deadlock but enumeration of %d schedules found none", name, oracle.Schedules)
 	}
 
 	// A single profiling census feeds every estimate-driven algorithm;
@@ -151,13 +146,11 @@ func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, op
 			if res.Truncated {
 				return nil, fmt.Errorf("crosscheck: %s: %s seed %d: schedule truncated at %d steps", name, algName, so.Seed, res.Steps)
 			}
-			if oracle.Exhausted {
-				if !oracle.Interleavings[res.InterleavingHash] {
-					return nil, fmt.Errorf("crosscheck: %s: %s seed %d produced fingerprint %#x outside the %d enumerated interleavings — scheduler or substrate bug", name, algName, so.Seed, res.InterleavingHash, len(oracle.Interleavings))
-				}
-				if res.Buggy() && oracle.Bugs[res.BugID()] == 0 {
-					return nil, fmt.Errorf("crosscheck: %s: %s seed %d reported failure %q that exhaustive enumeration never reached", name, algName, so.Seed, res.BugID())
-				}
+			if res.Buggy() && !promised(res.BugID()) {
+				return nil, fmt.Errorf("crosscheck: %s: %s seed %d reached unexpected failure %q (generator oracle promises %s)", name, algName, so.Seed, res.BugID(), describeExpectation(expectDeadlock))
+			}
+			if oracle.Exhausted && !oracle.Interleavings[res.InterleavingHash] {
+				return nil, fmt.Errorf("crosscheck: %s: %s seed %d produced fingerprint %#x outside the %d enumerated interleavings — scheduler or substrate bug", name, algName, so.Seed, res.InterleavingHash, len(oracle.Interleavings))
 			}
 			replayed, rerr := replay.ReplayStrict(prog, rec, so)
 			if rerr != nil {
@@ -310,29 +303,54 @@ var genSyncConfig = progfuzz.Config{
 	Gates:      1,
 }
 
-// CheckGenerated cross-checks the three generator grammars at one seed:
-// the mutex grammar (Gen), the full synchronization-object grammar
-// (GenSync), and the deadlock-capable grammar (GenDeadlock) with its
-// computed expected-deadlock oracle.
+// A grammar generates programs that keep a promise by construction: no
+// failure, or a deadlock exactly when gen says so.
+type grammar struct {
+	name string
+	gen  func(seed int64) (prog func(*sched.Thread), expectDeadlock bool)
+	// partialBudget, when set, is the row's own enumeration budget, always
+	// checked with AllowPartial.
+	partialBudget int
+}
+
+// grammars is every generator the oracle checks. CheckGenerated, the fuzz
+// target and the tests read it; a new grammar is one more row.
+var grammars = []grammar{
+	{name: "gen", gen: func(seed int64) (func(*sched.Thread), bool) {
+		return progfuzz.Gen(seed, genConfig).Prog(), false
+	}},
+	{name: "gensync", gen: func(seed int64) (func(*sched.Thread), bool) {
+		return progfuzz.GenSync(seed, genSyncConfig).Prog(), false
+	}},
+	{name: "gendeadlock", gen: func(seed int64) (func(*sched.Thread), bool) {
+		p, expect := progfuzz.GenDeadlock(seed, genConfig)
+		return p.Prog(), expect
+	}},
+	// Gen at five threads of ten operations: about four seeds in five
+	// finish enumerating within the row's budget.
+	{name: "genwide", gen: func(seed int64) (func(*sched.Thread), bool) {
+		return progfuzz.Gen(seed, progfuzz.Config{MaxThreads: 5, MaxOps: 10}).Prog(), false
+	}, partialBudget: 2_000},
+}
+
+// check runs CheckProgram over g's program at seed.
+func (g grammar) check(seed int64, opts Options) (*Report, error) {
+	if g.partialBudget > 0 {
+		opts.MaxSchedules, opts.AllowPartial = g.partialBudget, true
+	}
+	prog, expectDeadlock := g.gen(seed)
+	return CheckProgram(fmt.Sprintf("%s(seed=%d)", g.name, seed), prog, expectDeadlock, opts)
+}
+
+// CheckGenerated cross-checks every grammar at one seed.
 func CheckGenerated(seed int64, opts Options) ([]*Report, error) {
 	var reps []*Report
-	check := func(name string, prog func(*sched.Thread), expectDeadlock bool) error {
-		rep, err := CheckProgram(fmt.Sprintf("%s(seed=%d)", name, seed), prog, expectDeadlock, opts)
+	for _, g := range grammars {
+		rep, err := g.check(seed, opts)
 		if err != nil {
-			return err
+			return reps, err
 		}
 		reps = append(reps, rep)
-		return nil
-	}
-	if err := check("gen", progfuzz.Gen(seed, genConfig).Prog(), false); err != nil {
-		return reps, err
-	}
-	if err := check("gensync", progfuzz.GenSync(seed, genSyncConfig).Prog(), false); err != nil {
-		return reps, err
-	}
-	dl, expect := progfuzz.GenDeadlock(seed, genConfig)
-	if err := check("gendeadlock", dl.Prog(), expect); err != nil {
-		return reps, err
 	}
 	return reps, nil
 }

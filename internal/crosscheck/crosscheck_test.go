@@ -26,8 +26,8 @@ func TestCheckGeneratedSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(reps) != 3 {
-			t.Fatalf("seed %d: %d grammars checked, want 3", seed, len(reps))
+		if len(reps) != len(grammars) {
+			t.Fatalf("seed %d: %d grammars checked, want %d", seed, len(reps), len(grammars))
 		}
 		for _, rep := range reps {
 			if rep.Checked == 0 || rep.Interleavings == 0 {
@@ -41,13 +41,15 @@ func TestCheckGeneratedSeeds(t *testing.T) {
 	// A sweep of sequential programs would pass every check vacuously; the
 	// MinThreads floor in the generator configs exists to prevent that.
 	if concurrent < 10 {
-		t.Fatalf("only %d of 15 generated programs had more than one interleaving — the differential sweep is near-vacuous", concurrent)
+		t.Fatalf("only %d of %d generated programs had more than one interleaving — the differential sweep is near-vacuous", concurrent, 5*len(grammars))
 	}
 }
 
 // TestCheckProgramFlagsPhantomFailure: a program with a reachable assert
 // failure violates the generators' no-failure promise, and CheckProgram
-// must say so rather than bless it.
+// must say so rather than bless it — also when a one-schedule enumeration
+// budget leaves set membership unchecked: the promise holds for every
+// sampled schedule.
 func TestCheckProgramFlagsPhantomFailure(t *testing.T) {
 	racy := func(t *sched.Thread) {
 		x := t.NewVar("x", 0)
@@ -55,9 +57,13 @@ func TestCheckProgramFlagsPhantomFailure(t *testing.T) {
 		t.Assert(x.Load(t) == 0, "saw-write")
 		t.Join(h)
 	}
-	_, err := CheckProgram("racy", racy, false, Options{Schedules: 4, SkipParallel: true})
-	if err == nil || !strings.Contains(err.Error(), "unexpected failure") {
-		t.Fatalf("phantom failure not flagged: %v", err)
+	for _, opts := range []Options{
+		{Schedules: 4, SkipParallel: true},
+		{MaxSchedules: 1, AllowPartial: true, SkipParallel: true},
+	} {
+		if _, err := CheckProgram("racy", racy, false, opts); err == nil || !strings.Contains(err.Error(), "unexpected failure") {
+			t.Errorf("%+v: phantom failure not flagged: %v", opts, err)
+		}
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzGeneratedProgram feeds fuzzed (seed, grammar) pairs through the full
-// differential oracle: generate a program, enumerate its schedule space,
+// differential oracle — grammar picks a row of grammars, counted modulo
+// its length: generate a program, enumerate its schedule space,
 // and require every sampler to stay inside it, replay bit-exactly, and
 // match pooled execution. The fuzzer's job is to find a generator seed
 // whose program breaks the framework; any crash here is a real bug in
@@ -20,6 +21,7 @@ func FuzzGeneratedProgram(f *testing.F) {
 	f.Add(int64(3), int64(2))
 	f.Add(int64(18), int64(2)) // historically the largest deadlock space
 	f.Add(int64(-9000), int64(1))
+	f.Add(int64(5), int64(3))
 	f.Fuzz(func(t *testing.T, seed, grammar int64) {
 		opts := Options{
 			Schedules:    3,
@@ -29,17 +31,8 @@ func FuzzGeneratedProgram(f *testing.F) {
 			AllowPartial: true, // mutated seeds may outgrow the enumeration budget
 			SkipParallel: true, // keep per-input cost down for the fuzz engine
 		}
-		var err error
-		switch g := grammar % 3; g {
-		case 0:
-			_, err = CheckProgram("fuzz-gen", progfuzz.Gen(seed, genConfig).Prog(), false, opts)
-		case 1:
-			_, err = CheckProgram("fuzz-gensync", progfuzz.GenSync(seed, genSyncConfig).Prog(), false, opts)
-		default:
-			p, expect := progfuzz.GenDeadlock(seed, genConfig)
-			_, err = CheckProgram("fuzz-gendeadlock", p.Prog(), expect, opts)
-		}
-		if err != nil {
+		g := grammars[uint64(grammar)%uint64(len(grammars))]
+		if _, err := g.check(seed, opts); err != nil {
 			t.Fatal(err)
 		}
 	})

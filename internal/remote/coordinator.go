@@ -186,7 +186,7 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	// so this many is room for them all.
 	runs := 0
 	for i, k := range plan {
-		if i == 0 || CellOf(k) != CellOf(plan[i-1]) {
+		if i == 0 || campaign.CellOf(k) != campaign.CellOf(plan[i-1]) {
 			runs++
 		}
 	}
@@ -231,7 +231,7 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 // planCellOf returns the index of k's cell in c.plan, adding the cell when
 // it is new. Only NewCoordinator calls it.
 func (c *Coordinator) planCellOf(k runner.SessionKey) int {
-	cell := CellOf(k)
+	cell := campaign.CellOf(k)
 	if i, ok := c.planIndex[cell]; ok {
 		return i
 	}
@@ -245,7 +245,7 @@ func (c *Coordinator) planCellOf(k runner.SessionKey) int {
 
 // plannedLocked reports whether the plan names k.
 func (c *Coordinator) plannedLocked(k runner.SessionKey) bool {
-	i, ok := c.planIndex[CellOf(k)]
+	i, ok := c.planIndex[campaign.CellOf(k)]
 	if !ok {
 		return false
 	}
@@ -263,7 +263,7 @@ func (c *Coordinator) ingestLocked(k runner.SessionKey, s *runner.Session) {
 	if s.Cov == nil {
 		return
 	}
-	cell := CellOf(k)
+	cell := campaign.CellOf(k)
 	tally := c.cellClasses[cell]
 	if tally == nil {
 		tally = make(map[uint64]int)
@@ -277,17 +277,6 @@ func (c *Coordinator) ingestLocked(k runner.SessionKey, s *runner.Session) {
 			dup++ // the class itself was already known fleet-wide
 		}
 		c.dupSchedules += dup
-	}
-}
-
-// CellOf projects a session key onto its (target, algorithm) cell, the
-// batching unit: one lease never mixes cells, so a worker resolves one
-// target and one algorithm per batch.
-func CellOf(k runner.SessionKey) campaign.CellKey {
-	return campaign.CellKey{
-		Target: k.Target, Algorithm: k.Algorithm, Limit: k.Limit, Seed: k.Seed,
-		StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage,
-		CoverageEvery: k.CoverageEvery,
 	}
 }
 
@@ -409,7 +398,7 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 	// Cell throughput for the slow-cell health rule. A lease never mixes
 	// cells, so the first record's cell owns the whole batch's busy time.
 	if len(req.records) > 0 {
-		cell := CellOf(req.records[0].key)
+		cell := campaign.CellOf(req.records[0].key)
 		cs := c.cells[cell]
 		if cs == nil {
 			cs = &cellStat{}
