@@ -43,6 +43,18 @@ fi
 if grep -n -e 'json\.Marshal' -e 'json\.NewDecoder' -e 'json\.NewEncoder' internal/campaign/store.go internal/remote/worker.go internal/remote/coordinator.go; then
     echo "FAIL: json.Marshal/NewDecoder/NewEncoder in the store, the worker loop or the coordinator: records and lease messages go through the wire.go codecs, cold requests through internal/remote/cold.go"; exit 1
 fi
+# One cell key: the seven fields that name a cell (one target under one
+# algorithm) are declared once, as runner.CellKey, beside the runner.Config
+# they are read from, and spelled on the wire by internal/campaign's wire.go
+# alone, a record's key and a lease alike. A StopAtFirstBug field in another
+# non-test file, or its member name outside CellKey's tag and wire.go, is a
+# second cell key, or a second codec for one, coming back.
+if grep -rnE --include='*.go' 'StopAtFirstBug[[:space:]]+bool' . | grep -v -e '_test\.go:' -e '^\./internal/runner/runner\.go:'; then
+    echo "FAIL: a StopAtFirstBug field outside internal/runner/runner.go (Config and CellKey): name a cell with runner.CellKey"; exit 1
+fi
+if grep -rn --include='*.go' 'stop_at_first_bug' . | grep -v -e '_test\.go:' -e '^\./internal/campaign/wire\.go:' -e '^\./internal/runner/runner\.go:[0-9]*:[[:space:]]*StopAtFirstBug[[:space:]]*bool[[:space:]]*`json:"stop_at_first_bug,omitempty"`$'; then
+    echo "FAIL: stop_at_first_bug outside runner.CellKey's tag and internal/campaign/wire.go: cell keys go through campaign's AppendCellHead/AppendCellFlags/ReadCellField"; exit 1
+fi
 # One grid loop: an experiment is a list of cells and internal/experiments'
 # grid.go is the one place that runs one (runner.RunCells — every session of
 # every cell on one pool). Figure 2 is a grid like the others. A worker pool
@@ -83,18 +95,19 @@ fi
 # Coverage floors: current-minus-1% for the scheduler substrate, the
 # algorithm implementations, the command line, the fleet, the sync shim and
 # the run store. A drop below the floor means tests were lost
-# or new code landed untested; raise the floor when coverage climbs.
+# or new code landed untested; raise the floor when coverage climbs (to the
+# least of three `go test -cover ./...` runs, minus 1; never lower one).
 awk '
   /^ok/ && /coverage:/ {
     pkg = $2
     for (i = 1; i <= NF; i++) if ($i == "coverage:") { sub(/%/, "", $(i+1)); cov = $(i+1) + 0 }
     printf "%-40s %5.1f%%\n", pkg, cov
-    if (pkg == "surw/internal/sched" && cov < 91.9) { printf "FAIL: %s coverage %.1f%% below floor 91.9%%\n", pkg, cov; bad = 1 }
+    if (pkg == "surw/internal/sched" && cov < 93.8) { printf "FAIL: %s coverage %.1f%% below floor 93.8%%\n", pkg, cov; bad = 1 }
     if (pkg == "surw/internal/core"  && cov < 95.2) { printf "FAIL: %s coverage %.1f%% below floor 95.2%%\n", pkg, cov; bad = 1 }
-    if (pkg == "surw/cmd/surw"       && cov < 69.7) { printf "FAIL: %s coverage %.1f%% below floor 69.7%%\n", pkg, cov; bad = 1 }
-    if (pkg == "surw/internal/remote" && cov < 91.6) { printf "FAIL: %s coverage %.1f%% below floor 91.6%%\n", pkg, cov; bad = 1 }
+    if (pkg == "surw/cmd/surw"       && cov < 75.2) { printf "FAIL: %s coverage %.1f%% below floor 75.2%%\n", pkg, cov; bad = 1 }
+    if (pkg == "surw/internal/remote" && cov < 93.1) { printf "FAIL: %s coverage %.1f%% below floor 93.1%%\n", pkg, cov; bad = 1 }
     if (pkg == "surw/surwsync"       && cov < 88.8) { printf "FAIL: %s coverage %.1f%% below floor 88.8%%\n", pkg, cov; bad = 1 }
-    if (pkg == "surw/internal/campaign" && cov < 92.8) { printf "FAIL: %s coverage %.1f%% below floor 92.8%%\n", pkg, cov; bad = 1 }
+    if (pkg == "surw/internal/campaign" && cov < 94.5) { printf "FAIL: %s coverage %.1f%% below floor 94.5%%\n", pkg, cov; bad = 1 }
   }
   END { exit bad }
 ' /tmp/surw-cover.txt

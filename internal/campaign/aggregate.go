@@ -46,7 +46,7 @@ type MetricsSnapshot struct {
 
 // CellAggregate is the rollup of one (target, algorithm) cell.
 type CellAggregate struct {
-	CellKey
+	runner.CellKey
 	// SessionsStored counts the session records present (a partially
 	// completed cell shows fewer than the campaign's session budget).
 	SessionsStored int `json:"sessions_stored"`
@@ -152,12 +152,12 @@ type numbered struct {
 }
 
 // Aggregate computes the campaign rollup from the store's current index: its
-// cells in CellKey.less order, each cell's records in session order.
+// cells in compareCells order, each cell's records in session order.
 func (s *Store) Aggregate() *Aggregates {
 	// A snapshot of pointers under the mutex: an indexed session never
 	// changes, so it is read where it lies.
 	type cellRecords struct {
-		cell CellKey
+		cell runner.CellKey
 		recs []numbered
 	}
 	s.mu.Lock()
@@ -172,12 +172,7 @@ func (s *Store) Aggregate() *Aggregates {
 	}
 	s.mu.Unlock()
 
-	slices.SortFunc(cells, func(a, b cellRecords) int {
-		if a.cell.less(b.cell) {
-			return -1
-		}
-		return 1 // cells are distinct
-	})
+	slices.SortFunc(cells, func(a, b cellRecords) int { return compareCells(a.cell, b.cell) })
 	agg := &Aggregates{Version: Version, Sessions: len(all)}
 	for _, c := range cells {
 		slices.SortFunc(c.recs, func(a, b numbered) int { return cmp.Compare(a.session, b.session) })
@@ -186,8 +181,31 @@ func (s *Store) Aggregate() *Aggregates {
 	return agg
 }
 
+// compareCells orders cells deterministically for aggregation output.
+func compareCells(a, b runner.CellKey) int {
+	return cmp.Or(
+		cmp.Compare(a.Target, b.Target),
+		cmp.Compare(a.Algorithm, b.Algorithm),
+		cmp.Compare(a.Limit, b.Limit),
+		cmp.Compare(a.Seed, b.Seed),
+		cmp.Compare(cellFlags(a), cellFlags(b)),
+		cmp.Compare(a.CoverageEvery, b.CoverageEvery),
+	)
+}
+
+// cellFlags ranks a cell's flags: StopAtFirstBug first, false before true.
+func cellFlags(c runner.CellKey) (n int) {
+	if c.StopAtFirstBug {
+		n += 2
+	}
+	if c.Coverage {
+		n++
+	}
+	return n
+}
+
 // aggregateCell rolls up one cell's session records, in session order.
-func aggregateCell(cell CellKey, recs []numbered) CellAggregate {
+func aggregateCell(cell runner.CellKey, recs []numbered) CellAggregate {
 	ca := CellAggregate{CellKey: cell, SessionsStored: len(recs)}
 
 	var firstBugs []float64

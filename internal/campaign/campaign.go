@@ -31,59 +31,6 @@
 // away on open; every complete line is a self-contained record.
 package campaign
 
-import "surw/internal/runner"
-
 // Version is the wire-format version stamped into the manifest and every
 // record line.
 const Version = 1
-
-// CellKey identifies one (target, algorithm) cell: a SessionKey minus the
-// session index. Aggregation groups session records by it.
-type CellKey struct {
-	Target         string `json:"target"`
-	Algorithm      string `json:"algorithm"`
-	Limit          int    `json:"limit"`
-	Seed           int64  `json:"seed"`
-	StopAtFirstBug bool   `json:"stop_at_first_bug,omitempty"`
-	Coverage       bool   `json:"coverage,omitempty"`
-	CoverageEvery  int    `json:"coverage_every,omitempty"`
-}
-
-// CellOf projects a session key onto its cell: the store's index and the
-// aggregation group it lands in, and the fleet's batching unit — one lease
-// never mixes cells, so a worker resolves one target and one algorithm per
-// batch.
-func CellOf(k runner.SessionKey) CellKey {
-	return CellKey{
-		Target:         k.Target,
-		Algorithm:      k.Algorithm,
-		Limit:          k.Limit,
-		Seed:           k.Seed,
-		StopAtFirstBug: k.StopAtFirstBug,
-		Coverage:       k.Coverage,
-		CoverageEvery:  k.CoverageEvery,
-	}
-}
-
-// less orders cells deterministically for aggregation output.
-func (c CellKey) less(o CellKey) bool {
-	if c.Target != o.Target {
-		return c.Target < o.Target
-	}
-	if c.Algorithm != o.Algorithm {
-		return c.Algorithm < o.Algorithm
-	}
-	if c.Limit != o.Limit {
-		return c.Limit < o.Limit
-	}
-	if c.Seed != o.Seed {
-		return c.Seed < o.Seed
-	}
-	if c.StopAtFirstBug != o.StopAtFirstBug {
-		return o.StopAtFirstBug
-	}
-	if c.Coverage != o.Coverage {
-		return o.Coverage
-	}
-	return c.CoverageEvery < o.CoverageEvery
-}

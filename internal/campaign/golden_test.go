@@ -102,7 +102,7 @@ func goldenStore(t *testing.T) *campaign.Store {
 	}
 	t.Cleanup(func() { st.Close() })
 	put := func(target, alg string, session int, cov bool, s *runner.Session) {
-		k := runner.SessionKey{Target: target, Algorithm: alg, Limit: 200, Seed: 7, Session: session, StopAtFirstBug: true, Coverage: cov}
+		k := runner.SessionKey{CellKey: runner.CellKey{Target: target, Algorithm: alg, Limit: 200, Seed: 7, StopAtFirstBug: true, Coverage: cov}, Session: session}
 		if cov {
 			k.CoverageEvery = 5
 		}

@@ -121,16 +121,16 @@ type YieldCell struct {
 func yieldReport(agg *Aggregates, snap *atlas.Snapshot) *YieldReport {
 	yields := agg.Yields()
 	rep := &YieldReport{Cells: make([]YieldCell, 0, len(yields))}
-	drift := make(map[CellKey]*atlas.DriftSnapshot)
+	drift := make(map[[2]string]*atlas.DriftSnapshot)
 	if snap != nil {
 		for _, c := range snap.Cells {
-			drift[CellKey{Target: c.Target, Algorithm: c.Algorithm}] = c.Uniformity
+			drift[[2]string{c.Target, c.Algorithm}] = c.Uniformity
 		}
 	}
 	for _, y := range yields {
 		rep.Cells = append(rep.Cells, YieldCell{
 			CellYield:  y,
-			Uniformity: drift[CellKey{Target: y.Target, Algorithm: y.Algorithm}],
+			Uniformity: drift[[2]string{y.Target, y.Algorithm}],
 		})
 	}
 	return rep

@@ -115,7 +115,7 @@ type Store struct {
 	// and, within its cell, by session number; n counts them. A session is
 	// the store's own from the moment it is indexed and never changes again:
 	// Lookup, Store and Aggregate hand out that very pointer, for reading.
-	index  map[CellKey]map[int]*runner.Session
+	index  map[runner.CellKey]map[int]*runner.Session
 	n      int
 	names  map[string]string // target and algorithm names indexLines has read, to intern the next line's against
 	line   []byte            // Store's encoding buffer
@@ -180,7 +180,7 @@ func OpenRead(dir string) (*Store, error) {
 func load(dir string) (*Store, int64, int64, error) {
 	s := &Store{
 		dir:    dir,
-		index:  make(map[CellKey]map[int]*runner.Session),
+		index:  make(map[runner.CellKey]map[int]*runner.Session),
 		names:  make(map[string]string),
 		events: NewBroker(),
 	}
@@ -190,17 +190,23 @@ func load(dir string) (*Store, int64, int64, error) {
 		return nil, 0, 0, fmt.Errorf("campaign: read %s: %w", path, err)
 	}
 	keep, err := s.indexLines(data, nil)
-	if err != nil {
-		// A line that does not parse is corruption unless it is the last:
-		// that one was torn mid-write even though a stray newline made it
-		// to disk, and is dropped like a tail with no newline at all.
-		last := bytes.IndexByte(data[keep:], '\n') == len(data)-keep-1
-		if !last || errors.Is(err, errVersion) {
-			return nil, 0, 0, fmt.Errorf("campaign: corrupt record in %s at byte %d: %w", path, keep, err)
-		}
+	if corrupt(data, keep, err) {
+		return nil, 0, 0, fmt.Errorf("campaign: corrupt record in %s at byte %d: %w", path, keep, err)
 	}
 	s.offset = int64(keep)
 	return s, s.offset, int64(len(data)), nil
+}
+
+// corrupt reports whether err, indexLines' error at data[at:], is
+// corruption: a line that does not parse is, unless it is the last — torn
+// mid-write though a stray newline made it to disk, or still being written
+// — which is dropped like a tail with no newline. Another wire version is.
+func corrupt(data []byte, at int, err error) bool {
+	if err == nil {
+		return false
+	}
+	last := bytes.IndexByte(data[at:], '\n') == len(data)-at-1
+	return !last || errors.Is(err, errVersion)
 }
 
 // checkManifest writes the manifest on first writable open and verifies
@@ -285,18 +291,17 @@ func (s *Store) Len() int {
 // lookupLocked returns the indexed session of k. Caller holds s.mu or is
 // still constructing s.
 func (s *Store) lookupLocked(k runner.SessionKey) (*runner.Session, bool) {
-	sess, ok := s.index[CellOf(k)][k.Session]
+	sess, ok := s.index[k.CellKey][k.Session]
 	return sess, ok
 }
 
 // indexLocked indexes sess under k, which it does not hold yet. Caller
 // holds s.mu or is still constructing s.
 func (s *Store) indexLocked(k runner.SessionKey, sess *runner.Session) {
-	cell := CellOf(k)
-	sessions := s.index[cell]
+	sessions := s.index[k.CellKey]
 	if sessions == nil {
 		sessions = make(map[int]*runner.Session)
-		s.index[cell] = sessions
+		s.index[k.CellKey] = sessions
 	}
 	sessions[k.Session] = sess
 	s.n++
@@ -459,17 +464,21 @@ func (s *Store) Poll() (int, error) {
 		return 0, err
 	}
 
-	// A line that does not parse yet is the writer mid-flush: the next poll
-	// starts from it again.
+	// A last line that does not parse yet may be the writer mid-flush: the
+	// next poll starts from it again. Any other is corruption, as Open and
+	// OpenRead would find it; the records before it are still indexed.
 	var events []Event
 	s.mu.Lock()
-	n, _ := s.indexLines(data, func(k runner.SessionKey, sess *runner.Session) {
+	n, err := s.indexLines(data, func(k runner.SessionKey, sess *runner.Session) {
 		events = append(events, sessionEvent(k, sess, s.n))
 	})
 	s.offset += int64(n)
 	s.mu.Unlock()
 	for _, ev := range events {
 		s.events.Publish(ev)
+	}
+	if corrupt(data, n, err) {
+		return len(events), fmt.Errorf("campaign: corrupt record in %s at byte %d: %w", path, offset+int64(n), err)
 	}
 	return len(events), nil
 }

@@ -59,7 +59,7 @@ func TestFailedAppendLeavesStoreOpenable(t *testing.T) {
 			st.f = ff
 			sess := &runner.Session{FirstBug: 3, Schedules: 3, Bugs: map[string]int{"assert": 1}}
 			key := func(i int) runner.SessionKey {
-				return runner.SessionKey{Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7, Session: i}
+				return runner.SessionKey{CellKey: runner.CellKey{Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7}, Session: i}
 			}
 			if _, err := st.Store(key(0), sess); err != nil {
 				t.Fatal(err)
@@ -109,7 +109,7 @@ func TestFailedAppendThatCannotBeCutClosesTheStore(t *testing.T) {
 	ff := &faultyFile{File: st.f.(*os.File)}
 	st.f = ff
 	sess := &runner.Session{FirstBug: -1, Schedules: 100}
-	k0 := runner.SessionKey{Target: "T", Algorithm: "SURW", Limit: 100}
+	k0 := runner.SessionKey{CellKey: runner.CellKey{Target: "T", Algorithm: "SURW", Limit: 100}}
 	k1 := k0
 	k1.Session = 1
 	if _, err := st.Store(k0, sess); err != nil {

@@ -14,8 +14,8 @@ import (
 
 func key(session int) runner.SessionKey {
 	return runner.SessionKey{
-		Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7,
-		Session: session, StopAtFirstBug: true,
+		CellKey: runner.CellKey{Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7, StopAtFirstBug: true},
+		Session: session,
 	}
 }
 
@@ -192,6 +192,57 @@ func TestStorePollTailsWriter(t *testing.T) {
 	// Nothing new: Poll is idempotent.
 	if n, err := r.Poll(); err != nil || n != 0 {
 		t.Fatalf("second Poll = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// A record that does not parse, with another line behind it, is corruption
+// to Poll as it is to OpenRead: Poll indexes the records before it and
+// reports it, at every poll, rather than stopping there in silence. A bad
+// last line is waited on — the writer may still be cutting it.
+func TestPollReportsCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Store(key(0), session(9)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := campaign.OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := filepath.Join(dir, "runs.jsonl")
+	appendRuns := func(text string) {
+		t.Helper()
+		f, err := os.OpenFile(runs, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	line := string(campaign.AppendRecord(nil, key(2), session(4))) + "\n"
+
+	appendRuns(line + "{garbage\n")
+	if n, err := r.Poll(); err != nil || n != 1 {
+		t.Fatalf("Poll over a bad last line = (%d, %v), want (1, nil): the line may still be being cut", n, err)
+	}
+	appendRuns(line)
+	for i := 0; i < 2; i++ {
+		n, err := r.Poll()
+		if err == nil || !strings.Contains(err.Error(), "corrupt record") {
+			t.Fatalf("Poll %d over a bad line with a record behind it = (%d, %v), want a corrupt-record error", i, n, err)
+		}
+	}
+	if r.Len() != 2 {
+		t.Fatalf("reader Len = %d, want the 2 records before the bad line", r.Len())
+	}
+	if _, err := campaign.OpenRead(dir); err == nil || !strings.Contains(err.Error(), "corrupt record") {
+		t.Fatalf("OpenRead = %v, want the same corrupt-record error", err)
 	}
 }
 

@@ -91,22 +91,9 @@ func appendFingerprints(dst []byte, m map[uint64]int) []byte {
 // not re-dump flights.
 func AppendRecord(dst []byte, k runner.SessionKey, s *runner.Session) []byte {
 	dst = wire.AppendInt(dst, `{"v":`, Version)
-	dst = append(dst, `,"key":{"target":`...)
-	dst = wire.AppendString(dst, k.Target)
-	dst = append(dst, `,"algorithm":`...)
-	dst = wire.AppendString(dst, k.Algorithm)
-	dst = wire.AppendInt(dst, `,"limit":`, int64(k.Limit))
-	dst = wire.AppendInt(dst, `,"seed":`, k.Seed)
+	dst = AppendCellHead(append(dst, `,"key":{`...), k.CellKey)
 	dst = wire.AppendInt(dst, `,"session":`, int64(k.Session))
-	if k.StopAtFirstBug {
-		dst = append(dst, `,"stop_at_first_bug":true`...)
-	}
-	if k.Coverage {
-		dst = append(dst, `,"coverage":true`...)
-	}
-	if k.CoverageEvery != 0 {
-		dst = wire.AppendInt(dst, `,"coverage_every":`, int64(k.CoverageEvery))
-	}
+	dst = AppendCellFlags(dst, k.CellKey)
 	dst = wire.AppendInt(dst, `},"session":{"first_bug":`, int64(s.FirstBug))
 	dst = wire.AppendInt(dst, `,"schedules":`, int64(s.Schedules))
 	if s.Truncated != 0 {
@@ -158,7 +145,7 @@ func AppendRecord(dst []byte, k runner.SessionKey, s *runner.Session) []byte {
 // The fields of the record's objects, in the order the parse switches on.
 var (
 	recordFields  = []string{"v", "key", "session"}
-	keyFields     = []string{"target", "algorithm", "limit", "seed", "session", "stop_at_first_bug", "coverage", "coverage_every"}
+	keyFields     = append(slices.Clip(CellFields), "session")
 	sessionFields = []string{"first_bug", "schedules", "truncated", "bugs", "cov"}
 	covFields     = []string{"interleavings", "classes", "dup_schedules", "behaviors", "series"}
 	pointFields   = []string{"schedules", "interleavings", "behaviors", "classes"}
@@ -199,6 +186,58 @@ func parseFingerprints(p *wire.Parser, what string) map[uint64]int {
 	return m
 }
 
+// AppendCellHead appends a cell key's members "target" through "seed", no
+// comma first. A record's key and a lease are written with it and
+// AppendCellFlags, the record's session between the two.
+func AppendCellHead(dst []byte, c runner.CellKey) []byte {
+	dst = append(dst, `"target":`...)
+	dst = wire.AppendString(dst, c.Target)
+	dst = append(dst, `,"algorithm":`...)
+	dst = wire.AppendString(dst, c.Algorithm)
+	dst = wire.AppendInt(dst, `,"limit":`, int64(c.Limit))
+	return wire.AppendInt(dst, `,"seed":`, c.Seed)
+}
+
+// AppendCellFlags appends a cell key's omitempty members, each behind a comma.
+func AppendCellFlags(dst []byte, c runner.CellKey) []byte {
+	if c.StopAtFirstBug {
+		dst = append(dst, `,"stop_at_first_bug":true`...)
+	}
+	if c.Coverage {
+		dst = append(dst, `,"coverage":true`...)
+	}
+	if c.CoverageEvery != 0 {
+		dst = wire.AppendInt(dst, `,"coverage_every":`, int64(c.CoverageEvery))
+	}
+	return dst
+}
+
+// CellFields are a cell key's members in the order ReadCellField numbers
+// them. A record's key and a lease list them first among their own fields.
+var CellFields = []string{"target", "algorithm", "limit", "seed", "stop_at_first_bug", "coverage", "coverage_every"}
+
+// ReadCellField reads the value p stands at, the member CellFields[i], into
+// c. A target or algorithm is name(its bytes): the caller's way of not
+// copying a name it already holds.
+func ReadCellField(p *wire.Parser, c *runner.CellKey, i int, name func([]byte) string) {
+	switch i {
+	case 0:
+		c.Target = name(p.String())
+	case 1:
+		c.Algorithm = name(p.String())
+	case 2:
+		c.Limit = p.IntN()
+	case 3:
+		c.Seed = p.Int()
+	case 4:
+		c.StopAtFirstBug = p.Bool()
+	case 5:
+		c.Coverage = p.Bool()
+	case 6:
+		c.CoverageEvery = p.IntN()
+	}
+}
+
 // ParseRecord reads one record — AppendRecord's bytes or encoding/json's,
 // fields in any order, unknown fields skipped — into the canonical session:
 // the maps a session has are present (empty when the line omits them),
@@ -225,6 +264,7 @@ func ReadRecord(p *wire.Parser, names map[string]string) (runner.SessionKey, *ru
 		rec     wire.Object
 	)
 	s := &runner.Session{}
+	name := func(b []byte) string { return intern(b, names) }
 	for p.Field(&rec, recordFields) {
 		switch rec.Index {
 		case 0:
@@ -232,23 +272,10 @@ func ReadRecord(p *wire.Parser, names map[string]string) (runner.SessionKey, *ru
 		case 1:
 			var o wire.Object
 			for p.Field(&o, keyFields) {
-				switch o.Index {
-				case 0:
-					k.Target = intern(p.String(), names)
-				case 1:
-					k.Algorithm = intern(p.String(), names)
-				case 2:
-					k.Limit = p.IntN()
-				case 3:
-					k.Seed = p.Int()
-				case 4:
+				if o.Index == len(CellFields) {
 					k.Session = p.IntN()
-				case 5:
-					k.StopAtFirstBug = p.Bool()
-				case 6:
-					k.Coverage = p.Bool()
-				case 7:
-					k.CoverageEvery = p.IntN()
+				} else {
+					ReadCellField(p, &k.CellKey, o.Index, name)
 				}
 			}
 		case 2:

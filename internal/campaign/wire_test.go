@@ -124,8 +124,8 @@ func (r recordOracle) decode() (runner.SessionKey, *runner.Session, bool) {
 	}
 	k := r.Key
 	return runner.SessionKey{
-		Target: k.Target, Algorithm: k.Algorithm, Limit: k.Limit, Seed: k.Seed, Session: k.Session,
-		StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage, CoverageEvery: k.CoverageEvery,
+		CellKey: runner.CellKey{Target: k.Target, Algorithm: k.Algorithm, Limit: k.Limit, Seed: k.Seed, StopAtFirstBug: k.StopAtFirstBug, Coverage: k.Coverage, CoverageEvery: k.CoverageEvery},
+		Session: k.Session,
 	}, s, ok
 }
 
@@ -149,11 +149,11 @@ type codecCase struct {
 func codecCases() []codecCase {
 	return []codecCase{
 		{ // the plainest record: nothing optional set
-			runner.SessionKey{Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7},
+			runner.SessionKey{CellKey: runner.CellKey{Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7}},
 			&runner.Session{FirstBug: -1, Schedules: 100, Bugs: map[string]int{}},
 		},
 		{ // a hunt that found bugs whose ids need every escape
-			runner.SessionKey{Target: "CS/reorder_10", Algorithm: "PCT-3", Limit: 2000, Seed: 1, Session: 19, StopAtFirstBug: true},
+			runner.SessionKey{CellKey: runner.CellKey{Target: "CS/reorder_10", Algorithm: "PCT-3", Limit: 2000, Seed: 1, StopAtFirstBug: true}, Session: 19},
 			&runner.Session{FirstBug: 17, Schedules: 17, Truncated: 2, Flight: "/tmp/not-persisted", Bugs: map[string]int{
 				"assert:reorder":           3,
 				"<&>\"\\ \u2028\u2029 é 😀": 1,
@@ -163,7 +163,7 @@ func codecCases() []codecCase {
 			}},
 		},
 		{ // coverage with every field, and the integers' extremes
-			runner.SessionKey{Target: "t/<x>", Algorithm: "URW", Limit: math.MaxInt64, Seed: math.MinInt64, Session: 3, Coverage: true, CoverageEvery: 50},
+			runner.SessionKey{CellKey: runner.CellKey{Target: "t/<x>", Algorithm: "URW", Limit: math.MaxInt64, Seed: math.MinInt64, Coverage: true, CoverageEvery: 50}, Session: 3},
 			&runner.Session{FirstBug: math.MinInt64, Schedules: math.MaxInt64, Truncated: -1, Bugs: map[string]int{"b": math.MinInt64},
 				Cov: &runner.Coverage{
 					Interleavings: map[uint64]int{0: 1, math.MaxUint64: 2, 0x0123456789abcdef: 3, 10: -4},
@@ -177,7 +177,7 @@ func codecCases() []codecCase {
 				}},
 		},
 		{ // coverage asked for, nothing seen: the omitempty zeros
-			runner.SessionKey{Target: "T", Algorithm: "RW", Seed: -1, Session: 1, Coverage: true},
+			runner.SessionKey{CellKey: runner.CellKey{Target: "T", Algorithm: "RW", Seed: -1, Coverage: true}, Session: 1},
 			&runner.Session{Cov: &runner.Coverage{}},
 		},
 	}
@@ -302,10 +302,9 @@ func sessionFrom(data []byte) (runner.SessionKey, *runner.Session) {
 		return m
 	}
 	flags := next()
-	k := runner.SessionKey{
-		Target: text(), Algorithm: text(), Limit: num(), Seed: int64(num()), Session: num(),
-		StopAtFirstBug: flags&1 != 0, Coverage: flags&2 != 0, CoverageEvery: num(),
-	}
+	var k runner.SessionKey
+	k.Target, k.Algorithm, k.Limit, k.Seed, k.Session = text(), text(), num(), int64(num()), num()
+	k.StopAtFirstBug, k.Coverage, k.CoverageEvery = flags&1 != 0, flags&2 != 0, num()
 	s := &runner.Session{FirstBug: num(), Schedules: num(), Truncated: num(), Flight: text()}
 	if flags&4 != 0 {
 		s.Bugs = counts()
@@ -447,7 +446,7 @@ func TestParentStoreOpens(t *testing.T) {
 		}
 	}
 	// The torn tail is gone: an append lands on a line of its own.
-	extra := runner.SessionKey{Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7, Session: 99}
+	extra := runner.SessionKey{CellKey: runner.CellKey{Target: "T", Algorithm: "SURW", Limit: 100, Seed: 7}, Session: 99}
 	if _, err := st.Store(extra, cases[0].sess); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ package campaign
 // panel) is a pure function of the record set, like every aggregate, and
 // it is for a reader: it ranks cells, it steers nothing.
 
+import "surw/internal/runner"
+
 // Yield is one cell's discovery-yield estimate: how much is left to find
 // there, on a [0,1] scale, decomposed into the three signals it is built
 // from. A cell fresh out of the plan scores 1 (maximum uncertainty); a
@@ -29,7 +31,7 @@ type Yield struct {
 
 // CellYield is one cell's discovery-yield estimate.
 type CellYield struct {
-	CellKey
+	runner.CellKey
 	// SessionsStored mirrors the aggregate's session count.
 	SessionsStored int `json:"sessions_stored"`
 	// Samples is the size of the class stream the estimate is built on

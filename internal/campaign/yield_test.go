@@ -50,8 +50,8 @@ func TestYieldsFromCampaign(t *testing.T) {
 // both come back Scoreable=false with a zero Yield — never NaN.
 func TestYieldsDegenerateCells(t *testing.T) {
 	agg := &campaign.Aggregates{Cells: []campaign.CellAggregate{
-		{CellKey: campaign.CellKey{Target: "t", Algorithm: "empty"}},
-		{CellKey: campaign.CellKey{Target: "t", Algorithm: "nocov"}, SessionsStored: 2,
+		{CellKey: runner.CellKey{Target: "t", Algorithm: "empty"}},
+		{CellKey: runner.CellKey{Target: "t", Algorithm: "nocov"}, SessionsStored: 2,
 			Survival: []campaign.SurvivalPoint{{Schedules: 0, Surviving: 1}, {Schedules: 50, Surviving: 0.5}}},
 	}}
 	for _, y := range agg.Yields() {

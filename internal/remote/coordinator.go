@@ -78,9 +78,10 @@ type Coordinator struct {
 	mu sync.Mutex
 	// The plan by index: its cells (planIndex finds one), and queue, the
 	// sessions the store did not hold at construction in plan order, which a
-	// batch is a range of. Both are read-only once built.
+	// batch is a range of. queue, planIndex and the cells' keys and
+	// sessions are read-only once built.
 	plan       []planCell
-	planIndex  map[campaign.CellKey]int
+	planIndex  map[runner.CellKey]int
 	queue      []int
 	total      int     // len(plan)
 	done       int     // keys known stored
@@ -102,25 +103,25 @@ type Coordinator struct {
 	// coordinator's own histograms (queue_wait); workerLat keeps the
 	// latest cumulative latency snapshot per worker, as its heartbeats
 	// deliver it (replaced, never merged in place, so cumulative shipping
-	// can't double-count); cells feeds the slow-cell health rule.
-	spans     *obs.SpanLog
-	lat       obs.LatencySet
-	workerLat map[string]map[string]obs.HistogramWire
-	cells     map[campaign.CellKey]*cellStat
-
-	// The fleet atlas. cellClasses tallies ingested class fingerprints per
-	// cell (a pure function of the store, so it survives coordinator
-	// restarts); workerAtlas keeps the latest cumulative atlas snapshot per
-	// worker (replaced like workerLat).
-	cellClasses map[campaign.CellKey]map[uint64]int
+	// can't double-count); workerAtlas keeps the latest cumulative atlas
+	// snapshot per worker, replaced the same way.
+	spans       *obs.SpanLog
+	lat         obs.LatencySet
+	workerLat   map[string]map[string]obs.HistogramWire
 	workerAtlas map[string][]atlas.CellSnapshot
 }
 
-// planCell is one cell of the plan: the key of its sessions, Session
-// aside, and the session numbers the plan names for it, sorted.
+// planCell is all the coordinator keeps of a cell: its key, the sessions
+// the plan names for it (sorted), its ingested records' class tallies —
+// the fleet atlas' drift, a pure function of the store that survives
+// restarts — and the schedules and worker-reported busy time of its
+// submissions, the slow-cell health rule's (a lease never mixes cells).
 type planCell struct {
-	key      runner.SessionKey
-	sessions []int
+	key       runner.CellKey
+	sessions  []int
+	classes   map[uint64]int
+	schedules int64
+	busy      time.Duration
 }
 
 // batch is a run of one cell's sessions in plan order: queue[lo:hi], of
@@ -166,16 +167,13 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 		mux:       http.NewServeMux(),
 		now:       time.Now,
 		names:     make(map[string]string),
-		planIndex: make(map[campaign.CellKey]int),
+		planIndex: make(map[runner.CellKey]int),
 		queue:     make([]int, 0, len(plan)),
 		total:     len(plan),
 		leases:    make(map[string]*lease),
 		workers:   make(map[string]*workerState),
 
-		workerLat: make(map[string]map[string]obs.HistogramWire),
-		cells:     make(map[campaign.CellKey]*cellStat),
-
-		cellClasses: make(map[campaign.CellKey]map[uint64]int),
+		workerLat:   make(map[string]map[string]obs.HistogramWire),
 		workerAtlas: make(map[string][]atlas.CellSnapshot),
 	}
 	if c.opts.Tracing {
@@ -186,7 +184,7 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	// so this many is room for them all.
 	runs := 0
 	for i, k := range plan {
-		if i == 0 || campaign.CellOf(k) != campaign.CellOf(plan[i-1]) {
+		if i == 0 || k.CellKey != plan[i-1].CellKey {
 			runs++
 		}
 	}
@@ -205,7 +203,7 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 			c.done++
 			// A restarted coordinator rebuilds the duplicate gauges and the
 			// per-cell class tallies from the records it resumes over.
-			c.ingestLocked(k, s)
+			c.ingestLocked(&c.plan[cell], s)
 			continue
 		}
 		if cell != cur.cell || cur.hi-cur.lo >= c.opts.BatchSize {
@@ -231,47 +229,41 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 // planCellOf returns the index of k's cell in c.plan, adding the cell when
 // it is new. Only NewCoordinator calls it.
 func (c *Coordinator) planCellOf(k runner.SessionKey) int {
-	cell := campaign.CellOf(k)
-	if i, ok := c.planIndex[cell]; ok {
+	if i, ok := c.planIndex[k.CellKey]; ok {
 		return i
 	}
 	c.names[k.Target], c.names[k.Algorithm] = k.Target, k.Algorithm
-	key := k
-	key.Session = 0
-	c.plan = append(c.plan, planCell{key: key})
-	c.planIndex[cell] = len(c.plan) - 1
+	c.plan = append(c.plan, planCell{key: k.CellKey})
+	c.planIndex[k.CellKey] = len(c.plan) - 1
 	return len(c.plan) - 1
 }
 
-// plannedLocked reports whether the plan names k.
-func (c *Coordinator) plannedLocked(k runner.SessionKey) bool {
-	i, ok := c.planIndex[campaign.CellOf(k)]
+// plannedLocked returns the index of k's cell and whether the plan names k.
+func (c *Coordinator) plannedLocked(k runner.SessionKey) (int, bool) {
+	i, ok := c.planIndex[k.CellKey]
 	if !ok {
-		return false
+		return 0, false
 	}
 	_, ok = slices.BinarySearch(c.plan[i].sessions, k.Session)
-	return ok
+	return i, ok
 }
 
-// ingestLocked folds one session record's class tallies into the
-// seen-class filter, the fleet duplicate-rate tallies, and the per-cell
-// class tallies the fleet atlas' drift is read from: each class adds one
-// filter observation, and every schedule beyond the first of an
-// already-seen class counts as a duplicate. Sessions without coverage contribute
-// nothing. Caller holds c.mu (or is still constructing c).
-func (c *Coordinator) ingestLocked(k runner.SessionKey, s *runner.Session) {
+// ingestLocked folds one session record of cell's into the seen-class
+// filter, the fleet duplicate-rate tallies, and the cell's class tallies:
+// each class adds one filter observation, and every schedule beyond the
+// first of an already-seen class counts as a duplicate. Sessions without
+// coverage contribute nothing. Caller holds c.mu (or is still constructing
+// c).
+func (c *Coordinator) ingestLocked(cell *planCell, s *runner.Session) {
 	if s.Cov == nil {
 		return
 	}
-	cell := campaign.CellOf(k)
-	tally := c.cellClasses[cell]
-	if tally == nil {
-		tally = make(map[uint64]int)
-		c.cellClasses[cell] = tally
+	if cell.classes == nil {
+		cell.classes = make(map[uint64]int)
 	}
 	for class, n := range s.Cov.Classes {
 		c.schedules += int64(n)
-		tally[class] += n
+		cell.classes[class] += n
 		dup := int64(n - 1)
 		if !c.filter.Add(class) {
 			dup++ // the class itself was already known fleet-wide
@@ -367,8 +359,10 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 		ws.left = false
 	}
 	c.expireStaleLocked(now)
-	for _, d := range req.records {
-		if !c.plannedLocked(d.key) {
+	for i := range req.records {
+		d := &req.records[i]
+		var planned bool
+		if d.cell, planned = c.plannedLocked(d.key); !planned {
 			http.Error(w, fmt.Sprintf("remote: session %s/%s #%d is not in the campaign plan",
 				d.key.Target, d.key.Algorithm, d.key.Session), http.StatusBadRequest)
 			return
@@ -391,23 +385,18 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 		resp.Accepted++
 		c.done++
 		ws.sessions++
-		c.ingestLocked(d.key, d.sess)
+		c.ingestLocked(&c.plan[d.cell], d.sess)
 	}
 	busy := time.Duration(req.busyMillis) * time.Millisecond
 	ws.busy += busy
 	// Cell throughput for the slow-cell health rule. A lease never mixes
 	// cells, so the first record's cell owns the whole batch's busy time.
 	if len(req.records) > 0 {
-		cell := campaign.CellOf(req.records[0].key)
-		cs := c.cells[cell]
-		if cs == nil {
-			cs = &cellStat{}
-			c.cells[cell] = cs
-		}
+		cell := &c.plan[req.records[0].cell]
 		for _, d := range req.records {
-			cs.schedules += int64(d.sess.Schedules)
+			cell.schedules += int64(d.sess.Schedules)
 		}
-		cs.busy += busy
+		cell.busy += busy
 	}
 	if c.spans.Enabled() {
 		for _, s := range spans {
@@ -460,9 +449,7 @@ func (c *Coordinator) grantLocked(ws *workerState, now time.Time, x *exchange, r
 		k0 := c.plan[b.cell].key
 		sessions := out.Sessions[:0]
 		for _, s := range c.queue[b.lo:b.hi] {
-			k := k0
-			k.Session = s
-			if _, ok := c.store.Lookup(k); !ok {
+			if _, ok := c.store.Lookup(runner.SessionKey{CellKey: k0, Session: s}); !ok {
 				sessions = append(sessions, s)
 			}
 		}
@@ -490,12 +477,7 @@ func (c *Coordinator) grantLocked(ws *workerState, now time.Time, x *exchange, r
 		}
 		c.leases[l.id] = l
 		ws.lease = l
-		*out = Lease{
-			ID: l.id, Target: k0.Target, Algorithm: k0.Algorithm,
-			Limit: k0.Limit, Seed: k0.Seed, StopAtFirstBug: k0.StopAtFirstBug,
-			Coverage: k0.Coverage, CoverageEvery: k0.CoverageEvery, Sessions: sessions,
-			TTLMillis: c.opts.LeaseTTL.Milliseconds(),
-		}
+		*out = Lease{ID: l.id, CellKey: k0, Sessions: sessions, TTLMillis: c.opts.LeaseTTL.Milliseconds()}
 		if c.spans.Enabled() {
 			// Root of the end-to-end trace: one fresh TraceID per lease.
 			// The span stays open until the lease completes or expires;
@@ -638,14 +620,17 @@ func (c *Coordinator) AtlasSnapshot() *atlas.Snapshot {
 	// Drift per (target, algorithm), summed over every cell configuration
 	// that maps there (one, in any sane plan).
 	classes := make(map[[2]string]map[uint64]int)
-	for k, tally := range c.cellClasses {
-		key := [2]string{k.Target, k.Algorithm}
+	for _, cell := range c.plan {
+		if len(cell.classes) == 0 {
+			continue
+		}
+		key := [2]string{cell.key.Target, cell.key.Algorithm}
 		m := classes[key]
 		if m == nil {
-			m = make(map[uint64]int, len(tally))
+			m = make(map[uint64]int, len(cell.classes))
 			classes[key] = m
 		}
-		for class, n := range tally {
+		for class, n := range cell.classes {
 			m[class] += n
 		}
 	}

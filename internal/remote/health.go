@@ -41,14 +41,6 @@ const (
 	minCellBusy = 250 * time.Millisecond
 )
 
-// cellStat accumulates observed throughput per campaign cell: schedules
-// executed and worker-reported busy time, both attributed at result
-// submission (a lease never mixes cells, so the attribution is exact).
-type cellStat struct {
-	schedules int64
-	busy      time.Duration
-}
-
 // healthLocked evaluates the three stall rules. Caller holds c.mu and has
 // already expired stale leases (so "aging" leases here are alive —
 // heartbeating but not finishing).
@@ -80,13 +72,13 @@ func (c *Coordinator) healthLocked(now time.Time) *campaign.HealthReport {
 		rate float64
 	}
 	var rates []cellRate
-	for cell, cs := range c.cells {
-		if cs.busy < minCellBusy || cs.schedules == 0 {
+	for _, cell := range c.plan {
+		if cell.busy < minCellBusy || cell.schedules == 0 {
 			continue
 		}
 		rates = append(rates, cellRate{
-			name: cell.Target + "/" + cell.Algorithm,
-			rate: float64(cs.schedules) / cs.busy.Seconds(),
+			name: cell.key.Target + "/" + cell.key.Algorithm,
+			rate: float64(cell.schedules) / cell.busy.Seconds(),
 		})
 	}
 	sort.Slice(rates, func(i, j int) bool { return rates[i].rate < rates[j].rate })

@@ -83,14 +83,14 @@ func TestHealthAgingLease(t *testing.T) {
 func TestHealthSlowCell(t *testing.T) {
 	st := newMemStore()
 	c := NewCoordinator(st, syntheticPlan(1), CoordinatorOptions{LeaseTTL: time.Minute})
-	// Inject observed throughput directly: two healthy cells at ~100
-	// schedules/s and one crawling at 1/s (median 100, floor 25).
+	// Inject observed throughput directly, as plan rows: two healthy cells
+	// at ~100 schedules/s and one crawling at 1/s (median 100, floor 25).
 	c.mu.Lock()
-	c.cells[campaign.CellKey{Target: "t/fast1", Algorithm: "RW"}] = &cellStat{schedules: 1000, busy: 10 * time.Second}
-	c.cells[campaign.CellKey{Target: "t/fast2", Algorithm: "RW"}] = &cellStat{schedules: 1000, busy: 10 * time.Second}
-	c.cells[campaign.CellKey{Target: "t/hang", Algorithm: "SURW"}] = &cellStat{schedules: 10, busy: 10 * time.Second}
+	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/fast1", Algorithm: "RW"}, schedules: 1000, busy: 10 * time.Second})
+	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/fast2", Algorithm: "RW"}, schedules: 1000, busy: 10 * time.Second})
+	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/hang", Algorithm: "SURW"}, schedules: 10, busy: 10 * time.Second})
 	// Below minCellBusy: excluded from the rule even though its rate is 0.
-	c.cells[campaign.CellKey{Target: "t/new", Algorithm: "RW"}] = &cellStat{schedules: 1, busy: time.Millisecond}
+	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/new", Algorithm: "RW"}, schedules: 1, busy: time.Millisecond})
 	c.mu.Unlock()
 
 	h := c.Status().Health
@@ -110,7 +110,7 @@ func TestHealthSlowCellNeedsTwoMeasured(t *testing.T) {
 	st := newMemStore()
 	c := NewCoordinator(st, syntheticPlan(1), CoordinatorOptions{})
 	c.mu.Lock()
-	c.cells[campaign.CellKey{Target: "t/only", Algorithm: "RW"}] = &cellStat{schedules: 10, busy: 10 * time.Second}
+	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/only", Algorithm: "RW"}, schedules: 10, busy: 10 * time.Second})
 	c.mu.Unlock()
 	if h := c.Status().Health; !h.Healthy {
 		t.Fatalf("single-cell fleet flagged: %+v", h)

@@ -1,9 +1,10 @@
 package remote
 
-// A drain over a lossy network: the first piece of ROADMAP item 6.2's chaos
-// harness, and the net under the protocol change that made a submission's
-// reply carry the next lease — a reply lost in flight then carries a lease
-// away with it.
+// Drains over a lossy network: the first pieces of ROADMAP item 6.2's chaos
+// harness. Lost and repeated polls and submissions are the net under the
+// protocol change that made a submission's reply carry the next lease — a
+// reply lost in flight then carries a lease away with it; lost and repeated
+// heartbeats let leases lapse under workers that are still running them.
 
 import (
 	"bytes"
@@ -13,12 +14,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"surw/internal/campaign"
 	"surw/internal/experiments"
+	"surw/internal/runner"
 )
 
 // lossy is a transport under workers that loses and repeats requests,
@@ -156,4 +161,171 @@ func TestLossyTransportDrain(t *testing.T) {
 	if want := localAggregates(t, sc); !bytes.Equal(agg.Bytes(), want) {
 		t.Fatalf("aggregates of the lossy drain differ from a local run's (%d bytes vs %d)", agg.Len(), len(want))
 	}
+}
+
+// flakyBeats is a transport under workers that loses and repeats the
+// heartbeats of leases. Of the leases' first heartbeats, counted across
+// every worker, the 1st, 4th, 7th, … is sent twice, and the 3rd, 6th, … is
+// lost before it reaches the coordinator — whose clock then moves a TTL on,
+// so that the lease lapses under the worker still running it and is
+// requeued at the coordinator's next request. A lease's later heartbeats
+// are all sent twice; other requests pass untouched. beaten has, by lease
+// ID, a channel closed at the lease's first heartbeat; n counts those.
+type flakyBeats struct {
+	base          http.RoundTripper
+	clk           *clock
+	ttl           time.Duration
+	mu            sync.Mutex
+	n             int
+	beaten        map[string]chan struct{}
+	lost, doubled int
+}
+
+// beat returns the channel closed at the lease's first heartbeat.
+func (f *flakyBeats) beat(lease string) chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.beaten == nil {
+		f.beaten = make(map[string]chan struct{})
+	}
+	ch := f.beaten[lease]
+	if ch == nil {
+		ch = make(chan struct{})
+		f.beaten[lease] = ch
+	}
+	return ch
+}
+
+func (f *flakyBeats) RoundTrip(req *http.Request) (*http.Response, error) {
+	var body struct {
+		LeaseID string `json:"lease_id"`
+	}
+	if req.URL.Path != PathHeartbeat {
+		return f.base.RoundTrip(req)
+	}
+	if err := readJSON(req, &body); err != nil || body.LeaseID == "" {
+		return f.base.RoundTrip(req)
+	}
+	ch := f.beat(body.LeaseID)
+	f.mu.Lock()
+	lose, double := false, true
+	select {
+	case <-ch:
+	default:
+		close(ch)
+		f.n++
+		lose, double = f.n%3 == 0, f.n%3 == 1
+	}
+	if lose {
+		f.lost++
+		f.clk.advance(f.ttl + time.Nanosecond)
+	}
+	if double {
+		f.doubled++
+	}
+	f.mu.Unlock()
+	if lose {
+		return nil, errReplyLost
+	}
+	if double {
+		first := req.Clone(req.Context())
+		var err error
+		if first.Body, err = req.GetBody(); err != nil {
+			return nil, err
+		}
+		if err := discard(f.base.RoundTrip(first)); err != nil {
+			return nil, err
+		}
+	}
+	return f.base.RoundTrip(req)
+}
+
+// TestHeartbeatChaosDrain drains a plan through two workers whose
+// heartbeats are lost and repeated, with every lost heartbeat letting the
+// leases lapse on the coordinator's clock: the campaign must still finish,
+// every plan key must be stored once, and the store must come out as a
+// local run's. Each lease is held at its start until its first heartbeat
+// has gone out (the worker's progress line is the hook), so every lease is
+// beaten at least once however fast its sessions run, and a lost first
+// heartbeat always lapses a lease still held; how many leases lapse, and
+// how many sessions run twice, is left to the race.
+func TestHeartbeatChaosDrain(t *testing.T) {
+	const ttl = 30 * time.Millisecond // a heartbeat every 10 ms of wall clock
+	sc := sctScale()
+	store, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	plan := experiments.SCTPlan(sc)
+	clk := &clock{t: time.Unix(1_000_000, 0)}
+	c := NewCoordinator(store, plan, CoordinatorOptions{LeaseTTL: ttl, BatchSize: 2})
+	c.now = clk.now
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	tr := &flakyBeats{base: http.DefaultTransport, clk: clk, ttl: ttl}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, name := range []string{"w0", "w1"} {
+		w := newTestWorker(name, srv.URL)
+		w.Client = &http.Client{Transport: tr}
+		w.Logf = func(format string, args ...any) {
+			if !strings.HasPrefix(format, "lease %s: ") {
+				return
+			}
+			select {
+			case <-tr.beat(args[0].(string)):
+			case <-ctx.Done():
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Errorf("worker %s: %v", w.Name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if tr.lost == 0 || tr.doubled == 0 {
+		t.Fatalf("%d heartbeats lost, %d sent twice: the chaos never happened", tr.lost, tr.doubled)
+	}
+	rs := c.Status()
+	if !c.Done() || rs.LeaseExpiries == 0 {
+		t.Fatalf("done %v, %d lease expiries: want done, with the leases of lost heartbeats lapsed", c.Done(), rs.LeaseExpiries)
+	}
+
+	// Every plan key stored once: the file holds each of them on one line.
+	runs, err := os.ReadFile(filepath.Join(store.Dir(), "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(runs, []byte("\n")), []byte("\n"))
+	stored := make(map[runner.SessionKey]int)
+	for _, line := range lines {
+		k, _, err := campaign.ParseRecord(line, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[k]++
+	}
+	for _, k := range plan {
+		if stored[k] != 1 {
+			t.Errorf("plan key %+v stored %d times, want once", k, stored[k])
+		}
+	}
+	if len(lines) != len(plan) {
+		t.Errorf("runs.jsonl holds %d records, want the plan's %d", len(lines), len(plan))
+	}
+
+	var agg bytes.Buffer
+	if err := campaign.WriteAggregates(&agg, store); err != nil {
+		t.Fatal(err)
+	}
+	if want := localAggregates(t, sc); !bytes.Equal(agg.Bytes(), want) {
+		t.Fatalf("aggregates of the heartbeat-chaos drain differ from a local run's (%d bytes vs %d)", agg.Len(), len(want))
+	}
+	t.Logf("%d leases beaten: %d heartbeats lost, %d sent twice; %d lease expiries, %d duplicate records",
+		tr.n, tr.lost, tr.doubled, rs.LeaseExpiries, rs.DuplicateResults)
 }

@@ -34,11 +34,7 @@ func grantedKeys(t *testing.T, url string) []runner.SessionKey {
 		}
 		l := resp.Lease
 		for _, s := range l.Sessions {
-			keys = append(keys, runner.SessionKey{
-				Target: l.Target, Algorithm: l.Algorithm, Limit: l.Limit, Seed: l.Seed, Session: s,
-				StopAtFirstBug: l.StopAtFirstBug, Coverage: l.Coverage,
-				CoverageEvery: l.CoverageEvery,
-			})
+			keys = append(keys, runner.SessionKey{CellKey: l.CellKey, Session: s})
 		}
 	}
 }

@@ -60,6 +60,7 @@ import (
 	"surw/internal/atlas"
 	"surw/internal/campaign"
 	"surw/internal/obs"
+	"surw/internal/runner"
 )
 
 // Protocol endpoint paths.
@@ -86,20 +87,14 @@ type LeaseResponse struct {
 	Lease       *Lease `json:"lease,omitempty"`
 }
 
-// Lease is one batch of sessions from a single (target, algorithm) cell.
-// The cell configuration is carried field-by-field (not as a SessionKey)
-// so the wire shape is explicit; the worker rebuilds keys with
-// runner.KeyFor, which must round-trip to the coordinator's plan keys —
-// the coordinator ships normalized values, so reconstruction is stable.
+// Lease is one batch of sessions from a single cell. It names the cell by
+// its key, whose members sit flat beside the lease's own on the wire; the
+// worker rebuilds the session keys with runner.KeyFor, which must
+// round-trip to the coordinator's plan keys — the coordinator ships
+// normalized values, so reconstruction is stable.
 type Lease struct {
-	ID             string `json:"id"`
-	Target         string `json:"target"`
-	Algorithm      string `json:"algorithm"`
-	Limit          int    `json:"limit"`
-	Seed           int64  `json:"seed"`
-	StopAtFirstBug bool   `json:"stop_at_first_bug,omitempty"`
-	Coverage       bool   `json:"coverage,omitempty"`
-	CoverageEvery  int    `json:"coverage_every,omitempty"`
+	ID string `json:"id"`
+	runner.CellKey
 	// Sessions are the session indices to execute.
 	Sessions []int `json:"sessions"`
 	// TTLMillis is the lease's time-to-live; the worker heartbeats at a

@@ -78,7 +78,7 @@ func (c *clock) advance(d time.Duration) {
 func syntheticPlan(n int) []runner.SessionKey {
 	plan := make([]runner.SessionKey, n)
 	for i := range plan {
-		plan[i] = runner.SessionKey{Target: "t/x", Algorithm: "RW", Limit: 100, Seed: 1, Session: i}
+		plan[i] = runner.SessionKey{CellKey: runner.CellKey{Target: "t/x", Algorithm: "RW", Limit: 100, Seed: 1}, Session: i}
 	}
 	return plan
 }
@@ -226,7 +226,7 @@ func TestLeaveTakingReturnsTheLease(t *testing.T) {
 			rs.InFlightLeases, rs.PendingBatches, rs.LeaseExpiries, c.AllWorkersNotified())
 	}
 
-	late := &Lease{Target: "t/x", Algorithm: "RW", Limit: 100, Seed: 1, Sessions: []int{0}}
+	late := &Lease{CellKey: runner.CellKey{Target: "t/x", Algorithm: "RW", Limit: 100, Seed: 1}, Sessions: []int{0}}
 	var rr ResultResponse
 	if code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: sessionRecordsFor(late)}, &rr); code != 200 {
 		t.Fatalf("late submission: status %d", code)
@@ -292,7 +292,7 @@ func TestSharedWorkerNameStillDrains(t *testing.T) {
 func sessionRecordsFor(l *Lease) []campaign.Record {
 	recs := make([]campaign.Record, len(l.Sessions))
 	for i, s := range l.Sessions {
-		k := runner.SessionKey{Target: l.Target, Algorithm: l.Algorithm, Limit: l.Limit, Seed: l.Seed, Session: s}
+		k := runner.SessionKey{CellKey: l.CellKey, Session: s}
 		recs[i] = campaign.NewRecord(k, &runner.Session{FirstBug: -1, Schedules: l.Limit, Bugs: map[string]int{}})
 	}
 	return recs
@@ -343,7 +343,7 @@ func TestResultOutsidePlanRejected(t *testing.T) {
 	defer srv.Close()
 
 	stray := campaign.NewRecord(
-		runner.SessionKey{Target: "not/planned", Algorithm: "RW", Limit: 5, Session: 0},
+		runner.SessionKey{CellKey: runner.CellKey{Target: "not/planned", Algorithm: "RW", Limit: 5}, Session: 0},
 		&runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}})
 	code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []campaign.Record{stray}}, nil)
 	if code != http.StatusBadRequest {

@@ -14,6 +14,7 @@ package remote
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 
 	"surw/internal/campaign"
@@ -42,21 +43,8 @@ func appendResultResponse(dst []byte, r *ResultResponse) []byte {
 	if l := r.Lease; l != nil {
 		dst = append(dst, `,"lease":{"id":`...)
 		dst = wire.AppendString(dst, l.ID)
-		dst = append(dst, `,"target":`...)
-		dst = wire.AppendString(dst, l.Target)
-		dst = append(dst, `,"algorithm":`...)
-		dst = wire.AppendString(dst, l.Algorithm)
-		dst = wire.AppendInt(dst, `,"limit":`, int64(l.Limit))
-		dst = wire.AppendInt(dst, `,"seed":`, l.Seed)
-		if l.StopAtFirstBug {
-			dst = append(dst, `,"stop_at_first_bug":true`...)
-		}
-		if l.Coverage {
-			dst = append(dst, `,"coverage":true`...)
-		}
-		if l.CoverageEvery != 0 {
-			dst = wire.AppendInt(dst, `,"coverage_every":`, int64(l.CoverageEvery))
-		}
+		dst = campaign.AppendCellHead(append(dst, ','), l.CellKey)
+		dst = campaign.AppendCellFlags(dst, l.CellKey)
 		if l.Sessions == nil {
 			dst = append(dst, `,"sessions":null`...)
 		} else {
@@ -107,19 +95,10 @@ func appendResultRequest(dst []byte, worker, leaseID string, busyMillis int64, k
 }
 
 var (
-	leaseFields          = []string{"id", "target", "algorithm", "limit", "seed", "stop_at_first_bug", "coverage", "coverage_every", "sessions", "ttl_ms", "traceparent"}
+	leaseFields          = append(slices.Clip(campaign.CellFields), "id", "sessions", "ttl_ms", "traceparent")
 	resultRequestFields  = []string{"worker", "lease_id", "busy_ms", "records", "spans"}
 	resultResponseFields = []string{"accepted", "duplicates", "done", "retry_ms", "lease"}
 )
-
-// kept returns b as a string: prev itself when that is what b spells, so a
-// run of leases of one cell names its target and algorithm once.
-func kept(b []byte, prev string) string {
-	if string(b) == prev {
-		return prev
-	}
-	return string(b)
-}
 
 // parseResultResponse reads a submission's reply, or a lease reply — one
 // with no counts — into r. A lease it carries lands in l — on l's storage:
@@ -143,37 +122,33 @@ func parseResultResponse(p *wire.Parser, body []byte, r *ResultResponse, l *Leas
 			if p.Null() {
 				continue
 			}
-			target, algorithm := l.Target, l.Algorithm
+			prev := l.CellKey
+			name := func(b []byte) string {
+				if string(b) == prev.Target {
+					return prev.Target
+				} else if string(b) == prev.Algorithm {
+					return prev.Algorithm
+				}
+				return string(b)
+			}
 			*l = Lease{Sessions: l.Sessions[:0]}
 			r.Lease = l
 			var lo wire.Object
 			for p.Field(&lo, leaseFields) {
-				switch lo.Index {
+				switch lo.Index - len(campaign.CellFields) {
 				case 0:
 					l.ID = string(p.String())
 				case 1:
-					l.Target = kept(p.String(), target)
-				case 2:
-					l.Algorithm = kept(p.String(), algorithm)
-				case 3:
-					l.Limit = p.IntN()
-				case 4:
-					l.Seed = p.Int()
-				case 5:
-					l.StopAtFirstBug = p.Bool()
-				case 6:
-					l.Coverage = p.Bool()
-				case 7:
-					l.CoverageEvery = p.IntN()
-				case 8:
 					var a wire.Array
 					for p.Elem(&a) {
 						l.Sessions = append(l.Sessions, p.IntN())
 					}
-				case 9:
+				case 2:
 					l.TTLMillis = p.Int()
-				case 10:
+				case 3:
 					l.Traceparent = string(p.String())
+				default:
+					campaign.ReadCellField(p, &l.CellKey, lo.Index, name)
 				}
 			}
 		}
@@ -195,6 +170,7 @@ type resultRequest struct {
 type submitted struct {
 	key  runner.SessionKey
 	sess *runner.Session
+	cell int // the index of key's cell in the coordinator's plan
 }
 
 // parse reads body into r. A record's target and algorithm found in names
@@ -215,7 +191,7 @@ func (r *resultRequest) parse(p *wire.Parser, body []byte, names map[string]stri
 			var a wire.Array
 			for p.Elem(&a) {
 				k, s := campaign.ReadRecord(p, names)
-				r.records = append(r.records, submitted{k, s})
+				r.records = append(r.records, submitted{key: k, sess: s})
 			}
 		case 4:
 			if !p.Null() {

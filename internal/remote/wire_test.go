@@ -65,9 +65,14 @@ func goldenLeaseResponses() []LeaseResponse {
 		{Done: true},
 		{RetryMillis: 500},
 		{},
-		{Lease: &Lease{ID: "l000001", Target: "CS/reorder_10", Algorithm: "PCT-3", Limit: 2000, Seed: 1, Sessions: []int{0, 1, 2, 19}, TTLMillis: 30000}},
-		{Lease: &Lease{ID: "l123456", Target: "t/<x>", Algorithm: "URW", Limit: 1, Seed: -9, StopAtFirstBug: true, Coverage: true, CoverageEvery: 50,
-			Sessions: []int{7}, TTLMillis: 1, Traceparent: "00-01020300000000000000000000000000-0405000000000000-01"}},
+		{Lease: &Lease{ID: "l000001", CellKey: runner.CellKey{Target: "CS/reorder_10", Algorithm: "PCT-3", Limit: 2000, Seed: 1}, Sessions: []int{0, 1, 2, 19}, TTLMillis: 30000}},
+		{Lease: &Lease{
+			ID:          "l123456",
+			CellKey:     runner.CellKey{Target: "t/<x>", Algorithm: "URW", Limit: 1, Seed: -9, StopAtFirstBug: true, Coverage: true, CoverageEvery: 50},
+			Sessions:    []int{7},
+			TTLMillis:   1,
+			Traceparent: "00-01020300000000000000000000000000-0405000000000000-01",
+		}},
 		{Lease: &Lease{Sessions: nil}},
 		{Lease: &Lease{Sessions: []int{}}},
 	}
@@ -201,7 +206,7 @@ func checkBody(t *testing.T, body []byte) (accepted [2]bool) {
 
 // staleLease is a worker's last lease, which a reply is parsed over.
 func staleLease() *Lease {
-	return &Lease{ID: "stale", Target: "stale", Algorithm: "stale", Limit: 9, Sessions: []int{9, 9, 9}, Traceparent: "stale", StopAtFirstBug: true}
+	return &Lease{ID: "stale", CellKey: runner.CellKey{Target: "stale", Algorithm: "stale", Limit: 9, StopAtFirstBug: true}, Sessions: []int{9, 9, 9}, Traceparent: "stale"}
 }
 
 func sameLeaseResponse(a, b LeaseResponse) bool {
@@ -258,8 +263,12 @@ func FuzzLeaseMessages(f *testing.F) {
 			return pool[int(next())%len(pool)] + pool[int(next())%len(pool)]
 		}
 		flags := next()
-		lease := &Lease{ID: text(), Target: text(), Algorithm: text(), Limit: int(num()), Seed: num(), StopAtFirstBug: flags&1 != 0, Coverage: flags&2 != 0,
-			CoverageEvery: int(num()), TTLMillis: num(), Traceparent: text()}
+		lease := &Lease{
+			ID:          text(),
+			CellKey:     runner.CellKey{Target: text(), Algorithm: text(), Limit: int(num()), Seed: num(), StopAtFirstBug: flags&1 != 0, Coverage: flags&2 != 0, CoverageEvery: int(num())},
+			TTLMillis:   num(),
+			Traceparent: text(),
+		}
 		if flags&4 != 0 {
 			lease.Sessions = []int{}
 			for n := next() % 4; n > 0; n-- {
@@ -450,10 +459,15 @@ func (p *poisoner) RoundTrip(req *http.Request) (*http.Response, error) {
 		for i := range sessions {
 			sessions[i] = -7
 		}
-		*l = Lease{ID: "poison", Target: l.Target + "-poison", Algorithm: "poison", Limit: -7, Seed: -7, StopAtFirstBug: true, Coverage: true,
-			CoverageEvery: -7, Sessions: l.Sessions, TTLMillis: -7, Traceparent: "poison"}
+		*l = Lease{
+			ID:          "poison",
+			CellKey:     runner.CellKey{Target: l.Target + "-poison", Algorithm: "poison", Limit: -7, Seed: -7, StopAtFirstBug: true, Coverage: true, CoverageEvery: -7},
+			Sessions:    l.Sessions,
+			TTLMillis:   -7,
+			Traceparent: "poison",
+		}
 		for i := range w.keys[:cap(w.keys)] {
-			w.keys[:cap(w.keys)][i] = runner.SessionKey{Target: "poison", Session: -7}
+			w.keys[:cap(w.keys)][i] = runner.SessionKey{CellKey: runner.CellKey{Target: "poison"}, Session: -7}
 		}
 		for i := range w.sessions[:cap(w.sessions)] {
 			w.sessions[:cap(w.sessions)][i] = &runner.Session{FirstBug: -7, Bugs: map[string]int{"poison": 1}}

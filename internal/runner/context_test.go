@@ -93,8 +93,8 @@ func TestKeyForMatchesEngineNormalization(t *testing.T) {
 	// hit the store records a local batch writes.
 	k := KeyFor(ctxTarget(), "SURW", Config{Coverage: true}, 2)
 	want := SessionKey{
-		Target: "ctx/racy", Algorithm: "SURW", Limit: 1000, Session: 2,
-		Coverage: true, CoverageEvery: 1000/50 + 1,
+		CellKey: CellKey{Target: "ctx/racy", Algorithm: "SURW", Limit: 1000, Coverage: true, CoverageEvery: 1000/50 + 1},
+		Session: 2,
 	}
 	if k != want {
 		t.Fatalf("KeyFor = %+v, want %+v", k, want)

@@ -103,20 +103,27 @@ type Config struct {
 	Atlas *atlas.Atlas
 }
 
-// SessionKey identifies one session's work deterministically: everything
-// that feeds the session's seeds and its observable outcome, independent of
-// Config.Sessions and Config.Workers (a session's result depends only on
-// its own index). CoverageEvery is the effective cadence (0 when Coverage
-// is off), so equivalent configs share keys.
+// CellKey names one cell, one target under one algorithm: everything that
+// feeds a session's seeds and its observable outcome but its index.
+// CoverageEvery is the effective cadence (0 when Coverage is off), so
+// equivalent configs share keys. The tags are the members a record's key
+// and a lease spell it with (internal/campaign's wire.go).
+type CellKey struct {
+	Target         string `json:"target"`
+	Algorithm      string `json:"algorithm"`
+	Limit          int    `json:"limit"`
+	Seed           int64  `json:"seed"`
+	StopAtFirstBug bool   `json:"stop_at_first_bug,omitempty"`
+	Coverage       bool   `json:"coverage,omitempty"`
+	CoverageEvery  int    `json:"coverage_every,omitempty"`
+}
+
+// SessionKey identifies one session's work deterministically: its cell and
+// its index, independent of Config.Sessions and Config.Workers (a session's
+// result depends only on its own index).
 type SessionKey struct {
-	Target         string
-	Algorithm      string
-	Limit          int
-	Seed           int64
-	Session        int
-	StopAtFirstBug bool
-	Coverage       bool
-	CoverageEvery  int
+	CellKey
+	Session int
 }
 
 // SessionStore persists per-session results for crash-safe, resumable
@@ -168,15 +175,14 @@ func KeyFor(tgt Target, algName string, cfg Config, session int) SessionKey {
 
 // sessionKey builds the normalized key for one session of the batch.
 func sessionKey(tgt Target, algName string, cfg Config, session int) SessionKey {
-	k := SessionKey{
+	k := SessionKey{CellKey{
 		Target:         tgt.Name,
 		Algorithm:      algName,
 		Limit:          cfg.Limit,
 		Seed:           cfg.Seed,
-		Session:        session,
 		StopAtFirstBug: cfg.StopAtFirstBug,
 		Coverage:       cfg.Coverage,
-	}
+	}, session}
 	if cfg.Coverage {
 		k.CoverageEvery = effectiveEvery(cfg)
 	}
