@@ -347,7 +347,7 @@ func timedAlgorithm(b *testing.B, alg sched.Algorithm, t *decisionTimer) sched.A
 // BenchmarkSchedulerThroughput measures raw substrate speed: events per
 // second through the cooperative scheduler with the cheapest algorithm.
 func BenchmarkSchedulerThroughput(b *testing.B) {
-	prog := experiments.Bitshift(64)
+	prog := sctbench.Bitshift(64).Prog
 	alg := core.NewRandomWalk()
 	steps := 0
 	for i := 0; i < b.N; i++ {
@@ -404,7 +404,7 @@ func BenchmarkParallelSessions(b *testing.B) {
 // fresh Execution per run, and through the pool into a Result the caller
 // keeps (what the runner does), which is the Result fewer.
 func BenchmarkPooledSchedule(b *testing.B) {
-	prog := experiments.Bitshift(16)
+	prog := sctbench.Bitshift(16).Prog
 	alg := core.NewRandomWalk()
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
@@ -436,7 +436,7 @@ func BenchmarkPooledSchedule(b *testing.B) {
 // allocs/schedule; ~70 while session.go ran every schedule through the
 // one-shot sched.Run).
 func BenchmarkLibrarySession(b *testing.B) {
-	prog := experiments.Bitshift(16)
+	prog := sctbench.Bitshift(16).Prog
 	const schedules = 500
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -818,12 +818,12 @@ func BenchmarkAblationCountNoise(b *testing.B) {
 	for _, scale := range []float64{1.0, 2.0, 8.0} {
 		b.Run(fmt.Sprintf("scale-%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				info := experiments.BitshiftInfo(k)
+				info := sctbench.BitshiftInfo(k)
 				// Skew only thread A's estimate: relative ratios are what
 				// matter (§7).
 				info.Events[info.LID("0.0")] = int(float64(k) * scale)
 				info.InterestingEvents[info.LID("0.0")] = info.Events[info.LID("0.0")]
-				prog := experiments.Bitshift(k)
+				prog := sctbench.Bitshift(k).Prog
 				counts := make(map[string]int)
 				alg := core.NewURW()
 				for s := 0; s < 7000; s++ {

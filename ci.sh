@@ -55,6 +55,18 @@ fi
 if grep -rn --include='*.go' 'stop_at_first_bug' . | grep -v -e '_test\.go:' -e '^\./internal/campaign/wire\.go:' -e '^\./internal/runner/runner\.go:[0-9]*:[[:space:]]*StopAtFirstBug[[:space:]]*bool[[:space:]]*`json:"stop_at_first_bug,omitempty"`$'; then
     echo "FAIL: stop_at_first_bug outside runner.CellKey's tag and internal/campaign/wire.go: cell keys go through campaign's AppendCellHead/AppendCellFlags/ReadCellField"; exit 1
 fi
+# One target registry: a name means one program. experiments.ByName
+# (internal/experiments/targets.go) is the one resolver, over sctbench's
+# registry; it alone parses the two parametric families. A ByName in another
+# non-test file, or a second parser of "LightFTP@"/"Fig1/bitshift_", is a
+# second resolver coming back, and with it a name that builds its program
+# afresh.
+if grep -rn --include='*.go' 'func ByName(' . | grep -v -e '_test\.go:' -e '^\./internal/experiments/targets\.go:' -e '^\./internal/sctbench/sctbench\.go:'; then
+    echo "FAIL: func ByName outside internal/experiments/targets.go and internal/sctbench/sctbench.go: resolve names with experiments.ByName"; exit 1
+fi
+if grep -rnE --include='*.go' 'CutPrefix\([^)]*"(LightFTP@|Fig1/bitshift_)' . | grep -v -e '_test\.go:' -e '^\./internal/experiments/targets\.go:'; then
+    echo "FAIL: a target family (LightFTP@<progseed>, Fig1/bitshift_<k>) parsed outside internal/experiments/targets.go"; exit 1
+fi
 # One grid loop: an experiment is a list of cells and internal/experiments'
 # grid.go is the one place that runs one (runner.RunCells — every session of
 # every cell on one pool). Figure 2 is a grid like the others. A worker pool

@@ -15,6 +15,7 @@ import (
 	"surw/internal/experiments"
 	"surw/internal/obs"
 	"surw/internal/remote"
+	"surw/internal/sctbench"
 	"surw/internal/workpool"
 )
 
@@ -131,6 +132,11 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		sc.Workers = c.workers
 		sc.Metrics = c.metrics
 		sc.SCTTargets = splitList(*sctTargets)
+		for _, name := range sc.SCTTargets {
+			if _, ok := sctbench.ByName(name); !ok {
+				return usagef("-sct-targets: %q is not an SCTBench target (try surw run -list)", name)
+			}
+		}
 		sc.SCTAlgs = splitList(*sctAlgs)
 		sc.SCTCoverage = *sctCov
 		if c.atlas {

@@ -11,18 +11,13 @@ import (
 	_ "net/http/pprof" // registers on http.DefaultServeMux, which -pprof serves
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"surw/internal/atlas"
 	"surw/internal/buildinfo"
 	"surw/internal/campaign"
 	"surw/internal/experiments"
-	"surw/internal/ftp"
 	"surw/internal/obs"
-	"surw/internal/racebench"
 	"surw/internal/runner"
-	"surw/internal/sctbench"
 )
 
 // command is one subcommand invocation: its flag set, its streams, and the
@@ -253,44 +248,9 @@ func readAtlas(path string) (*atlas.Snapshot, error) {
 	return &snap, nil
 }
 
-// allTargetNames lists every runnable target across the suites.
-func allTargetNames() []string {
-	names := sctbench.Names()
-	for _, b := range racebench.Suite() {
-		names = append(names, b.Target().Name)
-	}
-	return append(names, "LightFTP", "LightFTP@<progseed>", "bitshift_<k>")
-}
-
-// lookupTarget resolves a target from any suite, plus two families: the
-// LightFTP case study under a trial's client scripts ("LightFTP@<progseed>",
-// what the ftp experiment's cells are named; the bare name is trial seed 1)
-// and the synthetic "bitshift_<k>" (the paper's Figure 1 program: C(2k,k)
-// equally interesting interleavings, ideal for eyeballing exported
-// traces). It is the one resolver: whatever `surw run -list` prints, every
-// subcommand that takes a target name — and a fleet worker handed one in a
-// lease — accepts.
-func lookupTarget(name string) (runner.Target, bool) {
-	if tgt, ok := sctbench.ByName(name); ok {
-		return tgt, true
-	}
-	if tgt, ok := racebench.ByName(name); ok {
-		return tgt, true
-	}
-	if tgt, ok := ftp.ByName(name); ok {
-		return tgt, true
-	}
-	if rest, ok := strings.CutPrefix(name, "bitshift_"); ok {
-		if k, err := strconv.Atoi(rest); err == nil && k > 0 && k <= 31 {
-			return runner.Target{Name: name, Prog: experiments.Bitshift(k)}, true
-		}
-	}
-	return runner.Target{}, false
-}
-
 // resolveTarget looks up the -target flag.
 func (c *command) resolveTarget() (runner.Target, error) {
-	tgt, ok := lookupTarget(c.target)
+	tgt, ok := experiments.ByName(c.target)
 	if !ok {
 		return tgt, usagef("unknown target %q (try surw run -list)", c.target)
 	}

@@ -184,7 +184,7 @@ func TestFleetAtlas(t *testing.T) {
 
 // TestFleetAllGrids: every experiment is a plan a fleet can drain, not
 // Tables 1/4 alone. One campaign of fig2, sct, rb and ftp cells — Figure
-// 2's bitshift_5, RaceBench targets, and LightFTP trials beyond the first,
+// 2's Fig1/bitshift_5, RaceBench targets, and LightFTP trials beyond the first,
 // which a worker resolves from the program seed in the cell's name —
 // sharded over two workers leaves the tables on stdout and aggregates.json
 // byte-identical to the local run's.

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"surw/internal/core"
+	"surw/internal/experiments"
 	"surw/internal/obs"
 	"surw/internal/replay"
 	"surw/internal/runner"
@@ -56,7 +57,7 @@ func runCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return replayFlight(stdout, *flightIn)
 		}
 		if *list {
-			for _, name := range allTargetNames() {
+			for _, name := range experiments.Names() {
 				fmt.Fprintln(stdout, name)
 			}
 			return nil
@@ -158,7 +159,7 @@ func replayFlight(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	tgt, ok := lookupTarget(fr.Target)
+	tgt, ok := experiments.ByName(fr.Target)
 	if !ok {
 		return fmt.Errorf("flight names unknown target %q", fr.Target)
 	}

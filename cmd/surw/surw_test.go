@@ -79,11 +79,28 @@ func TestUnknownSubcommand(t *testing.T) {
 	}
 }
 
+// TestUnknownSCTTarget: a -sct-targets name the sct experiment does not
+// know is a usage error that names it, raised before any work — not a
+// silently narrower (or empty) grid.
+func TestUnknownSCTTarget(t *testing.T) {
+	for _, list := range []string{"Nope", "CS/reorder_4,Nope", "RaceBench/x264"} {
+		dir := filepath.Join(t.TempDir(), "store")
+		out := run("bench", "-campaign", dir, "-sct-targets", list, "-q", "sct")
+		bad := list[strings.LastIndex(list, ",")+1:]
+		if out.code != 2 || !strings.Contains(out.stderr, strconv.Quote(bad)) || out.stdout != "" {
+			t.Errorf("-sct-targets %s: exit %d, stdout %q, stderr %q; want exit 2 naming %q", list, out.code, out.stdout, out.stderr, bad)
+		}
+		if _, err := os.Stat(dir); err == nil {
+			t.Errorf("-sct-targets %s: the campaign store was opened before the name was checked", list)
+		}
+	}
+}
+
 // TestTraceExport: `run -trace` writes Chrome trace_event JSON that
 // `obs -check-trace` accepts.
 func TestTraceExport(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	mustRun(t, "run", "-target", "bitshift_5", "-alg", "URW", "-limit", "50", "-trace", trace)
+	mustRun(t, "run", "-target", "Fig1/bitshift_5", "-alg", "URW", "-limit", "50", "-trace", trace)
 	mustRun(t, "obs", "-check-trace", trace)
 }
 
@@ -161,7 +178,7 @@ func TestObservedScheduleIsTheReportedOne(t *testing.T) {
 		} `json:"traceEvents"`
 	}
 	for _, target := range []string{"CS/reorder_10", "CS/twostage_20"} {
-		tgt, _ := lookupTarget(target)
+		tgt, _ := experiments.ByName(target)
 		for _, seed := range []string{"1", "2", "3"} {
 			dir := t.TempDir()
 			store, trace := filepath.Join(dir, "store"), filepath.Join(dir, "trace.json")
@@ -394,10 +411,11 @@ func TestBusyPortFailsBeforeWork(t *testing.T) {
 // TestListedTargetsResolve: one resolver — every concrete name `run -list`
 // prints is a target `prof` accepts.
 func TestListedTargetsResolve(t *testing.T) {
-	suites := map[string]bool{}
+	suites, families := map[string]bool{}, map[string]bool{}
 	for _, name := range strings.Fields(mustRun(t, "run", "-list").stdout) {
 		if strings.Contains(name, "<") {
-			continue // a family, e.g. bitshift_<k>
+			families[name] = true // e.g. Fig1/bitshift_<k>
+			continue
 		}
 		suites[strings.SplitN(name, "/", 2)[0]] = true
 		if out := run("prof", "-target", name, "-json"); out.code != 0 {
@@ -409,17 +427,25 @@ func TestListedTargetsResolve(t *testing.T) {
 			t.Errorf("run -list printed no %s target", s)
 		}
 	}
-	mustRun(t, "prof", "-target", "bitshift_3")
-	// A LightFTP trial beyond the first, as the ftp experiment names it.
+	for _, f := range []string{"LightFTP@<progseed>", "Fig1/bitshift_<k>"} {
+		if !families[f] {
+			t.Errorf("run -list printed no %s family", f)
+		}
+	}
+	// Figure 2's program, and a LightFTP trial beyond the first, as the
+	// fig2 and ftp experiments name them.
+	mustRun(t, "prof", "-target", "Fig1/bitshift_5")
 	mustRun(t, "prof", "-target", "LightFTP@98")
 	// Every target a `surw bench` plan names, which a fleet worker resolves.
 	for _, k := range experiments.Plan(experiments.DefaultScale(), "fig2", "sct", "rb", "ftp") {
-		if _, ok := lookupTarget(k.Target); !ok {
+		if _, ok := experiments.ByName(k.Target); !ok {
 			t.Errorf("the plan's target %s does not resolve", k.Target)
 		}
 	}
-	if out := run("prof", "-target", "LightFTP@x"); out.code != 2 {
-		t.Errorf("prof -target LightFTP@x: exit %d, want 2", out.code)
+	for _, name := range []string{"LightFTP@x", "bitshift_5"} {
+		if out := run("prof", "-target", name); out.code != 2 {
+			t.Errorf("prof -target %s: exit %d, want 2", name, out.code)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"surw/internal/atlas"
+	"surw/internal/experiments"
 	"surw/internal/obs"
 	"surw/internal/remote"
 )
@@ -75,7 +76,7 @@ func workerCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		w := &remote.Worker{
 			Coordinator: *coordinator,
 			Name:        *name,
-			Resolve:     lookupTarget,
+			Resolve:     experiments.ByName,
 			Workers:     c.workers,
 			Watchdog:    *watchdog,
 			RetainSpans: *traceOut != "",

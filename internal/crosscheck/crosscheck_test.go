@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"surw/internal/core"
-	"surw/internal/experiments"
 	"surw/internal/profile"
 	"surw/internal/progfuzz"
 	"surw/internal/sched"
+	"surw/internal/sctbench"
 	"surw/internal/systematic"
 )
 
@@ -99,7 +99,7 @@ func TestCheckProgramFlagsWrongDeadlockOracle(t *testing.T) {
 // against uniform. Pinned seed; the p-floor leaves the expected CI flake
 // rate at zero (re-pin the seed if the sampler legitimately changes).
 func TestURWBitshiftUniformityRegression(t *testing.T) {
-	prog := experiments.Bitshift(5)
+	prog := sctbench.Bitshift(5).Prog
 	oracle := systematic.Explore(prog, systematic.Options{TraceFilter: bitshiftFilter})
 	if !oracle.Exhausted {
 		t.Fatal("bitshift(5) enumeration not exhausted")
@@ -107,7 +107,7 @@ func TestURWBitshiftUniformityRegression(t *testing.T) {
 	if len(oracle.Interleavings) != 252 {
 		t.Fatalf("bitshift(5) has %d worker-event interleavings, want C(10,5) = 252", len(oracle.Interleavings))
 	}
-	gate, err := UniformityGate(prog, core.NewURW(), experiments.BitshiftInfo(5),
+	gate, err := UniformityGate(prog, core.NewURW(), sctbench.BitshiftInfo(5),
 		oracle.Interleavings, bitshiftFilter, 5000, 7, 0.01)
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +121,8 @@ func TestURWBitshiftUniformityRegression(t *testing.T) {
 // TestEntropyOrderSanity: SURW's interleaving entropy dominates a plain
 // random walk's on the bit-shift program (Table 3's ordering).
 func TestEntropyOrderSanity(t *testing.T) {
-	hS, hR, err := EntropyOrder(experiments.Bitshift(5), core.NewSURW(), core.NewRandomWalk(),
-		experiments.BitshiftInfo(5), 2000, 11)
+	hS, hR, err := EntropyOrder(sctbench.Bitshift(5).Prog, core.NewSURW(), core.NewRandomWalk(),
+		sctbench.BitshiftInfo(5), 2000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMutationSensitivity(t *testing.T) {
 // class set is a legality violation, reported as an error rather than
 // folded into the statistic.
 func TestUniformityRejectsIllegalSample(t *testing.T) {
-	prog := experiments.Bitshift(2)
+	prog := sctbench.Bitshift(2).Prog
 	oracle := systematic.Explore(prog, systematic.Options{})
 	// Poisoned class set: drop one real class so some trial must land
 	// outside it.

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"surw/internal/core"
-	"surw/internal/experiments"
 	"surw/internal/sched"
+	"surw/internal/sctbench"
 	"surw/internal/systematic"
 )
 
@@ -91,7 +91,7 @@ func bitshiftFilter(ev sched.Event) bool { return ev.Kind == sched.OpRMW }
 // by one — the paper's count estimates must be exact for URW's uniformity
 // proof, and this models the smallest possible estimation bug.
 func offByOneInfo() *sched.ProgramInfo {
-	info := experiments.BitshiftInfo(bitshiftK)
+	info := sctbench.BitshiftInfo(bitshiftK)
 	info.Events[1]++
 	info.InterestingEvents[1]++
 	info.TotalEvents++
@@ -122,8 +122,8 @@ func MutationSensitivity(trials int, seed int64, pFloor float64) (*MutationRepor
 	if trials <= 0 {
 		trials = 3000
 	}
-	prog := experiments.Bitshift(bitshiftK)
-	info := experiments.BitshiftInfo(bitshiftK)
+	prog := sctbench.Bitshift(bitshiftK).Prog
+	info := sctbench.BitshiftInfo(bitshiftK)
 	oracle := systematic.Explore(prog, systematic.Options{TraceFilter: bitshiftFilter})
 	if !oracle.Exhausted {
 		return nil, fmt.Errorf("crosscheck: bitshift(%d) enumeration not exhausted", bitshiftK)

@@ -9,7 +9,6 @@ import (
 	"surw/internal/atlas"
 	"surw/internal/obs"
 	"surw/internal/runner"
-	"surw/internal/sched"
 )
 
 // Scale sets the experiment budgets: the paper's (PaperScale: 20 sessions
@@ -110,52 +109,4 @@ func PaperScale() Scale {
 		FTPLimit:       10_000,
 		Fig2Trials:     25_200,
 	}
-}
-
-// Bitshift is the Figure 1 program: two threads atomically append a bit to
-// shared x (thread A a 0, thread B a 1), k times each; the final value of x
-// identifies the interleaving, and there are C(2k, k) of them.
-func Bitshift(k int) func(*sched.Thread) {
-	return func(t *sched.Thread) {
-		x := t.NewVar("x", 1)
-		a := t.Go(func(w *sched.Thread) {
-			for i := 0; i < k; i++ {
-				x.Update(w, func(v int64) int64 { return v << 1 })
-			}
-		})
-		b := t.Go(func(w *sched.Thread) {
-			for i := 0; i < k; i++ {
-				x.Update(w, func(v int64) int64 { return v<<1 + 1 })
-			}
-		})
-		t.Join(a)
-		t.Join(b)
-		t.SetBehavior(formatBits(x.Peek(), k))
-	}
-}
-
-// formatBits renders the final x as a fixed-width binary string (without
-// the sentinel leading 1), so histogram keys sort naturally.
-func formatBits(v int64, k int) string {
-	n := 2 * k
-	buf := make([]byte, n)
-	for i := n - 1; i >= 0; i-- {
-		buf[i] = byte('0' + v&1)
-		v >>= 1
-	}
-	return string(buf)
-}
-
-// BitshiftInfo hand-builds the exact profile for Bitshift(k).
-func BitshiftInfo(k int) *sched.ProgramInfo {
-	pi := sched.NewProgramInfo()
-	root := pi.AddThread("0", "")
-	a := pi.AddThread("0.0", "0")
-	b := pi.AddThread("0.1", "0")
-	pi.Events[root] = 2
-	pi.Events[a] = k
-	pi.Events[b] = k
-	copy(pi.InterestingEvents, pi.Events)
-	pi.TotalEvents = 2 + 2*k
-	return pi
 }

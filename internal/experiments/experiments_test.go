@@ -144,24 +144,6 @@ func TestScalesSane(t *testing.T) {
 	}
 }
 
-func TestBitshiftInfoMatchesProgram(t *testing.T) {
-	// The hand-built profile must agree with an actual census.
-	info := BitshiftInfo(4)
-	if info.TotalEvents != 10 || info.NumThreads() != 3 {
-		t.Fatalf("info = %+v", info)
-	}
-	if info.Events[info.LID("0.0")] != 4 {
-		t.Fatal("worker count wrong")
-	}
-}
-
-func TestFormatBits(t *testing.T) {
-	// 0b1_0101 with k=2 strips to "0101".
-	if got := formatBits(0b10101, 2); got != "0101" {
-		t.Fatalf("formatBits = %q", got)
-	}
-}
-
 // TestThroughputFooterRatesWhatRan: the throughput footer is about the
 // schedules this run executed. A column whose cells all came from the
 // campaign store is left out of it, and a grid that ran nothing — a resumed

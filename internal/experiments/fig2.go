@@ -34,11 +34,11 @@ type Fig2Result struct {
 	gridRun
 }
 
-// fig2Grid is the Figure 1 program (bitshift_<Fig2K>, as lookupTarget
-// names it) under each Figure 2 algorithm, a cell of Fig2Sessions
-// coverage-recording sessions each.
+// fig2Grid is the Figure 1 program (Fig1/bitshift_<Fig2K>) under each
+// Figure 2 algorithm, a cell of Fig2Sessions coverage-recording sessions
+// each.
 func fig2Grid(sc Scale) grid {
-	tgt := runner.Target{Name: fmt.Sprintf("bitshift_%d", Fig2K), Prog: Bitshift(Fig2K)}
+	tgt, _ := ByName(fmt.Sprintf("Fig1/bitshift_%d", Fig2K))
 	limit := max(sc.Fig2Trials/Fig2Sessions, 1)
 	g := grid{algs: Fig2Algorithms, line: func(_ int, res *runner.Result) string {
 		return fmt.Sprintf("%-6s %d sessions x %d schedules", res.Algorithm, len(res.Sessions), res.Limit)

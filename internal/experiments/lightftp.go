@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"surw/internal/ftp"
 	"surw/internal/report"
 	"surw/internal/runner"
 	"surw/internal/stats"
@@ -24,8 +23,8 @@ type FTPResult struct {
 
 // ftpGrid is the (trial × algorithm) grid of the case study: per trial a
 // fresh shuffled client script set — the trial's target, a deterministic
-// function of its program seed, which its name carries (ftp.TrialTarget) —
-// and one coverage-recording session per algorithm on a seed of the trial's.
+// function of its program seed, which its name carries — and one
+// coverage-recording session per algorithm on a seed of the trial's.
 func ftpGrid(sc Scale) grid {
 	g := grid{algs: FTPAlgorithms, line: func(i int, res *runner.Result) string {
 		cov := res.Sessions[0].Cov
@@ -33,7 +32,7 @@ func ftpGrid(sc Scale) grid {
 			len(cov.Interleavings), len(cov.Behaviors))
 	}}
 	for trial := 0; trial < sc.FTPTrials; trial++ {
-		tgt := ftp.TrialTarget(sc.Seed + int64(trial)*97)
+		tgt, _ := ByName(fmt.Sprintf("LightFTP@%d", sc.Seed+int64(trial)*97))
 		for _, alg := range FTPAlgorithms {
 			g.cells = append(g.cells, runner.Cell{Target: tgt, Alg: alg, Config: runner.Config{
 				Sessions:      1,

@@ -35,13 +35,13 @@ func sctGrid(sc Scale) grid {
 		algs = sc.SCTAlgs
 	}
 	if len(sc.SCTTargets) > 0 {
-		// Coverage probes (Fig1/bitshift_k) and the surwsync worker-pool
-		// family never appear in the default grid, but an explicit
-		// SCTTargets list may opt into them.
-		candidates := append(append(targets, sctbench.CoverageTargets()...), sctbench.WorkerPoolTargets()...)
+		// The trivial set, the coverage probes and the worker-pool family
+		// are in no default grid, but an SCTTargets list may opt into
+		// them; the grid keeps sctbench.Names() order, not the list's.
 		targets = nil
-		for _, tgt := range candidates {
-			if slices.Contains(sc.SCTTargets, tgt.Name) {
+		for _, name := range sctbench.Names() {
+			if slices.Contains(sc.SCTTargets, name) {
+				tgt, _ := sctbench.ByName(name)
 				targets = append(targets, tgt)
 			}
 		}

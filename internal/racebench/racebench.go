@@ -331,17 +331,6 @@ const RegionThreshold = 48
 // its program.
 func Suite() []*Base { return slices.Clone(suite()) }
 
-// ByName returns the suite target with the given name ("RaceBench/<base>"),
-// or ok=false.
-func ByName(name string) (runner.Target, bool) {
-	for _, b := range suite() {
-		if b.target.Name == name {
-			return b.target, true
-		}
-	}
-	return runner.Target{}, false
-}
-
 var suite = sync.OnceValue(func() []*Base {
 	return []*Base{
 		Generate("blackscholes", 4, 16, 6, 8, "data", false, 101),

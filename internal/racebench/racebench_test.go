@@ -179,24 +179,14 @@ func TestBugKindString(t *testing.T) {
 	}
 }
 
-// TestByNameResolvesTheOneSuite: the suite is generated once — resolving a
+// TestSuiteIsGeneratedOnce: the suite is generated once — resolving a
 // target is a lookup, not fifteen Generate runs, and a warm pool is handed
-// the program it already knows — and every base resolves by its target's
-// name.
-func TestByNameResolvesTheOneSuite(t *testing.T) {
+// the program it already knows.
+func TestSuiteIsGeneratedOnce(t *testing.T) {
 	again := Suite()
 	for i, b := range Suite() {
 		if b != again[i] {
 			t.Fatalf("Suite() built %s a second time", b.Name)
-		}
-		tgt, ok := ByName("RaceBench/" + b.Name)
-		if !ok || tgt.Name != b.Target().Name || tgt.MaxSteps != b.Target().MaxSteps {
-			t.Fatalf("ByName(RaceBench/%s) = %+v, %v", b.Name, tgt, ok)
-		}
-	}
-	for _, name := range []string{"blackscholes", "RaceBench/", "RaceBench/nope"} {
-		if _, ok := ByName(name); ok {
-			t.Fatalf("ByName(%q) resolved", name)
 		}
 	}
 }

@@ -117,13 +117,18 @@ func (r *Recorder) Recording() Recording {
 	return Recording{Choices: append([]int(nil), r.choices...)}
 }
 
-// Player replays a Recording; past its end (or on an out-of-range choice,
-// which cannot happen on the deterministic program that produced it) it
-// continues non-preemptively.
+// Player replays a Recording. When the recording and the program disagree
+// — a recording that runs out before the program stops consulting
+// decisions (a truncated trace, or one Minimize cut short on purpose), or
+// a recorded choice outside the enabled set — it continues
+// non-preemptively (the previous thread, else the first enabled one), so
+// the schedule still terminates, and keeps the first such divergence for
+// Err.
 type Player struct {
 	Rec  Recording
 	step int
 	prev sched.ThreadID
+	err  error
 }
 
 // NewPlayer replays rec.
@@ -136,32 +141,49 @@ func (p *Player) Name() string { return "replay" }
 func (p *Player) Begin(*sched.ProgramInfo, *rand.Rand) {
 	p.step = 0
 	p.prev = -1
+	p.err = nil
 }
 
 // Next implements sched.Algorithm.
 func (p *Player) Next(st *sched.State) sched.ThreadID {
 	e := st.Enabled()
-	idx := -1
-	if p.step < len(p.Rec.Choices) && p.Rec.Choices[p.step] < len(e) {
-		idx = p.Rec.Choices[p.step]
-	}
+	step := p.step
 	p.step++
-	if idx < 0 {
-		for i, tid := range e {
-			if tid == p.prev {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			idx = 0
+	if step < len(p.Rec.Choices) && p.Rec.Choices[step] < len(e) {
+		return e[p.Rec.Choices[step]]
+	}
+	switch {
+	case p.err != nil: // keep the first
+	case step >= len(p.Rec.Choices):
+		p.err = fmt.Errorf("replay: recording truncated: program consulted decision %d but the recording holds only %d choices; re-record with the same program, ProgSeed, and MaxSteps",
+			step, len(p.Rec.Choices))
+	default:
+		p.err = fmt.Errorf("replay: divergence at decision %d (schedule step %d): recorded choice %d but only %d threads enabled; the program or options differ from the recording run",
+			step, st.Step(), p.Rec.Choices[step], len(e))
+	}
+	for _, tid := range e {
+		if tid == p.prev {
+			return tid
 		}
 	}
-	return e[idx]
+	return e[0]
 }
 
 // Observe implements sched.Algorithm.
 func (p *Player) Observe(ev sched.Event, _ *sched.State) { p.prev = ev.TID }
+
+// Err returns the first divergence diagnosed during the last schedule, or
+// nil if the recording was followed exactly. Call after the schedule ends;
+// leftover recorded choices the program never consulted also count: the
+// replay ran against a different program, prog-seed, or step budget than
+// the recording run.
+func (p *Player) Err() error {
+	if p.err == nil && p.step < len(p.Rec.Choices) {
+		return fmt.Errorf("replay: recording holds %d choices but the program consulted only %d decisions; the program or options differ from the recording run",
+			len(p.Rec.Choices), p.step)
+	}
+	return p.err
+}
 
 // Record runs one schedule of prog under alg with recording enabled and
 // returns the result with its recording.
@@ -178,88 +200,13 @@ func Replay(prog func(*sched.Thread), rec Recording, opts sched.Options) *sched.
 	return sched.Run(prog, NewPlayer(rec), opts)
 }
 
-// StrictPlayer replays a Recording like Player but records a diagnostic
-// instead of silently falling back when the recording and the program
-// disagree: a recording that runs out before the program stops consulting
-// decisions (truncated trace), a recorded choice outside the enabled set,
-// or a recording with leftover choices after the program finished all
-// indicate the replay ran against a different program, prog-seed, or step
-// budget than the recording run.
-type StrictPlayer struct {
-	Rec  Recording
-	step int
-	prev sched.ThreadID
-	err  error
-}
-
-// NewStrictPlayer replays rec, diagnosing divergence.
-func NewStrictPlayer(rec Recording) *StrictPlayer { return &StrictPlayer{Rec: rec} }
-
-// Name implements sched.Algorithm.
-func (p *StrictPlayer) Name() string { return "replay-strict" }
-
-// Begin implements sched.Algorithm.
-func (p *StrictPlayer) Begin(*sched.ProgramInfo, *rand.Rand) {
-	p.step = 0
-	p.prev = -1
-	p.err = nil
-}
-
-// Next implements sched.Algorithm. After a divergence it continues
-// non-preemptively (the schedule still terminates) but keeps the first
-// diagnostic for Err.
-func (p *StrictPlayer) Next(st *sched.State) sched.ThreadID {
-	e := st.Enabled()
-	step := p.step
-	p.step++
-	if step >= len(p.Rec.Choices) {
-		if p.err == nil {
-			p.err = fmt.Errorf("replay: recording truncated: program consulted decision %d but the recording holds only %d choices; re-record with the same program, ProgSeed, and MaxSteps",
-				step, len(p.Rec.Choices))
-		}
-		return p.fallback(e)
-	}
-	c := p.Rec.Choices[step]
-	if c >= len(e) {
-		if p.err == nil {
-			p.err = fmt.Errorf("replay: divergence at decision %d (schedule step %d): recorded choice %d but only %d threads enabled; the program or options differ from the recording run",
-				step, st.Step(), c, len(e))
-		}
-		return p.fallback(e)
-	}
-	return e[c]
-}
-
-func (p *StrictPlayer) fallback(e []sched.ThreadID) sched.ThreadID {
-	for i, tid := range e {
-		if tid == p.prev {
-			return e[i]
-		}
-	}
-	return e[0]
-}
-
-// Observe implements sched.Algorithm.
-func (p *StrictPlayer) Observe(ev sched.Event, _ *sched.State) { p.prev = ev.TID }
-
-// Err returns the first divergence diagnosed during the last schedule, or
-// nil if the recording was followed exactly. Call after the schedule ends;
-// leftover recorded choices the program never consulted also count.
-func (p *StrictPlayer) Err() error {
-	if p.err == nil && p.step < len(p.Rec.Choices) {
-		return fmt.Errorf("replay: recording holds %d choices but the program consulted only %d decisions; the program or options differ from the recording run",
-			len(p.Rec.Choices), p.step)
-	}
-	return p.err
-}
-
 // ReplayStrict re-executes a recording and returns its result, plus an
 // actionable error when the program did not consult exactly the recorded
 // decisions (truncated or divergent trace). The result is still returned on
 // error — the schedule ran to completion under the fallback policy — so
 // callers can inspect how far the replay got.
 func ReplayStrict(prog func(*sched.Thread), rec Recording, opts sched.Options) (*sched.Result, error) {
-	p := NewStrictPlayer(rec)
+	p := NewPlayer(rec)
 	res := sched.Run(prog, p, opts)
 	return res, p.Err()
 }

@@ -58,3 +58,17 @@ func bitString(v int64, k int) string {
 	}
 	return string(buf)
 }
+
+// BitshiftInfo hand-builds the exact profile of Bitshift(k)'s program.
+func BitshiftInfo(k int) *sched.ProgramInfo {
+	pi := sched.NewProgramInfo()
+	root := pi.AddThread("0", "")
+	a := pi.AddThread("0.0", "0")
+	b := pi.AddThread("0.1", "0")
+	pi.Events[root] = 2
+	pi.Events[a] = k
+	pi.Events[b] = k
+	copy(pi.InterestingEvents, pi.Events)
+	pi.TotalEvents = 2 + 2*k
+	return pi
+}

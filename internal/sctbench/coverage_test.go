@@ -50,3 +50,14 @@ func TestBitshiftGroundTruth(t *testing.T) {
 		t.Fatal("coverage probe reported a bug")
 	}
 }
+
+func TestBitshiftInfoMatchesProgram(t *testing.T) {
+	// The hand-built profile must agree with an actual census.
+	info := BitshiftInfo(4)
+	if info.TotalEvents != 10 || info.NumThreads() != 3 {
+		t.Fatalf("info = %+v", info)
+	}
+	if info.Events[info.LID("0.0")] != 4 {
+		t.Fatal("worker count wrong")
+	}
+}

@@ -348,32 +348,7 @@ func ExploreContext(ctx context.Context, prog func(*Thread), opts Options) (*Exp
 // clusters whose intra-cluster interleaving count is the multinomial of
 // the given per-thread interesting-event counts.
 func Estimate(clusterCounts []int, clusters int) float64 {
-	perms := multinomial(clusterCounts)
-	if perms <= 0 {
-		return 0
-	}
-	p := 1.0
-	for i := 0; i < clusters; i++ {
-		p *= 1 - 1/perms
-	}
-	return 1 - p
-}
-
-func multinomial(ks []int) float64 {
-	for _, k := range ks {
-		if k < 0 {
-			return 0
-		}
-	}
-	r := 1.0
-	seen := 0
-	for _, k := range ks {
-		for i := 1; i <= k; i++ {
-			seen++
-			r = r * float64(seen) / float64(i)
-		}
-	}
-	return r
+	return stats.ClusterBound(stats.Multinomial(clusterCounts...), clusters)
 }
 
 // String renders a short human summary of a report.
