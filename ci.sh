@@ -124,6 +124,13 @@ awk '
   END { exit bad }
 ' /tmp/surw-cover.txt
 
+# Same bytes on a 32-bit build: ThreadID is an int, 32 bits on 386, and the
+# batched engine's thread sets do bit arithmetic on it. The identity golden
+# (every target under every algorithm, batched at 1 and 4 workers and on
+# the slow loop, CS/reorder_100 and CS/twostage_100 included) must read the
+# same rows there (about 10 s).
+GOARCH=386 go test -count=1 -run '^TestIdentityGolden$' ./internal/runner
+
 # The published numbers are the build's: results/ holds what `surw bench
 # -out results all` writes at the default scale and seed 1, byte for byte
 # (about 40 s at two workers; the tables are the same at any -workers). A

@@ -331,6 +331,12 @@ var grammars = []grammar{
 	{name: "genwide", gen: func(seed int64) (func(*sched.Thread), bool) {
 		return progfuzz.Gen(seed, progfuzz.Config{MaxThreads: 5, MaxOps: 10}).Prog(), false
 	}, partialBudget: 2_000},
+	// GenSync at 70 threads, more than a word of the batched engine's
+	// thread sets: every sync object gates threads across the word
+	// boundary.
+	{name: "genmany", gen: func(seed int64) (func(*sched.Thread), bool) {
+		return progfuzz.GenSync(seed, progfuzz.Config{MinThreads: 70, MaxThreads: 70, MaxOps: 2, SpawnDepth: 1}).Prog(), false
+	}, partialBudget: 100},
 }
 
 // check runs CheckProgram over g's program at seed.

@@ -165,12 +165,12 @@ func TestUniformityRejectsIllegalSample(t *testing.T) {
 	}
 }
 
-// TestDecisionIdentityAcrossBailOut: the generated programs stay far below
-// the batched engine's 64-thread mask, so this one outgrows it mid-schedule
-// — free choices first, on the batched engine, then 70 spawns — and the
-// decision-stream check, EnabledRank included, must hold across the
-// hand-over to the slow loop.
-func TestDecisionIdentityAcrossBailOut(t *testing.T) {
+// TestDecisionIdentityWideProgram: this program grows past 64 threads, a
+// word of the batched engine's thread sets, mid-schedule — free choices
+// first, then 70 spawns, the last ten joining earlier ones — and the
+// decision-stream check, EnabledRank included, must hold against the slow
+// loop across the word boundary.
+func TestDecisionIdentityWideProgram(t *testing.T) {
 	prog := func(th *sched.Thread) {
 		c := th.NewVar("c", 0)
 		early := th.Go(func(w *sched.Thread) {
@@ -183,7 +183,12 @@ func TestDecisionIdentityAcrossBailOut(t *testing.T) {
 		}
 		hs := make([]*sched.Handle, 70)
 		for i := range hs {
-			hs[i] = th.Go(func(w *sched.Thread) { c.Add(w, 1) })
+			hs[i] = th.Go(func(w *sched.Thread) {
+				if i >= 60 {
+					w.Join(hs[i-60])
+				}
+				c.Add(w, 1)
+			})
 		}
 		th.Join(early)
 		th.JoinAll(hs...)
@@ -192,7 +197,7 @@ func TestDecisionIdentityAcrossBailOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := decisionIdentity("bail-out", prog, prof.Instantiate(prof.SelectAll()), Options{Seed: 1, Schedules: 4}); err != nil {
+	if err := decisionIdentity("wide-program", prog, prof.Instantiate(prof.SelectAll()), Options{Seed: 1, Schedules: 4}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"surw/internal/campaign"
 	"surw/internal/core"
+	"surw/internal/runner"
 )
 
 // tinyScale keeps the experiment tests fast; shape assertions that need
@@ -176,5 +177,27 @@ func TestThroughputFooterRatesWhatRan(t *testing.T) {
 	}
 	if footer := RaceBench(sc, nil).ThroughputFooter(); footer != "" {
 		t.Fatalf("a RaceBench grid served from the store rated itself: %q", footer)
+	}
+}
+
+// TestBestAlgorithmTieKeepsColumnOrder: two algorithms tie at the minimum
+// mean — one found the bug late in every session, the other early in all
+// but one, whose unfinished session sets its mean to the limit — and the
+// log-rank test separates them, so the one ranked first is reported. A tie
+// ranks in the table's column order, either way round.
+func TestBestAlgorithmTieKeepsColumnOrder(t *testing.T) {
+	late, early := &runner.Result{Limit: 100}, &runner.Result{Limit: 100}
+	for i := 0; i < 10; i++ {
+		late.Sessions = append(late.Sessions, runner.Session{FirstBug: 100})
+		early.Sessions = append(early.Sessions, runner.Session{FirstBug: 1})
+	}
+	early.Sessions[9].FirstBug = -1
+	for _, algs := range [][]string{{"late", "early"}, {"early", "late"}} {
+		r := &SCTResult{Algs: algs, Results: map[string]map[string]*runner.Result{
+			"T": {"late": late, "early": early},
+		}}
+		if got := r.bestAlgorithm("T"); got != algs[0] {
+			t.Errorf("columns %v: best %q, want the first column of the tie, %q", algs, got, algs[0])
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -220,7 +221,9 @@ func (r *SCTResult) bestAlgorithm(tname string) string {
 	if len(cands) < 2 {
 		return ""
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].mean < cands[j].mean })
+	// Stable: ties, common at the minimum (every algorithm with an
+	// unfinished session has mean Limit), keep r.Algs' column order.
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.mean, b.mean) })
 	best := cands[0].alg
 	for _, c := range cands[1:] {
 		_, p := stats.LogRank(r.Results[tname][best].FirstBugObs(), r.Results[tname][c.alg].FirstBugObs())

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -150,15 +149,15 @@ type State struct {
 // order. The slice is owned by the scheduler; do not retain it.
 func (s *State) Enabled() []ThreadID {
 	if ex := s.ex; ex.fast {
-		// The fast engine materializes the slice from its bitmask only on
-		// demand. During spawn notifications the visible set is the one
+		// The fast engine materializes the slice from its thread set only
+		// on demand. During spawn notifications the visible set is the one
 		// from the last decision — the same staleness the slow loop's
 		// primeNew-before-rebuild ordering exposes.
 		if ex.notifying {
-			ex.materializeFrom(ex.decisionBits)
+			ex.materializeFrom(ex.decisionSet)
 			ex.enabledStale = true
 		} else if ex.enabledStale {
-			ex.materializeFrom(ex.enabledBits)
+			ex.materializeFrom(ex.enabledSet)
 			ex.enabledStale = false
 		}
 	}
@@ -166,22 +165,21 @@ func (s *State) Enabled() []ThreadID {
 }
 
 // EnabledRank returns the position of tid in Enabled(), or -1 when tid is
-// not enabled (or names no thread). On the batched engine it is a popcount
-// of the mask Enabled() would materialize, without materializing it.
+// not enabled (or names no thread). On the batched engine it is the rank
+// of tid in the set Enabled() would materialize, without materializing it.
 func (s *State) EnabledRank(tid ThreadID) int {
 	ex := s.ex
 	if !ex.fast {
 		return slices.Index(s.enabled, tid)
 	}
-	mask := ex.enabledBits
+	set := ex.enabledSet
 	if ex.notifying {
-		mask = ex.decisionBits
+		set = ex.decisionSet
 	}
-	b := tbit(tid)
-	if mask&b == 0 {
+	if !set.has(tid) {
 		return -1
 	}
-	return bits.OnesCount64(mask & (b - 1))
+	return set.rank(tid)
 }
 
 // NextEvent returns the published next event of a live, parked thread.

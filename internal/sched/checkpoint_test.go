@@ -251,27 +251,32 @@ func TestCheckpointInvalidUses(t *testing.T) {
 	})
 }
 
-// wideProg seals its forced prefix at the free choice between the root and
-// its first child, and only then outgrows the fast engine's thread mask:
-// the bail to the slow loop comes after the seal, so the checkpoint stays.
+// wideProg has 71 threads, more than a word of the thread sets, and a
+// forced prefix that spans them: the root holds the mutex through its
+// spawns of 70 children that queue on it, so every decision is forced
+// until it unlocks.
 func wideProg(t *Thread) {
+	m := t.NewMutex("m")
 	v := t.NewVar("v", 0)
-	for i := 0; i < 4; i++ {
+	m.Lock(t)
+	hs := make([]*Handle, 70)
+	for i := range hs {
+		hs[i] = t.Go(func(w *Thread) {
+			m.Lock(w)
+			v.Add(w, 1)
+			m.Unlock(w)
+		})
+	}
+	for i := 0; i < 5; i++ {
 		v.Add(t, 1)
 	}
-	a := t.Go(func(w *Thread) { v.Add(w, 1) })
-	v.Add(t, 1)
-	t.Join(a)
-	hs := make([]*Handle, 0, maxFastThreads+6)
-	for i := 0; i < maxFastThreads+6; i++ {
-		hs = append(hs, t.Go(func(w *Thread) { v.Add(w, 1) }))
-	}
+	m.Unlock(t)
 	t.JoinAll(hs...)
 }
 
-func TestCheckpointSurvivesLaterBailOut(t *testing.T) {
-	if cp := checkpointedVsPlain(t, wideProg, 6); cp.Decisions() != 4 {
-		t.Fatalf("sealed %d forced decisions, want the 4 before the first child", cp.Decisions())
+func TestCheckpointWidePrefix(t *testing.T) {
+	if cp := checkpointedVsPlain(t, wideProg, 6); cp.Decisions() != 7 {
+		t.Fatalf("sealed %d forced decisions, want 7: the lock, five adds and the unlock", cp.Decisions())
 	}
 }
 

@@ -41,7 +41,7 @@ type Execution struct {
 
 	// resume names the coroutine the trampoline (pump) transfers the baton
 	// to after the current one parks; nil parks the whole schedule phase —
-	// the schedule is over, bailed, or (slow path) the thread published.
+	// the schedule is over, or (slow loop) the thread published.
 	resume  *Thread
 	pending []spawnRec // spawns awaiting priming + algorithm notification
 
@@ -63,19 +63,19 @@ type Execution struct {
 	fast         bool
 	persistent   bool
 	inEngine     bool   // engine/algorithm code running on a program goroutine
-	enabledBits  uint64 // bit per TID: published event executable now
-	enabledStale bool   // state.enabled slice out of date vs enabledBits
-	decisionBits uint64 // enabledBits as of the last decision
+	enabledSet   tidSet // TIDs whose published event is executable now
+	enabledStale bool   // state.enabled slice out of date vs enabledSet
+	decisionSet  tidSet // enabledSet as of the last decision, kept for spawnObs
+	joiners      tidSet // threads whose published join waits on a live thread
 	notifying    bool   // inside ObserveSpawn notifications
 	liveCount    int    // threads not yet finished
 	unprimed     int    // threads not yet run to their first event
 	primeIdx     int    // monotonic priming cursor (fast engine)
 	priming      bool   // a priming chain is in flight
 	killing      bool   // killRemaining in progress
-	bailReq      bool   // a thread ID outgrew the bitmask; bail next cycle
-	bailed       bool   // this schedule fell back to the slow loop
 	curEv        Event  // last executed (or executing) event
 	idx          IndexChooser
+	spawnObs     SpawnObserver
 
 	// Prefix checkpointing (checkpoint.go).
 	capture   *Checkpoint // the capture (RunPrefix); nil until its first forced decision
@@ -166,10 +166,10 @@ type objState struct {
 	name string
 	hash uint64
 
-	// waitMask tracks the threads whose published event is gated on this
-	// object (fast engine): pending OpLock/OpWakeLock/OpRLock on a mutex,
-	// pending OpSemP on a semaphore.
-	waitMask uint64
+	// gate holds the threads whose published event waits on this object
+	// (fast engine): pending OpLock/OpWakeLock/OpRLock on a mutex, pending
+	// OpSemP on a semaphore.
+	gate tidSet
 
 	// Class-fingerprint state (see classEvent): lastWriteH is the hash of
 	// the last writer-like event on this object, readAcc the commutative
@@ -282,22 +282,19 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 
 	ex.fast = !opts.DisableBatching
 	ex.inEngine = false
-	ex.enabledBits = 0
+	ex.enabledSet = ex.enabledSet[:0]
 	ex.enabledStale = true
-	ex.decisionBits = 0
+	ex.decisionSet = ex.decisionSet[:0]
+	ex.joiners = ex.joiners[:0]
 	ex.notifying = false
 	ex.liveCount = 0
 	ex.unprimed = 0
 	ex.primeIdx = 0
 	ex.priming = false
 	ex.killing = false
-	ex.bailReq = false
-	ex.bailed = false
 	ex.curEv = Event{}
-	ex.idx = nil
-	if alg != nil {
-		ex.idx, _ = alg.(IndexChooser)
-	}
+	ex.idx, _ = alg.(IndexChooser)
+	ex.spawnObs, _ = alg.(SpawnObserver)
 	ex.capturing = false
 	ex.capture = nil
 	ex.replayCp = nil
@@ -340,20 +337,11 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 		// The whole schedule runs on the program coroutines: each
 		// scheduling point decides the next step in place (fast.go) and
 		// names its successor; pump trampolines the baton between them.
-		// The orchestrator takes over again at schedule end — or
-		// mid-schedule on a bail to the slow loop, with one Observe call
-		// still owed.
+		// The orchestrator takes over again at schedule end.
 		ex.priming = true
 		ex.unprimed--
 		root.state = tsRunning
 		ex.pump(root)
-		if ex.bailed {
-			ex.enabledTIDs()
-			if ex.alg != nil && ex.curEv.Kind != OpInvalid {
-				ex.alg.Observe(ex.curEv, ex.state)
-			}
-			ex.loop()
-		}
 	} else {
 		ex.primeNew()
 		ex.loop()
@@ -407,10 +395,9 @@ func (ex *Execution) retireGoexits() {
 }
 
 // loop is the slow scheduling loop: this goroutine decides every step and
-// hands the baton out and back, two switches per event. Production enters
-// it only when a schedule outgrows the batched engine's thread mask
-// (bailOut, mid-schedule); under Options.DisableBatching it runs whole
-// schedules as the reference the crosscheck oracles compare fast.go
+// hands the baton out and back, two switches per event. Only
+// Options.DisableBatching selects it: it runs whole schedules as the
+// reference the crosscheck oracles and the identity golden compare fast.go
 // against.
 func (ex *Execution) loop() {
 	enabled := ex.enabledTIDs()
@@ -450,7 +437,7 @@ func (ex *Execution) loop() {
 		t := ex.threads[tid]
 		ev := t.next
 		ex.steps++
-		ex.recordEvent(ev)
+		ex.recordEvent(&ev)
 		if ex.tracer != nil {
 			// Before grant: st still reflects the pre-event state, so the
 			// tracer sees the enabled set the decision was drawn from.
@@ -499,16 +486,16 @@ func containsTID(tids []ThreadID, tid ThreadID) bool {
 	return false
 }
 
-func (ex *Execution) recordEvent(ev Event) {
-	if ex.filter == nil || ex.filter(ev) {
+func (ex *Execution) recordEvent(ev *Event) {
+	if ex.filter == nil || ex.filter(*ev) {
 		ex.ilvHash = fnvMix(fnvMix(ex.ilvHash, ev.PathHash), uint64(ev.Kind)<<32^ev.ObjHash)
 	}
-	if ex.interesting != nil && ex.interesting(ev) {
+	if ex.interesting != nil && ex.interesting(*ev) {
 		ex.deltaHash = fnvMix(fnvMix(ex.deltaHash, ev.PathHash), uint64(ev.Kind)<<32^ev.ObjHash)
 	}
 	ex.classEvent(ev)
 	if ex.opts.RecordTrace {
-		ex.trace = append(ex.trace, ev)
+		ex.trace = append(ex.trace, *ev)
 	}
 }
 
@@ -528,7 +515,7 @@ func classReader(k OpKind) bool { return k == OpRead || k == OpRLock || k == OpR
 // readers (writers), or the joined thread's final clock (join) — and the
 // schedule fingerprint is the wrapping sum of event hashes, so independent
 // events commute and dependent reorderings do not.
-func (ex *Execution) classEvent(ev Event) {
+func (ex *Execution) classEvent(ev *Event) {
 	t := ex.threads[ev.TID]
 	h := fnvMix(t.clock, uint64(ev.Kind)<<32^ev.ObjHash)
 	switch {
@@ -552,9 +539,9 @@ func (ex *Execution) classEvent(ev Event) {
 // pump is the coroutine trampoline: it resumes t and, each time the
 // resumed coroutine parks naming a successor in ex.resume, transfers the
 // baton onward. It returns when a coroutine parks (or exits) with no
-// successor — the schedule is over, bailed to the slow loop, or (slow
-// path) the thread published its next event. An engine or algorithm panic
-// inside a coroutine propagates out of the resume call onto this stack.
+// successor — the schedule is over, or (slow loop) the thread published
+// its next event. An engine or algorithm panic inside a coroutine
+// propagates out of the resume call onto this stack.
 func (ex *Execution) pump(t *Thread) {
 	for {
 		ex.resume = nil
@@ -591,7 +578,7 @@ func (ex *Execution) primeNew() {
 	}
 	pending := ex.pending
 	ex.pending = ex.pending[:0]
-	if so, ok := ex.alg.(SpawnObserver); ok {
+	if so := ex.spawnObs; so != nil {
 		for _, p := range pending {
 			so.ObserveSpawn(p.parent, p.child, ex.state)
 		}
@@ -745,7 +732,6 @@ func (ex *Execution) addThread(parent *Thread, body func(*Thread)) *Thread {
 		t.spawned = 0
 		t.joinTarget = 0
 		t.gated = 0
-		t.joinWaiters = 0
 		t.deferredPrime = false
 		t.primePoison = false
 		t.killed = false
@@ -763,8 +749,10 @@ func (ex *Execution) addThread(parent *Thread, body func(*Thread)) *Thread {
 	t.body = body
 	ex.liveCount++
 	ex.unprimed++
-	if t.id >= maxFastThreads {
-		ex.bailReq = true
+	if t.id&63 == 0 {
+		// A word more for the enabled set and its snapshot.
+		ex.enabledSet = append(ex.enabledSet, 0)
+		ex.decisionSet = append(ex.decisionSet, 0)
 	}
 	if parent == nil {
 		t.path = "0"
@@ -835,11 +823,11 @@ func (ex *Execution) addObj(o objState, name, autoPrefix string) ObjID {
 	o.name = name
 	o.hash = fnv1a(fnvOffset, name)
 	if n := len(ex.objs); n < cap(ex.objs) {
-		// Recycle the stale element's waiter buffer and Ref cell (the
+		// Recycle the stale element's waiter buffer, gate and Ref cell (the
 		// previous schedule of a pooled Execution created the same objects
 		// in the same order; NewRef checks the cell's type before using it).
 		stale := &ex.objs[: n+1 : n+1][n]
-		o.waiters, o.ref = stale.waiters[:0], stale.ref
+		o.waiters, o.gate, o.ref = stale.waiters[:0], stale.gate[:0], stale.ref
 	}
 	ex.objs = append(ex.objs, o)
 	return ObjID(len(ex.objs))

@@ -12,14 +12,15 @@ package sched
 // directly to the chosen thread (one handoff). The scheduler goroutine
 // only runs at the very start and end of a schedule.
 //
-// Enabledness is tracked incrementally in a 64-bit mask instead of being
-// rebuilt per step: classify() sets or clears a thread's bit when it
-// publishes an event, and applyEffect() re-derives the bits of threads
-// gated on an object when an event could have changed that object
-// (tracked per object in objState.waitMask). Programs with ≥64 threads
-// bail out to the verbatim slow loop mid-schedule (see bailOut). Nothing
-// else selects the slow loop but Options.DisableBatching: a Tracer is
-// called from here (execute), an Atlas likewise (decide).
+// Enabledness is tracked incrementally in a thread set (tidSet, a word per
+// 64 thread IDs) instead of being rebuilt per step: classify() adds or
+// removes a thread when it publishes an event, and refresh() re-derives
+// the members of an object's gate — the threads whose published event
+// waits on it — after an event that could have changed that object. gateOpen is
+// the one rule both apply. Every thread count runs here; the slow loop
+// runs only under Options.DisableBatching, as the reference the oracles
+// compare this engine against. A Tracer is called from here (execute), an
+// Atlas likewise (decide).
 //
 // Both engines must be bit-identical: same decisions consume the same
 // random draws, hashes mix the same values, failures carry the same steps,
@@ -27,7 +28,7 @@ package sched
 // The decision procedure below mirrors the slow loop's order exactly —
 // failure, deadlock, truncation, then choose — and algorithm callbacks see
 // the same State contents at the same times (State.Enabled materializes
-// from the decision-time mask during spawn notifications, matching the
+// from the decision-time snapshot during spawn notifications, matching the
 // stale slice the slow loop exposes there).
 
 import (
@@ -35,10 +36,6 @@ import (
 	"math/bits"
 	"math/rand"
 )
-
-// maxFastThreads is the bitmask capacity; thread IDs at or beyond it force
-// a mid-schedule bail to the slow loop.
-const maxFastThreads = 64
 
 // IndexChooser is an optional Algorithm fast path: an algorithm whose
 // Next draws exactly one uniform index into st.Enabled() can instead
@@ -59,134 +56,139 @@ type SourceChooser interface {
 	BeginSource(src rand.Source)
 }
 
-func tbit(id ThreadID) uint64 {
-	if uint(id) >= maxFastThreads {
-		return 0
-	}
-	return 1 << uint(id)
+// tidSet is a set of thread IDs, a bit per ID and a word per 64 of them:
+// the enabled set and its decision-time snapshot, an object's gate, the
+// threads blocked in a join. add grows the set; a missing word reads empty
+// to has.
+type tidSet []uint64
+
+func (s tidSet) has(id ThreadID) bool {
+	w := uint(id) >> 6
+	return w < uint(len(s)) && s[w]&(1<<(uint(id)&63)) != 0
 }
 
-// classify derives t's enabled bit from its freshly published next event,
-// registering it in the gating object's waitMask when the event can block.
-// Mirrors enabled() in execution.go.
-func (ex *Execution) classify(t *Thread) {
-	b := tbit(t.id)
-	ex.enabledStale = true
-	switch t.next.Kind {
-	case OpLock, OpWakeLock:
-		o := &ex.objs[t.next.Obj-1]
-		o.waitMask |= b
-		t.gated = t.next.Obj
-		if o.owner == -1 && o.readers == 0 {
-			ex.enabledBits |= b
-		} else {
-			ex.enabledBits &^= b
+func (s *tidSet) add(id ThreadID) {
+	w := int(uint(id) >> 6)
+	for w >= len(*s) {
+		*s = append(*s, 0)
+	}
+	(*s)[w] |= 1 << (uint(id) & 63)
+}
+
+// del removes id, whose word s has.
+func (s tidSet) del(id ThreadID) { s[uint(id)>>6] &^= 1 << (uint(id) & 63) }
+
+func (s tidSet) count() (n int) {
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// kth returns the k-th (0-based) member in ascending order, for k below
+// count().
+func (s tidSet) kth(k int) ThreadID {
+	i := 0
+	for ; i < len(s)-1; i++ {
+		c := bits.OnesCount64(s[i])
+		if k < c {
+			break
 		}
+		k -= c
+	}
+	w := s[i]
+	for ; k > 0; k-- {
+		w &= w - 1
+	}
+	return i<<6 + bits.TrailingZeros64(w)
+}
+
+// rank returns the number of members below id, a member itself.
+func (s tidSet) rank(id ThreadID) (n int) {
+	w := int(uint(id) >> 6)
+	for _, x := range s[:w] {
+		n += bits.OnesCount64(x)
+	}
+	return n + bits.OnesCount64(s[w]&(1<<(uint(id)&63)-1))
+}
+
+// gateOpen is the batched engine's one enabledness rule for an event that
+// waits on an object: whether a pending k (OpLock, OpWakeLock, OpRLock or
+// OpSemP) can run on o now. Without active readers a mutex's pending
+// kinds agree (refresh relies on it). Mirrors enabled() in execution.go.
+func gateOpen(k OpKind, o *objState) bool {
+	switch k {
 	case OpRLock:
-		o := &ex.objs[t.next.Obj-1]
-		o.waitMask |= b
-		t.gated = t.next.Obj
-		if o.owner == -1 {
-			ex.enabledBits |= b
-		} else {
-			ex.enabledBits &^= b
-		}
+		return o.owner == -1
 	case OpSemP:
-		o := &ex.objs[t.next.Obj-1]
-		o.waitMask |= b
-		t.gated = t.next.Obj
-		if o.sem > 0 {
-			ex.enabledBits |= b
-		} else {
-			ex.enabledBits &^= b
-		}
-	case OpJoin:
-		tgt := ex.threads[t.joinTarget]
-		if tgt.state == tsFinished {
-			ex.enabledBits |= b
-		} else {
-			ex.enabledBits &^= b
-			tgt.joinWaiters |= b
-		}
-	default:
-		ex.enabledBits |= b
+		return o.sem > 0
 	}
+	// A writer (or a wakelock) additionally waits for readers to drain.
+	return o.owner == -1 && o.readers == 0
 }
 
-// applyEffect re-derives the bits of threads whose published event is
-// gated on an object ev may have changed. Called once per executed event,
-// at the next scheduling point (after the event's effect has run).
-func (ex *Execution) applyEffect(ev Event) {
-	switch ev.Kind {
-	case OpLock, OpUnlock, OpRLock, OpRUnlock, OpWakeLock:
-		ex.refreshMutex(&ex.objs[ev.Obj-1])
-	case OpRMW:
-		if o := &ex.objs[ev.Obj-1]; o.kind == ObjMutex {
-			ex.refreshMutex(o) // TryLock
-		}
-	case OpWait:
-		// The wait released the cond's mutex.
-		ex.refreshMutex(&ex.objs[ex.objs[ev.Obj-1].condMu-1])
-	case OpSemP, OpSemV:
-		o := &ex.objs[ev.Obj-1]
-		if o.waitMask != 0 {
-			ex.enabledStale = true
-			if o.sem > 0 {
-				ex.enabledBits |= o.waitMask
-			} else {
-				ex.enabledBits &^= o.waitMask
-			}
-		}
-	}
-}
-
-func (ex *Execution) refreshMutex(o *objState) {
-	m := o.waitMask
-	if m == 0 {
-		return
-	}
+// classify derives t's membership of the enabled set from its freshly
+// published next event, entering it in the gate of the object the event
+// waits on, or among the joiners while its join target runs.
+func (ex *Execution) classify(t *Thread) {
 	ex.enabledStale = true
-	if o.readers == 0 {
-		// Writers, wakelocks and readers all agree: enabled iff free.
-		if o.owner == -1 {
-			ex.enabledBits |= m
-		} else {
-			ex.enabledBits &^= m
+	run := true
+	switch k := t.next.Kind; k {
+	case OpLock, OpWakeLock, OpRLock, OpSemP:
+		o := &ex.objs[t.next.Obj-1]
+		o.gate.add(t.id)
+		t.gated = t.next.Obj
+		run = gateOpen(k, o)
+	case OpJoin:
+		if ex.threads[t.joinTarget].state != tsFinished {
+			ex.joiners.add(t.id)
+			run = false
 		}
-		return
 	}
-	// Active readers (owner is -1 by invariant): pending read locks are
-	// enabled, pending write locks and wakelocks are not.
-	for q := m; q != 0; {
-		b := q & -q
-		q &^= b
-		if ex.threads[bits.TrailingZeros64(b)].next.Kind == OpRLock {
-			ex.enabledBits |= b
-		} else {
-			ex.enabledBits &^= b
+	if run {
+		ex.enabledSet.add(t.id)
+	} else {
+		ex.enabledSet.del(t.id)
+	}
+}
+
+// refresh re-derives the enabled bits of the threads in o's gate, after an
+// event that may have changed o. Without active readers every pending kind
+// on o agrees, so one verdict, for the kind o's gate holds, covers a word
+// of the gate.
+func (ex *Execution) refresh(o *objState) {
+	k := OpLock
+	if o.kind == ObjSem {
+		k = OpSemP
+	}
+	for i, w := range o.gate {
+		for w != 0 {
+			b := w
+			if o.readers > 0 {
+				b = w & -w
+				k = ex.threads[i<<6+bits.TrailingZeros64(w)].next.Kind
+			}
+			if gateOpen(k, o) {
+				ex.enabledSet[i] |= b
+			} else {
+				ex.enabledSet[i] &^= b
+			}
+			w &^= b
+			ex.enabledStale = true
 		}
 	}
 }
 
-// materializeFrom writes the mask's set bits (ascending, which is TID
-// order) into the State's enabled buffer.
-func (ex *Execution) materializeFrom(mask uint64) {
+// materializeFrom writes the set's members (ascending, which is TID order)
+// into the State's enabled buffer.
+func (ex *Execution) materializeFrom(s tidSet) {
 	e := ex.state.enabled[:0]
-	for m := mask; m != 0; {
-		b := m & -m
-		m &^= b
-		e = append(e, ThreadID(bits.TrailingZeros64(b)))
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			e = append(e, i<<6+bits.TrailingZeros64(w))
+		}
 	}
 	ex.state.enabled = e
-}
-
-// kthEnabled returns the k-th (0-based) set bit of the enabled mask.
-func (ex *Execution) kthEnabled(k int) ThreadID {
-	m := ex.enabledBits
-	for ; k > 0; k-- {
-		m &= m - 1
-	}
-	return ThreadID(bits.TrailingZeros64(m))
 }
 
 // syncPoint is the fast-path scheduling point: t has just published its
@@ -203,10 +205,10 @@ func (ex *Execution) syncPoint(t *Thread) bool {
 }
 
 // sleepPoint is syncPoint for a thread entering a condition wait: it has
-// no published event, so its bit just clears.
+// no published event, so it just leaves the enabled set.
 func (ex *Execution) sleepPoint(t *Thread) {
 	ex.inEngine = true
-	ex.enabledBits &^= tbit(t.id)
+	ex.enabledSet.del(t.id)
 	ex.enabledStale = true
 	ex.cycle(t)
 }
@@ -222,10 +224,14 @@ func (ex *Execution) finishPoint(t *Thread) {
 		t.primePoison = false
 	}
 	ex.liveCount--
-	ex.enabledBits &^= tbit(t.id)
-	if t.joinWaiters != 0 {
-		ex.enabledBits |= t.joinWaiters
-		t.joinWaiters = 0
+	ex.enabledSet.del(t.id)
+	for i, w := range ex.joiners {
+		for ; w != 0; w &= w - 1 {
+			if u := i<<6 + bits.TrailingZeros64(w); ex.threads[u].joinTarget == t.id {
+				ex.joiners.del(u)
+				ex.enabledSet.add(u)
+			}
+		}
 	}
 	ex.enabledStale = true
 	ex.cycle(t)
@@ -282,17 +288,21 @@ func (ex *Execution) primeChain(t *Thread) bool {
 	return ex.endCycle(t)
 }
 
-// endCycle applies the executed event's enabledness effects, notifies the
-// algorithm (spawns, then the event), and decides the next step.
+// endCycle applies the executed event's enabledness effects (a variable's
+// gate is empty), notifies the algorithm (spawns, then the event), and
+// decides the next step.
 func (ex *Execution) endCycle(t *Thread) bool {
 	ev := ex.curEv
-	if ev.Kind != OpInvalid {
-		ex.applyEffect(ev)
+	switch ev.Kind {
+	case OpLock, OpUnlock, OpRLock, OpRUnlock, OpWakeLock, OpRMW, OpSemP, OpSemV:
+		ex.refresh(&ex.objs[ev.Obj-1])
+	case OpWait:
+		ex.refresh(&ex.objs[ex.objs[ev.Obj-1].condMu-1]) // the wait released the cond's mutex
 	}
 	if len(ex.pending) > 0 {
 		pending := ex.pending
 		ex.pending = ex.pending[:0]
-		if so, ok := ex.alg.(SpawnObserver); ok {
+		if so := ex.spawnObs; so != nil {
 			// Spawn notifications observe the enabled set as of the last
 			// decision, exactly as the slow loop's primeNew (which runs
 			// before the rebuild) exposes it.
@@ -302,9 +312,6 @@ func (ex *Execution) endCycle(t *Thread) bool {
 			}
 			ex.notifying = false
 		}
-	}
-	if ex.bailReq {
-		return ex.bailOut(t)
 	}
 	if ex.alg != nil && ev.Kind != OpInvalid {
 		ex.alg.Observe(ev, ex.state)
@@ -319,7 +326,7 @@ func (ex *Execution) decide(t *Thread) bool {
 	if ex.failed {
 		return ex.finishSchedule(t)
 	}
-	n := bits.OnesCount64(ex.enabledBits)
+	n := ex.enabledSet.count()
 	if n == 0 {
 		if ex.liveCount > 0 {
 			ex.reportDeadlock()
@@ -338,24 +345,22 @@ func (ex *Execution) decide(t *Thread) bool {
 		// singleton the capture run saw.
 		tid = ex.replayCp.forced[ex.replayPos]
 		ex.replayPos++
-		if ex.enabledBits != tbit(tid) || tbit(tid) == 0 {
+		if n != 1 || !ex.enabledSet.has(tid) {
 			panic("sched: checkpoint replay diverged from its capture run")
 		}
-	case n == 1:
-		tid = ThreadID(bits.TrailingZeros64(ex.enabledBits))
+	case n == 1 || ex.alg == nil:
+		tid = ex.enabledSet.kth(0)
 	case ex.idx != nil:
-		tid = ex.kthEnabled(ex.idx.NextIndex(n))
-	case ex.alg != nil:
+		tid = ex.enabledSet.kth(ex.idx.NextIndex(n))
+	default:
 		if ex.enabledStale {
-			ex.materializeFrom(ex.enabledBits)
+			ex.materializeFrom(ex.enabledSet)
 			ex.enabledStale = false
 		}
 		tid = ex.alg.Next(ex.state)
-		if tid < 0 || tid >= ThreadID(len(ex.threads)) || ex.enabledBits&tbit(tid) == 0 {
+		if !ex.enabledSet.has(tid) {
 			panic(fmt.Sprintf("sched: algorithm %s chose disabled thread T%d", ex.alg.Name(), tid))
 		}
-	default:
-		tid = ThreadID(bits.TrailingZeros64(ex.enabledBits))
 	}
 	if ex.capturing {
 		if n == 1 {
@@ -369,7 +374,13 @@ func (ex *Execution) decide(t *Thread) bool {
 		ex.atlasHash = fnvMix(ex.atlasHash, uint64(tid)<<8|uint64(n))
 		ex.atlas.Decision(ex.atlasDepth, n, ex.atlasHash)
 	}
-	ex.decisionBits = ex.enabledBits
+	if ex.spawnObs != nil {
+		// Only spawn notifications read the snapshot (State.Enabled).
+		d := ex.decisionSet[:len(ex.enabledSet)]
+		for i, w := range ex.enabledSet {
+			d[i] = w
+		}
+	}
 	return ex.execute(t, tid, n)
 }
 
@@ -379,13 +390,13 @@ func (ex *Execution) decide(t *Thread) bool {
 func (ex *Execution) execute(t *Thread, tid ThreadID, n int) bool {
 	chosen := ex.threads[tid]
 	if chosen.gated != 0 {
-		ex.objs[chosen.gated-1].waitMask &^= tbit(tid)
+		ex.objs[chosen.gated-1].gate.del(tid)
 		chosen.gated = 0
 	}
 	ev := chosen.next
 	ex.steps++
 	if cp := ex.replayCp; cp == nil {
-		ex.recordEvent(ev)
+		ex.recordEvent(&chosen.next)
 	} else {
 		// A replayed forced step folds only the Δ hash, which algorithm Info
 		// predicates may consume per event; the last one adopts the rest
@@ -401,7 +412,7 @@ func (ex *Execution) execute(t *Thread, tid ThreadID, n int) bool {
 	}
 	ex.curEv = ev
 	if ex.tracer != nil {
-		// Before the event executes and with enabledBits still the mask the
+		// Before the event executes and with the enabled set still the one the
 		// choice was drawn from, so st.Enabled() materializes exactly that
 		// set; still inEngine, so a panicking tracer surfaces as an engine
 		// panic rather than a program failure. An IndexChooser pick counts
@@ -425,30 +436,6 @@ func (ex *Execution) execute(t *Thread, tid ThreadID, n int) bool {
 func (ex *Execution) finishSchedule(t *Thread) bool {
 	if ex.capturing {
 		ex.closeCapture()
-	}
-	ex.inEngine = false
-	ex.resume = nil
-	return false
-}
-
-// bailOut permanently switches this schedule to the slow loop (a thread
-// ID outgrew the bitmask). The orchestrator finishes the interrupted
-// cycle — the Observe call endCycle skipped — and runs the verbatim loop.
-// Any open capture is discarded: such programs never get checkpoints.
-func (ex *Execution) bailOut(t *Thread) bool {
-	ex.fast = false
-	ex.bailed = true
-	if ex.capturing {
-		ex.capturing = false
-		ex.capture = nil
-	}
-	if ex.replayCp != nil {
-		// A bail after the prefix is fine — the capture run sealed before
-		// its own bail and the slow loop continues identically — but a bail
-		// inside the prefix means the capture run took the fast path through
-		// decisions this run cannot, which (same program, same options)
-		// should be impossible.
-		panic("sched: checkpoint replay bailed out inside the prefix (capture ran it on the fast path)")
 	}
 	ex.inEngine = false
 	ex.resume = nil

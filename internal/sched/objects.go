@@ -349,7 +349,7 @@ func (c *Cond) wake(tid ThreadID) {
 		PathHash: w.pathHash, ObjHash: c.ex.obj(mu).hash}
 	w.state = tsReady
 	if c.ex.fast {
-		c.ex.classify(w) // register the pending wakelock in the mutex's waitMask
+		c.ex.classify(w) // enter the pending wakelock in the mutex's gate
 	}
 }
 

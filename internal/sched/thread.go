@@ -59,16 +59,15 @@ type Thread struct {
 	primePoison   bool
 	goexit        bool
 
-	state       threadState
-	next        Event
-	seq         int
-	clock       uint64 // class-fingerprint hash-clock (see Execution.classEvent)
-	spawned     int
-	joinTarget  ThreadID
-	gated       ObjID  // object whose waitMask holds this thread's bit (fast engine)
-	joinWaiters uint64 // bits of threads blocked joining this thread (fast engine)
-	heldMutex   []ObjID
-	failed      assertFailure // what Assert/Assertf/Fail panic with a pointer to
+	state      threadState
+	next       Event
+	seq        int
+	clock      uint64 // class-fingerprint hash-clock (see Execution.classEvent)
+	spawned    int
+	joinTarget ThreadID
+	gated      ObjID // object whose gate holds this thread (fast engine)
+	heldMutex  []ObjID
+	failed     assertFailure // what Assert/Assertf/Fail panic with a pointer to
 }
 
 // ID returns this thread's runtime ID (creation order, root = 0).

@@ -14,9 +14,9 @@ package sched
 // from execute (fast.go) — for every step, a replayed forced step of a
 // checkpointed prefix included — on the deciding goroutine, so a traced
 // session keeps inline continuation, deferred priming and its prefix
-// checkpoint. The slow loop fires the same calls with the same
-// arguments — crosscheck's decision-stream oracle holds the two equal —
-// and takes over mid-stream when a schedule outgrows the 64-thread mask.
+// checkpoint, at any thread count. The slow loop, run only under
+// Options.DisableBatching, fires the same calls with the same arguments —
+// crosscheck's decision-stream oracle holds the two equal.
 // What a tracer costs is then what its Decide does; ci.sh gates
 // obs.MetricsTracer at 1.3x an unobserved schedule.
 

@@ -249,11 +249,12 @@ func TestTracedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestTracerStreamAcrossBailOut: a program that outgrows the batched
-// engine's 64-thread mask mid-schedule hands the rest of the schedule to
-// the slow loop; the tracer must see one stream — every step once, in
-// order — across the hand-over.
-func TestTracerStreamAcrossBailOut(t *testing.T) {
+// TestTracerStreamWideProgram: a program that grows past 64 threads
+// mid-schedule, the first word of the batched engine's thread sets, stays
+// on that engine; the tracer must see one stream — every step once, in
+// order — the same as the slow loop's. The last ten children join earlier
+// ones, so joiners wait in both words.
+func TestTracerStreamWideProgram(t *testing.T) {
 	prog := func(th *sched.Thread) {
 		c := th.NewVar("c", 0)
 		early := th.Go(func(w *sched.Thread) {
@@ -266,7 +267,12 @@ func TestTracerStreamAcrossBailOut(t *testing.T) {
 		}
 		hs := make([]*sched.Handle, 70)
 		for i := range hs {
-			hs[i] = th.Go(func(w *sched.Thread) { c.Add(w, 1) })
+			hs[i] = th.Go(func(w *sched.Thread) {
+				if i >= 60 {
+					w.Join(hs[i-60])
+				}
+				c.Add(w, 1)
+			})
 		}
 		th.Join(early)
 		th.JoinAll(hs...)
@@ -286,7 +292,7 @@ func TestTracerStreamAcrossBailOut(t *testing.T) {
 			t.Fatalf("seed %d: %d decisions for %d steps", seed, len(tr.recs), res.Steps)
 		}
 		sched.Run(prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: seed}, Tracer: slow, DisableBatching: true})
-		sameStream(t, "bailed vs slow loop", tr, slow)
+		sameStream(t, "wide program vs slow loop", tr, slow)
 	}
 }
 
