@@ -24,7 +24,6 @@ import (
 	"surw/internal/ftp"
 	"surw/internal/obs"
 	"surw/internal/profile"
-	"surw/internal/race"
 	"surw/internal/racebench"
 	"surw/internal/replay"
 	"surw/internal/runner"
@@ -225,12 +224,7 @@ func decisionCells(b *testing.B) []decisionCell {
 		prof, _ := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
 		c := decisionCell{tgt: tgt, all: prof.Instantiate(prof.SelectAll())}
 		c.delta = c.all
-		rng := rand.New(rand.NewSource(1))
-		sel, ok := prof.SelectSingleVar(rng)
-		if tgt.Select != nil {
-			sel, ok = tgt.Select(prof, rng)
-		}
-		if ok {
+		if sel, ok := tgt.SelectDelta(prof, rand.New(rand.NewSource(1))); ok {
 			c.delta = prof.Instantiate(sel)
 		}
 		cells = append(cells, c)
@@ -847,18 +841,6 @@ func BenchmarkFTPSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched.Run(tgt.Prog, alg, sched.Options{Base: sched.Base{Seed: int64(i), ProgSeed: 3}})
 	}
-}
-
-// BenchmarkRaceDetect measures the happens-before analysis on recorded
-// LightFTP traces.
-func BenchmarkRaceDetect(b *testing.B) {
-	tgt := ftp.DefaultConfig().Target(3)
-	res := sched.Run(tgt.Prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: 1, ProgSeed: 3}, RecordTrace: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		race.Detect(res.Trace, res.ThreadPaths)
-	}
-	b.ReportMetric(float64(len(res.Trace)), "events/trace")
 }
 
 // BenchmarkMinimize measures schedule minimization on a recorded failure.

@@ -131,6 +131,20 @@ awk '
 # same rows there (about 10 s).
 GOARCH=386 go test -count=1 -run '^TestIdentityGolden$' ./internal/runner
 
+# Same bytes on arm64: the Go spec lets a compiler fuse x*y + z into one
+# multiply-add that rounds once where amd64 rounds twice, and the arm64
+# backend does. An explicit float64(...) conversion rounds, so nothing
+# fuses across it, and every product of this module that meets an add or a
+# subtract carries one. A fused instruction in this module's symbols of an
+# arm64 build of cmd/surw (inlined code included) is a product without it.
+arm64bin=$(mktemp)
+GOARCH=arm64 go build -o "$arm64bin" ./cmd/surw
+fused=$(go tool objdump "$arm64bin" | awk '/^TEXT /{sym=$2} /(FMADD|FMSUB|FNMADD|FNMSUB)[DS]? / && sym ~ /^(surw\/|main\.)/{print sym, $1}')
+rm -f "$arm64bin"
+if [ -n "$fused" ]; then
+    echo "FAIL: fused multiply-add in this module's arm64 code; put an explicit float64(...) round the product at:"; echo "$fused"; exit 1
+fi
+
 # The published numbers are the build's: results/ holds what `surw bench
 # -out results all` writes at the default scale and seed 1, byte for byte
 # (about 40 s at two workers; the tables are the same at any -workers). A

@@ -8,7 +8,6 @@ import (
 
 	"surw/internal/obs"
 	"surw/internal/profile"
-	"surw/internal/race"
 	"surw/internal/report"
 	"surw/internal/sched"
 	"surw/internal/systematic"
@@ -40,7 +39,7 @@ type objJSON struct {
 
 // profCmd runs the profiling phase on a benchmark target and prints the
 // census SURW consumes: per-thread event counts, the spawn tree, the
-// shared-object table, and example Δ selections.
+// shared-object table, and three Δ draws as a session makes them.
 //
 // Usage:
 //
@@ -111,25 +110,20 @@ func profCmd(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout, ot.String())
 
+		// The Δ a session hands its schedules, drawn as the session driver
+		// draws it (runner.Target.SelectDelta), then the §3.5 contrast.
 		rng := rand.New(rand.NewSource(c.seed))
 		st := report.NewTable("Example Δ selections", "Strategy", "Selection")
 		for i := 0; i < 3; i++ {
-			if sel, ok := prof.SelectSingleVar(rng); ok {
-				info := prof.Instantiate(sel)
-				st.AddRow(fmt.Sprintf("single-var draw %d", i+1),
-					fmt.Sprintf("%s, per-thread Δ counts %v", sel.Desc, info.InterestingEvents))
+			sel, ok := tgt.SelectDelta(prof, rng)
+			if !ok {
+				sel = prof.SelectAll()
 			}
+			st.AddRow(fmt.Sprintf("Δ draw %d", i+1),
+				fmt.Sprintf("%s, per-thread Δ counts %v", sel.Desc, prof.Instantiate(sel).InterestingEvents))
 		}
 		if sel, ok := prof.SelectLockEntrances(); ok {
 			st.AddRow("lock entrances", sel.Desc)
-		}
-		if sel, ok := prof.SelectRegion(rng, 16); ok {
-			st.AddRow("region (threshold 16)", sel.Desc)
-		}
-		if sel, ok := race.SelectRacy(prof, tgt.Prog, 10, c.seed, tgt.MaxSteps); ok {
-			st.AddRow("race-guided", sel.Desc)
-		} else {
-			st.AddRow("race-guided", "no races observed in 10 sampled schedules")
 		}
 		fmt.Fprintln(stdout, st.String())
 

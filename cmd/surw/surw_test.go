@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,6 +23,7 @@ import (
 	"surw/internal/buildinfo"
 	"surw/internal/experiments"
 	"surw/internal/obs"
+	"surw/internal/profile"
 	"surw/internal/replay"
 	"surw/internal/sched"
 )
@@ -446,6 +449,31 @@ func TestListedTargetsResolve(t *testing.T) {
 		if out := run("prof", "-target", name); out.code != 2 {
 			t.Errorf("prof -target %s: exit %d, want 2", name, out.code)
 		}
+	}
+}
+
+// TestProfDrawsTheSessionsDelta: prof's first Δ row is the draw a session
+// of the target makes from that census and seed — for a RaceBench base its
+// region at racebench.RegionThreshold, not a single variable or a region
+// at a threshold no grid draws.
+func TestProfDrawsTheSessionsDelta(t *testing.T) {
+	const seed = 5
+	tgt, _ := experiments.ByName("RaceBench/blackscholes")
+	prof, err := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: seed, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := tgt.Select(prof, rand.New(rand.NewSource(seed)))
+	if !ok {
+		t.Fatal("the base's census yields no region")
+	}
+	lines := strings.Split(mustRun(t, "prof", "-target", tgt.Name, "-seed", strconv.Itoa(seed)).stdout, "\n")
+	i := slices.Index(lines, "Example Δ selections")
+	if i < 0 || i+3 >= len(lines) {
+		t.Fatalf("no Δ table in prof's output:\n%s", strings.Join(lines, "\n"))
+	}
+	if row := lines[i+3]; !strings.Contains(row, "  "+want.Desc+", per-thread Δ counts") {
+		t.Errorf("first Δ row %q, want the target's draw %q", row, want.Desc)
 	}
 }
 

@@ -8,25 +8,32 @@ import (
 
 	"surw"
 	"surw/internal/core"
+	"surw/internal/experiments"
 	"surw/internal/runner"
-	"surw/internal/sctbench"
 )
 
 // The library runs the runner's loop: for the same program, algorithm and
 // seed, surw.Test is session 0 of a stop-at-first-bug batch — as many
 // schedules, the bug at the same one — and surw.Explore is session 0 of a
 // coverage batch, tally for tally. That includes the algorithms that read
-// no counts: neither side takes, or charges, a census for them.
+// no counts: neither side takes, or charges, a census for them. LightFTP
+// carries both a Select and a TraceFilter, so Options.Select and
+// Options.TraceFilter are held to the runner's target fields too.
 func TestLibraryIsTheRunnersSessionZero(t *testing.T) {
 	const limit = 150
-	found := 0
-	for _, name := range []string{"CS/reorder_10", "CS/twostage_20", "CS/bluetooth_driver"} {
-		tgt, ok := sctbench.ByName(name)
+	hunts, found := 0, 0
+	seeds := []int64{1, 7, 23}
+	for _, in := range []struct {
+		name  string
+		seeds []int64
+	}{{"CS/reorder_10", seeds}, {"CS/twostage_20", seeds}, {"CS/bluetooth_driver", seeds}, {"LightFTP@1", []int64{1}}} {
+		name := in.name
+		tgt, ok := experiments.ByName(name)
 		if !ok {
 			t.Fatalf("no target %s", name)
 		}
 		for _, alg := range append(core.AllNames(), "URW") {
-			for _, seed := range []int64{1, 7, 23} {
+			for _, seed := range in.seeds {
 				cell := fmt.Sprintf("%s/%s seed %d", name, alg, seed)
 				opts := surw.Options{
 					Base:        surw.Base{Seed: seed, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps},
@@ -44,6 +51,7 @@ func TestLibraryIsTheRunnersSessionZero(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				hunts++
 				if rep.Found() {
 					found++
 				}
@@ -71,6 +79,6 @@ func TestLibraryIsTheRunnersSessionZero(t *testing.T) {
 		}
 	}
 	if found < 20 {
-		t.Errorf("only %d of 72 hunts found a bug: too few first-bug indices compared", found)
+		t.Errorf("only %d of %d hunts found a bug: too few first-bug indices compared", found, hunts)
 	}
 }

@@ -350,7 +350,7 @@ func (g *Grid) finalize() {
 	for _, b := range g.Buckets {
 		if b > 0 {
 			p := float64(b) / n
-			g.EntropyBits -= p * math.Log2(p)
+			g.EntropyBits -= float64(p * math.Log2(p))
 		}
 	}
 }

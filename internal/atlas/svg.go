@@ -64,9 +64,9 @@ func heatColor(c, max float64) string {
 	}
 	t := math.Log1p(c) / math.Log1p(max) // (0,1]
 	// interpolate #e8ecf4 → #123a8c
-	r := int(232 + t*(18-232))
-	g := int(236 + t*(58-236))
-	bl := int(244 + t*(140-244))
+	r := int(232 + float64(t*(18-232)))
+	g := int(236 + float64(t*(58-236)))
+	bl := int(244 + float64(t*(140-244)))
 	return fmt.Sprintf("#%02x%02x%02x", r, g, bl)
 }
 

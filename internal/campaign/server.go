@@ -424,7 +424,7 @@ func yScale(v, max float64) float64 {
 	if max <= 0 {
 		return chartH - marginB
 	}
-	return chartH - marginB - (chartH-marginT-marginB)*v/max
+	return chartH - marginB - float64((chartH-marginT-marginB)*v/max)
 }
 
 func fmtCoord(v float64) string { return strings.TrimSuffix(fmt.Sprintf("%.1f", v), ".0") }

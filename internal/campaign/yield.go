@@ -91,7 +91,7 @@ const (
 // ScoreYield combines the three component signals (each clamped to
 // [0,1]) into the final score.
 func ScoreYield(gtUnseen, survivalSlope, newClassRate float64) float64 {
-	return wUnseen*clamp01(gtUnseen) + wSurvival*clamp01(survivalSlope) + wTrend*clamp01(newClassRate)
+	return float64(wUnseen*clamp01(gtUnseen)) + float64(wSurvival*clamp01(survivalSlope)) + float64(wTrend*clamp01(newClassRate))
 }
 
 // LateSurvivalDrop measures S(mid) − S(end) of a no-bug survival curve:

@@ -91,7 +91,7 @@ func (a *PCT) prio(tid sched.ThreadID) float64 {
 	for len(a.prios) <= tid {
 		// Base priorities live in (1,2); Float64 draws make them distinct
 		// with probability 1 and keep new threads randomly ranked.
-		a.prios = append(a.prios, 1+a.rng.Float64())
+		a.prios = append(a.prios, 1+float64(a.rng.Float64()))
 	}
 	return a.prios[tid]
 }

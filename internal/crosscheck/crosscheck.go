@@ -165,8 +165,8 @@ func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, op
 			}
 			// The caller-owned form: into storage that still holds an
 			// earlier schedule's outcome — first this schedule traced, so a
-			// Trace, ThreadPaths and (when it fails) a Failure are there to
-			// leak — it is Run's Result field for field.
+			// Trace and (when it fails) a Failure are there to leak — it is
+			// Run's Result field for field.
 			traced := so
 			traced.RecordTrace = true
 			pool.RunInto(&own, prog, alg, traced)

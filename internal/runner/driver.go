@@ -118,11 +118,11 @@ func (d *Driver) options(i int) sched.Options {
 		if d.drawn != i {
 			d.deltaStream(d.base)
 			for d.drawn = 0; d.drawn < i; d.drawn++ {
-				d.selectDelta()
+				d.tgt.SelectDelta(d.prof, d.rng)
 			}
 		}
 		d.drawn++
-		if sel, ok := d.selectDelta(); ok {
+		if sel, ok := d.tgt.SelectDelta(d.prof, d.rng); ok {
 			info = d.prof.Instantiate(sel)
 		}
 	}
@@ -139,13 +139,6 @@ func (d *Driver) deltaStream(seed int64) *rand.Rand {
 		d.rng.Seed(seed)
 	}
 	return d.rng
-}
-
-func (d *Driver) selectDelta() (profile.Selection, bool) {
-	if d.tgt.Select != nil {
-		return d.tgt.Select(d.prof, d.rng)
-	}
-	return d.prof.SelectSingleVar(d.rng)
 }
 
 // Next runs the session's next schedule into *res, storage the caller owns

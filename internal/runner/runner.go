@@ -44,6 +44,17 @@ type Target struct {
 	TraceFilter func(sched.Event) bool
 }
 
+// SelectDelta draws the Δ a schedule of the target is handed from the
+// session's census: Select's draw when it is set, else the single shared
+// variable SelectSingleVar draws. Every place that draws a target's Δ —
+// the session driver, `surw prof`, the decision benchmark — draws it here.
+func (t *Target) SelectDelta(p *profile.Profile, rng *rand.Rand) (profile.Selection, bool) {
+	if t.Select != nil {
+		return t.Select(p, rng)
+	}
+	return p.SelectSingleVar(rng)
+}
+
 // Config controls a batch of sessions.
 type Config struct {
 	// Sessions is the number of independent sessions (paper: 20).

@@ -368,10 +368,6 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 		// Execution must never scribble over a returned Result.
 		res.Trace = ex.trace
 		ex.trace = nil
-		res.ThreadPaths = make([]string, len(ex.threads))
-		for i, t := range ex.threads {
-			res.ThreadPaths[i] = t.path
-		}
 	}
 	ex.killRemaining()
 	if ex.goexits > 0 {

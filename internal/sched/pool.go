@@ -33,8 +33,8 @@ func (p *Pool) Run(prog func(*Thread), alg Algorithm, opts Options) *Result {
 
 // RunInto is Run writing the schedule's outcome over *res, storage the
 // caller owns and may hand in again, and returning res: the same Result,
-// field for field, and nothing of what *res held before — no Failure,
-// Trace or ThreadPaths carries over. A caller that looks at one schedule's
+// field for field, and nothing of what *res held before — no Failure or
+// Trace carries over. A caller that looks at one schedule's
 // result before running the next (the runner, the census) saves the one
 // object a warm schedule otherwise costs. RunPrefixInto and RunFromInto
 // are the same form of RunPrefix and RunFrom.

@@ -223,8 +223,8 @@ func (k *keepEnd) EndSchedule(r *Result) {
 
 // TestRunIntoCarriesNothingOver: the three Into forms write the Result the
 // plain forms return, whatever the storage held — in particular a failing
-// schedule with a trace and a tracer leaves no Failure, Trace or
-// ThreadPaths behind for the clean schedule written next, and what a Tracer
+// schedule with a trace and a tracer leaves no Failure or Trace behind
+// for the clean schedule written next, and what a Tracer
 // copied at EndSchedule still says what the schedule did after the storage
 // has moved on.
 func TestRunIntoCarriesNothingOver(t *testing.T) {
@@ -267,7 +267,7 @@ func TestRunIntoCarriesNothingOver(t *testing.T) {
 				continue
 			}
 			clean++
-			if own.Failure != nil || own.Trace != nil || own.ThreadPaths != nil || own.Buggy() {
+			if own.Failure != nil || own.Trace != nil || own.Buggy() {
 				t.Fatalf("seed %d after failing seed %d: storage kept %+v", next, seed, own)
 			}
 			if kept.fail != wantFail {

@@ -227,10 +227,6 @@ type Result struct {
 	// Trace is the full event sequence, recorded only when
 	// Options.RecordTrace is set.
 	Trace []Event
-	// ThreadPaths maps each TID to its stable logical path, populated when
-	// Options.RecordTrace is set (trace consumers need it to resolve
-	// spawn-tree relationships).
-	ThreadPaths []string
 	// Threads is the number of threads created.
 	Threads int
 

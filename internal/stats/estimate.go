@@ -72,7 +72,7 @@ func Chao1(counts []int) float64 {
 	if f2 > 0 {
 		return float64(sobs) + float64(f1)*float64(f1)/(2*float64(f2))
 	}
-	return float64(sobs) + float64(f1)*float64(f1-1)/2
+	return float64(sobs) + float64(float64(f1)*float64(f1-1)/2)
 }
 
 // Chao1Coverage returns Sobs/Chao1: the estimated fraction of reachable

@@ -3,6 +3,11 @@
 // distributions (Table 3), the Mann–Whitney U test (Table 1's significance
 // claim) and the two-sample log-rank test for schedules-to-first-bug
 // survival comparisons (Table 4's bold entries).
+//
+// A product that meets an add or a subtract is written float64(x*y) + z:
+// the explicit conversion rounds, so no compiler fuses the two into one
+// multiply-add, and arm64 computes the same bits as amd64 (ci.sh checks
+// the module's arm64 code for fused instructions).
 package stats
 
 import (
@@ -41,7 +46,7 @@ func Summarize(xs []float64) Summary {
 		ss := 0.0
 		for _, x := range xs {
 			d := x - s.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		s.Std = math.Sqrt(ss / float64(s.N-1))
 	}
@@ -64,7 +69,7 @@ func Entropy(counts []int) float64 {
 			continue
 		}
 		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p))
 	}
 	return h
 }
@@ -104,7 +109,7 @@ func EntropyBits(hist []int64) float64 {
 	for _, v := range hist {
 		if v > 0 {
 			p := float64(v) / float64(total)
-			h -= p * math.Log2(p)
+			h -= float64(p * math.Log2(p))
 		}
 	}
 	if math.IsNaN(h) || h < 0 {
@@ -115,7 +120,7 @@ func EntropyBits(hist []int64) float64 {
 
 // NormalSF returns the upper-tail probability P(Z > z) of the standard
 // normal distribution.
-func NormalSF(z float64) float64 { return 0.5 * math.Erfc(z/math.Sqrt2) }
+func NormalSF(z float64) float64 { return float64(0.5 * math.Erfc(z/math.Sqrt2)) }
 
 // ChiSquare1SF returns the upper-tail probability of a chi-square
 // distribution with one degree of freedom.
@@ -156,7 +161,7 @@ func KSUniform(ps []float64) (d, p float64) {
 	lambda := (math.Sqrt(n) + 0.12 + 0.11/math.Sqrt(n)) * d
 	sign, prev := 2.0, 0.0
 	for j := 1.0; j <= 100; j++ {
-		term := sign * math.Exp(-2*j*j*lambda*lambda)
+		term := float64(sign * math.Exp(-2*j*j*lambda*lambda))
 		p += term
 		if math.Abs(term) <= 1e-3*prev || math.Abs(term) <= 1e-8*p {
 			return d, min(p, 1)
@@ -190,13 +195,13 @@ func gammaPSeries(a, x float64) float64 {
 	del := sum
 	for i := 0; i < 1000; i++ {
 		ap++
-		del *= x / ap
+		del = float64(del * (x / ap))
 		sum += del
 		if math.Abs(del) < math.Abs(sum)*1e-15 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum * math.Exp(-x+float64(a*math.Log(x))-lg)
 }
 
 func gammaQCF(a, x float64) float64 {
@@ -209,7 +214,7 @@ func gammaQCF(a, x float64) float64 {
 	for i := 1; i < 1000; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < tiny {
 			d = tiny
 		}
@@ -218,13 +223,13 @@ func gammaQCF(a, x float64) float64 {
 			c = tiny
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < 1e-15 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return math.Exp(-x+float64(a*math.Log(x))-lg) * h
 }
 
 // ChiSquareUniform returns the chi-square statistic of observed counts
@@ -247,7 +252,7 @@ func ChiSquareUniform(counts []int, classes int) float64 {
 		d := float64(c) - exp
 		x += d * d / exp
 	}
-	x += float64(classes-len(counts)) * exp
+	x += float64(float64(classes-len(counts)) * exp)
 	return x
 }
 
@@ -278,9 +283,9 @@ func MannWhitneyU(xs, ys []float64) (u, p float64) {
 		for j < len(all) && all[j].v == all[i].v {
 			j++
 		}
-		rank := float64(i+j+1) / 2 // average rank of the tie group (1-based)
+		rank := float64(float64(i+j+1) / 2) // average rank of the tie group (1-based)
 		t := float64(j - i)
-		tieCorr += t*t*t - t
+		tieCorr += float64(t*t*t) - t
 		for k := i; k < j; k++ {
 			if all[k].first {
 				r1 += rank
@@ -288,9 +293,9 @@ func MannWhitneyU(xs, ys []float64) (u, p float64) {
 		}
 		i = j
 	}
-	u = r1 - float64(n1*(n1+1))/2
+	u = r1 - float64(float64(n1*(n1+1))/2)
 	n := float64(n1 + n2)
-	mu := float64(n1*n2) / 2
+	mu := float64(float64(n1*n2) / 2)
 	sigma2 := float64(n1*n2) / 12 * ((n + 1) - tieCorr/(n*(n-1)))
 	if sigma2 <= 0 {
 		return u, 1

@@ -44,11 +44,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"surw/internal/core"
 	"surw/internal/profile"
-	"surw/internal/race"
 	"surw/internal/replay"
 	"surw/internal/sched"
 	"surw/internal/stats"
@@ -237,41 +235,6 @@ func Replay(prog func(*Thread), rep *Report, opts Options) (*Result, error) {
 	}
 	defer s.Close()
 	return s.Replay(rep.Schedule, rep.Seed)
-}
-
-// DataRace is a detected happens-before data race on a shared variable.
-type DataRace = race.Race
-
-// DetectRaces runs a vector-clock happens-before analysis over a recorded
-// schedule (RunOptions.RecordTrace must have been set) and returns the
-// races found, at most one per variable.
-func DetectRaces(res *Result) []DataRace {
-	return race.Detect(res.Trace, res.ThreadPaths)
-}
-
-// SelectRacyVars samples random-walk schedules, race-detects their traces,
-// and returns the Δ "all accesses to the racy variables" — the paper's
-// §6 feedback loop from dynamic analysis into SURW. Plug it into
-// Options.Select to focus Test/Explore on racy state.
-func SelectRacyVars(prog func(*Thread), runs int, seed int64) func(*Profile, *rand.Rand) (Selection, bool) {
-	// Options.Select is called once per schedule and the hunt is a function
-	// of the profile alone, so it runs once per profile. The lock is for
-	// an Options value shared by Sessions on different goroutines.
-	var (
-		mu   sync.Mutex
-		from *Profile
-		sel  Selection
-		ok   bool
-	)
-	return func(p *Profile, _ *rand.Rand) (Selection, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p != from {
-			sel, ok = race.SelectRacy(p, prog, runs, seed, 0)
-			from = p
-		}
-		return sel, ok
-	}
 }
 
 // Recording is a serializable schedule: the choice taken at every

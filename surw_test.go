@@ -284,30 +284,3 @@ func TestNewRefThroughFacade(t *testing.T) {
 		t.Fatal(res.Failure)
 	}
 }
-
-func TestDetectRacesFacade(t *testing.T) {
-	res := Run(racyProg, NewRandomWalk(), RunOptions{Base: Base{Seed: 3}, RecordTrace: true})
-	// Some seeds order the accesses; scan a few for a race report.
-	found := false
-	for seed := int64(0); seed < 20 && !found; seed++ {
-		r := Run(racyProg, NewRandomWalk(), RunOptions{Base: Base{Seed: seed}, RecordTrace: true})
-		found = len(DetectRaces(r)) > 0
-	}
-	if !found {
-		t.Fatal("no race detected across seeds")
-	}
-	_ = res
-}
-
-func TestSelectRacyVarsDrivesTest(t *testing.T) {
-	rep, err := Test(racyProg, Options{Base: Base{Seed: 9}, Schedules: 500, Select: SelectRacyVars(racyProg, 8, 9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Found() {
-		t.Fatal("SURW with race-derived Δ missed the lost update")
-	}
-	if !strings.Contains(rep.Delta, "racy vars") {
-		t.Fatalf("Δ = %q, want race-derived", rep.Delta)
-	}
-}
