@@ -70,8 +70,7 @@ import (
 //
 // -atlas attaches the exploration atlas (internal/atlas) to the sct
 // experiment: schedule-space cartography (per-depth branching, prefix
-// density heatmaps) and per-cell uniformity drift, written to
-// DIR/atlas.json at campaign end and rendered live on the -serve
+// density heatmaps), written to DIR/atlas.json at campaign end and rendered live on the -serve
 // dashboard. Observation only — it never changes a schedule, a table, or
 // an aggregate byte. In coordinate mode the written atlas is the fleet
 // merge of every worker's (workers opt in with `surw worker -atlas`).

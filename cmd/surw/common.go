@@ -65,7 +65,7 @@ func (c *command) shared(names ...string) {
 	all.StringVar(&c.campaign, "campaign", "", "persist per-session results to this run-store directory (resumable)")
 	all.StringVar(&c.serve, "serve", "", "serve the live campaign dashboard on this address (requires -campaign)")
 	all.StringVar(&c.metricsFile, "metrics", "", "write a Prometheus-style metrics page to this file after the run")
-	all.BoolVar(&c.atlas, "atlas", false, "accumulate the exploration atlas (cartography + uniformity drift); a campaign writes DIR/atlas.json, a fleet worker ships snapshots to the coordinator")
+	all.BoolVar(&c.atlas, "atlas", false, "accumulate the exploration atlas (schedule-space cartography); a campaign writes DIR/atlas.json, a fleet worker ships snapshots to the coordinator")
 	all.BoolVar(&c.version, "version", false, "print the build version and exit")
 	for _, n := range names {
 		f := all.Lookup(n) // nil, and a panic at first use, for a name not above

@@ -37,9 +37,8 @@ import (
 // instead of silently rendering an empty fleet view.
 //
 // When the store directory holds an atlas.json (written by `surw bench
-// -atlas`), the dashboard also serves the exploration-atlas panels —
-// prefix-density heatmaps, depth profiles, uniformity drift — and
-// /api/yield reports per-cell discovery yield.
+// -atlas`), the dashboard also serves the exploration-atlas panels:
+// prefix-density heatmaps and depth profiles.
 //
 // Endpoints:
 //
@@ -77,9 +76,9 @@ func dashCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			srv.SetRemote(remoteStatus(*remoteURL))
 		}
 		// A campaign run with -atlas leaves DIR/atlas.json beside
-		// aggregates.json; serve its heatmaps, depth profiles, and uniformity
-		// verdicts post-hoc. Re-read per request, so a campaign that rewrites
-		// the file (or writes it for the first time) shows up without a restart.
+		// aggregates.json; serve its heatmaps and depth profiles post-hoc.
+		// Re-read per request, so a campaign that rewrites the file (or
+		// writes it for the first time) shows up without a restart.
 		atlasPath := filepath.Join(*storeDir, "atlas.json")
 		srv.SetAtlas(func() (*atlas.Snapshot, error) {
 			snap, err := readAtlas(atlasPath)

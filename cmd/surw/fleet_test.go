@@ -154,7 +154,7 @@ func TestFleetTracing(t *testing.T) {
 // two atlas-carrying workers. Watching changes no record — aggregates stay
 // equal to the local run's; the coordinator merges the workers' atlases
 // into DIR/atlas.json, and the dashboard over the finished store renders
-// the heatmap, depth profile, uniformity gauges and yield panel from it.
+// the heatmap, depth profile and atlas gauges from it.
 // Every session came from the store when the tables were rendered, so the
 // run ran nothing to put a throughput footer on.
 func TestFleetAtlas(t *testing.T) {
@@ -168,18 +168,15 @@ func TestFleetAtlas(t *testing.T) {
 		t.Errorf("a coordinator that executed no schedule rated some:\n%s", stderr)
 	}
 	out := mustRun(t, "obs", "-atlas", filepath.Join(f.dir, "atlas.json"))
-	wantMatch(t, "obs -atlas", out.stdout, `(?m)atlas cell Fig1/bitshift_4/RW: .* DRIFT$`)
+	wantMatch(t, "obs -atlas", out.stdout, `(?m)atlas cell Fig1/bitshift_4/RW: 600 schedules, [1-9][0-9]* decisions, depth [1-9][0-9]*$`)
 
 	dash := start(t, "dash", "-store", f.dir, "-addr", "127.0.0.1:0")
 	base := dash.url(t, "dashboard")
 	_, html := get(t, base+"/")
-	wantMatch(t, "dashboard", html, `exploration atlas`, `atlas-heatmap`, `atlas-depth`, `discovery yield`, `uniformity p`)
-	_, yield := get(t, base+"/api/yield")
-	wantMatch(t, "/api/yield", yield, `"cells"`)
+	wantMatch(t, "dashboard", html, `exploration atlas`, `atlas-heatmap`, `atlas-depth`)
 	wantMatch(t, "/metrics", metricsPage(t, base),
-		`surw_yield_score\{target="Fig1/bitshift_4"`,
-		`surw_atlas_uniformity_p\{target="Fig1/bitshift_4"`,
-		`surw_atlas_drift_alarm\{target="Fig1/bitshift_4",algorithm="RW"\} 1`)
+		`surw_atlas_schedules\{target="Fig1/bitshift_4",algorithm="RW"\} 600`,
+		`surw_atlas_decisions\{target="Fig1/bitshift_4",algorithm="URW"\} [1-9]`)
 }
 
 // TestFleetAllGrids: every experiment is a plan a fleet can drain, not

@@ -40,7 +40,7 @@ func TestMain(m *testing.M) {
 }
 
 // The cells ci.sh's smokes used: small enough for seconds, large enough
-// that every claim (resume, dedup, drift) has something to bite on.
+// that every claim (resume, dedup, atlas) has something to bite on.
 var (
 	reorderCells  = []string{"-sct-targets", "CS/reorder_4", "-sct-algs", "SURW,RW", "-sessions", "3", "-limit", "300"}
 	bitshiftCells = []string{"-sct-targets", "Fig1/bitshift_4", "-sct-algs", "URW,RW", "-sessions", "3", "-limit", "200", "-sct-coverage"}

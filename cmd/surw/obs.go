@@ -45,8 +45,8 @@ import (
 // snapshots and exits non-zero when any shared benchmark's schedules/s
 // dropped by more than -tolerance (default 10%); ci.sh gates with -gate
 // alone. -atlas validates an exploration-atlas export (`surw bench -atlas`),
-// prints each cell's cartography totals and uniformity verdict (ok /
-// DRIFT / n/a), and with -out renders the full SVG atlas document.
+// prints each cell's cartography totals, and with -out renders the full
+// SVG atlas document.
 func obsCmd(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	c := newCommand("obs", stdout, stderr)
 	c.shared("version")
@@ -58,7 +58,7 @@ func obsCmd(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		checkTrace = c.fs.String("check-trace", "", "validate a Chrome trace_event JSON file")
 		checkFl    = c.fs.String("check-flight", "", "validate a flight-recorder dump")
 		assemble   = c.fs.String("assemble-trace", "", "assemble distributed traces from a span-log JSONL file and verify at least one is complete")
-		atlasFile  = c.fs.String("atlas", "", "validate an atlas.json export, print per-cell cartography and drift verdicts; with -out, render the SVG atlas document")
+		atlasFile  = c.fs.String("atlas", "", "validate an atlas.json export and print per-cell cartography; with -out, render the SVG atlas document")
 		benchCmp   = c.fs.Bool("bench-compare", false, "compare two BENCH_obs.json files (args: OLD NEW); exit non-zero on a throughput regression beyond -tolerance")
 		benchTol   = c.fs.Float64("tolerance", 0.10, "allowed fractional schedules/s drop for -bench-compare (0.10 = 10%)")
 		benchHist  = c.fs.String("bench-history", "", "append the parsed -bench2json results as a timestamped record to this JSONL trajectory file")
@@ -113,15 +113,8 @@ func obsCmd(_ context.Context, args []string, stdout, stderr io.Writer) int {
 				return fmt.Errorf("%s holds no atlas cells", *atlasFile)
 			}
 			for _, cell := range snap.Cells {
-				verdict := "n/a"
-				if u := cell.Uniformity; u != nil {
-					verdict = fmt.Sprintf("uniformity p=%.3g ok", u.P)
-					if u.Alarm {
-						verdict = fmt.Sprintf("uniformity p=%.3g DRIFT", u.P)
-					}
-				}
-				say("atlas cell %s/%s: %d schedules, %d decisions, depth %d, %s",
-					cell.Target, cell.Algorithm, cell.Schedules, cell.Decisions, cell.MaxDepth, verdict)
+				say("atlas cell %s/%s: %d schedules, %d decisions, depth %d",
+					cell.Target, cell.Algorithm, cell.Schedules, cell.Decisions, cell.MaxDepth)
 			}
 			if *out != "" {
 				if err := os.WriteFile(*out, []byte(atlas.DocumentSVG(snap)), 0o644); err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"surw/internal/core"
 	"surw/internal/experiments"
@@ -101,7 +103,7 @@ func runCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "result    bug found in %d/%d sessions\n", found, *sessions)
 			fmt.Fprintf(stdout, "schedules to first bug: mean %.1f ± %.1f (min %.0f, max %.0f)\n",
 				sum.Mean, sum.Std, sum.Min, sum.Max)
-			for id := range res.DistinctBugs() {
+			for _, id := range slices.Sorted(maps.Keys(res.DistinctBugs())) {
 				fmt.Fprintf(stdout, "bug id    %s\n", id)
 			}
 			if obsN := res.FirstBugObs(); len(obsN) > 1 {

@@ -165,6 +165,24 @@ func TestFlightLinesWithCampaign(t *testing.T) {
 	}
 }
 
+// TestRunPrintsBugIDsSorted: `run` lists the distinct bugs it found in
+// sorted order, so two identical runs print the same bytes. The six
+// sessions find six bugs; printed in map order they would come out in
+// another order almost every run.
+func TestRunPrintsBugIDsSorted(t *testing.T) {
+	out := mustRun(t, "run", "-target", "RaceBench/blackscholes", "-sessions", "6", "-limit", "300")
+	var ids []string
+	for _, m := range regexp.MustCompile(`(?m)^bug id +(\S+)$`).FindAllStringSubmatch(out.stdout, -1) {
+		ids = append(ids, m[1])
+	}
+	if len(ids) < 2 {
+		t.Fatalf("want several bug id lines, got %d:\n%s", len(ids), out.stdout)
+	}
+	if !slices.IsSorted(ids) {
+		t.Errorf("bug ids not sorted: %q", ids)
+	}
+}
+
 // TestObservedScheduleIsTheReportedOne: the schedule `run -print-failing`
 // prints and the one `run -trace` exports are the schedule session 0
 // reported — the flight record the same run wrote names the same index,
@@ -325,21 +343,28 @@ func TestDashboardEndpoints(t *testing.T) {
 }
 
 // TestAtlas: the exploration atlas observes and never perturbs — same
-// aggregates with it attached — and its drift verdicts are right: URW is
-// uniform over the probe's 70 classes, RW (the unweighted walk the paper
-// corrects) trips the chi-square alarm within 600 samples.
+// aggregates with it attached — and it is a function of the campaign's
+// key: a cell is a sum of per-schedule counts, so atlas.json is the same
+// bytes at one worker as at two.
 func TestAtlas(t *testing.T) {
 	_, want := reference(t, bitshiftCells)
-	dir := t.TempDir()
+	dir, dir1 := t.TempDir(), t.TempDir()
 	got := bench(t, dir, append([]string{"-workers", "2", "-atlas"}, bitshiftCells...)...)
 	if !bytes.Equal(got, want) {
 		t.Errorf("aggregates with -atlas differ from the atlas-less run's")
 	}
+	if got := bench(t, dir1, append([]string{"-workers", "1", "-atlas"}, bitshiftCells...)...); !bytes.Equal(got, want) {
+		t.Errorf("aggregates with -atlas at one worker differ from the atlas-less run's")
+	}
+	atlasJSON := readFile(t, filepath.Join(dir, "atlas.json"))
+	if !bytes.Equal(readFile(t, filepath.Join(dir1, "atlas.json")), atlasJSON) {
+		t.Errorf("atlas.json at one worker differs from atlas.json at two")
+	}
 	svg := filepath.Join(dir, "atlas.svg")
 	out := mustRun(t, "obs", "-atlas", filepath.Join(dir, "atlas.json"), "-out", svg)
 	wantMatch(t, "obs -atlas", out.stdout,
-		`(?m)atlas cell Fig1/bitshift_4/URW: .* ok$`,
-		`(?m)atlas cell Fig1/bitshift_4/RW: .* DRIFT$`)
+		`(?m)atlas cell Fig1/bitshift_4/URW: 600 schedules, [1-9][0-9]* decisions, depth [1-9][0-9]*$`,
+		`(?m)atlas cell Fig1/bitshift_4/RW: 600 schedules, [1-9][0-9]* decisions, depth [1-9][0-9]*$`)
 	wantMatch(t, svg, string(readFile(t, svg)), `<svg`)
 }
 

@@ -5,18 +5,12 @@
 // attaching it never changes a schedule: the engine folds three integers
 // into a fixed block of plain counters its worker owns and nothing else.
 //
-// The atlas answers three questions the aggregate tables cannot:
-//
-//   - Cartography: how does the space branch? Per-depth decision counts,
-//     enabled-set histograms, and a sample-density map that buckets
-//     decision-prefix hashes at depths {4, 8, 16} into fixed 2^k grids —
-//     rendered as heatmaps, uneven colour means uneven sampling.
-//   - Uniformity drift: is a sampler that should be uniform (URW, SURW
-//     within a Δ) still uniform right now? A streaming chi-square over the
-//     per-cell class stream yields a live p-value and a latched alarm.
-//   - Yield: which cells still have discovery potential? Good-Turing
-//     unseen mass, survival-curve slope, and duplicate-rate trend combine
-//     into a per-cell score the coordinator can weight lease grants by.
+// The atlas is cartography: how does the space branch? It keeps
+// per-depth decision counts, enabled-set histograms, and a sample-density
+// map that buckets decision-prefix hashes at depths {4, 8, 16} into fixed
+// 2^k grids — rendered as heatmaps, uneven colour means uneven sampling.
+// It passes no verdict on uniformity: that is checked offline, against
+// exact class counts (crosscheck, Figure 2).
 //
 // Standing covenant: a nil atlas costs zero allocations on the batched
 // fast path, and an attached atlas never perturbs a schedule, a
@@ -156,8 +150,8 @@ func (a *Accum) Schedules() uint64 {
 	return a.schedules
 }
 
-// Snapshot materializes a bare accumulator (no uniformity state) into
-// its exported form — for callers that manage cells themselves.
+// Snapshot materializes a bare accumulator into its exported form — for
+// callers that manage cells themselves.
 func (a *Accum) Snapshot() CellSnapshot {
 	var cs CellSnapshot
 	a.fill(&cs)
@@ -194,25 +188,12 @@ func (a *Accum) fill(cs *CellSnapshot) {
 }
 
 // Cell is one campaign cell's atlas state: the cartography its workers have
-// drained so far plus the uniformity tracker fed once per completed
-// schedule. Both live under mu, which is taken per drain, per observed
-// schedule and per snapshot — never per decision.
+// drained so far, under mu, which is taken per drain and per snapshot —
+// never per decision. A cell is a sum of per-schedule counts, so its
+// snapshot does not depend on the order its workers drained in.
 type Cell struct {
-	mu    sync.Mutex
-	acc   Accum
-	drift Drift
-}
-
-// ObserveSchedule feeds one completed schedule's class fingerprint into
-// the uniformity tracker. Called once per schedule from the runner, after
-// the schedule has fully executed — never from the engine hot path.
-func (c *Cell) ObserveSchedule(class uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.drift.Observe(class)
-	c.mu.Unlock()
+	mu  sync.Mutex
+	acc Accum
 }
 
 // Atlas is the process-wide registry of per-cell atlas state.
@@ -273,10 +254,6 @@ func (a *Atlas) Snapshot() *Snapshot {
 		cs := CellSnapshot{Target: id.target, Algorithm: id.alg}
 		c.mu.Lock()
 		c.acc.fill(&cs)
-		if c.drift.samples > 0 {
-			d := c.drift.Snapshot()
-			cs.Uniformity = &d
-		}
 		c.mu.Unlock()
 		s.Cells = append(s.Cells, cs)
 	}
@@ -294,16 +271,15 @@ type Snapshot struct {
 	Cells   []CellSnapshot `json:"cells"`
 }
 
-// CellSnapshot is one cell's cartography plus its uniformity state.
+// CellSnapshot is one cell's cartography.
 type CellSnapshot struct {
-	Target     string         `json:"target"`
-	Algorithm  string         `json:"algorithm"`
-	Schedules  uint64         `json:"schedules"`
-	Decisions  uint64         `json:"decisions"`
-	MaxDepth   int            `json:"max_depth"`
-	Depths     []DepthProfile `json:"depths,omitempty"`
-	Grids      []Grid         `json:"grids,omitempty"`
-	Uniformity *DriftSnapshot `json:"uniformity,omitempty"`
+	Target    string         `json:"target"`
+	Algorithm string         `json:"algorithm"`
+	Schedules uint64         `json:"schedules"`
+	Decisions uint64         `json:"decisions"`
+	MaxDepth  int            `json:"max_depth"`
+	Depths    []DepthProfile `json:"depths,omitempty"`
+	Grids     []Grid         `json:"grids,omitempty"`
 }
 
 // DepthProfile is the branching profile at one decision depth. Raw sums
@@ -357,8 +333,6 @@ func (g *Grid) finalize() {
 
 // MergeCells sums per-cell snapshots from several sources (one per
 // worker, typically) into one fleet view, keyed by target/algorithm.
-// Uniformity is dropped: drift over a partial stream is not additive, so
-// the merger (the coordinator) attaches its own store-derived drift.
 func MergeCells(groups ...[]CellSnapshot) []CellSnapshot {
 	type key struct{ t, a string }
 	merged := make(map[key]*CellSnapshot)
@@ -369,7 +343,6 @@ func MergeCells(groups ...[]CellSnapshot) []CellSnapshot {
 			dst := merged[k]
 			if dst == nil {
 				cp := cs
-				cp.Uniformity = nil
 				cp.Depths = append([]DepthProfile(nil), cs.Depths...)
 				for i := range cp.Depths {
 					cp.Depths[i].Branch = append([]uint64(nil), cs.Depths[i].Branch...)

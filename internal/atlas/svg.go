@@ -146,12 +146,6 @@ func DocumentSVG(s *Snapshot) string {
 		y := i * rowH
 		label := fmt.Sprintf("%s / %s — %d schedules, %d decisions, max depth %d",
 			cs.Target, cs.Algorithm, cs.Schedules, cs.Decisions, cs.MaxDepth)
-		if cs.Uniformity != nil {
-			label += fmt.Sprintf(", uniformity p=%.3g", cs.Uniformity.P)
-			if cs.Uniformity.Alarm {
-				label += " DRIFT"
-			}
-		}
 		fmt.Fprintf(&b, `<text x="8" y="%d" font-size="12" fill="#223">%s</text>`, y+14, htmlEscape(label))
 		fmt.Fprintf(&b, `<g transform="translate(8,%d)">%s</g>`, y+20, HeatmapSVG(cs))
 		fmt.Fprintf(&b, `<g transform="translate(8,%d)">%s</g>`, y+20+heatTop+heatSide*heatCell+4, DepthProfileSVG(cs))

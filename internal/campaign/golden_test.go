@@ -19,9 +19,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from what the renderers write now")
 
 // golden compares got with testdata/name byte for byte. The files were
-// written by the hand-formatted renderers obs.Prom replaced and by the
-// yield score while it lived in package atlas, so a difference is a change
-// to a page or payload that scrapers and dashboards already parse.
+// written by the hand-formatted renderers obs.Prom replaced, so a
+// difference is a change to a page or payload that scrapers and dashboards
+// already parse.
 func golden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	if len(got) == 0 {
@@ -92,8 +92,8 @@ func TestRemoteStatusPrometheusGolden(t *testing.T) {
 }
 
 // goldenStore fills a store with literal records: a cell with commutation
-// classes (the dedup yield path), one with interleavings only, and one
-// with no class stream at all (unscoreable).
+// classes (the dedup path), one with interleavings only, and one with no
+// class stream at all.
 func goldenStore(t *testing.T) *campaign.Store {
 	t.Helper()
 	st, err := campaign.Open(t.TempDir())
@@ -125,21 +125,18 @@ func goldenStore(t *testing.T) *campaign.Store {
 	return st
 }
 
-// goldenAtlas is a literal atlas.json: a uniform cell, a drifted one whose
-// p-value needs an exponent, and one with no uniformity state yet.
+// goldenAtlas is a literal atlas.json of three cells.
 func goldenAtlas() *atlas.Snapshot {
 	return &atlas.Snapshot{Version: atlas.Version, Cells: []atlas.CellSnapshot{
-		{Target: "A", Algorithm: "RW", Schedules: 384, Decisions: 384, MaxDepth: 1,
-			Uniformity: &atlas.DriftSnapshot{Samples: 384, Classes: 2, ChiSquare: 343.0417, P: 1.2345678e-76, Alarm: true}},
-		{Target: "A", Algorithm: "SURW", Schedules: 320, Decisions: 640, MaxDepth: 5,
-			Uniformity: &atlas.DriftSnapshot{Samples: 320, Classes: 5, ChiSquare: 1.25, P: 0.8697587683}},
+		{Target: "A", Algorithm: "RW", Schedules: 384, Decisions: 384, MaxDepth: 1},
+		{Target: "A", Algorithm: "SURW", Schedules: 320, Decisions: 640, MaxDepth: 5},
 		{Target: "B", Algorithm: "URW", Schedules: 7, Decisions: 21, MaxDepth: 3},
 	}}
 }
 
 // TestServerGoldenPages holds the dashboard's machine-read surfaces over a
-// fixed store, atlas and fleet view: the Prometheus page, the yield
-// report and the campaign rollup. The fleet view drops goldenRemote's
+// fixed store, atlas and fleet view: the Prometheus page and the campaign
+// rollup. The fleet view drops goldenRemote's
 // +Inf latency: JSON has no infinity, and /api/campaign carries the view.
 func TestServerGoldenPages(t *testing.T) {
 	s := campaign.NewServer(goldenStore(t), nil)
@@ -155,7 +152,6 @@ func TestServerGoldenPages(t *testing.T) {
 	if err := obs.LintPrometheus(bytes.NewReader([]byte(metrics))); err != nil {
 		t.Fatalf("golden page does not lint: %v", err)
 	}
-	golden(t, "server_api_yield.golden", []byte(get(t, srv.URL+"/api/yield")))
 	golden(t, "server_api_campaign.golden", []byte(get(t, srv.URL+"/api/campaign")))
 }
 

@@ -44,7 +44,6 @@ func NewServer(store *Store, metrics *obs.Metrics) *Server {
 	s := &Server{store: store, metrics: metrics, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/api/campaign", s.handleAPI)
-	s.mux.HandleFunc("/api/yield", s.handleYield)
 	s.mux.Handle("/metrics", obs.PromHandler(s.writeMetrics))
 	s.mux.HandleFunc("/events", s.handleEvents)
 	s.mux.HandleFunc("/buildinfo", s.handleBuildinfo)
@@ -66,8 +65,8 @@ func (s *Server) SetRemote(status func() (*RemoteStatus, error)) { s.remote = st
 // live registry's Snapshot for an embedded campaign, the coordinator's
 // merged fleet view for a distributed one, or a loader over a written
 // atlas.json for surw dash. The dashboard then renders the sample-density
-// heatmaps, the depth profile, and the per-cell uniformity gauges, and
-// /metrics gains the surw_atlas_* family. A failing source is treated
+// heatmaps and the depth profile, and /metrics gains the surw_atlas_*
+// family. A failing source is treated
 // like an absent one (the panel disappears; nothing breaks). Call before
 // serving.
 func (s *Server) SetAtlas(src func() (*atlas.Snapshot, error)) { s.atlasSrc = src }
@@ -85,12 +84,6 @@ func (s *Server) atlasSnapshot() *atlas.Snapshot {
 	return snap
 }
 
-// handleYield serves the per-cell discovery-yield scores, with the
-// atlas's uniformity state joined in when an atlas is attached.
-func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
-	serveJSON(w, yieldReport(s.store.Aggregate(), s.atlasSnapshot()))
-}
-
 // serveJSON answers with v as JSON, or with 500 and the encoder's error: a
 // value that does not encode (encoding/json refuses an infinity) must not
 // reach the client as an empty 200.
@@ -102,38 +95,6 @@ func serveJSON(w http.ResponseWriter, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(body.Bytes()) // the client went away: nobody to tell
-}
-
-// YieldReport is the /api/yield payload.
-type YieldReport struct {
-	Cells []YieldCell `json:"cells"`
-}
-
-// YieldCell is CellYield plus the cell's live uniformity state (atlas
-// runs only; absent for store-only views without an atlas.json).
-type YieldCell struct {
-	CellYield
-	Uniformity *atlas.DriftSnapshot `json:"uniformity,omitempty"`
-}
-
-// yieldReport scores agg's cells and joins snap's uniformity state (snap
-// may be nil): what /api/yield serves and the dashboard's yield panel shows.
-func yieldReport(agg *Aggregates, snap *atlas.Snapshot) *YieldReport {
-	yields := agg.Yields()
-	rep := &YieldReport{Cells: make([]YieldCell, 0, len(yields))}
-	drift := make(map[[2]string]*atlas.DriftSnapshot)
-	if snap != nil {
-		for _, c := range snap.Cells {
-			drift[[2]string{c.Target, c.Algorithm}] = c.Uniformity
-		}
-	}
-	for _, y := range yields {
-		rep.Cells = append(rep.Cells, YieldCell{
-			CellYield:  y,
-			Uniformity: drift[[2]string{y.Target, y.Algorithm}],
-		})
-	}
-	return rep
 }
 
 // aggregates builds the rollup, attaching the live metrics snapshot when
@@ -199,30 +160,13 @@ func (s *Server) writeMetrics(w io.Writer) error {
 		dupRate = float64(totalSamples-totalClasses) / float64(totalSamples)
 	}
 	duplicate.Fixed(dupRate, 6)
-	// Discovery-yield gauges: one score per scoreable cell (cells with no
-	// class stream are simply absent, never NaN).
-	score := p.Gauge("surw_yield_score", "Discovery-yield score per cell (0..1, higher = more left to find).")
-	unseen := p.Gauge("surw_yield_gt_unseen", "Good-Turing unseen class mass per cell.")
-	for _, y := range agg.Yields() {
-		if y.Scoreable {
-			score.Fixed(y.Yield.Score, 6, "target", y.Target, "algorithm", y.Algorithm)
-			unseen.Fixed(y.Yield.GTUnseen, 6, "target", y.Target, "algorithm", y.Algorithm)
-		}
-	}
-	// Atlas gauges, when an atlas source is attached: cartography volume
-	// plus the per-cell uniformity state.
+	// Atlas gauges, when an atlas source is attached: cartography volume.
 	if snap := s.atlasSnapshot(); snap != nil {
 		schedules := p.Gauge("surw_atlas_schedules", "Schedules observed by the exploration atlas per cell.")
 		decisions := p.Gauge("surw_atlas_decisions", "True scheduling decisions observed per cell.")
-		uniformity := p.Gauge("surw_atlas_uniformity_p", "Streaming chi-square uniformity p-value per cell.")
-		alarm := p.Gauge("surw_atlas_drift_alarm", "1 when the cell's sampler has drifted from uniform (latched).")
 		for _, c := range snap.Cells {
 			schedules.Int(int64(c.Schedules), "target", c.Target, "algorithm", c.Algorithm)
 			decisions.Int(int64(c.Decisions), "target", c.Target, "algorithm", c.Algorithm)
-			if c.Uniformity != nil {
-				uniformity.Sig(c.Uniformity.P, 6, "target", c.Target, "algorithm", c.Algorithm)
-				alarm.Bool(c.Uniformity.Alarm, "target", c.Target, "algorithm", c.Algorithm)
-			}
 		}
 	}
 	if err := p.Flush(w); err != nil {
@@ -293,7 +237,6 @@ type dashData struct {
 	Build      buildinfo.Info
 	Agg        *Aggregates
 	Cells      []dashCell
-	Yields     []dashYield
 	AtlasCells []dashAtlas
 	Targets    int
 }
@@ -309,33 +252,16 @@ type dashCell struct {
 	GrowthSVG    template.HTML
 }
 
-// dashYield is one pre-formatted row of the discovery-yield panel.
-// Unscoreable cells (zero completed sessions, or no class stream) keep
-// every column at "—" — the degenerate-cell guard the template tests pin.
-type dashYield struct {
-	Target      string
-	Algorithm   string
-	Samples     string
-	Score       string
-	GTUnseen    string
-	Slope       string
-	NewRate     string
-	UniformityP string
-	Alarm       bool
-}
-
 // dashAtlas is one cell of the exploration-atlas section: the rendered
-// heatmap and depth profile plus a pre-formatted uniformity gauge.
+// heatmap and depth profile.
 type dashAtlas struct {
-	Target      string
-	Algorithm   string
-	Schedules   uint64
-	Decisions   uint64
-	MaxDepth    int
-	UniformityP string
-	Alarm       bool
-	HeatmapSVG  template.HTML
-	DepthSVG    template.HTML
+	Target     string
+	Algorithm  string
+	Schedules  uint64
+	Decisions  uint64
+	MaxDepth   int
+	HeatmapSVG template.HTML
+	DepthSVG   template.HTML
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -365,39 +291,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		data.Cells = append(data.Cells, dc)
 	}
 	data.Targets = len(targets)
-	snap := s.atlasSnapshot()
-	for _, y := range yieldReport(agg, snap).Cells {
-		row := dashYield{
-			Target: y.Target, Algorithm: y.Algorithm,
-			Samples: "—", Score: "—", GTUnseen: "—", Slope: "—", NewRate: "—", UniformityP: "—",
-		}
-		if y.Scoreable {
-			row.Samples = fmt.Sprintf("%d", y.Samples)
-			row.Score = fmt.Sprintf("%.2f", y.Yield.Score)
-			row.GTUnseen = fmt.Sprintf("%.3f", y.Yield.GTUnseen)
-			row.Slope = fmt.Sprintf("%.3f", y.Yield.SurvivalSlope)
-			row.NewRate = fmt.Sprintf("%.3f", y.Yield.NewClassRate)
-		}
-		if d := y.Uniformity; d != nil {
-			row.UniformityP = fmt.Sprintf("%.3g", d.P)
-			row.Alarm = d.Alarm
-		}
-		data.Yields = append(data.Yields, row)
-	}
-	if snap != nil {
+	if snap := s.atlasSnapshot(); snap != nil {
 		for _, c := range snap.Cells {
-			ac := dashAtlas{
+			data.AtlasCells = append(data.AtlasCells, dashAtlas{
 				Target: c.Target, Algorithm: c.Algorithm,
 				Schedules: c.Schedules, Decisions: c.Decisions, MaxDepth: c.MaxDepth,
-				UniformityP: "—",
-				HeatmapSVG:  template.HTML(atlas.HeatmapSVG(c)),
-				DepthSVG:    template.HTML(atlas.DepthProfileSVG(c)),
-			}
-			if c.Uniformity != nil {
-				ac.UniformityP = fmt.Sprintf("%.3g", c.Uniformity.P)
-				ac.Alarm = c.Uniformity.Alarm
-			}
-			data.AtlasCells = append(data.AtlasCells, ac)
+				HeatmapSVG: template.HTML(atlas.HeatmapSVG(c)),
+				DepthSVG:   template.HTML(atlas.DepthProfileSVG(c)),
+			})
 		}
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -558,8 +459,6 @@ var dashTemplate = template.Must(template.New("dash").Funcs(template.FuncMap{
  .health.ok { background: #edf7ee; border: 1px solid #b7dcb9; color: #1f5c23; }
  .health.bad { background: #fdf3e7; border: 1px solid #e8c79a; color: #7a4c10; }
  .health ul { margin: .3rem 0 0 1.2rem; padding: 0; }
- .alarm { background: #c0392b; color: #fff; padding: 0 .35em; border-radius: 3px; font-size: .8em; font-weight: 700; }
- tr.drift td { background: #fdecea; }
 </style>
 </head>
 <body>
@@ -610,18 +509,6 @@ var dashTemplate = template.Must(template.New("dash").Funcs(template.FuncMap{
 </tr>{{end}}
 </table>
 
-{{if .Yields}}
-<h2 class="wk">discovery yield</h2>
-<table class="yield">
-<tr><th>target</th><th>algorithm</th><th>samples</th><th>yield</th><th>GT unseen</th><th>survival slope</th><th>new-class rate</th><th>uniformity p</th></tr>
-{{range .Yields}}<tr{{if .Alarm}} class="drift"{{end}}>
- <td>{{.Target}}</td><td>{{.Algorithm}}</td><td>{{.Samples}}</td>
- <td>{{.Score}}</td><td>{{.GTUnseen}}</td><td>{{.Slope}}</td><td>{{.NewRate}}</td>
- <td>{{.UniformityP}}{{if .Alarm}} <span class="alarm">DRIFT</span>{{end}}</td>
-</tr>{{end}}
-</table>
-{{end}}
-
 <div class="cells">
 {{range .Cells}}<div class="cell">
  <h2>{{.Target}} · {{.Algorithm}}</h2>
@@ -635,7 +522,7 @@ var dashTemplate = template.Must(template.New("dash").Funcs(template.FuncMap{
 <div class="cells">
 {{range .AtlasCells}}<div class="cell">
  <h2>{{.Target}} · {{.Algorithm}}</h2>
- <p class="meta">{{.Schedules}} schedules · {{.Decisions}} decisions · depth {{.MaxDepth}} · uniformity p {{.UniformityP}}{{if .Alarm}} <span class="alarm">DRIFT</span>{{end}}</p>
+ <p class="meta">{{.Schedules}} schedules · {{.Decisions}} decisions · depth {{.MaxDepth}}</p>
  {{.HeatmapSVG}}
  {{.DepthSVG}}
 </div>{{end}}

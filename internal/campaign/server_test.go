@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"surw/internal/atlas"
 	"surw/internal/campaign"
 	"surw/internal/obs"
 )
@@ -416,5 +417,106 @@ func TestServerIndexAndBuildinfo(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /nope = %d, want 404", resp.StatusCode)
+	}
+}
+
+// atlasServer builds a server over a real campaign with a live atlas
+// registry attached: two cells of synthetic cartography.
+func atlasServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	st, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaignCells(t, st, 2, 1)
+
+	reg := atlas.New()
+	var acc atlas.Accum
+	for i := 0; i < 320; i++ {
+		acc.BeginSchedule()
+		acc.Decision(1, 3, uint64(i))
+		acc.Decision(5, 2, uint64(i*7))
+	}
+	acc.DrainInto(reg.Cell("CS/reorder_4", "SURW"))
+	for i := 0; i < 384; i++ {
+		acc.BeginSchedule()
+		acc.Decision(1, 2, uint64(i))
+	}
+	acc.DrainInto(reg.Cell("CS/reorder_4", "RW"))
+
+	s := campaign.NewServer(st, nil)
+	s.SetAtlas(func() (*atlas.Snapshot, error) { return reg.Snapshot(), nil })
+	srv := httptest.NewServer(s)
+	t.Cleanup(func() { srv.Close(); st.Close() })
+	return srv
+}
+
+// TestServerAtlasPanel drives the dashboard's atlas panel end to end: each
+// cell's heatmap, depth profile and counts, nothing rendered as NaN, and
+// no uniformity verdict — the atlas maps the space, it does not judge the
+// sampler.
+func TestServerAtlasPanel(t *testing.T) {
+	srv := atlasServer(t)
+
+	page := get(t, srv.URL+"/")
+	for _, want := range []string{
+		"exploration atlas",
+		"atlas-heatmap",
+		"atlas-depth",
+		"320 schedules · 640 decisions · depth 5",
+		"384 schedules · 384 decisions · depth 1",
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("dashboard missing %q", want)
+		}
+	}
+	for _, gone := range []string{"NaN", "uniformity", "DRIFT", "discovery yield"} {
+		if strings.Contains(page, gone) {
+			t.Errorf("dashboard rendered %q", gone)
+		}
+	}
+}
+
+// TestServerAtlasMetrics holds the /metrics contract: the surw_atlas_*
+// families carry each cell's counts with an atlas attached, and the whole
+// page still lints.
+func TestServerAtlasMetrics(t *testing.T) {
+	page := get(t, atlasServer(t).URL+"/metrics")
+	for _, want := range []string{
+		"surw_atlas_schedules{target=\"CS/reorder_4\",algorithm=\"SURW\"} 320",
+		"surw_atlas_decisions{target=\"CS/reorder_4\",algorithm=\"SURW\"} 640",
+		"surw_atlas_schedules{target=\"CS/reorder_4\",algorithm=\"RW\"} 384",
+		"surw_atlas_decisions{target=\"CS/reorder_4\",algorithm=\"RW\"} 384",
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("metrics page missing %q", want)
+		}
+	}
+	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
+		t.Fatalf("atlas metrics page does not lint: %v", err)
+	}
+}
+
+// TestServerFleetMedianGuard pins the health-panel degenerate guard: a
+// zero fleet median renders as "—", a real one as a number.
+func TestServerFleetMedianGuard(t *testing.T) {
+	st, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	campaignCells(t, st, 1, 1)
+	rs := &campaign.RemoteStatus{Health: &campaign.HealthReport{Healthy: true}}
+	s := campaign.NewServer(st, nil)
+	s.SetRemote(func() (*campaign.RemoteStatus, error) { return rs, nil })
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	if page := get(t, srv.URL+"/"); !strings.Contains(page, "median —") {
+		t.Error("zero fleet median not rendered as —")
+	}
+	rs.Health.FleetMedianSchedulesPerSec = 1200
+	if page := get(t, srv.URL+"/"); !strings.Contains(page, "median 1200 schedules/s") {
+		t.Error("nonzero fleet median not rendered")
 	}
 }

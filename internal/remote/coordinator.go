@@ -112,14 +112,12 @@ type Coordinator struct {
 }
 
 // planCell is all the coordinator keeps of a cell: its key, the sessions
-// the plan names for it (sorted), its ingested records' class tallies —
-// the fleet atlas' drift, a pure function of the store that survives
-// restarts — and the schedules and worker-reported busy time of its
-// submissions, the slow-cell health rule's (a lease never mixes cells).
+// the plan names for it (sorted), and the schedules and worker-reported
+// busy time of its submissions, the slow-cell health rule's (a lease never
+// mixes cells).
 type planCell struct {
 	key       runner.CellKey
 	sessions  []int
-	classes   map[uint64]int
 	schedules int64
 	busy      time.Duration
 }
@@ -201,9 +199,9 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 		c.plan[cell].sessions = append(c.plan[cell].sessions, k.Session)
 		if s, ok := store.Lookup(k); ok {
 			c.done++
-			// A restarted coordinator rebuilds the duplicate gauges and the
-			// per-cell class tallies from the records it resumes over.
-			c.ingestLocked(&c.plan[cell], s)
+			// A restarted coordinator rebuilds the duplicate gauges from
+			// the records it resumes over.
+			c.ingestLocked(s)
 			continue
 		}
 		if cell != cur.cell || cur.hi-cur.lo >= c.opts.BatchSize {
@@ -248,22 +246,17 @@ func (c *Coordinator) plannedLocked(k runner.SessionKey) (int, bool) {
 	return i, ok
 }
 
-// ingestLocked folds one session record of cell's into the seen-class
-// filter, the fleet duplicate-rate tallies, and the cell's class tallies:
-// each class adds one filter observation, and every schedule beyond the
-// first of an already-seen class counts as a duplicate. Sessions without
-// coverage contribute nothing. Caller holds c.mu (or is still constructing
-// c).
-func (c *Coordinator) ingestLocked(cell *planCell, s *runner.Session) {
+// ingestLocked folds one session record into the seen-class filter and
+// the fleet duplicate-rate tallies: each class adds one filter
+// observation, and every schedule beyond the first of an already-seen
+// class counts as a duplicate. Sessions without coverage contribute
+// nothing. Caller holds c.mu (or is still constructing c).
+func (c *Coordinator) ingestLocked(s *runner.Session) {
 	if s.Cov == nil {
 		return
 	}
-	if cell.classes == nil {
-		cell.classes = make(map[uint64]int)
-	}
 	for class, n := range s.Cov.Classes {
 		c.schedules += int64(n)
-		cell.classes[class] += n
 		dup := int64(n - 1)
 		if !c.filter.Add(class) {
 			dup++ // the class itself was already known fleet-wide
@@ -385,7 +378,7 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 		resp.Accepted++
 		c.done++
 		ws.sessions++
-		c.ingestLocked(&c.plan[d.cell], d.sess)
+		c.ingestLocked(d.sess)
 	}
 	busy := time.Duration(req.busyMillis) * time.Millisecond
 	ws.busy += busy
@@ -596,50 +589,20 @@ func (c *Coordinator) handleSpans(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) Spans() []obs.Span { return c.spans.Snapshot() }
 
 // AtlasSnapshot assembles the fleet's exploration atlas: the latest
-// cumulative cartography snapshot from each worker, merged cell-wise,
-// with each cell's uniformity drift recomputed from the coordinator's own
-// ingested class tallies (a pure function of the store, so the drift
-// verdicts — unlike the merged density grids — survive worker restarts
-// and coordinator restarts alike). Nil when no worker ever shipped one.
+// cumulative cartography snapshot from each worker, merged cell-wise. A
+// merged cell is a sum, so the order the workers are visited in does not
+// matter. Nil when no worker ever shipped one.
 func (c *Coordinator) AtlasSnapshot() *atlas.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.workerAtlas) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(c.workerAtlas))
-	for name := range c.workerAtlas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	groups := make([][]atlas.CellSnapshot, 0, len(names))
-	for _, name := range names {
-		groups = append(groups, c.workerAtlas[name])
+	groups := make([][]atlas.CellSnapshot, 0, len(c.workerAtlas))
+	for _, cells := range c.workerAtlas {
+		groups = append(groups, cells)
 	}
 	merged := atlas.MergeCells(groups...)
-	// Drift per (target, algorithm), summed over every cell configuration
-	// that maps there (one, in any sane plan).
-	classes := make(map[[2]string]map[uint64]int)
-	for _, cell := range c.plan {
-		if len(cell.classes) == 0 {
-			continue
-		}
-		key := [2]string{cell.key.Target, cell.key.Algorithm}
-		m := classes[key]
-		if m == nil {
-			m = make(map[uint64]int, len(cell.classes))
-			classes[key] = m
-		}
-		for class, n := range cell.classes {
-			m[class] += n
-		}
-	}
-	for i := range merged {
-		if m := classes[[2]string{merged[i].Target, merged[i].Algorithm}]; len(m) > 0 {
-			d := atlas.DriftFromCounts(m)
-			merged[i].Uniformity = &d
-		}
-	}
 	return &atlas.Snapshot{Version: atlas.Version, Cells: merged}
 }
 

@@ -2,8 +2,7 @@ package remote
 
 // Tests for the schedule-equivalence dedup layer: the counting-bloom
 // seen-class filter, the coordinator's fleet-wide duplicate gauges
-// (including their rebuild from a resumed store, with the fleet atlas'
-// drift verdicts read off the same tallies), and the capstone —
+// (including their rebuild from a resumed store), and the capstone —
 // dedup-aware aggregates of a distributed coverage campaign staying
 // byte-identical to a local run's. The gauges are all of it: nothing asks
 // the coordinator about a class, and /v1/classes is no endpoint.
@@ -14,11 +13,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"testing"
 
-	"surw/internal/atlas"
 	"surw/internal/campaign"
 	"surw/internal/experiments"
 	"surw/internal/runner"
@@ -137,13 +134,6 @@ func TestCoordinatorRebuildsFilterFromStore(t *testing.T) {
 		ResultRequest{Worker: "a", LeaseID: la.Lease.ID, Records: covRecordsFor(la.Lease)}, nil); code != 200 {
 		t.Fatalf("submit: status %d", code)
 	}
-	// A worker's atlas snapshot carries cartography only: the drift verdict
-	// is the coordinator's, from its own class tallies.
-	cart := []atlas.CellSnapshot{{Target: "t/x", Algorithm: "RW", Schedules: 9}}
-	if code := postJSON(t, srv1.URL+PathHeartbeat, HeartbeatRequest{Worker: "a", Atlas: cart}, nil); code != 204 {
-		t.Fatalf("heartbeat: status %d", code)
-	}
-	before := c1.AtlasSnapshot()
 	srv1.Close()
 
 	// A restarted coordinator over the same store rebuilds the seen-class
@@ -153,28 +143,6 @@ func TestCoordinatorRebuildsFilterFromStore(t *testing.T) {
 	if r1.DistinctClasses != 4 || r2.ClassObservations != r1.ClassObservations ||
 		r2.DistinctClasses != r1.DistinctClasses || r2.DuplicateRate != r1.DuplicateRate {
 		t.Fatalf("restart lost dedup state: before %+v, after %+v", r1, r2)
-	}
-
-	// And the drift verdicts: once a worker's heartbeat brings the restarted
-	// coordinator an atlas again, each cell's uniformity is what it was.
-	srv2 := httptest.NewServer(c2)
-	defer srv2.Close()
-	if code := postJSON(t, srv2.URL+PathHeartbeat, HeartbeatRequest{Worker: "a", Atlas: cart}, nil); code != 204 {
-		t.Fatalf("heartbeat after restart: status %d", code)
-	}
-	after := c2.AtlasSnapshot()
-	uniformity := func(s *atlas.Snapshot) []*atlas.DriftSnapshot {
-		var u []*atlas.DriftSnapshot
-		for _, cell := range s.Cells {
-			u = append(u, cell.Uniformity)
-		}
-		return u
-	}
-	if u := uniformity(before); len(u) != 1 || u[0] == nil || u[0].Samples != 9 || u[0].Classes != 4 {
-		t.Fatalf("drift before the restart: %+v, want one cell of 9 samples in 4 classes", before.Cells)
-	}
-	if !reflect.DeepEqual(uniformity(before), uniformity(after)) {
-		t.Fatalf("restart changed the drift verdicts: before %+v, after %+v", before.Cells, after.Cells)
 	}
 }
 

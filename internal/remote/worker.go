@@ -58,10 +58,11 @@ type Worker struct {
 	// the sessions stay on the batched engine; what it costs is the tracer
 	// call per decision, so it is opt-in (`surw worker -metrics-addr`).
 	Metrics *obs.Metrics
-	// Atlas, when non-nil, accumulates schedule-space cartography and
-	// uniformity drift over every leased session this worker executes
-	// (`surw worker -atlas`): lock-free atomic counters off the decision hot
-	// loop. Its cumulative snapshot ships with the heartbeats, and once more
+	// Atlas, when non-nil, accumulates schedule-space cartography over
+	// every leased session this worker executes (`surw worker -atlas`):
+	// plain per-worker counters, drained into the shared cell between
+	// schedules.
+	// Its cumulative snapshot ships with the heartbeats, and once more
 	// when Run returns, so the coordinator can assemble the fleet atlas.
 	// Never perturbs a schedule.
 	Atlas *atlas.Atlas

@@ -54,9 +54,6 @@ func TestAtlasNonPerturbation(t *testing.T) {
 			if cs.Schedules != 3*40 {
 				t.Fatalf("%s workers=%d: atlas saw %d schedules, want %d", alg, workers, cs.Schedules, 3*40)
 			}
-			if cs.Uniformity == nil || cs.Uniformity.Samples != 3*40 {
-				t.Fatalf("%s: uniformity stream short: %+v", alg, cs.Uniformity)
-			}
 			if cs.Decisions == 0 || len(cs.Grids) == 0 {
 				t.Fatalf("%s: cartography empty: %+v", alg, cs)
 			}

@@ -88,9 +88,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	// — plain memory nobody else touches — and the session drains that into
 	// the cell under the cell's lock: every atlasPublishEvery schedules,
 	// and — deferred, so a cancelled or failed session publishes the
-	// schedules it did run — on the way out. The per-schedule class
-	// fingerprint feeds the cell's uniformity tracker below, strictly after
-	// each schedule completes.
+	// schedules it did run — on the way out.
 	atlasCell := cfg.Atlas.Cell(tgt.Name, algName)
 	var stage *atlas.Accum
 	if cfg.Atlas != nil {
@@ -135,7 +133,6 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		if r.Truncated {
 			sess.Truncated++
 		}
-		atlasCell.ObserveSchedule(r.ClassHash)
 		if sess.Cov != nil {
 			sess.Cov.Interleavings[r.InterleavingHash]++
 			if sess.Cov.Classes[r.ClassHash]++; sess.Cov.Classes[r.ClassHash] > 1 {

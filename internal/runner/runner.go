@@ -105,10 +105,9 @@ type Config struct {
 	// internal/campaign). Resumed sessions do not re-run, so they feed
 	// neither Metrics nor the flight recorder.
 	Store SessionStore
-	// Atlas, when non-nil, accumulates schedule-space cartography and
-	// per-cell uniformity drift (internal/atlas): each session attaches
-	// its cell's accumulator to the engine and feeds the cell one class
-	// fingerprint per completed schedule. Execution plumbing like Metrics
+	// Atlas, when non-nil, accumulates schedule-space cartography
+	// (internal/atlas): each session attaches its worker's accumulator to
+	// the engine and drains it into its cell. Execution plumbing like Metrics
 	// and Store — it never changes a schedule, a result, or a session
 	// key, and resumed (store-hit) sessions feed it nothing.
 	Atlas *atlas.Atlas

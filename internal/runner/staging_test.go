@@ -29,7 +29,6 @@ func observe(t *testing.T, ctx context.Context, tgt runner.Target, alg string, c
 	if len(cells) != 1 {
 		t.Fatalf("want one atlas cell, got %d", len(cells))
 	}
-	cells[0].Uniformity = nil // fed per schedule under the cell's own lock, not staged
 	return cfg.Metrics.Snapshot(), cells[0], err
 }
 
