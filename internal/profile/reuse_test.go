@@ -83,7 +83,7 @@ func snapshot(p *profile.Profile, err error) profileSnap {
 func TestCollectorReuseMatchesCollect(t *testing.T) {
 	var col profile.Collector
 	censuses := 0
-	check := func(name string, pool *sched.Pool, prog func(*sched.Thread), opts profile.Options) {
+	check := func(name string, pool *sched.Pool, prog func(*sched.Thread), opts profile.Options) profileSnap {
 		t.Helper()
 		censuses++
 		got := snapshot(col.Collect(pool, prog, opts))
@@ -92,6 +92,7 @@ func TestCollectorReuseMatchesCollect(t *testing.T) {
 			t.Fatalf("%s seed %d runs %d max-steps %d (census %d of this collector): reused collector\n%+v\nfresh Collect\n%+v",
 				name, opts.Seed, opts.Runs, opts.MaxSteps, censuses, got, want)
 		}
+		return got
 	}
 	crash := func(rt *sched.Thread) {
 		x := rt.NewVar("crash-x", 0)
@@ -129,5 +130,27 @@ func TestCollectorReuseMatchesCollect(t *testing.T) {
 		if pool != nil {
 			pool.Close()
 		}
+	}
+	// A wider program — more threads, objects and events — then a narrower
+	// one on the same collector, whose tables the wide census left longer
+	// than the narrow one fills: on one pool, and on that pool closed in
+	// between, as a runner worker is when it is recycled.
+	for seed := int64(0); seed < 40; seed++ {
+		wide := progfuzz.GenSync(seed, progfuzz.Config{MinThreads: 8, MaxThreads: 8, Vars: 6, Mutexes: 3, Channels: 3, Semaphores: 2, Gates: 2})
+		narrow := progfuzz.GenSync(seed, progfuzz.Config{MinThreads: 2, MaxThreads: 2, Vars: 1, Mutexes: 1, Channels: 1})
+		pool := sched.NewPool()
+		for _, closed := range []bool{false, true} {
+			opts := profile.Options{Base: sched.Base{Seed: seed}, Runs: 2}
+			w := check(fmt.Sprintf("wide-%d", seed), pool, wide.Prog(), opts)
+			if closed {
+				pool.Close()
+			}
+			n := check(fmt.Sprintf("narrow-%d after wide, closed %v", seed, closed), pool, narrow.Prog(), opts)
+			if len(w.Paths) <= len(n.Paths) || len(w.Objs) <= len(n.Objs) {
+				t.Fatalf("seed %d: the wide census has %d threads and %d objects, the narrow one %d and %d",
+					seed, len(w.Paths), len(w.Objs), len(n.Paths), len(n.Objs))
+			}
+		}
+		pool.Close()
 	}
 }

@@ -163,28 +163,24 @@ func TestLossyTransportDrain(t *testing.T) {
 	}
 }
 
-// flakyBeats is a transport under workers that loses and repeats the
-// heartbeats of leases. Of the leases' first heartbeats, counted across
-// every worker, the 1st, 4th, 7th, … is sent twice, and the 3rd, 6th, … is
-// lost before it reaches the coordinator — whose clock then moves a TTL on,
-// so that the lease lapses under the worker still running it and is
-// requeued at the coordinator's next request. A lease's later heartbeats
-// are all sent twice; other requests pass untouched. beaten has, by lease
-// ID, a channel closed at the lease's first heartbeat; n counts those.
-type flakyBeats struct {
-	base          http.RoundTripper
-	clk           *clock
-	ttl           time.Duration
-	mu            sync.Mutex
-	n             int
-	beaten        map[string]chan struct{}
-	lost, doubled int
+// firstBeats tells a lease's first heartbeat from its later ones, counted
+// across every worker: beat has, by lease ID, a channel closed at the
+// lease's first heartbeat, and n counts those.
+type firstBeats struct {
+	mu     sync.Mutex
+	n      int
+	beaten map[string]chan struct{}
 }
 
 // beat returns the channel closed at the lease's first heartbeat.
-func (f *flakyBeats) beat(lease string) chan struct{} {
+func (f *firstBeats) beat(lease string) chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.beatLocked(lease)
+}
+
+// beatLocked is beat with f.mu held.
+func (f *firstBeats) beatLocked(lease string) chan struct{} {
 	if f.beaten == nil {
 		f.beaten = make(map[string]chan struct{})
 	}
@@ -196,25 +192,57 @@ func (f *flakyBeats) beat(lease string) chan struct{} {
 	return ch
 }
 
-func (f *flakyBeats) RoundTrip(req *http.Request) (*http.Response, error) {
-	var body struct {
-		LeaseID string `json:"lease_id"`
-	}
-	if req.URL.Path != PathHeartbeat {
-		return f.base.RoundTrip(req)
-	}
-	if err := readJSON(req, &body); err != nil || body.LeaseID == "" {
-		return f.base.RoundTrip(req)
-	}
-	ch := f.beat(body.LeaseID)
-	f.mu.Lock()
-	lose, double := false, true
+// first reports whether this is the lease's first heartbeat and, if so,
+// its number among the first heartbeats, from 1. Call it with f.mu held.
+func (f *firstBeats) first(lease string) (int, bool) {
+	ch := f.beatLocked(lease)
 	select {
 	case <-ch:
+		return 0, false
 	default:
 		close(ch)
 		f.n++
-		lose, double = f.n%3 == 0, f.n%3 == 1
+		return f.n, true
+	}
+}
+
+// beatOf reads the worker and the lease of a heartbeat request — the lease
+// "" for a leave-taking — and reports whether req is one.
+func beatOf(req *http.Request) (worker, lease string, ok bool) {
+	var body struct {
+		Worker  string `json:"worker"`
+		LeaseID string `json:"lease_id"`
+	}
+	if req.URL.Path != PathHeartbeat || readJSON(req, &body) != nil {
+		return "", "", false
+	}
+	return body.Worker, body.LeaseID, true
+}
+
+// flakyBeats is a transport under workers that loses and repeats the
+// heartbeats of leases. Of the leases' first heartbeats, counted across
+// every worker, the 1st, 4th, 7th, … is sent twice, and the 3rd, 6th, … is
+// lost before it reaches the coordinator — whose clock then moves a TTL on,
+// so that the lease lapses under the worker still running it and is
+// requeued at the coordinator's next request. A lease's later heartbeats
+// are all sent twice; other requests pass untouched.
+type flakyBeats struct {
+	firstBeats
+	base          http.RoundTripper
+	clk           *clock
+	ttl           time.Duration
+	lost, doubled int
+}
+
+func (f *flakyBeats) RoundTrip(req *http.Request) (*http.Response, error) {
+	_, lease, ok := beatOf(req)
+	if !ok || lease == "" {
+		return f.base.RoundTrip(req)
+	}
+	f.mu.Lock()
+	lose, double := false, true
+	if n, first := f.first(lease); first {
+		lose, double = n%3 == 0, n%3 == 1
 	}
 	if lose {
 		f.lost++
@@ -240,17 +268,114 @@ func (f *flakyBeats) RoundTrip(req *http.Request) (*http.Response, error) {
 	return f.base.RoundTrip(req)
 }
 
-// TestHeartbeatChaosDrain drains a plan through two workers whose
-// heartbeats are lost and repeated, with every lost heartbeat letting the
-// leases lapse on the coordinator's clock: the campaign must still finish,
-// every plan key must be stored once, and the store must come out as a
-// local run's. Each lease is held at its start until its first heartbeat
-// has gone out (the worker's progress line is the hook), so every lease is
-// beaten at least once however fast its sessions run, and a lost first
-// heartbeat always lapses a lease still held; how many leases lapse, and
-// how many sessions run twice, is left to the race.
-func TestHeartbeatChaosDrain(t *testing.T) {
-	const ttl = 30 * time.Millisecond // a heartbeat every 10 ms of wall clock
+// lateBeats is a transport under workers that holds heartbeats past the
+// TTL: of the leases' first heartbeats, every other one (the 2nd, 4th, …)
+// is held while the coordinator's clock moves a TTL on, and only then
+// delivered, to a coordinator on which its lease has lapsed. answered
+// counts those the coordinator answered — a worker's run may end with one
+// in flight, cancelled — and gone the ones it answered 410. Other requests
+// pass untouched.
+type lateBeats struct {
+	firstBeats
+	base           http.RoundTripper
+	clk            *clock
+	ttl            time.Duration
+	answered, gone int
+}
+
+func (l *lateBeats) RoundTrip(req *http.Request) (*http.Response, error) {
+	_, lease, ok := beatOf(req)
+	if !ok || lease == "" {
+		return l.base.RoundTrip(req)
+	}
+	l.mu.Lock()
+	n, first := l.first(lease)
+	hold := first && n%2 == 0
+	if hold {
+		l.clk.advance(l.ttl + time.Nanosecond)
+	}
+	l.mu.Unlock()
+	resp, err := l.base.RoundTrip(req)
+	if hold && err == nil {
+		l.mu.Lock()
+		l.answered++
+		if resp.StatusCode == http.StatusGone {
+			l.gone++
+		}
+		l.mu.Unlock()
+	}
+	return resp, err
+}
+
+// swappedBeats is a transport under workers that delivers two heartbeats of
+// one worker out of order: of the leases' first heartbeats, every other one
+// (the 1st, 3rd, …) whose worker has none held already is answered at once
+// with a 204 and held back, and reaches the coordinator only after that
+// worker's next heartbeat — a later beat of the lease, the first of a later
+// lease, or its leave-taking — has. swapped counts the held heartbeats
+// delivered. Other requests pass untouched.
+type swappedBeats struct {
+	firstBeats
+	base    http.RoundTripper
+	held    map[string]*http.Request // by worker
+	swapped int
+}
+
+func (s *swappedBeats) RoundTrip(req *http.Request) (*http.Response, error) {
+	worker, lease, ok := beatOf(req)
+	if !ok {
+		return s.base.RoundTrip(req)
+	}
+	s.mu.Lock()
+	prev := s.held[worker]
+	delete(s.held, worker)
+	hold := false
+	if lease != "" {
+		n, first := s.first(lease)
+		hold = first && n%2 == 1 && prev == nil
+	}
+	if hold {
+		later := req.Clone(context.WithoutCancel(req.Context()))
+		var err error
+		if later.Body, err = req.GetBody(); err != nil {
+			s.mu.Unlock()
+			return nil, err
+		}
+		if s.held == nil {
+			s.held = make(map[string]*http.Request)
+		}
+		s.held[worker] = later
+	}
+	s.mu.Unlock()
+	var resp *http.Response
+	var err error
+	if hold {
+		resp = &http.Response{StatusCode: http.StatusNoContent, Status: "204 No Content", Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: make(http.Header), Body: http.NoBody, Request: req}
+	} else {
+		resp, err = s.base.RoundTrip(req)
+	}
+	if prev != nil {
+		if err := discard(s.base.RoundTrip(prev)); err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		s.swapped++
+		s.mu.Unlock()
+	}
+	return resp, err
+}
+
+// heartbeatDrain drains sctScale's plan through two workers over tr, on a
+// coordinator whose clock is clk and whose leases last ttl, and returns the
+// coordinator's status: the campaign must finish, every plan key must be
+// stored once, and the store must come out as a local run's. Each lease is
+// held at its start until its first heartbeat has gone out (the worker's
+// progress line is the hook, beat the transport's channel), so every lease
+// is beaten at least once however fast its sessions run; how many leases
+// lapse, and how many sessions run twice, is left to the race.
+func heartbeatDrain(t *testing.T, clk *clock, ttl time.Duration, tr http.RoundTripper, beat func(lease string) chan struct{}) *campaign.RemoteStatus {
+	t.Helper()
 	sc := sctScale()
 	store, err := campaign.Open(t.TempDir())
 	if err != nil {
@@ -258,12 +383,10 @@ func TestHeartbeatChaosDrain(t *testing.T) {
 	}
 	defer store.Close()
 	plan := experiments.SCTPlan(sc)
-	clk := &clock{t: time.Unix(1_000_000, 0)}
 	c := NewCoordinator(store, plan, CoordinatorOptions{LeaseTTL: ttl, BatchSize: 2})
 	c.now = clk.now
 	srv := httptest.NewServer(c)
 	defer srv.Close()
-	tr := &flakyBeats{base: http.DefaultTransport, clk: clk, ttl: ttl}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -275,7 +398,7 @@ func TestHeartbeatChaosDrain(t *testing.T) {
 				return
 			}
 			select {
-			case <-tr.beat(args[0].(string)):
+			case <-beat(args[0].(string)):
 			case <-ctx.Done():
 			}
 		}
@@ -288,12 +411,9 @@ func TestHeartbeatChaosDrain(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.lost == 0 || tr.doubled == 0 {
-		t.Fatalf("%d heartbeats lost, %d sent twice: the chaos never happened", tr.lost, tr.doubled)
-	}
 	rs := c.Status()
-	if !c.Done() || rs.LeaseExpiries == 0 {
-		t.Fatalf("done %v, %d lease expiries: want done, with the leases of lost heartbeats lapsed", c.Done(), rs.LeaseExpiries)
+	if !c.Done() {
+		t.Fatal("the drain ended with the campaign not done")
 	}
 
 	// Every plan key stored once: the file holds each of them on one line.
@@ -324,8 +444,63 @@ func TestHeartbeatChaosDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := localAggregates(t, sc); !bytes.Equal(agg.Bytes(), want) {
-		t.Fatalf("aggregates of the heartbeat-chaos drain differ from a local run's (%d bytes vs %d)", agg.Len(), len(want))
+		t.Fatalf("aggregates of the drain differ from a local run's (%d bytes vs %d)", agg.Len(), len(want))
+	}
+	return rs
+}
+
+// TestHeartbeatChaosDrain drains a plan through two workers whose
+// heartbeats are lost and repeated, with every lost heartbeat letting the
+// leases lapse on the coordinator's clock: a lost first heartbeat always
+// lapses a lease still held.
+func TestHeartbeatChaosDrain(t *testing.T) {
+	const ttl = 30 * time.Millisecond // a heartbeat every 10 ms of wall clock
+	clk := &clock{t: time.Unix(1_000_000, 0)}
+	tr := &flakyBeats{base: http.DefaultTransport, clk: clk, ttl: ttl}
+	rs := heartbeatDrain(t, clk, ttl, tr, tr.beat)
+	if tr.lost == 0 || tr.doubled == 0 {
+		t.Fatalf("%d heartbeats lost, %d sent twice: the chaos never happened", tr.lost, tr.doubled)
+	}
+	if rs.LeaseExpiries == 0 {
+		t.Fatal("no lease expired: want the leases of lost heartbeats lapsed")
 	}
 	t.Logf("%d leases beaten: %d heartbeats lost, %d sent twice; %d lease expiries, %d duplicate records",
 		tr.n, tr.lost, tr.doubled, rs.LeaseExpiries, rs.DuplicateResults)
+}
+
+// TestHeartbeatLateDrain: heartbeats held past the TTL reach the
+// coordinator after their leases have lapsed. Every one answered is
+// answered 410, each lapses at least its own lease, and the drain still finishes
+// with every plan key stored once.
+func TestHeartbeatLateDrain(t *testing.T) {
+	const ttl = 30 * time.Millisecond
+	clk := &clock{t: time.Unix(1_000_000, 0)}
+	tr := &lateBeats{base: http.DefaultTransport, clk: clk, ttl: ttl}
+	rs := heartbeatDrain(t, clk, ttl, tr, tr.beat)
+	if tr.answered == 0 || tr.gone != tr.answered {
+		t.Fatalf("%d heartbeats held past the TTL answered, %d of them 410: want some, and every one gone", tr.answered, tr.gone)
+	}
+	if rs.LeaseExpiries < int64(tr.gone) {
+		t.Fatalf("%d lease expiries for %d heartbeats held past their leases' TTL", rs.LeaseExpiries, tr.gone)
+	}
+	t.Logf("%d leases beaten: %d heartbeats held past the TTL and answered; %d lease expiries, %d duplicate records",
+		tr.n, tr.answered, rs.LeaseExpiries, rs.DuplicateResults)
+}
+
+// TestHeartbeatSwappedDrain: a worker's heartbeat reaches the coordinator
+// after the worker's next one — a stale renewal of a live lease, or a beat
+// of a lease already ended. The coordinator's clock never moves, so no
+// lease may lapse, and the drain finishes with every plan key stored once.
+func TestHeartbeatSwappedDrain(t *testing.T) {
+	const ttl = 30 * time.Millisecond
+	clk := &clock{t: time.Unix(1_000_000, 0)}
+	tr := &swappedBeats{base: http.DefaultTransport}
+	rs := heartbeatDrain(t, clk, ttl, tr, tr.beat)
+	if tr.swapped == 0 || len(tr.held) != 0 {
+		t.Fatalf("%d heartbeats delivered out of order, %d still held: want some swapped and none left", tr.swapped, len(tr.held))
+	}
+	if rs.LeaseExpiries != 0 {
+		t.Fatalf("%d lease expiries on a clock that never moved", rs.LeaseExpiries)
+	}
+	t.Logf("%d leases beaten: %d heartbeats delivered out of order; %d duplicate records", tr.n, tr.swapped, rs.DuplicateResults)
 }

@@ -105,10 +105,10 @@ func TestKeyForMatchesEngineNormalization(t *testing.T) {
 // allocated per session: after Seed(b) a generator that has been drawn
 // from must continue exactly as a fresh rand.New(rand.NewSource(b)) does.
 func TestDeltaStreamReseedEqualsFreshSource(t *testing.T) {
-	var d Driver
+	var w worker
 	for _, b := range []int64{0, 1, -1, 42, 23 + 5*1_000_003, 1 << 40} {
 		fresh := rand.New(rand.NewSource(b))
-		used := d.deltaStream(b) // the first call builds it, every later one re-seeds
+		used := w.deltaStream(b) // the first call builds it, every later one re-seeds
 		for i := 0; i < 1000; i++ {
 			n := 1 + i%97
 			if got, want := used.Intn(n), fresh.Intn(n); got != want {

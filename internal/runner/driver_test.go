@@ -60,7 +60,7 @@ func TestRerunIsTheIthNext(t *testing.T) {
 	for _, alg := range []string{"SURW", "N-U", "URW", "PCT-3", "RW"} {
 		wc := NewWorkerCache()
 		w := wc.get(tgt.Name)
-		d := &w.drv
+		d := &Driver{w}
 		if err := d.begin(tgt, alg, cfg, 3); err != nil {
 			t.Fatal(err)
 		}

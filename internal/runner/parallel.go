@@ -6,13 +6,13 @@
 // sequential loop:
 //
 //   - Every session is self-contained. Its seed is derived from the config
-//     seed and its own index (Driver.begin, driver.go), never from a shared
+//     seed and its own index (worker.begin, driver.go), never from a shared
 //     stream, so no session observes another's randomness.
-//   - What a session runs on it borrows from a worker — the Driver with
-//     its sched.Pool, census collector, Δ stream and the worker's instance
-//     of the session's algorithm, and the worker's Result storage
-//     (runner.go) — and has to itself while it runs, in a state no earlier
-//     session can be told from: Pool.Run is bit-identical to sched.Run, a
+//   - What a session runs on it borrows from a worker — its sched.Pool,
+//     census collector, Δ stream, its instance of the session's algorithm
+//     and its Result storage (runner.go) — and has to itself while it
+//     runs, in a state no earlier session, of this run or another, can be
+//     told from: Pool.Run is bit-identical to sched.Run, a
 //     reused collector's profile equals a fresh one's, an algorithm's Begin
 //     resets every per-schedule field (core's package doc), every schedule
 //     overwrites the whole Result, the stream is re-seeded before use.
@@ -60,8 +60,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	d := &w.drv
-	if err := d.begin(tgt, algName, cfg, session); err != nil {
+	if err := w.begin(tgt, algName, cfg, session); err != nil {
 		return nil, false, err
 	}
 
@@ -116,7 +115,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		if i == 0 && (cfg.Metrics != nil || cfg.Phase != nil) {
 			prefixStart = time.Now()
 		}
-		d.Next(r, tracer, stage)
+		w.Next(r, tracer, stage)
 		if !prefixStart.IsZero() {
 			took := time.Since(prefixStart)
 			if cfg.Metrics != nil {
@@ -127,7 +126,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 			}
 		}
 		if cfg.Metrics != nil {
-			cfg.Metrics.ObserveResult(d.alg.Name(), r)
+			cfg.Metrics.ObserveResult(w.alg.Name(), r)
 		}
 		sess.Schedules++
 		if r.Truncated {
@@ -153,9 +152,9 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		if r.Buggy() {
 			sess.Bugs[r.BugID()]++
 			if sess.FirstBug == -1 {
-				sess.FirstBug = i + 1 + d.Charged()
+				sess.FirstBug = i + 1 + w.Charged()
 				if cfg.FlightDir != "" {
-					path, err := dumpFlight(d, cfg.FlightDir, session, i, r)
+					path, err := dumpFlight(w, cfg.FlightDir, session, i, r)
 					if err != nil {
 						return nil, false, err
 					}
@@ -184,22 +183,22 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 }
 
 // dumpFlight runs the session's first failing schedule again, on the
-// session's own driver, with a replay recorder and a ring collector
+// session's own worker, with a replay recorder and a ring collector
 // attached — capturing the choice sequence and the last decisions — and
 // writes the flight record under dir.
-func dumpFlight(d *Driver, dir string, session, schedule int, orig *sched.Result) (string, error) {
+func dumpFlight(w *worker, dir string, session, schedule int, orig *sched.Result) (string, error) {
 	col := obs.NewCollector(obs.FlightRingSize)
-	res, rec := d.Record(schedule, Observers{Tracer: col})
+	res, rec := w.Record(schedule, Observers{Tracer: col})
 
 	fr := &obs.FlightRecord{
 		Version:          obs.FlightVersion,
-		Target:           d.tgt.Name,
-		Algorithm:        d.alg.Name(),
+		Target:           w.tgt.Name,
+		Algorithm:        w.alg.Name(),
 		Session:          session,
 		Schedule:         schedule,
-		Seed:             d.seed,
-		ProgSeed:         d.tgt.ProgSeed,
-		MaxSteps:         d.tgt.MaxSteps,
+		Seed:             w.seed,
+		ProgSeed:         w.tgt.ProgSeed,
+		MaxSteps:         w.tgt.MaxSteps,
 		Recording:        rec.String(),
 		BugID:            orig.BugID(),
 		FailStep:         orig.Failure.Step,
@@ -214,8 +213,8 @@ func dumpFlight(d *Driver, dir string, session, schedule int, orig *sched.Result
 			res.ClassHash == orig.ClassHash,
 		LastDecisions: obs.CollectorRecords(col),
 	}
-	if d.info != nil {
-		fr.Delta = d.info.DeltaDesc
+	if w.info != nil {
+		fr.Delta = w.info.DeltaDesc
 	}
 	return obs.WriteFlight(dir, fr)
 }

@@ -300,39 +300,96 @@ func RunTarget(tgt Target, algName string, cfg Config) (*Result, error) {
 	return RunTargetContext(context.Background(), tgt, algName, cfg)
 }
 
-// worker is what one session borrows for its duration and a WorkerCache
-// recycles across the sessions of one target: the Driver — the sched.Pool
-// (census and testing schedules alike run on it), the census collector with
-// the tables, profile and infos it fills, the Δ-selection stream, one
-// algorithm instance per name a session asked for — the Result every
-// schedule of the session is written into, and — once a session with an
-// atlas has borrowed it — the atlas accumulator the engine writes into:
-// plain counters only this worker's schedules touch (runSession drains it
-// into the cell under the cell's lock and always leaves it empty). Nothing
-// a session leaves in a worker reaches the next one's results: Pool.Run is
-// bit-identical to sched.Run whatever ran before (sched/pool_test.go), a
-// reused collector's profile equals a fresh Collect's
-// (profile.TestCollectorReuseMatchesCollect), an algorithm's Begin resets
-// every per-schedule field (core.TestBeginResetsEveryPerScheduleField), a
-// schedule overwrites every field of the Result, and the stream is
-// re-seeded before its first draw. Nothing of a worker's reaches the
-// Session a caller keeps either: that is built from the Result's values,
-// and it is all a session on a warm worker allocates
-// (TestWarmSessionAllocatesOnlyItsRecord).
+// worker is what one session borrows for its duration: the session state a
+// Driver reads and everything it runs on — the sched.Pool (census and
+// testing schedules alike run on it), the census collector with the
+// tables, profile and infos it fills, the Δ-selection stream, one algorithm
+// instance per name a session asked for — the Result every schedule of a
+// batch session is written into, and — once a session with an atlas has
+// borrowed it — the atlas accumulator the engine writes into: plain
+// counters only this worker's schedules touch (runSession drains it into
+// the cell under the cell's lock and always leaves it empty). A WorkerCache
+// recycles its workers across the sessions of one target, and every worker
+// is recycled across runs through workers. Nothing a session leaves in a
+// worker reaches the next one's results: Pool.Run is bit-identical to
+// sched.Run whatever ran before, on this program or another
+// (sched/pool_test.go), a reused collector's profile equals a fresh
+// Collect's (profile.TestCollectorReuseMatchesCollect), an algorithm's
+// Begin resets every per-schedule field
+// (core.TestBeginResetsEveryPerScheduleField), a schedule overwrites every
+// field of the Result, and the stream is re-seeded before its first draw.
+// Nothing of a worker's reaches the Session a caller keeps either: that is
+// built from the Result's values, and it is all a session on a warm worker
+// allocates (TestWarmSessionAllocatesOnlyItsRecord).
 type worker struct {
-	drv   Driver
+	pool   sched.Pool
+	census profile.Collector
+	rng    *rand.Rand // the Δ stream; allocated at the first session that draws
+	// algs holds the algorithm instances by the name a session asked for,
+	// re-armed by each schedule's Begin (core's package doc).
+	algs map[string]sched.Algorithm
+
+	tgt  Target
+	alg  sched.Algorithm
+	base int64 // the session's seed: every other seed is derived from it
+
+	// prof is the session's census, nil for the algorithms that read no
+	// counts; allInfo is its Δ = Γ instantiation, what every schedule is
+	// handed unless the algorithm takes a Δ (delta) and the stream draws one.
+	prof    *profile.Profile
+	allInfo *sched.ProgramInfo
+	delta   bool
+	// drawn is the index of the schedule whose Δ the stream yields next,
+	// -1 before the stream is seeded.
+	drawn int
+
+	cp   *sched.Checkpoint // the forced prefix, captured by schedule 0
+	next int               // index of the schedule Next runs
+
+	// What the schedule run last — by Next or Rerun — was given.
+	seed int64
+	info *sched.ProgramInfo
+
 	res   sched.Result
 	stage *atlas.Accum
+	// running is set while one of the worker's schedules runs. Found set
+	// once the call that ran it is over, the schedule never returned (an
+	// engine panic unwound it), and release drops the worker instead of
+	// recycling it.
+	running bool
 }
 
-// stagePool recycles the staging accumulators (13 KB of counters each)
-// across caches, so a campaign of many small cells does not allocate one
-// per cell. Everything in it is empty.
-var stagePool = sync.Pool{New: func() any { return new(atlas.Accum) }}
+// workers holds the released workers of the process, for any run to take,
+// so a process that makes call after call — RunTarget, RunCells,
+// RunSession, OpenDriver — builds its workers once, not once per call.
+// Everything in it is closed: no coroutine, no program, no session.
+var workers = sync.Pool{New: func() any { return new(worker) }}
+
+// getWorker takes a released worker, or builds one.
+func getWorker() *worker { return workers.Get().(*worker) }
+
+// release hands w back to workers for any run to take, once close has
+// ended its coroutines; a worker whose last schedule never returned is
+// dropped instead. The caller uses w no more.
+func (w *worker) release() {
+	if w.close() {
+		workers.Put(w)
+	}
+}
+
+// close ends w's session and its pool's coroutines, keeping the storage,
+// and reports whether w may run another session: false when a schedule of
+// its never returned, which leaves the census or an algorithm instance
+// mid-schedule.
+func (w *worker) close() bool {
+	w.pool.Close()
+	w.tgt, w.alg, w.prof, w.allInfo, w.cp, w.info = Target{}, nil, nil, nil, nil, nil
+	return !w.running
+}
 
 func (w *worker) staging() *atlas.Accum {
 	if w.stage == nil {
-		w.stage = stagePool.Get().(*atlas.Accum)
+		w.stage = new(atlas.Accum)
 	}
 	return w.stage
 }
@@ -356,28 +413,30 @@ func (wc *WorkerCache) get(target string) *worker {
 		wc.free[target] = ws[:len(ws)-1]
 		return ws[len(ws)-1]
 	}
-	return &worker{drv: Driver{pool: sched.NewPool()}}
+	return getWorker()
 }
 
+// put returns w to the target's warm workers — or releases it, dropped,
+// when a schedule of its never returned.
 func (wc *WorkerCache) put(target string, w *worker) {
+	if w.running {
+		w.release()
+		return
+	}
 	wc.mu.Lock()
 	wc.free[target] = append(wc.free[target], w)
 	wc.mu.Unlock()
 }
 
-// drop closes the warm workers kept for target — ends their pools' parked
-// goroutines, hands the (drained) staging accumulators back — once the
-// sessions that borrowed them have returned.
+// drop releases the warm workers kept for target once the sessions that
+// borrowed them have returned.
 func (wc *WorkerCache) drop(target string) {
 	wc.mu.Lock()
 	ws := wc.free[target]
 	delete(wc.free, target)
 	wc.mu.Unlock()
 	for _, w := range ws {
-		w.drv.Close()
-		if w.stage != nil {
-			stagePool.Put(w.stage)
-		}
+		w.release()
 	}
 }
 

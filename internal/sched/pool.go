@@ -16,7 +16,8 @@ package sched
 //
 // A Pool is single-goroutine: it must not be shared between concurrently
 // running sessions. The runner lends each session a Pool of its own for as
-// long as the session runs (runner.WorkerCache).
+// long as the session runs (runner.WorkerCache), and Closes it before
+// recycling it for another run, whatever program that brings.
 type Pool struct {
 	ex Execution
 }
@@ -43,30 +44,26 @@ func (p *Pool) RunInto(res *Result, prog func(*Thread), alg Algorithm, opts Opti
 	return p.ex.runWith(prog, alg, opts, false, nil, res)
 }
 
-// Close releases the pool's parked worker goroutines and drops its
-// interned names, spawn memo and object tables. A pool whose last Run has
-// returned may simply be dropped if leaking its workers until process exit
-// is acceptable; long-lived processes cycling through many pools (the
-// parallel runner) should Close each one. Run may be called again after
-// Close — fresh workers are started on demand, as on a new pool.
+// Close ends the pool's coroutines and keeps its storage. Every parked
+// coroutine is unwound (stop is a no-op on one that already exited), and
+// one still parked inside a Goexit — an engine panic ended its schedule
+// before retireGoexits — is retired, not stopped: stop would pass the
+// Goexit on to the caller. The thread structs go back on the free list
+// without a coroutine (addThread starts a fresh one); the interned names,
+// the path index and the spawn memo are emptied, and the next schedule's
+// reset truncates the other slices, as after any schedule; the program,
+// the thread bodies and the last schedule's options are let go, so a
+// closed pool holds on to no program. A pool whose last Run has returned
+// may simply be dropped if leaking its coroutines until process exit is
+// acceptable; a long-lived process recycling pools (runner's workers)
+// Closes each one before reuse. Run after Close equals sched.Run, on any
+// program: the first schedule after it starts its coroutines and interns
+// its names again, as on a new pool.
 func (p *Pool) Close() {
-	p.closeWorkers()
-	p.ex.names = nil
-	p.ex.byPath = nil
-	p.ex.spawnMemo = nil
-	p.ex.objSeen = nil
-	p.ex.objs = nil
-	p.ex.trace = nil
-	p.ex.state = nil
-}
-
-// closeWorkers unwinds the parked worker coroutines of a persistent
-// execution (stop is a no-op on coroutines that already exited; a retired
-// thread has none) and drops the structs. A coroutine still parked inside
-// a Goexit — an engine panic ended its schedule before retireGoexits — is
-// retired, not stopped: stop would pass the Goexit on to the caller.
-func (p *Pool) closeWorkers() {
-	for _, ts := range [][]*Thread{p.ex.threads, p.ex.freeThreads} {
+	ex := &p.ex
+	// Stopped with the schedule's state intact: a coroutine parked
+	// mid-schedule unwinds through the program's deferred operations.
+	for _, ts := range [][]*Thread{ex.threads, ex.freeThreads} {
 		for _, t := range ts {
 			switch {
 			case t.goexit:
@@ -76,6 +73,22 @@ func (p *Pool) closeWorkers() {
 			}
 		}
 	}
-	p.ex.threads = nil
-	p.ex.freeThreads = nil
+	ex.freeThreads = append(ex.freeThreads, ex.threads...)
+	ex.threads = ex.threads[:0]
+	for _, t := range ex.freeThreads {
+		t.coNext, t.coStop, t.coYield = nil, nil, nil
+		t.body, t.boundFn = nil, nil
+	}
+	ex.goexits = 0
+	clear(ex.names)
+	clear(ex.byPath)
+	ex.deadlockMsgs = 0
+	for i, row := range ex.spawnMemo {
+		clear(row)
+		ex.spawnMemo[i] = row[:0]
+	}
+	ex.lastProg = nil
+	ex.opts, ex.alg, ex.idx, ex.spawnObs = Options{}, nil, nil, nil
+	ex.interesting, ex.filter, ex.tracer, ex.atlas = nil, nil, nil, nil
+	ex.capture, ex.replayCp = nil, nil
 }

@@ -29,8 +29,9 @@ import (
 // Session is a reusable schedule driver for one program under one
 // algorithm: it profiles once at construction (for the algorithms that
 // read counts), then hands out schedules one at a time, re-drawing Δ per
-// schedule for the selective algorithms. It holds a pool with parked
-// goroutines: Close it when done. A Session is not safe for concurrent use;
+// schedule for the selective algorithms. It holds a worker — a pool with
+// parked goroutines, the census storage — recycled across sessions: Close
+// it when done, and use it no more. A Session is not safe for concurrent use;
 // run independent Sessions (with independent seeds) to parallelize, as
 // internal/runner does.
 type Session struct {
@@ -61,35 +62,52 @@ func NewSession(prog func(*Thread), opts Options) (*Session, error) {
 	return &Session{drv: drv, budget: o.Schedules, ctx: ctx}, nil
 }
 
-// Close releases the session's pool. Test, Explore and Replay (the
-// package-level functions) close the session they open; a caller of
-// NewSession closes its own.
-func (s *Session) Close() { s.drv.Close() }
+// Close hands the session's worker — its pool, census storage and
+// algorithm instance — back for the next session to take. Test, Explore
+// and Replay (the package-level functions) close the session they open; a
+// caller of NewSession closes its own. Closing twice does nothing; any other
+// use of a closed Session panics.
+func (s *Session) Close() {
+	if s.drv != nil {
+		s.drv.Close()
+		s.drv = nil
+	}
+}
+
+// driver returns the session's driver, panicking once the session is
+// closed: its worker may be running another session by then.
+func (s *Session) driver() *runner.Driver {
+	if s.drv == nil {
+		panic("surw: Session used after Close")
+	}
+	return s.drv
+}
 
 // Profile returns the census collected at construction, nil for an
 // algorithm that reads no counts (RW, POS): none is taken, and none
-// is charged to Report.Schedule.
-func (s *Session) Profile() *Profile { return s.drv.Profile() }
+// is charged to Report.Schedule. It is the session's storage, valid until
+// Close.
+func (s *Session) Profile() *Profile { return s.driver().Profile() }
 
 // Index returns the number of schedules the session has run.
-func (s *Session) Index() int { return s.drv.Index() }
+func (s *Session) Index() int { return s.driver().Index() }
 
 // Remaining returns how many schedules of the Options.Schedules budget are
 // left.
-func (s *Session) Remaining() int { return s.budget - s.drv.Index() }
+func (s *Session) Remaining() int { return s.budget - s.driver().Index() }
 
 // ScheduleSeed returns the deterministic seed of schedule i — the same
 // derivation Test has always used, exposed so external drivers (replay
 // tooling, distributed workers) can address a schedule by index.
-func (s *Session) ScheduleSeed(i int) int64 { return s.drv.ScheduleSeed(i) }
+func (s *Session) ScheduleSeed(i int) int64 { return s.driver().ScheduleSeed(i) }
 
 // LastSeed returns the seed of the most recently run schedule.
-func (s *Session) LastSeed() int64 { return s.drv.Seed() }
+func (s *Session) LastSeed() int64 { return s.driver().Seed() }
 
 // Delta describes the interesting-event subset active in the most recently
 // run schedule: "" before the first Next, and for an algorithm that takes
 // no Δ.
-func (s *Session) Delta() string { return s.drv.Delta() }
+func (s *Session) Delta() string { return s.driver().Delta() }
 
 // Next draws the next Δ from the stream and runs the session's next
 // schedule. It returns the context's error (and no result) once the
@@ -99,7 +117,7 @@ func (s *Session) Next() (*Result, error) {
 		return nil, err
 	}
 	res := new(Result)
-	s.drv.Next(res, nil, nil)
+	s.driver().Next(res, nil, nil)
 	return res, nil
 }
 
@@ -116,7 +134,7 @@ func (s *Session) Test() (*Report, error) {
 		rep.Schedules++
 		if res.Buggy() {
 			rep.Failure = res.Failure
-			rep.Schedule = s.Index() + s.drv.Charged() // 1-based, after the profiling run
+			rep.Schedule = s.Index() + s.driver().Charged() // 1-based, after the profiling run
 			rep.Seed = s.LastSeed()
 			rep.Delta = s.Delta()
 			return rep, nil
@@ -162,12 +180,13 @@ func (s *Session) Replay(schedule int, seed int64) (*Result, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
-	i := schedule - 1 - s.drv.Charged()
+	d := s.driver()
+	i := schedule - 1 - d.Charged()
 	if i < 0 {
-		return nil, fmt.Errorf("surw: replay of schedule %d: the session's first is %d", schedule, 1+s.drv.Charged())
+		return nil, fmt.Errorf("surw: replay of schedule %d: the session's first is %d", schedule, 1+d.Charged())
 	}
-	if want := s.drv.ScheduleSeed(i); seed != want {
+	if want := d.ScheduleSeed(i); seed != want {
 		return nil, fmt.Errorf("surw: replay of schedule %d with seed %d: its seed under these options is %d", schedule, seed, want)
 	}
-	return s.drv.Rerun(i, runner.Observers{RecordTrace: true}), nil
+	return d.Rerun(i, runner.Observers{RecordTrace: true}), nil
 }

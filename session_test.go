@@ -168,3 +168,33 @@ func TestSessionNextAfterCancelKeepsReturningError(t *testing.T) {
 		t.Fatalf("cancelled session index = %d, want 1", s.Index())
 	}
 }
+
+// A closed Session has handed its worker back, and another session may
+// hold it by now: a second Close does nothing, and any other use panics
+// rather than drive a worker that is no longer the session's.
+func TestSessionClosedFailsLoudly(t *testing.T) {
+	s, err := NewSession(racyProg, Options{Base: Base{Seed: 3}, Schedules: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Next(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s.Close()
+	for name, use := range map[string]func(){
+		"Next":      func() { s.Next() },
+		"Profile":   func() { s.Profile() },
+		"Remaining": func() { s.Remaining() },
+		"Replay":    func() { s.Replay(2, 0) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "surw: Session used after Close" {
+					t.Errorf("%s after Close: recovered %v, want the use-after-Close panic", name, r)
+				}
+			}()
+			use()
+		}()
+	}
+}
