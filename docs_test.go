@@ -61,7 +61,11 @@ var docsAllowlist = map[string]string{
 	"-dedup-abandon":                 "deleted: prefix-class early abandon (EXPERIMENTS \"Mechanisms, priced\")",
 	"-yield-leases":                  "deleted: yield-weighted grants (EXPERIMENTS \"Mechanisms, priced\")",
 	"/v1/classes":                    "deleted with early abandon",
-	"/api/health":                    "deleted: the health report is /v1/status's health member",
+	"internal/race":                  "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
+	"surw.DetectRaces":               "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
+	"SelectRacyVars":                 "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
+	"DataRace":                       "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
+	"sched.Result.ThreadPaths":       "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
 	"GenSpin":                        "proposed: ROADMAP item 2",
 	"internal/experiments/claims.go": "proposed: ROADMAP item 3",
 	"surw_delta_*":                   "proposed: ROADMAP item 4(b)",
