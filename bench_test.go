@@ -589,7 +589,9 @@ func BenchmarkObservedSessions(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			schedules += res.TotalSchedules()
+			for _, s := range res.Sessions {
+				schedules += s.Schedules
+			}
 			b.StopTimer()
 			t0 := time.Now()
 			if _, err := runner.RunTarget(tgt, "RW", cfg); err != nil {

@@ -15,10 +15,10 @@ GOARCH=arm64 go vet ./internal/sched ./surwsync
 GOARCH=riscv64 go build ./internal/sched ./surwsync
 go build ./...
 # One renderer: the Prometheus text format is written by internal/obs/prom.go
-# and read back by internal/obs/promlint.go. A HELP or TYPE literal in any
+# and read back by internal/obs/promtest/lint.go. A HELP or TYPE literal in any
 # other non-test file is a second, hand-formatted renderer coming back.
-if grep -rn --include='*.go' -e '# HELP' -e '# TYPE' . | grep -v -e '_test\.go:' -e '^\./internal/obs/prom\.go:' -e '^\./internal/obs/promlint\.go:'; then
-    echo "FAIL: '# HELP'/'# TYPE' outside internal/obs/prom.go and internal/obs/promlint.go"; exit 1
+if grep -rn --include='*.go' -e '# HELP' -e '# TYPE' . | grep -v -e '_test\.go:' -e '^\./internal/obs/prom\.go:' -e '^\./internal/obs/promtest/lint\.go:'; then
+    echo "FAIL: '# HELP'/'# TYPE' outside internal/obs/prom.go and internal/obs/promtest/lint.go"; exit 1
 fi
 # One session driver: a session's seeds are derived in internal/runner's
 # driver.go and nowhere else, and the library and `surw run` get their

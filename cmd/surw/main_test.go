@@ -14,7 +14,7 @@ import (
 	"sync"
 	"testing"
 
-	"surw/internal/obs"
+	"surw/internal/obs/promtest"
 )
 
 // surwBin is the one binary, built once with a stamped version. Tests go
@@ -229,7 +229,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 func metricsPage(t *testing.T, base string) string {
 	t.Helper()
 	_, body := get(t, base+"/metrics")
-	if err := obs.LintPrometheus(strings.NewReader(body)); err != nil {
+	if err := promtest.Lint(strings.NewReader(body)); err != nil {
 		t.Fatalf("%s/metrics: %v\n%s", base, err, body)
 	}
 	return body

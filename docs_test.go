@@ -66,6 +66,7 @@ var docsAllowlist = map[string]string{
 	"SelectRacyVars":                 "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
 	"DataRace":                       "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
 	"sched.Result.ThreadPaths":       "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
+	"sched.State.TIDByPath":          "deleted: no caller (ROADMAP item 24)",
 	"GenSpin":                        "proposed: ROADMAP item 2",
 	"internal/experiments/claims.go": "proposed: ROADMAP item 3",
 	"surw_delta_*":                   "proposed: ROADMAP item 4(b)",

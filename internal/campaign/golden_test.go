@@ -13,6 +13,7 @@ import (
 	"surw/internal/atlas"
 	"surw/internal/campaign"
 	"surw/internal/obs"
+	"surw/internal/obs/promtest"
 	"surw/internal/runner"
 )
 
@@ -86,7 +87,7 @@ func TestRemoteStatusPrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden(t, "remote_status.golden", buf.Bytes())
-	if err := obs.LintPrometheus(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := promtest.Lint(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("golden page does not lint: %v", err)
 	}
 }
@@ -149,7 +150,7 @@ func TestServerGoldenPages(t *testing.T) {
 
 	metrics := get(t, srv.URL+"/metrics")
 	golden(t, "server_metrics.golden", []byte(metrics))
-	if err := obs.LintPrometheus(bytes.NewReader([]byte(metrics))); err != nil {
+	if err := promtest.Lint(bytes.NewReader([]byte(metrics))); err != nil {
 		t.Fatalf("golden page does not lint: %v", err)
 	}
 	golden(t, "server_api_campaign.golden", []byte(get(t, srv.URL+"/api/campaign")))
@@ -167,7 +168,7 @@ func TestServerMetricsOmitEmptyAtlasFamilies(t *testing.T) {
 	if strings.Contains(page, "surw_atlas_") {
 		t.Errorf("an atlas without cells declared a family:\n%s", page)
 	}
-	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
+	if err := promtest.Lint(strings.NewReader(page)); err != nil {
 		t.Fatal(err)
 	}
 }

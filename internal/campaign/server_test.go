@@ -16,6 +16,7 @@ import (
 	"surw/internal/atlas"
 	"surw/internal/campaign"
 	"surw/internal/obs"
+	"surw/internal/obs/promtest"
 )
 
 func testServer(t *testing.T) (*campaign.Store, *httptest.Server) {
@@ -250,7 +251,7 @@ func TestServerRemoteErrorSurfaces(t *testing.T) {
 	}
 
 	metrics := get(t, srv.URL+"/metrics")
-	if err := obs.LintPrometheus(strings.NewReader(metrics)); err != nil {
+	if err := promtest.Lint(strings.NewReader(metrics)); err != nil {
 		t.Fatalf("metrics page with failing remote does not lint: %v", err)
 	}
 }
@@ -261,7 +262,7 @@ func TestServerRemoteErrorSurfaces(t *testing.T) {
 func TestServerHealthPanelAndMetricsLint(t *testing.T) {
 	_, srv := testServer(t)
 	page := get(t, srv.URL+"/metrics")
-	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
+	if err := promtest.Lint(strings.NewReader(page)); err != nil {
 		t.Fatalf("base metrics page does not lint: %v", err)
 	}
 
@@ -302,7 +303,7 @@ func TestServerHealthPanelAndMetricsLint(t *testing.T) {
 			t.Errorf("metrics page missing %q", want)
 		}
 	}
-	if err := obs.LintPrometheus(strings.NewReader(metrics)); err != nil {
+	if err := promtest.Lint(strings.NewReader(metrics)); err != nil {
 		t.Fatalf("remote metrics page does not lint: %v", err)
 	}
 
@@ -343,7 +344,7 @@ func TestServerAPISurvivesOverflowLatency(t *testing.T) {
 	if l := page.Remote.Latencies; len(l) != 1 || l[0].Count != 1 || l[0].P99 < 70000 {
 		t.Errorf("latencies = %+v, want the one observation with the last finite bound, 70368 s, as its p99", l)
 	}
-	if err := obs.LintPrometheus(strings.NewReader(get(t, srv.URL+"/metrics"))); err != nil {
+	if err := promtest.Lint(strings.NewReader(get(t, srv.URL+"/metrics"))); err != nil {
 		t.Errorf("metrics page with an overflow observation does not lint: %v", err)
 	}
 
@@ -492,7 +493,7 @@ func TestServerAtlasMetrics(t *testing.T) {
 			t.Errorf("metrics page missing %q", want)
 		}
 	}
-	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
+	if err := promtest.Lint(strings.NewReader(page)); err != nil {
 		t.Fatalf("atlas metrics page does not lint: %v", err)
 	}
 }

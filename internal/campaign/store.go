@@ -67,15 +67,6 @@ func (b *Broker) Subscribe() chan Event {
 	return ch
 }
 
-// Subscribers returns the number of live subscriptions — the dashboard's
-// connected-client count, and the handle SSE lifecycle tests watch to
-// prove a disconnected client's subscription is reclaimed.
-func (b *Broker) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // Unsubscribe removes a subscriber; its channel is closed.
 func (b *Broker) Unsubscribe(ch chan Event) {
 	b.mu.Lock()

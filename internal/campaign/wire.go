@@ -29,9 +29,6 @@ type Record struct {
 	Session *runner.Session
 }
 
-// NewRecord pairs a session result with its key.
-func NewRecord(k runner.SessionKey, s *runner.Session) Record { return Record{Key: k, Session: s} }
-
 // MarshalJSON implements json.Marshaler.
 func (r Record) MarshalJSON() ([]byte, error) { return AppendRecord(nil, r.Key, r.Session), nil }
 

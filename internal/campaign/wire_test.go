@@ -205,7 +205,7 @@ func TestRecordGolden(t *testing.T) {
 		if !bytes.Equal(got, lines[i]) {
 			t.Errorf("case %d:\n got %s\nwant %s", i, got, lines[i])
 		}
-		viaMarshal, err := json.Marshal(NewRecord(c.key, c.sess))
+		viaMarshal, err := json.Marshal(Record{Key: c.key, Session: c.sess})
 		if err != nil || !bytes.Equal(viaMarshal, lines[i]) {
 			t.Errorf("case %d through json.Marshal(Record): %v\n got %s\nwant %s", i, err, viaMarshal, lines[i])
 		}

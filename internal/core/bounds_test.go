@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"surw/internal/sched"
@@ -131,13 +132,45 @@ func TestDuplicatesBoundHolds(t *testing.T) {
 		// nb=ka (one read per writer); the §3.4 bound guarantees hitting
 		// any single one of the C(na+nb, na) pair-interleavings, of which
 		// at least one exhibits the mid-state read.
-		bound := stats.DuplicatesBound(2, ka, ka, kb)
+		bound := duplicatesBound(2, ka, ka, kb)
 		rate := hitRate(t, prog, info, trials)
 		slack := 4 * 0.01
 		if rate < bound-slack {
 			t.Fatalf("ka=%d kb=%d: hit rate %.3f below the §3.4 bound %.3f", ka, kb, rate, bound)
 		}
 		t.Logf("ka=%d kb=%d: rate %.3f vs bound %.3f", ka, kb, rate, bound)
+	}
+}
+
+// duplicatesBound is the §3.4 "duplicates" success-probability lower bound
+// for ka type-A and kb type-B threads with na and nb interesting events
+// each, when the bug manifests on the interleaving of any A-B pair:
+// 1 - (1 - 1/C(na+nb, na))^(ka*kb).
+func duplicatesBound(na, nb, ka, kb int) float64 {
+	perms := stats.Binomial(na+nb, na)
+	if perms <= 0 || ka <= 0 || kb <= 0 {
+		return 0
+	}
+	return 1 - math.Pow(1-1/perms, float64(ka*kb))
+}
+
+func TestDuplicatesBound(t *testing.T) {
+	approx := func(got, want float64, what string) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12 {
+			t.Fatalf("%s = %g, want %g", what, got, want)
+		}
+	}
+	// One pair of 1+1 events: 2 interleavings, bound 1/2.
+	approx(duplicatesBound(1, 1, 1, 1), 0.5, "1x1")
+	// The paper's producer-consumer shape: na=2, nb=2, 2x2 pairs.
+	approx(duplicatesBound(2, 2, 2, 2), 1-math.Pow(5.0/6, 4), "2x2")
+	if duplicatesBound(2, 2, 0, 1) != 0 || duplicatesBound(-1, 2, 1, 1) != 0 {
+		t.Fatal("degenerate inputs must yield 0")
+	}
+	// More pairs can only help.
+	if duplicatesBound(3, 3, 2, 2) <= duplicatesBound(3, 3, 1, 1) {
+		t.Fatal("bound not monotone in pair count")
 	}
 }
 

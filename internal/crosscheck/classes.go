@@ -27,7 +27,6 @@ package crosscheck
 
 import (
 	"fmt"
-	"math/rand"
 
 	"surw/internal/sched"
 	"surw/internal/systematic"
@@ -174,34 +173,6 @@ func (c *classPartition) verdict(name string, exhausted bool, opts Options) (int
 		return 0, fmt.Errorf("crosscheck: %s: %w", name, c.err)
 	}
 	return len(c.byFingerprint), nil
-}
-
-// scriptAlg drives the scheduler along a fixed TID sequence, one entry per
-// executed event (forced steps consume entries too, via Observe). When the
-// scripted thread is not enabled — the script is infeasible from here —
-// it degrades to the lowest enabled TID; callers detect the divergence by
-// comparing the resulting trace against the intended one. Used by the
-// commutation property tests and FuzzClassFingerprint to execute a
-// recorded trace with two adjacent events swapped.
-type scriptAlg struct {
-	script []sched.ThreadID
-	step   int
-}
-
-func (s *scriptAlg) Name() string                             { return "script" }
-func (s *scriptAlg) Begin(_ *sched.ProgramInfo, _ *rand.Rand) { s.step = 0 }
-func (s *scriptAlg) Observe(ev sched.Event, _ *sched.State)   { s.step++ }
-func (s *scriptAlg) Next(st *sched.State) sched.ThreadID {
-	e := st.Enabled()
-	if s.step < len(s.script) {
-		want := s.script[s.step]
-		for _, tid := range e {
-			if tid == want {
-				return tid
-			}
-		}
-	}
-	return e[0]
 }
 
 // classEquivalence is the tentpole oracle: exhaustively enumerate prog,

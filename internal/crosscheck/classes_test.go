@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -17,6 +18,34 @@ import (
 // live engine rather than a reference implementation: both orders really
 // execute, so the invariance covers the incremental hash-clocks, spawn
 // seeding and object accumulators end to end.
+
+// scriptAlg drives the scheduler along a fixed TID sequence, one entry per
+// executed event (forced steps consume entries too, via Observe). When the
+// scripted thread is not enabled — the script is infeasible from here —
+// it degrades to the lowest enabled TID; callers detect the divergence by
+// comparing the resulting trace against the intended one. Used by the
+// commutation property tests and FuzzClassFingerprint to execute a
+// recorded trace with two adjacent events swapped.
+type scriptAlg struct {
+	script []sched.ThreadID
+	step   int
+}
+
+func (s *scriptAlg) Name() string                             { return "script" }
+func (s *scriptAlg) Begin(_ *sched.ProgramInfo, _ *rand.Rand) { s.step = 0 }
+func (s *scriptAlg) Observe(ev sched.Event, _ *sched.State)   { s.step++ }
+func (s *scriptAlg) Next(st *sched.State) sched.ThreadID {
+	e := st.Enabled()
+	if s.step < len(s.script) {
+		want := s.script[s.step]
+		for _, tid := range e {
+			if tid == want {
+				return tid
+			}
+		}
+	}
+	return e[0]
+}
 
 // runScripted executes prog along the given per-event TID script and
 // reports whether the executed trace is exactly want (the script is only a

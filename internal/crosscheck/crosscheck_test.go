@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"surw/internal/progfuzz"
 	"surw/internal/sched"
 	"surw/internal/sctbench"
+	"surw/internal/stats"
 	"surw/internal/systematic"
 )
 
@@ -107,26 +109,58 @@ func TestURWBitshiftUniformityRegression(t *testing.T) {
 	if len(oracle.Interleavings) != 252 {
 		t.Fatalf("bitshift(5) has %d worker-event interleavings, want C(10,5) = 252", len(oracle.Interleavings))
 	}
-	gate, err := UniformityGate(prog, core.NewURW(), sctbench.BitshiftInfo(5),
-		oracle.Interleavings, bitshiftFilter, 5000, 7, 0.01)
+	g, err := Uniformity(prog, core.NewURW(), sctbench.BitshiftInfo(5),
+		oracle.Interleavings, bitshiftFilter, 5000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gate.Seen != 252 {
-		t.Fatalf("URW reached only %d of 252 classes in %d trials", gate.Seen, gate.Trials)
+	if g.Seen != 252 {
+		t.Fatalf("URW reached only %d of 252 classes in %d trials", g.Seen, g.Trials)
 	}
-	t.Logf("URW uniformity: %s", gate)
+	if g.P < 0.01 {
+		t.Fatalf("URW rejected as non-uniform: %s < p-floor 0.01", g)
+	}
+	t.Logf("URW uniformity: %s", g)
 }
 
 // TestEntropyOrderSanity: SURW's interleaving entropy dominates a plain
 // random walk's on the bit-shift program (Table 3's ordering).
 func TestEntropyOrderSanity(t *testing.T) {
-	hS, hR, err := EntropyOrder(sctbench.Bitshift(5).Prog, core.NewSURW(), core.NewRandomWalk(),
+	hS, hR, err := entropyOrder(sctbench.Bitshift(5).Prog, core.NewSURW(), core.NewRandomWalk(),
 		sctbench.BitshiftInfo(5), 2000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("H(SURW)=%.3f H(RW)=%.3f bits (max=log2(252)=7.977)", hS, hR)
+}
+
+// entropyOrder checks the Table 3 sanity ordering: over trials schedules,
+// the interleaving-distribution entropy of a Δ-uniform sampler (SURW with
+// Δ = Γ here, via info) must not fall below a plain random walk's. Returns
+// both entropies in bits.
+func entropyOrder(prog func(*sched.Thread), surw, rw sched.Algorithm, info *sched.ProgramInfo, trials int, seed int64) (hSURW, hRW float64, err error) {
+	sample := func(alg sched.Algorithm) (float64, error) {
+		counts := make(map[uint64]int)
+		pool := sched.NewPool()
+		for i := 0; i < trials; i++ {
+			res := pool.Run(prog, alg, sched.Options{Base: sched.Base{Seed: seed + int64(i)}, Info: info})
+			if res.Buggy() || res.Truncated {
+				return 0, fmt.Errorf("crosscheck: entropy trial %d under %s failed", i, alg.Name())
+			}
+			counts[res.InterleavingHash]++
+		}
+		return stats.EntropyOfMap(counts), nil
+	}
+	if hSURW, err = sample(surw); err != nil {
+		return
+	}
+	if hRW, err = sample(rw); err != nil {
+		return
+	}
+	if hSURW < hRW {
+		err = fmt.Errorf("crosscheck: entropy ordering violated: H(%s)=%.3f < H(%s)=%.3f bits", surw.Name(), hSURW, rw.Name(), hRW)
+	}
+	return
 }
 
 // TestMutationSensitivity: the gate must accept the genuine URW and reject

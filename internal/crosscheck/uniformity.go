@@ -58,47 +58,3 @@ func Uniformity(prog func(*sched.Thread), alg sched.Algorithm, info *sched.Progr
 	g.P = stats.ChiSquareSF(g.Chi2, len(classes)-1)
 	return g, nil
 }
-
-// UniformityGate is Uniformity plus the pass/fail decision: the sampler
-// passes iff the p-value clears pFloor. A truly uniform sampler fails a
-// pFloor of α with probability α (pin seeds in CI); a biased one fails
-// with overwhelming probability once trials ≫ classes.
-func UniformityGate(prog func(*sched.Thread), alg sched.Algorithm, info *sched.ProgramInfo, classes map[uint64]bool, filter func(sched.Event) bool, trials int, seed int64, pFloor float64) (GateResult, error) {
-	g, err := Uniformity(prog, alg, info, classes, filter, trials, seed)
-	if err != nil {
-		return g, err
-	}
-	if g.P < pFloor {
-		return g, fmt.Errorf("crosscheck: %s rejected by the uniformity gate: %s < p-floor %g", alg.Name(), g, pFloor)
-	}
-	return g, nil
-}
-
-// EntropyOrder checks the Table 3 sanity ordering: over trials schedules,
-// the interleaving-distribution entropy of a Δ-uniform sampler (SURW with
-// Δ = Γ here, via info) must not fall below a plain random walk's. Returns
-// both entropies in bits.
-func EntropyOrder(prog func(*sched.Thread), surw, rw sched.Algorithm, info *sched.ProgramInfo, trials int, seed int64) (hSURW, hRW float64, err error) {
-	sample := func(alg sched.Algorithm) (float64, error) {
-		counts := make(map[uint64]int)
-		pool := sched.NewPool()
-		for i := 0; i < trials; i++ {
-			res := pool.Run(prog, alg, sched.Options{Base: sched.Base{Seed: seed + int64(i)}, Info: info})
-			if res.Buggy() || res.Truncated {
-				return 0, fmt.Errorf("crosscheck: entropy trial %d under %s failed", i, alg.Name())
-			}
-			counts[res.InterleavingHash]++
-		}
-		return stats.EntropyOfMap(counts), nil
-	}
-	if hSURW, err = sample(surw); err != nil {
-		return
-	}
-	if hRW, err = sample(rw); err != nil {
-		return
-	}
-	if hSURW < hRW {
-		err = fmt.Errorf("crosscheck: entropy ordering violated: H(%s)=%.3f < H(%s)=%.3f bits", surw.Name(), hSURW, rw.Name(), hRW)
-	}
-	return
-}

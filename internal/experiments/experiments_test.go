@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"surw/internal/campaign"
 	"surw/internal/core"
 	"surw/internal/runner"
+	"surw/internal/stats"
 )
 
 // tinyScale keeps the experiment tests fast; shape assertions that need
@@ -113,6 +115,16 @@ func TestRaceBenchSmall(t *testing.T) {
 			t.Fatalf("table 2 missing %q:\n%s", want, out)
 		}
 	}
+	// The printed total row is Totals, column by column.
+	_, row, _ := strings.Cut(out, "Total (max 1500)")
+	row, _, _ = strings.Cut(row, "\n")
+	want := make([]string, len(RBAlgorithms))
+	for i, alg := range RBAlgorithms {
+		want[i] = strconv.Itoa(totals[alg])
+	}
+	if got := strings.Fields(row); !slices.Equal(got, want) {
+		t.Fatalf("table 2 prints totals %v, want Totals %v", got, want)
+	}
 }
 
 func TestLightFTPSmall(t *testing.T) {
@@ -132,6 +144,23 @@ func TestLightFTPSmall(t *testing.T) {
 		if !strings.Contains(f5, want) {
 			t.Fatalf("figure 5 missing %q:\n%s", want, f5)
 		}
+	}
+	// The case study's headline, read from what Table 3 and Figure 5
+	// print: SURW explores both interleavings and behaviours more than
+	// PCT-3 (it holds at generator seeds 1–6 at this scale).
+	mean := func(xs []float64) float64 { return stats.Summarize(xs).Mean }
+	sIlv, sBeh := r.entropies("SURW")
+	pIlv, pBeh := r.entropies("PCT-3")
+	if mean(sIlv) <= mean(pIlv) {
+		t.Fatalf("interleaving entropy: SURW %.2f <= PCT-3 %.2f", mean(sIlv), mean(pIlv))
+	}
+	if mean(sBeh) <= mean(pBeh) {
+		t.Fatalf("behaviour entropy: SURW %.2f <= PCT-3 %.2f", mean(sBeh), mean(pBeh))
+	}
+	_, sCov, _ := r.covCurve("SURW")
+	_, pCov, _ := r.covCurve("PCT-3")
+	if sCov[len(sCov)-1] <= pCov[len(pCov)-1] {
+		t.Fatalf("interleaving coverage: SURW %.0f <= PCT-3 %.0f", sCov[len(sCov)-1], pCov[len(pCov)-1])
 	}
 }
 

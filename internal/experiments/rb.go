@@ -66,7 +66,6 @@ func (r *RBResult) Table2() *report.Table {
 		fmt.Sprintf("Table 2: distinct bugs exposed in RaceBench (100 injected per base; %d iterations)",
 			r.Scale.RaceBenchLimit),
 		append([]string{"Target"}, RBAlgorithms...)...)
-	totals := make(map[string]int)
 	for _, base := range r.Bases {
 		name := base
 		if r.Partial[base] {
@@ -76,7 +75,6 @@ func (r *RBResult) Table2() *report.Table {
 		bestAlg, bestN := "", -1
 		for _, alg := range RBAlgorithms {
 			n := r.Distinct[base][alg]
-			totals[alg] += n
 			if n > bestN {
 				bestAlg, bestN = alg, n
 			}
@@ -91,6 +89,7 @@ func (r *RBResult) Table2() *report.Table {
 		tb.AddRow(row...)
 	}
 	totalRow := []string{fmt.Sprintf("Total (max %d)", len(r.Bases)*racebench.NumBugs)}
+	totals := r.Totals()
 	for _, alg := range RBAlgorithms {
 		totalRow = append(totalRow, fmt.Sprintf("%d", totals[alg]))
 	}

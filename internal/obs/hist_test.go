@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"surw/internal/obs/promtest"
 )
 
 func TestHistBucketBounds(t *testing.T) {
@@ -156,7 +158,7 @@ func TestWriteLatencyPrometheusLints(t *testing.T) {
 	if !strings.Contains(page, `surw_latency_seconds_bucket{op="submit",le="+Inf"}`) {
 		t.Errorf("missing +Inf bucket:\n%s", page)
 	}
-	if err := LintPrometheus(strings.NewReader(page)); err != nil {
+	if err := promtest.Lint(strings.NewReader(page)); err != nil {
 		t.Errorf("latency page fails lint: %v\n%s", err, page)
 	}
 }
@@ -171,7 +173,7 @@ func TestMetricsLatencyInPrometheusPage(t *testing.T) {
 	if !strings.Contains(buf.String(), `surw_latency_seconds_count{op="session"} 1`) {
 		t.Errorf("metrics page missing latency series:\n%s", buf.String())
 	}
-	if err := LintPrometheus(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := promtest.Lint(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Errorf("metrics page fails lint: %v", err)
 	}
 }

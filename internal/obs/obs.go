@@ -5,8 +5,9 @@
 //
 //   - Collector: a pooled ring buffer of scheduling decisions (step, chosen
 //     thread, enabled-set size, event, algorithm annotation), exportable as
-//     JSONL or as Chrome trace_event JSON so any interleaving opens in
-//     Perfetto with one track per virtual thread (export.go);
+//     Chrome trace_event JSON so any interleaving opens in Perfetto with
+//     one track per virtual thread (export.go), and as a flight record's
+//     last decisions;
 //   - Metrics: a concurrency-safe aggregator of schedules/sec, steps and
 //     allocs per schedule, truncation rate, per-algorithm pick-entropy and
 //     branching-factor histograms, and worker utilization, rendered as a
@@ -69,7 +70,6 @@ type Collector struct {
 	n       int // decisions seen this schedule
 	recs    []Record
 	alg     string
-	steps   int
 	threads int
 	paths   []string // path per TID, grown as threads appear
 }
@@ -85,7 +85,6 @@ func NewCollector(ringCap int) *Collector {
 func (c *Collector) BeginSchedule(alg string) {
 	c.alg = alg
 	c.n = 0
-	c.steps = 0
 	c.threads = 0
 	c.paths = c.paths[:0]
 }
@@ -127,10 +126,9 @@ func (c *Collector) Decide(d sched.Decision, st *sched.State) {
 	}
 }
 
-// EndSchedule implements sched.Tracer. It copies the two counts it reports
-// and keeps nothing of r, which is the caller's to overwrite.
+// EndSchedule implements sched.Tracer. It copies the thread count it
+// reports and keeps nothing of r, which is the caller's to overwrite.
 func (c *Collector) EndSchedule(r *sched.Result) {
-	c.steps = r.Steps
 	c.threads = r.Threads
 }
 
@@ -143,9 +141,6 @@ func (c *Collector) Len() int {
 	return c.n
 }
 
-// Dropped returns how many early decisions the ring overwrote.
-func (c *Collector) Dropped() int { return c.n - c.Len() }
-
 // Record returns the i-th held record in decision order (0 = oldest held).
 // The pointer is valid until the next schedule begins.
 func (c *Collector) Record(i int) *Record {
@@ -157,9 +152,6 @@ func (c *Collector) Record(i int) *Record {
 
 // Algorithm returns the algorithm name of the last collected schedule.
 func (c *Collector) Algorithm() string { return c.alg }
-
-// Steps returns the step count of the last collected schedule.
-func (c *Collector) Steps() int { return c.steps }
 
 // Threads returns the thread count of the last collected schedule.
 func (c *Collector) Threads() int { return c.threads }

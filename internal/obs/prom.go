@@ -7,7 +7,7 @@ package obs
 // renders plain snapshot values — Snapshot, campaign.RemoteStatus,
 // campaign.HealthReport, the dashboard's rollups — so there is no registry
 // of live counter objects: a value's only home is the snapshot struct its
-// JSON form also comes from. LintPrometheus tests every page it writes.
+// JSON form also comes from. promtest.Lint tests every page it writes.
 
 import (
 	"io"
@@ -91,12 +91,6 @@ func (f *PromFamily) Float(v float64, labels ...string) { f.float("", v, 'g', -1
 
 // Fixed writes v with prec decimals.
 func (f *PromFamily) Fixed(v float64, prec int, labels ...string) { f.float("", v, 'f', prec, labels) }
-
-// Sig writes v rounded to digits significant digits, with an exponent when
-// v is tiny: a p-value of 1e-76 must not print as 0.000000.
-func (f *PromFamily) Sig(v float64, digits int, labels ...string) {
-	f.float("", v, 'g', digits, labels)
-}
 
 func (f *PromFamily) float(suffix string, v float64, verb byte, prec int, labels []string) {
 	f.buf = append(strconv.AppendFloat(f.open(suffix, labels), v, verb, prec, 64), '\n')

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"surw/internal/obs/promtest"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from what the renderers write now")
@@ -85,7 +87,7 @@ func TestSnapshotPrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden(t, "snapshot.golden", buf.Bytes())
-	if err := LintPrometheus(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := promtest.Lint(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("golden page does not lint: %v", err)
 	}
 	// A snapshot with nothing per-algorithm and no latency omits those
@@ -113,15 +115,11 @@ func TestPromLabelEscaping(t *testing.T) {
 	if want := "surw_x{w=\"a\\\\b\\\"c\\nd}\t,\uFFFD\",v=\"plain\"} 1\n"; !strings.HasSuffix(page, want) {
 		t.Fatalf("sample line:\n%q\nwant suffix\n%q", page, want)
 	}
-	if err := LintPrometheus(strings.NewReader(page)); err != nil {
+	if err := promtest.Lint(strings.NewReader(page)); err != nil {
 		t.Fatalf("escaped page fails lint: %v", err)
 	}
-	line := page[strings.LastIndex(page, "surw_x{")+len("surw_x{"):]
-	labels, _, err := parseLabels(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := strings.TrimSuffix(strings.TrimPrefix(labels.key, `v="plain",w="`), `"`)
+	line := page[strings.LastIndex(page, `surw_x{w="`)+len(`surw_x{w="`):]
+	got, _, _ := strings.Cut(line, `",v="plain"} 1`)
 	if got = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n").Replace(got); got != strings.ToValidUTF8(hostile, "\uFFFD") {
 		t.Fatalf("label round-trips to %q, want %q", got, hostile)
 	}

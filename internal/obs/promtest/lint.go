@@ -1,6 +1,4 @@
-package obs
-
-// LintPrometheus: a self-contained checker for the Prometheus text
+// Package promtest is the test-side checker for the Prometheus text
 // exposition format (version 0.0.4) that every `/metrics` page of this
 // repository must pass. It is deliberately stricter than a scraper needs
 // to be — the point is keeping our own series consistent:
@@ -16,6 +14,9 @@ package obs
 //   - histogram families carry `le` labels on _bucket samples, cumulative
 //     counts are nondecreasing per label set, the mandatory +Inf bucket is
 //     present and equals the family's _count.
+//
+// It imports nothing of obs, so obs's own tests use it too.
+package promtest
 
 import (
 	"bufio"
@@ -62,9 +63,9 @@ func baseFamily(name string, fams map[string]*promFamily) string {
 	return name
 }
 
-// LintPrometheus reads a text-format metrics page and returns the first
-// violation found, or nil if the page is clean.
-func LintPrometheus(r io.Reader) error {
+// Lint reads a text-format metrics page and returns the first violation
+// found, or nil if the page is clean.
+func Lint(r io.Reader) error {
 	fams := make(map[string]*promFamily)
 	family := func(name string) *promFamily {
 		f := fams[name]

@@ -86,9 +86,6 @@ type SpanContext struct {
 	Span  SpanID
 }
 
-// Valid reports whether the context names a trace.
-func (c SpanContext) Valid() bool { return !c.Trace.IsZero() }
-
 // Traceparent renders the context as a W3C trace-context header value
 // (version 00, sampled flag set): 00-<32 hex>-<16 hex>-01.
 func (c SpanContext) Traceparent() string {

@@ -48,7 +48,7 @@ func TestNilSpanLogIsInert(t *testing.T) {
 	if l.Enabled() || l.Track() != "" || l.Len() != 0 {
 		t.Fatal("nil SpanLog not inert")
 	}
-	if c := l.NewRoot(); c.Valid() {
+	if c := l.NewRoot(); !c.Trace.IsZero() {
 		t.Fatal("nil NewRoot returned a valid context")
 	}
 	o := l.Start(SpanContext{}, "x")

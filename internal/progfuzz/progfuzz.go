@@ -124,16 +124,6 @@ const (
 	opGateWait // wait for gate arg: lock, wait while unset, unlock (consuming)
 )
 
-// producing reports whether k is a non-blocking produce-phase op of the
-// GenSync grammar (used by tests to validate the phase discipline).
-func (k opKind) producing() bool {
-	switch k {
-	case opRecv, opSemP, opWgWait, opGateWait:
-		return false
-	}
-	return true
-}
-
 // Program is a generated program: a tree of thread plans.
 type Program struct {
 	cfg     Config
@@ -221,9 +211,6 @@ func sortInts(xs []int) {
 		}
 	}
 }
-
-// Threads returns the number of thread plans (including the root).
-func (p *Program) Threads() int { return len(p.threads) }
 
 // GenSync generates a program from the extended grammar: on top of Gen's
 // variables, ordered critical sections, and spawns, threads send on

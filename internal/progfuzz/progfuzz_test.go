@@ -13,6 +13,19 @@ import (
 // algorithms under robustness test.
 var algNames = []string{"SURW", "URW", "POS", "PCT-3", "PCT-10", "RW", "N-U", "N-S"}
 
+// producing reports whether k is a non-blocking produce-phase op of the
+// GenSync grammar: the phase discipline the tests validate.
+func (k opKind) producing() bool {
+	switch k {
+	case opRecv, opSemP, opWgWait, opGateWait:
+		return false
+	}
+	return true
+}
+
+// Threads returns the number of thread plans (including the root).
+func (p *Program) Threads() int { return len(p.threads) }
+
 func TestGeneratedProgramsAreDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p1 := Gen(seed, Config{})

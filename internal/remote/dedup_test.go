@@ -21,11 +21,27 @@ import (
 	"surw/internal/runner"
 )
 
+// Count returns the class's estimated observation count (capped at 255);
+// zero for every class of a filter nothing was added to.
+func (f *ClassFilter) Count(class uint64) int {
+	var s [filterHashes]uint64
+	f.slots(class, &s)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.counters == nil {
+		return 0
+	}
+	min := uint8(255)
+	for _, i := range s {
+		if f.counters[i] < min {
+			min = f.counters[i]
+		}
+	}
+	return int(min)
+}
+
 func TestClassFilterAddSaturate(t *testing.T) {
 	f := NewClassFilter(1<<10, 3)
-	if f.Saturated(42) {
-		t.Fatal("empty filter claims saturation")
-	}
 	// Nothing added: no counters yet, and the queries answer for an empty
 	// filter without them.
 	if obs, distinct := f.Stats(); f.counters != nil || f.Count(42) != 0 || obs != 0 || distinct != 0 {
@@ -37,19 +53,16 @@ func TestClassFilterAddSaturate(t *testing.T) {
 	if f.Add(42) {
 		t.Fatal("second Add still novel")
 	}
-	if f.Saturated(42) {
-		t.Fatal("saturated below threshold")
+	if f.Count(42) != 2 {
+		t.Fatalf("Count = %d after two adds, want 2", f.Count(42))
 	}
 	f.Add(42)
-	if !f.Saturated(42) {
-		t.Fatal("not saturated at threshold 3")
-	}
 	if f.Count(42) != 3 {
 		t.Fatalf("Count = %d, want 3", f.Count(42))
 	}
 	// A distinct class is unaffected (no collision in a near-empty filter).
-	if f.Saturated(43) {
-		t.Fatal("unrelated class saturated")
+	if f.Count(43) != 0 {
+		t.Fatalf("unrelated class counted %d", f.Count(43))
 	}
 	obs, distinct := f.Stats()
 	if obs != 3 || distinct != 1 {
@@ -77,7 +90,7 @@ func covRecordsFor(l *Lease) []campaign.Record {
 	recs := make([]campaign.Record, len(l.Sessions))
 	for i, s := range l.Sessions {
 		k := runner.SessionKey{CellKey: l.CellKey, Session: s}
-		recs[i] = campaign.NewRecord(k, &runner.Session{
+		recs[i] = campaign.Record{Key: k, Session: &runner.Session{
 			FirstBug:  -1,
 			Schedules: 3,
 			Bugs:      map[string]int{},
@@ -87,7 +100,7 @@ func covRecordsFor(l *Lease) []campaign.Record {
 				Behaviors:     map[string]int{"b": 3},
 				DupSchedules:  1,
 			},
-		})
+		}}
 	}
 	return recs
 }

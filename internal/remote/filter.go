@@ -116,31 +116,6 @@ func (f *ClassFilter) Add(class uint64) (novel bool) {
 	return false
 }
 
-// Saturated reports whether class's estimated count has reached the
-// filter's threshold.
-func (f *ClassFilter) Saturated(class uint64) bool {
-	return f.Count(class) >= int(f.threshold)
-}
-
-// Count returns the class's estimated observation count (capped at 255);
-// zero for every class of a filter nothing was added to.
-func (f *ClassFilter) Count(class uint64) int {
-	var s [filterHashes]uint64
-	f.slots(class, &s)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.counters == nil {
-		return 0
-	}
-	min := uint8(255)
-	for _, i := range s {
-		if f.counters[i] < min {
-			min = f.counters[i]
-		}
-	}
-	return int(min)
-}
-
 // Stats returns the ingest totals: observations with multiplicity and the
 // estimated number of distinct classes among them.
 func (f *ClassFilter) Stats() (observed, distinct int64) {

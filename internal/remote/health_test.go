@@ -17,6 +17,7 @@ import (
 	"surw/internal/campaign"
 	"surw/internal/experiments"
 	"surw/internal/obs"
+	"surw/internal/obs/promtest"
 	"surw/internal/runner"
 	"surw/internal/sched"
 )
@@ -166,7 +167,7 @@ func TestHealthEndpointAndGauges(t *testing.T) {
 			t.Errorf("metrics page missing %q:\n%s", want, page)
 		}
 	}
-	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
+	if err := promtest.Lint(strings.NewReader(page)); err != nil {
 		t.Errorf("remote status page fails lint: %v", err)
 	}
 }
@@ -192,7 +193,7 @@ func TestHostileWorkerNameOnMetricsPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := string(body)
-	if err := obs.LintPrometheus(strings.NewReader(page)); err != nil {
+	if err := promtest.Lint(strings.NewReader(page)); err != nil {
 		t.Fatalf("page with a hostile worker name fails lint: %v\n%s", err, page)
 	}
 	const open, shut = "surw_remote_worker_inflight_leases{worker=\"", "\"} 1\n"
@@ -294,7 +295,7 @@ func TestShortLeasesStillDeliverSnapshots(t *testing.T) {
 	defer c.mu.Unlock()
 	sessions := uint64(0)
 	for _, w := range workers {
-		got, want := c.workerLat[w.Name], w.Latencies()
+		got, want := c.workerLat[w.Name], w.lat.Wire()
 		for _, op := range []string{"lease_rpc", "session", "checkpoint_fork", "submit"} {
 			if got[op].Count == 0 || got[op].Count != want[op].Count {
 				t.Errorf("%s: coordinator holds %d %s observations, the worker ended with %d",

@@ -293,7 +293,7 @@ func sessionRecordsFor(l *Lease) []campaign.Record {
 	recs := make([]campaign.Record, len(l.Sessions))
 	for i, s := range l.Sessions {
 		k := runner.SessionKey{CellKey: l.CellKey, Session: s}
-		recs[i] = campaign.NewRecord(k, &runner.Session{FirstBug: -1, Schedules: l.Limit, Bugs: map[string]int{}})
+		recs[i] = campaign.Record{Key: k, Session: &runner.Session{FirstBug: -1, Schedules: l.Limit, Bugs: map[string]int{}}}
 	}
 	return recs
 }
@@ -342,16 +342,16 @@ func TestResultOutsidePlanRejected(t *testing.T) {
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 
-	stray := campaign.NewRecord(
-		runner.SessionKey{CellKey: runner.CellKey{Target: "not/planned", Algorithm: "RW", Limit: 5}, Session: 0},
-		&runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}})
+	stray := campaign.Record{
+		Key:     runner.SessionKey{CellKey: runner.CellKey{Target: "not/planned", Algorithm: "RW", Limit: 5}, Session: 0},
+		Session: &runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}}}
 	code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []campaign.Record{stray}}, nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("stray submission: status %d, want 400", code)
 	}
 	// A planned cell, a session number the plan does not name.
 	k := syntheticPlan(3)[2]
-	stray = campaign.NewRecord(k, &runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}})
+	stray = campaign.Record{Key: k, Session: &runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}}}
 	if code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []campaign.Record{stray}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("stray session of a planned cell: status %d, want 400", code)
 	}
@@ -606,7 +606,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, campaign.NewRecord(runner.KeyFor(tgt, l1.Lease.Algorithm, cfg, s), sess))
+		recs = append(recs, campaign.Record{Key: runner.KeyFor(tgt, l1.Lease.Algorithm, cfg, s), Session: sess})
 	}
 	var rr ResultResponse
 	if code := postJSON(t, srv1.URL+PathResult, ResultRequest{Worker: "a", LeaseID: l1.Lease.ID, Records: recs}, &rr); code != 200 {

@@ -282,7 +282,7 @@ func FuzzLeaseMessages(f *testing.F) {
 		n := int(next()) % (len(keys) + 1)
 		result := ResultRequest{Worker: text(), LeaseID: text(), BusyMillis: num(), Records: []campaign.Record{}}
 		for i := 0; i < n; i++ {
-			result.Records = append(result.Records, campaign.NewRecord(keys[i], sessions[i]))
+			result.Records = append(result.Records, campaign.Record{Key: keys[i], Session: sessions[i]})
 		}
 		if flags&32 != 0 {
 			result.Spans = goldenSpans()[:1+int(flags>>7)]

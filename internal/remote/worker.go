@@ -125,9 +125,6 @@ type Worker struct {
 	stalled func(leaseID string, age time.Duration)
 }
 
-// Latencies exposes the worker's cumulative latency snapshot.
-func (w *Worker) Latencies() map[string]obs.HistogramWire { return w.lat.Wire() }
-
 // Spans returns the spans retained under RetainSpans, in ship order.
 func (w *Worker) Spans() []obs.Span {
 	w.retainMu.Lock()

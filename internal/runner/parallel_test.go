@@ -96,13 +96,14 @@ func TestParallelEntropiesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, sb := seq.EntropySummary()
-	pi, pb := par.EntropySummary()
-	if si != pi || sb != pb {
-		t.Fatalf("entropy summaries diverged: %+v/%+v vs %+v/%+v", si, sb, pi, pb)
-	}
-	if !reflect.DeepEqual(seq.MeanCoverageSeries(), par.MeanCoverageSeries()) {
-		t.Fatal("mean coverage series diverged")
+	for i := range seq.Sessions {
+		sc, pc := seq.Sessions[i].Cov, par.Sessions[i].Cov
+		if !reflect.DeepEqual(sc, pc) {
+			t.Fatalf("session %d: coverage diverged", i)
+		}
+		if sc.InterleavingEntropy() != pc.InterleavingEntropy() || sc.BehaviorEntropy() != pc.BehaviorEntropy() {
+			t.Fatalf("session %d: entropies diverged", i)
+		}
 	}
 }
 

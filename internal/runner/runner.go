@@ -269,29 +269,10 @@ type Result struct {
 	// (excluded from Equal, never persisted): it backs the throughput
 	// footers of the surw bench tables.
 	Elapsed time.Duration
-	// Executed is how many of TotalSchedules the batch ran itself: those of
-	// the sessions Config.Store did not already hold. Observational like
-	// Elapsed, and what Elapsed was spent on.
+	// Executed is how many of its sessions' schedules the batch ran
+	// itself: those of the sessions Config.Store did not already hold.
+	// Observational like Elapsed, and what Elapsed was spent on.
 	Executed int
-}
-
-// TotalSchedules sums the testing schedules of every session.
-func (r *Result) TotalSchedules() int {
-	n := 0
-	for i := range r.Sessions {
-		n += r.Sessions[i].Schedules
-	}
-	return n
-}
-
-// SchedulesPerSecond returns the batch's throughput per worker over the
-// schedules it executed (0 when no time was observed or nothing ran, e.g.
-// on a Result assembled from a store).
-func (r *Result) SchedulesPerSecond() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Executed) / r.Elapsed.Seconds()
 }
 
 // RunTarget runs cfg.Sessions sessions of algName on the target: RunCells
@@ -732,16 +713,6 @@ func (r *Result) FoundEver() bool {
 	return false
 }
 
-// FoundAll reports whether every session exposed a bug.
-func (r *Result) FoundAll() bool {
-	for _, s := range r.Sessions {
-		if s.FirstBug < 0 {
-			return false
-		}
-	}
-	return len(r.Sessions) > 0
-}
-
 // DistinctBugs returns the union of bug IDs across sessions.
 func (r *Result) DistinctBugs() map[string]bool {
 	out := make(map[string]bool)
@@ -751,55 +722,4 @@ func (r *Result) DistinctBugs() map[string]bool {
 		}
 	}
 	return out
-}
-
-// MeanCoverageSeries averages the per-session coverage curves pointwise and
-// returns (schedules, mean interleavings, std, mean behaviours, std) rows.
-// Sessions must share a series shape (same Config).
-func (r *Result) MeanCoverageSeries() []CovSeriesPoint {
-	if len(r.Sessions) == 0 || r.Sessions[0].Cov == nil {
-		return nil
-	}
-	n := len(r.Sessions[0].Cov.Series)
-	out := make([]CovSeriesPoint, 0, n)
-	for i := 0; i < n; i++ {
-		var ilv, beh []float64
-		sch := 0
-		for _, s := range r.Sessions {
-			if s.Cov == nil || i >= len(s.Cov.Series) {
-				continue
-			}
-			p := s.Cov.Series[i]
-			sch = p.Schedules
-			ilv = append(ilv, float64(p.Interleavings))
-			beh = append(beh, float64(p.Behaviors))
-		}
-		si, sb := stats.Summarize(ilv), stats.Summarize(beh)
-		out = append(out, CovSeriesPoint{
-			Schedules: sch,
-			IlvMean:   si.Mean, IlvStd: si.Std,
-			BehMean: sb.Mean, BehStd: sb.Std,
-		})
-	}
-	return out
-}
-
-// CovSeriesPoint is one aggregated point of Figure 5's curves.
-type CovSeriesPoint struct {
-	Schedules       int
-	IlvMean, IlvStd float64
-	BehMean, BehStd float64
-}
-
-// EntropySummary aggregates the per-session entropies (Table 3 rows).
-func (r *Result) EntropySummary() (ilv, beh stats.Summary) {
-	var is, bs []float64
-	for _, s := range r.Sessions {
-		if s.Cov == nil {
-			continue
-		}
-		is = append(is, s.Cov.InterleavingEntropy())
-		bs = append(bs, s.Cov.BehaviorEntropy())
-	}
-	return stats.Summarize(is), stats.Summarize(bs)
 }

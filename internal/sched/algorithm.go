@@ -201,21 +201,6 @@ func (s *State) Finished(tid ThreadID) bool { return s.ex.threads[tid].state == 
 // Sleeping reports whether a thread is asleep in a condition wait.
 func (s *State) Sleeping(tid ThreadID) bool { return s.ex.threads[tid].state == tsSleeping }
 
-// TIDByPath resolves a logical path to this schedule's runtime TID.
-func (s *State) TIDByPath(path string) (ThreadID, bool) {
-	if s.ex.byPathDirty {
-		// The index is maintained lazily: spawns only mark it stale, and
-		// the first query after a spawn (or a reset) rebuilds it here.
-		clear(s.ex.byPath)
-		for _, t := range s.ex.threads {
-			s.ex.byPath[t.path] = t.id
-		}
-		s.ex.byPathDirty = false
-	}
-	tid, ok := s.ex.byPath[path]
-	return tid, ok
-}
-
 // ObjName returns the stable name of a shared object.
 func (s *State) ObjName(id ObjID) string {
 	if id == 0 {

@@ -35,7 +35,6 @@ type Execution struct {
 	algSrc     rand.Source // algRand's source, for fast re-seeding
 
 	threads []*Thread
-	byPath  map[string]ThreadID
 	objs    []objState
 	objSeen map[string]int // name collision counter
 
@@ -127,9 +126,6 @@ type Execution struct {
 	// Entries additionally cache the thread's first published event for
 	// deferred priming (see primeChain).
 	spawnMemo [][]spawnPath
-	// byPathDirty marks ex.byPath stale; it is rebuilt on the next
-	// TIDByPath query instead of eagerly on every spawn.
-	byPathDirty bool
 	// primingT is the thread currently running its prologue under a real
 	// priming grant of the fast engine. Anything it does before its first
 	// publish that deferred priming could not reproduce at a later time —
@@ -244,15 +240,13 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	ex.waitGroups = ex.waitGroups[:0]
 	ex.onces = ex.onces[:0]
 	ex.chans = ex.chans[:0]
-	if ex.byPath == nil {
-		ex.byPath = make(map[string]ThreadID, 8)
+	if ex.objSeen == nil {
 		ex.objSeen = make(map[string]int, 8)
 		ex.names = make(map[string]string, 16)
 		ex.deadlockMsgs = 0
 	} else {
 		clear(ex.objSeen)
 	}
-	ex.byPathDirty = true
 	ex.steps = 0
 	ex.maxSteps = opts.Base.Normalized().MaxSteps
 	ex.failed = false
@@ -787,7 +781,6 @@ func (ex *Execution) addThread(parent *Thread, body func(*Thread)) *Thread {
 		t.clock = fnvMix(parent.clock, t.pathHash)
 	}
 	ex.threads = append(ex.threads, t)
-	ex.byPathDirty = true
 	return t
 }
 

@@ -81,7 +81,6 @@ func (p *Pool) Close() {
 	}
 	ex.goexits = 0
 	clear(ex.names)
-	clear(ex.byPath)
 	ex.deadlockMsgs = 0
 	for i, row := range ex.spawnMemo {
 		clear(row)

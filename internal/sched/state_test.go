@@ -33,12 +33,6 @@ func TestStateAccessors(t *testing.T) {
 		if st.PathHash(1) != HashName("0.0") {
 			t.Error("path hash mismatch")
 		}
-		if tid, ok := st.TIDByPath("0.1"); !ok || tid != 2 {
-			t.Errorf("TIDByPath = %d, %v", tid, ok)
-		}
-		if _, ok := st.TIDByPath("0.9"); ok {
-			t.Error("ghost path resolved")
-		}
 		ev := st.NextEvent(1)
 		if ev.TID != 1 || ev.Seq != 1 {
 			t.Errorf("next event = %+v", ev)

@@ -420,15 +420,3 @@ func ClusterBound(perms float64, c int) float64 {
 	}
 	return 1 - math.Pow(1-1/perms, float64(c))
 }
-
-// DuplicatesBound is the §3.4 "duplicates" success-probability lower bound
-// for ka type-A and kb type-B threads with na and nb interesting events
-// each, when the bug manifests on the interleaving of any A-B pair:
-// 1 - (1 - 1/C(na+nb, na))^(ka*kb).
-func DuplicatesBound(na, nb, ka, kb int) float64 {
-	perms := Binomial(na+nb, na)
-	if perms <= 0 || ka <= 0 || kb <= 0 {
-		return 0
-	}
-	return 1 - math.Pow(1-1/perms, float64(ka*kb))
-}

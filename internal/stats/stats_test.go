@@ -219,20 +219,6 @@ func TestClusterBound(t *testing.T) {
 	}
 }
 
-func TestDuplicatesBound(t *testing.T) {
-	// One pair of 1+1 events: 2 interleavings, bound 1/2.
-	approx(t, DuplicatesBound(1, 1, 1, 1), 0.5, 1e-12, "1x1")
-	// The paper's producer-consumer shape: na=2, nb=2, 2x2 pairs.
-	approx(t, DuplicatesBound(2, 2, 2, 2), 1-math.Pow(5.0/6, 4), 1e-12, "2x2")
-	if DuplicatesBound(2, 2, 0, 1) != 0 || DuplicatesBound(-1, 2, 1, 1) != 0 {
-		t.Fatal("degenerate inputs must yield 0")
-	}
-	// More pairs can only help.
-	if DuplicatesBound(3, 3, 2, 2) <= DuplicatesBound(3, 3, 1, 1) {
-		t.Fatal("bound not monotone in pair count")
-	}
-}
-
 func TestChiSquareSF(t *testing.T) {
 	// dof=1 must agree with the closed-form erfc implementation.
 	for _, x := range []float64{0.1, 1, 2.5, 7, 20} {

@@ -183,13 +183,6 @@ func Explore(prog func(*sched.Thread), opts Options) *Result {
 	return res
 }
 
-// Count exhaustively counts the feasible interleavings of a small program
-// (convenience wrapper; ok=false when the budget ran out first).
-func Count(prog func(*sched.Thread), maxSchedules int) (n int, ok bool) {
-	r := Explore(prog, Options{MaxSchedules: maxSchedules})
-	return len(r.Interleavings), r.Exhausted
-}
-
 // knuthAlg descends the schedule tree uniformly while accumulating the
 // product of branching factors (Knuth's 1975 Monte Carlo tree-size
 // estimator): the product is an unbiased estimate of the number of

@@ -8,6 +8,13 @@ import (
 	"surw/internal/stats"
 )
 
+// count exhaustively counts the feasible interleavings of a small program
+// (ok=false when the budget ran out first).
+func count(prog func(*sched.Thread), maxSchedules int) (n int, ok bool) {
+	r := Explore(prog, Options{MaxSchedules: maxSchedules})
+	return len(r.Interleavings), r.Exhausted
+}
+
 // freeThreads spawns workers with the given event counts and never joins,
 // so the interleaving space is exactly the multinomial of the counts.
 func freeThreads(counts ...int) func(*sched.Thread) {
@@ -28,7 +35,7 @@ func TestExhaustiveCountMatchesMultinomial(t *testing.T) {
 	cases := [][]int{{3, 3}, {2, 2, 2}, {4, 1}, {1, 1, 1, 1}}
 	for _, counts := range cases {
 		want := int(stats.Multinomial(counts...) + 0.5)
-		got, ok := Count(freeThreads(counts...), 200_000)
+		got, ok := count(freeThreads(counts...), 200_000)
 		if !ok {
 			t.Fatalf("%v: budget exhausted", counts)
 		}
@@ -67,7 +74,7 @@ func TestPreemptionBoundMonotone(t *testing.T) {
 		}
 		prev = len(r.Interleavings)
 	}
-	full, _ := Count(prog, 100_000)
+	full, _ := count(prog, 100_000)
 	if prev != full {
 		t.Fatalf("PB(4) on 3+3 events should already be complete: %d vs %d", prev, full)
 	}
@@ -169,7 +176,7 @@ func TestURWReachesWholeSpace(t *testing.T) {
 func TestKnuthEstimateMatchesExactCount(t *testing.T) {
 	for _, counts := range [][]int{{3, 3}, {2, 2, 2}} {
 		prog := freeThreads(counts...)
-		exact, ok := Count(prog, 100_000)
+		exact, ok := count(prog, 100_000)
 		if !ok {
 			t.Fatal("exact count failed")
 		}
