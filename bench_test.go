@@ -174,34 +174,50 @@ func BenchmarkFig5(b *testing.B) {
 // readied as a runner session readies it (a census for an algorithm that
 // reads counts, one Δ drawn for SURW). ns/decision is the algorithm's time
 // over its decisions; x_RW is that over the random walk's, run in
-// alternation on the same schedule seeds. Not gated: it sizes ROADMAP item 9.
+// alternation on the same schedule seeds. The wide sub-benchmarks do the
+// same on two 101-thread targets apart, so the six cells' figures stay
+// comparable across changes. Not gated: it sizes ROADMAP items 9 and 21.
 func BenchmarkDecision(b *testing.B) {
-	cells := decisionCells(b)
-	for _, name := range []string{"SURW", "URW", "POS", "PCT-3", "RW"} {
-		b.Run(name, func(b *testing.B) {
-			inner, err := core.New(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := core.InputsOf(inner)
-			var at, rt decisionTimer
-			alg, ref := timedAlgorithm(b, inner, &at), timedAlgorithm(b, core.NewRandomWalk(), &rt)
-			pools := make([]*sched.Pool, len(cells))
-			for i := range pools {
-				pools[i] = sched.NewPool()
-				defer pools[i].Close()
-			}
-			for i := 0; i < b.N; i++ {
-				for j, c := range cells {
-					seed := int64(i) + 1
-					pools[j].Run(c.tgt.Prog, alg, c.options(seed, in))
-					pools[j].Run(c.tgt.Prog, ref, c.options(seed, core.Inputs{}))
-				}
-			}
-			ns := at.perDecision()
-			b.ReportMetric(ns, "ns/decision")
-			b.ReportMetric(ns/rt.perDecision(), "x_RW")
-		})
+	algs := []string{"SURW", "URW", "POS", "PCT-3", "RW"}
+	cells := decisionCells(b, "CS/reorder_10", "CS/twostage_20", "CB/stringbuffer-jdk1.4", "Chess/WSQ", "CS/bluetooth_driver", "Inspect/qsort_mt")
+	for _, name := range algs {
+		b.Run(name, func(b *testing.B) { benchDecisions(b, name, cells) })
+	}
+	b.Run("wide", func(b *testing.B) {
+		cells := decisionCells(b, "CS/reorder_100", "CS/twostage_100")
+		for _, name := range algs {
+			b.Run(name, func(b *testing.B) { benchDecisions(b, name, cells) })
+		}
+	})
+}
+
+// benchDecisions is one BenchmarkDecision arm: algorithm name on cells.
+func benchDecisions(b *testing.B, name string, cells []decisionCell) {
+	inner, err := core.New(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := core.InputsOf(inner)
+	var at, rt decisionTimer
+	alg, ref := timedAlgorithm(b, inner, &at), timedAlgorithm(b, core.NewRandomWalk(), &rt)
+	pools := make([]*sched.Pool, len(cells))
+	for i := range pools {
+		pools[i] = sched.NewPool()
+		defer pools[i].Close()
+	}
+	for i := 0; i < b.N; i++ {
+		for j, c := range cells {
+			seed := int64(i) + 1
+			pools[j].Run(c.tgt.Prog, alg, c.options(seed, in))
+			pools[j].Run(c.tgt.Prog, ref, c.options(seed, core.Inputs{}))
+		}
+	}
+	ns := at.perDecision()
+	b.ReportMetric(ns, "ns/decision")
+	// The random walk's net time can come out 0 where the clock's noise
+	// drowns it (the wide cells): then the ratio says nothing.
+	if ref := rt.perDecision(); ref > 0 {
+		b.ReportMetric(ns/ref, "x_RW")
 	}
 }
 
@@ -212,9 +228,9 @@ type decisionCell struct {
 	all, delta *sched.ProgramInfo
 }
 
-func decisionCells(b *testing.B) []decisionCell {
+func decisionCells(b *testing.B, names ...string) []decisionCell {
 	var cells []decisionCell
-	for _, name := range []string{"CS/reorder_10", "CS/twostage_20", "CB/stringbuffer-jdk1.4", "Chess/WSQ", "CS/bluetooth_driver", "Inspect/qsort_mt"} {
+	for _, name := range names {
 		tgt, ok := sctbench.ByName(name)
 		if !ok {
 			b.Fatalf("missing target %s", name)

@@ -246,9 +246,12 @@ best_of_three /tmp/surw-bench-shim.txt \
 # composite names and deadlock reports came from the heap — the benchmark
 # calls Pool.Run, so the Result itself stays). The gate is that + 5 %: an
 # allocation added per object or per channel operation is caught where it
-# is added.
+# is added. Its bytes are 500.0 a schedule since every primitive's
+# sched.ShimCache is four words (627.9 while it held a mutex, a spill
+# slice and an interface slot inline, 64 B a primitive): gated at that
+# + 5 %, so a word added to a shimmed primitive is caught too.
 go test -bench='^BenchmarkShimSchedule$' -benchtime=2000x -run='^$' ./surwsync > /tmp/surw-bench-shimsched.txt 2>&1 || { cat /tmp/surw-bench-shimsched.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSchedule.allocs/schedule<=11.55'
+go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSchedule.allocs/schedule<=11.55' -gate 'BenchmarkShimSchedule.B/schedule<=525'
 
 # Observer cost gates: watching the engine must not mean running a slower
 # one. x_batched is a pooled schedule with an obs.MetricsTracer over the

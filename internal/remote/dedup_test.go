@@ -41,7 +41,7 @@ func (f *ClassFilter) Count(class uint64) int {
 }
 
 func TestClassFilterAddSaturate(t *testing.T) {
-	f := NewClassFilter(1<<10, 3)
+	f := NewClassFilter(1<<10, 0)
 	// Nothing added: no counters yet, and the queries answer for an empty
 	// filter without them.
 	if obs, distinct := f.Stats(); f.counters != nil || f.Count(42) != 0 || obs != 0 || distinct != 0 {
@@ -71,7 +71,7 @@ func TestClassFilterAddSaturate(t *testing.T) {
 }
 
 func TestClassFilterManyDistinct(t *testing.T) {
-	f := NewClassFilter(1<<16, DefaultClassThreshold)
+	f := NewClassFilter(1<<16, 0)
 	for i := uint64(0); i < 1000; i++ {
 		if !f.Add(i*0x9e3779b97f4a7c15 + 1) {
 			t.Fatalf("class %d not novel on first Add", i)

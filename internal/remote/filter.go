@@ -25,17 +25,12 @@ const filterHashes = 4
 // DefaultFilterSize is the default number of 8-bit counters (1 MiB).
 const DefaultFilterSize = 1 << 20
 
-// DefaultClassThreshold is the default saturation threshold: a class
-// observed by at least this many session records is considered saturated.
-const DefaultClassThreshold = 8
-
 // ClassFilter is a concurrency-safe counting Bloom filter over uint64
 // class fingerprints.
 type ClassFilter struct {
-	mu        sync.RWMutex
-	size      int     // number of counters, a power of two
-	counters  []uint8 // allocated by the first Add: a campaign without coverage never pays for it
-	threshold uint8
+	mu       sync.RWMutex
+	size     int     // number of counters, a power of two
+	counters []uint8 // allocated by the first Add: a campaign without coverage never pays for it
 
 	observed int64 // fingerprints ingested (with multiplicity)
 	distinct int64 // ingests whose fingerprint was unseen (min counter was 0)
@@ -43,9 +38,10 @@ type ClassFilter struct {
 
 // NewClassFilter builds a filter with size 8-bit counters (0 =
 // DefaultFilterSize; sizes are rounded up to a power of two so slot
-// indexing is a mask) and the given saturation threshold (<=0 =
-// DefaultClassThreshold, capped at 255).
-func NewClassFilter(size, threshold int) *ClassFilter {
+// indexing is a mask). The second argument is ignored: it was a saturation
+// threshold that nothing read, and it stays in the signature for callers
+// until ROADMAP item 12 deletes the filter.
+func NewClassFilter(size, _ int) *ClassFilter {
 	if size <= 0 {
 		size = DefaultFilterSize
 	}
@@ -53,13 +49,7 @@ func NewClassFilter(size, threshold int) *ClassFilter {
 	for n < size {
 		n <<= 1
 	}
-	if threshold <= 0 {
-		threshold = DefaultClassThreshold
-	}
-	if threshold > 255 {
-		threshold = 255
-	}
-	return &ClassFilter{size: n, threshold: uint8(threshold)}
+	return &ClassFilter{size: n}
 }
 
 // slots derives the filter's counter indices for one fingerprint by

@@ -149,85 +149,96 @@ func runBound(t *Thread) {
 // leak checks: after a session (or a closed pool) no binding may survive.
 func Bindings() int { return int(bindReg.active.Load()) }
 
-// ShimCache scopes a lazily created scheduler object to one schedule of
-// one Execution. A zero-argument frontend primitive (surwsync.Mutex and
-// friends) owns one ShimCache: the first operation of a schedule creates
-// the backing scheduler object and caches it; later operations in the same
-// schedule hit the cache; the next schedule (the Execution's reset bumps
-// its generation) misses and rebuilds.
+// ShimCache scopes a lazily created scheduler object of type O to one
+// schedule of one Execution. A zero-argument frontend primitive
+// (surwsync.Mutex and friends) owns one ShimCache: the first operation of a
+// schedule creates the backing scheduler object and caches it; later
+// operations in the same schedule hit the cache; the next schedule (the
+// Execution's reset bumps its generation) misses and rebuilds.
 //
 // Slots are keyed by *Execution, not by (execution, generation): each
 // execution has exactly one live generation at a time, so a stale entry is
 // overwritten in place. A primitive is touched by one execution unless it
 // is package-level and sessions run in parallel, so the first execution's
-// slot lives inline — no allocation per primitive — and later ones spill
-// to a slice scanned linearly, one slot per execution that ever touched
-// the primitive (bounded by the worker count of a parallel runner).
+// slot lives inline — four words in all, no allocation per primitive — and
+// later ones spill to a table behind one pointer, installed by the first
+// foreign touch and scanned linearly, one slot per execution that ever
+// touched the primitive (bounded by the worker count of a parallel runner).
 //
 // A slot is only used through its execution's current thread, whose
 // goroutine never runs concurrently with that execution's reset or with
 // its other threads (the coroutine handoff orders them), so a slot's
-// generation and object need no lock of their own. The first slot's owner
+// generation and object need no lock of their own. The inline slot's owner
 // is claimed once, atomically, and its threads take no lock at all; the
-// cache's mutex only guards the spilled slots, the path of a second and
-// later execution.
+// spill table's mutex only guards the spilled slots, the path of a second
+// and later execution.
 //
 // The zero ShimCache is ready to use.
-type ShimCache struct {
-	owner atomic.Pointer[Execution] // first's execution, claimed by its first touch
-	first shimSlot
+type ShimCache[O any] struct {
+	owner atomic.Pointer[Execution] // the inline slot's execution, claimed by its first touch
+	gen   uint64                    // 0 until first built: a running execution's gen is ≥ 1
+	obj   *O
+	spill atomic.Pointer[shimSpill[O]] // nil until a second execution touches the cache
+}
 
+// shimSpill holds the slots of every execution but the inline slot's.
+type shimSpill[O any] struct {
 	mu   sync.Mutex
-	more []shimEntry
+	more []shimEntry[O]
 }
 
-type shimSlot struct {
-	gen uint64 // 0 until first built: a running execution's gen is ≥ 1
-	obj any
+type shimEntry[O any] struct {
+	ex  *Execution
+	gen uint64
+	obj *O
 }
 
-type shimEntry struct {
-	ex *Execution
-	shimSlot
-}
-
-// spilled returns ex's spilled slot, claiming one on first touch. c.mu
+// spilled returns ex's spilled slot, claiming one on first touch. s.mu
 // held; the pointer is valid until it is released.
-func (c *ShimCache) spilled(ex *Execution) *shimSlot {
-	for i := range c.more {
-		if c.more[i].ex == ex {
-			return &c.more[i].shimSlot
+func (s *shimSpill[O]) spilled(ex *Execution) *shimEntry[O] {
+	for i := range s.more {
+		if s.more[i].ex == ex {
+			return &s.more[i]
 		}
 	}
-	c.more = append(c.more, shimEntry{ex: ex})
-	return &c.more[len(c.more)-1].shimSlot
+	s.more = append(s.more, shimEntry[O]{ex: ex})
+	return &s.more[len(s.more)-1]
 }
 
 // Resolve returns the object cached for t's current schedule, calling
 // build to create it on the first operation of the schedule. build must
 // not block or emit events (object creation is not an event, so the
-// standard constructors qualify). It runs outside the cache's mutex — a
+// standard constructors qualify). It runs outside every lock — a
 // panicking build cannot wedge the cache, and nothing else fills the slot
 // meanwhile because only ex's current thread uses it.
-func (c *ShimCache) Resolve(t *Thread, build func(*Thread) any) any {
+func (c *ShimCache[O]) Resolve(t *Thread, build func(*Thread) *O) *O {
 	ex := t.ex
 	if o := c.owner.Load(); o == ex || o == nil && c.owner.CompareAndSwap(nil, ex) {
-		if c.first.gen != ex.gen {
-			c.first.gen, c.first.obj = ex.gen, build(t)
+		if c.gen != ex.gen {
+			c.gen, c.obj = ex.gen, build(t)
 		}
-		return c.first.obj
+		return c.obj
 	}
-	c.mu.Lock()
-	e := c.spilled(ex)
+	// The first foreign execution installs the spill table; a racing one
+	// uses the table that won.
+	s := c.spill.Load()
+	if s == nil {
+		s = new(shimSpill[O])
+		if !c.spill.CompareAndSwap(nil, s) {
+			s = c.spill.Load()
+		}
+	}
+	s.mu.Lock()
+	e := s.spilled(ex)
 	gen, obj := e.gen, e.obj
-	c.mu.Unlock()
+	s.mu.Unlock()
 	if gen == ex.gen {
 		return obj
 	}
 	obj = build(t)
-	c.mu.Lock()
-	e = c.spilled(ex)
+	s.mu.Lock()
+	e = s.spilled(ex)
 	e.gen, e.obj = ex.gen, obj
-	c.mu.Unlock()
+	s.mu.Unlock()
 	return obj
 }

@@ -300,11 +300,11 @@ func TestRecycledGoroutinesSeeNoBinding(t *testing.T) {
 // where gkey is the assembly stub (ci.sh gates that 0 on the native build),
 // runtime.Stack's buffer on the fallback.
 func TestBoundLookupsDoNotAllocate(t *testing.T) {
-	var cache ShimCache
+	var cache ShimCache[Mutex]
 	var lookup, resolve float64
 	naming := testing.AllocsPerRun(100, func() { gkey() })
 	res := Run(bound(func(rt *Thread) {
-		mk := func(w *Thread) any { return w.NewMutex("shim.mu") }
+		mk := func(w *Thread) *Mutex { return w.NewMutex("shim.mu") }
 		cache.Resolve(rt, mk)
 		lookup = testing.AllocsPerRun(100, func() {
 			if got, ok := CurrentThread(); !ok || got != rt {
@@ -327,12 +327,12 @@ func TestBoundLookupsDoNotAllocate(t *testing.T) {
 // the handle: handles are recycled (Execution.objHandles), so the same
 // pointer may name schedule k's mutex and schedule k+1's.
 func TestShimCacheGenerationScoped(t *testing.T) {
-	var cache ShimCache
+	var cache ShimCache[Mutex]
 	built := 0
-	mk := func(w *Thread) any { built++; return w.NewMutex("shim.mu") }
+	mk := func(w *Thread) *Mutex { built++; return w.NewMutex("shim.mu") }
 	prog := func(rt *Thread) {
-		m := cache.Resolve(rt, mk).(*Mutex)
-		if cache.Resolve(rt, mk).(*Mutex) != m {
+		m := cache.Resolve(rt, mk)
+		if cache.Resolve(rt, mk) != m {
 			rt.Fail("cache missed within a schedule")
 		}
 		if m.HeldBy() != -1 {
@@ -358,16 +358,16 @@ func TestShimCacheGenerationScoped(t *testing.T) {
 // several executions: the first owns the inline slot, the rest spill, and
 // each keeps its own per-schedule object.
 func TestShimCacheSlotPerExecution(t *testing.T) {
-	var cache ShimCache
+	var cache ShimCache[Mutex]
 	built := 0
-	mk := func(w *Thread) any { built++; return w.NewMutex("shim.mu") }
+	mk := func(w *Thread) *Mutex { built++; return w.NewMutex("shim.mu") }
 	pools := [3]*Pool{NewPool(), NewPool(), NewPool()}
 	for s := 0; s < 2; s++ {
 		var objs [3]*Mutex // per execution, this round
 		for i, p := range pools {
 			r := p.Run(func(rt *Thread) {
-				m := cache.Resolve(rt, mk).(*Mutex)
-				if cache.Resolve(rt, mk).(*Mutex) != m {
+				m := cache.Resolve(rt, mk)
+				if cache.Resolve(rt, mk) != m {
 					rt.Fail("cache missed within a schedule")
 				}
 				if m.HeldBy() != -1 {
@@ -384,8 +384,8 @@ func TestShimCacheSlotPerExecution(t *testing.T) {
 			t.Fatalf("round %d: executions share an object", s)
 		}
 	}
-	if built != 6 || len(cache.more) != 2 {
-		t.Fatalf("%d objects built over 3 executions x 2 schedules (want 6), %d spilled slots (want 2)", built, len(cache.more))
+	if built != 6 || len(cache.spill.Load().more) != 2 {
+		t.Fatalf("%d objects built over 3 executions x 2 schedules (want 6), %d spilled slots (want 2)", built, len(cache.spill.Load().more))
 	}
 	for _, p := range pools {
 		p.Close()
@@ -393,16 +393,16 @@ func TestShimCacheSlotPerExecution(t *testing.T) {
 }
 
 // The same with the executions running at once, as parallel sessions do
-// (run under -race by ci.sh): one claims the inline slot without the
-// cache's mutex, the others race to spill, and every schedule of every
-// execution still sees its own fresh object.
+// (run under -race by ci.sh): one claims the inline slot without a lock,
+// the others race to install the spill table and to spill into it, and
+// every schedule of every execution still sees its own fresh object.
 func TestShimCacheConcurrentExecutions(t *testing.T) {
-	var cache ShimCache
-	mk := func(w *Thread) any { return w.NewMutex("shim.mu") }
+	var cache ShimCache[Mutex]
+	mk := func(w *Thread) *Mutex { return w.NewMutex("shim.mu") }
 	prog := func(rt *Thread) {
 		v := rt.NewVar("v", 0)
 		body := func(w *Thread) {
-			m := cache.Resolve(w, mk).(*Mutex)
+			m := cache.Resolve(w, mk)
 			m.Lock(w)
 			v.Add(w, 1)
 			m.Unlock(w)
@@ -410,10 +410,10 @@ func TestShimCacheConcurrentExecutions(t *testing.T) {
 		h := rt.Go(body)
 		body(rt)
 		rt.Join(h)
-		if cache.Resolve(rt, mk).(*Mutex).HeldBy() != -1 || v.Peek() != 2 {
+		if cache.Resolve(rt, mk).HeldBy() != -1 || v.Peek() != 2 {
 			rt.Fail("shared cache mixed two executions' objects")
 		}
-		cache.Resolve(rt, mk).(*Mutex).Lock(rt) // left locked: the next schedule's must be free
+		cache.Resolve(rt, mk).Lock(rt) // left locked: the next schedule's must be free
 	}
 	const executions = 4
 	var wg sync.WaitGroup
@@ -435,8 +435,8 @@ func TestShimCacheConcurrentExecutions(t *testing.T) {
 			t.Errorf("execution %d: %+v", i, f)
 		}
 	}
-	if len(cache.more) != executions-1 {
-		t.Fatalf("%d spilled slots, want %d", len(cache.more), executions-1)
+	if len(cache.spill.Load().more) != executions-1 {
+		t.Fatalf("%d spilled slots, want %d", len(cache.spill.Load().more), executions-1)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 type Chan[T any] struct {
 	capacity int
 	real     atomic.Pointer[chan T] // the fallback's channel, once made (see native)
-	cache    sched.ShimCache
+	cache    sched.ShimCache[sched.Chan[T]]
 }
 
 // NewChan mirrors make(chan T, capacity); capacity 0 is an unbuffered
@@ -34,9 +34,9 @@ func NewChan[T any](capacity int) *Chan[T] {
 }
 
 func (c *Chan[T]) sched(t *sched.Thread) *sched.Chan[T] {
-	return c.cache.Resolve(t, func(t *sched.Thread) any {
+	return c.cache.Resolve(t, func(t *sched.Thread) *sched.Chan[T] {
 		return sched.NewChan[T](t, "surwsync.chan", c.capacity)
-	}).(*sched.Chan[T])
+	})
 }
 
 // native returns the fallback's channel, making it on first use. A Chan

@@ -49,13 +49,13 @@ func Gosched() {
 // Mutex is a drop-in sync.Mutex. The zero value is an unlocked mutex.
 type Mutex struct {
 	real  sync.Mutex
-	cache sched.ShimCache
+	cache sched.ShimCache[sched.Mutex]
 }
 
 func (m *Mutex) sched(t *sched.Thread) *sched.Mutex {
-	return m.cache.Resolve(t, func(t *sched.Thread) any {
+	return m.cache.Resolve(t, func(t *sched.Thread) *sched.Mutex {
 		return t.NewMutex("surwsync.Mutex")
-	}).(*sched.Mutex)
+	})
 }
 
 // Lock locks m, as sync.Mutex.Lock.
@@ -88,13 +88,13 @@ func (m *Mutex) TryLock() bool {
 // RWMutex is a drop-in sync.RWMutex. The zero value is an unlocked lock.
 type RWMutex struct {
 	real  sync.RWMutex
-	cache sched.ShimCache
+	cache sched.ShimCache[sched.RWMutex]
 }
 
 func (m *RWMutex) sched(t *sched.Thread) *sched.RWMutex {
-	return m.cache.Resolve(t, func(t *sched.Thread) any {
+	return m.cache.Resolve(t, func(t *sched.Thread) *sched.RWMutex {
 		return t.NewRWMutex("surwsync.RWMutex")
-	}).(*sched.RWMutex)
+	})
 }
 
 // Lock acquires the write lock.
@@ -152,13 +152,13 @@ func (m *RWMutex) TryRLock() bool {
 // WaitGroup is a drop-in sync.WaitGroup. The zero value is ready to use.
 type WaitGroup struct {
 	real  sync.WaitGroup
-	cache sched.ShimCache
+	cache sched.ShimCache[sched.WaitGroup]
 }
 
 func (wg *WaitGroup) sched(t *sched.Thread) *sched.WaitGroup {
-	return wg.cache.Resolve(t, func(t *sched.Thread) any {
+	return wg.cache.Resolve(t, func(t *sched.Thread) *sched.WaitGroup {
 		return t.NewWaitGroup("surwsync.wg")
-	}).(*sched.WaitGroup)
+	})
 }
 
 // Add adds delta to the counter, as sync.WaitGroup.Add.
@@ -191,13 +191,13 @@ func (wg *WaitGroup) Wait() {
 // Once is a drop-in sync.Once. The zero value is ready to use.
 type Once struct {
 	real  sync.Once
-	cache sched.ShimCache
+	cache sched.ShimCache[sched.Once]
 }
 
 func (o *Once) sched(t *sched.Thread) *sched.Once {
-	return o.cache.Resolve(t, func(t *sched.Thread) any {
+	return o.cache.Resolve(t, func(t *sched.Thread) *sched.Once {
 		return t.NewOnce("surwsync.Once")
-	}).(*sched.Once)
+	})
 }
 
 // Do calls f exactly once (per schedule, under a session), as

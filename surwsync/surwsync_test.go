@@ -10,8 +10,10 @@ package surwsync_test
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"surw"
+	"surw/internal/runner"
 	"surw/internal/sched"
 	"surw/surwsync"
 )
@@ -347,5 +349,109 @@ func TestShimOpsDoNotAllocate(t *testing.T) {
 	}
 	if allocs != 3*lookup {
 		t.Fatalf("%v allocs per lock/unlock/len under a session, want %v (three lookups)", allocs, 3*lookup)
+	}
+}
+
+// Each primitive carries its real sync counterpart plus a sched.ShimCache
+// of four words: an owner pointer, a generation, an object pointer and a
+// spill-table pointer. Pinned in words, so it holds on 32-bit targets too.
+// A Chan's counterpart is its capacity and its fallback channel's pointer.
+func TestShimFootprint(t *testing.T) {
+	const word = unsafe.Sizeof(uintptr(0))
+	cache := 3*word + 8
+	// plus places the cache after a counterpart of size n, as the compiler
+	// lays out the struct: at the next word, the whole rounded up to the
+	// struct's alignment (8 for a WaitGroup even on 386).
+	plus := func(n, align uintptr) uintptr {
+		at := (n + word - 1) / word * word
+		return (at + cache + align - 1) / align * align
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Mutex", unsafe.Sizeof(surwsync.Mutex{}), plus(unsafe.Sizeof(sync.Mutex{}), unsafe.Alignof(surwsync.Mutex{}))},
+		{"RWMutex", unsafe.Sizeof(surwsync.RWMutex{}), plus(unsafe.Sizeof(sync.RWMutex{}), unsafe.Alignof(surwsync.RWMutex{}))},
+		{"WaitGroup", unsafe.Sizeof(surwsync.WaitGroup{}), plus(unsafe.Sizeof(sync.WaitGroup{}), unsafe.Alignof(surwsync.WaitGroup{}))},
+		{"Once", unsafe.Sizeof(surwsync.Once{}), plus(unsafe.Sizeof(sync.Once{}), unsafe.Alignof(surwsync.Once{}))},
+		{"Chan[int]", unsafe.Sizeof(surwsync.Chan[int]{}), plus(2*word, unsafe.Alignof(surwsync.Chan[int]{}))},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(surwsync.%s) = %d, want %d (its sync counterpart and a %d-byte cache)", c.name, c.got, c.want, cache)
+		}
+	}
+}
+
+// Package-level primitives, and a Chan made outside any session: under
+// parallel sessions every one of them is touched by several executions.
+var (
+	sharedMu   surwsync.Mutex
+	sharedRW   surwsync.RWMutex
+	sharedWG   surwsync.WaitGroup
+	sharedOnce surwsync.Once
+	sharedCh   = surwsync.NewChan[int](1)
+)
+
+// sharedProgram races two goroutines through every shared primitive and
+// reports the order they took the mutex in as its behaviour.
+func sharedProgram() {
+	order := ""
+	inits := 0
+	sharedWG.Add(2)
+	for _, name := range []string{"a", "b"} {
+		surwsync.Go(func() {
+			defer sharedWG.Done()
+			sharedOnce.Do(func() { inits++ })
+			sharedMu.Lock()
+			order += name
+			sharedMu.Unlock()
+			sharedRW.RLock()
+			_ = len(order)
+			sharedRW.RUnlock()
+			sharedCh.Send(1)
+		})
+	}
+	sum := sharedCh.Recv1() + sharedCh.Recv1()
+	sharedWG.Wait()
+	sharedRW.Lock()
+	sharedRW.Unlock()
+	t, _ := sched.CurrentThread()
+	if inits != 1 || sum != 2 || len(order) != 2 {
+		t.Fail("shared primitives mixed two executions' objects")
+	}
+	t.SetBehavior(order)
+}
+
+// Parallel sessions share package-level primitives: the first execution to
+// touch one owns its inline slot, and the others install its spill table
+// concurrently (ci.sh runs this under -race). The run must equal the
+// sequential one.
+func TestSharedPrimitivesUnderParallelSessions(t *testing.T) {
+	tgt := runner.Target{Name: "surwsync/shared", Prog: surwsync.Program(sharedProgram)}
+	run := func(workers int) *runner.Result {
+		res, err := runner.RunTarget(tgt, "RW", runner.Config{Sessions: 4, Limit: 40, Seed: 3, Coverage: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, par := run(1), run(2)
+	orders := map[string]bool{}
+	for _, s := range seq.Sessions {
+		if len(s.Bugs) != 0 {
+			t.Fatalf("sequential session failed: %v", s.Bugs)
+		}
+		for b := range s.Cov.Behaviors {
+			orders[b] = true
+		}
+	}
+	if len(orders) != 2 {
+		t.Fatalf("mutex orders witnessed: %v, want ab and ba", orders)
+	}
+	if !seq.Equal(par) {
+		t.Fatalf("Workers 2 diverged from Workers 1:\n seq: %+v\n par: %+v", seq.Sessions, par.Sessions)
+	}
+	if n := sched.Bindings(); n != 0 {
+		t.Fatalf("%d goroutine bindings leaked", n)
 	}
 }
