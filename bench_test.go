@@ -176,30 +176,38 @@ func BenchmarkFig5(b *testing.B) {
 // over its decisions; x_RW is that over the random walk's, run in
 // alternation on the same schedule seeds. The wide sub-benchmarks do the
 // same on two 101-thread targets apart, so the six cells' figures stay
-// comparable across changes. Not gated: it sizes ROADMAP items 9 and 21.
+// comparable across changes, and report x_POS instead: there the random
+// walk's clock-corrected time per decision is below the clock pair taken
+// off it, and POS's is several times that pair. Not gated: it sizes
+// ROADMAP items 9 and 21.
 func BenchmarkDecision(b *testing.B) {
 	algs := []string{"SURW", "URW", "POS", "PCT-3", "RW"}
 	cells := decisionCells(b, "CS/reorder_10", "CS/twostage_20", "CB/stringbuffer-jdk1.4", "Chess/WSQ", "CS/bluetooth_driver", "Inspect/qsort_mt")
 	for _, name := range algs {
-		b.Run(name, func(b *testing.B) { benchDecisions(b, name, cells) })
+		b.Run(name, func(b *testing.B) { benchDecisions(b, name, "x_RW", cells) })
 	}
 	b.Run("wide", func(b *testing.B) {
 		cells := decisionCells(b, "CS/reorder_100", "CS/twostage_100")
 		for _, name := range algs {
-			b.Run(name, func(b *testing.B) { benchDecisions(b, name, cells) })
+			b.Run(name, func(b *testing.B) { benchDecisions(b, name, "x_POS", cells) })
 		}
 	})
 }
 
-// benchDecisions is one BenchmarkDecision arm: algorithm name on cells.
-func benchDecisions(b *testing.B, name string, cells []decisionCell) {
+// benchDecisions is one BenchmarkDecision arm: algorithm name on cells,
+// reported as ratio, "x_" and the reference algorithm's name, against it.
+func benchDecisions(b *testing.B, name, ratio string, cells []decisionCell) {
 	inner, err := core.New(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := core.InputsOf(inner)
+	refInner, err := core.New(strings.TrimPrefix(ratio, "x_"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, refIn := core.InputsOf(inner), core.InputsOf(refInner)
 	var at, rt decisionTimer
-	alg, ref := timedAlgorithm(b, inner, &at), timedAlgorithm(b, core.NewRandomWalk(), &rt)
+	alg, ref := timedAlgorithm(b, inner, &at), timedAlgorithm(b, refInner, &rt)
 	pools := make([]*sched.Pool, len(cells))
 	for i := range pools {
 		pools[i] = sched.NewPool()
@@ -209,15 +217,15 @@ func benchDecisions(b *testing.B, name string, cells []decisionCell) {
 		for j, c := range cells {
 			seed := int64(i) + 1
 			pools[j].Run(c.tgt.Prog, alg, c.options(seed, in))
-			pools[j].Run(c.tgt.Prog, ref, c.options(seed, core.Inputs{}))
+			pools[j].Run(c.tgt.Prog, ref, c.options(seed, refIn))
 		}
 	}
 	ns := at.perDecision()
 	b.ReportMetric(ns, "ns/decision")
-	// The random walk's net time can come out 0 where the clock's noise
-	// drowns it (the wide cells): then the ratio says nothing.
+	// The reference's net time can come out 0 where the clock's noise
+	// drowns it: then the ratio says nothing.
 	if ref := rt.perDecision(); ref > 0 {
-		b.ReportMetric(ns/ref, "x_RW")
+		b.ReportMetric(ns/ref, ratio)
 	}
 }
 

@@ -7,6 +7,11 @@
 # coverage-guided fuzz smoke of the native fuzz targets.
 set -eux
 
+# Every scratch file of a run lives under one directory, removed when the
+# script exits, whether every stage passed or one failed.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 go vet ./...
 test -z "$(gofmt -l .)" || { echo "FAIL: gofmt -l lists:"; gofmt -l .; exit 1; }
 # sched.gkey's other two build variants: the arm64 stub against its
@@ -80,8 +85,8 @@ if grep -q 'runner\.RunTarget' internal/experiments/grid.go || [ "$(grep -rh --i
     echo "FAIL: one cell loop (runner.RunCells in grid.go) and one ThroughputFooter (grid.go)"; exit 1
 fi
 # (no pipe: a pipeline would mask go test's exit status under plain sh)
-go test -cover ./... > /tmp/surw-cover.txt 2>&1 || { cat /tmp/surw-cover.txt; exit 1; }
-cat /tmp/surw-cover.txt
+go test -cover ./... > "$tmp/cover.txt" 2>&1 || { cat "$tmp/cover.txt"; exit 1; }
+cat "$tmp/cover.txt"
 # The repository benchmark is a module of its own (BENCHMARK.json runs it
 # with go run -C benchmark), so ./... above does not reach its harness tests.
 (cd benchmark && go vet ./... && go test -skip '^TestFleetWrappersDoNotPerturb$' ./...)
@@ -95,11 +100,11 @@ cat /tmp/surw-cover.txt
 # local run's, a /v1/result round trip and handler per lease, as many lease
 # handlers as lease round trips, and every handler and append span under
 # its parent.
-if ! (cd benchmark && go test -count=1 -run '^TestFleetWrappersDoNotPerturb$' -v .) > /tmp/surw-bench-wrappers.txt 2>&1; then
-    leases=$(sed -nE 's/^ +wrappers_test\.go:[0-9]+: ([0-9]+) lease round trips, ([0-9]+) handled$/\1 \2/p' /tmp/surw-bench-wrappers.txt)
-    if [ "$(grep -cE '^ +wrappers_test\.go:[0-9]+: ' /tmp/surw-bench-wrappers.txt)" != 1 ] || [ -z "$leases" ] ||
-        [ "${leases% *}" != "${leases#* }" ] || ! grep -q -- '^--- FAIL: TestFleetWrappersDoNotPerturb ' /tmp/surw-bench-wrappers.txt; then
-        cat /tmp/surw-bench-wrappers.txt
+if ! (cd benchmark && go test -count=1 -run '^TestFleetWrappersDoNotPerturb$' -v .) > "$tmp/bench-wrappers.txt" 2>&1; then
+    leases=$(sed -nE 's/^ +wrappers_test\.go:[0-9]+: ([0-9]+) lease round trips, ([0-9]+) handled$/\1 \2/p' "$tmp/bench-wrappers.txt")
+    if [ "$(grep -cE '^ +wrappers_test\.go:[0-9]+: ' "$tmp/bench-wrappers.txt")" != 1 ] || [ -z "$leases" ] ||
+        [ "${leases% *}" != "${leases#* }" ] || ! grep -q -- '^--- FAIL: TestFleetWrappersDoNotPerturb ' "$tmp/bench-wrappers.txt"; then
+        cat "$tmp/bench-wrappers.txt"
         echo "FAIL: TestFleetWrappersDoNotPerturb failed beyond its count of /v1/lease round trips"; exit 1
     fi
 fi
@@ -122,7 +127,7 @@ awk '
     if (pkg == "surw/internal/campaign" && cov < 94.5) { printf "FAIL: %s coverage %.1f%% below floor 94.5%%\n", pkg, cov; bad = 1 }
   }
   END { exit bad }
-' /tmp/surw-cover.txt
+' "$tmp/cover.txt"
 
 # Same bytes on a 32-bit build: ThreadID is an int, 32 bits on 386, and the
 # batched engine's thread sets do bit arithmetic on it. The identity golden
@@ -136,7 +141,8 @@ GOARCH=386 go test -count=1 -run '^TestIdentityGolden$' ./internal/runner
 # aggregates.json a local run of the same flags writes, byte for byte. The
 # 386 worker starts first and the amd64 one joins at its first lease, so
 # both run sessions; one lease is one session (-lease-batch 1).
-fleet=$(mktemp -d)
+fleet=$tmp/fleet
+mkdir "$fleet"
 GOARCH=386 go build -o "$fleet/surw386" ./cmd/surw
 go build -o "$fleet/surw" ./cmd/surw
 cells='-sct-targets CS/twostage_20,CS/reorder_20 -sct-algs RW,POS -sessions 4 -limit 2000'
@@ -169,7 +175,7 @@ rm -rf "$fleet"
 # fuses across it, and every product of this module that meets an add or a
 # subtract carries one. A fused instruction in this module's symbols of an
 # arm64 build of cmd/surw (inlined code included) is a product without it.
-arm64bin=$(mktemp)
+arm64bin=$tmp/surw-arm64
 GOARCH=arm64 go build -o "$arm64bin" ./cmd/surw
 fused=$(go tool objdump "$arm64bin" | awk '/^TEXT /{sym=$2} /(FMADD|FMSUB|FNMADD|FNMSUB)[DS]? / && sym ~ /^(surw\/|main\.)/{print sym, $1}')
 rm -f "$arm64bin"
@@ -183,7 +189,8 @@ fi
 # change that moves a published number commits the new file, and the diff
 # shows it; EXPERIMENTS.md's Measured tables quote these files, and
 # docs_test.go holds them to it.
-regen=$(mktemp -d)
+regen=$tmp/results
+mkdir "$regen"
 go run ./cmd/surw bench -q -out "$regen" all > /dev/null
 for f in "$regen"/* results/*.txt results/*.csv; do
     name=$(basename "$f")
@@ -216,8 +223,8 @@ best_of_three() {
 # while every object handle was a heap object), and 4 into a Result the
 # caller keeps (pooled_into: Pool.RunInto, the form the runner's sessions
 # use); the gates are those + 5 %. (No pipe, same reason as above.)
-go test -bench='^BenchmarkPooledSchedule$' -benchmem -benchtime=2000x -run='^$' . > /tmp/surw-bench.txt 2>&1 || { cat /tmp/surw-bench.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench.txt -gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25' -gate 'BenchmarkPooledSchedule/pooled_into.allocs/op<=4.2'
+go test -bench='^BenchmarkPooledSchedule$' -benchmem -benchtime=2000x -run='^$' . > "$tmp/bench.txt" 2>&1 || { cat "$tmp/bench.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench.txt" -gate 'BenchmarkPooledSchedule/pooled.allocs/op<=5.25' -gate 'BenchmarkPooledSchedule/pooled_into.allocs/op<=4.2'
 # The library stays on that path: surw.Explore is a face over the runner's
 # session driver, so a schedule costs it 5.16-5.17 objects — the pooled
 # schedule's four, the Result the caller keeps, and a 500-schedule
@@ -225,8 +232,8 @@ go run ./cmd/surw obs -in /tmp/surw-bench.txt -gate 'BenchmarkPooledSchedule/poo
 # interned names, its Session and tallies (5.36 while every session built
 # its worker cold, gated then at 10; 72 while session.go ran each schedule
 # through the one-shot sched.Run). The gate is the measured 5.17 + 5 %.
-go test -bench='^BenchmarkLibrarySession$' -benchtime=20x -run='^$' . > /tmp/surw-bench-lib.txt 2>&1 || { cat /tmp/surw-bench-lib.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-lib.txt -gate 'BenchmarkLibrarySession.allocs/schedule<=5.43'
+go test -bench='^BenchmarkLibrarySession$' -benchtime=20x -run='^$' . > "$tmp/bench-lib.txt" 2>&1 || { cat "$tmp/bench-lib.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench-lib.txt" -gate 'BenchmarkLibrarySession.allocs/schedule<=5.43'
 
 # Shim cost gates: a surwsync operation costs about the Thread API call it
 # forwards to (measured 0.97-1.2x, a same-process ratio, so
@@ -234,7 +241,7 @@ go run ./cmd/surw obs -in /tmp/surw-bench-lib.txt -gate 'BenchmarkLibrarySession
 # cache each took a mutex per operation), and naming the current goroutine
 # never allocates. The ratio's two arms run one after the other, so a noisy
 # neighbour can skew one sample: best of three.
-best_of_three /tmp/surw-bench-shim.txt \
+best_of_three "$tmp/bench-shim.txt" \
     '-gate BenchmarkCurrentThread/bound.allocs/op<=0' \
     '-gate BenchmarkShimMutex/shim.x_thread_api<=1.6' \
     -bench='^(BenchmarkCurrentThread|BenchmarkShimMutex)$' -benchmem -run='^$' ./internal/sched ./surwsync
@@ -250,8 +257,8 @@ best_of_three /tmp/surw-bench-shim.txt \
 # sched.ShimCache is four words (627.9 while it held a mutex, a spill
 # slice and an interface slot inline, 64 B a primitive): gated at that
 # + 5 %, so a word added to a shimmed primitive is caught too.
-go test -bench='^BenchmarkShimSchedule$' -benchtime=2000x -run='^$' ./surwsync > /tmp/surw-bench-shimsched.txt 2>&1 || { cat /tmp/surw-bench-shimsched.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSchedule.allocs/schedule<=11.55' -gate 'BenchmarkShimSchedule.B/schedule<=525'
+go test -bench='^BenchmarkShimSchedule$' -benchtime=2000x -run='^$' ./surwsync > "$tmp/bench-shimsched.txt" 2>&1 || { cat "$tmp/bench-shimsched.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench-shimsched.txt" -gate 'BenchmarkShimSchedule.allocs/schedule<=11.55' -gate 'BenchmarkShimSchedule.B/schedule<=525'
 
 # Observer cost gates: watching the engine must not mean running a slower
 # one. x_batched is a pooled schedule with an obs.MetricsTracer over the
@@ -265,7 +272,7 @@ go run ./cmd/surw obs -in /tmp/surw-bench-shimsched.txt -gate 'BenchmarkShimSche
 # the cache lines both workers share). Both are same-process ratios
 # measured in alternation, so they survive a slow machine; a noisy
 # neighbour can still skew one sample, hence the best of three.
-best_of_three /tmp/surw-bench-obs.txt '' \
+best_of_three "$tmp/bench-obs.txt" '' \
     '-gate BenchmarkBatchedReplay/traced.x_batched<=1.3 -gate BenchmarkObservedSessions/workers_2.x_unobserved<=1.45' \
     -bench='^(BenchmarkBatchedReplay|BenchmarkObservedSessions)$' -benchmem -run='^$' .
 
@@ -279,7 +286,7 @@ best_of_three /tmp/surw-bench-obs.txt '' \
 # observer ratios above. allocs/census is what the census allocates — the
 # program's own four objects and nothing of the framework's (80 and 108
 # before) — exact, so gated at that + 5 % on each attempt.
-best_of_three /tmp/surw-bench-census.txt \
+best_of_three "$tmp/bench-census.txt" \
     '-gate BenchmarkCensus/reorder_10.allocs/census<=4.2 -gate BenchmarkCensus/twostage_20.allocs/census<=4.2' \
     '-gate BenchmarkCensus/reorder_10.x_schedule<=2 -gate BenchmarkCensus/twostage_20.x_schedule<=2' \
     -bench='^BenchmarkCensus$' -run='^$' .
@@ -291,8 +298,8 @@ best_of_three /tmp/surw-bench-census.txt \
 # workers cold, gated then at 4.75; 5.52 while every schedule returned a
 # fresh Result, 9.52 before object handles moved into the execution's
 # arenas; the gate is 4.39 + 5 %: small noise, not a regression).
-go test -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-par.txt 2>&1 || { cat /tmp/surw-bench-par.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.allocs/schedule<=4.61'
+go test -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' . > "$tmp/bench-par.txt" 2>&1 || { cat "$tmp/bench-par.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench-par.txt" -gate 'BenchmarkParallelSessions/workers_1.allocs/schedule<=4.61'
 # Throughput gate, normalised to the machine: the process CPU time of a
 # schedule of that batch over the CPU time of a calibration loop with the
 # engine's shape (splitmix64 draws, a small map, an iter.Pull switch), at
@@ -304,7 +311,7 @@ go run ./cmd/surw obs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessio
 # gate a busy box cannot fail"). Best of three against outliers. It
 # replaces an absolute schedules/s floor that the unmodified code failed on
 # a loaded box.
-best_of_three /tmp/surw-bench-cpu.txt '' \
+best_of_three "$tmp/bench-cpu.txt" '' \
     '-gate BenchmarkSessionCPU.x_calibration<=265' \
     -bench='^BenchmarkSessionCPU$' -benchtime=9x -run='^$' .
 
@@ -325,8 +332,8 @@ best_of_three /tmp/surw-bench-cpu.txt '' \
 # x_pending_100 is the time of one FIFO lease grant with 20 000 batches
 # pending over one with 100 (measured 1.0-1.2; 10 when the pop shifted the
 # queue down under the coordinator's mutex).
-go test -bench='^BenchmarkFleetSession$' -benchtime=5x -run='^$' ./internal/remote > /tmp/surw-bench-fleet.txt 2>&1 || { cat /tmp/surw-bench-fleet.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-fleet.txt -gate 'BenchmarkFleetSession/fleet.over_local<=108' -gate 'BenchmarkFleetSession/fleet.over_local_B<=8900'
+go test -bench='^BenchmarkFleetSession$' -benchtime=5x -run='^$' ./internal/remote > "$tmp/bench-fleet.txt" 2>&1 || { cat "$tmp/bench-fleet.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench-fleet.txt" -gate 'BenchmarkFleetSession/fleet.over_local<=108' -gate 'BenchmarkFleetSession/fleet.over_local_B<=8900'
 # The local half of that, held without the fleet: one Store.Store of a short
 # hunt's record into a store on tmpfs allocates 0 objects and 75-79 B at
 # this -benchtime (the cell table's growth, spread over the appends; the
@@ -334,23 +341,23 @@ go run ./cmd/surw obs -in /tmp/surw-bench-fleet.txt -gate 'BenchmarkFleetSession
 # a copy and handed the caller another, 10 and 1512 B while it marshalled
 # the record by reflection and decoded its own output) — exact, so
 # measured + 5 %.
-go test -bench='^BenchmarkStoreAppend$' -benchtime=2000x -run='^$' ./internal/campaign > /tmp/surw-bench-store.txt 2>&1 || { cat /tmp/surw-bench-store.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-store.txt -gate 'BenchmarkStoreAppend.allocs/op<=0' -gate 'BenchmarkStoreAppend.B/op<=83'
+go test -bench='^BenchmarkStoreAppend$' -benchtime=2000x -run='^$' ./internal/campaign > "$tmp/bench-store.txt" 2>&1 || { cat "$tmp/bench-store.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench-store.txt" -gate 'BenchmarkStoreAppend.allocs/op<=0' -gate 'BenchmarkStoreAppend.B/op<=83'
 # The coordinator's plan tables, built once a campaign: 91 B a planned
 # session on the fleet_loopback plan at one session a lease (445 while the
 # plan was a set of session keys and every batch a copy of its keys) —
 # exact, so measured + 5 %.
-go test -bench='^BenchmarkNewCoordinator$' -benchtime=5x -run='^$' ./internal/remote > /tmp/surw-bench-coord.txt 2>&1 || { cat /tmp/surw-bench-coord.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-coord.txt -gate 'BenchmarkNewCoordinator.B/session<=95'
-go test -bench='^BenchmarkLeaseGrant$' -run='^$' ./internal/remote > /tmp/surw-bench-grant.txt 2>&1 || { cat /tmp/surw-bench-grant.txt; exit 1; }
-go run ./cmd/surw obs -in /tmp/surw-bench-grant.txt -gate 'BenchmarkLeaseGrant/pending_20000.x_pending_100<=2'
+go test -bench='^BenchmarkNewCoordinator$' -benchtime=5x -run='^$' ./internal/remote > "$tmp/bench-coord.txt" 2>&1 || { cat "$tmp/bench-coord.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench-coord.txt" -gate 'BenchmarkNewCoordinator.B/session<=95'
+go test -bench='^BenchmarkLeaseGrant$' -run='^$' ./internal/remote > "$tmp/bench-grant.txt" 2>&1 || { cat "$tmp/bench-grant.txt"; exit 1; }
+go run ./cmd/surw obs -in "$tmp/bench-grant.txt" -gate 'BenchmarkLeaseGrant/pending_20000.x_pending_100<=2'
 
 # The real-Go-code demo (DESIGN §14): SURW finds the ported worker pool's
 # seeded lost-wakeup deadlock and replays it. Every other end-to-end claim
 # about the command line lives in cmd/surw's tests, which `go test` ran.
-go run ./examples/workerpool > /tmp/surw-demo.txt
-grep -q 'bug "deadlock" found at schedule' /tmp/surw-demo.txt
-grep -q 'replayed: deadlock' /tmp/surw-demo.txt
+go run ./examples/workerpool > "$tmp/demo.txt"
+grep -q 'bug "deadlock" found at schedule' "$tmp/demo.txt"
+grep -q 'replayed: deadlock' "$tmp/demo.txt"
 
 # Fuzz smoke: a short coverage-guided run of each native fuzz target (the
 # full checked-in seed corpora already ran as part of `go test` above).

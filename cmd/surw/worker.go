@@ -40,13 +40,8 @@ import (
 //	                also attaches the scheduler-level collector (results
 //	                stay byte-identical). Not -metrics: that name is the
 //	                shared option set's, and means a file.
-//	-pprof ADDR     serve net/http/pprof for the process lifetime
-//	-trace FILE     retain this worker's spans and write them as JSONL on
-//	                exit (the coordinator assembles fleet-wide traces; this
-//	                is the worker-local view for offline inspection)
-//	-watchdog DUR   self-watchdog: if a lease makes no session progress for
-//	                DUR, log a stall warning and dump all goroutine stacks
-//	                to stderr, then re-arm
+//	-pprof ADDR     serve net/http/pprof for the process lifetime (a
+//	                lease the coordinator reports stalled shows where here)
 //	-atlas          accumulate the exploration atlas (schedule-space
 //	                cartography, see internal/atlas) across this worker's
 //	                sessions and ship the cumulative snapshot with every
@@ -58,8 +53,6 @@ func workerCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		coordinator = c.fs.String("coordinator", "", "coordinator base URL, e.g. http://10.0.0.1:7071 (required)")
 		name        = c.fs.String("name", "", "worker name shown on the dashboard, unique among running workers: the coordinator holds one lease per name (default host:pid)")
 		metricsAddr = c.fs.String("metrics-addr", "", "serve this worker's Prometheus /metrics page on this address (attaches the scheduler collector; results stay byte-identical)")
-		traceOut    = c.fs.String("trace", "", "write this worker's retained spans as JSONL to this file on exit")
-		watchdog    = c.fs.Duration("watchdog", 0, "dump goroutine stacks to stderr when a lease makes no progress for this long (0 = off)")
 	)
 	return c.run(args, func() error {
 		if *coordinator == "" {
@@ -78,8 +71,6 @@ func workerCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 			Name:        *name,
 			Resolve:     experiments.ByName,
 			Workers:     c.workers,
-			Watchdog:    *watchdog,
-			RetainSpans: *traceOut != "",
 		}
 		if c.atlas {
 			w.Atlas = atlas.New()
@@ -98,14 +89,6 @@ func workerCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 
 		start := time.Now()
 		err := w.Run(ctx)
-		if *traceOut != "" {
-			spans := w.Spans()
-			if werr := writeFile(*traceOut, func(f io.Writer) error { return obs.WriteSpansJSONL(f, spans) }); werr != nil {
-				c.logf("%v", werr)
-			} else {
-				c.logf("spans written to %s", *traceOut)
-			}
-		}
 		if errors.Is(err, context.Canceled) {
 			return errors.New("interrupted; the lease in hand is given back (or expires) and requeued")
 		}

@@ -24,7 +24,7 @@
 // Layout of a store directory:
 //
 //	DIR/manifest.json    {"version":1} — wire-format guard
-//	DIR/runs.jsonl       one Record per line, append-only, fsynced
+//	DIR/runs.jsonl       one record per line, append-only, fsynced
 //	DIR/aggregates.json  written by `surw bench -campaign` on completion
 //
 // A torn trailing line (the signature of a crash mid-append) is truncated

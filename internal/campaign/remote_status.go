@@ -3,7 +3,7 @@ package campaign
 // Live view of a distributed campaign, published by the internal/remote
 // coordinator through Server.SetRemote. Defined here (not in remote) so
 // the dashboard can render worker tables without importing the
-// coordinator; remote imports campaign for the Record wire format, never
+// coordinator; remote imports campaign for the record codec, never
 // the other way around.
 //
 // Like MetricsSnapshot, RemoteStatus is live-only: it describes one run's

@@ -18,26 +18,6 @@ import (
 	"surw/internal/wire"
 )
 
-// Record is one JSONL line of the run-store: a session key and the
-// session's observable outcome. It doubles as the result payload of the
-// distributed-campaign protocol (internal/remote): a worker submits the
-// exact bytes the coordinator's store would append, so a distributed
-// campaign and a local one share one wire format. Marshalling and
-// unmarshalling one goes through AppendRecord and ParseRecord.
-type Record struct {
-	Key     runner.SessionKey
-	Session *runner.Session
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r Record) MarshalJSON() ([]byte, error) { return AppendRecord(nil, r.Key, r.Session), nil }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *Record) UnmarshalJSON(data []byte) (err error) {
-	r.Key, r.Session, err = ParseRecord(data, nil)
-	return err
-}
-
 // appendCounts appends a string-keyed tally with its keys in byte order,
 // the order encoding/json writes a map in.
 func appendCounts(dst []byte, m map[string]int) []byte {

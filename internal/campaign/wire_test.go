@@ -21,6 +21,23 @@ import (
 	"surw/internal/wire/wiretest"
 )
 
+// Record is a record as a caller of encoding/json holds one: its JSON
+// methods are the codec's, so json.Marshal of a Record is AppendRecord's
+// line, and TestRecordGolden checks that the two agree.
+type Record struct {
+	Key     runner.SessionKey
+	Session *runner.Session
+}
+
+// MarshalJSON implements json.Marshaler.
+func (r Record) MarshalJSON() ([]byte, error) { return AppendRecord(nil, r.Key, r.Session), nil }
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (r *Record) UnmarshalJSON(data []byte) (err error) {
+	r.Key, r.Session, err = ParseRecord(data, nil)
+	return err
+}
+
 type recordOracle struct {
 	V       int           `json:"v"`
 	Key     keyOracle     `json:"key"`

@@ -51,11 +51,9 @@ type Scale struct {
 	// attaching it never changes any table or figure. See internal/obs.
 	Metrics *obs.Metrics
 
-	// Atlas, when non-nil, accumulates schedule-space cartography and
-	// per-cell uniformity drift across every SCTBench grid cell (see
-	// internal/atlas). Execution plumbing like Metrics — it never changes
-	// a session key, a table, or a figure, and unlike Metrics it keeps the
-	// batched fast path.
+	// Atlas, when non-nil, accumulates schedule-space cartography across
+	// every SCTBench grid cell (see internal/atlas). Execution plumbing
+	// like Metrics — it never changes a session key, a table, or a figure.
 	Atlas *atlas.Atlas
 
 	// Store, when non-nil, makes every experiment crash-safe and

@@ -1,10 +1,11 @@
 package obs
 
-// Metrics: a concurrency-safe aggregator for everything the runner and the
-// workpool can observe without changing results — schedule throughput,
-// steps/allocs per schedule, truncation rate, per-algorithm decision
-// histograms (branching factor and pick position, with the pick entropy
-// derived from the latter), and worker utilization. Rendered as a
+// Metrics: a concurrency-safe aggregator for everything the runner can
+// observe without changing results — schedule throughput, steps/allocs per
+// schedule, truncation rate, per-algorithm decision histograms (branching
+// factor and pick position, with the pick entropy derived from the
+// latter), and worker utilization (the "session" latency histogram's busy
+// time over the pool capacity BatchDone reports). Rendered as a
 // Prometheus-style text page (WritePrometheus) and as one-line summaries
 // embedded in experiment reports (Summary).
 
@@ -57,9 +58,7 @@ type Metrics struct {
 	truncated atomic.Int64
 	buggy     atomic.Int64
 
-	busy  atomic.Int64 // meter: summed item execution nanos
-	items atomic.Int64
-	cap_  atomic.Int64 // meter: summed workers*wall nanos
+	cap_ atomic.Int64 // summed workers*wall nanos of BatchDone calls
 
 	lat LatencySet
 
@@ -167,18 +166,9 @@ func (t *MetricsTracer) EndSchedule(*sched.Result) {
 // Callers on repeated paths grab the *Histogram once and hold it.
 func (m *Metrics) Latency(op string) *Histogram { return m.lat.Hist(op) }
 
-// Latencies exposes the aggregator's latency set, e.g. to merge worker
-// wire snapshots into a fleet view.
-func (m *Metrics) Latencies() *LatencySet { return &m.lat }
-
-// ItemDone implements workpool.Meter: one work item ran for d.
-func (m *Metrics) ItemDone(d time.Duration) {
-	m.items.Add(1)
-	m.busy.Add(int64(d))
-}
-
-// BatchDone implements workpool.Meter: a Map call over `workers` workers
-// finished after `wall` of wall-clock time.
+// BatchDone records a pool of `workers` workers that ran for `wall` of
+// wall-clock time: the capacity the "session" histogram's busy time is
+// measured against.
 func (m *Metrics) BatchDone(workers int, wall time.Duration) {
 	m.cap_.Add(int64(workers) * int64(wall))
 }
@@ -205,9 +195,9 @@ type Snapshot struct {
 	StepsPerSched   float64
 	AllocsPerSched  float64 // process-wide Mallocs delta / schedules
 	TruncationRate  float64
-	WorkerBusy      time.Duration
-	WorkerItems     int64
-	Utilization     float64 // busy time / (workers x wall) over metered Map calls
+	WorkerBusy      time.Duration // the "session" histogram's sum
+	WorkerItems     int64         // the "session" histogram's count
+	Utilization     float64       // busy time / (workers x wall) over BatchDone calls
 	Algorithms      []AlgSnapshot
 	Latencies       []LatencySnap
 }
@@ -216,14 +206,15 @@ type Snapshot struct {
 func (m *Metrics) Snapshot() Snapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	session := m.Latency("session")
 	s := Snapshot{
 		Schedules:   m.schedules.Load(),
 		Steps:       m.steps.Load(),
 		Truncated:   m.truncated.Load(),
 		Buggy:       m.buggy.Load(),
 		Elapsed:     time.Since(m.start),
-		WorkerBusy:  time.Duration(m.busy.Load()),
-		WorkerItems: m.items.Load(),
+		WorkerBusy:  time.Duration(session.sum.Load()),
+		WorkerItems: int64(session.Count()),
 	}
 	if sec := s.Elapsed.Seconds(); sec > 0 {
 		s.SchedulesPerSec = float64(s.Schedules) / sec
@@ -234,7 +225,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.TruncationRate = float64(s.Truncated) / float64(s.Schedules)
 	}
 	if c := m.cap_.Load(); c > 0 {
-		s.Utilization = float64(m.busy.Load()) / float64(c)
+		s.Utilization = float64(s.WorkerBusy) / float64(c)
 	}
 	m.mu.Lock()
 	names := make([]string, 0, len(m.algs))

@@ -38,7 +38,7 @@ func TestMetricsSnapshotAndPrometheus(t *testing.T) {
 		Steps:   30,
 		Failure: &sched.Failure{Kind: sched.FailAssert, BugID: "b"},
 	})
-	m.ItemDone(40 * time.Millisecond)
+	m.Latency("session").Observe(40 * time.Millisecond)
 	m.BatchDone(2, 100*time.Millisecond)
 
 	s := m.Snapshot()
@@ -53,6 +53,9 @@ func TestMetricsSnapshotAndPrometheus(t *testing.T) {
 	}
 	if want := 0.2; math.Abs(s.Utilization-want) > 1e-9 {
 		t.Fatalf("utilization %v, want %v", s.Utilization, want)
+	}
+	if s.WorkerItems != 1 || s.WorkerBusy != 40*time.Millisecond {
+		t.Fatalf("worker items %d busy %v, want the session histogram's 1 and 40ms", s.WorkerItems, s.WorkerBusy)
 	}
 
 	var buf bytes.Buffer

@@ -219,7 +219,6 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	c.mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	c.mux.HandleFunc(PathResult, func(w http.ResponseWriter, r *http.Request) { c.handle(w, r, false) })
 	c.mux.HandleFunc(PathStatus, c.handleStatus)
-	c.mux.HandleFunc(PathSpans, c.handleSpans)
 	c.mux.Handle("/metrics", obs.PromHandler(func(w io.Writer) error { return c.Status().WritePrometheus(w) }))
 	return c
 }
@@ -318,9 +317,9 @@ func (c *Coordinator) touchLocked(name string, now time.Time) *workerState {
 	return ws
 }
 
-// handle answers a poll (a LeaseRequest, read as a ResultRequest with no
-// records) or a submission: it stores the records, then grants the worker
-// its next lease. A poll carries only a worker's name, and ends its leave.
+// handle answers a poll (read as a submission with no records) or a
+// submission: it stores the records, then grants the worker its next
+// lease. A poll carries only a worker's name, and ends its leave.
 func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) {
 	submitStart := time.Now()
 	x := c.exchange()
@@ -574,14 +573,6 @@ func decodeSpans(raw []byte) ([]obs.Span, error) {
 	var spans []obs.Span
 	err := json.Unmarshal(raw, &spans)
 	return spans, err
-}
-
-// handleSpans serves the coordinator's assembled span log as JSONL —
-// coordinator root spans, ingested worker spans, and submit legs. Empty
-// (but well-formed) when tracing is off.
-func (c *Coordinator) handleSpans(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/jsonl")
-	_ = obs.WriteSpansJSONL(w, c.Spans())
 }
 
 // Spans snapshots the fleet span log (nil when tracing is off) — what

@@ -86,11 +86,11 @@ func TestClassFilterManyDistinct(t *testing.T) {
 // covRecordsFor fabricates records for a synthetic lease where every
 // session saw the same three schedules: class 0xabc twice and a
 // session-unique class once.
-func covRecordsFor(l *Lease) []campaign.Record {
-	recs := make([]campaign.Record, len(l.Sessions))
+func covRecordsFor(l *Lease) []record {
+	recs := make([]record, len(l.Sessions))
 	for i, s := range l.Sessions {
 		k := runner.SessionKey{CellKey: l.CellKey, Session: s}
-		recs[i] = campaign.Record{Key: k, Session: &runner.Session{
+		recs[i] = record{Key: k, Session: &runner.Session{
 			FirstBug:  -1,
 			Schedules: 3,
 			Bugs:      map[string]int{},

@@ -14,8 +14,7 @@ package remote
 //     checks because heartbeats still flow;
 //   - aging leases: a lease outstanding longer than 5x the TTL — the
 //     worker is heartbeating (else the lease would have expired) but not
-//     finishing, the classic silent-stall shape the surw worker watchdog
-//     attacks from the other side.
+//     finishing, the classic silent-stall shape.
 //
 // Verdicts are wire-typed in internal/campaign (HealthReport) so the
 // dashboard and surw dash render them without importing this package.

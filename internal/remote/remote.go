@@ -22,7 +22,7 @@
 //
 // Protocol (all POST bodies and responses are JSON):
 //
-//	POST /v1/lease      LeaseRequest  → ResultResponse with no counts: a
+//	POST /v1/lease      {worker} → ResultResponse with no counts: a
 //	                    worker's first request, and its next after a retry
 //	                    hint; 400 for a body with a submission's members
 //	POST /v1/heartbeat  HeartbeatRequest → 204, or 410 Gone if the lease
@@ -30,14 +30,22 @@
 //	                    coordinator restarted); carries the worker's
 //	                    cumulative latency and atlas snapshots, and with
 //	                    no lease_id is the worker's leave-taking
-//	POST /v1/result     ResultRequest → ResultResponse, idempotent (a
-//	                    record the store already holds is counted and
-//	                    dropped); the reply is the next lease reply too
+//	POST /v1/result     {worker, lease_id, busy_ms, records, spans} →
+//	                    ResultResponse, idempotent (a record the store
+//	                    already holds is counted and dropped); the reply
+//	                    is the next lease reply too
 //	GET  /v1/status     campaign.RemoteStatus snapshot, health verdicts
 //	                    included
-//	GET  /v1/spans      the fleet span log as JSONL
 //	GET  /metrics       Prometheus text page (surw_remote_* and
 //	                    surw_health_* gauges)
+//
+// A submission's records are run-store lines (campaign.AppendRecord), so
+// submission is storage; busy_ms is the wall-clock the worker spent on the
+// batch, feeding the per-worker utilization gauges; spans, there only when
+// the lease carried a traceparent, are the worker's execute, session and
+// prefix-replay spans of the lease's trace. The two requests are written
+// by appendLeaseRequest and appendResultRequest and read by one parser,
+// resultRequest.parse.
 //
 // Lease lifecycle: a batch of same-cell session indices is pending →
 // leased (worker, TTL clock) → done. Batches are granted in plan order,
@@ -58,7 +66,6 @@ package remote
 
 import (
 	"surw/internal/atlas"
-	"surw/internal/campaign"
 	"surw/internal/obs"
 	"surw/internal/runner"
 )
@@ -69,13 +76,7 @@ const (
 	PathHeartbeat = "/v1/heartbeat"
 	PathResult    = "/v1/result"
 	PathStatus    = "/v1/status"
-	PathSpans     = "/v1/spans"
 )
-
-// LeaseRequest asks for one batch of work.
-type LeaseRequest struct {
-	Worker string `json:"worker"`
-}
 
 // LeaseResponse carries a lease, a retry hint, or campaign completion.
 // Exactly one of Done / Lease / RetryMillis is meaningful: Done means the
@@ -102,8 +103,8 @@ type Lease struct {
 	TTLMillis int64 `json:"ttl_ms"`
 	// Traceparent, when non-empty, is the W3C trace context of the
 	// coordinator's root "lease" span: the worker parents its execute /
-	// session / prefix-replay spans under it and ships them back in the
-	// ResultRequest, letting the coordinator assemble the end-to-end trace.
+	// session / prefix-replay spans under it and ships them back in its
+	// submission, letting the coordinator assemble the end-to-end trace.
 	// Empty when fleet tracing is off — workers then record no spans.
 	Traceparent string `json:"traceparent,omitempty"`
 }
@@ -124,21 +125,6 @@ type HeartbeatRequest struct {
 	// Atlas is the worker's cumulative exploration-atlas snapshot, present
 	// only when the worker runs with an atlas attached; kept like Latencies.
 	Atlas []atlas.CellSnapshot `json:"atlas,omitempty"`
-}
-
-// ResultRequest submits a batch's session records. Records is the exact
-// wire form the coordinator's store appends, so submission is storage.
-type ResultRequest struct {
-	Worker  string `json:"worker"`
-	LeaseID string `json:"lease_id"`
-	// BusyMillis is the wall-clock the worker spent executing the batch,
-	// feeding the per-worker utilization gauges.
-	BusyMillis int64             `json:"busy_ms"`
-	Records    []campaign.Record `json:"records"`
-	// Spans are the worker-side spans of this lease's trace (execute,
-	// sessions, prefix replays); empty unless the lease carried a
-	// traceparent.
-	Spans []obs.Span `json:"spans,omitempty"`
 }
 
 // ResultResponse reports how the submission landed and answers it as a

@@ -289,11 +289,11 @@ func TestSharedWorkerNameStillDrains(t *testing.T) {
 }
 
 // sessionRecordsFor fabricates plausible records for a synthetic lease.
-func sessionRecordsFor(l *Lease) []campaign.Record {
-	recs := make([]campaign.Record, len(l.Sessions))
+func sessionRecordsFor(l *Lease) []record {
+	recs := make([]record, len(l.Sessions))
 	for i, s := range l.Sessions {
 		k := runner.SessionKey{CellKey: l.CellKey, Session: s}
-		recs[i] = campaign.Record{Key: k, Session: &runner.Session{FirstBug: -1, Schedules: l.Limit, Bugs: map[string]int{}}}
+		recs[i] = record{Key: k, Session: &runner.Session{FirstBug: -1, Schedules: l.Limit, Bugs: map[string]int{}}}
 	}
 	return recs
 }
@@ -342,17 +342,17 @@ func TestResultOutsidePlanRejected(t *testing.T) {
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 
-	stray := campaign.Record{
+	stray := record{
 		Key:     runner.SessionKey{CellKey: runner.CellKey{Target: "not/planned", Algorithm: "RW", Limit: 5}, Session: 0},
 		Session: &runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}}}
-	code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []campaign.Record{stray}}, nil)
+	code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []record{stray}}, nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("stray submission: status %d, want 400", code)
 	}
 	// A planned cell, a session number the plan does not name.
 	k := syntheticPlan(3)[2]
-	stray = campaign.Record{Key: k, Session: &runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}}}
-	if code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []campaign.Record{stray}}, nil); code != http.StatusBadRequest {
+	stray = record{Key: k, Session: &runner.Session{FirstBug: -1, Schedules: 5, Bugs: map[string]int{}}}
+	if code := postJSON(t, srv.URL+PathResult, ResultRequest{Worker: "a", Records: []record{stray}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("stray session of a planned cell: status %d, want 400", code)
 	}
 	if st.len() != 0 {
@@ -600,13 +600,13 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	}
 	tgt, _ := sctbench.ByName(l1.Lease.Target)
 	cfg := runner.Config{Limit: l1.Lease.Limit, Seed: l1.Lease.Seed, StopAtFirstBug: l1.Lease.StopAtFirstBug}
-	var recs []campaign.Record
+	var recs []record
 	for _, s := range l1.Lease.Sessions {
 		sess, err := runner.RunSession(context.Background(), tgt, l1.Lease.Algorithm, cfg, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, campaign.Record{Key: runner.KeyFor(tgt, l1.Lease.Algorithm, cfg, s), Session: sess})
+		recs = append(recs, record{Key: runner.KeyFor(tgt, l1.Lease.Algorithm, cfg, s), Session: sess})
 	}
 	var rr ResultResponse
 	if code := postJSON(t, srv1.URL+PathResult, ResultRequest{Worker: "a", LeaseID: l1.Lease.ID, Records: recs}, &rr); code != 200 {

@@ -1,13 +1,13 @@
 package remote
 
-// The lease's four messages — LeaseRequest, LeaseResponse, ResultRequest,
+// The lease's four messages — the poll, LeaseResponse, the submission,
 // ResultResponse — written and read by hand on storage the caller keeps,
 // the way internal/campaign's wire.go does a record: the bytes are the
-// ones encoding/json writes for the tagged structs in remote.go, and the
-// parsers accept nothing encoding/json would not decode to the same value
-// (wire_test.go holds both to that). They are read by two parsers: a
-// LeaseRequest is a ResultRequest with no records, a LeaseResponse a
-// ResultResponse with no counts. Both requests are answered with a
+// ones encoding/json writes for the tagged structs in remote.go and, for
+// the two requests, in wire_test.go, and the parsers accept nothing
+// encoding/json would not decode to the same value (wire_test.go holds
+// both to that). They are read by two parsers: a poll is a submission
+// with no records, a LeaseResponse a ResultResponse with no counts. Both requests are answered with a
 // ResultResponse. Heartbeats and the status pages are off the per-session
 // path and stay on encoding/json.
 
@@ -67,7 +67,7 @@ func appendResultResponse(dst []byte, r *ResultResponse) []byte {
 	return append(dst, '}')
 }
 
-// appendResultRequest appends a ResultRequest whose records are the
+// appendResultRequest appends a submission whose records are the
 // sessions of a lease, in the lease's order. Spans, there only when the
 // lease was traced, go through encoding/json.
 func appendResultRequest(dst []byte, worker, leaseID string, busyMillis int64, keys []runner.SessionKey, sessions []*runner.Session, spans []obs.Span) ([]byte, error) {
@@ -156,7 +156,7 @@ func parseResultResponse(p *wire.Parser, body []byte, r *ResultResponse, l *Leas
 	return p.End()
 }
 
-// resultRequest is a ResultRequest as the coordinator reads one: the names
+// resultRequest is a submission as the coordinator reads one: the names
 // as bytes (they are looked up, not kept), each record parsed straight to
 // its key and session, the spans left as they came. Its slices are storage
 // reused from one request to the next.

@@ -30,6 +30,37 @@ import (
 	"surw/internal/wire/wiretest"
 )
 
+// LeaseRequest and ResultRequest are the two requests as tagged structs:
+// the oracle appendLeaseRequest, appendResultRequest and
+// resultRequest.parse are held to, and what the tests post by hand.
+type LeaseRequest struct {
+	Worker string `json:"worker"`
+}
+
+type ResultRequest struct {
+	Worker     string     `json:"worker"`
+	LeaseID    string     `json:"lease_id"`
+	BusyMillis int64      `json:"busy_ms"`
+	Records    []record   `json:"records"`
+	Spans      []obs.Span `json:"spans,omitempty"`
+}
+
+// record is a submitted record as encoding/json sees one: its JSON is the
+// run-store line's, written and read by the campaign codec.
+type record struct {
+	Key     runner.SessionKey
+	Session *runner.Session
+}
+
+func (r record) MarshalJSON() ([]byte, error) {
+	return campaign.AppendRecord(nil, r.Key, r.Session), nil
+}
+
+func (r *record) UnmarshalJSON(data []byte) (err error) {
+	r.Key, r.Session, err = campaign.ParseRecord(data, nil)
+	return err
+}
+
 func goldenFile(t testing.TB, path ...string) [][]byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(path...))
@@ -280,9 +311,9 @@ func FuzzLeaseMessages(f *testing.F) {
 			leaseResp.Lease = lease
 		}
 		n := int(next()) % (len(keys) + 1)
-		result := ResultRequest{Worker: text(), LeaseID: text(), BusyMillis: num(), Records: []campaign.Record{}}
+		result := ResultRequest{Worker: text(), LeaseID: text(), BusyMillis: num(), Records: []record{}}
 		for i := 0; i < n; i++ {
-			result.Records = append(result.Records, campaign.Record{Key: keys[i], Session: sessions[i]})
+			result.Records = append(result.Records, record{Key: keys[i], Session: sessions[i]})
 		}
 		if flags&32 != 0 {
 			result.Spans = goldenSpans()[:1+int(flags>>7)]

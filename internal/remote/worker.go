@@ -18,9 +18,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
-	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,16 +63,6 @@ type Worker struct {
 	// when Run returns, so the coordinator can assemble the fleet atlas.
 	// Never perturbs a schedule.
 	Atlas *atlas.Atlas
-	// Watchdog, when > 0, arms a per-lease self-watchdog: if no session of
-	// the lease completes for this long, the worker logs the stall and
-	// dumps a goroutine profile to stderr — the "heartbeating but not
-	// finishing" failure the coordinator's aging-lease rule sees only from
-	// the outside. Off by default.
-	Watchdog time.Duration
-	// RetainSpans keeps a copy of every span the worker ships, so
-	// `surw worker -trace` can write them at exit. Off by default — spans
-	// normally leave with their ResultRequest and are dropped.
-	RetainSpans bool
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 
@@ -104,32 +91,16 @@ type Worker struct {
 	// the session body the fan-out calls, and phase, its Config.Phase —
 	// written by execute before the fan-out starts: the target and config,
 	// the execute span (inert unless the lease is traced) with the span IDs
-	// minted for its sessions, and the count of sessions completed, which
-	// the watchdog watches.
-	tgt      runner.Target
-	cfg      runner.Config
-	exec     obs.OpenSpan
-	sessIDs  []obs.SpanID
-	progress atomic.Int64
-	runOne   func(i int) (struct{}, error)
-	phase    func(session int, phase string, start time.Time, d time.Duration)
+	// minted for its sessions.
+	tgt     runner.Target
+	cfg     runner.Config
+	exec    obs.OpenSpan
+	sessIDs []obs.SpanID
+	runOne  func(i int) (struct{}, error)
+	phase   func(session int, phase string, start time.Time, d time.Duration)
 	// spans is created lazily on the first traced lease (nil records
 	// nothing, costing untraced fleets zero allocations).
 	spans *obs.SpanLog
-
-	retainMu sync.Mutex
-	retained []obs.Span
-
-	// stalled is the watchdog action; nil means the default (log + dump a
-	// goroutine profile to stderr). Overridable for tests.
-	stalled func(leaseID string, age time.Duration)
-}
-
-// Spans returns the spans retained under RetainSpans, in ship order.
-func (w *Worker) Spans() []obs.Span {
-	w.retainMu.Lock()
-	defer w.retainMu.Unlock()
-	return append([]obs.Span(nil), w.retained...)
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -292,31 +263,12 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
-	// The heartbeat loop, the watchdog and the log line read the ID past
-	// the point where the submission's reply — the next lease — is parsed
-	// into l: from a copy.
+	// The heartbeat loop and the log line read the ID past the point where
+	// the submission's reply — the next lease — is parsed into l: from a
+	// copy.
 	leaseID := l.ID
 	w.hbLease.Store(&leaseID)
 	w.hb.Reset(ttl / 3)
-
-	// Self-watchdog: progress is "a session of this lease completed"; a
-	// lease making none for the deadline gets its stall dumped. This is
-	// the worker-side mirror of the coordinator's aging-lease rule — the
-	// coordinator can only say "stalled", the watchdog says where.
-	if w.Watchdog > 0 {
-		wdCtx, stopWD := context.WithCancel(ctx)
-		defer stopWD()
-		stalled := w.stalled
-		if stalled == nil {
-			stalled = func(leaseID string, age time.Duration) {
-				w.logf("WATCHDOG lease %s: no session completed for %v; dumping goroutine profile", leaseID, age.Round(time.Millisecond))
-				if p := pprof.Lookup("goroutine"); p != nil {
-					_ = p.WriteTo(os.Stderr, 1)
-				}
-			}
-		}
-		go watchLease(wdCtx, w.Watchdog, &w.progress, func(age time.Duration) { stalled(leaseID, age) })
-	}
 
 	start := time.Now()
 	if w.Logf != nil { // guarded where every lease passes: boxing the arguments allocates
@@ -339,11 +291,6 @@ func (w *Worker) execute(ctx context.Context, resp *ResultResponse) error {
 	if w.exec.Active() {
 		w.exec.End()
 		spans = w.spans.Drain()
-		if w.RetainSpans {
-			w.retainMu.Lock()
-			w.retained = append(w.retained, spans...)
-			w.retainMu.Unlock()
-		}
 	}
 	// The request is encoded once, here, on the line's buffer; the retries
 	// of call post the same bytes.
@@ -370,7 +317,6 @@ func (w *Worker) runSession(ctx context.Context, i int) error {
 	}
 	d := time.Since(t0)
 	w.lat.Observe("session", d)
-	w.progress.Add(1)
 	if w.exec.Active() {
 		// Recorded retroactively under the pre-minted ID so the
 		// prefix-replay span already points at it.
@@ -403,37 +349,6 @@ func (w *Worker) observePhase(session int, phase string, start time.Time, d time
 				Start: start.UnixNano(), Dur: int64(d), Session: session + 1,
 			})
 			return
-		}
-	}
-}
-
-// watchLease fires stalled whenever progress makes no forward motion for a
-// full deadline. It checks at deadline/4 granularity and re-arms after
-// firing, so a lease stalled for N deadlines reports ~N times, not
-// continuously. Factored out of execute for testability.
-func watchLease(ctx context.Context, deadline time.Duration, progress *atomic.Int64, stalled func(age time.Duration)) {
-	tick := deadline / 4
-	if tick <= 0 {
-		tick = deadline
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	last := progress.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if cur := progress.Load(); cur != last {
-				last = cur
-				lastChange = time.Now()
-				continue
-			}
-			if age := time.Since(lastChange); age >= deadline {
-				stalled(age)
-				lastChange = time.Now() // re-arm
-			}
 		}
 	}
 }

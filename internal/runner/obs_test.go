@@ -1,10 +1,12 @@
 package runner_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"surw/internal/obs"
 	"surw/internal/replay"
@@ -46,6 +48,39 @@ func TestMetricsAttachmentIsObservationOnly(t *testing.T) {
 		}
 		if s.Utilization <= 0 || s.Utilization > 1.0001 {
 			t.Fatalf("%s: utilization %v out of range", alg, s.Utilization)
+		}
+	}
+}
+
+// TestWorkerBusyIsTheSessionHistogram: a RunCells pool's busy time and item
+// count are the "session" latency histogram's sum and count, one timing of
+// each session, at one worker and at two.
+func TestWorkerBusyIsTheSessionHistogram(t *testing.T) {
+	var cells []runner.Cell
+	for _, name := range []string{"CS/reorder_4", "CS/twostage"} {
+		tgt, ok := sctbench.ByName(name)
+		if !ok {
+			t.Fatalf("missing target %s", name)
+		}
+		cells = append(cells, runner.Cell{Target: tgt, Alg: "SURW", Config: runner.Config{Sessions: 3, Limit: 100, Seed: 5}})
+	}
+	for _, workers := range []int{1, 2} {
+		m := obs.NewMetrics()
+		for i := range cells {
+			cells[i].Config.Metrics, cells[i].Config.Workers = m, workers
+		}
+		if _, err := runner.RunCells(context.Background(), cells, nil); err != nil {
+			t.Fatal(err)
+		}
+		s, h := m.Snapshot(), m.Latency("session").Wire()
+		if s.WorkerItems != 6 || uint64(s.WorkerItems) != h.Count {
+			t.Fatalf("workers=%d: WorkerItems %d, session histogram count %d, want 6", workers, s.WorkerItems, h.Count)
+		}
+		if int64(s.WorkerBusy) != h.SumNanos || s.WorkerBusy <= 0 {
+			t.Fatalf("workers=%d: WorkerBusy %v, session histogram sum %v", workers, s.WorkerBusy, time.Duration(h.SumNanos))
+		}
+		if s.Utilization <= 0 || s.Utilization > 1.0001 {
+			t.Fatalf("workers=%d: utilization %v out of range", workers, s.Utilization)
 		}
 	}
 }

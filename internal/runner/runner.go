@@ -492,9 +492,11 @@ func Plan(cells []Cell) []SessionKey {
 // in cell order. The session is the one unit of work: the plan is drained
 // in Plan's order by one pool of workers on one WorkerCache, each session
 // written into its cell's slot by index (parallel.go has the confinement
-// argument). The pool is the run's, not a cell's: its width and its meter
-// are the first cell's Config.Workers and Config.Metrics; every other field
-// of a Config is read per cell.
+// argument). The pool is the run's, not a cell's: its width is the first
+// cell's Config.Workers, and the first cell's Config.Metrics is told the
+// pool's width and wall clock (BatchDone); every other field of a Config
+// is read per cell, each session timed into its cell's "session"
+// histogram.
 //
 // When a cell's last session lands its Result is reported — to the cell's
 // Store if that is a BatchObserver, then to done (nil: nobody) with the
@@ -529,14 +531,10 @@ func RunCells(ctx context.Context, cells []Cell, done func(i int, res *Result)) 
 			items = append(items, item{i, s})
 		}
 	}
-	// A typed-nil *obs.Metrics must not become a non-nil Meter interface.
-	var meter workpool.Meter
-	if m := cells[0].Config.Metrics; m != nil {
-		meter = m
-	}
 	wc := NewWorkerCache()
 	defer wc.Close()
-	_, err := workpool.MapMetered(cells[0].Config.Workers, len(items), meter, func(i int) (struct{}, error) {
+	start := time.Now()
+	_, err := workpool.Map(cells[0].Config.Workers, len(items), func(i int) (struct{}, error) {
 		it := items[i]
 		c, res := &cells[it.cell], results[it.cell]
 		t0 := time.Now()
@@ -573,6 +571,9 @@ func RunCells(ctx context.Context, cells []Cell, done func(i int, res *Result)) 
 		}
 		return struct{}{}, nil
 	})
+	if m := cells[0].Config.Metrics; m != nil {
+		m.BatchDone(min(workpool.Normalize(cells[0].Config.Workers), len(items)), time.Since(start))
+	}
 	if err != nil {
 		return nil, err
 	}

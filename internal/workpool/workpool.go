@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Normalize resolves a worker-count setting: values <= 0 mean "one worker
@@ -40,50 +39,18 @@ func Normalize(workers int) int {
 // whose fn never returned — it ended its worker through runtime.Goexit —
 // fails, and so does every item no worker was left to claim.
 func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
-	return MapMetered[T](workers, n, nil, fn)
-}
-
-// Meter observes a MapMetered call: ItemDone fires once per work item with
-// the item's execution time (from the worker that ran it), and BatchDone
-// fires once when the whole call finishes, with the worker count actually
-// used and the wall-clock duration. Implementations must be safe for
-// concurrent ItemDone calls. Metering is strictly observational — item
-// order, results, and errors are identical to the unmetered Map.
-type Meter interface {
-	ItemDone(d time.Duration)
-	BatchDone(workers int, wall time.Duration)
-}
-
-// MapMetered is Map with an optional Meter (nil meters exactly like Map —
-// the sequential fast path stays allocation- and goroutine-free and skips
-// the clock entirely).
-func MapMetered[T any](workers, n int, meter Meter, fn func(int) (T, error)) ([]T, error) {
 	workers = Normalize(workers)
 	if n <= 0 {
 		return nil, nil
 	}
-	var batchStart time.Time
-	if meter != nil {
-		batchStart = time.Now()
-	}
 	results := make([]T, n)
 	if workers == 1 || n == 1 {
 		for i := 0; i < n; i++ {
-			var itemStart time.Time
-			if meter != nil {
-				itemStart = time.Now()
-			}
 			r, err := fn(i)
-			if meter != nil {
-				meter.ItemDone(time.Since(itemStart))
-			}
 			if err != nil {
 				return nil, err
 			}
 			results[i] = r
-		}
-		if meter != nil {
-			meter.BatchDone(1, time.Since(batchStart))
 		}
 		return results, nil
 	}
@@ -106,21 +73,11 @@ func MapMetered[T any](workers, n int, meter Meter, fn func(int) (T, error)) ([]
 				if i >= n {
 					return
 				}
-				var itemStart time.Time
-				if meter != nil {
-					itemStart = time.Now()
-				}
 				results[i], errs[i] = fn(i)
-				if meter != nil {
-					meter.ItemDone(time.Since(itemStart))
-				}
 			}
 		}()
 	}
 	wg.Wait()
-	if meter != nil {
-		meter.BatchDone(workers, time.Since(batchStart))
-	}
 	for i, err := range errs {
 		if err == errNoReturn {
 			return nil, fmt.Errorf("workpool: item %d: %w", i, err)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
@@ -134,75 +133,5 @@ func TestNormalize(t *testing.T) {
 	}
 	if Normalize(1) != 1 || Normalize(7) != 7 {
 		t.Fatal("positive values should pass through")
-	}
-}
-
-// fakeMeter records Meter callbacks for inspection.
-type fakeMeter struct {
-	items   atomic.Int64
-	busy    atomic.Int64
-	batches atomic.Int64
-	workers atomic.Int64
-	wall    atomic.Int64
-}
-
-func (f *fakeMeter) ItemDone(d time.Duration) {
-	f.items.Add(1)
-	f.busy.Add(int64(d))
-}
-
-func (f *fakeMeter) BatchDone(workers int, wall time.Duration) {
-	f.batches.Add(1)
-	f.workers.Store(int64(workers))
-	f.wall.Store(int64(wall))
-}
-
-func TestMapMeteredReportsEveryItem(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		m := &fakeMeter{}
-		got, err := MapMetered(workers, 25, m, func(i int) (int, error) {
-			time.Sleep(time.Microsecond)
-			return i * 3, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, v := range got {
-			if v != i*3 {
-				t.Fatalf("workers=%d: got[%d] = %d", workers, i, v)
-			}
-		}
-		if n := m.items.Load(); n != 25 {
-			t.Fatalf("workers=%d: ItemDone fired %d times, want 25", workers, n)
-		}
-		if m.busy.Load() <= 0 {
-			t.Fatalf("workers=%d: no busy time accumulated", workers)
-		}
-		if m.batches.Load() != 1 {
-			t.Fatalf("workers=%d: BatchDone fired %d times", workers, m.batches.Load())
-		}
-		if w := m.workers.Load(); w != int64(Normalize(workers)) {
-			t.Fatalf("workers=%d: BatchDone saw %d workers", workers, w)
-		}
-		if m.wall.Load() <= 0 {
-			t.Fatalf("workers=%d: zero wall time", workers)
-		}
-	}
-}
-
-func TestMapMeteredNilMeterMatchesMap(t *testing.T) {
-	fn := func(i int) (int, error) { return i + 1, nil }
-	a, err := Map(4, 12, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MapMetered(4, 12, nil, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("diverged at %d", i)
-		}
 	}
 }
