@@ -48,6 +48,15 @@ fi
 if grep -n -e 'json\.Marshal' -e 'json\.NewDecoder' -e 'json\.NewEncoder' internal/campaign/store.go internal/remote/worker.go internal/remote/coordinator.go; then
     echo "FAIL: json.Marshal/NewDecoder/NewEncoder in the store, the worker loop or the coordinator: records and lease messages go through the wire.go codecs, cold requests through internal/remote/cold.go"; exit 1
 fi
+# One class census: distinct commutation classes are counted exactly by
+# campaign.Store.Aggregate from the stored records, and every view (the
+# surw_campaign_*_classes gauges, aggregates.json, the dashboard) reads that
+# count. remote.ClassFilter is kept only for the benchmark's filter_add_ns
+# rung; spelled in another non-test file, it is a second, approximate
+# census coming back.
+if grep -rn --include='*.go' 'ClassFilter' . | grep -v -e '_test\.go:' -e '^\./internal/remote/filter\.go:' -e '^\./benchmark/'; then
+    echo "FAIL: ClassFilter outside internal/remote/filter.go and benchmark/: the class census is the store's (campaign.Store.Aggregate)"; exit 1
+fi
 # One cell key: the seven fields that name a cell (one target under one
 # algorithm) are declared once, as runner.CellKey, beside the runner.Config
 # they are read from, and spelled on the wire by internal/campaign's wire.go

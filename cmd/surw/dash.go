@@ -29,9 +29,9 @@ import (
 // For a distributed campaign (`surw bench -coordinate`, see internal/remote),
 // -remote names the coordinator's base URL; the dashboard then also shows
 // the worker fleet — per-worker utilization, leases in flight, expiries,
-// duplicates, the fleet latency percentiles, the stall-detection health
-// panel, and the seen-class filter's distinct-class / duplicate-rate
-// gauges — and /metrics gains the surw_remote_* gauges. The status fetch
+// duplicates, the fleet latency percentiles and the stall-detection
+// health panel — and /metrics gains the surw_remote_* gauges. Class counts
+// stay the store's surw_campaign_* gauges. The status fetch
 // never breaks the page: an unreachable or misspelled coordinator URL
 // surfaces as an error banner (and as remote_error in /api/campaign)
 // instead of silently rendering an empty fleet view.

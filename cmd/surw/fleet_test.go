@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"surw/internal/campaign"
 	"surw/internal/remote"
 )
 
@@ -104,16 +109,63 @@ func TestFleetKilledWorker(t *testing.T) {
 // (distinct classes, duplicate rate, Good-Turing/Chao1) must equal a local
 // run's, and with 3x200 schedules over C(8,4)=70 classes the duplicate
 // rate is genuinely nonzero — which the dashboard over the distributed
-// store must report.
+// store must report. The class census is the store's alone: the
+// coordinating -serve page reports it once, as the surw_campaign_* gauges
+// derived from the same records as aggregates.json, and the coordinator
+// counts no class of its own.
 func TestFleetDedup(t *testing.T) {
 	_, want := reference(t, bitshiftCells)
-	f := startFleet(t, append([]string{"-lease-batch", "2", "-q"}, bitshiftCells...)...)
-	got := f.finish(t, f.worker(t, "k1"), f.worker(t, "k2"))
+	f := startFleet(t, append([]string{"-lease-batch", "2", "-serve", "127.0.0.1:0", "-q"}, bitshiftCells...)...)
+	serve := f.coord.url(t, "dashboard")
+	// A worker heard from once and never again, as if it died, holds the
+	// finished coordinator in its linger (3 s at most), so its page can be
+	// read at completion.
+	hb, err := json.Marshal(remote.HeartbeatRequest{Worker: "observer", LeaseID: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(f.url+remote.PathHeartbeat, "application/json", bytes.NewReader(hb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("observer heartbeat: %s, want 410", resp.Status)
+	}
+	f.worker(t, "k1").wait(t)
+	f.worker(t, "k2").wait(t)
+	live := metricsPage(t, serve)
+	got := f.finish(t)
 	if !bytes.Equal(got, want) {
 		t.Errorf("distributed aggregates differ from the local run's")
 	}
 	wantMatch(t, "aggregates.json", string(got), `"dedup"`)
 	wantMatch(t, "bench stderr", f.coord.stderr.String(), `(?m)^dedup Fig1/bitshift_4/URW: .* duplicate rate$`)
+
+	wantMatch(t, "coordinating /metrics", live, `(?m)^surw_remote_sessions_done 6$`)
+	// The deleted coordinator families: its class observations, distinct
+	// classes and duplicate rate.
+	if gone := regexp.MustCompile(`surw_remote_(class_observations_total|distinct_classes|duplicate_rate)\b`).FindAllString(live, -1); gone != nil {
+		t.Errorf("coordinating /metrics carries %v, a second class census", gone)
+	}
+	var agg campaign.Aggregates
+	if err := json.Unmarshal(got, &agg); err != nil {
+		t.Fatal(err)
+	}
+	classes, samples := 0, 0
+	for _, c := range agg.Cells {
+		if c.Coverage != nil && c.Coverage.Dedup != nil {
+			classes += c.Coverage.Dedup.DistinctClasses
+			samples += c.Coverage.Dedup.Samples
+		}
+	}
+	if samples <= classes {
+		t.Fatalf("aggregates.json: %d distinct classes over %d samples, want duplicates", classes, samples)
+	}
+	rate := float64(samples-classes) / float64(samples)
+	wantMatch(t, "coordinating /metrics", live,
+		fmt.Sprintf(`(?m)^surw_campaign_distinct_classes %d$`, classes),
+		fmt.Sprintf(`(?m)^surw_campaign_duplicate_rate %s$`, regexp.QuoteMeta(strconv.FormatFloat(rate, 'f', 6, 64))))
 
 	dash := start(t, "dash", "-store", f.dir, "-addr", "127.0.0.1:0")
 	page := metricsPage(t, dash.url(t, "dashboard"))

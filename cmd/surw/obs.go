@@ -32,12 +32,12 @@ import (
 // verifies a file is well-formed Chrome trace_event JSON as Perfetto
 // expects; -check-flight verifies a flight dump parses and is marked
 // reproduced. -assemble-trace reads a fleet span log (JSONL, one span per
-// line, as written by `surw bench -fleet-trace` or `surw worker -trace`), groups
-// the spans into distributed traces, and reports how many are complete —
-// a single lease root with prefix-replay, session, and submit children
-// spanning at least two tracks. It exits non-zero when no complete trace
-// exists; with -out it also renders the spans as Chrome trace_event JSON
-// (one Perfetto track per worker) for visual inspection.
+// line, as `surw bench -fleet-trace` writes it from Coordinator.Spans),
+// groups the spans into distributed traces, and reports how many are
+// complete — a single lease root with prefix-replay, session, and submit
+// children spanning at least two tracks. It exits non-zero when no
+// complete trace exists; with -out it also renders the spans as Chrome
+// trace_event JSON (one Perfetto track per worker) for visual inspection.
 //
 // -bench-history appends the parsed results as one timestamped JSONL
 // record, growing the benchmark trajectory `make bench` maintains beside

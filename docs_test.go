@@ -67,6 +67,7 @@ var docsAllowlist = map[string]string{
 	"DataRace":                       "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
 	"sched.Result.ThreadPaths":       "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
 	"sched.State.TIDByPath":          "deleted: no caller (ROADMAP item 24)",
+	"ingestLocked":                   "deleted: the coordinator's class census (DESIGN §11 \"One class census\")",
 	"GenSpin":                        "proposed: ROADMAP item 2",
 	"internal/experiments/claims.go": "proposed: ROADMAP item 3",
 	"surw_delta_*":                   "proposed: ROADMAP item 4(b)",

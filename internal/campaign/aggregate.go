@@ -122,7 +122,7 @@ type CoverageAggregate struct {
 // (sched.Result.ClassHash) instead of order-sensitive interleavings: two
 // schedules that differ only by commuting independent events count once.
 // Like everything in aggregates.json it is a pure function of the record
-// set — the live seen-class filter plays no part in it.
+// set, and the only class census: the dashboard and /metrics read it too.
 type DedupAggregate struct {
 	// Samples is the number of schedules pooled into the class tallies.
 	Samples int `json:"samples"`

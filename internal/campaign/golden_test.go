@@ -59,7 +59,6 @@ func goldenRemote() *campaign.RemoteStatus {
 	return &campaign.RemoteStatus{
 		SessionsPlanned: 40, SessionsDone: 17, InFlightLeases: 2, PendingBatches: 9,
 		LeaseExpiries: 1, DuplicateResults: 3,
-		ClassObservations: 5120, DistinctClasses: 77, DuplicateRate: 0.984960937,
 		Workers: []campaign.RemoteWorker{
 			{Name: "alpha", Sessions: 11, BusySeconds: 12.3456, Utilization: 0.98765, Leases: 1, SecondsSinceSeen: 0.2},
 			{Name: "host-2:worker/b", Sessions: 6, BusySeconds: 0, Utilization: 0, Leases: 1, SecondsSinceSeen: 31},

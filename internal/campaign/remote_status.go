@@ -31,15 +31,6 @@ type RemoteStatus struct {
 	// dropped because the store already held them.
 	LeaseExpiries    int64 `json:"lease_expiries"`
 	DuplicateResults int64 `json:"duplicate_results"`
-	// Seen-class filter gauges (live, approximate): ClassObservations is
-	// the number of (session, class) pairs ingested into the coordinator's
-	// counting Bloom filter, DistinctClasses the estimated distinct
-	// commutation classes among them, and DuplicateRate the fraction of
-	// ingested schedules that re-sampled an already-seen class (within a
-	// session or fleet-wide).
-	ClassObservations int64   `json:"class_observations,omitempty"`
-	DistinctClasses   int64   `json:"distinct_classes,omitempty"`
-	DuplicateRate     float64 `json:"duplicate_rate,omitempty"`
 	// Workers lists every worker that ever contacted the coordinator,
 	// sorted by name.
 	Workers []RemoteWorker `json:"workers,omitempty"`
@@ -79,9 +70,6 @@ func (rs *RemoteStatus) WritePrometheus(w io.Writer) error {
 	p.Gauge("surw_remote_pending_batches", "Batches waiting to be leased.").Int(int64(rs.PendingBatches))
 	p.Counter("surw_remote_lease_expiries_total", "Leases expired and requeued.").Int(rs.LeaseExpiries)
 	p.Counter("surw_remote_duplicate_results_total", "Submitted records dropped as duplicates.").Int(rs.DuplicateResults)
-	p.Counter("surw_remote_class_observations_total", "Session-class pairs ingested into the seen-class filter.").Int(rs.ClassObservations)
-	p.Gauge("surw_remote_distinct_classes", "Estimated distinct commutation classes observed fleet-wide.").Int(rs.DistinctClasses)
-	p.Gauge("surw_remote_duplicate_rate", "Fraction of ingested schedules that re-sampled an already-seen class.").Fixed(rs.DuplicateRate, 6)
 	p.Gauge("surw_remote_workers", "Workers that have contacted the coordinator.").Int(int64(len(rs.Workers)))
 	sessions := p.Counter("surw_remote_worker_sessions_total", "Accepted session records per worker.")
 	busy := p.Counter("surw_remote_worker_busy_seconds_total", "Worker-reported execution time.")

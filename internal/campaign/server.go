@@ -472,7 +472,7 @@ var dashTemplate = template.Must(template.New("dash").Funcs(template.FuncMap{
 {{end}}
 
 {{with .Agg.Remote}}
-<h2 class="wk">distributed: {{.SessionsDone}}/{{.SessionsPlanned}} sessions · {{.InFlightLeases}} leases in flight · {{.PendingBatches}} batches pending · {{.LeaseExpiries}} expiries · {{.DuplicateResults}} duplicates{{if .ClassObservations}} · {{.DistinctClasses}} distinct classes · {{printf "%.1f%%" (mul100 .DuplicateRate)}} dup rate{{end}}</h2>
+<h2 class="wk">distributed: {{.SessionsDone}}/{{.SessionsPlanned}} sessions · {{.InFlightLeases}} leases in flight · {{.PendingBatches}} batches pending · {{.LeaseExpiries}} expiries · {{.DuplicateResults}} duplicates</h2>
 {{with .Health}}
 {{if .Healthy}}<p class="health ok">fleet healthy · median {{median .FleetMedianSchedulesPerSec}}</p>
 {{else}}<div class="health bad">fleet: {{.StaleWorkers}} stale workers · {{.SlowCells}} slow cells · {{.AgingLeases}} aging leases · median {{median .FleetMedianSchedulesPerSec}}

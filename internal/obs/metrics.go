@@ -284,8 +284,8 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	p.Gauge("surw_steps_per_schedule", "Mean events per schedule.").Float(s.StepsPerSched)
 	p.Gauge("surw_allocs_per_schedule", "Process-wide heap allocations per schedule.").Float(s.AllocsPerSched)
 	p.Gauge("surw_truncation_rate", "Fraction of schedules truncated by the step budget.").Float(s.TruncationRate)
-	p.Counter("surw_worker_busy_seconds_total", "Summed worker busy time across metered Map calls.").Float(s.WorkerBusy.Seconds())
-	p.Gauge("surw_worker_utilization", "Busy time over workers x wall across metered Map calls.").Float(s.Utilization)
+	p.Counter("surw_worker_busy_seconds_total", "Summed session busy time (the session latency histogram's sum).").Float(s.WorkerBusy.Seconds())
+	p.Gauge("surw_worker_utilization", "Session busy time over workers x wall of the BatchDone pools.").Float(s.Utilization)
 	decisions := p.Counter("surw_decisions_total", "Consulted scheduling decisions.")
 	entropy := p.Gauge("surw_pick_entropy_bits", "Entropy of the pick-position distribution.")
 	branching := p.Gauge("surw_mean_branching", "Mean enabled-set size at consulted decisions.")

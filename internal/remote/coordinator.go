@@ -40,8 +40,9 @@ type CoordinatorOptions struct {
 	RetryAfter time.Duration
 	// Tracing enables fleet tracing: every lease gets a root span whose
 	// context travels to the worker, worker spans are ingested from result
-	// submissions, and the assembled log is served on /v1/spans. Off by
-	// default — untraced fleets record nothing and allocate nothing.
+	// submissions, and the assembled log is read from Coordinator.Spans
+	// (surw bench -fleet-trace writes it). Off by default — untraced
+	// fleets record nothing and allocate nothing.
 	Tracing bool
 }
 
@@ -92,12 +93,6 @@ type Coordinator struct {
 	seq        int   // lease-ID counter
 	expiries   int64 // leases timed out and requeued
 	duplicates int64 // records dropped because the store already held them
-
-	// Seen-class gauges: filter counts the distinct classes ingested (its
-	// own lock domain), the tallies ride under c.mu.
-	filter       *ClassFilter
-	schedules    int64 // schedules covered by ingested session records
-	dupSchedules int64 // of those, schedules in an already-seen class
 
 	// Observability. spans is nil unless opts.Tracing; lat holds the
 	// coordinator's own histograms (queue_wait); workerLat keeps the
@@ -177,7 +172,6 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	if c.opts.Tracing {
 		c.spans = obs.NewSpanLog("coordinator")
 	}
-	c.filter = NewClassFilter(0, 0)
 	// A batch is at most BatchSize sessions of one run of same-cell keys,
 	// so this many is room for them all.
 	runs := 0
@@ -197,11 +191,8 @@ func NewCoordinator(store runner.SessionStore, plan []runner.SessionKey, opts Co
 	for _, k := range plan {
 		cell := c.planCellOf(k)
 		c.plan[cell].sessions = append(c.plan[cell].sessions, k.Session)
-		if s, ok := store.Lookup(k); ok {
+		if _, ok := store.Lookup(k); ok {
 			c.done++
-			// A restarted coordinator rebuilds the duplicate gauges from
-			// the records it resumes over.
-			c.ingestLocked(s)
 			continue
 		}
 		if cell != cur.cell || cur.hi-cur.lo >= c.opts.BatchSize {
@@ -243,25 +234,6 @@ func (c *Coordinator) plannedLocked(k runner.SessionKey) (int, bool) {
 	}
 	_, ok = slices.BinarySearch(c.plan[i].sessions, k.Session)
 	return i, ok
-}
-
-// ingestLocked folds one session record into the seen-class filter and
-// the fleet duplicate-rate tallies: each class adds one filter
-// observation, and every schedule beyond the first of an already-seen
-// class counts as a duplicate. Sessions without coverage contribute
-// nothing. Caller holds c.mu (or is still constructing c).
-func (c *Coordinator) ingestLocked(s *runner.Session) {
-	if s.Cov == nil {
-		return
-	}
-	for class, n := range s.Cov.Classes {
-		c.schedules += int64(n)
-		dup := int64(n - 1)
-		if !c.filter.Add(class) {
-			dup++ // the class itself was already known fleet-wide
-		}
-		c.dupSchedules += dup
-	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -377,7 +349,6 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 		resp.Accepted++
 		c.done++
 		ws.sessions++
-		c.ingestLocked(d.sess)
 	}
 	busy := time.Duration(req.busyMillis) * time.Millisecond
 	ws.busy += busy
@@ -609,19 +580,13 @@ func (c *Coordinator) Status() *campaign.RemoteStatus {
 	defer c.mu.Unlock()
 	now := c.now()
 	c.expireStaleLocked(now)
-	observed, distinct := c.filter.Stats()
 	rs := &campaign.RemoteStatus{
-		SessionsPlanned:   c.total,
-		SessionsDone:      c.done,
-		InFlightLeases:    len(c.leases),
-		PendingBatches:    len(c.pending),
-		LeaseExpiries:     c.expiries,
-		DuplicateResults:  c.duplicates,
-		ClassObservations: observed,
-		DistinctClasses:   distinct,
-	}
-	if c.schedules > 0 {
-		rs.DuplicateRate = float64(c.dupSchedules) / float64(c.schedules)
+		SessionsPlanned:  c.total,
+		SessionsDone:     c.done,
+		InFlightLeases:   len(c.leases),
+		PendingBatches:   len(c.pending),
+		LeaseExpiries:    c.expiries,
+		DuplicateResults: c.duplicates,
 	}
 	names := make([]string, 0, len(c.workers))
 	for name := range c.workers {

@@ -1,24 +1,21 @@
 package remote
 
-// Tests for the schedule-equivalence dedup layer: the counting-bloom
-// seen-class filter, the coordinator's fleet-wide duplicate gauges
-// (including their rebuild from a resumed store), and the capstone —
-// dedup-aware aggregates of a distributed coverage campaign staying
-// byte-identical to a local run's. The gauges are all of it: nothing asks
-// the coordinator about a class, and /v1/classes is no endpoint.
+// Tests for the schedule-equivalence dedup layer: the counting Bloom
+// filter the benchmark harness prices, and the capstone — dedup-aware
+// aggregates of a distributed coverage campaign staying byte-identical to
+// a local run's. The class census is the store's: the coordinator counts
+// no class.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"surw/internal/campaign"
 	"surw/internal/experiments"
-	"surw/internal/runner"
 )
 
 // Count returns the class's estimated observation count (capped at 255);
@@ -44,8 +41,8 @@ func TestClassFilterAddSaturate(t *testing.T) {
 	f := NewClassFilter(1<<10, 0)
 	// Nothing added: no counters yet, and the queries answer for an empty
 	// filter without them.
-	if obs, distinct := f.Stats(); f.counters != nil || f.Count(42) != 0 || obs != 0 || distinct != 0 {
-		t.Fatalf("empty filter: counters allocated %v, Count %d, Stats (%d, %d)", f.counters != nil, f.Count(42), obs, distinct)
+	if f.counters != nil || f.Count(42) != 0 {
+		t.Fatalf("empty filter: counters allocated %v, Count %d", f.counters != nil, f.Count(42))
 	}
 	if !f.Add(42) {
 		t.Fatal("first Add not novel")
@@ -64,98 +61,21 @@ func TestClassFilterAddSaturate(t *testing.T) {
 	if f.Count(43) != 0 {
 		t.Fatalf("unrelated class counted %d", f.Count(43))
 	}
-	obs, distinct := f.Stats()
-	if obs != 3 || distinct != 1 {
-		t.Fatalf("Stats = (%d, %d), want (3, 1)", obs, distinct)
-	}
 }
 
 func TestClassFilterManyDistinct(t *testing.T) {
 	f := NewClassFilter(1<<16, 0)
+	class := func(i uint64) uint64 { return i*0x9e3779b97f4a7c15 + 1 }
 	for i := uint64(0); i < 1000; i++ {
-		if !f.Add(i*0x9e3779b97f4a7c15 + 1) {
+		if !f.Add(class(i)) {
 			t.Fatalf("class %d not novel on first Add", i)
 		}
 	}
-	obs, distinct := f.Stats()
-	if obs != 1000 || distinct != 1000 {
-		t.Fatalf("Stats = (%d, %d), want (1000, 1000)", obs, distinct)
-	}
-}
-
-// covRecordsFor fabricates records for a synthetic lease where every
-// session saw the same three schedules: class 0xabc twice and a
-// session-unique class once.
-func covRecordsFor(l *Lease) []record {
-	recs := make([]record, len(l.Sessions))
-	for i, s := range l.Sessions {
-		k := runner.SessionKey{CellKey: l.CellKey, Session: s}
-		recs[i] = record{Key: k, Session: &runner.Session{
-			FirstBug:  -1,
-			Schedules: 3,
-			Bugs:      map[string]int{},
-			Cov: &runner.Coverage{
-				Interleavings: map[uint64]int{uint64(1000 + s): 3},
-				Classes:       map[uint64]int{0xabc: 2, uint64(1 + s): 1},
-				Behaviors:     map[string]int{"b": 3},
-				DupSchedules:  1,
-			},
-		}}
-	}
-	return recs
-}
-
-func TestDuplicateGauges(t *testing.T) {
-	st := newMemStore()
-	c := NewCoordinator(st, syntheticPlan(3), CoordinatorOptions{BatchSize: 8})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
-
-	// Before any results the gauges are empty.
-	if rs := c.Status(); rs.ClassObservations != 0 || rs.DistinctClasses != 0 || rs.DuplicateRate != 0 {
-		t.Fatalf("gauges of a coordinator that ingested nothing: %+v", rs)
-	}
-	la := leaseFor(t, srv.URL, "a")
-	if code := postJSON(t, srv.URL+PathResult,
-		ResultRequest{Worker: "a", LeaseID: la.Lease.ID, Records: covRecordsFor(la.Lease)}, nil); code != 200 {
-		t.Fatalf("submit: status %d", code)
-	}
-	// Three sessions: 9 schedules total, 4 distinct classes (0xabc, 1, 2,
-	// 3) → duplicate rate 5/9.
-	rs := c.Status()
-	if rs.ClassObservations != 6 || rs.DistinctClasses != 4 {
-		t.Fatalf("filter gauges: %+v, want 6 observations over 4 classes", rs)
-	}
-	if want := 5.0 / 9.0; rs.DuplicateRate != want {
-		t.Fatalf("DuplicateRate = %v, want %v", rs.DuplicateRate, want)
-	}
-
-	// The gauges are read, never asked: the class-query endpoint is gone.
-	q := map[string]any{"worker": "a", "classes": []string{"0000000000000abc"}}
-	if code := postJSON(t, srv.URL+"/v1/classes", q, nil); code != http.StatusNotFound {
-		t.Fatalf("POST /v1/classes: status %d, want 404", code)
-	}
-}
-
-func TestCoordinatorRebuildsFilterFromStore(t *testing.T) {
-	st := newMemStore()
-	plan := syntheticPlan(3)
-	c1 := NewCoordinator(st, plan, CoordinatorOptions{BatchSize: 8})
-	srv1 := httptest.NewServer(c1)
-	la := leaseFor(t, srv1.URL, "a")
-	if code := postJSON(t, srv1.URL+PathResult,
-		ResultRequest{Worker: "a", LeaseID: la.Lease.ID, Records: covRecordsFor(la.Lease)}, nil); code != 200 {
-		t.Fatalf("submit: status %d", code)
-	}
-	srv1.Close()
-
-	// A restarted coordinator over the same store rebuilds the seen-class
-	// filter and duplicate tallies from the stored records.
-	c2 := NewCoordinator(st, plan, CoordinatorOptions{BatchSize: 8})
-	r1, r2 := c1.Status(), c2.Status()
-	if r1.DistinctClasses != 4 || r2.ClassObservations != r1.ClassObservations ||
-		r2.DistinctClasses != r1.DistinctClasses || r2.DuplicateRate != r1.DuplicateRate {
-		t.Fatalf("restart lost dedup state: before %+v, after %+v", r1, r2)
+	// The filter never under-counts: every added class reads at least 1.
+	for i := uint64(0); i < 1000; i++ {
+		if n := f.Count(class(i)); n < 1 {
+			t.Fatalf("class %d: Count %d after one Add", i, n)
+		}
 	}
 }
 
@@ -246,7 +166,16 @@ func TestDistributedDedupAggregatesAreByteIdentical(t *testing.T) {
 	if !found {
 		t.Fatal("no bitshift dedup aggregate found")
 	}
-	if rs := c.Status(); rs.DistinctClasses == 0 || rs.DuplicateRate <= 0 {
-		t.Fatalf("coordinator gauges stayed empty: %+v", rs)
+	// The campaign-wide census is the store's: its pooled distinct classes
+	// and duplicate rate over every dedup block are real.
+	classes, samples := 0, 0
+	for _, cell := range agg.Cells {
+		if cell.Coverage != nil && cell.Coverage.Dedup != nil {
+			classes += cell.Coverage.Dedup.DistinctClasses
+			samples += cell.Coverage.Dedup.Samples
+		}
+	}
+	if classes == 0 || samples <= classes {
+		t.Fatalf("store census: %d distinct classes over %d samples, want a real duplicate rate", classes, samples)
 	}
 }

@@ -1,21 +1,16 @@
 package remote
 
-// The fleet-wide seen-class filter: a fixed-size counting Bloom filter
-// over commutation-class fingerprints (sched.Result.ClassHash). The
-// coordinator ingests the class tallies of every accepted session record
-// into it and reads two gauges back (Stats): observations and distinct
-// classes. Nothing acts on a verdict of it — no session is cut short on
-// its word — so it is gauge-only, and the benchmark's filter_add_ns rung
-// is its other caller.
+// A fixed-size counting Bloom filter over commutation-class fingerprints
+// (sched.Result.ClassHash). It has no production caller: the fleet's class
+// census is the store's, exact (campaign.Store.Aggregate's dedup blocks and
+// the surw_campaign_*_classes gauges). The benchmark harness's
+// remote.filter_add_ns rung is what still calls it, and ROADMAP item 12(b)
+// deletes this file when item 1(c) retires that rung.
 //
-// The structure is deliberately approximate in one direction only:
-// counters are shared (hash collisions can over-count a class) and
-// saturate at 255, so the filter may take a new class for a seen one that
-// is merely co-located with hot ones. That skews a live gauge, never a
-// result — dedup-verified aggregates are computed from stored records,
-// not from the filter — and the false-positive rate is kept small by
-// sizing (default 1 MiB of counters for k=4 hashes). The filter never
-// under-counts, so "not saturated" is reliable.
+// The structure is approximate in one direction only: counters are shared
+// (hash collisions can over-count a class) and saturate at 255, so Add may
+// take a new class for a seen one that is merely co-located with hot ones.
+// It never under-counts.
 
 import "sync"
 
@@ -30,10 +25,7 @@ const DefaultFilterSize = 1 << 20
 type ClassFilter struct {
 	mu       sync.RWMutex
 	size     int     // number of counters, a power of two
-	counters []uint8 // allocated by the first Add: a campaign without coverage never pays for it
-
-	observed int64 // fingerprints ingested (with multiplicity)
-	distinct int64 // ingests whose fingerprint was unseen (min counter was 0)
+	counters []uint8 // allocated by the first Add
 }
 
 // NewClassFilter builds a filter with size 8-bit counters (0 =
@@ -98,18 +90,5 @@ func (f *ClassFilter) Add(class uint64) (novel bool) {
 			f.counters[i]++
 		}
 	}
-	f.observed++
-	if min == 0 {
-		f.distinct++
-		return true
-	}
-	return false
-}
-
-// Stats returns the ingest totals: observations with multiplicity and the
-// estimated number of distinct classes among them.
-func (f *ClassFilter) Stats() (observed, distinct int64) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.observed, f.distinct
+	return min == 0
 }

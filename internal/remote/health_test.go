@@ -151,6 +151,11 @@ func TestHealthEndpointAndGauges(t *testing.T) {
 	if gone.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /api/health: status %d, want 404", gone.StatusCode)
 	}
+	// Nor is a class asked about: the class census is the store's.
+	q := map[string]any{"worker": "a", "classes": []string{"0000000000000abc"}}
+	if code := postJSON(t, srv.URL+"/v1/classes", q, nil); code != http.StatusNotFound {
+		t.Fatalf("POST /v1/classes: status %d, want 404", code)
+	}
 
 	// The same verdict rides RemoteStatus and its Prometheus page.
 	rs := c.Status()
