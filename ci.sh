@@ -274,8 +274,10 @@ go run ./cmd/surw obs -in "$tmp/bench-shimsched.txt" -gate 'BenchmarkShimSchedul
 # same schedule without (measured 1.10-1.12, the pick rank read off the
 # enabled mask; 1.13 while Decide searched the slice, 1.91 when a tracer
 # selected the slow loop), x_unobserved a two-worker batch with Metrics and
-# an atlas over the same batch without (measured 1.15-1.18 with plain
-# per-worker counters, cartography only; 1.16-1.19 while a uniformity
+# an atlas over the same batch without (measured 1.10-1.15 with the atlas a
+# depth profile only, alternated in eight pairs on a 2-vCPU box against
+# 1.14-1.19 for the build that also kept density grids; 1.15-1.18 with
+# plain per-worker counters and the grids; 1.16-1.19 while a uniformity
 # chi-square was also fed every schedule, 1.30-1.33 with atomic staging
 # and a count copy per chi-square test, 2.7-3.1 when every decision wrote
 # the cache lines both workers share). Both are same-process ratios

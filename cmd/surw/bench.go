@@ -69,9 +69,9 @@ import (
 // runs as a local one does: the fleet has no knob that changes a record.
 //
 // -atlas attaches the exploration atlas (internal/atlas) to the sct
-// experiment: schedule-space cartography (per-depth branching, prefix
-// density heatmaps), written to DIR/atlas.json at campaign end and rendered live on the -serve
-// dashboard. Observation only — it never changes a schedule, a table, or
+// experiment: schedule-space cartography (a depth profile of how the
+// space branches), written to DIR/atlas.json at campaign end and rendered
+// live on the -serve dashboard. Observation only — it never changes a schedule, a table, or
 // an aggregate byte. In coordinate mode the written atlas is the fleet
 // merge of every worker's (workers opt in with `surw worker -atlas`).
 func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {

@@ -37,8 +37,9 @@ import (
 // instead of silently rendering an empty fleet view.
 //
 // When the store directory holds an atlas.json (written by `surw bench
-// -atlas`), the dashboard also serves the exploration-atlas panels:
-// prefix-density heatmaps and depth profiles.
+// -atlas`), the dashboard also serves the exploration-atlas panels: each
+// cell's depth profile, how the schedule space branches at each decision
+// depth.
 //
 // Endpoints:
 //
@@ -76,7 +77,7 @@ func dashCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			srv.SetRemote(remoteStatus(*remoteURL))
 		}
 		// A campaign run with -atlas leaves DIR/atlas.json beside
-		// aggregates.json; serve its heatmaps and depth profiles post-hoc.
+		// aggregates.json; serve its depth profiles post-hoc.
 		// Re-read per request, so a campaign that rewrites the file (or
 		// writes it for the first time) shows up without a restart.
 		atlasPath := filepath.Join(*storeDir, "atlas.json")

@@ -203,7 +203,7 @@ func TestFleetTracing(t *testing.T) {
 // two atlas-carrying workers. Watching changes no record — aggregates stay
 // equal to the local run's; the coordinator merges the workers' atlases
 // into DIR/atlas.json, and the dashboard over the finished store renders
-// the heatmap, depth profile and atlas gauges from it.
+// the depth profile and atlas gauges from it.
 // Every session came from the store when the tables were rendered, so the
 // run ran nothing to put a throughput footer on.
 func TestFleetAtlas(t *testing.T) {
@@ -222,7 +222,7 @@ func TestFleetAtlas(t *testing.T) {
 	dash := start(t, "dash", "-store", f.dir, "-addr", "127.0.0.1:0")
 	base := dash.url(t, "dashboard")
 	_, html := get(t, base+"/")
-	wantMatch(t, "dashboard", html, `exploration atlas`, `atlas-heatmap`, `atlas-depth`)
+	wantMatch(t, "dashboard", html, `exploration atlas`, `atlas-depth`)
 	wantMatch(t, "/metrics", metricsPage(t, base),
 		`surw_atlas_schedules\{target="Fig1/bitshift_4",algorithm="RW"\} 600`,
 		`surw_atlas_decisions\{target="Fig1/bitshift_4",algorithm="URW"\} [1-9]`)

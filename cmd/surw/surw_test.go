@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"surw/internal/atlas"
 	"surw/internal/buildinfo"
 	"surw/internal/experiments"
 	"surw/internal/obs"
@@ -366,6 +367,21 @@ func TestAtlas(t *testing.T) {
 		`(?m)atlas cell Fig1/bitshift_4/URW: 600 schedules, [1-9][0-9]* decisions, depth [1-9][0-9]*$`,
 		`(?m)atlas cell Fig1/bitshift_4/RW: 600 schedules, [1-9][0-9]* decisions, depth [1-9][0-9]*$`)
 	wantMatch(t, svg, string(readFile(t, svg)), `<svg`)
+}
+
+// TestAtlasRefusesOldVersion: an atlas.json of another schema version is
+// refused, not half-read, and the error names both versions.
+func TestAtlasRefusesOldVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "atlas.json")
+	old := `{"version": 1, "cells": [{"target": "Fig1/bitshift_4", "algorithm": "URW", "schedules": 1, "decisions": 1, "max_depth": 4}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := run("obs", "-atlas", path)
+	if out.code == 0 {
+		t.Fatalf("surw obs -atlas accepted a version-1 export:\n%s", out.stdout)
+	}
+	wantMatch(t, "obs -atlas", out.stderr, fmt.Sprintf(`atlas version 1, this build reads %d`, atlas.Version))
 }
 
 // TestPortReproducesCommittedPort: the committed examples/workerpool/ported

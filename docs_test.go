@@ -68,6 +68,15 @@ var docsAllowlist = map[string]string{
 	"sched.Result.ThreadPaths":       "deleted: race-directed Δ (EXPERIMENTS \"Mechanisms, priced\")",
 	"sched.State.TIDByPath":          "deleted: no caller (ROADMAP item 24)",
 	"ingestLocked":                   "deleted: the coordinator's class census (DESIGN §11 \"One class census\")",
+	"atlas.Grid":                     "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"GridDepths":                     "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"NumGrids":                       "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"GridBits":                       "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"GridSize":                       "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"mergeGrids":                     "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"atlas.HeatmapSVG":               "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"heatColor":                      "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"atlasHash":                      "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
 	"GenSpin":                        "proposed: ROADMAP item 2",
 	"internal/experiments/claims.go": "proposed: ROADMAP item 3",
 	"surw_delta_*":                   "proposed: ROADMAP item 4(b)",

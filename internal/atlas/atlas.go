@@ -1,16 +1,14 @@
 // Package atlas builds a live map of the schedule space a campaign is
 // exploring — the "exploration atlas". It is assembled incrementally from
 // data the engine already produces at every scheduling decision (the
-// enabled-set size, the chosen thread, and a running prefix hash), so
-// attaching it never changes a schedule: the engine folds three integers
-// into a fixed block of plain counters its worker owns and nothing else.
+// decision's depth and its enabled-set size), so attaching it never
+// changes a schedule: the engine adds two integers into a fixed block of
+// plain counters its worker owns and nothing else.
 //
-// The atlas is cartography: how does the space branch? It keeps
-// per-depth decision counts, enabled-set histograms, and a sample-density
-// map that buckets decision-prefix hashes at depths {4, 8, 16} into fixed
-// 2^k grids — rendered as heatmaps, uneven colour means uneven sampling.
-// It passes no verdict on uniformity: that is checked offline, against
-// exact class counts (crosscheck, Figure 2).
+// The atlas is a depth profile: how does the space branch at each
+// decision depth? It keeps per-depth decision counts and enabled-set
+// histograms, and gives no reading of uniformity: that is checked
+// offline, against exact class counts (crosscheck, Figure 2).
 //
 // Standing covenant: a nil atlas costs zero allocations on the batched
 // fast path, and an attached atlas never perturbs a schedule, a
@@ -18,7 +16,6 @@
 package atlas
 
 import (
-	"math"
 	"sort"
 	"sync"
 )
@@ -32,18 +29,7 @@ const (
 	// MaxBranch caps the enabled-set histogram; larger enabled sets fold
 	// into the top bucket.
 	MaxBranch = 16
-	// GridBits sizes the sample-density grids: 2^GridBits buckets each.
-	GridBits = 8
-	// GridSize is the bucket count of one density grid (renders 16×16).
-	GridSize = 1 << GridBits
-	// NumGrids is how many prefix depths get a density grid.
-	NumGrids = 3
 )
-
-// GridDepths are the decision depths (1-based) at which the running
-// prefix hash is bucketed into a density grid. A schedule shorter than a
-// grid's depth simply never lands in it.
-var GridDepths = [NumGrids]int{4, 8, 16}
 
 // Accum is the cartography accumulator the engine writes into: plain
 // counters with exactly one writer. The runner hands every worker an Accum
@@ -55,7 +41,6 @@ type Accum struct {
 	schedules uint64
 	decisions uint64
 	depth     [MaxDepth]depthAccum
-	grid      [NumGrids][GridSize]uint64
 }
 
 type depthAccum struct {
@@ -74,9 +59,8 @@ func (a *Accum) BeginSchedule() {
 
 // Decision records one true scheduling decision (≥2 enabled threads):
 // the depth-th decision point of the current schedule (1-based), with n
-// enabled threads and prefix the running hash of the choices made so far,
-// including this one. Nil-safe, allocation-free.
-func (a *Accum) Decision(depth, n int, prefix uint64) {
+// enabled threads. Nil-safe, allocation-free.
+func (a *Accum) Decision(depth, n int) {
 	if a == nil {
 		return
 	}
@@ -96,11 +80,6 @@ func (a *Accum) Decision(depth, n int, prefix uint64) {
 		b = MaxBranch
 	}
 	da.branch[b]++
-	for gi := 0; gi < NumGrids; gi++ {
-		if depth == GridDepths[gi] {
-			a.grid[gi][prefix&(GridSize-1)]++
-		}
-	}
 }
 
 // DrainInto adds every count a holds to c's accumulator, under the cell's
@@ -135,27 +114,6 @@ func (a *Accum) add(src *Accum) {
 			ad.branch[b] += v
 		}
 	}
-	for gi := range src.grid {
-		for i, v := range src.grid[gi] {
-			a.grid[gi][i] += v
-		}
-	}
-}
-
-// Schedules returns the number of schedules begun so far.
-func (a *Accum) Schedules() uint64 {
-	if a == nil {
-		return 0
-	}
-	return a.schedules
-}
-
-// Snapshot materializes a bare accumulator into its exported form — for
-// callers that manage cells themselves.
-func (a *Accum) Snapshot() CellSnapshot {
-	var cs CellSnapshot
-	a.fill(&cs)
-	return cs
 }
 
 // fill writes the accumulator's counts into cs in their exported wire form.
@@ -177,13 +135,6 @@ func (a *Accum) fill(cs *CellSnapshot) {
 			Depth: d + 1, Decisions: da.count, EnabledSum: da.enabledSum,
 			Branch: append([]uint64(nil), da.branch[:top+1]...),
 		})
-	}
-	for gi := range a.grid {
-		g := Grid{Depth: GridDepths[gi], Buckets: append([]uint64(nil), a.grid[gi][:]...)}
-		g.finalize()
-		if g.Samples > 0 {
-			cs.Grids = append(cs.Grids, g)
-		}
 	}
 }
 
@@ -261,7 +212,7 @@ func (a *Atlas) Snapshot() *Snapshot {
 }
 
 // Version is the atlas.json schema version.
-const Version = 1
+const Version = 2
 
 // Snapshot is the exported (JSON-able) form of an atlas: what
 // `surw bench -atlas` writes to atlas.json, `surw obs -atlas` validates,
@@ -279,7 +230,6 @@ type CellSnapshot struct {
 	Decisions uint64         `json:"decisions"`
 	MaxDepth  int            `json:"max_depth"`
 	Depths    []DepthProfile `json:"depths,omitempty"`
-	Grids     []Grid         `json:"grids,omitempty"`
 }
 
 // DepthProfile is the branching profile at one decision depth. Raw sums
@@ -299,38 +249,6 @@ func (p DepthProfile) MeanEnabled() float64 {
 	return float64(p.EnabledSum) / float64(p.Decisions)
 }
 
-// Grid is one sample-density map: decision-prefix hashes at Depth
-// bucketed into GridSize slots. Under a uniform sampler the buckets a
-// prefix can reach fill evenly; concentration shows as hot spots.
-type Grid struct {
-	Depth       int      `json:"depth"`
-	Buckets     []uint64 `json:"buckets"`
-	Samples     uint64   `json:"samples"`
-	Occupied    int      `json:"occupied"`
-	EntropyBits float64  `json:"entropy_bits"`
-}
-
-// finalize recomputes the derived fields from Buckets.
-func (g *Grid) finalize() {
-	g.Samples, g.Occupied, g.EntropyBits = 0, 0, 0
-	for _, b := range g.Buckets {
-		g.Samples += b
-		if b > 0 {
-			g.Occupied++
-		}
-	}
-	if g.Samples == 0 {
-		return
-	}
-	n := float64(g.Samples)
-	for _, b := range g.Buckets {
-		if b > 0 {
-			p := float64(b) / n
-			g.EntropyBits -= float64(p * math.Log2(p))
-		}
-	}
-}
-
 // MergeCells sums per-cell snapshots from several sources (one per
 // worker, typically) into one fleet view, keyed by target/algorithm.
 func MergeCells(groups ...[]CellSnapshot) []CellSnapshot {
@@ -347,10 +265,6 @@ func MergeCells(groups ...[]CellSnapshot) []CellSnapshot {
 				for i := range cp.Depths {
 					cp.Depths[i].Branch = append([]uint64(nil), cs.Depths[i].Branch...)
 				}
-				cp.Grids = append([]Grid(nil), cs.Grids...)
-				for i := range cp.Grids {
-					cp.Grids[i].Buckets = append([]uint64(nil), cs.Grids[i].Buckets...)
-				}
 				merged[k] = &cp
 				order = append(order, k)
 				continue
@@ -361,7 +275,6 @@ func MergeCells(groups ...[]CellSnapshot) []CellSnapshot {
 				dst.MaxDepth = cs.MaxDepth
 			}
 			dst.Depths = mergeDepths(dst.Depths, cs.Depths)
-			dst.Grids = mergeGrids(dst.Grids, cs.Grids)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
@@ -399,32 +312,6 @@ func mergeDepths(dst, src []DepthProfile) []DepthProfile {
 		for b, v := range p.Branch {
 			d.Branch[b] += v
 		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Depth < dst[j].Depth })
-	return dst
-}
-
-func mergeGrids(dst, src []Grid) []Grid {
-	byDepth := make(map[int]int, len(dst))
-	for i, g := range dst {
-		byDepth[g.Depth] = i
-	}
-	for _, g := range src {
-		i, ok := byDepth[g.Depth]
-		if !ok {
-			cp := g
-			cp.Buckets = append([]uint64(nil), g.Buckets...)
-			dst = append(dst, cp)
-			continue
-		}
-		d := &dst[i]
-		for len(d.Buckets) < len(g.Buckets) {
-			d.Buckets = append(d.Buckets, 0)
-		}
-		for b, v := range g.Buckets {
-			d.Buckets[b] += v
-		}
-		d.finalize()
 	}
 	sort.Slice(dst, func(i, j int) bool { return dst[i].Depth < dst[j].Depth })
 	return dst

@@ -7,23 +7,21 @@ import (
 	"testing"
 )
 
-// mix64 is SplitMix64's finalizer: the tests use it to spread small
-// integers into prefix hashes that look like hashes.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
+// snap materializes a bare accumulator into its exported form.
+func snap(a *Accum) CellSnapshot {
+	var cs CellSnapshot
+	a.fill(&cs)
+	return cs
 }
 
 func TestAccumDecisionBuckets(t *testing.T) {
 	var a Accum
 	a.BeginSchedule()
 	// Three decisions down one schedule: depths 1, 2, 4 with varying n.
-	a.Decision(1, 2, 0x11)
-	a.Decision(2, 3, 0x22)
-	a.Decision(4, 2, 0x1ff) // lands in the depth-4 grid, bucket 0xff
-	cs := a.Snapshot()
+	a.Decision(1, 2)
+	a.Decision(2, 3)
+	a.Decision(4, 2)
+	cs := snap(&a)
 	if cs.Schedules != 1 || cs.Decisions != 3 || cs.MaxDepth != 4 {
 		t.Fatalf("header wrong: %+v", cs)
 	}
@@ -34,19 +32,12 @@ func TestAccumDecisionBuckets(t *testing.T) {
 	if d2.Depth != 2 || d2.Decisions != 1 || d2.EnabledSum != 3 || d2.Branch[3] != 1 {
 		t.Fatalf("depth 2 profile wrong: %+v", d2)
 	}
-	if len(cs.Grids) != 1 || cs.Grids[0].Depth != 4 {
-		t.Fatalf("want exactly the depth-4 grid populated, got %+v", cs.Grids)
-	}
-	g := cs.Grids[0]
-	if g.Buckets[0xff] != 1 || g.Samples != 1 || g.Occupied != 1 || g.EntropyBits != 0 {
-		t.Fatalf("grid bucketing wrong: %+v", g)
-	}
 }
 
 func TestAccumFoldsOverflow(t *testing.T) {
 	var a Accum
-	a.Decision(MaxDepth+7, MaxBranch+9, 3) // deep + wide: folds, never drops
-	cs := a.Snapshot()
+	a.Decision(MaxDepth+7, MaxBranch+9) // deep + wide: folds, never drops
+	cs := snap(&a)
 	if cs.Decisions != 1 || cs.MaxDepth != MaxDepth {
 		t.Fatalf("deep decision dropped: %+v", cs)
 	}
@@ -61,16 +52,16 @@ func TestAccumFoldsOverflow(t *testing.T) {
 // accumulator, leaves the private ones empty, and drains of nothing add
 // nothing — the property the runner's per-worker staging rests on.
 func TestAccumDrainInto(t *testing.T) {
-	record := func(a *Accum, salt uint64) {
+	record := func(a *Accum, salt int) {
 		a.BeginSchedule()
 		for depth := 1; depth <= 20; depth++ {
-			a.Decision(depth, 2+depth%5, salt*uint64(depth)*0x9E3779B97F4A7C15)
+			a.Decision(depth, 2+(depth+salt)%5)
 		}
-		a.Decision(MaxDepth+3, MaxBranch+2, salt)
+		a.Decision(MaxDepth+3, MaxBranch+2)
 	}
 	var direct, stageA, stageB Accum
 	var dst Cell
-	for i := uint64(1); i <= 6; i++ {
+	for i := 1; i <= 6; i++ {
 		record(&direct, i)
 		stage := &stageA
 		if i%2 == 0 {
@@ -85,13 +76,13 @@ func TestAccumDrainInto(t *testing.T) {
 	stageB.DrainInto(&dst)
 	stageB.DrainInto(&dst) // already empty
 	(*Accum)(nil).DrainInto(&dst)
-	want, _ := json.Marshal(direct.Snapshot())
-	got, _ := json.Marshal(dst.acc.Snapshot())
+	want, _ := json.Marshal(snap(&direct))
+	got, _ := json.Marshal(snap(&dst.acc))
 	if string(got) != string(want) {
 		t.Fatalf("drained accumulator differs from direct recording:\n got %s\nwant %s", got, want)
 	}
 	for _, stage := range []*Accum{&stageA, &stageB} {
-		if cs := stage.Snapshot(); cs.Schedules != 0 || cs.Decisions != 0 || len(cs.Depths) != 0 || len(cs.Grids) != 0 {
+		if cs := snap(stage); cs.Schedules != 0 || cs.Decisions != 0 || len(cs.Depths) != 0 {
 			t.Fatalf("staging accumulator not empty after drain: %+v", cs)
 		}
 	}
@@ -101,14 +92,14 @@ func TestAccumZeroAlloc(t *testing.T) {
 	var a Accum
 	if n := testing.AllocsPerRun(100, func() {
 		a.BeginSchedule()
-		a.Decision(4, 3, 42)
+		a.Decision(4, 3)
 	}); n != 0 {
 		t.Fatalf("Decision allocates %.0f objects; must be zero", n)
 	}
 	var nilAcc *Accum
 	if n := testing.AllocsPerRun(100, func() {
 		nilAcc.BeginSchedule()
-		nilAcc.Decision(4, 3, 42)
+		nilAcc.Decision(4, 3)
 	}); n != 0 {
 		t.Fatalf("nil accumulator allocates %.0f objects; must be zero", n)
 	}
@@ -117,18 +108,18 @@ func TestAccumZeroAlloc(t *testing.T) {
 func TestMergeCells(t *testing.T) {
 	var a, b Accum
 	a.BeginSchedule()
-	a.Decision(1, 2, 1)
-	a.Decision(4, 2, 9)
+	a.Decision(1, 2)
+	a.Decision(4, 2)
 	b.BeginSchedule()
 	b.BeginSchedule()
-	b.Decision(1, 3, 2)
-	b.Decision(2, 2, 5)
-	ca, cb := a.Snapshot(), b.Snapshot()
+	b.Decision(1, 3)
+	b.Decision(2, 2)
+	ca, cb := snap(&a), snap(&b)
 	ca.Target, ca.Algorithm = "tgt", "URW"
 	cb.Target, cb.Algorithm = "tgt", "URW"
 	other := Accum{}
 	other.BeginSchedule()
-	co := other.Snapshot()
+	co := snap(&other)
 	co.Target, co.Algorithm = "aaa", "RW"
 
 	merged := MergeCells([]CellSnapshot{ca}, []CellSnapshot{cb, co})
@@ -156,7 +147,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	c := reg.Cell("tgt", "URW")
 	var stage Accum
 	stage.BeginSchedule()
-	stage.Decision(4, 2, 77)
+	stage.Decision(4, 2)
 	stage.DrainInto(c)
 	s := reg.Snapshot()
 	blob, err := json.Marshal(s)
@@ -176,18 +167,17 @@ func TestSVGRenders(t *testing.T) {
 	reg := New()
 	c := reg.Cell("tgt", "URW")
 	var stage Accum
-	for i := uint64(0); i < 300; i++ {
+	for i := 0; i < 300; i++ {
 		stage.BeginSchedule()
-		stage.Decision(1, 2, mix64(i))
-		stage.Decision(4, 3, mix64(i*7))
+		stage.Decision(1, 2)
+		stage.Decision(4, 3)
 	}
 	stage.DrainInto(c)
 	s := reg.Snapshot()
 	cs := s.Cells[0]
 	for name, svg := range map[string]string{
-		"heatmap": HeatmapSVG(cs),
-		"depth":   DepthProfileSVG(cs),
-		"doc":     DocumentSVG(s),
+		"depth": DepthProfileSVG(cs),
+		"doc":   DocumentSVG(s),
 	} {
 		if !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(svg, "</svg>") {
 			t.Fatalf("%s: not an svg element: %.80s", name, svg)
@@ -198,9 +188,6 @@ func TestSVGRenders(t *testing.T) {
 	}
 	// Degenerate cells render labelled empty frames, not nothing.
 	empty := CellSnapshot{Target: "t", Algorithm: "a"}
-	if !strings.Contains(HeatmapSVG(empty), "no density samples") {
-		t.Fatal("empty heatmap lacks placeholder")
-	}
 	if !strings.Contains(DepthProfileSVG(empty), "no decisions recorded") {
 		t.Fatal("empty depth profile lacks placeholder")
 	}

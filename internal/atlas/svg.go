@@ -1,74 +1,14 @@
 package atlas
 
 // Inline-SVG rendering for the dashboard and `surw obs -atlas -out`: a
-// sample-density heatmap per grid depth and a depth/branching profile.
+// depth/branching profile per cell.
 // Pure string building, no templates — the same renderer serves the
 // HTML dashboard (wrapped as template.HTML) and standalone .svg export.
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
-
-const (
-	heatCell = 11 // px per bucket cell
-	heatSide = 16 // 16×16 = GridSize buckets
-	heatGap  = 26 // gap between grids, holds the depth label
-	heatTop  = 16 // label row above each grid
-)
-
-// HeatmapSVG renders the cell's sample-density grids side by side as one
-// inline SVG. Bucket colour scales with log(count) so a uniform sampler
-// reads as a flat field and concentration as hot spots. Cells with no
-// grid samples yet render a labelled empty frame rather than nothing.
-func HeatmapSVG(cs CellSnapshot) string {
-	grids := cs.Grids
-	n := len(grids)
-	if n == 0 {
-		n = 1
-	}
-	w := n*(heatSide*heatCell+heatGap) - heatGap
-	h := heatTop + heatSide*heatCell
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg class="atlas-heatmap" xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`, w, h, w, h)
-	if len(grids) == 0 {
-		b.WriteString(`<text x="4" y="12" class="lbl" font-size="11" fill="#667">no density samples yet</text>`)
-		fmt.Fprintf(&b, `<rect x="0" y="%d" width="%d" height="%d" fill="none" stroke="#ccd"/>`, heatTop, heatSide*heatCell, heatSide*heatCell)
-	}
-	for gi, g := range grids {
-		x0 := gi * (heatSide*heatCell + heatGap)
-		fmt.Fprintf(&b, `<text x="%d" y="12" font-size="11" fill="#667">depth %d · %d samples · %d/%d buckets · %.1f bits</text>`,
-			x0, g.Depth, g.Samples, g.Occupied, len(g.Buckets), g.EntropyBits)
-		var max float64
-		for _, c := range g.Buckets {
-			if f := float64(c); f > max {
-				max = f
-			}
-		}
-		for i, c := range g.Buckets {
-			x := x0 + (i%heatSide)*heatCell
-			y := heatTop + (i/heatSide)*heatCell
-			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>`,
-				x, y, heatCell-1, heatCell-1, heatColor(float64(c), max))
-		}
-	}
-	b.WriteString(`</svg>`)
-	return b.String()
-}
-
-// heatColor maps a bucket count to a white→deep-blue ramp on a log scale.
-func heatColor(c, max float64) string {
-	if c <= 0 || max <= 0 {
-		return "#f4f5f7"
-	}
-	t := math.Log1p(c) / math.Log1p(max) // (0,1]
-	// interpolate #e8ecf4 → #123a8c
-	r := int(232 + float64(t*(18-232)))
-	g := int(236 + float64(t*(58-236)))
-	bl := int(244 + float64(t*(140-244)))
-	return fmt.Sprintf("#%02x%02x%02x", r, g, bl)
-}
 
 const (
 	profW    = 320
@@ -126,15 +66,11 @@ func DepthProfileSVG(cs CellSnapshot) string {
 	return b.String()
 }
 
-// DocumentSVG wraps every cell's heatmap and depth profile into one
-// standalone SVG document, stacked vertically — the `surw obs -atlas -out`
-// artifact.
+// DocumentSVG stacks every cell's label and depth profile into one
+// standalone SVG document — the `surw obs -atlas -out` artifact.
 func DocumentSVG(s *Snapshot) string {
-	const rowH = heatTop + heatSide*heatCell + profH + 44
-	w := NumGrids*(heatSide*heatCell+heatGap) - heatGap
-	if w < profW {
-		w = profW
-	}
+	const rowH = profH + 28
+	const w = 2 * profW // the label line runs wider than a profile
 	h := rowH * len(s.Cells)
 	if h == 0 {
 		h = 24
@@ -147,8 +83,7 @@ func DocumentSVG(s *Snapshot) string {
 		label := fmt.Sprintf("%s / %s — %d schedules, %d decisions, max depth %d",
 			cs.Target, cs.Algorithm, cs.Schedules, cs.Decisions, cs.MaxDepth)
 		fmt.Fprintf(&b, `<text x="8" y="%d" font-size="12" fill="#223">%s</text>`, y+14, htmlEscape(label))
-		fmt.Fprintf(&b, `<g transform="translate(8,%d)">%s</g>`, y+20, HeatmapSVG(cs))
-		fmt.Fprintf(&b, `<g transform="translate(8,%d)">%s</g>`, y+20+heatTop+heatSide*heatCell+4, DepthProfileSVG(cs))
+		fmt.Fprintf(&b, `<g transform="translate(8,%d)">%s</g>`, y+20, DepthProfileSVG(cs))
 	}
 	b.WriteString(`</svg>`)
 	return b.String()

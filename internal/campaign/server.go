@@ -64,11 +64,10 @@ func (s *Server) SetRemote(status func() (*RemoteStatus, error)) { s.remote = st
 // SetAtlas attaches an exploration-atlas source (internal/atlas): the
 // live registry's Snapshot for an embedded campaign, the coordinator's
 // merged fleet view for a distributed one, or a loader over a written
-// atlas.json for surw dash. The dashboard then renders the sample-density
-// heatmaps and the depth profile, and /metrics gains the surw_atlas_*
-// family. A failing source is treated
-// like an absent one (the panel disappears; nothing breaks). Call before
-// serving.
+// atlas.json for surw dash. The dashboard then renders each cell's depth
+// profile, and /metrics gains the surw_atlas_* family. A failing source is
+// treated like an absent one (the panel disappears; nothing breaks). Call
+// before serving.
 func (s *Server) SetAtlas(src func() (*atlas.Snapshot, error)) { s.atlasSrc = src }
 
 // atlasSnapshot resolves the attached atlas source, nil when absent,
@@ -253,15 +252,14 @@ type dashCell struct {
 }
 
 // dashAtlas is one cell of the exploration-atlas section: the rendered
-// heatmap and depth profile.
+// depth profile.
 type dashAtlas struct {
-	Target     string
-	Algorithm  string
-	Schedules  uint64
-	Decisions  uint64
-	MaxDepth   int
-	HeatmapSVG template.HTML
-	DepthSVG   template.HTML
+	Target    string
+	Algorithm string
+	Schedules uint64
+	Decisions uint64
+	MaxDepth  int
+	DepthSVG  template.HTML
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -296,8 +294,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			data.AtlasCells = append(data.AtlasCells, dashAtlas{
 				Target: c.Target, Algorithm: c.Algorithm,
 				Schedules: c.Schedules, Decisions: c.Decisions, MaxDepth: c.MaxDepth,
-				HeatmapSVG: template.HTML(atlas.HeatmapSVG(c)),
-				DepthSVG:   template.HTML(atlas.DepthProfileSVG(c)),
+				DepthSVG: template.HTML(atlas.DepthProfileSVG(c)),
 			})
 		}
 	}
@@ -523,7 +520,6 @@ var dashTemplate = template.Must(template.New("dash").Funcs(template.FuncMap{
 {{range .AtlasCells}}<div class="cell">
  <h2>{{.Target}} · {{.Algorithm}}</h2>
  <p class="meta">{{.Schedules}} schedules · {{.Decisions}} decisions · depth {{.MaxDepth}}</p>
- {{.HeatmapSVG}}
  {{.DepthSVG}}
 </div>{{end}}
 </div>

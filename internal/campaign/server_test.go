@@ -435,13 +435,13 @@ func atlasServer(t *testing.T) *httptest.Server {
 	var acc atlas.Accum
 	for i := 0; i < 320; i++ {
 		acc.BeginSchedule()
-		acc.Decision(1, 3, uint64(i))
-		acc.Decision(5, 2, uint64(i*7))
+		acc.Decision(1, 3)
+		acc.Decision(5, 2)
 	}
 	acc.DrainInto(reg.Cell("CS/reorder_4", "SURW"))
 	for i := 0; i < 384; i++ {
 		acc.BeginSchedule()
-		acc.Decision(1, 2, uint64(i))
+		acc.Decision(1, 2)
 	}
 	acc.DrainInto(reg.Cell("CS/reorder_4", "RW"))
 
@@ -453,16 +453,15 @@ func atlasServer(t *testing.T) *httptest.Server {
 }
 
 // TestServerAtlasPanel drives the dashboard's atlas panel end to end: each
-// cell's heatmap, depth profile and counts, nothing rendered as NaN, and
-// no uniformity verdict — the atlas maps the space, it does not judge the
-// sampler.
+// cell's depth profile and counts, nothing rendered as NaN, and no
+// uniformity verdict or density grid — the atlas maps the space, it does
+// not judge the sampler.
 func TestServerAtlasPanel(t *testing.T) {
 	srv := atlasServer(t)
 
 	page := get(t, srv.URL+"/")
 	for _, want := range []string{
 		"exploration atlas",
-		"atlas-heatmap",
 		"atlas-depth",
 		"320 schedules · 640 decisions · depth 5",
 		"384 schedules · 384 decisions · depth 1",
@@ -471,7 +470,7 @@ func TestServerAtlasPanel(t *testing.T) {
 			t.Errorf("dashboard missing %q", want)
 		}
 	}
-	for _, gone := range []string{"NaN", "uniformity", "DRIFT", "discovery yield"} {
+	for _, gone := range []string{"NaN", "uniformity", "DRIFT", "discovery yield", "atlas-heatmap", " bits"} {
 		if strings.Contains(page, gone) {
 			t.Errorf("dashboard rendered %q", gone)
 		}

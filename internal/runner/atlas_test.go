@@ -54,7 +54,7 @@ func TestAtlasNonPerturbation(t *testing.T) {
 			if cs.Schedules != 3*40 {
 				t.Fatalf("%s workers=%d: atlas saw %d schedules, want %d", alg, workers, cs.Schedules, 3*40)
 			}
-			if cs.Decisions == 0 || len(cs.Grids) == 0 {
+			if cs.Decisions == 0 || len(cs.Depths) == 0 {
 				t.Fatalf("%s: cartography empty: %+v", alg, cs)
 			}
 		}

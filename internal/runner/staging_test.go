@@ -59,11 +59,11 @@ func TestStagedObserversMatchAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(m1.Algorithms, m2.Algorithms) {
 			t.Fatalf("%s: decision histograms differ\nworkers 1: %+v\nworkers 2: %+v", alg, m1.Algorithms, m2.Algorithms)
 		}
-		if a1.Schedules != 4*300 || a1.Decisions == 0 || len(a1.Grids) == 0 {
-			t.Fatalf("%s: atlas holds %d schedules, %d decisions, %d grids; want %d schedules and a map", alg, a1.Schedules, a1.Decisions, len(a1.Grids), 4*300)
+		if a1.Schedules != 4*300 || a1.Decisions == 0 || len(a1.Depths) == 0 {
+			t.Fatalf("%s: atlas holds %d schedules, %d decisions, %d depths; want %d schedules and a map", alg, a1.Schedules, a1.Decisions, len(a1.Depths), 4*300)
 		}
 		if !reflect.DeepEqual(a1, a2) {
-			t.Fatalf("%s: atlas cells differ: workers 1 holds %d schedules / %d decisions, workers 2 %d / %d (or the same totals spread differently over depths and grid buckets)",
+			t.Fatalf("%s: atlas cells differ: workers 1 holds %d schedules / %d decisions, workers 2 %d / %d (or the same totals spread differently over depths)",
 				alg, a1.Schedules, a1.Decisions, a2.Schedules, a2.Decisions)
 		}
 	}

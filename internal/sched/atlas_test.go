@@ -23,7 +23,7 @@ func TestAtlasNonPerturbation(t *testing.T) {
 				resultsEqual(t, name, seed, plain, mapped)
 			}
 		}
-		if acc.Schedules() == 0 {
+		if drained(acc).Schedules == 0 {
 			t.Fatalf("batching=%v: atlas saw no schedules", batching)
 		}
 	}
@@ -57,8 +57,8 @@ func TestAtlasNonPerturbationCheckpointed(t *testing.T) {
 	for seed := int64(2); seed < 30; seed++ {
 		fullPool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: seed}, Atlas: accFull})
 	}
-	snap := acc.Snapshot()
-	snapFull := accFull.Snapshot()
+	snap := drained(acc)
+	snapFull := drained(accFull)
 	if snap.Decisions != snapFull.Decisions {
 		t.Fatalf("checkpointed runs recorded %d decisions, full runs %d", snap.Decisions, snapFull.Decisions)
 	}
@@ -75,7 +75,7 @@ func TestAtlasNonPerturbationCheckpointed(t *testing.T) {
 // TestAtlasCountsBitshift sanity-checks the cartography on the canonical
 // two-writer program: every schedule records at least one true decision,
 // per-depth branch histograms sum to the depth's decision count, and the
-// depth-4 density grid is populated.
+// profile starts at depth 1.
 func TestAtlasCountsBitshift(t *testing.T) {
 	reg := atlas.New()
 	cell := reg.Cell("vars", "pickRandom")
@@ -110,9 +110,17 @@ func TestAtlasCountsBitshift(t *testing.T) {
 			t.Fatalf("depth %d: mean enabled %.2f < 2 at a true decision point", p.Depth, p.MeanEnabled())
 		}
 	}
-	if len(cs.Grids) == 0 || cs.Grids[0].Depth != atlas.GridDepths[0] || cs.Grids[0].Samples == 0 {
-		t.Fatalf("depth-%d grid not populated: %+v", atlas.GridDepths[0], cs.Grids)
+	if cs.Depths[0].Depth != 1 || cs.Depths[0].Decisions != n {
+		t.Fatalf("depth 1 holds %+v; want one decision per schedule", cs.Depths[0])
 	}
+}
+
+// drained moves acc's counts into a fresh registry's cell and returns that
+// cell's snapshot.
+func drained(acc *atlas.Accum) atlas.CellSnapshot {
+	reg := atlas.New()
+	acc.DrainInto(reg.Cell("t", "a"))
+	return reg.Snapshot().Cells[0]
 }
 
 // TestAtlasAttachedNoExtraAllocs holds the attached-atlas hot path to the

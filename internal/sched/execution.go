@@ -91,11 +91,10 @@ type Execution struct {
 	tracer      Tracer
 
 	// Exploration-atlas state (internal/atlas): cartography sink plus the
-	// per-schedule decision depth and running choice-prefix hash. Feeds
-	// only the atlas — never a result hash or a scheduling choice.
+	// per-schedule decision depth. Feeds only the atlas — never a result
+	// hash or a scheduling choice.
 	atlas      *atlas.Accum
 	atlasDepth int
-	atlasHash  uint64
 
 	state *State
 
@@ -262,7 +261,6 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	ex.tracer = opts.Tracer
 	ex.atlas = opts.Atlas
 	ex.atlasDepth = 0
-	ex.atlasHash = fnvOffset
 	ex.atlas.BeginSchedule()
 	if opts.Info != nil && opts.Info.Interesting != nil {
 		ex.interesting = opts.Info.Interesting
@@ -421,8 +419,7 @@ func (ex *Execution) loop() {
 		}
 		if ex.atlas != nil && len(enabled) > 1 {
 			ex.atlasDepth++
-			ex.atlasHash = fnvMix(ex.atlasHash, uint64(tid)<<8|uint64(len(enabled)))
-			ex.atlas.Decision(ex.atlasDepth, len(enabled), ex.atlasHash)
+			ex.atlas.Decision(ex.atlasDepth, len(enabled))
 		}
 		t := ex.threads[tid]
 		ev := t.next

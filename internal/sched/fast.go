@@ -371,8 +371,7 @@ func (ex *Execution) decide(t *Thread) bool {
 	}
 	if ex.atlas != nil && n > 1 {
 		ex.atlasDepth++
-		ex.atlasHash = fnvMix(ex.atlasHash, uint64(tid)<<8|uint64(n))
-		ex.atlas.Decision(ex.atlasDepth, n, ex.atlasHash)
+		ex.atlas.Decision(ex.atlasDepth, n)
 	}
 	if ex.spawnObs != nil {
 		// Only spawn notifications read the snapshot (State.Enabled).

@@ -297,8 +297,8 @@ type Options struct {
 	DisableBatching bool
 	// Atlas, when non-nil, accumulates schedule-space cartography (see
 	// internal/atlas): at every true decision point (≥2 enabled threads)
-	// the engine folds the depth, the enabled-set size and a running
-	// choice-prefix hash into its fixed block of counters. A nil Atlas
+	// the engine counts the depth and the enabled-set size into its fixed
+	// block of counters. A nil Atlas
 	// costs one predictable branch per decision and zero allocations; an
 	// attached one never changes which thread is scheduled or any result
 	// hash. The counters are plain memory: an Accum serves one schedule at
