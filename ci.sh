@@ -57,6 +57,17 @@ fi
 if grep -rn --include='*.go' 'ClassFilter' . | grep -v -e '_test\.go:' -e '^\./internal/remote/filter\.go:' -e '^\./benchmark/'; then
     echo "FAIL: ClassFilter outside internal/remote/filter.go and benchmark/: the class census is the store's (campaign.Store.Aggregate)"; exit 1
 fi
+# One observer hook: the engine is watched through sched.Tracer alone. The
+# atlas's accumulator and obs.Metrics attach as tracers, and Metrics counts a
+# schedule once, in its tracer's EndSchedule. An atlas import in a non-test
+# file of internal/sched is a second engine hook coming back; an
+# ObserveResult in any non-test file is a second count of each schedule.
+if grep -ln '"surw/internal/atlas"' internal/sched/*.go | grep -v '_test\.go$'; then
+    echo "FAIL: one observer hook: internal/sched imports internal/atlas; attach the atlas as a sched.Tracer"; exit 1
+fi
+if grep -rn --include='*.go' 'ObserveResult' . | grep -v '_test\.go:'; then
+    echo "FAIL: one observer hook: ObserveResult is back; obs.Metrics counts each schedule in MetricsTracer.EndSchedule"; exit 1
+fi
 # One cell key: the seven fields that name a cell (one target under one
 # algorithm) are declared once, as runner.CellKey, beside the runner.Config
 # they are read from, and spelled on the wire by internal/campaign's wire.go
@@ -241,6 +252,10 @@ go run ./cmd/surw obs -in "$tmp/bench.txt" -gate 'BenchmarkPooledSchedule/pooled
 # interned names, its Session and tallies (5.36 while every session built
 # its worker cold, gated then at 10; 72 while session.go ran each schedule
 # through the one-shot sched.Run). The gate is the measured 5.17 + 5 %.
+# Most of those objects are the target program's: a rate-1 memory profile
+# (-memprofilerate 1, -benchtime 20x) puts 77 % of them in Bitshift's body
+# and bitString (4.0 a schedule), 19 % in the Result each schedule hands the
+# caller, and 3 % in set-up (coroutine starts, Explore's session).
 go test -bench='^BenchmarkLibrarySession$' -benchtime=20x -run='^$' . > "$tmp/bench-lib.txt" 2>&1 || { cat "$tmp/bench-lib.txt"; exit 1; }
 go run ./cmd/surw obs -in "$tmp/bench-lib.txt" -gate 'BenchmarkLibrarySession.allocs/schedule<=5.43'
 
@@ -274,8 +289,10 @@ go run ./cmd/surw obs -in "$tmp/bench-shimsched.txt" -gate 'BenchmarkShimSchedul
 # same schedule without (measured 1.10-1.12, the pick rank read off the
 # enabled mask; 1.13 while Decide searched the slice, 1.91 when a tracer
 # selected the slow loop), x_unobserved a two-worker batch with Metrics and
-# an atlas over the same batch without (measured 1.10-1.15 with the atlas a
-# depth profile only, alternated in eight pairs on a 2-vCPU box against
+# an atlas over the same batch without (measured 1.12-1.17 with both
+# attached as one sched.Tracer, the worker's pair of them, alternated in ten
+# pairs on a 2-vCPU box against 1.09-1.14 while the atlas had an engine hook
+# of its own; 1.10-1.15 with the atlas a depth profile only, against
 # 1.14-1.19 for the build that also kept density grids; 1.15-1.18 with
 # plain per-worker counters and the grids; 1.16-1.19 while a uniformity
 # chi-square was also fed every schedule, 1.30-1.33 with atomic staging
@@ -308,7 +325,12 @@ best_of_three "$tmp/bench-census.txt" \
 # over its 100 schedules; 4.52 while every RunTarget call built its
 # workers cold, gated then at 4.75; 5.52 while every schedule returned a
 # fresh Result, 9.52 before object handles moved into the execution's
-# arenas; the gate is 4.39 + 5 %: small noise, not a regression).
+# arenas; the gate is 4.39 + 5 %: small noise, not a regression). Most
+# of those objects are the target program's: a rate-1 memory profile
+# (-memprofilerate 1, -benchtime 20x) puts 93 % of them in Twostage's
+# closures and spawnN's handle slice (4.0 a schedule), 5 % in the coroutines
+# the engine starts for the threads the program spawns (iter.Pull,
+# Thread.start) and 1 % in the runner's session set-up.
 go test -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' . > "$tmp/bench-par.txt" 2>&1 || { cat "$tmp/bench-par.txt"; exit 1; }
 go run ./cmd/surw obs -in "$tmp/bench-par.txt" -gate 'BenchmarkParallelSessions/workers_1.allocs/schedule<=4.61'
 # Throughput gate, normalised to the machine: the process CPU time of a

@@ -77,6 +77,8 @@ var docsAllowlist = map[string]string{
 	"atlas.HeatmapSVG":               "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
 	"heatColor":                      "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
 	"atlasHash":                      "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
+	"Accum.Decision":                 "deleted: the atlas became a sched.Tracer (DESIGN §13)",
+	"ObserveResult":                  "deleted: Metrics counts a schedule in MetricsTracer.EndSchedule (DESIGN §7)",
 	"GenSpin":                        "proposed: ROADMAP item 2",
 	"internal/experiments/claims.go": "proposed: ROADMAP item 3",
 	"surw_delta_*":                   "proposed: ROADMAP item 4(b)",

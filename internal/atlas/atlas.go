@@ -1,23 +1,25 @@
 // Package atlas builds a live map of the schedule space a campaign is
 // exploring — the "exploration atlas". It is assembled incrementally from
-// data the engine already produces at every scheduling decision (the
-// decision's depth and its enabled-set size), so attaching it never
-// changes a schedule: the engine adds two integers into a fixed block of
-// plain counters its worker owns and nothing else.
+// what the engine shows every sched.Tracer (each step's enabled-set size),
+// so attaching it never changes a schedule: an Accum is such a tracer, and
+// at each true decision adds two integers into a fixed block of plain
+// counters its worker owns, and nothing else.
 //
 // The atlas is a depth profile: how does the space branch at each
 // decision depth? It keeps per-depth decision counts and enabled-set
 // histograms, and gives no reading of uniformity: that is checked
 // offline, against exact class counts (crosscheck, Figure 2).
 //
-// Standing covenant: a nil atlas costs zero allocations on the batched
-// fast path, and an attached atlas never perturbs a schedule, a
-// fingerprint, or an aggregate byte.
+// Standing covenant: an attached atlas allocates nothing on the batched
+// fast path and never perturbs a schedule, a fingerprint, or an aggregate
+// byte.
 package atlas
 
 import (
 	"sort"
 	"sync"
+
+	"surw/internal/sched"
 )
 
 // Shape constants. They are fixed so an accumulator is a single
@@ -31,15 +33,16 @@ const (
 	MaxBranch = 16
 )
 
-// Accum is the cartography accumulator the engine writes into: plain
-// counters with exactly one writer. The runner hands every worker an Accum
-// of its own (sched.Options.Atlas), the engine counts into it with ordinary
-// adds — no lock, no allocation, no line another CPU holds — and the worker
-// moves the counts into the cell with DrainInto between schedules. Nothing
-// else may touch an Accum while a schedule is writing it.
+// Accum is the cartography accumulator, a sched.Tracer: plain counters
+// with exactly one writer. The runner gives every worker an Accum of its
+// own, the engine's Decide calls count into it with ordinary adds — no
+// lock, no allocation, no line another CPU holds — and the worker moves
+// the counts into the cell with DrainInto between schedules. Nothing else
+// may touch an Accum while a schedule is writing it.
 type Accum struct {
 	schedules uint64
 	decisions uint64
+	at        int // the current schedule's true decisions so far: its depth
 	depth     [MaxDepth]depthAccum
 }
 
@@ -49,37 +52,34 @@ type depthAccum struct {
 	branch     [MaxBranch + 1]uint64
 }
 
-// BeginSchedule counts one schedule start. Nil-safe.
-func (a *Accum) BeginSchedule() {
-	if a == nil {
-		return
-	}
+// BeginSchedule implements sched.Tracer: it counts one schedule start and
+// puts the schedule's depth back to 0.
+func (a *Accum) BeginSchedule(string) {
 	a.schedules++
+	a.at = 0
 }
 
-// Decision records one true scheduling decision (≥2 enabled threads):
-// the depth-th decision point of the current schedule (1-based), with n
-// enabled threads. Nil-safe, allocation-free.
-func (a *Accum) Decision(depth, n int) {
-	if a == nil {
-		return
+// Decide implements sched.Tracer: a true scheduling decision (≥2 enabled
+// threads) is recorded at the schedule's next depth; a forced step is not
+// a decision and moves nothing. Allocation-free.
+func (a *Accum) Decide(d sched.Decision, _ *sched.State) {
+	if d.Enabled > 1 {
+		a.at++
+		a.record(a.at, d.Enabled)
 	}
+}
+
+// EndSchedule implements sched.Tracer; the counts are already in place.
+func (a *Accum) EndSchedule(*sched.Result) {}
+
+// record counts one true decision, the depth-th of its schedule (1-based),
+// with n enabled threads; deeper and wider fold into the last slots.
+func (a *Accum) record(depth, n int) {
 	a.decisions++
-	d := depth - 1
-	if d < 0 {
-		d = 0
-	}
-	if d >= MaxDepth {
-		d = MaxDepth - 1
-	}
-	da := &a.depth[d]
+	da := &a.depth[min(depth, MaxDepth)-1]
 	da.count++
 	da.enabledSum += uint64(n)
-	b := n
-	if b > MaxBranch {
-		b = MaxBranch
-	}
-	da.branch[b]++
+	da.branch[min(n, MaxBranch)]++
 }
 
 // DrainInto adds every count a holds to c's accumulator, under the cell's

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"surw/internal/sched"
 )
 
 // snap materializes a bare accumulator into its exported form.
@@ -16,11 +18,11 @@ func snap(a *Accum) CellSnapshot {
 
 func TestAccumDecisionBuckets(t *testing.T) {
 	var a Accum
-	a.BeginSchedule()
+	a.BeginSchedule("")
 	// Three decisions down one schedule: depths 1, 2, 4 with varying n.
-	a.Decision(1, 2)
-	a.Decision(2, 3)
-	a.Decision(4, 2)
+	a.record(1, 2)
+	a.record(2, 3)
+	a.record(4, 2)
 	cs := snap(&a)
 	if cs.Schedules != 1 || cs.Decisions != 3 || cs.MaxDepth != 4 {
 		t.Fatalf("header wrong: %+v", cs)
@@ -36,7 +38,7 @@ func TestAccumDecisionBuckets(t *testing.T) {
 
 func TestAccumFoldsOverflow(t *testing.T) {
 	var a Accum
-	a.Decision(MaxDepth+7, MaxBranch+9) // deep + wide: folds, never drops
+	a.record(MaxDepth+7, MaxBranch+9) // deep + wide: folds, never drops
 	cs := snap(&a)
 	if cs.Decisions != 1 || cs.MaxDepth != MaxDepth {
 		t.Fatalf("deep decision dropped: %+v", cs)
@@ -53,11 +55,11 @@ func TestAccumFoldsOverflow(t *testing.T) {
 // nothing — the property the runner's per-worker staging rests on.
 func TestAccumDrainInto(t *testing.T) {
 	record := func(a *Accum, salt int) {
-		a.BeginSchedule()
+		a.BeginSchedule("")
 		for depth := 1; depth <= 20; depth++ {
-			a.Decision(depth, 2+(depth+salt)%5)
+			a.record(depth, 2+(depth+salt)%5)
 		}
-		a.Decision(MaxDepth+3, MaxBranch+2)
+		a.record(MaxDepth+3, MaxBranch+2)
 	}
 	var direct, stageA, stageB Accum
 	var dst Cell
@@ -88,37 +90,56 @@ func TestAccumDrainInto(t *testing.T) {
 	}
 }
 
+// TestAccumDecideDepths: as a tracer, the accumulator records each true
+// decision at the schedule's next depth, skips forced steps, and starts
+// every schedule at depth 1.
+func TestAccumDecideDepths(t *testing.T) {
+	var a Accum
+	a.BeginSchedule("")
+	for _, n := range []int{2, 1, 3, 1, 1, 2} {
+		a.Decide(sched.Decision{Enabled: n}, nil)
+	}
+	a.EndSchedule(nil)
+	a.BeginSchedule("")
+	a.Decide(sched.Decision{Enabled: 4}, nil)
+	var want Accum
+	want.BeginSchedule("")
+	want.record(1, 2)
+	want.record(2, 3)
+	want.record(3, 2)
+	want.BeginSchedule("")
+	want.record(1, 4)
+	if got, w := snap(&a), snap(&want); !reflect.DeepEqual(got, w) {
+		t.Fatalf("decided through the tracer:\n got %+v\nwant %+v", got, w)
+	}
+}
+
 func TestAccumZeroAlloc(t *testing.T) {
 	var a Accum
 	if n := testing.AllocsPerRun(100, func() {
-		a.BeginSchedule()
-		a.Decision(4, 3)
+		a.BeginSchedule("")
+		a.Decide(sched.Decision{Enabled: 3}, nil)
+		a.Decide(sched.Decision{Enabled: 1}, nil)
+		a.EndSchedule(nil)
 	}); n != 0 {
-		t.Fatalf("Decision allocates %.0f objects; must be zero", n)
-	}
-	var nilAcc *Accum
-	if n := testing.AllocsPerRun(100, func() {
-		nilAcc.BeginSchedule()
-		nilAcc.Decision(4, 3)
-	}); n != 0 {
-		t.Fatalf("nil accumulator allocates %.0f objects; must be zero", n)
+		t.Fatalf("a traced schedule allocates %.0f objects; must be zero", n)
 	}
 }
 
 func TestMergeCells(t *testing.T) {
 	var a, b Accum
-	a.BeginSchedule()
-	a.Decision(1, 2)
-	a.Decision(4, 2)
-	b.BeginSchedule()
-	b.BeginSchedule()
-	b.Decision(1, 3)
-	b.Decision(2, 2)
+	a.BeginSchedule("")
+	a.record(1, 2)
+	a.record(4, 2)
+	b.BeginSchedule("")
+	b.BeginSchedule("")
+	b.record(1, 3)
+	b.record(2, 2)
 	ca, cb := snap(&a), snap(&b)
 	ca.Target, ca.Algorithm = "tgt", "URW"
 	cb.Target, cb.Algorithm = "tgt", "URW"
 	other := Accum{}
-	other.BeginSchedule()
+	other.BeginSchedule("")
 	co := snap(&other)
 	co.Target, co.Algorithm = "aaa", "RW"
 
@@ -146,8 +167,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := New()
 	c := reg.Cell("tgt", "URW")
 	var stage Accum
-	stage.BeginSchedule()
-	stage.Decision(4, 2)
+	stage.BeginSchedule("")
+	stage.record(4, 2)
 	stage.DrainInto(c)
 	s := reg.Snapshot()
 	blob, err := json.Marshal(s)
@@ -168,9 +189,9 @@ func TestSVGRenders(t *testing.T) {
 	c := reg.Cell("tgt", "URW")
 	var stage Accum
 	for i := 0; i < 300; i++ {
-		stage.BeginSchedule()
-		stage.Decision(1, 2)
-		stage.Decision(4, 3)
+		stage.BeginSchedule("")
+		stage.record(1, 2)
+		stage.record(4, 3)
 	}
 	stage.DrainInto(c)
 	s := reg.Snapshot()

@@ -421,8 +421,10 @@ func TestServerIndexAndBuildinfo(t *testing.T) {
 	}
 }
 
-// atlasServer builds a server over a real campaign with a live atlas
-// registry attached: two cells of synthetic cartography.
+// atlasServer builds a server over a real campaign with an atlas attached:
+// two cells of synthetic cartography. SURW's 320 schedules each decided
+// among 3 threads at depth 1 and among 2 at depth 5; RW's 384 made one
+// decision each, between 2.
 func atlasServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	st, err := campaign.Open(t.TempDir())
@@ -431,22 +433,18 @@ func atlasServer(t *testing.T) *httptest.Server {
 	}
 	campaignCells(t, st, 2, 1)
 
-	reg := atlas.New()
-	var acc atlas.Accum
-	for i := 0; i < 320; i++ {
-		acc.BeginSchedule()
-		acc.Decision(1, 3)
-		acc.Decision(5, 2)
-	}
-	acc.DrainInto(reg.Cell("CS/reorder_4", "SURW"))
-	for i := 0; i < 384; i++ {
-		acc.BeginSchedule()
-		acc.Decision(1, 2)
-	}
-	acc.DrainInto(reg.Cell("CS/reorder_4", "RW"))
+	snap := &atlas.Snapshot{Version: atlas.Version, Cells: []atlas.CellSnapshot{
+		{Target: "CS/reorder_4", Algorithm: "RW", Schedules: 384, Decisions: 384, MaxDepth: 1, Depths: []atlas.DepthProfile{
+			{Depth: 1, Decisions: 384, EnabledSum: 768, Branch: []uint64{0, 0, 384}},
+		}},
+		{Target: "CS/reorder_4", Algorithm: "SURW", Schedules: 320, Decisions: 640, MaxDepth: 5, Depths: []atlas.DepthProfile{
+			{Depth: 1, Decisions: 320, EnabledSum: 960, Branch: []uint64{0, 0, 0, 320}},
+			{Depth: 5, Decisions: 320, EnabledSum: 640, Branch: []uint64{0, 0, 320}},
+		}},
+	}}
 
 	s := campaign.NewServer(st, nil)
-	s.SetAtlas(func() (*atlas.Snapshot, error) { return reg.Snapshot(), nil })
+	s.SetAtlas(func() (*atlas.Snapshot, error) { return snap, nil })
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() { srv.Close(); st.Close() })
 	return srv

@@ -38,17 +38,15 @@ type AlgStats struct {
 	pick      [histBuckets]atomic.Int64 // position of the chosen thread in Enabled()
 }
 
-func bucket(n int) int {
-	if n >= histBuckets {
-		return histBuckets - 1
-	}
-	return n
-}
+func bucket(n int) int { return min(n, histBuckets-1) }
 
 // Metrics aggregates observability counters across the sessions of any
-// number of RunTarget batches. The zero value is not ready: use NewMetrics,
-// which snapshots the process allocation counter so allocs/schedule can be
-// reported as a delta. All methods are safe for concurrent use.
+// number of RunTarget batches. Everything per schedule reaches it through
+// the one hook the engine has: the MetricsTracer each session attaches
+// (Tracer), whose EndSchedule counts the schedule once. The zero value is
+// not ready: use NewMetrics, which snapshots the process allocation
+// counter so allocs/schedule can be reported as a delta. All methods are
+// safe for concurrent use.
 type Metrics struct {
 	start    time.Time
 	mallocs0 uint64
@@ -74,18 +72,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now(), mallocs0: ms.Mallocs, algs: make(map[string]*AlgStats)}
 }
 
-// ObserveResult folds one finished schedule into the aggregate.
-func (m *Metrics) ObserveResult(alg string, r *sched.Result) {
-	m.schedules.Add(1)
-	m.steps.Add(int64(r.Steps))
-	if r.Truncated {
-		m.truncated.Add(1)
-	}
-	if r.Buggy() {
-		m.buggy.Add(1)
-	}
-}
-
 // algStats returns (creating if needed) the histogram block for alg.
 func (m *Metrics) algStats(alg string) *AlgStats {
 	m.mu.Lock()
@@ -98,17 +84,18 @@ func (m *Metrics) algStats(alg string) *AlgStats {
 	return s
 }
 
-// Tracer returns a sched.Tracer that feeds this aggregator's per-algorithm
-// decision histograms. Each concurrent session needs its own tracer (the
-// scheduler contract); all of them fold into the shared Metrics.
+// Tracer returns a sched.Tracer that feeds this aggregator's schedule
+// counts and per-algorithm decision histograms. Each concurrent session
+// needs its own tracer (the scheduler contract); all of them fold into the
+// shared Metrics.
 func (m *Metrics) Tracer() *MetricsTracer { return &MetricsTracer{m: m} }
 
 // MetricsTracer is the per-session decision observer handed out by
 // Metrics.Tracer. Decide counts into the tracer's own plain fields — a
 // tracer serves one Execution at a time — and EndSchedule publishes the
-// schedule's counts into the shared AlgStats, so the cache lines every
-// worker of a cell shares are written a few times per schedule, not three
-// times per decision.
+// schedule and its decision counts into the shared Metrics and AlgStats,
+// so the cache lines every worker of a cell shares are written a few times
+// per schedule, not three times per decision.
 type MetricsTracer struct {
 	m     *Metrics
 	alg   string    // name stats was resolved for
@@ -142,9 +129,20 @@ func (t *MetricsTracer) Decide(d sched.Decision, st *sched.State) {
 	}
 }
 
-// EndSchedule implements sched.Tracer: it moves the schedule's counts into
-// the shared histograms, touching only the buckets the schedule hit.
-func (t *MetricsTracer) EndSchedule(*sched.Result) {
+// EndSchedule implements sched.Tracer: it counts the schedule — its steps,
+// whether it was truncated, whether it found a bug — and moves its
+// decision counts into the shared histograms, touching only the buckets
+// the schedule hit.
+func (t *MetricsTracer) EndSchedule(r *sched.Result) {
+	m := t.m
+	m.schedules.Add(1)
+	m.steps.Add(int64(r.Steps))
+	if r.Truncated {
+		m.truncated.Add(1)
+	}
+	if r.Buggy() {
+		m.buggy.Add(1)
+	}
 	if t.decisions == 0 {
 		return
 	}

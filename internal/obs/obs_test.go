@@ -32,12 +32,17 @@ func TestBucket(t *testing.T) {
 
 func TestMetricsSnapshotAndPrometheus(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveResult("RW", &sched.Result{Steps: 10})
-	m.ObserveResult("RW", &sched.Result{Steps: 20, Truncated: true})
-	m.ObserveResult("RW", &sched.Result{
-		Steps:   30,
-		Failure: &sched.Failure{Kind: sched.FailAssert, BugID: "b"},
-	})
+	// Schedules are counted through the tracer a session attaches, once
+	// each, at EndSchedule.
+	tr := m.Tracer()
+	for _, r := range []*sched.Result{
+		{Steps: 10},
+		{Steps: 20, Truncated: true},
+		{Steps: 30, Failure: &sched.Failure{Kind: sched.FailAssert, BugID: "b"}},
+	} {
+		tr.BeginSchedule("RW")
+		tr.EndSchedule(r)
+	}
 	m.Latency("session").Observe(40 * time.Millisecond)
 	m.BatchDone(2, 100*time.Millisecond)
 

@@ -3,7 +3,6 @@ package runner
 import (
 	"math/rand"
 
-	"surw/internal/atlas"
 	"surw/internal/core"
 	"surw/internal/profile"
 	"surw/internal/replay"
@@ -127,13 +126,13 @@ func (w *worker) deltaStream(seed int64) *rand.Rand {
 }
 
 // Next runs the session's next schedule into *res, storage the caller owns
-// (sched.Pool.RunInto), with the tracer and atlas accumulator the caller
-// watches its schedules with (nil for none). Schedule 0 captures the
-// program's forced decision prefix; every later one replays it through the
-// batched run-to-next-decision path instead of re-deciding it.
-func (w *worker) Next(res *sched.Result, tracer sched.Tracer, stage *atlas.Accum) {
+// (sched.Pool.RunInto), with the tracer the caller watches its schedules
+// with (nil for none). Schedule 0 captures the program's forced decision
+// prefix; every later one replays it through the batched
+// run-to-next-decision path instead of re-deciding it.
+func (w *worker) Next(res *sched.Result, tracer sched.Tracer) {
 	opts := w.options(w.next)
-	opts.Tracer, opts.Atlas = tracer, stage
+	opts.Tracer = tracer
 	w.running = true
 	if w.next == 0 {
 		w.cp = w.pool.RunPrefixInto(res, w.tgt.Prog, w.alg, opts)

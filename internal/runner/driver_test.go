@@ -68,7 +68,7 @@ func TestRerunIsTheIthNext(t *testing.T) {
 		failing := -1
 		deltas := map[string]bool{}
 		for i := 0; i < limit; i++ {
-			d.Next(&w.res, nil, nil)
+			d.Next(&w.res, nil)
 			nexts = append(nexts, witness(d, &w.res))
 			deltas[nexts[i].delta] = true
 			if failing < 0 && i > 0 && w.res.Buggy() {
@@ -87,7 +87,7 @@ func TestRerunIsTheIthNext(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20; i++ {
-			d.Next(&w.res, nil, nil)
+			d.Next(&w.res, nil)
 		}
 		if err := d.begin(tgt, alg, cfg, 3); err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestRerunIsTheIthNext(t *testing.T) {
 		// Reruns between Nexts leave the Nexts what they were.
 		for i := 0; i < 10; i++ {
 			d.Rerun((i*7)%limit, Observers{})
-			d.Next(&w.res, nil, nil)
+			d.Next(&w.res, nil)
 			if got := witness(d, &w.res); got != nexts[i] {
 				t.Errorf("%s: Next %d after a Rerun = %+v, want %+v", alg, i, got, nexts[i])
 			}

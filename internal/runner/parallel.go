@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"time"
 
-	"surw/internal/atlas"
 	"surw/internal/obs"
 	"surw/internal/sched"
 )
@@ -74,25 +73,16 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 	}
 	every := effectiveEvery(cfg)
 
-	// Observability hooks are strictly per-session: a shared aggregator
-	// hands each session its own tracer (the scheduler contract), which
-	// counts privately and publishes into the shared counters once per
-	// schedule.
-	var tracer sched.Tracer
-	if cfg.Metrics != nil {
-		tracer = cfg.Metrics.Tracer()
-	}
-	// The atlas cell is shared by all sessions of this (target, algorithm)
-	// pair, so the engine counts into the worker's own staging accumulator
-	// — plain memory nobody else touches — and the session drains that into
-	// the cell under the cell's lock: every atlasPublishEvery schedules,
-	// and — deferred, so a cancelled or failed session publishes the
-	// schedules it did run — on the way out.
+	// Observability hooks are strictly per-session, and the engine takes
+	// one tracer (worker.observers). The atlas cell is shared by all
+	// sessions of this (target, algorithm) pair, so the engine counts into
+	// the worker's own staging accumulator — plain memory nobody else
+	// touches — and the session drains that into the cell under the cell's
+	// lock: every atlasPublishEvery schedules, and — deferred, so a
+	// cancelled or failed session publishes the schedules it did run — on
+	// the way out.
+	tracer, stage := w.observers(cfg)
 	atlasCell := cfg.Atlas.Cell(tgt.Name, algName)
-	var stage *atlas.Accum
-	if cfg.Atlas != nil {
-		stage = w.staging()
-	}
 	defer stage.DrainInto(atlasCell)
 
 	for i := 0; i < cfg.Limit; i++ {
@@ -115,7 +105,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 		if i == 0 && (cfg.Metrics != nil || cfg.Phase != nil) {
 			prefixStart = time.Now()
 		}
-		w.Next(r, tracer, stage)
+		w.Next(r, tracer)
 		if !prefixStart.IsZero() {
 			took := time.Since(prefixStart)
 			if cfg.Metrics != nil {
@@ -124,9 +114,6 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 			if cfg.Phase != nil {
 				cfg.Phase(session, "prefix", prefixStart, took)
 			}
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.ObserveResult(w.alg.Name(), r)
 		}
 		sess.Schedules++
 		if r.Truncated {

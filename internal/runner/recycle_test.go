@@ -80,7 +80,7 @@ func TestPanickedWorkerIsDropped(t *testing.T) {
 	if err := w.begin(cleanTarget(), "RW", Config{Seed: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	w.Next(&w.res, nil, nil)
+	w.Next(&w.res, nil)
 	if w.running {
 		t.Fatal("a schedule that returned left its worker marked running")
 	}
@@ -91,7 +91,7 @@ func TestPanickedWorkerIsDropped(t *testing.T) {
 				t.Fatal("the schedule did not panic")
 			}
 		}()
-		w.Next(&w.res, nil, nil)
+		w.Next(&w.res, nil)
 	}()
 	wc.put(cleanTarget().Name, w)
 	if n := len(wc.free[cleanTarget().Name]); n != 0 {
@@ -111,7 +111,7 @@ func TestDriverCloseReleasesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res sched.Result
-	d.Next(&res, nil, nil)
+	d.Next(&res, nil)
 	d.Close()
 	if d.worker != nil {
 		t.Fatal("a closed Driver still holds its worker")
@@ -122,5 +122,5 @@ func TestDriverCloseReleasesOnce(t *testing.T) {
 			t.Fatal("Next on a closed Driver did not panic")
 		}
 	}()
-	d.Next(&res, nil, nil)
+	d.Next(&res, nil)
 }

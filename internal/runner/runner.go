@@ -333,6 +333,7 @@ type worker struct {
 
 	res   sched.Result
 	stage *atlas.Accum
+	both  observerPair // the tracer of a session with Metrics and an atlas
 	// running is set while one of the worker's schedules runs. Found set
 	// once the call that ran it is over, the schedule never returned (an
 	// engine panic unwound it), and release drops the worker instead of
@@ -365,14 +366,56 @@ func (w *worker) release() {
 func (w *worker) close() bool {
 	w.pool.Close()
 	w.tgt, w.alg, w.prof, w.allInfo, w.cp, w.info = Target{}, nil, nil, nil, nil, nil
+	w.both = observerPair{}
 	return !w.running
 }
 
-func (w *worker) staging() *atlas.Accum {
+// observers returns the one tracer a session's schedules are watched with
+// (nil for none) and the atlas staging accumulator (nil without an atlas).
+// A shared Metrics hands each session a tracer of its own; the accumulator
+// is the worker's, built with its first atlas session; with both attached
+// the tracer is the worker's pair of the two, so nothing is built for it.
+func (w *worker) observers(cfg Config) (sched.Tracer, *atlas.Accum) {
+	var m *obs.MetricsTracer
+	if cfg.Metrics != nil {
+		m = cfg.Metrics.Tracer()
+	}
+	if cfg.Atlas == nil {
+		if m == nil {
+			return nil, nil
+		}
+		return m, nil
+	}
 	if w.stage == nil {
 		w.stage = new(atlas.Accum)
 	}
-	return w.stage
+	if m == nil {
+		return w.stage, w.stage
+	}
+	w.both = observerPair{m, w.stage}
+	return &w.both, w.stage
+}
+
+// observerPair is the tracer of a session watched by Metrics and the atlas
+// both: each call goes to the Metrics tracer, then the accumulator.
+type observerPair struct {
+	m *obs.MetricsTracer
+	a *atlas.Accum
+}
+
+func (p *observerPair) BeginSchedule(alg string) {
+	p.m.BeginSchedule(alg)
+	p.a.BeginSchedule(alg)
+}
+
+func (p *observerPair) Decide(d sched.Decision, st *sched.State) {
+	p.m.Decide(d, st)
+	p.a.Decide(d, st)
+}
+
+func (p *observerPair) EndSchedule(r *sched.Result) {
+	p.m.EndSchedule(r)
+	p.a.EndSchedule(r)
 }
 
 // WorkerCache owns the warm workers that sessions run on, keyed by target

@@ -110,3 +110,54 @@ func TestCancelledSessionPublishesWhatRan(t *testing.T) {
 		}
 	}
 }
+
+// TestObserverCompositionDoesNotPerturb: the engine takes one tracer, and a
+// session watched by Metrics and the atlas both hands it the worker's pair
+// of the two. Composed, each observer must see what it sees alone: the
+// atlas cell of the atlas-only batch, the schedule counts and decision
+// histograms of the Metrics-only batch, and the batch's result unchanged.
+func TestObserverCompositionDoesNotPerturb(t *testing.T) {
+	tgt, ok := sctbench.ByName("CS/reorder_4")
+	if !ok {
+		t.Fatal("missing target")
+	}
+	// Every schedule of reorder_4 runs 20 steps unless a bug ends it first:
+	// a budget of 18 truncates the rest, so the truncation count is
+	// compared too.
+	tgt.MaxSteps = 18
+	for _, alg := range []string{"RW", "SURW", "PCT-3"} {
+		for _, workers := range []int{1, 2} {
+			cfg := runner.Config{Sessions: 3, Limit: 300, Seed: 17, Workers: workers}
+			run := func(m *obs.Metrics, a *atlas.Atlas) *runner.Result {
+				c := cfg
+				c.Metrics, c.Atlas = m, a
+				res, err := runner.RunTarget(tgt, alg, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			mOnly, aOnly, mBoth, aBoth := obs.NewMetrics(), atlas.New(), obs.NewMetrics(), atlas.New()
+			plain := run(nil, nil)
+			for _, res := range []*runner.Result{run(mOnly, nil), run(nil, aOnly), run(mBoth, aBoth)} {
+				if !plain.Equal(res) {
+					t.Fatalf("%s workers=%d: an observer changed the result", alg, workers)
+				}
+			}
+			if got, want := aBoth.Snapshot(), aOnly.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: atlas beside Metrics mapped\n%+v\nalone\n%+v", alg, workers, got, want)
+			}
+			got, want := mBoth.Snapshot(), mOnly.Snapshot()
+			if want.Schedules != 3*300 || want.Truncated == 0 || want.Buggy == 0 || len(want.Algorithms) != 1 || want.Algorithms[0].Decisions == 0 {
+				t.Fatalf("%s workers=%d: Metrics alone holds %d schedules, %d truncated, %d buggy, %+v: the comparison below would be vacuous",
+					alg, workers, want.Schedules, want.Truncated, want.Buggy, want.Algorithms)
+			}
+			if got.Schedules != want.Schedules || got.Steps != want.Steps || got.Truncated != want.Truncated || got.Buggy != want.Buggy ||
+				!reflect.DeepEqual(got.Algorithms, want.Algorithms) {
+				t.Fatalf("%s workers=%d: Metrics beside the atlas holds %d/%d/%d/%d schedules/steps/truncated/buggy and %+v,\nalone %d/%d/%d/%d and %+v",
+					alg, workers, got.Schedules, got.Steps, got.Truncated, got.Buggy, got.Algorithms,
+					want.Schedules, want.Steps, want.Truncated, want.Buggy, want.Algorithms)
+			}
+		}
+	}
+}

@@ -1,31 +1,41 @@
-package sched
+package sched_test
+
+// The atlas attaches to the engine as a sched.Tracer, like any observer;
+// these tests hold what that attachment promises on every engine path.
 
 import (
+	"reflect"
 	"testing"
 
 	"surw/internal/atlas"
+	"surw/internal/sched"
 )
 
 // TestAtlasNonPerturbation pins the atlas covenant at the engine level:
-// attaching an Accum never changes a schedule — results (hashes, traces,
-// failures) are bit-identical with and without it, across every program
-// class, on both the batched fast path and the verbatim slow loop.
+// attaching an Accum as Options.Tracer never changes a schedule — results
+// (hashes, traces, failures) are bit-identical with and without it, across
+// every program class, on both the batched fast path and the verbatim slow
+// loop — and the two loops show it the same decisions.
 func TestAtlasNonPerturbation(t *testing.T) {
-	for _, batching := range []bool{false, true} {
+	var maps [2]atlas.CellSnapshot
+	for i, batching := range []bool{false, true} {
 		acc := &atlas.Accum{}
-		plainPool, atlasPool := NewPool(), NewPool()
-		for name, prog := range poolPrograms() {
+		plainPool, atlasPool := sched.NewPool(), sched.NewPool()
+		for name, prog := range sched.PoolPrograms() {
 			for seed := int64(0); seed < 25; seed++ {
-				opts := Options{Base: Base{MaxSteps: 300, Seed: seed}, RecordTrace: true, DisableBatching: !batching}
-				plain := plainPool.Run(prog, &pickRandom{}, opts)
-				opts.Atlas = acc
-				mapped := atlasPool.Run(prog, &pickRandom{}, opts)
-				resultsEqual(t, name, seed, plain, mapped)
+				opts := sched.Options{Base: sched.Base{MaxSteps: 300, Seed: seed}, RecordTrace: true, DisableBatching: !batching}
+				plain := plainPool.Run(prog, &sched.PickRandom{}, opts)
+				opts.Tracer = acc
+				mapped := atlasPool.Run(prog, &sched.PickRandom{}, opts)
+				sched.ResultsEqual(t, name, seed, plain, mapped)
 			}
 		}
-		if drained(acc).Schedules == 0 {
-			t.Fatalf("batching=%v: atlas saw no schedules", batching)
+		if maps[i] = drained(acc); maps[i].Schedules == 0 || maps[i].Decisions == 0 {
+			t.Fatalf("batching=%v: atlas saw %d schedules, %d decisions", batching, maps[i].Schedules, maps[i].Decisions)
 		}
+	}
+	if !reflect.DeepEqual(maps[0], maps[1]) {
+		t.Fatalf("the slow loop and the batched engine mapped different spaces:\nslow:    %+v\nbatched: %+v", maps[0], maps[1])
 	}
 }
 
@@ -34,28 +44,28 @@ func TestAtlasNonPerturbation(t *testing.T) {
 // because a captured prefix contains only forced (single-enabled) steps —
 // replayed schedules report decisions at the same depths as full runs.
 func TestAtlasNonPerturbationCheckpointed(t *testing.T) {
-	prog := poolPrograms()["vars"]
-	plainPool, atlasPool := NewPool(), NewPool()
+	prog := sched.PoolPrograms()["vars"]
+	plainPool, atlasPool := sched.NewPool(), sched.NewPool()
 	acc := &atlas.Accum{}
 
-	plainFirst, plainCp := plainPool.RunPrefix(prog, &pickRandom{}, Options{Base: Base{Seed: 1}})
-	mappedFirst, mappedCp := atlasPool.RunPrefix(prog, &pickRandom{}, Options{Base: Base{Seed: 1}, Atlas: acc})
-	resultsEqual(t, "prefix", 1, plainFirst, mappedFirst)
+	plainFirst, plainCp := plainPool.RunPrefix(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: 1}})
+	mappedFirst, mappedCp := atlasPool.RunPrefix(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: 1}, Tracer: acc})
+	sched.ResultsEqual(t, "prefix", 1, plainFirst, mappedFirst)
 
 	for seed := int64(2); seed < 30; seed++ {
-		plain := plainPool.RunFrom(plainCp, prog, &pickRandom{}, Options{Base: Base{Seed: seed}})
-		mapped := atlasPool.RunFrom(mappedCp, prog, &pickRandom{}, Options{Base: Base{Seed: seed}, Atlas: acc})
-		resultsEqual(t, "replay", seed, plain, mapped)
+		plain := plainPool.RunFrom(plainCp, prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: seed}})
+		mapped := atlasPool.RunFrom(mappedCp, prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: seed}, Tracer: acc})
+		sched.ResultsEqual(t, "replay", seed, plain, mapped)
 	}
 
 	// Full (non-checkpointed) runs of the same seeds on a third pool must
 	// land their decisions at the same depths: replay skips forced steps
 	// only, never true decision points.
 	accFull := &atlas.Accum{}
-	fullPool := NewPool()
-	fullPool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: 1}, Atlas: accFull})
+	fullPool := sched.NewPool()
+	fullPool.Run(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: 1}, Tracer: accFull})
 	for seed := int64(2); seed < 30; seed++ {
-		fullPool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: seed}, Atlas: accFull})
+		fullPool.Run(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: seed}, Tracer: accFull})
 	}
 	snap := drained(acc)
 	snapFull := drained(accFull)
@@ -79,12 +89,12 @@ func TestAtlasNonPerturbationCheckpointed(t *testing.T) {
 func TestAtlasCountsBitshift(t *testing.T) {
 	reg := atlas.New()
 	cell := reg.Cell("vars", "pickRandom")
-	pool := NewPool()
-	prog := poolPrograms()["vars"]
+	pool := sched.NewPool()
+	prog := sched.PoolPrograms()["vars"]
 	const n = 64
 	var stage atlas.Accum
 	for seed := int64(0); seed < n; seed++ {
-		pool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: seed}, Atlas: &stage})
+		pool.Run(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: seed}, Tracer: &stage})
 	}
 	stage.DrainInto(cell)
 	snap := reg.Snapshot()
@@ -127,17 +137,17 @@ func drained(acc *atlas.Accum) atlas.CellSnapshot {
 // same steady-state allocation count as the nil-atlas path: the engine
 // side of the atlas is a fixed block of counters, nothing else.
 func TestAtlasAttachedNoExtraAllocs(t *testing.T) {
-	prog := poolPrograms()["vars"]
+	prog := sched.PoolPrograms()["vars"]
 	acc := &atlas.Accum{}
-	pool := NewPool()
-	pool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: 0}, Atlas: acc}) // warm-up
+	pool := sched.NewPool()
+	pool.Run(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: 0}, Tracer: acc}) // warm-up
 	with := testing.AllocsPerRun(50, func() {
-		pool.Run(prog, &pickRandom{}, Options{Base: Base{Seed: 1}, Atlas: acc})
+		pool.Run(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: 1}, Tracer: acc})
 	})
-	pool2 := NewPool()
-	pool2.Run(prog, &pickRandom{}, Options{Base: Base{Seed: 0}})
+	pool2 := sched.NewPool()
+	pool2.Run(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: 0}})
 	without := testing.AllocsPerRun(50, func() {
-		pool2.Run(prog, &pickRandom{}, Options{Base: Base{Seed: 1}})
+		pool2.Run(prog, &sched.PickRandom{}, sched.Options{Base: sched.Base{Seed: 1}})
 	})
 	if with > without {
 		t.Fatalf("attached atlas allocates %.0f/schedule, nil atlas %.0f; attachment must be free", with, without)

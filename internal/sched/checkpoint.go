@@ -144,7 +144,7 @@ func (ex *Execution) replayed() {
 // forced prefix. The returned Checkpoint is nil when there is none to
 // capture — the first decision is free, or DisableBatching forced the slow
 // loop — in which case RunFrom(nil, ...) is still correct and simply runs
-// in full. A Tracer or an Atlas changes nothing here.
+// in full. A Tracer changes nothing here.
 func (p *Pool) RunPrefix(prog func(*Thread), alg Algorithm, opts Options) (*Result, *Checkpoint) {
 	res := new(Result)
 	return res, p.RunPrefixInto(res, prog, alg, opts)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-
-	"surw/internal/atlas"
 )
 
 type threadState uint8
@@ -89,12 +87,6 @@ type Execution struct {
 	interesting func(Event) bool
 	filter      func(Event) bool
 	tracer      Tracer
-
-	// Exploration-atlas state (internal/atlas): cartography sink plus the
-	// per-schedule decision depth. Feeds only the atlas — never a result
-	// hash or a scheduling choice.
-	atlas      *atlas.Accum
-	atlasDepth int
 
 	state *State
 
@@ -259,9 +251,6 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	ex.interesting = nil
 	ex.filter = opts.TraceFilter
 	ex.tracer = opts.Tracer
-	ex.atlas = opts.Atlas
-	ex.atlasDepth = 0
-	ex.atlas.BeginSchedule()
 	if opts.Info != nil && opts.Info.Interesting != nil {
 		ex.interesting = opts.Info.Interesting
 		ex.deltaHash = fnvOffset
@@ -416,10 +405,6 @@ func (ex *Execution) loop() {
 			}
 		default:
 			tid = enabled[0]
-		}
-		if ex.atlas != nil && len(enabled) > 1 {
-			ex.atlasDepth++
-			ex.atlas.Decision(ex.atlasDepth, len(enabled))
 		}
 		t := ex.threads[tid]
 		ev := t.next

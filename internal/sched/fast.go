@@ -19,8 +19,8 @@ package sched
 // waits on it — after an event that could have changed that object. gateOpen is
 // the one rule both apply. Every thread count runs here; the slow loop
 // runs only under Options.DisableBatching, as the reference the oracles
-// compare this engine against. A Tracer is called from here (execute), an
-// Atlas likewise (decide).
+// compare this engine against. A Tracer, the engine's only observer hook
+// (the atlas and obs.Metrics attach as one), is called from here (execute).
 //
 // Both engines must be bit-identical: same decisions consume the same
 // random draws, hashes mix the same values, failures carry the same steps,
@@ -368,10 +368,6 @@ func (ex *Execution) decide(t *Thread) bool {
 		} else {
 			ex.closeCapture()
 		}
-	}
-	if ex.atlas != nil && n > 1 {
-		ex.atlasDepth++
-		ex.atlas.Decision(ex.atlasDepth, n)
 	}
 	if ex.spawnObs != nil {
 		// Only spawn notifications read the snapshot (State.Enabled).

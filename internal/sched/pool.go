@@ -88,6 +88,6 @@ func (p *Pool) Close() {
 	}
 	ex.lastProg = nil
 	ex.opts, ex.alg, ex.idx, ex.spawnObs = Options{}, nil, nil, nil
-	ex.interesting, ex.filter, ex.tracer, ex.atlas = nil, nil, nil, nil
+	ex.interesting, ex.filter, ex.tracer = nil, nil, nil
 	ex.capture, ex.replayCp = nil, nil
 }

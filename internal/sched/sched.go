@@ -17,11 +17,7 @@
 // order on any decision path.
 package sched
 
-import (
-	"fmt"
-
-	"surw/internal/atlas"
-)
+import "fmt"
 
 // ThreadID identifies a thread within a single execution. IDs are assigned
 // in creation order starting from 0 (the root thread). Because creation
@@ -285,7 +281,8 @@ type Options struct {
 	// nil includes every event.
 	TraceFilter func(Event) bool
 	// Tracer, when non-nil, observes every scheduling decision (see the
-	// Decision type and internal/obs for ready-made collectors). A nil
+	// Decision type; internal/obs and internal/atlas hold the tracers the
+	// runner attaches). It is the engine's only observer hook. A nil
 	// Tracer costs one predictable branch per event and nothing else, and
 	// an installed Tracer never changes which threads are scheduled — nor
 	// which engine schedules them: the batched engine (fast.go) calls it
@@ -295,17 +292,6 @@ type Options struct {
 	// a Tracer is shown — are bit-identical either way; this exists for
 	// A/B verification and benchmarking of the fast engine (fast.go).
 	DisableBatching bool
-	// Atlas, when non-nil, accumulates schedule-space cartography (see
-	// internal/atlas): at every true decision point (≥2 enabled threads)
-	// the engine counts the depth and the enabled-set size into its fixed
-	// block of counters. A nil Atlas
-	// costs one predictable branch per decision and zero allocations; an
-	// attached one never changes which thread is scheduled or any result
-	// hash. The counters are plain memory: an Accum serves one schedule at
-	// a time and nothing else may read or write it meanwhile. The runner
-	// gives each worker its own and drains it into the shared atlas.Cell
-	// between schedules.
-	Atlas *atlas.Accum
 }
 
 // DefaultMaxSteps is the schedule step budget when Options.MaxSteps is 0.

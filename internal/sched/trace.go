@@ -1,7 +1,8 @@
 package sched
 
 // Scheduling-decision tracing: the substrate-side half of the observability
-// layer (package internal/obs holds the collector, exporters, and metrics).
+// layer and the engine's only observer hook (package internal/obs holds the
+// collector, exporters, and metrics; internal/atlas the depth profile).
 //
 // The hook is designed so the disabled path costs exactly one predictable
 // nil-check per event and zero allocations: Options.Tracer is copied into

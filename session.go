@@ -117,7 +117,7 @@ func (s *Session) Next() (*Result, error) {
 		return nil, err
 	}
 	res := new(Result)
-	s.driver().Next(res, nil, nil)
+	s.driver().Next(res, nil)
 	return res, nil
 }
 
