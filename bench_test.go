@@ -591,42 +591,52 @@ func BenchmarkBatchedReplay(b *testing.B) {
 
 // BenchmarkObservedSessions prices watching a parallel batch: the
 // BenchmarkParallelSessions cell at two workers with obs.Metrics and an
-// atlas attached, against the same cell with neither, alternated in one
-// process. x_unobserved is the ratio ci.sh gates: observers that write
-// cache lines the two workers share per decision push it to about 3 (the
-// parallel speed-up is gone and more); counting in the worker's own plain
-// memory and publishing between schedules keeps it near 1.2.
+// atlas attached (workers_2), or an atlas alone (atlas_only, what `surw
+// bench -atlas` without -metrics attaches), against the same cell with
+// neither, alternated in one process. x_unobserved is the ratio ci.sh
+// gates: observers that write cache lines the two workers share per
+// decision push it to about 3 (the parallel speed-up is gone and more);
+// counting in the worker's own plain memory and publishing between
+// schedules keeps it near 1.2.
 func BenchmarkObservedSessions(b *testing.B) {
 	tgt, ok := sctbench.ByName("CS/twostage_20")
 	if !ok {
 		b.Fatal("missing target")
 	}
-	b.Run("workers_2", func(b *testing.B) {
-		cfg := runner.Config{Sessions: 8, Limit: 100, Seed: 42, Workers: 2}
-		observed := cfg
-		observed.Metrics, observed.Atlas = obs.NewMetrics(), atlas.New()
-		var ref time.Duration
-		schedules := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := runner.RunTarget(tgt, "RW", observed)
-			if err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name  string
+		watch func(*runner.Config)
+	}{
+		{"workers_2", func(c *runner.Config) { c.Metrics, c.Atlas = obs.NewMetrics(), atlas.New() }},
+		{"atlas_only", func(c *runner.Config) { c.Atlas = atlas.New() }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			cfg := runner.Config{Sessions: 8, Limit: 100, Seed: 42, Workers: 2}
+			observed := cfg
+			arm.watch(&observed)
+			var ref time.Duration
+			schedules := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := runner.RunTarget(tgt, "RW", observed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range res.Sessions {
+					schedules += s.Schedules
+				}
+				b.StopTimer()
+				t0 := time.Now()
+				if _, err := runner.RunTarget(tgt, "RW", cfg); err != nil {
+					b.Fatal(err)
+				}
+				ref += time.Since(t0)
+				b.StartTimer()
 			}
-			for _, s := range res.Sessions {
-				schedules += s.Schedules
-			}
-			b.StopTimer()
-			t0 := time.Now()
-			if _, err := runner.RunTarget(tgt, "RW", cfg); err != nil {
-				b.Fatal(err)
-			}
-			ref += time.Since(t0)
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(schedules)/b.Elapsed().Seconds(), "schedules/s")
-		b.ReportMetric(float64(b.Elapsed())/float64(ref), "x_unobserved")
-	})
+			b.ReportMetric(float64(schedules)/b.Elapsed().Seconds(), "schedules/s")
+			b.ReportMetric(float64(b.Elapsed())/float64(ref), "x_unobserved")
+		})
+	}
 }
 
 // BenchmarkCensus prices a session's profiling run where the paper books it

@@ -68,6 +68,12 @@ fi
 if grep -rn --include='*.go' 'ObserveResult' . | grep -v '_test\.go:'; then
     echo "FAIL: one observer hook: ObserveResult is back; obs.Metrics counts each schedule in MetricsTracer.EndSchedule"; exit 1
 fi
+# A schedule's events are recorded by a sched.EventLog tracer. A RecordTrace
+# in a non-test file is a second per-event observer coming back; a DeltaHash
+# is a per-event fold no production code reads.
+if grep -rnE --include='*.go' 'RecordTrace|DeltaHash' . | grep -v '_test\.go:'; then
+    echo "FAIL: one observer hook: RecordTrace/DeltaHash is back; record a schedule's events with a sched.EventLog tracer"; exit 1
+fi
 # One cell key: the seven fields that name a cell (one target under one
 # algorithm) are declared once, as runner.CellKey, beside the runner.Config
 # they are read from, and spelled on the wire by internal/campaign's wire.go
@@ -297,11 +303,15 @@ go run ./cmd/surw obs -in "$tmp/bench-shimsched.txt" -gate 'BenchmarkShimSchedul
 # plain per-worker counters and the grids; 1.16-1.19 while a uniformity
 # chi-square was also fed every schedule, 1.30-1.33 with atomic staging
 # and a count copy per chi-square test, 2.7-3.1 when every decision wrote
-# the cache lines both workers share). Both are same-process ratios
-# measured in alternation, so they survive a slow machine; a noisy
-# neighbour can still skew one sample, hence the best of three.
+# the cache lines both workers share). atlas_only is the same batch with an
+# atlas and no Metrics, what `surw bench -atlas` attaches alone: measured
+# 1.041-1.087 before event traces moved onto sched.Tracer and 1.031-1.085
+# after (ten alternated pairs, 2-vCPU box), gated at that maximum + 10 %.
+# All three are same-process ratios measured in alternation, so they
+# survive a slow machine; a noisy neighbour can still skew one sample,
+# hence the best of three.
 best_of_three "$tmp/bench-obs.txt" '' \
-    '-gate BenchmarkBatchedReplay/traced.x_batched<=1.3 -gate BenchmarkObservedSessions/workers_2.x_unobserved<=1.45' \
+    '-gate BenchmarkBatchedReplay/traced.x_batched<=1.3 -gate BenchmarkObservedSessions/workers_2.x_unobserved<=1.45 -gate BenchmarkObservedSessions/atlas_only.x_unobserved<=1.2' \
     -bench='^(BenchmarkBatchedReplay|BenchmarkObservedSessions)$' -benchmem -run='^$' .
 
 # Census cost gates: the paper books a session's profiling run as one extra
@@ -386,11 +396,13 @@ go test -bench='^BenchmarkLeaseGrant$' -run='^$' ./internal/remote > "$tmp/bench
 go run ./cmd/surw obs -in "$tmp/bench-grant.txt" -gate 'BenchmarkLeaseGrant/pending_20000.x_pending_100<=2'
 
 # The real-Go-code demo (DESIGN §14): SURW finds the ported worker pool's
-# seeded lost-wakeup deadlock and replays it. Every other end-to-end claim
-# about the command line lives in cmd/surw's tests, which `go test` ran.
+# seeded lost-wakeup deadlock, replays it and prints the replay's event
+# trace (surw.Replay's EventLog). Every other end-to-end claim about the
+# command line lives in cmd/surw's tests, which `go test` ran.
 go run ./examples/workerpool > "$tmp/demo.txt"
 grep -q 'bug "deadlock" found at schedule' "$tmp/demo.txt"
 grep -q 'replayed: deadlock' "$tmp/demo.txt"
+grep -q 'failing interleaving (' "$tmp/demo.txt"
 
 # Fuzz smoke: a short coverage-guided run of each native fuzz target (the
 # full checked-in seed corpora already ran as part of `go test` above).

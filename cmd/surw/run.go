@@ -136,7 +136,7 @@ func runCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		schedule := max(0, firstBug-1-d.Charged())
 		if *traceOut != "" {
 			col := obs.NewCollector(0) // keep every decision
-			d.Rerun(schedule, runner.Observers{Tracer: col})
+			d.Rerun(schedule, col)
 			if err := writeFile(*traceOut, func(w io.Writer) error { return obs.WriteChromeTrace(w, col) }); err != nil {
 				return err
 			}
@@ -199,16 +199,17 @@ func replayFlight(w io.Writer, path string) error {
 // printFailingTrace runs session 0's failing schedule again with a recorder
 // attached, minimizes the recording, and prints the minimized interleaving.
 func printFailingTrace(w io.Writer, tgt runner.Target, d *runner.Driver, schedule int) {
-	r, rec := d.Record(schedule, runner.Observers{})
+	r, rec := d.Record(schedule, nil)
 	fmt.Fprintf(w, "\nfailing schedule at seed offset %d: %v\n", schedule, r.Failure)
 	fmt.Fprintf(w, "recording: %s\n", rec)
 	opts := sched.Options{Base: sched.Base{ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}}
 	min, attempts := replay.Minimize(tgt.Prog, rec, r.Failure.BugID, opts, 2000)
 	fmt.Fprintf(w, "minimized (after %d replays): %s\n", attempts, min)
-	opts.RecordTrace = true
+	var trace sched.EventLog
+	opts.Tracer = &trace
 	final := replay.Replay(tgt.Prog, min, opts)
-	fmt.Fprintf(w, "minimized failing interleaving (%d events):\n", len(final.Trace))
-	for _, ev := range final.Trace {
+	fmt.Fprintf(w, "minimized failing interleaving (%d events):\n", len(trace.Events))
+	for _, ev := range trace.Events {
 		fmt.Fprintf(w, "  %s\n", ev)
 	}
 	fmt.Fprintf(w, "failure: %v\n", final.Failure)

@@ -79,6 +79,7 @@ var docsAllowlist = map[string]string{
 	"atlasHash":                      "deleted: density grids (EXPERIMENTS \"Mechanisms, priced\")",
 	"Accum.Decision":                 "deleted: the atlas became a sched.Tracer (DESIGN §13)",
 	"ObserveResult":                  "deleted: Metrics counts a schedule in MetricsTracer.EndSchedule (DESIGN §7)",
+	"RecordTrace":                    "deleted: a sched.EventLog tracer records a schedule's events (DESIGN §7)",
 	"GenSpin":                        "proposed: ROADMAP item 2",
 	"internal/experiments/claims.go": "proposed: ROADMAP item 3",
 	"surw_delta_*":                   "proposed: ROADMAP item 4(b)",

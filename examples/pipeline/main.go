@@ -77,9 +77,10 @@ func main() {
 	fmt.Printf("recorded failure: %v\n", res.Failure)
 	min, replays := surw.MinimizeRecording(pipeline, rec, res.BugID(), surw.RunOptions{}, 5000)
 	fmt.Printf("minimized after %d replays: %s\n", replays, min)
-	final := surw.ReplayRecording(pipeline, min, surw.RunOptions{RecordTrace: true})
-	fmt.Printf("minimal failing interleaving (%d events):\n", len(final.Trace))
-	for _, ev := range final.Trace {
+	var trace surw.EventLog
+	surw.ReplayRecording(pipeline, min, surw.RunOptions{Tracer: &trace})
+	fmt.Printf("minimal failing interleaving (%d events):\n", len(trace.Events))
+	for _, ev := range trace.Events {
 		fmt.Printf("  %v\n", ev)
 	}
 }

@@ -49,13 +49,13 @@ func main() {
 	}
 
 	// Replay the failing schedule deterministically and show its trace.
-	res, err := surw.Replay(account, report, opts)
+	res, events, err := surw.Replay(account, report, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("replayed: %v\n", res.Failure)
 	fmt.Println("failing interleaving:")
-	for _, ev := range res.Trace {
+	for _, ev := range events {
 		fmt.Printf("  %v\n", ev)
 	}
 }

@@ -51,13 +51,13 @@ func main() {
 	}
 
 	// The failure replays from the report alone: same seed, same schedule.
-	res, err := surw.Replay(scenario, report, surw.Options{Base: surw.Base{Seed: 1}, Schedules: 2000})
+	res, events, err := surw.Replay(scenario, report, surw.Options{Base: surw.Base{Seed: 1}, Schedules: 2000})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("replayed: %v\n", res.Failure)
-	fmt.Printf("failing interleaving (%d events):\n", len(res.Trace))
-	for _, ev := range res.Trace {
+	fmt.Printf("failing interleaving (%d events):\n", len(events))
+	for _, ev := range events {
 		fmt.Printf("  %v\n", ev)
 	}
 }

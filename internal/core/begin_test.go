@@ -76,7 +76,7 @@ func TestBeginResetsEveryPerScheduleField(t *testing.T) {
 			want := sched.Run(prog, fresh, opts)
 			got := sched.Run(prog, used, opts)
 			if got.InterleavingHash != want.InterleavingHash || got.ClassHash != want.ClassHash ||
-				got.DeltaHash != want.DeltaHash || got.Behavior != want.Behavior || got.Steps != want.Steps {
+				got.Behavior != want.Behavior || got.Steps != want.Steps {
 				t.Fatalf("%s seed %d: a used instance scheduled %+v, a fresh one %+v", name, seed, got, want)
 			}
 		}

@@ -22,16 +22,16 @@ import (
 
 // checkpointAlgs are the samplers the snapshot-identity check runs:
 // RW exercises the IndexChooser/SourceChooser fast path, SURW the
-// profile-driven path (Info predicates, Δ hashing, spawn observation).
+// profile-driven path (Info predicates, spawn observation).
 var checkpointAlgs = []string{"RW", "SURW"}
 
 // checkpointIdentity runs opts.Schedules schedules of prog per algorithm
 // through two arms sharing seeds: the checkpointed arm captures the forced
 // prefix on the first schedule (RunPrefix) and replays it on the rest
 // (RunFrom), all on the batched engine; the reference arm forces the slow
-// loop with DisableBatching and no checkpoint. Full traces are recorded on
-// both sides and every observable field must match exactly, as must the
-// aggregated fingerprint multisets.
+// loop with DisableBatching and no checkpoint. An EventLog records both
+// sides' full event streams, replayed prefix included, and every observable
+// field must match exactly, as must the aggregated fingerprint multisets.
 func checkpointIdentity(name string, prog func(*sched.Thread), info *sched.ProgramInfo, opts Options) error {
 	for _, algName := range checkpointAlgs {
 		fastAlg, err := core.New(algName)
@@ -43,10 +43,11 @@ func checkpointIdentity(name string, prog func(*sched.Thread), info *sched.Progr
 			return fmt.Errorf("crosscheck: %s: %w", name, err)
 		}
 		fastPool, slowPool := sched.NewPool(), sched.NewPool()
+		var fastLog, slowLog sched.EventLog
 		var cp *sched.Checkpoint
 		fastIlv, slowIlv := map[uint64]int{}, map[uint64]int{}
 		for i := 0; i < opts.Schedules; i++ {
-			so := sched.Options{Base: sched.Base{Seed: opts.Seed + int64(i)*104729 + 3}, Info: info, RecordTrace: true}
+			so := sched.Options{Base: sched.Base{Seed: opts.Seed + int64(i)*104729 + 3}, Info: info, Tracer: &fastLog}
 			var fast *sched.Result
 			if i == 0 {
 				fast, cp = fastPool.RunPrefix(prog, fastAlg, so)
@@ -54,12 +55,12 @@ func checkpointIdentity(name string, prog func(*sched.Thread), info *sched.Progr
 				fast = fastPool.RunFrom(cp, prog, fastAlg, so)
 			}
 			sos := so
-			sos.DisableBatching = true
+			sos.DisableBatching, sos.Tracer = true, &slowLog
 			slow := slowPool.Run(prog, slowAlg, sos)
 			if d := diffResults(fast, slow); d != "" {
 				return fmt.Errorf("crosscheck: %s: %s seed %d: checkpointed run diverged from slow loop: %s", name, algName, so.Seed, d)
 			}
-			if d := diffTraces(fast.Trace, slow.Trace); d != "" {
+			if d := diffTraces(fastLog.Events, slowLog.Events); d != "" {
 				return fmt.Errorf("crosscheck: %s: %s seed %d: checkpointed trace diverged from slow loop: %s", name, algName, so.Seed, d)
 			}
 			fastIlv[fast.InterleavingHash]++

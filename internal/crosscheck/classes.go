@@ -128,8 +128,11 @@ func canonicalClassKey(trace []sched.Event) uint64 {
 // classPartition accumulates the double partition of an enumeration: every
 // executed schedule lands in a fingerprint class (engine's ClassHash) and
 // a canonical-form class (this file's ground truth). The oracle demands a
-// bijection between the two.
+// bijection between the two. It is the enumeration's sched.Tracer: the
+// embedded EventLog records each schedule's events, and EndSchedule folds
+// them in.
 type classPartition struct {
+	sched.EventLog
 	byFingerprint map[uint64]uint64 // ClassHash -> canonical key first seen with it
 	byCanonical   map[uint64]uint64 // canonical key -> ClassHash first seen with it
 	err           error
@@ -142,13 +145,13 @@ func newClassPartition() *classPartition {
 	}
 }
 
-// observe folds one enumerated schedule into the partition, recording the
-// first violation of the bijection.
-func (c *classPartition) observe(r *sched.Result) {
+// EndSchedule folds one enumerated schedule into the partition, recording
+// the first violation of the bijection.
+func (c *classPartition) EndSchedule(r *sched.Result) {
 	if c.err != nil {
 		return
 	}
-	key := canonicalClassKey(r.Trace)
+	key := canonicalClassKey(c.Events)
 	if prev, ok := c.byFingerprint[r.ClassHash]; !ok {
 		c.byFingerprint[r.ClassHash] = key
 	} else if prev != key {
@@ -182,10 +185,6 @@ func (c *classPartition) verdict(name string, exhausted bool, opts Options) (int
 // far must still partition alike.
 func classEquivalence(name string, prog func(*sched.Thread), opts Options) (classes int, err error) {
 	part := newClassPartition()
-	oracle := systematic.Explore(prog, systematic.Options{
-		MaxSchedules: opts.MaxSchedules,
-		RecordTrace:  true,
-		Observe:      part.observe,
-	})
+	oracle := systematic.Explore(prog, systematic.Options{MaxSchedules: opts.MaxSchedules, Tracer: part})
 	return part.verdict(name, oracle.Exhausted, opts)
 }

@@ -2,6 +2,7 @@ package crosscheck
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,32 +48,33 @@ func (s *scriptAlg) Next(st *sched.State) sched.ThreadID {
 	return e[0]
 }
 
+// runLogged runs one schedule with an EventLog attached and returns its
+// Result and its events.
+func runLogged(prog func(*sched.Thread), alg sched.Algorithm, opts sched.Options) (*sched.Result, []sched.Event) {
+	var log sched.EventLog
+	opts.Tracer = &log
+	return sched.Run(prog, alg, opts), log.Events
+}
+
 // runScripted executes prog along the given per-event TID script and
 // reports whether the executed trace is exactly want (the script is only a
 // steering hint: infeasible scripts degrade and are detected here).
 func runScripted(prog func(*sched.Thread), script []sched.ThreadID, want []sched.Event) (*sched.Result, bool) {
-	res := sched.Run(prog, &scriptAlg{script: script}, sched.Options{RecordTrace: true})
-	if len(res.Trace) != len(want) {
-		return res, false
-	}
-	for i := range want {
-		if res.Trace[i] != want[i] {
-			return res, false
-		}
-	}
-	return res, true
+	res, events := runLogged(prog, &scriptAlg{script: script}, sched.Options{})
+	return res, slices.Equal(events, want)
 }
 
-// trySwap re-executes base's schedule with events i and i+1 swapped.
-// feasible is false when the swapped order cannot be executed (the events
-// do not commute operationally, or thread/object creation order shifted).
-func trySwap(prog func(*sched.Thread), base *sched.Result, i int) (res *sched.Result, feasible bool) {
-	script := make([]sched.ThreadID, len(base.Trace))
-	for k, ev := range base.Trace {
+// trySwap re-executes the schedule of events trace with events i and i+1
+// swapped. feasible is false when the swapped order cannot be executed (the
+// events do not commute operationally, or thread/object creation order
+// shifted).
+func trySwap(prog func(*sched.Thread), trace []sched.Event, i int) (res *sched.Result, feasible bool) {
+	script := make([]sched.ThreadID, len(trace))
+	for k, ev := range trace {
 		script[k] = ev.TID
 	}
 	script[i], script[i+1] = script[i+1], script[i]
-	want := append([]sched.Event(nil), base.Trace...)
+	want := append([]sched.Event(nil), trace...)
 	want[i], want[i+1] = want[i+1], want[i]
 	return runScripted(prog, script, want)
 }
@@ -87,23 +89,23 @@ type swapStats struct {
 // swap.
 func checkCommutation(t *testing.T, name string, prog func(*sched.Thread), seed int64, st *swapStats) {
 	t.Helper()
-	base := sched.Run(prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: seed}, RecordTrace: true})
+	base, trace := runLogged(prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: seed}})
 	// The unswapped script must reproduce the base schedule bit-exactly —
 	// otherwise every "infeasible swap" skip below is suspect.
-	script := make([]sched.ThreadID, len(base.Trace))
-	for k, ev := range base.Trace {
+	script := make([]sched.ThreadID, len(trace))
+	for k, ev := range trace {
 		script[k] = ev.TID
 	}
-	rerun, ok := runScripted(prog, script, base.Trace)
+	rerun, ok := runScripted(prog, script, trace)
 	if !ok || rerun.ClassHash != base.ClassHash || rerun.InterleavingHash != base.InterleavingHash {
 		t.Fatalf("%s seed %d: scripted replay of the unswapped schedule diverged", name, seed)
 	}
-	for i := 0; i+1 < len(base.Trace); i++ {
-		a, b := base.Trace[i], base.Trace[i+1]
+	for i := 0; i+1 < len(trace); i++ {
+		a, b := trace[i], trace[i+1]
 		if a.TID == b.TID {
 			continue // program order: unswappable by definition
 		}
-		res, feasible := trySwap(prog, base, i)
+		res, feasible := trySwap(prog, trace, i)
 		if !feasible {
 			continue
 		}
@@ -155,9 +157,9 @@ func TestCanonicalClassKeyJoinEdge(t *testing.T) {
 		root.Yield()
 		root.Join(h)
 	}
-	res := sched.Run(prog, nil, sched.Options{RecordTrace: true})
+	_, trace := runLogged(prog, nil, sched.Options{})
 	var join, last sched.Event
-	for _, ev := range res.Trace {
+	for _, ev := range trace {
 		if ev.Kind == sched.OpJoin {
 			join = ev
 		}
@@ -165,7 +167,7 @@ func TestCanonicalClassKeyJoinEdge(t *testing.T) {
 	if join.Kind != sched.OpJoin {
 		t.Fatal("no join event recorded")
 	}
-	for _, ev := range res.Trace {
+	for _, ev := range trace {
 		if ev.PathHash == join.ObjHash {
 			last = ev
 		}
@@ -188,8 +190,10 @@ func TestClassPartitionPartialVerdict(t *testing.T) {
 	part := newClassPartition()
 	// One class fingerprint over two traces that are not happens-before
 	// equivalent: a false dedup.
-	part.observe(&sched.Result{ClassHash: 1, Trace: []sched.Event{write(1), write(2)}})
-	part.observe(&sched.Result{ClassHash: 1, Trace: []sched.Event{write(2), write(1)}})
+	part.Events = []sched.Event{write(1), write(2)}
+	part.EndSchedule(&sched.Result{ClassHash: 1})
+	part.Events = []sched.Event{write(2), write(1)}
+	part.EndSchedule(&sched.Result{ClassHash: 1})
 	for _, exhausted := range []bool{true, false} {
 		if _, err := part.verdict("merged", exhausted, Options{AllowPartial: true}); err == nil || !strings.Contains(err.Error(), "false dedup") {
 			t.Errorf("exhausted=%v: verdict %v, want the false dedup", exhausted, err)

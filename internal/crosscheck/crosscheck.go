@@ -18,7 +18,7 @@
 //
 //   - Replay and execution-identity: each checked schedule is recorded via
 //     internal/replay and strictly replayed — the replay must be bit-exact
-//     (fingerprint, Δ-fingerprint, behaviour, failure) with zero diagnosed
+//     (fingerprints, behaviour, failure) with zero diagnosed
 //     divergence — and re-executed on a warm sched.Pool and compared
 //     field-for-field against the one-shot run, and once more into a
 //     caller-owned Result (Pool.RunInto) that earlier schedules have
@@ -26,7 +26,7 @@
 //     (runner.Config.Workers) are checked to be byte-identical to the
 //     sequential loop, and a checkpointed, batched session (Pool.RunPrefix
 //     / Pool.RunFrom on the fast engine) is checked byte-identical —
-//     traces included — to the verbatim slow scheduling loop, as is the
+//     event logs included — to the verbatim slow scheduling loop, as is the
 //     Decision stream each of the two shows an attached sched.Tracer
 //     (checkpoint.go in this package).
 //
@@ -163,13 +163,9 @@ func CheckProgram(name string, prog func(*sched.Thread), expectDeadlock bool, op
 			if d := diffResults(res, pooled); d != "" {
 				return nil, fmt.Errorf("crosscheck: %s: %s seed %d: pooled run diverged: %s", name, algName, so.Seed, d)
 			}
-			// The caller-owned form: into storage that still holds an
-			// earlier schedule's outcome — first this schedule traced, so a
-			// Trace and (when it fails) a Failure are there to leak — it is
-			// Run's Result field for field.
-			traced := so
-			traced.RecordTrace = true
-			pool.RunInto(&own, prog, alg, traced)
+			// The caller-owned form: into storage that still holds the
+			// previous schedule's outcome — its Failure, when it failed, is
+			// there to leak — it is Run's Result field for field.
 			pool.RunInto(&own, prog, alg, so)
 			if !reflect.DeepEqual(&own, pooled) {
 				return nil, fmt.Errorf("crosscheck: %s: %s seed %d: RunInto wrote %s, Run returned %s", name, algName, so.Seed, describeResult(&own), describeResult(pooled))
@@ -220,8 +216,6 @@ func diffResults(a, b *sched.Result) string {
 		return fmt.Sprintf("fingerprint %#x vs %#x", a.InterleavingHash, b.InterleavingHash)
 	case a.ClassHash != b.ClassHash:
 		return fmt.Sprintf("class fingerprint %#x vs %#x", a.ClassHash, b.ClassHash)
-	case a.DeltaHash != b.DeltaHash:
-		return fmt.Sprintf("Δ-fingerprint %#x vs %#x", a.DeltaHash, b.DeltaHash)
 	case a.Behavior != b.Behavior:
 		return fmt.Sprintf("behaviour %q vs %q", a.Behavior, b.Behavior)
 	case a.Steps != b.Steps:

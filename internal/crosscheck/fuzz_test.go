@@ -58,16 +58,16 @@ func FuzzClassFingerprint(f *testing.F) {
 		} else {
 			prog = progfuzz.GenSync(seed, genSyncConfig).Prog()
 		}
-		base := sched.Run(prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: algSeed}, RecordTrace: true})
-		if len(base.Trace) < 2 {
+		base, trace := runLogged(prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: algSeed}})
+		if len(trace) < 2 {
 			t.Skip("schedule too short to swap")
 		}
-		i := int(swap) % (len(base.Trace) - 1)
-		a, b := base.Trace[i], base.Trace[i+1]
+		i := int(swap) % (len(trace) - 1)
+		a, b := trace[i], trace[i+1]
 		if a.TID == b.TID {
 			t.Skip("program-order pair")
 		}
-		res, feasible := trySwap(prog, base, i)
+		res, feasible := trySwap(prog, trace, i)
 		if !feasible {
 			t.Skip("swapped order infeasible")
 		}

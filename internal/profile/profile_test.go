@@ -470,14 +470,15 @@ func TestThreadsCountsSameLidOnceAcrossKinds(t *testing.T) {
 // looks a map up; over every event of a recorded schedule the two must
 // agree, and a name repeated makes the several-name form the same set.
 func TestSingleNameAccessToMatchesTheSet(t *testing.T) {
-	res := sched.Run(prog, core.NewRandomWalk(), sched.Options{RecordTrace: true})
-	if len(res.Trace) == 0 {
+	var log sched.EventLog
+	sched.Run(prog, core.NewRandomWalk(), sched.Options{Tracer: &log})
+	if len(log.Events) == 0 {
 		t.Fatal("no trace recorded")
 	}
 	for _, name := range []string{"hot", "mu"} {
 		one, set, both := AccessTo(name), AccessTo(name, name), AccessTo("hot", "mu")
 		matched := 0
-		for _, ev := range res.Trace {
+		for _, ev := range log.Events {
 			if one(ev) != set(ev) {
 				t.Fatalf("AccessTo(%q) disagrees with its set form on %v", name, ev)
 			}

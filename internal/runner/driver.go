@@ -24,12 +24,6 @@ import (
 // goroutine at a time.
 type Driver struct{ *worker }
 
-// Observers are what Rerun attaches to a schedule that Next ran bare.
-type Observers struct {
-	Tracer      sched.Tracer
-	RecordTrace bool
-}
-
 // OpenDriver returns a driver on a worker of its own, positioned at
 // schedule 0 of the given session of the batch cfg describes: the schedules
 // RunSession runs for that index. Only cfg.Seed is read. The caller Closes
@@ -143,23 +137,24 @@ func (w *worker) Next(res *sched.Result, tracer sched.Tracer) {
 	w.next++
 }
 
-// Rerun runs the session's schedule i again with o attached and returns a
-// Result the caller owns. Schedules are deterministic given (program,
-// algorithm, options), so it witnesses the interleaving the i-th Next did,
-// or will. It leaves the session where it was: the next Next is unmoved.
-func (w *worker) Rerun(i int, o Observers) *sched.Result { return w.rerun(i, w.alg, o) }
+// Rerun runs the session's schedule i again with tracer attached (nil for
+// none; a sched.EventLog records its events) and returns a Result the
+// caller owns. Schedules are deterministic given (program, algorithm,
+// options), so it witnesses the interleaving the i-th Next did, or will. It
+// leaves the session where it was: the next Next is unmoved.
+func (w *worker) Rerun(i int, tracer sched.Tracer) *sched.Result { return w.rerun(i, w.alg, tracer) }
 
 // Record is Rerun with a replay recorder round the session's algorithm —
 // it decides as the algorithm does — returning the choice sequence too.
-func (w *worker) Record(i int, o Observers) (*sched.Result, replay.Recording) {
+func (w *worker) Record(i int, tracer sched.Tracer) (*sched.Result, replay.Recording) {
 	rec := replay.NewRecorder(w.alg)
-	res := w.rerun(i, rec, o)
+	res := w.rerun(i, rec, tracer)
 	return res, rec.Recording()
 }
 
-func (w *worker) rerun(i int, alg sched.Algorithm, o Observers) *sched.Result {
+func (w *worker) rerun(i int, alg sched.Algorithm, tracer sched.Tracer) *sched.Result {
 	opts := w.options(i)
-	opts.Tracer, opts.RecordTrace = o.Tracer, o.RecordTrace
+	opts.Tracer = tracer
 	w.running = true
 	res := w.pool.Run(w.tgt.Prog, alg, opts)
 	w.running = false

@@ -92,9 +92,14 @@ func TestRerunIsTheIthNext(t *testing.T) {
 		if err := d.begin(tgt, alg, cfg, 3); err != nil {
 			t.Fatal(err)
 		}
+		var log sched.EventLog
 		for _, i := range []int{failing, 0, limit / 2, failing, limit - 1} {
-			if got := witness(d, d.Rerun(i, Observers{RecordTrace: true})); got != nexts[i] {
+			res := d.Rerun(i, &log)
+			if got := witness(d, res); got != nexts[i] {
 				t.Errorf("%s: Rerun(%d) = %+v, the %d-th Next ran %+v", alg, i, got, i, nexts[i])
+			}
+			if len(log.Events) != res.Steps {
+				t.Errorf("%s: Rerun(%d) logged %d events of %d steps", alg, i, len(log.Events), res.Steps)
 			}
 		}
 		if d.Index() != 0 {
@@ -102,7 +107,7 @@ func TestRerunIsTheIthNext(t *testing.T) {
 		}
 		// Reruns between Nexts leave the Nexts what they were.
 		for i := 0; i < 10; i++ {
-			d.Rerun((i*7)%limit, Observers{})
+			d.Rerun((i*7)%limit, nil)
 			d.Next(&w.res, nil)
 			if got := witness(d, &w.res); got != nexts[i] {
 				t.Errorf("%s: Next %d after a Rerun = %+v, want %+v", alg, i, got, nexts[i])

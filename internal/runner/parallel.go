@@ -175,7 +175,7 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 // writes the flight record under dir.
 func dumpFlight(w *worker, dir string, session, schedule int, orig *sched.Result) (string, error) {
 	col := obs.NewCollector(obs.FlightRingSize)
-	res, rec := w.Record(schedule, Observers{Tracer: col})
+	res, rec := w.Record(schedule, col)
 
 	fr := &obs.FlightRecord{
 		Version:          obs.FlightVersion,

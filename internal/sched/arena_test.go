@@ -172,8 +172,8 @@ func TestPoolIdenticalAfterAbortedSchedules(t *testing.T) {
 		for name, prog := range poolPrograms() {
 			do()
 			for seed := int64(0); seed < 10; seed++ {
-				opts := Options{Base: Base{Seed: seed, MaxSteps: 300}, RecordTrace: true}
-				resultsEqual(t, how+"/"+name, seed, Run(prog, &pickRandom{}, opts), p.Run(prog, &pickRandom{}, opts))
+				opts := Options{Base: Base{Seed: seed, MaxSteps: 300}}
+				loggedEqual(t, how+"/"+name, seed, runLogged(Run, prog, &pickRandom{}, opts), runLogged(p.Run, prog, &pickRandom{}, opts))
 			}
 		}
 	}

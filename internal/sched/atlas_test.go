@@ -13,7 +13,7 @@ import (
 
 // TestAtlasNonPerturbation pins the atlas covenant at the engine level:
 // attaching an Accum as Options.Tracer never changes a schedule — results
-// (hashes, traces, failures) are bit-identical with and without it, across
+// (hashes, failures) are bit-identical with and without it, across
 // every program class, on both the batched fast path and the verbatim slow
 // loop — and the two loops show it the same decisions.
 func TestAtlasNonPerturbation(t *testing.T) {
@@ -23,7 +23,7 @@ func TestAtlasNonPerturbation(t *testing.T) {
 		plainPool, atlasPool := sched.NewPool(), sched.NewPool()
 		for name, prog := range sched.PoolPrograms() {
 			for seed := int64(0); seed < 25; seed++ {
-				opts := sched.Options{Base: sched.Base{MaxSteps: 300, Seed: seed}, RecordTrace: true, DisableBatching: !batching}
+				opts := sched.Options{Base: sched.Base{MaxSteps: 300, Seed: seed}, DisableBatching: !batching}
 				plain := plainPool.Run(prog, &sched.PickRandom{}, opts)
 				opts.Tracer = acc
 				mapped := atlasPool.Run(prog, &sched.PickRandom{}, opts)

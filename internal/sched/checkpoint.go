@@ -6,22 +6,21 @@ package sched
 // forced prefix: decisions where exactly one thread is enabled consume no
 // randomness, so they come out identical for every seed. A Checkpoint
 // captures that prefix from one run — the forced decision sequence plus
-// the accumulated interleaving hash and trace — and RunFrom replays it
-// without consulting the algorithm, without re-hashing and without
-// re-recording the trace. Combined with the fast engine's inline
-// continuation (a forced choice of the running thread parks nobody), a
-// checkpointed prefix executes as a tight single-goroutine loop: the
-// batched run-to-next-decision path.
+// the accumulated interleaving and class hash state — and RunFrom replays
+// it without consulting the algorithm and without re-hashing. Combined
+// with the fast engine's inline continuation (a forced choice of the
+// running thread parks nobody), a checkpointed prefix executes as a tight
+// single-goroutine loop: the batched run-to-next-decision path.
 //
 // Replay goes through the engine's one step function (decide, execute):
-// decide takes the forced TID from the checkpoint, and execute folds only
-// the Δ hash, which algorithm Info predicates may consume per event, until
-// the last forced step adopts the captured state. Program effects,
-// spawn notifications, algorithm Observe calls and Tracer.Decide calls all
-// happen normally, so any Algorithm (including profile-driven ones) and any
-// Tracer sees exactly the event stream of a full run. Divergence (the
-// enabled set not matching the capture run's singleton) is a caller bug —
-// a different program or incompatible options — and panics.
+// decide takes the forced TID from the checkpoint, and execute folds
+// nothing until the last forced step adopts the captured state. Program
+// effects, spawn notifications, algorithm Observe calls and Tracer.Decide
+// calls all happen normally, so any Algorithm (including profile-driven
+// ones) and any Tracer — an EventLog recording the schedule's events
+// among them — sees exactly the event stream of a full run. Divergence
+// (the enabled set not matching the capture run's singleton) is a caller
+// bug — a different program or incompatible options — and panics.
 //
 // A program whose first decision is free has no prefix, and gets no
 // checkpoint: the capture allocates only at its first forced decision, so
@@ -35,7 +34,6 @@ type Checkpoint struct {
 	forced  []ThreadID // chosen TID of every forced (single-enabled) decision
 	steps   int        // == len(forced)
 	ilvHash uint64     // interleaving hash after the prefix
-	trace   []Event    // prefix trace (only when captured with RecordTrace)
 
 	// Class-fingerprint state after the prefix: the classAcc accumulator,
 	// every thread's hash-clock and every object's (lastWriteH, readAcc)
@@ -55,14 +53,13 @@ type Checkpoint struct {
 // on. TraceFilter cannot be compared (functions); callers must pass the
 // same filter they captured with — the runner does.
 type captureStamp struct {
-	progSeed    int64
-	maxSteps    int
-	recordTrace bool
-	filterNil   bool
+	progSeed  int64
+	maxSteps  int
+	filterNil bool
 }
 
 func stampOf(opts Options) captureStamp {
-	return captureStamp{opts.ProgSeed, opts.Base.Normalized().MaxSteps, opts.RecordTrace, opts.TraceFilter == nil}
+	return captureStamp{opts.ProgSeed, opts.Base.Normalized().MaxSteps, opts.TraceFilter == nil}
 }
 
 // Decisions returns the number of forced decisions the checkpoint covers.
@@ -111,13 +108,10 @@ func (ex *Execution) closeCapture() {
 	for i := range ex.objs {
 		cp.objClass[i] = objClass{lastWriteH: ex.objs[i].lastWriteH, readAcc: ex.objs[i].readAcc}
 	}
-	if ex.opts.RecordTrace {
-		cp.trace = append([]Event(nil), ex.trace[:ex.steps]...)
-	}
 }
 
 // replayed ends the last replayed forced step: the run adopts the captured
-// interleaving hash, class state and trace, and is past its prefix. The
+// interleaving hash and class state, and is past its prefix. The
 // clock/object snapshots were taken after the last forced
 // event's grant, so they may cover threads and objects this run has not
 // created yet (spawned during that grant); those are re-derived
@@ -134,9 +128,6 @@ func (ex *Execution) replayed() {
 	for i := 0; i < len(cp.objClass) && i < len(ex.objs); i++ {
 		ex.objs[i].lastWriteH = cp.objClass[i].lastWriteH
 		ex.objs[i].readAcc = cp.objClass[i].readAcc
-	}
-	if ex.opts.RecordTrace {
-		ex.trace = append(ex.trace, cp.trace...)
 	}
 }
 

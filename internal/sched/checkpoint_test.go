@@ -25,23 +25,10 @@ func (a *rrIndex) NextIndex(n int) int {
 
 func (*rrIndex) Observe(Event, *State) {}
 
-// checkpointEqual fails the test unless a and b are observably identical,
-// including their recorded traces.
-func checkpointEqual(t *testing.T, label string, a, b *Result) {
-	t.Helper()
-	if a.InterleavingHash != b.InterleavingHash {
-		t.Fatalf("%s: fingerprint %#x vs %#x", label, a.InterleavingHash, b.InterleavingHash)
-	}
-	if a.Steps != b.Steps || a.Behavior != b.Behavior || a.BugID() != b.BugID() || a.Truncated != b.Truncated {
-		t.Fatalf("%s: results differ: %+v vs %+v", label, a, b)
-	}
-	if len(a.Trace) != len(b.Trace) {
-		t.Fatalf("%s: trace length %d vs %d", label, len(a.Trace), len(b.Trace))
-	}
-	for i := range a.Trace {
-		if a.Trace[i] != b.Trace[i] {
-			t.Fatalf("%s: trace[%d] %+v vs %+v", label, i, a.Trace[i], b.Trace[i])
-		}
+// runFrom is pool.RunFrom from cp, in the form runLogged takes.
+func runFrom(pool *Pool, cp *Checkpoint) func(func(*Thread), Algorithm, Options) *Result {
+	return func(prog func(*Thread), alg Algorithm, opts Options) *Result {
+		return pool.RunFrom(cp, prog, alg, opts)
 	}
 }
 
@@ -140,27 +127,28 @@ func itoa(v int64) string {
 }
 
 // checkpointedVsPlain captures a prefix from prog and holds every RunFrom
-// schedule bit-identical (trace included) to a plain one-shot Run of the
-// same seed. Returns the checkpoint for further poking.
+// schedule bit-identical, event log included, to a plain one-shot Run of
+// the same seed and to the slow loop's. Returns the checkpoint for further
+// poking.
 func checkpointedVsPlain(t *testing.T, prog func(*Thread), seeds int) *Checkpoint {
 	t.Helper()
 	pool := NewPool()
 	defer pool.Close()
-	opts := func(seed int64) Options {
-		return Options{Base: Base{Seed: seed}, RecordTrace: true}
-	}
-	capRes, cp := pool.RunPrefix(prog, &rrIndex{}, opts(1))
+	capLog := new(EventLog)
+	capRes, cp := pool.RunPrefix(prog, &rrIndex{}, Options{Base: Base{Seed: 1}, Tracer: capLog})
 	if cp == nil {
 		t.Fatal("no checkpoint captured")
 	}
-	checkpointEqual(t, "capture run", capRes, Run(prog, &rrIndex{}, opts(1)))
+	loggedEqual(t, "capture run", 1, loggedRun{capRes, capLog.Events}, runLogged(Run, prog, &rrIndex{}, Options{Base: Base{Seed: 1}}))
 	if cp.Decisions() == 0 {
 		t.Fatal("expected a non-empty forced prefix")
 	}
 	for seed := int64(2); seed < int64(2+seeds); seed++ {
-		fast := pool.RunFrom(cp, prog, &rrIndex{}, opts(seed))
-		plain := Run(prog, &rrIndex{}, opts(seed))
-		checkpointEqual(t, "replayed run", fast, plain)
+		opts := Options{Base: Base{Seed: seed}}
+		fast := runLogged(runFrom(pool, cp), prog, &rrIndex{}, opts)
+		loggedEqual(t, "replayed vs full run", seed, fast, runLogged(Run, prog, &rrIndex{}, opts))
+		opts.DisableBatching = true
+		loggedEqual(t, "replayed vs slow loop", seed, fast, runLogged(Run, prog, &rrIndex{}, opts))
 	}
 	return cp
 }
@@ -180,33 +168,32 @@ func TestCheckpointSleepingSenders(t *testing.T) {
 // TestCheckpointSurvivesPoolRecycling holds that a sealed checkpoint is
 // immutable under pool reuse: running other schedules, a different
 // program, and a Reset on the pool that captured it must neither mutate
-// the checkpoint (no buffer aliasing with the pool's recycled trace and
-// decision storage) nor change what RunFrom produces from it.
+// the checkpoint (no buffer aliasing with the pool's recycled decision
+// storage) nor change what RunFrom produces from it.
 func TestCheckpointSurvivesPoolRecycling(t *testing.T) {
 	pool := NewPool()
 	defer pool.Close()
-	opts := Options{Base: Base{Seed: 1}, RecordTrace: true}
-	_, cp := pool.RunPrefix(midCSProg, &rrIndex{}, opts)
+	_, cp := pool.RunPrefix(midCSProg, &rrIndex{}, Options{Base: Base{Seed: 1}})
 	if cp == nil {
 		t.Fatal("no checkpoint captured")
 	}
 	forced := append([]ThreadID(nil), cp.forced...)
-	trace := append([]Event(nil), cp.trace...)
 	hash, steps := cp.ilvHash, cp.steps
 
-	want := pool.RunFrom(cp, midCSProg, &rrIndex{}, Options{Base: Base{Seed: 9}, RecordTrace: true})
+	nine := Options{Base: Base{Seed: 9}}
+	want := runLogged(runFrom(pool, cp), midCSProg, &rrIndex{}, nine)
 
 	// Churn the pool: more schedules of the same program, then a different
 	// program (which repoints the pool and rebuilds its interned state).
 	for seed := int64(20); seed < 30; seed++ {
-		pool.RunFrom(cp, midCSProg, &rrIndex{}, Options{Base: Base{Seed: seed}, RecordTrace: true})
+		pool.RunFrom(cp, midCSProg, &rrIndex{}, Options{Base: Base{Seed: seed}})
 	}
-	pool.Run(parkedSenderProg, &rrIndex{}, Options{Base: Base{Seed: 3}, RecordTrace: true})
+	pool.Run(parkedSenderProg, &rrIndex{}, Options{Base: Base{Seed: 3}})
 	pool.Close()
-	pool.Run(parkedSenderProg, &rrIndex{}, Options{Base: Base{Seed: 4}, RecordTrace: true})
+	pool.Run(parkedSenderProg, &rrIndex{}, Options{Base: Base{Seed: 4}})
 
 	// The checkpoint must be bitwise intact...
-	if cp.ilvHash != hash || cp.steps != steps || len(cp.forced) != len(forced) || len(cp.trace) != len(trace) {
+	if cp.ilvHash != hash || cp.steps != steps || len(cp.forced) != len(forced) {
 		t.Fatal("pool recycling mutated the checkpoint")
 	}
 	for i := range forced {
@@ -214,19 +201,15 @@ func TestCheckpointSurvivesPoolRecycling(t *testing.T) {
 			t.Fatalf("pool recycling mutated cp.forced[%d]", i)
 		}
 	}
-	for i := range trace {
-		if cp.trace[i] != trace[i] {
-			t.Fatalf("pool recycling mutated cp.trace[%d]", i)
-		}
-	}
 	// ...and still replay to the same result on the recycled pool.
-	got := pool.RunFrom(cp, midCSProg, &rrIndex{}, Options{Base: Base{Seed: 9}, RecordTrace: true})
-	checkpointEqual(t, "replay after recycling", got, want)
-	checkpointEqual(t, "replay after recycling vs plain", got, Run(midCSProg, &rrIndex{}, Options{Base: Base{Seed: 9}, RecordTrace: true}))
+	got := runLogged(runFrom(pool, cp), midCSProg, &rrIndex{}, nine)
+	loggedEqual(t, "replay after recycling", 9, got, want)
+	loggedEqual(t, "replay after recycling vs plain", 9, got, runLogged(Run, midCSProg, &rrIndex{}, nine))
 }
 
 // TestCheckpointInvalidUses pins the misuse panics: replaying an unsealed
-// checkpoint and replaying with options incompatible with the capture.
+// checkpoint and replaying with options incompatible with the capture (a
+// step budget other than the capture run's).
 func TestCheckpointInvalidUses(t *testing.T) {
 	pool := NewPool()
 	defer pool.Close()
@@ -244,7 +227,7 @@ func TestCheckpointInvalidUses(t *testing.T) {
 		f()
 	}
 	mustPanic("incompatible options", func() {
-		pool.RunFrom(cp, midCSProg, &rrIndex{}, Options{Base: Base{Seed: 2}, RecordTrace: true})
+		pool.RunFrom(cp, midCSProg, &rrIndex{}, Options{Base: Base{Seed: 2, MaxSteps: 1000}})
 	})
 	mustPanic("unsealed checkpoint", func() {
 		pool.RunFrom(&Checkpoint{open: true}, midCSProg, &rrIndex{}, Options{Base: Base{Seed: 2}})
@@ -297,11 +280,14 @@ func TestNoPrefixNoCheckpoint(t *testing.T) {
 	pool := NewPool()
 	defer pool.Close()
 	var res Result
+	var log EventLog
 	opts := Options{Base: Base{Seed: 1}}
-	if cp := pool.RunPrefixInto(&res, freeFirstProg, &rrIndex{}, opts); cp != nil {
+	logged := opts
+	logged.Tracer = &log
+	if cp := pool.RunPrefixInto(&res, freeFirstProg, &rrIndex{}, logged); cp != nil {
 		t.Fatalf("a program without a forced prefix captured %d forced decisions", cp.Decisions())
 	}
-	checkpointEqual(t, "capture run", &res, Run(freeFirstProg, &rrIndex{}, opts))
+	loggedEqual(t, "capture run", 1, loggedRun{&res, log.Events}, runLogged(Run, freeFirstProg, &rrIndex{}, opts))
 	into := testing.AllocsPerRun(100, func() { pool.RunInto(&res, freeFirstProg, &rrIndex{}, opts) })
 	prefix := testing.AllocsPerRun(100, func() { pool.RunPrefixInto(&res, freeFirstProg, &rrIndex{}, opts) })
 	if prefix != into {
@@ -319,6 +305,6 @@ func TestCheckpointSlowPathDegrades(t *testing.T) {
 	if cp != nil {
 		t.Fatal("slow path must not capture a checkpoint")
 	}
-	res := pool.RunFrom(nil, midCSProg, &rrIndex{}, Options{Base: Base{Seed: 5}, RecordTrace: true})
-	checkpointEqual(t, "nil checkpoint", res, Run(midCSProg, &rrIndex{}, Options{Base: Base{Seed: 5}, RecordTrace: true}))
+	five := Options{Base: Base{Seed: 5}}
+	loggedEqual(t, "nil checkpoint", 5, runLogged(runFrom(pool, nil), midCSProg, &rrIndex{}, five), runLogged(Run, midCSProg, &rrIndex{}, five))
 }

@@ -80,13 +80,10 @@ type Execution struct {
 	replayPos int
 	capturing bool // capturing the forced prefix, not yet sealed
 
-	trace       []Event
-	ilvHash     uint64
-	classAcc    uint64 // commutation-canonical class fingerprint accumulator
-	deltaHash   uint64
-	interesting func(Event) bool
-	filter      func(Event) bool
-	tracer      Tracer
+	ilvHash  uint64
+	classAcc uint64 // commutation-canonical class fingerprint accumulator
+	filter   func(Event) bool
+	tracer   Tracer
 
 	state *State
 
@@ -244,17 +241,10 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 	ex.truncated = false
 	ex.aborted = false
 	ex.behavior = ""
-	ex.trace = ex.trace[:0]
 	ex.ilvHash = fnvOffset
 	ex.classAcc = 0
-	ex.deltaHash = 0
-	ex.interesting = nil
 	ex.filter = opts.TraceFilter
 	ex.tracer = opts.Tracer
-	if opts.Info != nil && opts.Info.Interesting != nil {
-		ex.interesting = opts.Info.Interesting
-		ex.deltaHash = fnvOffset
-	}
 	if ex.state == nil {
 		ex.state = &State{ex: ex}
 	} else {
@@ -336,19 +326,12 @@ func (ex *Execution) runWith(prog func(*Thread), alg Algorithm, opts Options, ca
 		Truncated:        ex.truncated,
 		InterleavingHash: ex.ilvHash,
 		ClassHash:        ex.classAcc,
-		DeltaHash:        ex.deltaHash,
 		Behavior:         ex.behavior,
 		Threads:          len(ex.threads),
 	}
 	if ex.failed {
 		res.failure = ex.failure
 		res.Failure = &res.failure
-	}
-	if opts.RecordTrace {
-		// Hand the trace to the caller and surrender the buffer: a pooled
-		// Execution must never scribble over a returned Result.
-		res.Trace = ex.trace
-		ex.trace = nil
 	}
 	ex.killRemaining()
 	if ex.goexits > 0 {
@@ -458,17 +441,13 @@ func containsTID(tids []ThreadID, tid ThreadID) bool {
 	return false
 }
 
+// recordEvent folds an executed event into the two hashes Result reports:
+// the interleaving hash (events TraceFilter passes) and the class hash.
 func (ex *Execution) recordEvent(ev *Event) {
 	if ex.filter == nil || ex.filter(*ev) {
 		ex.ilvHash = fnvMix(fnvMix(ex.ilvHash, ev.PathHash), uint64(ev.Kind)<<32^ev.ObjHash)
 	}
-	if ex.interesting != nil && ex.interesting(*ev) {
-		ex.deltaHash = fnvMix(fnvMix(ex.deltaHash, ev.PathHash), uint64(ev.Kind)<<32^ev.ObjHash)
-	}
 	ex.classEvent(ev)
-	if ex.opts.RecordTrace {
-		ex.trace = append(ex.trace, *ev)
-	}
 }
 
 // classReader reports whether k only observes its object: concurrent

@@ -392,18 +392,10 @@ func (ex *Execution) execute(t *Thread, tid ThreadID, n int) bool {
 	ex.steps++
 	if cp := ex.replayCp; cp == nil {
 		ex.recordEvent(&chosen.next)
-	} else {
-		// A replayed forced step folds only the Δ hash, which algorithm Info
-		// predicates may consume per event; the last one adopts the rest
-		// from the checkpoint. Spelled out as recordEvent does: a helper
-		// taking the Event by value copies it per step, which
-		// BenchmarkPrefixFork reads as +25 % on the full path.
-		if ex.interesting != nil && ex.interesting(ev) {
-			ex.deltaHash = fnvMix(fnvMix(ex.deltaHash, ev.PathHash), uint64(ev.Kind)<<32^ev.ObjHash)
-		}
-		if ex.replayPos == len(cp.forced) {
-			ex.replayed()
-		}
+	} else if ex.replayPos == len(cp.forced) {
+		// A replayed forced step folds nothing; the last one adopts the
+		// hashes the checkpoint captured.
+		ex.replayed()
 	}
 	ex.curEv = ev
 	if ex.tracer != nil {

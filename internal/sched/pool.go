@@ -26,19 +26,20 @@ type Pool struct {
 func NewPool() *Pool { return &Pool{} }
 
 // Run executes one schedule like the package-level Run, reusing the pool's
-// buffers. The returned Result (including any recorded trace) is owned by
-// the caller and is never overwritten by later runs.
+// buffers. The returned Result is owned by the caller and is never
+// overwritten by later runs. (A Tracer's storage is its own: an EventLog
+// handed in again is rewound, so copy its Events to keep them.)
 func (p *Pool) Run(prog func(*Thread), alg Algorithm, opts Options) *Result {
 	return p.RunInto(new(Result), prog, alg, opts)
 }
 
 // RunInto is Run writing the schedule's outcome over *res, storage the
 // caller owns and may hand in again, and returning res: the same Result,
-// field for field, and nothing of what *res held before — no Failure or
-// Trace carries over. A caller that looks at one schedule's
-// result before running the next (the runner, the census) saves the one
-// object a warm schedule otherwise costs. RunPrefixInto and RunFromInto
-// are the same form of RunPrefix and RunFrom.
+// field for field, and nothing of what *res held before — no Failure
+// carries over. A caller that looks at one schedule's result before running
+// the next (the runner, the census) saves the one object a warm schedule
+// otherwise costs. RunPrefixInto and RunFromInto are the same form of
+// RunPrefix and RunFrom.
 func (p *Pool) RunInto(res *Result, prog func(*Thread), alg Algorithm, opts Options) *Result {
 	p.ex.persistent = true
 	return p.ex.runWith(prog, alg, opts, false, nil, res)
@@ -88,6 +89,6 @@ func (p *Pool) Close() {
 	}
 	ex.lastProg = nil
 	ex.opts, ex.alg, ex.idx, ex.spawnObs = Options{}, nil, nil, nil
-	ex.interesting, ex.filter, ex.tracer = nil, nil, nil
+	ex.filter, ex.tracer = nil, nil
 	ex.capture, ex.replayCp = nil, nil
 }

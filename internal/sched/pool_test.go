@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -123,6 +124,33 @@ func resultsEqual(t *testing.T, name string, seed int64, fresh, pooled *Result) 
 	}
 }
 
+// loggedRun is one schedule's Result with the events an EventLog recorded.
+type loggedRun struct {
+	res    *Result
+	events []Event
+}
+
+// runLogged runs one schedule through run (Run, or a Pool's Run) with a
+// fresh EventLog attached.
+func runLogged(run func(func(*Thread), Algorithm, Options) *Result, prog func(*Thread), alg Algorithm, opts Options) loggedRun {
+	log := new(EventLog)
+	opts.Tracer = log
+	return loggedRun{run(prog, alg, opts), log.Events}
+}
+
+// loggedEqual holds two logged schedules identical: their Results field for
+// field and their logs event for event, each log one event a step.
+func loggedEqual(t *testing.T, name string, seed int64, a, b loggedRun) {
+	t.Helper()
+	resultsEqual(t, name, seed, a.res, b.res)
+	if len(a.events) != a.res.Steps {
+		t.Fatalf("%s seed %d: the log holds %d events of %d steps", name, seed, len(a.events), a.res.Steps)
+	}
+	if !slices.Equal(a.events, b.events) {
+		t.Fatalf("%s seed %d: event logs diverged\n%v\n%v", name, seed, a.events, b.events)
+	}
+}
+
 // TestPoolMatchesFreshRun holds Pool.Run bit-identical to one-shot Run for
 // every program class, over many seeds, with a single pool reused across
 // all of them (including across different programs, the worst case for
@@ -141,24 +169,40 @@ func TestPoolMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesFreshRunWithTrace covers the trace hand-off: a pooled run
-// must surrender the recorded trace, and later runs must not scribble on it.
+// TestPoolMatchesFreshRunWithTrace holds a pooled run's event log equal to
+// a fresh run's, with one EventLog handed in again for every pooled run:
+// each schedule rewinds it, so nothing of the last run's events is left.
 func TestPoolMatchesFreshRunWithTrace(t *testing.T) {
 	prog := poolPrograms()["vars"]
 	pool := NewPool()
-	opts := Options{RecordTrace: true}
-	var prev *Result
-	var prevCopy []Event
+	var log EventLog
 	for seed := int64(0); seed < 20; seed++ {
-		opts.Seed = seed
-		fresh := Run(prog, &pickRandom{}, opts)
+		opts := Options{Base: Base{Seed: seed}}
+		fresh := runLogged(Run, prog, &pickRandom{}, opts)
+		opts.Tracer = &log
 		pooled := pool.Run(prog, &pickRandom{}, opts)
-		resultsEqual(t, "vars-trace", seed, fresh, pooled)
-		if prev != nil && !reflect.DeepEqual(prev.Trace, prevCopy) {
-			t.Fatalf("seed %d: earlier pooled trace was overwritten", seed)
-		}
-		prev = pooled
-		prevCopy = append([]Event(nil), pooled.Trace...)
+		loggedEqual(t, "vars-trace", seed, fresh, loggedRun{pooled, log.Events})
+	}
+}
+
+// TestEventLogReusesStorage: a warm EventLog costs a pooled schedule no
+// allocation, on RunInto as on a run with no tracer at all — the log
+// rewinds its slice at BeginSchedule instead of starting a new one.
+func TestEventLogReusesStorage(t *testing.T) {
+	prog := poolPrograms()["vars"]
+	pool := NewPool()
+	defer pool.Close()
+	var res Result
+	var log EventLog
+	bare, traced := Options{Base: Base{Seed: 1}}, Options{Base: Base{Seed: 1}, Tracer: &log}
+	pool.RunInto(&res, prog, &pickRandom{}, traced) // warm-up: the pool and the log
+	if len(log.Events) != res.Steps || res.Steps == 0 {
+		t.Fatalf("the log holds %d events of %d steps", len(log.Events), res.Steps)
+	}
+	without := testing.AllocsPerRun(50, func() { pool.RunInto(&res, prog, &pickRandom{}, bare) })
+	with := testing.AllocsPerRun(50, func() { pool.RunInto(&res, prog, &pickRandom{}, traced) })
+	if with != without {
+		t.Fatalf("a warm EventLog costs %.1f allocations a schedule, none %.1f", with, without)
 	}
 }
 
@@ -223,8 +267,8 @@ func (k *keepEnd) EndSchedule(r *Result) {
 
 // TestRunIntoCarriesNothingOver: the three Into forms write the Result the
 // plain forms return, whatever the storage held — in particular a failing
-// schedule with a trace and a tracer leaves no Failure or Trace behind
-// for the clean schedule written next, and what a Tracer
+// schedule with a tracer leaves no Failure behind for the clean schedule
+// written next, and what a Tracer
 // copied at EndSchedule still says what the schedule did after the storage
 // has moved on.
 func TestRunIntoCarriesNothingOver(t *testing.T) {
@@ -243,7 +287,7 @@ func TestRunIntoCarriesNothingOver(t *testing.T) {
 	var kept keepEnd
 	failing, clean := 0, 0
 	for seed := int64(0); seed < 60; seed++ {
-		traced := Options{Base: Base{Seed: seed}, RecordTrace: true, Tracer: &kept}
+		traced := Options{Base: Base{Seed: seed}, Tracer: &kept}
 		want := ref.Run(prog, &pickRandom{}, traced)
 		if got := pool.RunInto(&own, prog, &pickRandom{}, traced); got != &own {
 			t.Fatal("RunInto returned other storage than it was given")
@@ -267,7 +311,7 @@ func TestRunIntoCarriesNothingOver(t *testing.T) {
 				continue
 			}
 			clean++
-			if own.Failure != nil || own.Trace != nil || own.Buggy() {
+			if own.Failure != nil || own.Buggy() {
 				t.Fatalf("seed %d after failing seed %d: storage kept %+v", next, seed, own)
 			}
 			if kept.fail != wantFail {

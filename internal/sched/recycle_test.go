@@ -39,18 +39,18 @@ func TestClosedPoolRunsAnotherRefType(t *testing.T) {
 	for _, batched := range []bool{true, false} {
 		p := NewPool()
 		for seed := int64(0); seed < 20; seed++ {
-			opts := Options{Base: Base{Seed: seed}, RecordTrace: true, DisableBatching: !batched}
+			opts := Options{Base: Base{Seed: seed}, DisableBatching: !batched}
 			a, b := ints, pairs
 			if seed%2 == 1 {
 				a, b = pairs, ints
 			}
 			p.Run(a, &pickRandom{}, opts)
 			p.Close()
-			want := Run(b, &pickRandom{}, opts)
-			if want.Buggy() || want.Behavior == "" {
-				t.Fatalf("seed %d: %+v, want a bug-free schedule with a behaviour", seed, want)
+			want := runLogged(Run, b, &pickRandom{}, opts)
+			if want.res.Buggy() || want.res.Behavior == "" {
+				t.Fatalf("seed %d: %+v, want a bug-free schedule with a behaviour", seed, want.res)
 			}
-			resultsEqual(t, "Ref type after Close", seed, want, p.Run(b, &pickRandom{}, opts))
+			loggedEqual(t, "Ref type after Close", seed, want, runLogged(p.Run, b, &pickRandom{}, opts))
 			p.Close()
 		}
 	}
@@ -100,8 +100,8 @@ func TestClosedPoolRunsAfterParkedGoexit(t *testing.T) {
 				p.Close()
 				return &Result{}
 			})
-			opts := Options{Base: Base{Seed: seed}, RecordTrace: true, DisableBatching: !batched}
-			resultsEqual(t, "after a parked Goexit", seed, Run(plain, &pickRandom{}, opts), p.Run(plain, &pickRandom{}, opts))
+			opts := Options{Base: Base{Seed: seed}, DisableBatching: !batched}
+			loggedEqual(t, "after a parked Goexit", seed, runLogged(Run, plain, &pickRandom{}, opts), runLogged(p.Run, plain, &pickRandom{}, opts))
 		}
 		p.Close()
 	}

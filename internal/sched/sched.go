@@ -214,15 +214,9 @@ type Result struct {
 	// a property of the full schedule. See DESIGN.md §11 for the
 	// dependence relation and the incremental hash-clock construction.
 	ClassHash uint64
-	// DeltaHash fingerprints the subsequence of interesting events, when the
-	// algorithm ran with a ProgramInfo carrying an Interesting predicate.
-	DeltaHash uint64
 	// Behavior is the program-reported behaviour fingerprint (see
 	// Thread.SetBehavior); empty if the program never reported one.
 	Behavior string
-	// Trace is the full event sequence, recorded only when
-	// Options.RecordTrace is set.
-	Trace []Event
 	// Threads is the number of threads created.
 	Threads int
 
@@ -275,14 +269,13 @@ type Options struct {
 	Base
 	// Info is the profiling information handed to the algorithm's Begin.
 	Info *ProgramInfo
-	// RecordTrace stores the full event sequence in Result.Trace.
-	RecordTrace bool
 	// TraceFilter restricts which events fold into Result.InterleavingHash;
 	// nil includes every event.
 	TraceFilter func(Event) bool
 	// Tracer, when non-nil, observes every scheduling decision (see the
-	// Decision type; internal/obs and internal/atlas hold the tracers the
-	// runner attaches). It is the engine's only observer hook. A nil
+	// Decision type; an EventLog records the schedule's events, and
+	// internal/obs and internal/atlas hold the tracers the runner
+	// attaches). It is the engine's only observer hook. A nil
 	// Tracer costs one predictable branch per event and nothing else, and
 	// an installed Tracer never changes which threads are scheduled — nor
 	// which engine schedules them: the batched engine (fast.go) calls it

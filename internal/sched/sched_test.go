@@ -295,20 +295,10 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	hashes := map[uint64]bool{}
 	for seed := int64(0); seed < 20; seed++ {
-		r1 := Run(prog, &pickRandom{}, Options{Base: Base{Seed: seed}, RecordTrace: true})
-		r2 := Run(prog, &pickRandom{}, Options{Base: Base{Seed: seed}, RecordTrace: true})
-		if r1.InterleavingHash != r2.InterleavingHash {
-			t.Fatalf("seed %d: replay diverged", seed)
-		}
-		if len(r1.Trace) != len(r2.Trace) {
-			t.Fatalf("seed %d: trace lengths differ", seed)
-		}
-		for i := range r1.Trace {
-			if r1.Trace[i] != r2.Trace[i] {
-				t.Fatalf("seed %d: trace diverged at %d: %v vs %v", seed, i, r1.Trace[i], r2.Trace[i])
-			}
-		}
-		hashes[r1.InterleavingHash] = true
+		r1 := runLogged(Run, prog, &pickRandom{}, Options{Base: Base{Seed: seed}})
+		r2 := runLogged(Run, prog, &pickRandom{}, Options{Base: Base{Seed: seed}})
+		loggedEqual(t, "replay", seed, r1, r2)
+		hashes[r1.res.InterleavingHash] = true
 	}
 	if len(hashes) < 2 {
 		t.Fatal("all seeds produced the same interleaving; randomness broken")

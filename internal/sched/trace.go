@@ -1,8 +1,10 @@
 package sched
 
 // Scheduling-decision tracing: the substrate-side half of the observability
-// layer and the engine's only observer hook (package internal/obs holds the
-// collector, exporters, and metrics; internal/atlas the depth profile).
+// layer and the engine's only observer hook. EventLog, below, records a
+// schedule's events (replays and failing-trace printing read it); package
+// internal/obs holds the collector, exporters, and metrics, internal/atlas
+// the depth profile.
 //
 // The hook is designed so the disabled path costs exactly one predictable
 // nil-check per event and zero allocations: Options.Tracer is copied into
@@ -57,6 +59,24 @@ type Tracer interface {
 	// writes the next schedule over (Pool.RunInto), so copy what you keep.
 	EndSchedule(r *Result)
 }
+
+// EventLog is a Tracer that records a schedule's full event sequence: after
+// a run, Events holds every executed event in order, replayed checkpoint
+// steps included, so len(Events) equals the Result's Steps. Each
+// BeginSchedule rewinds Events and keeps its storage, so a warm log on a
+// pooled run allocates nothing; copy Events to keep them past the next run.
+type EventLog struct {
+	Events []Event
+}
+
+// BeginSchedule implements Tracer: it rewinds the log.
+func (l *EventLog) BeginSchedule(string) { l.Events = l.Events[:0] }
+
+// Decide implements Tracer: it appends the decision's event.
+func (l *EventLog) Decide(d Decision, _ *State) { l.Events = append(l.Events, d.Event) }
+
+// EndSchedule implements Tracer.
+func (*EventLog) EndSchedule(*Result) {}
 
 // Annotator is implemented by algorithms that expose per-decision internal
 // state to tracers — e.g. SURW's intended thread and remaining Δ-weights,

@@ -30,15 +30,10 @@ type Options struct {
 	// fingerprints (nil = all events), mirroring sched.Options.TraceFilter
 	// so enumerated class sets are comparable with filtered sampling runs.
 	TraceFilter func(sched.Event) bool
-	// RecordTrace records the full event sequence of every executed
-	// schedule (sched.Options.RecordTrace), for Observe consumers that
-	// need the trace — e.g. the crosscheck equivalence oracle.
-	RecordTrace bool
-	// Observe, when non-nil, is called with every executed schedule's
-	// Result before it is folded into the exploration summary. The Result
-	// (including its Trace when RecordTrace is set) is owned by the
-	// callee; Explore never touches it again.
-	Observe func(*sched.Result)
+	// Tracer, when non-nil, is attached to every executed schedule
+	// (sched.Options.Tracer) — e.g. the crosscheck equivalence oracle's,
+	// which reads each schedule's events and its class fingerprint.
+	Tracer sched.Tracer
 }
 
 // Result summarizes an exploration.
@@ -140,11 +135,8 @@ func Explore(prog func(*sched.Thread), opts Options) *Result {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		alg.prefix = f.prefix
-		r := sched.Run(prog, alg, sched.Options{Base: sched.Base{MaxSteps: opts.MaxSteps, ProgSeed: opts.ProgSeed}, TraceFilter: opts.TraceFilter, RecordTrace: opts.RecordTrace})
+		r := sched.Run(prog, alg, sched.Options{Base: sched.Base{MaxSteps: opts.MaxSteps, ProgSeed: opts.ProgSeed}, TraceFilter: opts.TraceFilter, Tracer: opts.Tracer})
 		res.Schedules++
-		if opts.Observe != nil {
-			opts.Observe(r)
-		}
 		if r.Truncated {
 			res.Exhausted = false
 		}

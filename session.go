@@ -170,23 +170,26 @@ func (s *Session) Explore() (*Exploration, error) {
 	return ex, nil
 }
 
-// Replay runs again, with a full trace recorded, the schedule a Report
-// names: schedule is Report.Schedule (1-based, counting the profiling run)
-// and seed Report.Seed, which must be that schedule's. The Δ stream and the
-// seeds are pure functions of Options.Seed, so a fresh Session over the same
-// program and options re-derives exactly what the original hunt ran. It is
-// the engine behind the package-level Replay and leaves Index unmoved.
-func (s *Session) Replay(schedule int, seed int64) (*Result, error) {
+// Replay runs again the schedule a Report names and returns its Result and
+// the events an EventLog recorded of it: schedule is Report.Schedule
+// (1-based, counting the profiling run) and seed Report.Seed, which must be
+// that schedule's. The Δ stream and the seeds are pure functions of
+// Options.Seed, so a fresh Session over the same program and options
+// re-derives exactly what the original hunt ran. It is the engine behind
+// the package-level Replay and leaves Index unmoved.
+func (s *Session) Replay(schedule int, seed int64) (*Result, []Event, error) {
 	if err := s.ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d := s.driver()
 	i := schedule - 1 - d.Charged()
 	if i < 0 {
-		return nil, fmt.Errorf("surw: replay of schedule %d: the session's first is %d", schedule, 1+d.Charged())
+		return nil, nil, fmt.Errorf("surw: replay of schedule %d: the session's first is %d", schedule, 1+d.Charged())
 	}
 	if want := d.ScheduleSeed(i); seed != want {
-		return nil, fmt.Errorf("surw: replay of schedule %d with seed %d: its seed under these options is %d", schedule, seed, want)
+		return nil, nil, fmt.Errorf("surw: replay of schedule %d with seed %d: its seed under these options is %d", schedule, seed, want)
 	}
-	return d.Rerun(i, runner.Observers{RecordTrace: true}), nil
+	var log EventLog
+	res := d.Rerun(i, &log)
+	return res, log.Events, nil
 }

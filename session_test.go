@@ -9,6 +9,7 @@ package surw
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -74,7 +75,7 @@ func TestSessionReplayMatchesReplay(t *testing.T) {
 	if err != nil || !rep.Found() {
 		t.Fatalf("setup failed: %v %+v", err, rep)
 	}
-	old, err := Replay(racyProg, rep, opts)
+	old, oldEvents, err := Replay(racyProg, rep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +83,16 @@ func TestSessionReplayMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Replay(rep.Schedule, rep.Seed)
+	res, events, err := s.Replay(rep.Schedule, rep.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.InterleavingHash != old.InterleavingHash || res.BugID() != old.BugID() {
 		t.Fatalf("Session.Replay diverged from Replay: %016x vs %016x",
 			res.InterleavingHash, old.InterleavingHash)
+	}
+	if !slices.Equal(events, oldEvents) {
+		t.Fatalf("Session.Replay logged %d events, Replay %d", len(events), len(oldEvents))
 	}
 }
 

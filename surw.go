@@ -85,6 +85,9 @@ type (
 	ProgramInfo = sched.ProgramInfo
 	// RunOptions configures a single schedule.
 	RunOptions = sched.Options
+	// EventLog records a schedule's full event sequence when attached as
+	// RunOptions.Tracer.
+	EventLog = sched.EventLog
 	// Profile is the census a profiling run produces.
 	Profile = profile.Profile
 	// ProfileOptions configures Collect.
@@ -225,13 +228,14 @@ func TestContext(ctx context.Context, prog func(*Thread), opts Options) (*Report
 }
 
 // Replay re-executes one schedule with the exact options that produced a
-// Report's failure, returning its Result (including a full trace). It is a
-// thin wrapper over Session: a fresh session re-derives the Δ stream up to
-// the failing schedule so the replayed schedule sees the same ProgramInfo.
-func Replay(prog func(*Thread), rep *Report, opts Options) (*Result, error) {
+// Report's failure, returning its Result and its full event sequence, as an
+// EventLog recorded it. It is a thin wrapper over Session: a fresh session
+// re-derives the Δ stream up to the failing schedule so the replayed
+// schedule sees the same ProgramInfo.
+func Replay(prog func(*Thread), rep *Report, opts Options) (*Result, []Event, error) {
 	s, err := NewSession(prog, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer s.Close()
 	return s.Replay(rep.Schedule, rep.Seed)

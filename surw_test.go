@@ -60,15 +60,15 @@ func TestReplayReproduces(t *testing.T) {
 	if err != nil || !rep.Found() {
 		t.Fatalf("setup failed: %v %+v", err, rep)
 	}
-	res, err := Replay(racyProg, rep, opts)
+	res, events, err := Replay(racyProg, rep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Buggy() || res.Failure.BugID != rep.Failure.BugID {
 		t.Fatalf("replay diverged: %+v", res.Failure)
 	}
-	if len(res.Trace) == 0 {
-		t.Fatal("replay did not record a trace")
+	if len(events) == 0 || len(events) != res.Steps {
+		t.Fatalf("replay recorded %d events of %d steps", len(events), res.Steps)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestTestUnknownAlgorithm(t *testing.T) {
 	if _, err := Test(cleanProg, Options{Algorithm: "nope"}); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := Replay(cleanProg, &Report{}, Options{Algorithm: "nope"}); err == nil {
+	if _, _, err := Replay(cleanProg, &Report{}, Options{Algorithm: "nope"}); err == nil {
 		t.Fatal("expected replay error")
 	}
 }
@@ -230,9 +230,13 @@ func TestRecordMinimizeReplayFacade(t *testing.T) {
 	if attempts == 0 {
 		t.Fatal("minimization did nothing")
 	}
-	res := ReplayRecording(racyProg, min, RunOptions{RecordTrace: true})
+	var log EventLog
+	res := ReplayRecording(racyProg, min, RunOptions{Tracer: &log})
 	if !res.Buggy() || res.BugID() != bugID {
 		t.Fatalf("minimized replay lost the bug: %+v", res.Failure)
+	}
+	if len(log.Events) != res.Steps {
+		t.Fatalf("the minimized replay logged %d events of %d steps", len(log.Events), res.Steps)
 	}
 	// Serialization round-trips through the string form.
 	back, err := ParseRecording(min.String())

@@ -86,8 +86,9 @@ func TestControlledDeterministicReplay(t *testing.T) {
 	if a.InterleavingHash != b.InterleavingHash {
 		t.Fatalf("same seed, different interleavings: %x vs %x", a.InterleavingHash, b.InterleavingHash)
 	}
-	c := surw.Run(prog, surw.NewRandomWalk(), surw.RunOptions{Base: surw.Base{Seed: 12}, RecordTrace: true})
-	if len(c.Trace) == 0 {
+	var log surw.EventLog
+	surw.Run(prog, surw.NewRandomWalk(), surw.RunOptions{Base: surw.Base{Seed: 12}, Tracer: &log})
+	if len(log.Events) == 0 {
 		t.Fatal("shimmed program produced no scheduled events")
 	}
 }
@@ -316,12 +317,13 @@ func TestForeignGoroutineFallsBack(t *testing.T) {
 			panic("foreign goroutine resolved a virtual thread")
 		}
 	})
-	res := surw.Run(prog, surw.NewRandomWalk(), surw.RunOptions{Base: surw.Base{Seed: 1}, RecordTrace: true})
+	var log surw.EventLog
+	res := surw.Run(prog, surw.NewRandomWalk(), surw.RunOptions{Base: surw.Base{Seed: 1}, Tracer: &log})
 	if res.Buggy() {
 		t.Fatalf("unexpected failure: %v", res.Failure)
 	}
-	if len(res.Trace) != 0 {
-		t.Fatalf("foreign goroutine's Lock became %d scheduled event(s)", len(res.Trace))
+	if len(log.Events) != 0 {
+		t.Fatalf("foreign goroutine's Lock became %d scheduled event(s)", len(log.Events))
 	}
 	if mu.TryLock() {
 		t.Fatal("foreign goroutine's Lock did not reach the real mutex")
