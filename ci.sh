@@ -74,6 +74,14 @@ fi
 if grep -rnE --include='*.go' 'RecordTrace|DeltaHash' . | grep -v '_test\.go:'; then
     echo "FAIL: one observer hook: RecordTrace/DeltaHash is back; record a schedule's events with a sched.EventLog tracer"; exit 1
 fi
+# Fleet health judges liveness: a worker that fell silent without taking its
+# leave, and a lease that is renewed but never finished. A cell's schedules/s
+# spans two orders of magnitude on healthy code, and a hung lease never
+# submits to be measured; a SlowCell, a slow_cell or a FleetMedian in a
+# non-test file is a verdict on speed coming back.
+if grep -rnE --include='*.go' 'SlowCell|slow_cell|FleetMedian' . | grep -v '_test\.go:'; then
+    echo "FAIL: fleet health judges liveness: a slow-cell verdict or a fleet median is back; the health rules are stale workers and aging leases"; exit 1
+fi
 # One cell key: the seven fields that name a cell (one target under one
 # algorithm) are declared once, as runner.CellKey, beside the runner.Config
 # they are read from, and spelled on the wire by internal/campaign's wire.go

@@ -70,10 +70,9 @@ func goldenRemote() *campaign.RemoteStatus {
 				Buckets: []obs.LatencyBucket{{LE: 2.147483647, CumCount: 1}, {LE: math.Inf(1), CumCount: 2}}},
 		},
 		Health: &campaign.HealthReport{
-			StaleWorkers: 1, SlowCells: 1, AgingLeases: 1, FleetMedianSchedulesPerSec: 1234.5678,
+			StaleWorkers: 1, AgingLeases: 1,
 			Issues: []campaign.HealthIssue{
 				{Kind: campaign.HealthStaleWorker, Subject: "host-2:worker/b", Detail: "no request for 31s (deadline 30s)"},
-				{Kind: campaign.HealthSlowCell, Subject: "A/RW", Detail: "12 schedules/s < 0.25 x median 1235"},
 				{Kind: campaign.HealthAgingLease, Subject: "L7", Detail: "outstanding 95s, TTL 30s"},
 			},
 		},

@@ -411,20 +411,9 @@ func fmtSec(sec float64) string {
 	}
 }
 
-// fmtMedian renders the fleet-median throughput, "—" until enough worker
-// samples exist to take a median (a zero here means "no data", and the
-// dashboard must never dress no-data up as a measured 0 schedules/s).
-func fmtMedian(v float64) string {
-	if v <= 0 {
-		return "—"
-	}
-	return fmt.Sprintf("%.0f schedules/s", v)
-}
-
 var dashTemplate = template.Must(template.New("dash").Funcs(template.FuncMap{
 	"mul100": func(v float64) float64 { return v * 100 },
 	"sec":    fmtSec,
-	"median": fmtMedian,
 }).Parse(`<!doctype html>
 <html lang="en">
 <head>
@@ -471,8 +460,8 @@ var dashTemplate = template.Must(template.New("dash").Funcs(template.FuncMap{
 {{with .Agg.Remote}}
 <h2 class="wk">distributed: {{.SessionsDone}}/{{.SessionsPlanned}} sessions · {{.InFlightLeases}} leases in flight · {{.PendingBatches}} batches pending · {{.LeaseExpiries}} expiries · {{.DuplicateResults}} duplicates</h2>
 {{with .Health}}
-{{if .Healthy}}<p class="health ok">fleet healthy · median {{median .FleetMedianSchedulesPerSec}}</p>
-{{else}}<div class="health bad">fleet: {{.StaleWorkers}} stale workers · {{.SlowCells}} slow cells · {{.AgingLeases}} aging leases · median {{median .FleetMedianSchedulesPerSec}}
+{{if .Healthy}}<p class="health ok">fleet healthy</p>
+{{else}}<div class="health bad">fleet: {{.StaleWorkers}} stale workers · {{.AgingLeases}} aging leases
 <ul>{{range .Issues}}<li><strong>{{.Kind}}</strong> {{.Subject}} — {{.Detail}}</li>{{end}}</ul>
 </div>{{end}}
 {{end}}

@@ -494,27 +494,3 @@ func TestServerAtlasMetrics(t *testing.T) {
 		t.Fatalf("atlas metrics page does not lint: %v", err)
 	}
 }
-
-// TestServerFleetMedianGuard pins the health-panel degenerate guard: a
-// zero fleet median renders as "—", a real one as a number.
-func TestServerFleetMedianGuard(t *testing.T) {
-	st, err := campaign.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	campaignCells(t, st, 1, 1)
-	rs := &campaign.RemoteStatus{Health: &campaign.HealthReport{Healthy: true}}
-	s := campaign.NewServer(st, nil)
-	s.SetRemote(func() (*campaign.RemoteStatus, error) { return rs, nil })
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	if page := get(t, srv.URL+"/"); !strings.Contains(page, "median —") {
-		t.Error("zero fleet median not rendered as —")
-	}
-	rs.Health.FleetMedianSchedulesPerSec = 1200
-	if page := get(t, srv.URL+"/"); !strings.Contains(page, "median 1200 schedules/s") {
-		t.Error("nonzero fleet median not rendered")
-	}
-}

@@ -158,12 +158,4 @@ func TestCollectorAnnotations(t *testing.T) {
 	if !found {
 		t.Fatal("no SURW annotation captured")
 	}
-
-	col.Annotate = false
-	sched.Run(prog, core.NewSURW(), sched.Options{Base: sched.Base{Seed: 2}, Tracer: col})
-	for i := 0; i < col.Len(); i++ {
-		if a := col.Record(i).Annot(); a != "" {
-			t.Fatalf("annotation %q captured with Annotate=false", a)
-		}
-	}
 }

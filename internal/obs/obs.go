@@ -48,7 +48,7 @@ type Record struct {
 }
 
 // Annot returns the algorithm annotation captured with the decision ("" if
-// the algorithm exposes none or annotation capture was off).
+// the algorithm exposes none).
 func (r *Record) Annot() string { return string(r.annot) }
 
 // Collector implements sched.Tracer: it records every scheduling decision
@@ -62,10 +62,6 @@ func (r *Record) Annot() string { return string(r.annot) }
 // A Collector serves one Execution at a time (like the scheduler itself it
 // is single-goroutine); give each parallel session its own.
 type Collector struct {
-	// Annotate captures algorithm annotations (sched.Annotator) with each
-	// decision. On by default in NewCollector.
-	Annotate bool
-
 	ringCap int
 	n       int // decisions seen this schedule
 	recs    []Record
@@ -75,9 +71,10 @@ type Collector struct {
 }
 
 // NewCollector returns a collector keeping the last ringCap decisions
-// (every decision when ringCap <= 0), with annotation capture enabled.
+// (every decision when ringCap <= 0), each with the algorithm's annotation
+// (sched.Annotator).
 func NewCollector(ringCap int) *Collector {
-	return &Collector{Annotate: true, ringCap: ringCap}
+	return &Collector{ringCap: ringCap}
 }
 
 // BeginSchedule implements sched.Tracer: it rewinds the ring, dropping the
@@ -106,10 +103,7 @@ func (c *Collector) Decide(d sched.Decision, st *sched.State) {
 		}
 	}
 	c.n++
-	annot := slot.annot[:0]
-	if c.Annotate {
-		annot = st.AppendAlgAnnotation(annot)
-	}
+	annot := st.AppendAlgAnnotation(slot.annot[:0])
 	*slot = Record{
 		Step:      d.Step,
 		TID:       d.Chosen,

@@ -106,15 +106,11 @@ type Coordinator struct {
 	workerAtlas map[string][]atlas.CellSnapshot
 }
 
-// planCell is all the coordinator keeps of a cell: its key, the sessions
-// the plan names for it (sorted), and the schedules and worker-reported
-// busy time of its submissions, the slow-cell health rule's (a lease never
-// mixes cells).
+// planCell is all the coordinator keeps of a cell: its key and the
+// sessions the plan names for it (sorted).
 type planCell struct {
-	key       runner.CellKey
-	sessions  []int
-	schedules int64
-	busy      time.Duration
+	key      runner.CellKey
+	sessions []int
 }
 
 // batch is a run of one cell's sessions in plan order: queue[lo:hi], of
@@ -226,14 +222,14 @@ func (c *Coordinator) planCellOf(k runner.SessionKey) int {
 	return len(c.plan) - 1
 }
 
-// plannedLocked returns the index of k's cell and whether the plan names k.
-func (c *Coordinator) plannedLocked(k runner.SessionKey) (int, bool) {
+// plannedLocked reports whether the plan names k.
+func (c *Coordinator) plannedLocked(k runner.SessionKey) bool {
 	i, ok := c.planIndex[k.CellKey]
 	if !ok {
-		return 0, false
+		return false
 	}
 	_, ok = slices.BinarySearch(c.plan[i].sessions, k.Session)
-	return i, ok
+	return ok
 }
 
 // ServeHTTP implements http.Handler.
@@ -323,10 +319,8 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 		ws.left = false
 	}
 	c.expireStaleLocked(now)
-	for i := range req.records {
-		d := &req.records[i]
-		var planned bool
-		if d.cell, planned = c.plannedLocked(d.key); !planned {
+	for _, d := range req.records {
+		if !c.plannedLocked(d.key) {
 			http.Error(w, fmt.Sprintf("remote: session %s/%s #%d is not in the campaign plan",
 				d.key.Target, d.key.Algorithm, d.key.Session), http.StatusBadRequest)
 			return
@@ -350,17 +344,7 @@ func (c *Coordinator) handle(w http.ResponseWriter, r *http.Request, poll bool) 
 		c.done++
 		ws.sessions++
 	}
-	busy := time.Duration(req.busyMillis) * time.Millisecond
-	ws.busy += busy
-	// Cell throughput for the slow-cell health rule. A lease never mixes
-	// cells, so the first record's cell owns the whole batch's busy time.
-	if len(req.records) > 0 {
-		cell := &c.plan[req.records[0].cell]
-		for _, d := range req.records {
-			cell.schedules += int64(d.sess.Schedules)
-		}
-		cell.busy += busy
-	}
+	ws.busy += time.Duration(req.busyMillis) * time.Millisecond
 	if c.spans.Enabled() {
 		for _, s := range spans {
 			c.spans.Add(s)
@@ -604,7 +588,12 @@ func (c *Coordinator) Status() *campaign.RemoteStatus {
 		if ws.lease != nil {
 			wk.Leases = 1
 		}
-		if life := now.Sub(ws.firstSeen); life > 0 {
+		// A departed worker's life ended with its leave-taking.
+		end := now
+		if ws.left {
+			end = ws.lastSeen
+		}
+		if life := end.Sub(ws.firstSeen); life > 0 {
 			wk.Utilization = ws.busy.Seconds() / life.Seconds()
 		}
 		rs.Workers = append(rs.Workers, wk)

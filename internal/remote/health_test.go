@@ -25,7 +25,7 @@ import (
 func TestHealthStaleWorker(t *testing.T) {
 	st := newMemStore()
 	clk := &clock{t: time.Unix(1_000_000, 0)}
-	c := NewCoordinator(st, syntheticPlan(4), CoordinatorOptions{LeaseTTL: time.Minute, BatchSize: 4})
+	c := NewCoordinator(st, syntheticPlan(8), CoordinatorOptions{LeaseTTL: time.Minute, BatchSize: 4})
 	c.now = clk.now
 	srv := httptest.NewServer(c)
 	defer srv.Close()
@@ -34,18 +34,35 @@ func TestHealthStaleWorker(t *testing.T) {
 		t.Fatalf("fresh coordinator unhealthy: %+v", h)
 	}
 	leaseFor(t, srv.URL, "a")
-	// StaleWorkerAfter defaults to 3x the TTL; 4 minutes of silence
-	// crosses it (and expires the lease, so no aging-lease issue).
+	// Worker b drains the other batch in 30 s, 15 s of it busy, and takes
+	// its leave: its silence from here on is what it announced.
+	lb := leaseFor(t, srv.URL, "b")
+	clk.advance(30 * time.Second)
+	req := ResultRequest{Worker: "b", LeaseID: lb.Lease.ID, BusyMillis: 15_000, Records: sessionRecordsFor(lb.Lease)}
+	if code := postJSON(t, srv.URL+PathResult, req, nil); code != http.StatusOK {
+		t.Fatalf("b's submission: status %d", code)
+	}
+	if code := postJSON(t, srv.URL+PathHeartbeat, HeartbeatRequest{Worker: "b"}, nil); code != http.StatusNoContent {
+		t.Fatalf("b's leave-taking: status %d", code)
+	}
+	// The stale deadline is 3x the TTL; 4 minutes of silence crosses it
+	// (and expires a's lease, so no aging-lease issue).
 	clk.advance(4 * time.Minute)
-	h := c.Status().Health
+	rs := c.Status()
+	h := rs.Health
 	if h.Healthy || h.StaleWorkers != 1 {
 		t.Fatalf("health after silence: %+v, want 1 stale worker", h)
 	}
 	if len(h.Issues) != 1 || h.Issues[0].Kind != campaign.HealthStaleWorker || h.Issues[0].Subject != "a" {
-		t.Fatalf("issues: %+v", h.Issues)
+		t.Fatalf("issues: %+v, want a stale and b, departed, not", h.Issues)
 	}
 	if h.AgingLeases != 0 {
 		t.Fatalf("expired lease still counted as aging: %+v", h)
+	}
+	// A departed worker's utilization is over the life it had, not one
+	// that goes on decaying after its leave-taking.
+	if w := rs.Workers[1]; w.Name != "b" || w.Utilization != 0.5 {
+		t.Fatalf("departed worker %+v, want b at utilization 0.5", w)
 	}
 }
 
@@ -78,43 +95,6 @@ func TestHealthAgingLease(t *testing.T) {
 	}
 	if !strings.Contains(issue.Detail, "12 heartbeats") {
 		t.Fatalf("detail %q does not count the heartbeats", issue.Detail)
-	}
-}
-
-func TestHealthSlowCell(t *testing.T) {
-	st := newMemStore()
-	c := NewCoordinator(st, syntheticPlan(1), CoordinatorOptions{LeaseTTL: time.Minute})
-	// Inject observed throughput directly, as plan rows: two healthy cells
-	// at ~100 schedules/s and one crawling at 1/s (median 100, floor 25).
-	c.mu.Lock()
-	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/fast1", Algorithm: "RW"}, schedules: 1000, busy: 10 * time.Second})
-	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/fast2", Algorithm: "RW"}, schedules: 1000, busy: 10 * time.Second})
-	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/hang", Algorithm: "SURW"}, schedules: 10, busy: 10 * time.Second})
-	// Below minCellBusy: excluded from the rule even though its rate is 0.
-	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/new", Algorithm: "RW"}, schedules: 1, busy: time.Millisecond})
-	c.mu.Unlock()
-
-	h := c.Status().Health
-	if h.Healthy || h.SlowCells != 1 {
-		t.Fatalf("health: %+v, want exactly 1 slow cell", h)
-	}
-	if h.Issues[0].Subject != "t/hang/SURW" {
-		t.Fatalf("slow cell subject: %q", h.Issues[0].Subject)
-	}
-	if h.FleetMedianSchedulesPerSec != 100 {
-		t.Fatalf("fleet median: %v, want 100", h.FleetMedianSchedulesPerSec)
-	}
-}
-
-// A single measured cell has no meaningful median: the rule stays quiet.
-func TestHealthSlowCellNeedsTwoMeasured(t *testing.T) {
-	st := newMemStore()
-	c := NewCoordinator(st, syntheticPlan(1), CoordinatorOptions{})
-	c.mu.Lock()
-	c.plan = append(c.plan, planCell{key: runner.CellKey{Target: "t/only", Algorithm: "RW"}, schedules: 10, busy: 10 * time.Second})
-	c.mu.Unlock()
-	if h := c.Status().Health; !h.Healthy {
-		t.Fatalf("single-cell fleet flagged: %+v", h)
 	}
 }
 

@@ -703,6 +703,9 @@ func TestDistributedAggregatesAreByteIdentical(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("coordinator not done")
 	}
+	if h := c.Status().Health; !h.Healthy {
+		t.Fatalf("clean drain ends unhealthy: %+v", h)
+	}
 	var distAgg bytes.Buffer
 	if err := campaign.WriteAggregates(&distAgg, distStore); err != nil {
 		t.Fatal(err)

@@ -170,7 +170,6 @@ type resultRequest struct {
 type submitted struct {
 	key  runner.SessionKey
 	sess *runner.Session
-	cell int // the index of key's cell in the coordinator's plan
 }
 
 // parse reads body into r. A record's target and algorithm found in names
