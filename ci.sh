@@ -1,10 +1,16 @@
 #!/bin/sh
 # CI gate: vet, gofmt and cross-GOARCH build; the full test suite with
 # per-package coverage floors (cmd/surw's tests hold every end-to-end claim
-# about the command line: resume, fleets, dashboards, traces, the port);
-# the concurrency-bearing packages again under the race detector (short
-# mode keeps that pass under a minute); the benchmark gates; and a short
-# coverage-guided fuzz smoke of the native fuzz targets.
+# about the command line: resume, fleets, dashboards, traces, the port; the
+# root package's TestDesignGuards holds the design rules: one seed map, one
+# driver, one codec, one registry and the rest); the benchmark module's
+# tests; the identity golden and a fleet drain on 386; no fused
+# multiply-add on arm64; results/ regenerated byte for byte; the
+# concurrency-bearing packages again under the race detector (short mode
+# keeps that pass under a minute); the benchmark gates; the real-Go-code
+# demo; and a short coverage-guided fuzz smoke of the native fuzz targets.
+# `make ci` is the first part of this: vet, build, go test and the race
+# pass.
 set -eux
 
 # Every scratch file of a run lives under one directory, removed when the
@@ -19,105 +25,6 @@ test -z "$(gofmt -l .)" || { echo "FAIL: gofmt -l lists:"; gofmt -l .; exit 1; }
 GOARCH=arm64 go vet ./internal/sched ./surwsync
 GOARCH=riscv64 go build ./internal/sched ./surwsync
 go build ./...
-# One renderer: the Prometheus text format is written by internal/obs/prom.go
-# and read back by internal/obs/promtest/lint.go. A HELP or TYPE literal in any
-# other non-test file is a second, hand-formatted renderer coming back.
-if grep -rn --include='*.go' -e '# HELP' -e '# TYPE' . | grep -v -e '_test\.go:' -e '^\./internal/obs/prom\.go:' -e '^\./internal/obs/promtest/lint\.go:'; then
-    echo "FAIL: '# HELP'/'# TYPE' outside internal/obs/prom.go and internal/obs/promtest/lint.go"; exit 1
-fi
-# One session driver: a session's seeds are derived in internal/runner's
-# driver.go and nowhere else, and the library and `surw run` get their
-# schedules from it. The seed map's two multipliers in a second non-test
-# file, or a one-shot sched.Run / profile.Collect in either face, is a second
-# session loop coming back; in `surw fuzz`, whose schedules are the
-# crosscheck oracle's, it is a second self-check loop coming back.
-seedmaps=$(grep -rl --include='*.go' -e '2_000_033' -e '1_000_003' . | grep -v -e '_test\.go$' -e '^\./benchmark/')
-if [ "$seedmaps" != "./internal/runner/driver.go" ]; then
-    echo "FAIL: the session seed map (2_000_033 / 1_000_003) belongs to internal/runner/driver.go alone, found in:"; echo "$seedmaps"; exit 1
-fi
-if grep -n -e 'sched\.Run(' -e 'profile\.Collect(' session.go cmd/surw/run.go cmd/surw/fuzz.go internal/runner/parallel.go; then
-    echo "FAIL: session.go, cmd/surw/run.go and internal/runner/parallel.go run schedules through runner.Driver only, cmd/surw/fuzz.go through internal/crosscheck"; exit 1
-fi
-# One record codec, one place for encoding/json in the fleet: a session
-# record is written by campaign.AppendRecord and read by campaign.ParseRecord
-# (internal/campaign/wire.go), the lease's four messages by
-# internal/remote/wire.go, and the requests off the per-session path by
-# internal/remote/cold.go. A reflective encoder or a streaming decoder in
-# the store, the worker loop or the coordinator's handlers is a record going
-# through encoding/json again on its way to disk.
-if grep -n -e 'json\.Marshal' -e 'json\.NewDecoder' -e 'json\.NewEncoder' internal/campaign/store.go internal/remote/worker.go internal/remote/coordinator.go; then
-    echo "FAIL: json.Marshal/NewDecoder/NewEncoder in the store, the worker loop or the coordinator: records and lease messages go through the wire.go codecs, cold requests through internal/remote/cold.go"; exit 1
-fi
-# One class census: distinct commutation classes are counted exactly by
-# campaign.Store.Aggregate from the stored records, and every view (the
-# surw_campaign_*_classes gauges, aggregates.json, the dashboard) reads that
-# count. remote.ClassFilter is kept only for the benchmark's filter_add_ns
-# rung; spelled in another non-test file, it is a second, approximate
-# census coming back.
-if grep -rn --include='*.go' 'ClassFilter' . | grep -v -e '_test\.go:' -e '^\./internal/remote/filter\.go:' -e '^\./benchmark/'; then
-    echo "FAIL: ClassFilter outside internal/remote/filter.go and benchmark/: the class census is the store's (campaign.Store.Aggregate)"; exit 1
-fi
-# One observer hook: the engine is watched through sched.Tracer alone. The
-# atlas's accumulator and obs.Metrics attach as tracers, and Metrics counts a
-# schedule once, in its tracer's EndSchedule. An atlas import in a non-test
-# file of internal/sched is a second engine hook coming back; an
-# ObserveResult in any non-test file is a second count of each schedule.
-if grep -ln '"surw/internal/atlas"' internal/sched/*.go | grep -v '_test\.go$'; then
-    echo "FAIL: one observer hook: internal/sched imports internal/atlas; attach the atlas as a sched.Tracer"; exit 1
-fi
-if grep -rn --include='*.go' 'ObserveResult' . | grep -v '_test\.go:'; then
-    echo "FAIL: one observer hook: ObserveResult is back; obs.Metrics counts each schedule in MetricsTracer.EndSchedule"; exit 1
-fi
-# A schedule's events are recorded by a sched.EventLog tracer. A RecordTrace
-# in a non-test file is a second per-event observer coming back; a DeltaHash
-# is a per-event fold no production code reads.
-if grep -rnE --include='*.go' 'RecordTrace|DeltaHash' . | grep -v '_test\.go:'; then
-    echo "FAIL: one observer hook: RecordTrace/DeltaHash is back; record a schedule's events with a sched.EventLog tracer"; exit 1
-fi
-# Fleet health judges liveness: a worker that fell silent without taking its
-# leave, and a lease that is renewed but never finished. A cell's schedules/s
-# spans two orders of magnitude on healthy code, and a hung lease never
-# submits to be measured; a SlowCell, a slow_cell or a FleetMedian in a
-# non-test file is a verdict on speed coming back.
-if grep -rnE --include='*.go' 'SlowCell|slow_cell|FleetMedian' . | grep -v '_test\.go:'; then
-    echo "FAIL: fleet health judges liveness: a slow-cell verdict or a fleet median is back; the health rules are stale workers and aging leases"; exit 1
-fi
-# One cell key: the seven fields that name a cell (one target under one
-# algorithm) are declared once, as runner.CellKey, beside the runner.Config
-# they are read from, and spelled on the wire by internal/campaign's wire.go
-# alone, a record's key and a lease alike. A StopAtFirstBug field in another
-# non-test file, or its member name outside CellKey's tag and wire.go, is a
-# second cell key, or a second codec for one, coming back.
-if grep -rnE --include='*.go' 'StopAtFirstBug[[:space:]]+bool' . | grep -v -e '_test\.go:' -e '^\./internal/runner/runner\.go:'; then
-    echo "FAIL: a StopAtFirstBug field outside internal/runner/runner.go (Config and CellKey): name a cell with runner.CellKey"; exit 1
-fi
-if grep -rn --include='*.go' 'stop_at_first_bug' . | grep -v -e '_test\.go:' -e '^\./internal/campaign/wire\.go:' -e '^\./internal/runner/runner\.go:[0-9]*:[[:space:]]*StopAtFirstBug[[:space:]]*bool[[:space:]]*`json:"stop_at_first_bug,omitempty"`$'; then
-    echo "FAIL: stop_at_first_bug outside runner.CellKey's tag and internal/campaign/wire.go: cell keys go through campaign's AppendCellHead/AppendCellFlags/ReadCellField"; exit 1
-fi
-# One target registry: a name means one program. experiments.ByName
-# (internal/experiments/targets.go) is the one resolver, over sctbench's
-# registry; it alone parses the two parametric families. A ByName in another
-# non-test file, or a second parser of "LightFTP@"/"Fig1/bitshift_", is a
-# second resolver coming back, and with it a name that builds its program
-# afresh.
-if grep -rn --include='*.go' 'func ByName(' . | grep -v -e '_test\.go:' -e '^\./internal/experiments/targets\.go:' -e '^\./internal/sctbench/sctbench\.go:'; then
-    echo "FAIL: func ByName outside internal/experiments/targets.go and internal/sctbench/sctbench.go: resolve names with experiments.ByName"; exit 1
-fi
-if grep -rnE --include='*.go' 'CutPrefix\([^)]*"(LightFTP@|Fig1/bitshift_)' . | grep -v -e '_test\.go:' -e '^\./internal/experiments/targets\.go:'; then
-    echo "FAIL: a target family (LightFTP@<progseed>, Fig1/bitshift_<k>) parsed outside internal/experiments/targets.go"; exit 1
-fi
-# One grid loop: an experiment is a list of cells and internal/experiments'
-# grid.go is the one place that runs one (runner.RunCells — every session of
-# every cell on one pool). Figure 2 is a grid like the others. A worker pool
-# or a sched.Pool of the package's own, a RunTarget per cell, or a second
-# ThroughputFooter is a hand-rolled cell loop coming back.
-loops=$(grep -l -e 'workpool\.Map' -e 'sched\.NewPool' -e 'runner\.RunCells' -e 'runner\.RunTarget' internal/experiments/*.go | grep -v '_test\.go$' | tr '\n' ' ')
-if [ "$loops" != "internal/experiments/grid.go " ]; then
-    echo "FAIL: internal/experiments runs cells in grid.go (runner.RunCells) only, found loops in: $loops"; exit 1
-fi
-if grep -q 'runner\.RunTarget' internal/experiments/grid.go || [ "$(grep -rh --include='*.go' 'func .*) ThroughputFooter(' internal cmd | wc -l)" -ne 1 ]; then
-    echo "FAIL: one cell loop (runner.RunCells in grid.go) and one ThroughputFooter (grid.go)"; exit 1
-fi
 # (no pipe: a pipeline would mask go test's exit status under plain sh)
 go test -cover ./... > "$tmp/cover.txt" 2>&1 || { cat "$tmp/cover.txt"; exit 1; }
 cat "$tmp/cover.txt"

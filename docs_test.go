@@ -245,9 +245,10 @@ func indexTree() (*tree, error) {
 			if err != nil {
 				return err
 			}
-			// This file's strings are the names it checks for: they
-			// must not resolve themselves.
-			tr.indexFile(path.Dir(rel), strings.HasSuffix(rel, "_test.go"), rel != "docs_test.go", f)
+			// This file's strings are the names it checks for, and the
+			// design guards' the names they keep out: they must not
+			// resolve a doc's name.
+			tr.indexFile(path.Dir(rel), strings.HasSuffix(rel, "_test.go"), rel != "docs_test.go" && rel != "guards_test.go", f)
 		}
 		return nil
 	})

@@ -27,6 +27,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"slices"
@@ -53,6 +54,7 @@ var stdlibMethods = map[string]bool{
 // goSource is one parsed Go file of the tree.
 type goSource struct {
 	rel  string // slash path from the repository root
+	src  []byte
 	file *ast.File
 }
 
@@ -81,7 +83,7 @@ func use() { _ = plantedType{} }
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs = append(srcs, goSource{"internal/obs/planted.go", f})
+	srcs = append(srcs, goSource{rel: "internal/obs/planted.go", src: []byte(planted), file: f})
 	allow := map[string]string{"obs.NoSuchFunc": "planted stale entry"}
 	for k, v := range exportsAllowlist {
 		allow[k] = v
@@ -113,11 +115,15 @@ func parseSources(t *testing.T) (*token.FileSet, []goSource) {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		src, err := os.ReadFile(p)
 		if err != nil {
 			return err
 		}
-		srcs = append(srcs, goSource{filepath.ToSlash(p), f})
+		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		srcs = append(srcs, goSource{filepath.ToSlash(p), src, f})
 		return nil
 	})
 	if err != nil {

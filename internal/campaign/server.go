@@ -189,8 +189,8 @@ func (s *Server) writeMetrics(w io.Writer) error {
 
 // handleEvents streams campaign events as server-sent events. The first
 // event is always a "snapshot" with the store's current totals, so a
-// subscriber (or the ci.sh curl smoke) sees one event immediately even on
-// an idle campaign.
+// subscriber sees one event immediately even on an idle campaign
+// (TestServerEventsSSE).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

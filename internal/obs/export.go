@@ -110,7 +110,7 @@ func WriteChromeTrace(w io.Writer, c *Collector) error {
 // ValidateChromeTrace checks that r holds well-formed Chrome trace_event
 // JSON as produced by WriteChromeTrace: parseable, a non-empty traceEvents
 // array, every event carrying a name and phase, and at least one complete
-// ("X") event with a duration. It backs the ci.sh trace smoke stage.
+// ("X") event with a duration. It backs `surw obs -check-trace`.
 func ValidateChromeTrace(r io.Reader) error {
 	var tr struct {
 		TraceEvents []struct {

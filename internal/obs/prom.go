@@ -3,7 +3,7 @@ package obs
 // Prom is the one writer of the Prometheus text exposition format (version
 // 0.0.4) in this repository: HELP/TYPE lines, label escaping, number
 // formatting, the histogram family and the rule that an empty family is
-// not declared live here and nowhere else (ci.sh greps for that). It
+// not declared live here and nowhere else (TestDesignGuards holds that). It
 // renders plain snapshot values — Snapshot, campaign.RemoteStatus,
 // campaign.HealthReport, the dashboard's rollups — so there is no registry
 // of live counter objects: a value's only home is the snapshot struct its

@@ -4,8 +4,8 @@ package remote
 // encoding/json, on storage of its own: it is rare, its body (histograms,
 // atlas cells) has no fixed shape worth a hand codec, and it runs on a
 // goroutine that must not share the lease loop's buffers.
-// ci.sh keeps json.Marshal, json.NewDecoder and json.NewEncoder out of
-// worker.go and coordinator.go, so what is here stays here.
+// TestDesignGuards keeps json.Marshal, json.NewDecoder and json.NewEncoder
+// out of worker.go and coordinator.go, so what is here stays here.
 
 import (
 	"bytes"
