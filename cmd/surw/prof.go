@@ -43,23 +43,20 @@ type objJSON struct {
 //
 // Usage:
 //
-//	surw prof -target CS/wronglock [-runs N] [-seed S] [-json] [-pprof ADDR]
+//	surw prof -target CS/wronglock [-seed S] [-json] [-pprof ADDR]
 //
 // -json emits the full census as machine-readable JSON (the repository's
 // shared exporter encoding; see internal/obs) instead of tables.
 func profCmd(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	c := newCommand("prof", stdout, stderr)
 	c.shared("target", "seed", "pprof", "version")
-	var (
-		runs   = c.fs.Int("runs", 1, "census runs to average")
-		asJSON = c.fs.Bool("json", false, "emit the census as JSON instead of tables")
-	)
+	asJSON := c.fs.Bool("json", false, "emit the census as JSON instead of tables")
 	return c.run(args, func() error {
 		tgt, err := c.resolveTarget()
 		if err != nil {
 			return err
 		}
-		prof, err := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: c.seed, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: *runs})
+		prof, err := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: c.seed, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
 		if err != nil {
 			if prof == nil {
 				return err

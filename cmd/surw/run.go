@@ -199,7 +199,9 @@ func replayFlight(w io.Writer, path string) error {
 // printFailingTrace runs session 0's failing schedule again with a recorder
 // attached, minimizes the recording, and prints the minimized interleaving.
 func printFailingTrace(w io.Writer, tgt runner.Target, d *runner.Driver, schedule int) {
-	r, rec := d.Record(schedule, nil)
+	var recorder replay.Recorder
+	r := d.Rerun(schedule, &recorder)
+	rec := recorder.Recording()
 	fmt.Fprintf(w, "\nfailing schedule at seed offset %d: %v\n", schedule, r.Failure)
 	fmt.Fprintf(w, "recording: %s\n", rec)
 	opts := sched.Options{Base: sched.Base{ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}}

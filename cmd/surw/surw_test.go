@@ -500,7 +500,7 @@ func TestListedTargetsResolve(t *testing.T) {
 func TestProfDrawsTheSessionsDelta(t *testing.T) {
 	const seed = 5
 	tgt, _ := experiments.ByName("RaceBench/blackscholes")
-	prof, err := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: seed, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: 1})
+	prof, err := profile.Collect(tgt.Prog, profile.Options{Base: sched.Base{Seed: seed, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
 	if err != nil {
 		t.Fatal(err)
 	}

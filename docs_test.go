@@ -117,7 +117,8 @@ func TestDocsResolve(t *testing.T) {
 }
 
 // One stale name of every kind, planted into each doc's real text, must be
-// reported — including three the docs once carried.
+// reported — including three the docs once carried, and one a test spells
+// only inside a string (a test program's variable name).
 func TestDocsCheckerCatchesPlantedNames(t *testing.T) {
 	tr := loadTree(t)
 	planted := []struct{ span, key string }{
@@ -133,6 +134,7 @@ func TestDocsCheckerCatchesPlantedNames(t *testing.T) {
 		{"`TestAtlasNeverPerturbs`", "TestAtlasNeverPerturbs"},
 		{"`surw bench -ftp`", "bench -ftp"},
 		{"`profile.SelectSingleVar`", "profile.SelectSingleVar"},
+		{"`activeReaders`", "activeReaders"},
 		{"```\nsurw run -no-such-fenced-flag\n```", "run -no-such-fenced-flag"},
 	}
 	for _, doc := range checkedDocs {
@@ -186,7 +188,8 @@ type tree struct {
 	members   map[string]bool            // every field, method and interface method name
 	idents    map[string]bool            // every identifier the Go code spells
 	funcs     map[string]map[string]bool // directory → its Test, Benchmark, Fuzz and Example functions
-	words     map[string]bool            // the words of string literals
+	words     map[string]bool            // the words of non-test string literals
+	testWords map[string]bool            // the words of test files' string literals
 	httpPaths map[string]bool            // "/…" literals of non-test code
 	files     map[string]bool            // slash paths
 	dirs      map[string]bool
@@ -221,7 +224,7 @@ func indexTree() (*tree, error) {
 	tr := &tree{
 		pkgDecls: map[string]map[string]bool{}, decls: map[string]bool{}, pkgTypes: map[string]map[string]*goType{},
 		types: map[string][]*goType{}, members: map[string]bool{}, idents: map[string]bool{},
-		funcs: map[string]map[string]bool{}, words: map[string]bool{}, httpPaths: map[string]bool{},
+		funcs: map[string]map[string]bool{}, words: map[string]bool{}, testWords: map[string]bool{}, httpPaths: map[string]bool{},
 		files: map[string]bool{}, dirs: map[string]bool{}, subs: map[string]bool{},
 		flags: map[string]bool{}, anyFlag: map[string]bool{}, workloads: map[string]bool{},
 		targets: map[string]bool{}, stdlib: map[string]bool{},
@@ -246,8 +249,8 @@ func indexTree() (*tree, error) {
 				return err
 			}
 			// This file's strings are the names it checks for, and the
-			// design guards' the names they keep out: they must not
-			// resolve a doc's name.
+			// design guards' the names they keep out (slow_cell among
+			// them): they must not resolve a doc's name.
 			tr.indexFile(path.Dir(rel), strings.HasSuffix(rel, "_test.go"), rel != "docs_test.go" && rel != "guards_test.go", f)
 		}
 		return nil
@@ -420,8 +423,12 @@ func (tr *tree) indexFile(dir string, test, strs bool, f *ast.File) {
 			if err != nil {
 				break
 			}
+			words := tr.words
+			if test {
+				words = tr.testWords
+			}
 			for _, w := range wordRE.FindAllString(s, -1) {
-				tr.words[w] = true
+				words[w] = true
 			}
 			if !test && strings.HasPrefix(s, "/") {
 				tr.httpPaths[s] = true
@@ -654,7 +661,8 @@ func (tr *tree) checkSpan(span string, fail func(key, why string)) {
 	}
 	if snakeRE.MatchString(span) {
 		stem := strings.TrimRight(span, "0123456789") // pending_20000: "pending_%d"
-		if !tr.words[span] && !tr.words[stem] && !tr.idents[span] && !tr.workloads[span] && !tr.isMetric(span) {
+		if !tr.words[span] && !tr.words[stem] && !tr.testWords[span] && !tr.testWords[stem] &&
+			!tr.idents[span] && !tr.workloads[span] && !tr.isMetric(span) {
 			fail(span, "is no metric, workload or string of the code")
 		}
 		return

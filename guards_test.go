@@ -113,6 +113,13 @@ var designGuards = []guard{
 		plant: plant{"internal/sched/sched.go", `var _ = Options{RecordTrace: true}`},
 	},
 	{
+		name:  "one observer hook: nothing wraps an algorithm to watch it",
+		why:   "the census and the replay recorder watch a schedule as sched.Tracers, and the algorithm decides on the engine's fast paths as it does unwatched; a NextIndex or BeginSource on anything but core's random walk is an algorithm wrapped to watch it, forwarding or hiding those fast paths, coming back. benchmark/wrappers.go's timing wrappers time the algorithm itself, and stay until ROADMAP item 1(c)",
+		code:  funcDecl(true, "NextIndex", "BeginSource"),
+		allow: []string{"internal/core/randomwalk.go:RandomWalk.NextIndex", "internal/core/randomwalk.go:RandomWalk.BeginSource", "benchmark/wrappers.go"},
+		plant: plant{"internal/profile/profile.go", `func (c *census) NextIndex(n int) int { return 0 }`},
+	},
+	{
 		name:  "fleet health judges liveness",
 		why:   "the health rules are a worker that fell silent without taking its leave and a lease renewed but never finished; a cell's schedules/s spans two orders of magnitude on healthy code and a hung lease never submits to be measured, so a SlowCell, a slow_cell or a FleetMedian is a verdict on speed coming back",
 		text:  []string{"SlowCell", "slow_cell", "FleetMedian"},
@@ -135,7 +142,7 @@ var designGuards = []guard{
 	{
 		name:  "one target resolver",
 		why:   "experiments.ByName is the one resolver, over sctbench's registry; a ByName in another non-test file is a second resolver coming back, and with it a name that builds its program afresh",
-		code:  funcDecl("ByName", false),
+		code:  funcDecl(false, "ByName"),
 		allow: []string{"internal/experiments/targets.go", "internal/sctbench/sctbench.go"},
 		plant: plant{"cmd/surw/common.go", `func ByName(name string) {}`},
 	},
@@ -164,7 +171,7 @@ var designGuards = []guard{
 	{
 		name:  "one throughput footer",
 		why:   "grid.go renders the one scheduler-throughput footer surw bench prints beside a grid's tables; a second ThroughputFooter is a hand-rolled cell loop's footer coming back",
-		code:  funcDecl("ThroughputFooter", true),
+		code:  funcDecl(true, "ThroughputFooter"),
 		in:    []string{"internal/", "cmd/"},
 		tests: true,
 		only:  []string{"internal/experiments/grid.go:gridRun.ThroughputFooter"},
@@ -435,12 +442,12 @@ func declares(name string) shape {
 }
 
 // funcDecl is the shape of a function (method false) or a method (true)
-// declared with name.
-func funcDecl(name string, method bool) shape {
+// declared with one of names.
+func funcDecl(method bool, names ...string) shape {
 	return func(f *ast.File) []token.Pos {
 		var out []token.Pos
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name && (fd.Recv != nil) == method {
+			if fd, ok := d.(*ast.FuncDecl); ok && slices.Contains(names, fd.Name.Name) && (fd.Recv != nil) == method {
 				out = append(out, fd.Name.Pos())
 			}
 		}

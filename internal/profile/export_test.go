@@ -11,8 +11,8 @@ type CountKey struct {
 }
 
 // PerThread returns the counts Instantiate reads — events per (thread,
-// kind, object), averaged over the runs — in a form that does not depend on
-// how the collector lays them out.
+// kind, object) — in a form that does not depend on how the collector lays
+// them out.
 func (p *Profile) PerThread() map[CountKey]int {
 	out := make(map[CountKey]int, len(p.touched))
 	for _, c := range p.touched {

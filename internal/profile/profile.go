@@ -1,9 +1,8 @@
-// Package profile implements the paper's profiling phase (§3.6, §4.1): a
-// small number of census runs of the program under a baseline scheduler
-// that record per-thread event counts, the spawn tree, and a census of
-// shared objects. From a Profile, the Δ-selection heuristics produce the
-// interesting-event subset and the per-thread Δ-counts that SURW takes as
-// input.
+// Package profile implements the paper's profiling phase (§3.6, §4.1): one
+// census run of the program under a baseline scheduler that records
+// per-thread event counts, the spawn tree, and a census of shared objects.
+// From a Profile, the Δ-selection heuristics produce the interesting-event
+// subset and the per-thread Δ-counts that SURW takes as input.
 package profile
 
 import (
@@ -15,13 +14,13 @@ import (
 	"surw/internal/sched"
 )
 
-// ObjStat summarizes one shared object across the census runs.
+// ObjStat summarizes one shared object in the census.
 type ObjStat struct {
 	Name     string
 	Kind     sched.ObjKind
 	Hash     uint64
-	Accesses int // total counted events on the object (averaged over runs)
-	Writes   int // write-classified events (averaged over runs)
+	Accesses int // total counted events on the object
+	Writes   int // write-classified events
 	Threads  int // distinct logical threads that touched it
 	Birth    int // creation rank (proxy for memory adjacency)
 }
@@ -41,9 +40,9 @@ type Profile struct {
 	Objs []ObjStat
 
 	// counts[lid][obj<<kindBits|kind] is how many events of that kind
-	// thread lid performed on Objs[obj] (averaged over runs), for
-	// recomputing per-thread interesting counts under any Δ predicate;
-	// touched lists the non-zero cells, each once.
+	// thread lid performed on Objs[obj], for recomputing per-thread
+	// interesting counts under any Δ predicate; touched lists the non-zero
+	// cells, each once.
 	counts  [][]int32
 	touched []cell
 
@@ -85,18 +84,6 @@ type varSel struct {
 // testing runs for the counts to be meaningful) and MaxSteps fields.
 type Options struct {
 	sched.Base
-	// Runs is the number of census runs to average (default 1, as in the
-	// paper's single profiling run).
-	Runs int
-}
-
-// normalized applies the profiling defaults on top of the shared ones.
-func (o Options) normalized() Options {
-	o.Base = o.Base.Normalized()
-	if o.Runs <= 0 {
-		o.Runs = 1
-	}
-	return o
 }
 
 // Collector takes censuses into storage it keeps: the count tables, the
@@ -118,29 +105,17 @@ type Collector struct {
 	byID []int32
 }
 
-// census is the Collector as the sched.Algorithm of its census runs: it
-// counts events while a random walk decides. The engine's fast paths for
-// that walk stay open — NextIndex and BeginSource forward to it, the same
-// draws in the same order as Next by those interfaces' contract — and it
-// has no ObserveSpawn because the walk has none.
+// census is the Collector as the sched.Tracer of its census run: it counts
+// each event as the engine shows it, before the event executes, while the
+// collector's random walk decides on the engine's fast paths.
 type census Collector
 
-var (
-	_ sched.IndexChooser  = (*census)(nil)
-	_ sched.SourceChooser = (*census)(nil)
-)
+// BeginSchedule implements sched.Tracer: the run's thread and object
+// numbering starts over.
+func (c *census) BeginSchedule(string) { c.lids, c.byID = c.lids[:0], c.byID[:0] }
 
-func (c *census) Name() string { return "census" }
-
-func (c *census) Begin(info *sched.ProgramInfo, rng *rand.Rand) {
-	c.rw.Begin(info, rng)
-	c.lids = c.lids[:0]
-	c.byID = c.byID[:0]
-}
-
-func (c *census) BeginSource(src rand.Source)         { c.rw.BeginSource(src) }
-func (c *census) Next(st *sched.State) sched.ThreadID { return c.rw.Next(st) }
-func (c *census) NextIndex(n int) int                 { return c.rw.NextIndex(n) }
+// EndSchedule implements sched.Tracer.
+func (*census) EndSchedule(*sched.Result) {}
 
 func parentPath(path string) string {
 	for i := len(path) - 1; i >= 0; i-- {
@@ -151,7 +126,9 @@ func parentPath(path string) string {
 	return ""
 }
 
-func (c *census) Observe(ev sched.Event, st *sched.State) {
+// Decide implements sched.Tracer: it counts d's event.
+func (c *census) Decide(d sched.Decision, st *sched.State) {
+	ev := &d.Event
 	for len(c.lids) <= ev.TID {
 		path := st.Path(len(c.lids))
 		c.lids = append(c.lids, c.info.AddThread(path, parentPath(path)))
@@ -196,19 +173,12 @@ func (c *census) Observe(ev sched.Event, st *sched.State) {
 	row[idx]++
 }
 
-// Collect runs the program opts.Runs times under a random walk and returns
-// the averaged profile. Runs that crash still contribute their partial
-// counts (the paper's RaceBench discussion notes exactly this hazard); an
-// error is returned only if every run was truncated by the step budget.
+// Collect runs the program once under a random walk and returns its
+// profile, as the paper profiles (§3.6). A run that crashes still yields
+// its partial counts (the paper's RaceBench discussion notes exactly this
+// hazard); so does one the step budget cuts off, with an error.
 func Collect(prog func(*sched.Thread), opts Options) (*Profile, error) {
-	return CollectOn(nil, prog, opts)
-}
-
-// CollectOn is Collect with the census runs executed on pool — the warm
-// pool of the session about to test prog — instead of a fresh execution
-// each. Pool.Run is bit-identical to sched.Run, so the profile is the same.
-func CollectOn(pool *sched.Pool, prog func(*sched.Thread), opts Options) (*Profile, error) {
-	return new(Collector).Collect(pool, prog, opts)
+	return new(Collector).Collect(nil, prog, opts)
 }
 
 // reset empties the profile for the next census: the cells the last one
@@ -221,13 +191,13 @@ func (p *Profile) reset() {
 	p.allOK, p.sharedOK, p.sharedTotal = false, false, 0
 }
 
-// Collect is CollectOn taking the census into the collector's storage: the
-// same profile — the same counts, the same selections drawn from it — as a
-// fresh CollectOn's, whatever the collector profiled before. It replaces
-// the collector's previous profile (see Profile).
+// Collect is profile.Collect with the census run on pool — the warm pool of
+// the session about to test prog; nil for a fresh execution — and taken
+// into the collector's storage. Pool.Run is bit-identical to sched.Run, so
+// the profile — its counts, the selections drawn from it — is a fresh
+// Collect's, whatever the collector profiled before. It replaces the
+// collector's previous profile (see Profile).
 func (c *Collector) Collect(pool *sched.Pool, prog func(*sched.Thread), opts Options) (*Profile, error) {
-	opts = opts.normalized()
-	runs := opts.Runs
 	p := &c.prof
 	p.reset()
 	c.info.Reset()
@@ -236,26 +206,17 @@ func (c *Collector) Collect(pool *sched.Pool, prog func(*sched.Thread), opts Opt
 	if c.objIdx == nil {
 		c.objIdx = make(map[uint64]int32)
 	}
-	allTruncated := true
-	for r := 0; r < runs; r++ {
-		so := sched.Options{Base: opts.Base}
-		so.Seed += int64(r) * 7919
-		res := &c.res
-		if pool != nil {
-			pool.RunInto(res, prog, (*census)(c), so)
-		} else {
-			res = sched.Run(prog, (*census)(c), so)
-		}
-		if !res.Truncated {
-			allTruncated = false
-		}
+	so := sched.Options{Base: opts.Base, Tracer: (*census)(c)}
+	res := &c.res
+	if pool != nil {
+		pool.RunInto(res, prog, &c.rw, so)
+	} else {
+		res = sched.Run(prog, &c.rw, so)
 	}
-	// Average the counts over the runs; an object's Threads is the number
-	// of threads with a cell on it, counted at each thread's first one.
-	avg := func(n int) int { return (n + runs - 1) / runs }
+	// An object's Threads is the number of threads with a cell on it,
+	// counted at each thread's first one.
 	for _, t := range p.touched {
 		row := p.counts[t.lid]
-		row[t.idx] = int32(avg(int(row[t.idx])))
 		first := t.idx &^ (1<<kindBits - 1)
 		for first < t.idx && row[first] == 0 {
 			first++
@@ -264,15 +225,8 @@ func (c *Collector) Collect(pool *sched.Pool, prog func(*sched.Thread), opts Opt
 			p.Objs[t.idx>>kindBits].Threads++
 		}
 	}
-	for i := range p.Info.Events {
-		p.Info.Events[i] = avg(p.Info.Events[i])
-	}
-	p.Info.TotalEvents = avg(p.Info.TotalEvents)
-	for i := range p.Objs {
-		p.Objs[i].Accesses, p.Objs[i].Writes = avg(p.Objs[i].Accesses), avg(p.Objs[i].Writes)
-	}
-	if allTruncated {
-		return p, errors.New("profile: every census run hit the step budget")
+	if res.Truncated {
+		return p, errors.New("profile: the census run hit the step budget")
 	}
 	return p, nil
 }

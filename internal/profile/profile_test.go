@@ -290,18 +290,6 @@ func TestSURWWithProfiledCounts(t *testing.T) {
 	}
 }
 
-func TestCollectAveragesRuns(t *testing.T) {
-	p, err := Collect(prog, Options{Base: sched.Base{Seed: 9}, Runs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The program is schedule-independent in event counts, so averages must
-	// match a single run exactly.
-	if p.Info.TotalEvents != 29 {
-		t.Fatalf("averaged total = %d, want 29", p.Info.TotalEvents)
-	}
-}
-
 func TestCollectTruncationError(t *testing.T) {
 	spin := func(t *sched.Thread) {
 		for {
@@ -398,7 +386,7 @@ func TestSelectRegionBackwardGrowth(t *testing.T) {
 	}
 }
 
-// TestCollectAllTruncatedKeepsPartialProfile: when every census run hits the
+// TestCollectAllTruncatedKeepsPartialProfile: when the census run hits the
 // step budget, Collect must report the error AND still hand back the partial
 // counts (callers use them for best-effort Δ selection).
 func TestCollectAllTruncatedKeepsPartialProfile(t *testing.T) {
@@ -413,9 +401,9 @@ func TestCollectAllTruncatedKeepsPartialProfile(t *testing.T) {
 			x.Add(t, 1)
 		}
 	}
-	p, err := Collect(spin, Options{Base: sched.Base{MaxSteps: 40, Seed: 4}, Runs: 3})
+	p, err := Collect(spin, Options{Base: sched.Base{MaxSteps: 40, Seed: 4}})
 	if err == nil {
-		t.Fatal("expected every-run-truncated error")
+		t.Fatal("expected truncation error")
 	}
 	if p == nil {
 		t.Fatal("partial profile discarded on truncation")

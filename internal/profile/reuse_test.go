@@ -75,8 +75,8 @@ func snapshot(p *profile.Profile, err error) profileSnap {
 }
 
 // TestCollectorReuseMatchesCollect: one Collector, reused the way a
-// runner worker reuses its own — across programs, seeds, run counts, pools
-// and censuses that truncate or crash — hands back each time the profile a
+// runner worker reuses its own — across programs, seeds, pools and
+// censuses that truncate or crash — hands back each time the profile a
 // fresh profile.Collect takes: the same spine, object census and
 // per-thread counts, and the same SelectSingleVar draws with the same
 // instantiated infos.
@@ -89,8 +89,8 @@ func TestCollectorReuseMatchesCollect(t *testing.T) {
 		got := snapshot(col.Collect(pool, prog, opts))
 		want := snapshot(profile.Collect(prog, opts))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s seed %d runs %d max-steps %d (census %d of this collector): reused collector\n%+v\nfresh Collect\n%+v",
-				name, opts.Seed, opts.Runs, opts.MaxSteps, censuses, got, want)
+			t.Fatalf("%s seed %d max-steps %d (census %d of this collector): reused collector\n%+v\nfresh Collect\n%+v",
+				name, opts.Seed, opts.MaxSteps, censuses, got, want)
 		}
 		return got
 	}
@@ -103,18 +103,16 @@ func TestCollectorReuseMatchesCollect(t *testing.T) {
 	for _, name := range sctbench.Names() {
 		tgt, _ := sctbench.ByName(name)
 		pool := sched.NewPool()
-		for _, runs := range []int{1, 3} {
-			for seed := int64(1); seed <= 2; seed++ {
-				base := sched.Base{Seed: seed + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}
-				check(name, pool, tgt.Prog, profile.Options{Base: base, Runs: runs})
-				// In between: a census cut off after a few events (every
-				// run truncated: an error and a partial profile) and one
-				// whose program panics, both of which leave the tables
-				// part-filled for the next census to start from.
-				base.MaxSteps = 5
-				check(name+" truncated", pool, tgt.Prog, profile.Options{Base: base, Runs: runs})
-				check("crash", nil, crash, profile.Options{Base: sched.Base{Seed: seed}, Runs: runs})
-			}
+		for seed := int64(1); seed <= 2; seed++ {
+			base := sched.Base{Seed: seed + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}
+			check(name, pool, tgt.Prog, profile.Options{Base: base})
+			// In between: a census cut off after a few events (an error
+			// and a partial profile) and one whose program panics, both of
+			// which leave the tables part-filled for the next census to
+			// start from.
+			base.MaxSteps = 5
+			check(name+" truncated", pool, tgt.Prog, profile.Options{Base: base})
+			check("crash", nil, crash, profile.Options{Base: sched.Base{Seed: seed}})
 		}
 		pool.Close()
 	}
@@ -124,9 +122,7 @@ func TestCollectorReuseMatchesCollect(t *testing.T) {
 		if seed%2 == 0 {
 			pool = sched.NewPool()
 		}
-		for _, runs := range []int{1, 3} {
-			check(fmt.Sprintf("gensync-%d", seed), pool, prog, profile.Options{Base: sched.Base{Seed: seed ^ 0x5eed}, Runs: runs})
-		}
+		check(fmt.Sprintf("gensync-%d", seed), pool, prog, profile.Options{Base: sched.Base{Seed: seed ^ 0x5eed}})
 		if pool != nil {
 			pool.Close()
 		}
@@ -140,7 +136,7 @@ func TestCollectorReuseMatchesCollect(t *testing.T) {
 		narrow := progfuzz.GenSync(seed, progfuzz.Config{MinThreads: 2, MaxThreads: 2, Vars: 1, Mutexes: 1, Channels: 1})
 		pool := sched.NewPool()
 		for _, closed := range []bool{false, true} {
-			opts := profile.Options{Base: sched.Base{Seed: seed}, Runs: 2}
+			opts := profile.Options{Base: sched.Base{Seed: seed}}
 			w := check(fmt.Sprintf("wide-%d", seed), pool, wide.Prog(), opts)
 			if closed {
 				pool.Close()

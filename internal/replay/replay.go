@@ -59,57 +59,39 @@ func Parse(s string) (Recording, error) {
 	return rec, nil
 }
 
-// Recorder wraps an algorithm and records its choices.
+// Recorder is a sched.Tracer that records the choice of every consulted
+// decision as the schedule runs, so the algorithm it watches decides on the
+// engine's paths as it does unwatched. It shows every call to Tracer after
+// itself; a nil Tracer is none.
 type Recorder struct {
-	Inner   sched.Algorithm
+	Tracer  sched.Tracer
 	choices []int
 }
 
-// NewRecorder wraps inner.
-func NewRecorder(inner sched.Algorithm) *Recorder { return &Recorder{Inner: inner} }
-
-// Name implements sched.Algorithm.
-func (r *Recorder) Name() string { return "record(" + r.Inner.Name() + ")" }
-
-// Begin implements sched.Algorithm.
-func (r *Recorder) Begin(info *sched.ProgramInfo, rng *rand.Rand) {
+// BeginSchedule implements sched.Tracer.
+func (r *Recorder) BeginSchedule(alg string) {
 	r.choices = r.choices[:0]
-	r.Inner.Begin(info, rng)
-}
-
-// Next implements sched.Algorithm.
-func (r *Recorder) Next(st *sched.State) sched.ThreadID {
-	tid := r.Inner.Next(st)
-	idx := 0
-	for i, e := range st.Enabled() {
-		if e == tid {
-			idx = i
-			break
-		}
-	}
-	r.choices = append(r.choices, idx)
-	return tid
-}
-
-// Observe implements sched.Algorithm.
-func (r *Recorder) Observe(ev sched.Event, st *sched.State) { r.Inner.Observe(ev, st) }
-
-// ObserveSpawn forwards spawn notifications when the inner algorithm wants
-// them.
-func (r *Recorder) ObserveSpawn(parent, child sched.ThreadID, st *sched.State) {
-	if so, ok := r.Inner.(sched.SpawnObserver); ok {
-		so.ObserveSpawn(parent, child, st)
+	if r.Tracer != nil {
+		r.Tracer.BeginSchedule(alg)
 	}
 }
 
-// AppendAnnotation forwards the inner algorithm's tracer annotation
-// (sched.Annotator), so decision traces captured through a Recorder — the
-// flight-recorder path — keep the algorithm's internal state visible.
-func (r *Recorder) AppendAnnotation(buf []byte, st *sched.State) []byte {
-	if an, ok := r.Inner.(sched.Annotator); ok {
-		return an.AppendAnnotation(buf, st)
+// Decide implements sched.Tracer: a consulted decision records the chosen
+// thread's index in the enabled set it was drawn from.
+func (r *Recorder) Decide(d sched.Decision, st *sched.State) {
+	if d.Consulted {
+		r.choices = append(r.choices, st.EnabledRank(d.Chosen))
 	}
-	return buf
+	if r.Tracer != nil {
+		r.Tracer.Decide(d, st)
+	}
+}
+
+// EndSchedule implements sched.Tracer.
+func (r *Recorder) EndSchedule(res *sched.Result) {
+	if r.Tracer != nil {
+		r.Tracer.EndSchedule(res)
+	}
 }
 
 // Recording returns the choices of the last completed schedule.
@@ -185,11 +167,12 @@ func (p *Player) Err() error {
 	return p.err
 }
 
-// Record runs one schedule of prog under alg with recording enabled and
-// returns the result with its recording.
+// Record runs one schedule of prog under alg with a Recorder in front of
+// opts.Tracer and returns the result with its recording.
 func Record(prog func(*sched.Thread), alg sched.Algorithm, opts sched.Options) (*sched.Result, Recording) {
-	rec := NewRecorder(alg)
-	res := sched.Run(prog, rec, opts)
+	rec := &Recorder{Tracer: opts.Tracer}
+	opts.Tracer = rec
+	res := sched.Run(prog, alg, opts)
 	return res, rec.Recording()
 }
 

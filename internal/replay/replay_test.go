@@ -163,10 +163,9 @@ func TestMinimizeShrinksNoisyRecording(t *testing.T) {
 	}
 }
 
-func TestRecorderForwardsSpawnObserver(t *testing.T) {
-	// SURW behind a Recorder must behave identically to bare SURW (the
-	// recorder forwards Begin/Observe/ObserveSpawn), so equal seeds give
-	// equal interleavings.
+func TestRecorderLeavesSURWUnperturbed(t *testing.T) {
+	// SURW recorded must behave identically to bare SURW (the recorder only
+	// watches, as a tracer), so equal seeds give equal interleavings.
 	info := sched.NewProgramInfo()
 	info.AddThread("0", "")
 	for i := 0; i < 2; i++ {

@@ -5,7 +5,6 @@ import (
 
 	"surw/internal/core"
 	"surw/internal/profile"
-	"surw/internal/replay"
 	"surw/internal/sched"
 )
 
@@ -138,25 +137,16 @@ func (w *worker) Next(res *sched.Result, tracer sched.Tracer) {
 }
 
 // Rerun runs the session's schedule i again with tracer attached (nil for
-// none; a sched.EventLog records its events) and returns a Result the
-// caller owns. Schedules are deterministic given (program, algorithm,
-// options), so it witnesses the interleaving the i-th Next did, or will. It
-// leaves the session where it was: the next Next is unmoved.
-func (w *worker) Rerun(i int, tracer sched.Tracer) *sched.Result { return w.rerun(i, w.alg, tracer) }
-
-// Record is Rerun with a replay recorder round the session's algorithm —
-// it decides as the algorithm does — returning the choice sequence too.
-func (w *worker) Record(i int, tracer sched.Tracer) (*sched.Result, replay.Recording) {
-	rec := replay.NewRecorder(w.alg)
-	res := w.rerun(i, rec, tracer)
-	return res, rec.Recording()
-}
-
-func (w *worker) rerun(i int, alg sched.Algorithm, tracer sched.Tracer) *sched.Result {
+// none; a sched.EventLog records its events, a replay.Recorder its choices)
+// and returns a Result the caller owns. Schedules are deterministic given
+// (program, algorithm, options), so it witnesses the interleaving the i-th
+// Next did, or will. It leaves the session where it was: the next Next is
+// unmoved.
+func (w *worker) Rerun(i int, tracer sched.Tracer) *sched.Result {
 	opts := w.options(i)
 	opts.Tracer = tracer
 	w.running = true
-	res := w.pool.Run(w.tgt.Prog, alg, opts)
+	res := w.pool.Run(w.tgt.Prog, w.alg, opts)
 	w.running = false
 	return res
 }

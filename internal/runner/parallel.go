@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"surw/internal/obs"
+	"surw/internal/replay"
 	"surw/internal/sched"
 )
 
@@ -170,12 +171,13 @@ func runSession(ctx context.Context, tgt Target, algName string, cfg Config, ses
 }
 
 // dumpFlight runs the session's first failing schedule again, on the
-// session's own worker, with a replay recorder and a ring collector
-// attached — capturing the choice sequence and the last decisions — and
+// session's own worker, with a replay recorder and a ring collector behind
+// it attached — capturing the choice sequence and the last decisions — and
 // writes the flight record under dir.
 func dumpFlight(w *worker, dir string, session, schedule int, orig *sched.Result) (string, error) {
 	col := obs.NewCollector(obs.FlightRingSize)
-	res, rec := w.Record(schedule, col)
+	rec := &replay.Recorder{Tracer: col}
+	res := w.Rerun(schedule, rec)
 
 	fr := &obs.FlightRecord{
 		Version:          obs.FlightVersion,
@@ -186,7 +188,7 @@ func dumpFlight(w *worker, dir string, session, schedule int, orig *sched.Result
 		Seed:             w.seed,
 		ProgSeed:         w.tgt.ProgSeed,
 		MaxSteps:         w.tgt.MaxSteps,
-		Recording:        rec.String(),
+		Recording:        rec.Recording().String(),
 		BugID:            orig.BugID(),
 		FailStep:         orig.Failure.Step,
 		FailKind:         orig.Failure.Kind.String(),

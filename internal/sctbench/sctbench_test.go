@@ -314,8 +314,8 @@ func TestCensusOnWarmPoolMatchesCollect(t *testing.T) {
 			for i := int64(0); i < 2; i++ {
 				pool.Run(tgt.Prog, core.NewRandomWalk(), sched.Options{Base: sched.Base{Seed: 100*seed + i, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}})
 			}
-			opts := profile.Options{Base: sched.Base{Seed: seed + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}, Runs: int(seed)}
-			warm, warmErr := profile.CollectOn(pool, tgt.Prog, opts)
+			opts := profile.Options{Base: sched.Base{Seed: seed + 17, ProgSeed: tgt.ProgSeed, MaxSteps: tgt.MaxSteps}}
+			warm, warmErr := new(profile.Collector).Collect(pool, tgt.Prog, opts)
 			fresh, freshErr := profile.Collect(tgt.Prog, opts)
 			if (warmErr == nil) != (freshErr == nil) {
 				t.Fatalf("%s seed %d: census on the pool: %v, one-shot: %v", name, seed, warmErr, freshErr)

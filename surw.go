@@ -88,9 +88,10 @@ type (
 	// EventLog records a schedule's full event sequence when attached as
 	// RunOptions.Tracer.
 	EventLog = sched.EventLog
-	// Profile is the census a profiling run produces.
+	// Profile is the census the one profiling run produces.
 	Profile = profile.Profile
-	// ProfileOptions configures Collect.
+	// ProfileOptions configures Collect: the seed, program seed and step
+	// budget of its run.
 	ProfileOptions = profile.Options
 	// Selection is a chosen interesting-event subset Δ.
 	Selection = profile.Selection
@@ -135,8 +136,9 @@ func Run(prog func(*Thread), alg Algorithm, opts RunOptions) *Result {
 	return sched.Run(prog, alg, opts)
 }
 
-// Collect performs the profiling run(s) for prog: per-thread event counts,
-// the spawn tree, and a census of shared objects.
+// Collect performs the profiling run for prog, one run under a random walk
+// as in the paper: per-thread event counts, the spawn tree, and a census of
+// shared objects.
 func Collect(prog func(*Thread), opts ProfileOptions) (*Profile, error) {
 	return profile.Collect(prog, opts)
 }
@@ -250,7 +252,8 @@ func ParseRecording(s string) (Recording, error) { return replay.Parse(s) }
 
 // RecordRun executes one schedule under alg while recording every choice,
 // so the schedule can be replayed or minimized later — even on another
-// machine, via Recording.String.
+// machine, via Recording.String. The recorder watches as a tracer, in front
+// of opts.Tracer, so alg decides as it does unrecorded.
 func RecordRun(prog func(*Thread), alg Algorithm, opts RunOptions) (*Result, Recording) {
 	return replay.Record(prog, alg, opts)
 }
